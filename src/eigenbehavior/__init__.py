@@ -17,6 +17,7 @@ from .distances import (
     amvd_distance,
     amvd_distance_matrix,
     eigen_distance,
+    eigen_distance_from_sims,
     eigen_distance_matrix,
     eigen_sets_for,
     manhattan,

@@ -109,7 +109,6 @@ def _trace_config(payload: dict, records) -> TraceConfig:
         trace_start=start,
         trace_end=end,
         slot_seconds=int(payload.get("slot_seconds", 86400)),
-        granularity=payload.get("granularity", "building"),
         window=tuple(window) if window else None,
         normalization=payload.get("normalization", "normalized"),
         align_midnight=bool(payload.get("align_midnight", False)),
@@ -130,7 +129,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         target_count=args.clusters,
         power_floor=float(payload.get("power_floor", DEFAULT_POWER_FLOOR)),
         include_offline=bool(payload.get("include_offline", False)),
-        seed=args.seed,
         with_summary_table=True,
     )
     os.makedirs(args.out, exist_ok=True)

@@ -24,7 +24,6 @@ class Partition:
 
     assignment: dict[Hashable, int]
     merge_history: list[tuple[int, int, float]] = field(default_factory=list)
-    stop: dict | None = None
 
     @property
     def n_clusters(self) -> int:
@@ -41,7 +40,8 @@ class Partition:
         return [len(members) for members in self.clusters()]
 
 
-def _validate_square(dm: np.ndarray) -> np.ndarray:
+def validate_square(dm: np.ndarray) -> np.ndarray:
+    """dm as a float array, checked to be square, symmetric and zero on the diagonal."""
     dm = np.asarray(dm, dtype=float)
     if dm.ndim != 2 or dm.shape[0] != dm.shape[1]:
         raise ValueError("distance matrix must be square")
@@ -67,7 +67,7 @@ def agglomerate(
     """
     if (threshold is None) == (target_count is None):
         raise ValueError("give exactly one of threshold or target_count")
-    dm = _validate_square(dm)
+    dm = validate_square(dm)
     n = dm.shape[0]
     if labels is None:
         labels = list(range(n))
@@ -121,13 +121,7 @@ def agglomerate(
     for cid, slot in enumerate(sorted(members)):
         for idx in members[slot]:
             assignment[labels[idx]] = cid
-    return Partition(
-        assignment=assignment,
-        merge_history=history,
-        stop=(
-            {"threshold": threshold} if threshold is not None else {"target_count": target_count}
-        ),
-    )
+    return Partition(assignment=assignment, merge_history=history)
 
 
 def distance_cdfs(
@@ -136,7 +130,7 @@ def distance_cdfs(
     labels: Sequence[Hashable] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted intra-cluster and inter-cluster pair distance samples."""
-    dm = _validate_square(dm)
+    dm = validate_square(dm)
     n = dm.shape[0]
     if labels is None:
         labels = list(range(n))

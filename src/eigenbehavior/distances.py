@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .cluster import validate_square
 from .summaries import (
     DEFAULT_POWER_FLOOR,
     EigenBehaviorSet,
@@ -47,16 +48,12 @@ class DistanceMatrix:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
         self.ids = tuple(self.ids)
         self.flagged_ids = tuple(self.flagged_ids)
         n = len(self.ids)
-        if self.values.shape != (n, n):
+        if np.shape(self.values) != (n, n):
             raise ValueError("values must be N x N matching ids")
-        if not np.allclose(self.values, self.values.T, atol=1e-9):
-            raise ValueError("distance matrix must be symmetric")
-        if not np.allclose(np.diag(self.values), 0.0, atol=1e-9):
-            raise ValueError("distance matrix diagonal must be zero")
+        self.values = validate_square(self.values)
         top = METRIC_MAX.get(self.metric)
         if top is not None and (self.values.min() < -1e-9 or self.values.max() > top + 1e-9):
             raise ValueError(f"{self.metric} distances must lie in [0, {top}]")
@@ -200,38 +197,43 @@ def eigen_distance(sim_uv: float, sim_vu: float) -> float:
     return min(max(1.0 - (sim_uv + sim_vu) / 2.0, 0.0), 1.0)
 
 
-def eigen_distance_matrix(
-    eigen_sets: dict[str, EigenBehaviorSet | None],
-) -> DistanceMatrix:
-    """Pairwise eigen-behavior distance over a population.
-
-    Users mapped to None (no online time, so no eigen-behaviors) are flagged
-    and sit at the metric maximum from everyone.
-    """
-    ids = tuple(sorted(eigen_sets))
-    flagged = tuple(u for u in ids if eigen_sets[u] is None)
-    live_ids = [u for u in ids if eigen_sets[u] is not None]
-    if len(live_ids) < 2:
-        raise ValueError("need at least two users with eigen-behavior sets")
-    raw = sim_matrix([eigen_sets[u] for u in live_ids])
-    norm = normalize_sims(raw)
-    live_d = 1.0 - (norm + norm.T) / 2.0
-    np.fill_diagonal(live_d, 0.0)
-    live_d = np.clip(live_d, 0.0, 1.0)
-    n = len(ids)
-    values = np.full((n, n), METRIC_MAX["eigen"])
-    np.fill_diagonal(values, 0.0)
-    live_pos = [ids.index(u) for u in live_ids]
-    values[np.ix_(live_pos, live_pos)] = live_d
-    floor = eigen_sets[live_ids[0]].power_floor
-    return DistanceMatrix(values, "eigen", ids, flagged, {"power_floor": floor})
-
-
 def normalized_sim_table(eigen_sets: dict[str, EigenBehaviorSet]) -> tuple[np.ndarray, tuple[str, ...]]:
     """Population-normalized similarity table and its user-id order."""
     ids = tuple(sorted(eigen_sets))
     raw = sim_matrix([eigen_sets[u] for u in ids])
     return normalize_sims(raw), ids
+
+
+def eigen_distance_from_sims(
+    normalized: np.ndarray,
+    sim_ids: tuple[str, ...],
+    eigen_sets: dict[str, EigenBehaviorSet | None],
+) -> DistanceMatrix:
+    """Eigen-behavior distance 1 - (S + S^T) / 2 from the table over sim_ids.
+
+    Users mapped to None in eigen_sets (no online time) are flagged and sit at
+    the metric maximum from everyone.
+    """
+    ids = tuple(sorted(eigen_sets))
+    flagged = tuple(u for u in ids if eigen_sets[u] is None)
+    live_d = 1.0 - (normalized + normalized.T) / 2.0
+    np.fill_diagonal(live_d, 0.0)
+    live_d = np.clip(live_d, 0.0, 1.0)
+    values = np.full((len(ids), len(ids)), METRIC_MAX["eigen"])
+    np.fill_diagonal(values, 0.0)
+    pos_of = {u: i for i, u in enumerate(ids)}
+    live_pos = [pos_of[u] for u in sim_ids]
+    values[np.ix_(live_pos, live_pos)] = live_d
+    floor = eigen_sets[sim_ids[0]].power_floor
+    return DistanceMatrix(values, "eigen", ids, flagged, {"power_floor": floor})
+
+
+def eigen_distance_matrix(
+    eigen_sets: dict[str, EigenBehaviorSet | None],
+) -> DistanceMatrix:
+    """Pairwise eigen-behavior distance over a population; see eigen_distance_from_sims."""
+    live = {u: s for u, s in eigen_sets.items() if s is not None}
+    return eigen_distance_from_sims(*normalized_sim_table(live), eigen_sets)
 
 
 def summary_l1_distance(

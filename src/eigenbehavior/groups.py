@@ -188,7 +188,7 @@ def partition_from_labels(labels: dict[Hashable, int]) -> Partition:
         if gid not in relabel:
             relabel[gid] = len(relabel)
         assignment[element] = relabel[gid]
-    return Partition(assignment=assignment, merge_history=[], stop=None)
+    return Partition(assignment=assignment)
 
 
 @dataclass

@@ -82,7 +82,6 @@ def write_matrices(
             "trace_start": config.trace_start,
             "trace_end": config.trace_end,
             "slot_seconds": config.slot_seconds,
-            "granularity": config.granularity,
             "window": list(config.window) if config.window else None,
             "normalization": config.normalization,
             "align_midnight": config.align_midnight,
@@ -182,10 +181,12 @@ def load_partition_csv(path: str) -> Partition:
         for row in reader:
             if len(row) != 2:
                 raise ValueError(f"{path}:{reader.line_num}: expected 2 fields")
+            if row[0] in assignment:
+                raise ValueError(f"{path}:{reader.line_num}: duplicate element {row[0]!r}")
             assignment[row[0]] = int(row[1])
     if not assignment:
         raise ValueError(f"{path}: empty partition")
-    return Partition(assignment=assignment, merge_history=[], stop=None)
+    return Partition(assignment=assignment)
 
 
 def write_merge_history_csv(path: str, partition: Partition) -> None:
@@ -229,10 +230,13 @@ def load_sims_csv(path: str) -> tuple[np.ndarray, tuple[str, ...]]:
         if not header or header[0] != "user":
             raise ValueError(f"{path}: bad similarity table header")
         ids = tuple(header[1:])
-        rows = [[float(v) for v in row[1:]] for row in reader]
-    values = np.array(rows)
+        rows = [(reader.line_num, row) for row in reader]
+    values = np.array([[float(v) for v in row[1:]] for _, row in rows])
     if values.shape != (len(ids), len(ids)):
         raise ValueError(f"{path}: similarity table is not square")
+    for (line, row), expected in zip(rows, ids):
+        if row[0] != expected:
+            raise ValueError(f"{path}:{line}: row user {row[0]!r} differs from header id {expected!r}")
     return values, ids
 
 

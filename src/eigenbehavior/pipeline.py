@@ -19,11 +19,17 @@ _SUMMARY_KIND = {"onavg": "onavg", "centroid05": "centroid@0.5", "centroid09": "
 def build_distance_matrix(
     matrices: dict[str, AssociationMatrix],
     metric: str,
-    power_floor: float = summaries.DEFAULT_POWER_FLOOR,
+    eigen_sets: dict[str, summaries.EigenBehaviorSet | None],
+    normalized_sims: np.ndarray | None,
+    sim_ids: tuple[str, ...] | None,
     include_offline: bool = False,
 ) -> DistanceMatrix:
+    """Distance matrix for a metric; eigen distances come from the given sim table,
+    which is None when fewer than two users have eigen-behavior sets."""
     if metric == "eigen":
-        return distances.eigen_distance_matrix(distances.eigen_sets_for(matrices, power_floor))
+        if normalized_sims is None:
+            raise ValueError("need at least two users with eigen-behavior sets")
+        return distances.eigen_distance_from_sims(normalized_sims, sim_ids, eigen_sets)
     if metric == "amvd":
         return distances.amvd_distance_matrix(matrices, include_offline)
     if metric in _SUMMARY_KIND:
@@ -65,10 +71,11 @@ def run_pipeline(
     target_count: int | None = None,
     power_floor: float = summaries.DEFAULT_POWER_FLOOR,
     include_offline: bool = False,
-    seed: int = 0,
     with_summary_table: bool = False,
 ) -> PipelineResult:
-    """Run the full grouping pipeline on prepared (already aggregated) records."""
+    """Run the full grouping pipeline on prepared (already aggregated) records.
+
+    Eigen sets and the similarity table are built once and feed every output."""
     matrices = build_matrices(records, config)
     eigen_sets = distances.eigen_sets_for(matrices, power_floor)
     live = {u: s for u, s in eigen_sets.items() if s is not None}
@@ -76,7 +83,7 @@ def run_pipeline(
     sim_ids = None
     if len(live) >= 2:
         normalized, sim_ids = distances.normalized_sim_table(live)
-    dm = build_distance_matrix(matrices, metric, power_floor, include_offline)
+    dm = build_distance_matrix(matrices, metric, eigen_sets, normalized, sim_ids, include_offline)
     partition = cluster_population(dm, threshold=threshold, target_count=target_count)
     intra, inter = distance_cdfs(partition, dm.values, labels=list(dm.ids))
     profiles = groups.group_profiles(partition, matrices, power_floor=power_floor)

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cluster import Partition
-from .trace import AssociationRecord
+from .trace import AssociationRecord, _union
 
 SCHEMES = ("flooding", "centralized", "similarity", "rtx")
 
@@ -163,13 +163,7 @@ def _merged_user_intervals(
         )
     for users in per.values():
         for user, intervals in users.items():
-            merged: list[list[float]] = []
-            for s, e in sorted(intervals):
-                if merged and s <= merged[-1][1]:
-                    merged[-1][1] = max(merged[-1][1], e)
-                else:
-                    merged.append([s, e])
-            users[user] = [(s, e) for s, e in merged]
+            users[user] = _union(intervals)
     return per
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .cluster import Partition, agglomerate
+from .cluster import agglomerate
 from .trace import AssociationMatrix
 
 DEFAULT_POWER_FLOOR = 0.001  # keep eigen-behaviors carrying >= 0.1% of total power
@@ -59,7 +59,6 @@ class ModeClustering:
     centroids: list[np.ndarray]
     offline_rows: list[int]
     threshold: float
-    partition: Partition | None = None
 
     @property
     def multi_modal(self) -> bool:
@@ -88,11 +87,10 @@ def behavioral_modes(matrix: AssociationMatrix, threshold: float) -> ModeCluster
         return ModeClustering([], [], offline, threshold)
     rows = matrix.rows[online]
     dm = cdist(rows, rows, "cityblock")
-    partition = agglomerate(dm, threshold=threshold, labels=[int(i) for i in online])
-    clusters = partition.clusters()
+    clusters = agglomerate(dm, threshold=threshold, labels=[int(i) for i in online]).clusters()
     pos = {int(row): p for p, row in enumerate(online)}
     centroids = [rows[[pos[i] for i in members]].mean(axis=0) for members in clusters]
-    return ModeClustering(clusters, centroids, offline, threshold, partition)
+    return ModeClustering(clusters, centroids, offline, threshold)
 
 
 def modal_class(matrix: AssociationMatrix, threshold: float) -> bool:

@@ -17,7 +17,6 @@ import numpy as np
 
 DAY_SECONDS = 86_400
 
-GRANULARITIES = ("building", "access_point")
 NORMALIZATIONS = ("normalized", "absolute")
 
 
@@ -56,7 +55,6 @@ class TraceConfig:
     trace_start: float
     trace_end: float
     slot_seconds: int = DAY_SECONDS
-    granularity: str = "building"
     window: tuple[int, int] | None = None
     normalization: str = "normalized"
     align_midnight: bool = False
@@ -66,8 +64,6 @@ class TraceConfig:
             raise ValueError("slot_seconds must be positive")
         if not self.trace_end > self.trace_start:
             raise ValueError("trace_end must exceed trace_start")
-        if self.granularity not in GRANULARITIES:
-            raise ValueError(f"unknown granularity {self.granularity!r}")
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.window is not None:

@@ -96,6 +96,10 @@ def test_partition_csv_roundtrip(tmp_path):
     empty.write_text("element,cluster\n")
     with pytest.raises(ValueError, match="empty partition"):
         load_partition_csv(str(empty))
+    duplicate = tmp_path / "duplicate.csv"
+    duplicate.write_text("element,cluster\nu1,0\nu2,0\nu1,1\n")
+    with pytest.raises(ValueError, match=r"duplicate\.csv:4: duplicate element 'u1'"):
+        load_partition_csv(str(duplicate))
 
 
 def test_sims_csv_roundtrip(tmp_path):
@@ -109,6 +113,10 @@ def test_sims_csv_roundtrip(tmp_path):
     bad.write_text("user,a\n1.0,2.0\n3.0,4.0\n")
     with pytest.raises(ValueError, match="not square"):
         load_sims_csv(str(bad))
+    permuted = tmp_path / "permuted.csv"
+    permuted.write_text("user,a,b\nb,0.5,1\na,1,0.75\n")
+    with pytest.raises(ValueError, match=r"permuted\.csv:2: row user 'b' differs"):
+        load_sims_csv(str(permuted))
 
 
 def test_cdf_csv_is_a_proper_cdf(tmp_path):

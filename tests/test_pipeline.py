@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from eigenbehavior import (
+    AssociationRecord,
     GroupSpec,
     SynthSpec,
     TraceConfig,
     build_distance_matrix,
-    build_matrices,
     cluster_population,
     generate,
     jaccard,
     partition_from_labels,
     run_pipeline,
 )
+from eigenbehavior import distances
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +50,13 @@ def planted():
 )
 def test_build_distance_matrix_dispatch(planted, metric, tag):
     records, _, config = planted
-    matrices = build_matrices(records, config)
-    dm = build_distance_matrix(matrices, metric)
+    built = run_pipeline(records, config, target_count=2)
+    products = (built.eigen_sets, built.normalized_sims, built.sim_ids)
+    dm = build_distance_matrix(built.matrices, metric, *products)
     assert dm.metric == tag
     assert dm.n == 12
     with pytest.raises(ValueError, match="unknown metric"):
-        build_distance_matrix(matrices, "cosine")
+        build_distance_matrix(built.matrices, "cosine", *products)
 
 
 @pytest.mark.parametrize("metric", ["eigen", "amvd", "onavg", "centroid05"])
@@ -76,9 +80,40 @@ def test_pipeline_summary_table_on_request(planted):
 
 def test_cluster_population_threshold_route(planted):
     records, truth, config = planted
-    matrices = build_matrices(records, config)
-    dm = build_distance_matrix(matrices, "eigen")
+    dm = run_pipeline(records, config, target_count=2).distance_matrix
     partition = cluster_population(dm, threshold=0.5)
     assert jaccard(partition, partition_from_labels(truth)) == 1.0
     with pytest.raises(ValueError, match="exactly one"):
         cluster_population(dm)
+
+
+def test_eigen_pipeline_builds_sets_and_table_once(planted, monkeypatch):
+    records, _, config = planted
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(distances, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("sim_matrix", "eigen_sets_for"):
+        monkeypatch.setattr(distances, name, counting(name))
+    # a user whose only session lies before the trace horizon is all offline
+    offline = AssociationRecord("zz-offline", records[0].location_id, -100, -10)
+    result = run_pipeline(records + [offline], config, metric="eigen", target_count=3)
+    assert calls == {"sim_matrix": 1, "eigen_sets_for": 1}
+
+    dm = result.distance_matrix
+    assert dm.flagged_ids == ("zz-offline",)
+    assert "zz-offline" not in result.sim_ids
+    table = result.normalized_sims
+    live = [dm.ids.index(u) for u in result.sim_ids]
+    np.testing.assert_array_equal(
+        dm.values[np.ix_(live, live)], np.clip(1.0 - (table + table.T) / 2.0, 0.0, 1.0)
+    )
+    dead = dm.ids.index("zz-offline")
+    assert np.all(np.delete(dm.values[dead], dead) == 1.0)

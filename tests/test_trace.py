@@ -189,8 +189,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TraceConfig(0, 10, slot_seconds=0)
     with pytest.raises(ValueError):
-        TraceConfig(0, 10, granularity="campus")
-    with pytest.raises(ValueError):
         TraceConfig(0, 10, window=(10, 5))
     with pytest.raises(ValueError):
         TraceConfig(0, 10, normalization="relative")
