@@ -42,7 +42,7 @@ from .groups import (
 )
 from .pipeline import PipelineResult, build_distance_matrix, cluster_population, run_pipeline
 from .profilecast import (
-    Encounter,
+    Encounters,
     Message,
     SimConfig,
     SimResult,

@@ -231,6 +231,9 @@ def load_sims_csv(path: str) -> tuple[np.ndarray, tuple[str, ...]]:
             raise ValueError(f"{path}: bad similarity table header")
         ids = tuple(header[1:])
         rows = [(reader.line_num, row) for row in reader]
+    for line, row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{line}: row has {len(row)} cells, expected {len(header)}")
     values = np.array([[float(v) for v in row[1:]] for _, row in rows])
     if values.shape != (len(ids), len(ids)):
         raise ValueError(f"{path}: similarity table is not square")

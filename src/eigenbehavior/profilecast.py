@@ -22,11 +22,18 @@ Forwarding schemes:
 
 One forwarding decision is taken per (encounter, message); receipt time is the
 encounter start; a node holds at most one copy of a message.
+
+Encounters are columnar (``Encounters``: parallel arrays over int user and
+location codes).  The replay keeps one Python-int bitset over the messages
+per user, so one encounter costs a few integer operations whatever the number
+of messages; earliest-arrival replay over a time-ordered contact sequence
+follows Wu et al., "Path problems in temporal graphs" (VLDB 2014).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,21 +48,71 @@ DEFAULT_MIN_GROUP_SIZE = 6  # groups with more than five members get messages
 DEFAULT_TTL_FACTORS = (3, 6, 9)
 
 
-@dataclass(frozen=True)
-class Encounter:
-    """Two users co-located over [start, end); a < b lexicographically."""
+EncounterRow = tuple[str, str, float, float, str]  # (a, b, start, end, location)
 
-    a: str
-    b: str
-    start: float
-    end: float
-    location: str
+
+@dataclass(frozen=True, eq=False)
+class Encounters:
+    """Encounters as parallel columns.
+
+    Row i: users[a[i]] and users[b[i]] co-located over [start[i], end[i]) at
+    locations[loc[i]].  ``users`` and ``locations`` are sorted and hold exactly
+    the ids that occur in some row, so the codes order like the ids and
+    a < b holds for the codes exactly when it holds for the ids.
+    """
+
+    users: tuple[str, ...]
+    locations: tuple[str, ...]
+    a: np.ndarray
+    b: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    loc: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.a >= self.b:
+        columns = {"a": np.intp, "b": np.intp, "start": float, "end": float, "loc": np.intp}
+        for name, dtype in columns.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({getattr(self, name).shape for name in columns}) != 1 or self.a.ndim != 1:
+            raise ValueError("encounter columns must be 1-d and of equal length")
+        if np.any(self.a >= self.b):
             raise ValueError("encounter users must satisfy a < b")
-        if not self.end > self.start:
+        if not np.all(self.end > self.start):
             raise ValueError("encounter must have end > start")
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[EncounterRow]) -> Encounters:
+        """Columns from (a, b, start, end, location) rows, in the given order."""
+        rows = list(rows)
+        users = tuple(sorted({r[0] for r in rows} | {r[1] for r in rows}))
+        locations = tuple(sorted({r[4] for r in rows}))
+        ucode = {u: i for i, u in enumerate(users)}
+        lcode = {loc: i for i, loc in enumerate(locations)}
+        return cls(
+            users,
+            locations,
+            [ucode[r[0]] for r in rows],
+            [ucode[r[1]] for r in rows],
+            [r[2] for r in rows],
+            [r[3] for r in rows],
+            [lcode[r[4]] for r in rows],
+        )
+
+    def rows(self) -> list[EncounterRow]:
+        users, locations = self.users, self.locations
+        return [
+            (users[a], users[b], start, end, locations[loc])
+            for a, b, start, end, loc in zip(
+                self.a.tolist(),
+                self.b.tolist(),
+                self.start.tolist(),
+                self.end.tolist(),
+                self.loc.tolist(),
+            )
+        ]
 
 
 @dataclass(frozen=True)
@@ -167,27 +224,56 @@ def _merged_user_intervals(
     return per
 
 
-def extract_encounters(records: Sequence[AssociationRecord]) -> list[Encounter]:
-    """All maximal pairwise co-presence intervals, sorted by (start, a, b)."""
-    encounters: list[Encounter] = []
-    for location, users in _merged_user_intervals(records).items():
-        flat = [
-            (s, e, user) for user, intervals in users.items() for s, e in intervals
-        ]
-        flat.sort()
-        active: list[tuple[float, float, str]] = []  # (end, start, user)
-        for s, e, user in flat:
-            active = [entry for entry in active if entry[0] > s]
-            for other_end, other_start, other in active:
-                if other == user:
-                    continue
-                a, b = sorted((user, other))
-                encounters.append(
-                    Encounter(a, b, max(s, other_start), min(e, other_end), location)
-                )
-            active.append((e, s, user))
-    encounters.sort(key=lambda enc: (enc.start, enc.a, enc.b))
-    return encounters
+def extract_encounters(records: Sequence[AssociationRecord]) -> Encounters:
+    """All maximal pairwise co-presence intervals, sorted by (start, a, b).
+
+    Each user's intervals are merged per location first, so a user never
+    meets itself and one pair's meetings at a location never touch.  With a
+    location's merged intervals in start order, interval j meets exactly the
+    later intervals that start before it ends: one contiguous run, found by a
+    binary search on the starts.  Rows with equal (start, a, b) come from
+    different locations and keep the order in which the locations first
+    appear in the records.
+    """
+    per_location = _merged_user_intervals(records)
+    users = sorted({u for located in per_location.values() for u in located})
+    locations = sorted(per_location)
+    ucode = {u: i for i, u in enumerate(users)}
+    lcode = {loc: i for i, loc in enumerate(locations)}
+    blocks = []
+    for location, located in per_location.items():
+        code = np.array([ucode[u] for u, intervals in located.items() for _ in intervals], np.intp)
+        spans = np.array([iv for intervals in located.values() for iv in intervals], float)
+        order = np.argsort(spans[:, 0], kind="stable")
+        start, end, code = spans[order, 0], spans[order, 1], code[order]
+        first = np.arange(len(start))
+        counts = np.searchsorted(start, end, side="left") - first - 1
+        j = np.repeat(first, counts)
+        i = j + 1 + np.arange(len(j)) - np.repeat(np.cumsum(counts) - counts, counts)
+        blocks.append(
+            (
+                np.minimum(code[i], code[j]),
+                np.maximum(code[i], code[j]),
+                start[i],
+                np.minimum(end[i], end[j]),
+                np.full(len(j), lcode[location], np.intp),
+            )
+        )
+    if not blocks:
+        return Encounters.from_rows([])
+    a, b, start, end, loc = (np.concatenate(col) for col in zip(*blocks))
+    order = np.lexsort((b, a, start))  # stable: equal keys keep location order
+    present = np.unique(np.concatenate((a, b)))
+    present_locs = np.unique(loc)
+    return Encounters(
+        tuple(users[k] for k in present.tolist()),
+        tuple(locations[k] for k in present_locs.tolist()),
+        np.searchsorted(present, a[order]),
+        np.searchsorted(present, b[order]),
+        start[order],
+        end[order],
+        np.searchsorted(present_locs, loc[order]),
+    )
 
 
 def build_messages(
@@ -225,32 +311,42 @@ def build_messages(
     return messages
 
 
+def _bits_of(mask: np.ndarray) -> int:
+    """Bitset with bit m set where mask[m] is true."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
 def simulate(
     messages: Sequence[Message],
-    encounters: Sequence[Encounter],
+    encounters: Encounters,
     config: SimConfig,
     sim_table: np.ndarray | None = None,
     sim_ids: Sequence[str] | None = None,
 ) -> SimulationOutcome:
-    """Replay the encounters under one forwarding scheme.
+    """Replay the encounters, in the given order, under one forwarding scheme.
 
     The similarity scheme needs sim_table/sim_ids: the population-normalized
     similarity matrix from the profile half and its user-id order; the gate is
     the symmetrized value (mean of the two directions).
+
+    State is one bitset over the messages per user (bit m is message m): the
+    messages it has seen, those whose group it belongs to, and under rtx those
+    in its custody.  Both directions of an encounter are decided from the
+    state before it.
     """
     if not messages:
         raise ValueError("no messages to simulate")
     users = sorted(
         {m.source for m in messages}
         | {t for m in messages for t in m.targets}
-        | {e.a for e in encounters}
-        | {e.b for e in encounters}
+        | set(encounters.users)
     )
     uidx = {u: i for i, u in enumerate(users)}
     n_users = len(users)
     n_msgs = len(messages)
+    to_user = np.array([uidx[u] for u in encounters.users], dtype=np.intp)
+    enc_a, enc_b, enc_start = to_user[encounters.a], to_user[encounters.b], encounters.start
 
-    gate = None
     if config.scheme == "similarity":
         if sim_table is None or sim_ids is None:
             raise ValueError("similarity scheme needs sim_table and sim_ids")
@@ -261,75 +357,97 @@ def simulate(
         if missing:
             raise ValueError(f"users without profile similarities: {missing[:5]}")
         order = np.array([pos[u] for u in users])
-        gate = sym[np.ix_(order, order)] >= config.sim_threshold
+        keep = sym[order[enc_a], order[enc_b]] >= config.sim_threshold
+        enc_a, enc_b, enc_start = enc_a[keep], enc_b[keep], enc_start[keep]
 
     member = np.zeros((n_msgs, n_users), dtype=bool)  # target set + source
     is_target = np.zeros((n_msgs, n_users), dtype=bool)
-    seen = np.zeros((n_msgs, n_users), dtype=bool)
-    arrival = np.full((n_msgs, n_users), np.nan)
     created = np.empty(n_msgs)
-    tx = np.zeros(n_msgs, dtype=int)
-    holder = np.full(n_msgs, -1, dtype=int)  # rtx custody
-    budget = np.zeros(n_msgs, dtype=int)
+    seen = [0] * n_users
+    custody = [0] * n_users  # rtx
+    budget = [0] * n_msgs  # rtx
     for m, msg in enumerate(messages):
         src = uidx[msg.source]
-        seen[m, src] = True
+        seen[src] |= 1 << m
+        custody[src] |= 1 << m
         member[m, src] = True
-        holder[m] = src
         created[m] = msg.creation_time
         for t in msg.targets:
             member[m, uidx[t]] = True
             is_target[m, uidx[t]] = True
         if config.scheme == "rtx":
-            group_size = len(msg.targets) + 1
-            budget[m] = int(round(config.ttl_factor * group_size))
+            budget[m] = int(round(config.ttl_factor * (len(msg.targets) + 1)))
+    if config.scheme == "centralized":
+        reach = [_bits_of(column) for column in member.T]
+    else:
+        reach = [(1 << n_msgs) - 1] * n_users
+    funded = _bits_of(np.array(budget) > 0)  # rtx: messages with hops left
+
+    # live(now) = messages created at or before now, whatever the encounter order
+    by_creation = np.argsort(created, kind="stable")
+    creation_times = created[by_creation].tolist()
+    live_prefix = [0]
+    for m in by_creation.tolist():
+        live_prefix.append(live_prefix[-1] | 1 << m)
+
     rng = np.random.default_rng(config.seed)
+    got_m: list[int] = []  # one receipt per newly set bit: message, node, time
+    got_u: list[int] = []
+    got_t: list[float] = []
 
-    def receive(mask: np.ndarray, node: int, now: float) -> None:
-        if not np.any(mask):
-            return
-        seen[mask, node] = True
-        arrival[mask, node] = now
-        tx[mask] += 1
+    def receive(bits: int, node: int, now: float) -> None:
+        seen[node] |= bits
+        while bits:
+            low = bits & -bits
+            got_m.append(low.bit_length() - 1)
+            got_u.append(node)
+            got_t.append(now)
+            bits ^= low
 
-    for enc in encounters:
-        a, b = uidx[enc.a], uidx[enc.b]
-        now = enc.start
-        live = created <= now
-        if config.scheme == "rtx":
-            give_ab = live & (holder == a) & ~seen[:, b] & (budget > 0)
-            give_ba = live & (holder == b) & ~seen[:, a] & (budget > 0)
-            any_give = give_ab | give_ba
-            if np.any(any_give):
-                if config.p < 1.0:
-                    roll = rng.random(n_msgs) < config.p
-                    give_ab &= roll
-                    give_ba &= roll
-                receive(give_ab, b, now)
-                receive(give_ba, a, now)
-                holder[give_ab] = b
-                holder[give_ba] = a
-                budget[give_ab | give_ba] -= 1
+    for a, b, now in zip(enc_a.tolist(), enc_b.tolist(), enc_start.tolist()):
+        live = live_prefix[bisect_right(creation_times, now)]
+        if not live:
             continue
-        fwd_ab = live & seen[:, a] & ~seen[:, b]
-        fwd_ba = live & seen[:, b] & ~seen[:, a]
-        if config.scheme == "centralized":
-            fwd_ab &= member[:, b]
-            fwd_ba &= member[:, a]
-        elif config.scheme == "similarity":
-            if not gate[a, b]:
+        seen_a, seen_b = seen[a], seen[b]
+        if config.scheme == "rtx":
+            give_ab = live & funded & custody[a] & ~seen_b
+            give_ba = live & funded & custody[b] & ~seen_a
+            if not give_ab | give_ba:
                 continue
-        receive(fwd_ab, b, now)
-        receive(fwd_ba, a, now)
+            if config.p < 1.0:
+                roll = _bits_of(rng.random(n_msgs) < config.p)
+                give_ab &= roll
+                give_ba &= roll
+            handed_from = len(got_m)
+            for give, giver, taker in ((give_ab, a, b), (give_ba, b, a)):
+                if give:
+                    receive(give, taker, now)
+                    custody[giver] &= ~give
+                    custody[taker] |= give
+            for m in got_m[handed_from:]:
+                budget[m] -= 1
+                if not budget[m]:
+                    funded &= ~(1 << m)
+            continue
+        fwd_ab = live & seen_a & ~seen_b & reach[b]
+        fwd_ba = live & seen_b & ~seen_a & reach[a]
+        if fwd_ab:
+            receive(fwd_ab, b, now)
+        if fwd_ba:
+            receive(fwd_ba, a, now)
 
+    arrival = np.full((n_msgs, n_users), np.nan)
+    arrival[got_m, got_u] = got_t
+    received = ~np.isnan(arrival)
+    tx = np.bincount(np.array(got_m, dtype=np.intp), minlength=n_msgs)
     per_message: dict[str, SimResult] = {}
     total_delivered = 0
     total_targets = 0
     total_tx = 0
     delays: list[np.ndarray] = []
-    leaked = int((seen & ~member).sum())
+    leaked = int((received & ~member).sum())
     for m, msg in enumerate(messages):
-        got = seen[m] & is_target[m]
+        got = received[m] & is_target[m]
         delivered = int(got.sum())
         n_targets = int(is_target[m].sum())
         delay = arrival[m, got] - created[m]

@@ -117,6 +117,10 @@ def test_sims_csv_roundtrip(tmp_path):
     permuted.write_text("user,a,b\nb,0.5,1\na,1,0.75\n")
     with pytest.raises(ValueError, match=r"permuted\.csv:2: row user 'b' differs"):
         load_sims_csv(str(permuted))
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("user,a,b\na,1,0.75\nb,1\n")
+    with pytest.raises(ValueError, match=r"ragged\.csv:3: row has 2 cells, expected 3"):
+        load_sims_csv(str(ragged))
 
 
 def test_cdf_csv_is_a_proper_cdf(tmp_path):

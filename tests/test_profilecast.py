@@ -10,7 +10,7 @@ import pytest
 
 from eigenbehavior import (
     AssociationRecord,
-    Encounter,
+    Encounters,
     Message,
     SimConfig,
     build_messages,
@@ -21,6 +21,7 @@ from eigenbehavior import (
     split_trace,
 )
 from eigenbehavior.profilecast import SimResult
+from profilecast_oracle import encounters_oracle
 
 
 def rec(user, loc, start, end):
@@ -28,42 +29,11 @@ def rec(user, loc, start, end):
 
 
 def enc(a, b, start, end, loc="L"):
-    return Encounter(a, b, start, end, loc)
+    return (a, b, start, end, loc)
 
 
 def msg(source, targets, when=0.0, mid="m0000"):
     return Message(mid, source, frozenset(targets), when)
-
-
-def encounters_oracle(records):
-    """Brute force: merge each user's intervals per location, intersect all pairs."""
-
-    def union(intervals):
-        merged = []
-        for s, e in sorted(intervals):
-            if merged and s <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], e)
-            else:
-                merged.append([s, e])
-        return merged
-
-    per = {}
-    for r in records:
-        per.setdefault(r.location_id, {}).setdefault(r.user_id, []).append(
-            (r.start, r.end)
-        )
-    out = []
-    for loc, users in per.items():
-        merged = {u: union(iv) for u, iv in users.items()}
-        ids = sorted(merged)
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                for s1, e1 in merged[ids[i]]:
-                    for s2, e2 in merged[ids[j]]:
-                        s, e = max(s1, s2), min(e1, e2)
-                        if e > s:
-                            out.append((ids[i], ids[j], s, e, loc))
-    return sorted(out)
 
 
 # -------------------------------------------------------------- split_trace ---
@@ -99,7 +69,7 @@ def test_split_trace_validation():
 
 def test_single_encounter_overlap():
     records = [rec("u", "L1", 0, 100), rec("v", "L1", 50, 150)]
-    assert extract_encounters(records) == [enc("u", "v", 50, 100, "L1")]
+    assert extract_encounters(records).rows() == [enc("u", "v", 50, 100, "L1")]
 
 
 def test_adjacent_intervals_merge_into_one_encounter():
@@ -108,17 +78,17 @@ def test_adjacent_intervals_merge_into_one_encounter():
         rec("u", "L1", 50, 100),
         rec("v", "L1", 40, 60),
     ]
-    assert extract_encounters(records) == [enc("u", "v", 40, 60, "L1")]
+    assert extract_encounters(records).rows() == [enc("u", "v", 40, 60, "L1")]
 
 
 def test_different_locations_never_meet():
     records = [rec("u", "L1", 0, 100), rec("v", "L2", 0, 100)]
-    assert extract_encounters(records) == []
+    assert extract_encounters(records).rows() == []
 
 
 def test_touching_intervals_do_not_meet():
     records = [rec("u", "L1", 0, 50), rec("v", "L1", 50, 100)]
-    assert extract_encounters(records) == []
+    assert extract_encounters(records).rows() == []
 
 
 def test_three_users_pairwise_sorted_by_start():
@@ -127,7 +97,7 @@ def test_three_users_pairwise_sorted_by_start():
         rec("v", "L1", 10, 40),
         rec("w", "L1", 20, 50),
     ]
-    assert extract_encounters(records) == [
+    assert extract_encounters(records).rows() == [
         enc("u", "v", 10, 30, "L1"),
         enc("u", "w", 20, 30, "L1"),
         enc("v", "w", 20, 40, "L1"),
@@ -152,16 +122,16 @@ def test_encounters_match_intersection_oracle():
             )
         got = extract_encounters(records)
         want = encounters_oracle(records)
-        assert sorted((e.a, e.b, e.start, e.end, e.location) for e in got) == want
-        order = [(e.start, e.a, e.b) for e in got]
+        assert sorted(got.rows()) == want
+        order = [(start, a, b) for a, b, start, _, _ in got.rows()]
         assert order == sorted(order)
 
 
 def test_encounter_validation():
     with pytest.raises(ValueError, match="a < b"):
-        enc("v", "u", 0, 1)
+        Encounters.from_rows([enc("v", "u", 0, 1)])
     with pytest.raises(ValueError, match="end > start"):
-        enc("u", "v", 5, 5)
+        Encounters.from_rows([enc("u", "v", 5, 5)])
 
 
 # ------------------------------------------------------------ message build ---
@@ -229,11 +199,13 @@ def test_sim_config_validation():
 
 def test_flooding_chain_delivery_and_delay():
     message = msg("A", {"B", "C", "D"})
-    encounters = [
-        enc("A", "B", 10, 20),
-        enc("B", "C", 30, 40),
-        enc("C", "D", 50, 60),
-    ]
+    encounters = Encounters.from_rows(
+        [
+            enc("A", "B", 10, 20),
+            enc("B", "C", 30, 40),
+            enc("C", "D", 50, 60),
+        ]
+    )
     out = simulate([message], encounters, SimConfig("flooding"))
     res = out.per_message["m0000"]
     assert res.delivery_ratio == 1.0
@@ -245,11 +217,13 @@ def test_flooding_chain_delivery_and_delay():
 
 def test_messages_ignore_encounters_before_creation():
     message = msg("A", {"B", "C", "D"}, when=25.0)
-    encounters = [
-        enc("A", "B", 10, 20),  # too early: A had nothing to give yet
-        enc("A", "C", 35, 45),
-        enc("C", "D", 50, 60),
-    ]
+    encounters = Encounters.from_rows(
+        [
+            enc("A", "B", 10, 20),  # too early: A had nothing to give yet
+            enc("A", "C", 35, 45),
+            enc("C", "D", 50, 60),
+        ]
+    )
     out = simulate([message], encounters, SimConfig("flooding"))
     res = out.per_message["m0000"]
     assert res.delivered == 2  # C and D; B was only met before creation
@@ -258,7 +232,7 @@ def test_messages_ignore_encounters_before_creation():
 
 def test_flooding_relays_through_outsiders():
     message = msg("A", {"B"})
-    encounters = [enc("A", "X", 10, 20), enc("B", "X", 30, 40)]
+    encounters = Encounters.from_rows([enc("A", "X", 10, 20), enc("B", "X", 30, 40)])
     out = simulate([message], encounters, SimConfig("flooding"))
     assert out.per_message["m0000"].delivery_ratio == 1.0
     assert out.per_message["m0000"].overhead == 2
@@ -267,7 +241,7 @@ def test_flooding_relays_through_outsiders():
 
 def test_centralized_never_leaks_but_may_miss():
     message = msg("A", {"B"})
-    encounters = [enc("A", "X", 10, 20), enc("B", "X", 30, 40)]
+    encounters = Encounters.from_rows([enc("A", "X", 10, 20), enc("B", "X", 30, 40)])
     out = simulate([message], encounters, SimConfig("centralized"))
     res = out.per_message["m0000"]
     assert res.delivery_ratio == 0.0
@@ -278,7 +252,7 @@ def test_centralized_never_leaks_but_may_miss():
 
 def test_at_most_one_copy_per_node():
     message = msg("A", {"B"})
-    encounters = [enc("A", "B", 10, 20), enc("A", "B", 30, 40)]
+    encounters = Encounters.from_rows([enc("A", "B", 10, 20), enc("A", "B", 30, 40)])
     out = simulate([message], encounters, SimConfig("flooding"))
     assert out.per_message["m0000"].overhead == 1
     assert out.per_message["m0000"].mean_delay == pytest.approx(10.0)
@@ -298,7 +272,7 @@ def test_similarity_gates_encounters():
     message = msg("A", {"B"})
     ids = ("A", "B", "X")
     table = sim_table_for(ids, {("A", "B"): 0.9, ("A", "X"): 0.2, ("B", "X"): 0.2})
-    encounters = [enc("A", "X", 10, 20), enc("A", "B", 30, 40)]
+    encounters = Encounters.from_rows([enc("A", "X", 10, 20), enc("A", "B", 30, 40)])
     out = simulate(
         [message],
         encounters,
@@ -316,7 +290,7 @@ def test_similarity_threshold_zero_is_flooding():
     message = msg("A", {"B"})
     ids = ("A", "B", "X")
     table = sim_table_for(ids, {("A", "B"): 0.9, ("A", "X"): 0.2, ("B", "X"): 0.2})
-    encounters = [enc("A", "X", 10, 20), enc("B", "X", 30, 40)]
+    encounters = Encounters.from_rows([enc("A", "X", 10, 20), enc("B", "X", 30, 40)])
     gated = simulate(
         [message],
         encounters,
@@ -332,7 +306,7 @@ def test_similarity_threshold_zero_is_flooding():
 def test_similarity_symmetrizes_directed_table():
     message = msg("A", {"B"})
     table = np.array([[1.0, 1.0], [0.2, 1.0]])  # directed 1.0 / 0.2 -> mean 0.6
-    encounters = [enc("A", "B", 10, 20)]
+    encounters = Encounters.from_rows([enc("A", "B", 10, 20)])
     passing = simulate(
         [message], encounters, SimConfig("similarity", sim_threshold=0.6),
         sim_table=table, sim_ids=("A", "B"),
@@ -347,11 +321,13 @@ def test_similarity_symmetrizes_directed_table():
 
 def test_rtx_single_custody_walk():
     message = msg("A", {"B", "C"})
-    encounters = [
-        enc("A", "B", 10, 20),
-        enc("A", "C", 30, 40),  # A no longer holds the message
-        enc("B", "C", 50, 60),
-    ]
+    encounters = Encounters.from_rows(
+        [
+            enc("A", "B", 10, 20),
+            enc("A", "C", 30, 40),  # A no longer holds the message
+            enc("B", "C", 50, 60),
+        ]
+    )
     out = simulate([message], encounters, SimConfig("rtx", p=1.0, ttl_factor=3))
     res = out.per_message["m0000"]
     assert res.delivered == 2
@@ -361,7 +337,7 @@ def test_rtx_single_custody_walk():
 
 def test_rtx_budget_limits_hops():
     message = msg("A", {"B", "C"})
-    encounters = [enc("A", "B", 10, 20), enc("B", "C", 50, 60)]
+    encounters = Encounters.from_rows([enc("A", "B", 10, 20), enc("B", "C", 50, 60)])
     # budget = round(0.34 * 3) = 1: only the first handover happens
     out = simulate([message], encounters, SimConfig("rtx", p=1.0, ttl_factor=0.34))
     res = out.per_message["m0000"]
@@ -371,14 +347,16 @@ def test_rtx_budget_limits_hops():
 
 def test_rtx_does_not_hand_back():
     message = msg("A", {"B"})
-    encounters = [enc("A", "B", 10, 20), enc("A", "B", 30, 40)]
+    encounters = Encounters.from_rows([enc("A", "B", 10, 20), enc("A", "B", 30, 40)])
     out = simulate([message], encounters, SimConfig("rtx", p=1.0, ttl_factor=9))
     assert out.per_message["m0000"].overhead == 1  # B already saw it; no bounce
 
 
 def test_rtx_partial_probability_is_deterministic_by_seed():
     message = msg("A", {"B", "C"})
-    encounters = [enc("A", "B", 10, 20), enc("A", "C", 30, 40), enc("B", "C", 50, 60)]
+    encounters = Encounters.from_rows(
+        [enc("A", "B", 10, 20), enc("A", "C", 30, 40), enc("B", "C", 50, 60)]
+    )
     config = SimConfig("rtx", p=0.5, ttl_factor=3, seed=11)
     first = simulate([message], encounters, config)
     second = simulate([message], encounters, config)
@@ -389,14 +367,14 @@ def test_rtx_partial_probability_is_deterministic_by_seed():
 
 def test_simulate_validation():
     with pytest.raises(ValueError, match="no messages"):
-        simulate([], [], SimConfig("flooding"))
+        simulate([], Encounters.from_rows([]), SimConfig("flooding"))
     message = msg("A", {"B"})
     with pytest.raises(ValueError, match="needs sim_table"):
-        simulate([message], [], SimConfig("similarity", sim_threshold=0.5))
+        simulate([message], Encounters.from_rows([]), SimConfig("similarity", sim_threshold=0.5))
     with pytest.raises(ValueError, match="without profile similarities"):
         simulate(
             [message],
-            [],
+            Encounters.from_rows([]),
             SimConfig("similarity", sim_threshold=0.5),
             sim_table=np.eye(1),
             sim_ids=("A",),
@@ -417,11 +395,11 @@ def random_scenario(seed):
         a, b = sorted((users[a], users[b]))
         s = float(rng.integers(0, 1000))
         encounters.append(enc(a, b, s, s + float(rng.integers(1, 30))))
-    encounters.sort(key=lambda e: (e.start, e.a, e.b))
+    encounters.sort(key=lambda e: (e[2], e[0], e[1]))
     raw = rng.uniform(0, 1, size=(12, 12))
     table = (raw + raw.T) / 2
     np.fill_diagonal(table, 1.0)
-    return users, messages, encounters, table
+    return users, messages, Encounters.from_rows(encounters), table
 
 
 def test_flooding_dominates_every_other_scheme():

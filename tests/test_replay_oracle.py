@@ -1,0 +1,147 @@
+"""Property tests: the columnar sweep and the bitset replay against the oracles
+in profilecast_oracle (brute-force pair intersection, and the replay layer as
+it stood before columnar encounters)."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import profilecast_oracle as oracle
+from eigenbehavior import AssociationRecord, Encounters, Message, SimConfig, extract_encounters, simulate
+
+PROPERTY = settings(max_examples=150, deadline=None)
+
+USERS = tuple(f"u{i}" for i in range(8))
+ENCOUNTER_USERS = USERS[:6]  # u6 and u7 can only appear in messages
+
+
+@st.composite
+def sessions(draw):
+    """Random overlapping sessions of up to six users at one to three locations."""
+    locations = [f"L{k}" for k in range(draw(st.integers(1, 3)))]
+    records = []
+    for _ in range(draw(st.integers(0, 30))):
+        start = draw(st.integers(0, 200))
+        records.append(
+            AssociationRecord(
+                draw(st.sampled_from(ENCOUNTER_USERS)),
+                draw(st.sampled_from(locations)),
+                start,
+                start + draw(st.integers(1, 60)),
+            )
+        )
+    return records
+
+
+@given(sessions())
+@PROPERTY
+def test_extract_encounters_matches_oracles(records):
+    got = extract_encounters(records)
+    assert len(got) == len(got.rows())
+    assert sorted(got.rows()) == oracle.encounters_oracle(records)
+    old = oracle.extract_encounters(records)
+    assert got.rows() == [(e.a, e.b, e.start, e.end, e.location) for e in old]
+
+
+@st.composite
+def replays(draw):
+    """Messages with staggered creation times over unsorted encounter rows."""
+    messages = []
+    for m in range(draw(st.integers(1, 4))):
+        source = draw(st.sampled_from(USERS))
+        others = [u for u in USERS if u != source]
+        targets = draw(st.sets(st.sampled_from(others), min_size=1, max_size=5))
+        when = float(draw(st.integers(0, 60)))
+        messages.append(Message(f"m{m:04d}", source, frozenset(targets), when))
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        a, b = sorted(draw(st.sets(st.sampled_from(ENCOUNTER_USERS), min_size=2, max_size=2)))
+        start = float(draw(st.integers(0, 100)))
+        rows.append((a, b, start, start + draw(st.integers(1, 20)), "L"))
+    raw = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(size=(8, 8))
+    return messages, rows, raw
+
+
+CONFIGS = st.one_of(
+    st.just(SimConfig("flooding")),
+    st.just(SimConfig("centralized")),
+    st.builds(
+        lambda t: SimConfig("similarity", sim_threshold=t),
+        st.sampled_from((0.0, 0.3, 0.5, 0.9)),
+    ),
+    st.builds(
+        lambda p, ttl, seed: SimConfig("rtx", p=p, ttl_factor=ttl, seed=seed),
+        st.sampled_from((0.3, 1.0)),
+        st.sampled_from((0.4, 1.0, 3.0)),
+        st.integers(0, 1000),
+    ),
+)
+
+
+def _comparable(outcome):
+    """Every field of an outcome, NaN replaced by a marker so that NaN == NaN."""
+
+    def fields(res):
+        return tuple("nan" if isinstance(v, float) and math.isnan(v) else v for v in vars(res).values())
+
+    per_message = {mid: fields(res) for mid, res in outcome.per_message.items()}
+    return per_message, fields(outcome.aggregate), outcome.leaked
+
+
+@given(replays(), CONFIGS)
+@PROPERTY
+def test_simulate_matches_oracle(replay, config):
+    messages, rows, table = replay
+    got = simulate(messages, Encounters.from_rows(rows), config, table, USERS)
+    want = oracle.simulate(messages, [oracle.Encounter(*r) for r in rows], config, table, USERS)
+    assert _comparable(got) == _comparable(want)
+
+
+def test_simulate_matches_oracle_on_each_scheme_of_a_fixed_scenario():
+    """One hand-built unsorted replay per scheme, so no scheme depends on what
+    Hypothesis happens to draw."""
+    messages = [
+        Message("m0000", "u0", frozenset({"u1", "u2", "u6"}), 5.0),
+        Message("m0001", "u3", frozenset({"u4", "u7"}), 0.0),
+    ]
+    rows = [
+        ("u1", "u2", 40.0, 45.0, "L"),
+        ("u0", "u1", 10.0, 20.0, "L"),
+        ("u3", "u4", 2.0, 3.0, "L"),
+        ("u0", "u5", 1.0, 9.0, "L"),
+        ("u1", "u5", 30.0, 31.0, "L"),
+        ("u4", "u5", 6.0, 8.0, "L"),
+        ("u2", "u3", 50.0, 60.0, "L"),
+    ]
+    table = np.random.default_rng(3).uniform(size=(8, 8))
+    configs = [
+        SimConfig("flooding"),
+        SimConfig("centralized"),
+        SimConfig("similarity", sim_threshold=0.5),
+        SimConfig("rtx", p=0.3, ttl_factor=3.0, seed=5),
+        SimConfig("rtx", p=1.0, ttl_factor=3.0),
+    ]
+    for config in configs:
+        got = simulate(messages, Encounters.from_rows(rows), config, table, USERS)
+        want = oracle.simulate(messages, [oracle.Encounter(*r) for r in rows], config, table, USERS)
+        assert _comparable(got) == _comparable(want), config
+
+
+def test_encounters_columns_round_trip_in_given_order():
+    rows = [("v", "w", 5.0, 6.0, "L2"), ("u", "v", 1.0, 2.0, "L1"), ("u", "w", 5.0, 9.0, "L1")]
+    encounters = Encounters.from_rows(rows)
+    assert len(encounters) == 3
+    assert encounters.users == ("u", "v", "w")
+    assert encounters.locations == ("L1", "L2")
+    assert encounters.a.tolist() == [1, 0, 0]
+    assert encounters.b.tolist() == [2, 1, 2]
+    assert encounters.loc.tolist() == [1, 0, 0]
+    assert encounters.rows() == rows
+    assert len(Encounters.from_rows([])) == 0
+    with pytest.raises(ValueError, match="equal length"):
+        Encounters(("u", "v"), ("L",), [0], [1, 1], [0.0], [1.0], [0])
