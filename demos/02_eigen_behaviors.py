@@ -17,6 +17,7 @@ from eigenbehavior import (
     TraceConfig,
     build_matrices,
     eigen_behaviors,
+    eigen_sets_for,
     generate,
     power_captured,
     summary_table,
@@ -81,7 +82,7 @@ print()
 
 # Population view: mean explanatory score of each one-vector summary, and the
 # share of users whose five leading directions capture 90% of the power.
-table = summary_table(matrices)
+table = summary_table(matrices, eigen_sets_for(matrices))
 print("population mean significance of each summary")
 for method in ("onavg", "centroid@0.5", "centroid@0.9", "svd"):
     print(f"  {method:13s} {table[method]:.4f}")

@@ -13,17 +13,12 @@ __version__ = "0.1.0"
 from .cluster import Partition, agglomerate, distance_cdfs
 from .distances import (
     DistanceMatrix,
-    amvd,
-    amvd_distance,
     amvd_distance_matrix,
-    eigen_distance,
     eigen_distance_from_sims,
     eigen_distance_matrix,
     eigen_sets_for,
-    manhattan,
     normalize_sims,
     normalized_sim_table,
-    sim,
     sim_matrix,
     summary_l1_distance,
 )
@@ -59,7 +54,6 @@ from .summaries import (
     behavioral_modes,
     centroid_first_mode,
     eigen_behaviors,
-    modal_class,
     onavg,
     power_captured,
     significance,

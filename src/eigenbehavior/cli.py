@@ -24,11 +24,12 @@ from .profilecast import (
     DEFAULT_SOURCE_FRACTION,
     SimConfig,
     build_messages,
+    check_baseline,
     extract_encounters,
     simulate,
     split_trace,
 )
-from .summaries import DEFAULT_POWER_FLOOR
+from .summaries import DEFAULT_POWER_FLOOR, summary_table
 from .synth import generate, spec_from_json, spec_to_json_dict
 from .trace import TraceConfig, aggregate_locations, load_location_map, load_records
 
@@ -129,8 +130,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         target_count=args.clusters,
         power_floor=float(payload.get("power_floor", DEFAULT_POWER_FLOOR)),
         include_offline=bool(payload.get("include_offline", False)),
-        with_summary_table=True,
     )
+    table = summary_table(result.matrices, result.eigen_sets)
     os.makedirs(args.out, exist_ok=True)
     persist.write_matrices(os.path.join(args.out, "matrices"), result.matrices, config)
     persist.write_eigen_sets(os.path.join(args.out, "eigen"), result.eigen_sets)
@@ -143,7 +144,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     persist.write_merge_history_csv(os.path.join(args.out, "merges.csv"), result.partition)
     persist.write_cdf_csv(os.path.join(args.out, "cdf_intra.csv"), result.intra_cdf)
     persist.write_cdf_csv(os.path.join(args.out, "cdf_inter.csv"), result.inter_cdf)
-    persist.write_summary_table_csv(os.path.join(args.out, "summary.csv"), result.summary)
+    persist.write_summary_table_csv(os.path.join(args.out, "summary.csv"), table)
     try:
         slope = rank_size_fit(result.partition)[0]
     except ValueError:
@@ -206,6 +207,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         rows.append((config, outcome.aggregate))
         if config.scheme == "flooding" and baseline is None:
             baseline = outcome.aggregate
+    check_baseline(baseline, "flooding")
     os.makedirs(args.out, exist_ok=True)
     persist.write_results_csv(os.path.join(args.out, "results.csv"), rows)
     persist.write_normalized_results_csv(

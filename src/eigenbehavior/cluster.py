@@ -80,7 +80,6 @@ def agglomerate(
     np.fill_diagonal(work, np.inf)
     sizes = np.ones(n, dtype=int)
     active = np.ones(n, dtype=bool)
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
     history: list[tuple[int, int, float]] = []
     n_active = n
     last_dist = -np.inf
@@ -113,15 +112,28 @@ def agglomerate(
         work[i, i] = np.inf
         sizes[i] = ni + nj
         active[j] = False
-        members[i].extend(members.pop(j))
         n_active -= 1
 
-    # Contiguous final ids, ordered by smallest member index.
+    return partition_from_merges(history, labels)
+
+
+def partition_from_merges(
+    merges: Sequence[tuple[int, int, float]], labels: Sequence[Hashable]
+) -> Partition:
+    """The partition left by replaying a merge history over len(labels) singletons.
+
+    Each merge (i, j, d) moves slot j's members into slot i (i < j), so a
+    slot's id is its smallest member index; final cluster ids are contiguous
+    in that order.  Any prefix of a history is itself a valid history.
+    """
+    members: dict[int, list[int]] = {i: [i] for i in range(len(labels))}
+    for i, j, _ in merges:
+        members[i].extend(members.pop(j))
     assignment: dict[Hashable, int] = {}
     for cid, slot in enumerate(sorted(members)):
         for idx in members[slot]:
             assignment[labels[idx]] = cid
-    return Partition(assignment=assignment, merge_history=history)
+    return Partition(assignment=assignment, merge_history=list(merges))
 
 
 def distance_cdfs(

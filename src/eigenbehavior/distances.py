@@ -63,15 +63,6 @@ class DistanceMatrix:
         return len(self.ids)
 
 
-def manhattan(a: np.ndarray, b: np.ndarray) -> float:
-    """L1 distance; at most 2 for two normalized association vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("vectors must be 1-D with equal length")
-    return float(np.abs(a - b).sum())
-
-
 def _vector_set(rows: np.ndarray, include_offline: bool) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
@@ -79,29 +70,6 @@ def _vector_set(rows: np.ndarray, include_offline: bool) -> np.ndarray:
     if include_offline:
         return rows
     return rows[np.abs(rows).sum(axis=1) > 0]
-
-
-def amvd(a_rows: np.ndarray, b_rows: np.ndarray, include_offline: bool = False) -> float:
-    """Asymmetric minimum vector distance from set A to set B.
-
-    Mean over A's vectors of the Manhattan distance to the nearest vector in
-    B.  All-zero (offline) rows are dropped from both sets unless
-    include_offline is set.
-    """
-    a = _vector_set(a_rows, include_offline)
-    b = _vector_set(b_rows, include_offline)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("amvd needs a nonempty vector set on both sides")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("vector sets must share the location dimension")
-    return float(np.mean(cdist(a, b, "cityblock").min(axis=1)))
-
-
-def amvd_distance(a_rows: np.ndarray, b_rows: np.ndarray, include_offline: bool = False) -> float:
-    """Symmetric AMVD: the mean of the two directed values."""
-    return (
-        amvd(a_rows, b_rows, include_offline) + amvd(b_rows, a_rows, include_offline)
-    ) / 2.0
 
 
 def amvd_distance_matrix(
@@ -134,13 +102,6 @@ def amvd_distance_matrix(
     )
 
 
-def sim(u: EigenBehaviorSet, v: EigenBehaviorSet) -> float:
-    """Similarity index: sum of weighted absolute dot products across two sets."""
-    if u.vectors.shape[1] != v.vectors.shape[1]:
-        raise ValueError("eigen-behavior sets must share the location dimension")
-    return float(u.weights @ np.abs(u.vectors @ v.vectors.T) @ v.weights)
-
-
 def _stacked(sets: list[EigenBehaviorSet]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     counts = [s.k for s in sets]
     basis = np.vstack([s.vectors for s in sets])
@@ -150,7 +111,11 @@ def _stacked(sets: list[EigenBehaviorSet]) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def sim_matrix(sets: list[EigenBehaviorSet], chunk: int = 256) -> np.ndarray:
-    """Raw similarity index for every ordered pair (diagonal included)."""
+    """Raw similarity index for every ordered pair (diagonal included).
+
+    sim(u, v) = sum over i, j of w_ui * w_vj * |u_i . v_j|, the weighted
+    absolute dot products of the two users' eigen-behavior vectors.
+    """
     if len(sets) < 2:
         raise ValueError("need at least two eigen-behavior sets")
     basis, weights, starts = _stacked(sets)
@@ -187,14 +152,6 @@ def normalize_sims(raw: np.ndarray) -> np.ndarray:
     out[live] = raw[live] / row_max[live, None]
     np.fill_diagonal(out, 1.0)
     return out
-
-
-def eigen_distance(sim_uv: float, sim_vu: float) -> float:
-    """Distance from the two directed normalized similarities: 1 - their mean."""
-    for s in (sim_uv, sim_vu):
-        if not 0.0 <= s <= 1.0 + 1e-9:
-            raise ValueError("normalized similarities must lie in [0, 1]")
-    return min(max(1.0 - (sim_uv + sim_vu) / 2.0, 0.0), 1.0)
 
 
 def normalized_sim_table(eigen_sets: dict[str, EigenBehaviorSet]) -> tuple[np.ndarray, tuple[str, ...]]:

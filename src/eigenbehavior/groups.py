@@ -21,7 +21,9 @@ from .cluster import Partition
 from .summaries import (
     DEFAULT_POWER_FLOOR,
     EigenBehaviorSet,
+    cumulative_power,
     eigen_behaviors,
+    power_captured,
     significance,
 )
 from .trace import AssociationMatrix
@@ -52,13 +54,6 @@ def _cluster_members(partition: Partition) -> list[list[str]]:
     return [[str(m) for m in members] for members in partition.clusters()]
 
 
-def _joint_power_top_k(matrices: list[AssociationMatrix], k: int) -> float:
-    joint = joint_matrix(matrices)
-    s = np.linalg.svd(joint.rows, compute_uv=False)
-    powers = s * s
-    return float(powers[: min(k, powers.size)].sum() / powers.sum())
-
-
 @dataclass
 class ScatterPoint:
     cluster_id: int
@@ -75,21 +70,22 @@ def group_power_scatter(
 ) -> list[ScatterPoint]:
     """Top-4 joint power of each cluster with more than min_size users,
     against one seeded random same-size sample drawn from the whole population
-    without replacement."""
+    without replacement.  Clusters without online members have no power to
+    compare and are skipped."""
     rng = np.random.default_rng(seed)
     population = sorted(matrices)
     points = []
     for cid, members in enumerate(_cluster_members(partition)):
-        if len(members) <= min_size:
+        if len(members) <= min_size or not any(matrices[m].rows.sum() > 0 for m in members):
             continue
-        coherent = _joint_power_top_k([matrices[m] for m in members], SCATTER_TOP_K)
+        coherent = power_captured(joint_matrix([matrices[m] for m in members]), SCATTER_TOP_K)
         sample = rng.choice(len(population), size=len(members), replace=False)
-        random_power = _joint_power_top_k(
-            [matrices[population[i]] for i in sorted(sample)], SCATTER_TOP_K
+        random_power = power_captured(
+            joint_matrix([matrices[population[i]] for i in sorted(sample)]), SCATTER_TOP_K
         )
         points.append(ScatterPoint(cid, len(members), coherent, random_power))
     if not points:
-        raise ValueError(f"no cluster has more than {min_size} users")
+        raise ValueError(f"no cluster with online members has more than {min_size} users")
     return points
 
 
@@ -211,9 +207,7 @@ def group_profiles(
         if joint.rows.sum() <= 0:
             profiles.append(GroupProfile(cid, len(members), None, []))
             continue
-        s = np.linalg.svd(joint.rows, compute_uv=False)
-        powers = s * s
-        cumulative = np.cumsum(powers) / powers.sum()
+        cumulative = cumulative_power(joint.rows)
         top = [float(cumulative[min(i, cumulative.size - 1)]) for i in range(SCATTER_TOP_K)]
         profiles.append(
             GroupProfile(cid, len(members), eigen_behaviors(joint, power_floor), top)

@@ -183,7 +183,12 @@ def load_partition_csv(path: str) -> Partition:
                 raise ValueError(f"{path}:{reader.line_num}: expected 2 fields")
             if row[0] in assignment:
                 raise ValueError(f"{path}:{reader.line_num}: duplicate element {row[0]!r}")
-            assignment[row[0]] = int(row[1])
+            try:
+                assignment[row[0]] = int(row[1])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: cluster is not an integer: {row[1]!r}"
+                ) from None
     if not assignment:
         raise ValueError(f"{path}: empty partition")
     return Partition(assignment=assignment)

@@ -60,7 +60,6 @@ class PipelineResult:
     intra_cdf: np.ndarray
     inter_cdf: np.ndarray
     profiles: list[groups.GroupProfile] = field(default_factory=list)
-    summary: dict[str, float] = field(default_factory=dict)
 
 
 def run_pipeline(
@@ -71,7 +70,6 @@ def run_pipeline(
     target_count: int | None = None,
     power_floor: float = summaries.DEFAULT_POWER_FLOOR,
     include_offline: bool = False,
-    with_summary_table: bool = False,
 ) -> PipelineResult:
     """Run the full grouping pipeline on prepared (already aggregated) records.
 
@@ -87,7 +85,6 @@ def run_pipeline(
     partition = cluster_population(dm, threshold=threshold, target_count=target_count)
     intra, inter = distance_cdfs(partition, dm.values, labels=list(dm.ids))
     profiles = groups.group_profiles(partition, matrices, power_floor=power_floor)
-    table = summaries.summary_table(matrices, power_floor=power_floor) if with_summary_table else {}
     return PipelineResult(
         config=config,
         matrices=matrices,
@@ -99,5 +96,4 @@ def run_pipeline(
         intra_cdf=intra,
         inter_cdf=inter,
         profiles=profiles,
-        summary=table,
     )

@@ -473,6 +473,12 @@ def simulate(
     return SimulationOutcome(per_message, aggregate, leaked)
 
 
+def check_baseline(result: SimResult, name: str) -> None:
+    """Raise unless result can normalize other schemes: it delivered and transmitted."""
+    if result.delivery_ratio <= 0 or result.overhead <= 0:
+        raise ValueError(f"baseline {name!r} delivered nothing; ratios undefined")
+
+
 def compare_schemes(
     results: dict[str, SimResult], baseline: str = "flooding"
 ) -> list[tuple[str, float, float, float]]:
@@ -483,8 +489,7 @@ def compare_schemes(
     if baseline not in results:
         raise ValueError(f"baseline {baseline!r} missing from results")
     base = results[baseline]
-    if base.delivery_ratio <= 0 or base.overhead <= 0:
-        raise ValueError("baseline delivered nothing; ratios undefined")
+    check_baseline(base, baseline)
     rows = []
     for label in results:
         res = results[label]

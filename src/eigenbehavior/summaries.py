@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .cluster import agglomerate
+from .cluster import agglomerate, partition_from_merges
 from .trace import AssociationMatrix
 
 DEFAULT_POWER_FLOOR = 0.001  # keep eigen-behaviors carrying >= 0.1% of total power
@@ -69,6 +70,11 @@ def _online_mask(matrix: AssociationMatrix) -> np.ndarray:
     return matrix.rows.sum(axis=1) > 0
 
 
+def _require_online(matrix: AssociationMatrix) -> None:
+    if not np.any(_online_mask(matrix)):
+        raise ValueError(f"user {matrix.user_id!r} has no online slots")
+
+
 def onavg(matrix: AssociationMatrix) -> np.ndarray:
     """Association-time weighted average: sum of rows over total L1 mass."""
     denom = np.abs(matrix.rows).sum()
@@ -77,35 +83,51 @@ def onavg(matrix: AssociationMatrix) -> np.ndarray:
     return matrix.rows.sum(axis=0) / denom
 
 
+def _mode_clusterings(
+    matrix: AssociationMatrix, thresholds: tuple[float, ...]
+) -> list[ModeClustering]:
+    """Modes at each threshold, cut from one average-linkage tree of the online rows.
+
+    The tree is grown once, up to the largest threshold; the modes at a
+    threshold are what the prefix of its merge history before the first
+    merge above that threshold leaves, which is exactly what clustering
+    with that threshold would give.
+    """
+    if any(thr < 0 for thr in thresholds):
+        raise ValueError("threshold must be nonnegative")
+    mask = _online_mask(matrix)
+    online = np.flatnonzero(mask)
+    offline = [int(i) for i in np.flatnonzero(~mask)]
+    if online.size == 0 or not thresholds:
+        return [ModeClustering([], [], offline, thr) for thr in thresholds]
+    rows = matrix.rows[online]
+    labels = [int(i) for i in online]
+    history = agglomerate(
+        cdist(rows, rows, "cityblock"), threshold=max(thresholds)
+    ).merge_history
+    out = []
+    for thr in thresholds:
+        prefix = list(takewhile(lambda merge: merge[2] <= thr, history))
+        clusters = partition_from_merges(prefix, labels).clusters()
+        centroids = [rows[np.searchsorted(online, members)].mean(axis=0) for members in clusters]
+        out.append(ModeClustering(clusters, centroids, offline, thr))
+    return out
+
+
 def behavioral_modes(matrix: AssociationMatrix, threshold: float) -> ModeClustering:
     """Cluster the online rows by average linkage under Manhattan distance."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    online = np.flatnonzero(_online_mask(matrix))
-    offline = [int(i) for i in np.flatnonzero(~_online_mask(matrix))]
-    if online.size == 0:
-        return ModeClustering([], [], offline, threshold)
-    rows = matrix.rows[online]
-    dm = cdist(rows, rows, "cityblock")
-    clusters = agglomerate(dm, threshold=threshold, labels=[int(i) for i in online]).clusters()
-    pos = {int(row): p for p, row in enumerate(online)}
-    centroids = [rows[[pos[i] for i in members]].mean(axis=0) for members in clusters]
-    return ModeClustering(clusters, centroids, offline, threshold)
+    return _mode_clusterings(matrix, (threshold,))[0]
 
 
-def modal_class(matrix: AssociationMatrix, threshold: float) -> bool:
-    """True when the user shows two or more distinct online behavioral modes."""
-    return behavioral_modes(matrix, threshold).multi_modal
+def _largest_mode_centroid(modes: ModeClustering) -> np.ndarray:
+    sizes = [len(members) for members in modes.row_clusters]
+    return modes.centroids[sizes.index(max(sizes))]  # cluster ids follow the smallest row index
 
 
 def centroid_first_mode(matrix: AssociationMatrix, threshold: float) -> np.ndarray:
     """Mean vector of the largest behavioral mode (ties: the mode holding the earliest row)."""
-    modes = behavioral_modes(matrix, threshold)
-    if not modes.row_clusters:
-        raise ValueError(f"user {matrix.user_id!r} has no online slots")
-    sizes = [len(members) for members in modes.row_clusters]
-    best = sizes.index(max(sizes))  # cluster ids are ordered by smallest row index
-    return modes.centroids[best]
+    _require_online(matrix)
+    return _largest_mode_centroid(behavioral_modes(matrix, threshold))
 
 
 def significance(matrix: AssociationMatrix, y: np.ndarray, normalize: bool = False) -> float:
@@ -129,11 +151,11 @@ def significance(matrix: AssociationMatrix, y: np.ndarray, normalize: bool = Fal
     return float(np.abs(matrix.rows @ y).sum() / denom)
 
 
-def _svd_right_vectors(matrix: AssociationMatrix) -> tuple[np.ndarray, np.ndarray]:
-    if not np.any(_online_mask(matrix)):
-        raise ValueError(f"user {matrix.user_id!r} has no online slots")
-    _, s, vt = np.linalg.svd(matrix.rows, full_matrices=False)
-    return s, vt
+def cumulative_power(rows: np.ndarray) -> np.ndarray:
+    """Share of total squared singular-value power captured by the top 1..r components."""
+    s = np.linalg.svd(rows, compute_uv=False)
+    powers = s * s
+    return np.cumsum(powers) / powers.sum()
 
 
 def eigen_behaviors(
@@ -152,7 +174,8 @@ def eigen_behaviors(
         raise ValueError("power_floor must lie in [0, 1)")
     if max_k is not None and max_k < 1:
         raise ValueError("max_k must be >= 1")
-    s, vt = _svd_right_vectors(matrix)
+    _require_online(matrix)
+    _, s, vt = np.linalg.svd(matrix.rows, full_matrices=False)
     powers = s * s
     weights = powers / powers.sum()
     keep = weights >= power_floor
@@ -169,20 +192,21 @@ def power_captured(matrix: AssociationMatrix, k: int) -> float:
     """Fraction of total squared association mass captured by the top k components."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    s, _ = _svd_right_vectors(matrix)
-    powers = s * s
-    return float(powers[: min(k, powers.size)].sum() / powers.sum())
+    _require_online(matrix)
+    cumulative = cumulative_power(matrix.rows)
+    return float(cumulative[min(k, cumulative.size) - 1])
 
 
 def summary_table(
     matrices: dict[str, AssociationMatrix],
+    eigen_sets: dict[str, EigenBehaviorSet | None],
     thresholds: tuple[float, ...] = MODE_THRESHOLDS,
-    power_floor: float = DEFAULT_POWER_FLOOR,
 ) -> dict[str, float]:
     """Mean significance per summary kind over all users with online time.
 
     Keys: "onavg", "centroid@<thr>" per threshold, and "svd" for the first
-    eigen-behavior vector.  All-offline users are skipped with a warning.
+    eigen-behavior vector, read from eigen_sets (one set per online user, as
+    eigen_sets_for builds them).  All-offline users are skipped with a warning.
     """
     usable = {u: m for u, m in matrices.items() if np.any(_online_mask(m))}
     skipped = sorted(set(matrices) - set(usable))
@@ -190,16 +214,17 @@ def summary_table(
         warnings.warn(f"summary_table: skipped all-offline users: {skipped}")
     if not usable:
         raise ValueError("no users with online slots")
+    missing = sorted(u for u in usable if eigen_sets.get(u) is None)
+    if missing:
+        raise ValueError(f"no eigen-behavior set for online users: {missing}")
     scores: dict[str, list[float]] = {"onavg": []}
     for thr in thresholds:
         scores[f"centroid@{thr:g}"] = []
     scores["svd"] = []
-    for matrix in usable.values():
+    for user, matrix in usable.items():
         scores["onavg"].append(significance(matrix, onavg(matrix)))
-        for thr in thresholds:
-            scores[f"centroid@{thr:g}"].append(
-                significance(matrix, centroid_first_mode(matrix, thr))
-            )
-        first = eigen_behaviors(matrix, power_floor).vectors[0]
-        scores["svd"].append(significance(matrix, first))
+        for modes in _mode_clusterings(matrix, thresholds):
+            centroid = _largest_mode_centroid(modes)
+            scores[f"centroid@{modes.threshold:g}"].append(significance(matrix, centroid))
+        scores["svd"].append(significance(matrix, eigen_sets[user].vectors[0]))
     return {name: float(np.mean(vals)) for name, vals in scores.items()}

@@ -279,6 +279,41 @@ def test_scenario_without_flooding_exits_2(workdir, tmp_path, capsys):
     assert "flooding" in capsys.readouterr().err
 
 
+def test_simulate_without_flooding_delivery_exits_2(tmp_path, capsys):
+    """Two groups that meet only in the profile half: flooding delivers nothing
+    in the replay half, so the normalized ratios are undefined."""
+    users = {f"g{g}u{i}": g for g in range(2) for i in range(6)}
+    trace = tmp_path / "trace.csv"
+    lines = ["user,location,start,end"]
+    for user, group in users.items():
+        lines.append(f"{user},shared{group},0,100")
+        lines.append(f"{user},alone-{user},100,200")
+    trace.write_text("\n".join(lines) + "\n")
+    pipe = tmp_path / "pipe"
+    pipe.mkdir()
+    (pipe / "partition.csv").write_text(
+        "element,cluster\n" + "".join(f"{u},{g}\n" for u, g in users.items())
+    )
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"schemes": [{"scheme": "flooding"}]}))
+    out = tmp_path / "o"
+    rc = main(
+        [
+            "simulate",
+            str(trace),
+            "--pipeline",
+            str(pipe),
+            "--scenario",
+            str(scenario),
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 2
+    assert "flooding" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--version"])

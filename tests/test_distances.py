@@ -14,22 +14,18 @@ import pytest
 from eigenbehavior import (
     DistanceMatrix,
     EigenBehaviorSet,
-    amvd,
-    amvd_distance,
     amvd_distance_matrix,
     eigen_behaviors,
-    eigen_distance,
     eigen_distance_matrix,
     eigen_sets_for,
-    manhattan,
     normalize_sims,
     normalized_sim_table,
-    sim,
     sim_matrix,
     summary_l1_distance,
 )
 
 from conftest import basis_rows, matrix_from_rows
+from distances_oracle import amvd, amvd_distance, eigen_distance, manhattan, sim
 
 
 def unit_set(*rows, weights=None):
@@ -209,6 +205,23 @@ def test_eigen_distance_matrix_frozen_trio():
     assert dm.params == {"power_floor": 0.0}
     with pytest.raises(ValueError, match="at least two"):
         eigen_distance_matrix({"a": sets["a"], "dead": None})
+
+
+def test_eigen_distance_matrix_matches_scalar_oracle():
+    rng = np.random.default_rng(73)
+    sets = {}
+    for u in range(12):
+        rows = rng.uniform(0, 1, size=(8, 5))
+        rows /= rows.sum(axis=1, keepdims=True)
+        sets[f"u{u:02d}"] = eigen_behaviors(matrix_from_rows(rows), power_floor=0.01)
+    dm = eigen_distance_matrix(sets)
+    ids = dm.ids
+    table = normalize_sims(np.array([[sim(sets[u], sets[v]) for v in ids] for u in ids]))
+    want = np.array(
+        [[eigen_distance(table[i, j], table[j, i]) for j in range(len(ids))] for i in range(len(ids))]
+    )
+    np.fill_diagonal(want, 0.0)
+    np.testing.assert_allclose(dm.values, want, atol=1e-12)
 
 
 def test_normalized_sim_table_orders_ids():

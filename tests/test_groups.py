@@ -3,6 +3,8 @@ rank-size fit, and partition comparison (Jaccard against a pair-scan oracle)."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,20 @@ def test_power_scatter_size_filter_is_strict():
     matrices, partition = orthogonal_population(per_group=6)
     with pytest.raises(ValueError, match="more than 6"):
         group_power_scatter(partition, matrices, min_size=6)
+
+
+def test_power_scatter_skips_offline_only_clusters():
+    matrices, partition = orthogonal_population(n_groups=2, per_group=8)
+    labels = dict(partition.assignment)
+    for i in range(7):
+        matrices[f"x{i}"] = matrix_from_rows(np.zeros((5, 2)), user_id=f"x{i}")
+        labels[f"x{i}"] = 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = group_power_scatter(partition_from_labels(labels), matrices, min_size=5)
+    assert [p.cluster_id for p in points] == [0, 1]
+    assert all(p.coherent_power == pytest.approx(1.0) for p in points)
+    assert all(np.isfinite(p.random_power) for p in points)
 
 
 # ------------------------------------------------------ cross significance ---

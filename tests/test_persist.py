@@ -100,6 +100,10 @@ def test_partition_csv_roundtrip(tmp_path):
     duplicate.write_text("element,cluster\nu1,0\nu2,0\nu1,1\n")
     with pytest.raises(ValueError, match=r"duplicate\.csv:4: duplicate element 'u1'"):
         load_partition_csv(str(duplicate))
+    not_int = tmp_path / "not_int.csv"
+    not_int.write_text("element,cluster\nu1,0\nu2,x\n")
+    with pytest.raises(ValueError, match=r"not_int\.csv:3: cluster is not an integer: 'x'"):
+        load_partition_csv(str(not_int))
 
 
 def test_sims_csv_roundtrip(tmp_path):

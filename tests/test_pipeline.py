@@ -14,12 +14,14 @@ from eigenbehavior import (
     TraceConfig,
     build_distance_matrix,
     cluster_population,
+    eigen_sets_for,
     generate,
     jaccard,
     partition_from_labels,
     run_pipeline,
+    summary_table,
 )
-from eigenbehavior import distances
+from eigenbehavior import distances, summaries
 
 
 @pytest.fixture(scope="module")
@@ -67,15 +69,26 @@ def test_pipeline_recovers_planted_groups(planted, metric):
     assert result.partition.n_clusters == 2
     assert len(result.profiles) == 2
     assert result.intra_cdf.max() < result.inter_cdf.min()
-    assert result.summary == {}  # table only on request
     assert result.distance_matrix.n == 12
     assert result.normalized_sims is not None and result.normalized_sims.shape == (12, 12)
 
 
-def test_pipeline_summary_table_on_request(planted):
+def test_summary_table_reads_pipeline_eigen_sets(planted, monkeypatch):
     records, _, config = planted
-    result = run_pipeline(records, config, target_count=2, with_summary_table=True)
-    assert set(result.summary) == {"onavg", "centroid@0.5", "centroid@0.9", "svd"}
+    result = run_pipeline(records, config, target_count=2)
+    want = summary_table(result.matrices, eigen_sets_for(result.matrices))
+    calls = Counter()
+    original = summaries.eigen_behaviors
+
+    def counting(*args, **kwargs):
+        calls["eigen_behaviors"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(summaries, "eigen_behaviors", counting)
+    table = summary_table(result.matrices, result.eigen_sets)
+    assert calls["eigen_behaviors"] == 0
+    assert set(table) == {"onavg", "centroid@0.5", "centroid@0.9", "svd"}
+    assert table == want
 
 
 def test_cluster_population_threshold_route(planted):

@@ -16,7 +16,7 @@ from eigenbehavior import (
     behavioral_modes,
     centroid_first_mode,
     eigen_behaviors,
-    modal_class,
+    eigen_sets_for,
     onavg,
     power_captured,
     significance,
@@ -24,6 +24,7 @@ from eigenbehavior import (
 )
 
 from conftest import basis_rows, matrix_from_rows
+from summaries_oracle import modal_class
 
 
 def random_matrix(rng, t=12, n=5, offline=0):
@@ -250,7 +251,7 @@ def test_summary_table_keys_and_ranges():
         "a": matrix_from_rows(basis_rows([0, 0, 1], 2), user_id="a"),
         "b": matrix_from_rows(basis_rows([1, 1, 1], 2), user_id="b"),
     }
-    table = summary_table(mats)
+    table = summary_table(mats, eigen_sets_for(mats))
     assert set(table) == {"onavg", "centroid@0.5", "centroid@0.9", "svd"}
     for value in table.values():
         assert 0.0 <= value <= 1.0 + 1e-9
@@ -264,9 +265,12 @@ def test_summary_table_skips_offline_users_with_warning():
         "a": matrix_from_rows(basis_rows([0, 1], 2), user_id="a"),
         "dead": matrix_from_rows(np.zeros((2, 2)), user_id="dead"),
     }
+    sets = eigen_sets_for(mats)
     with pytest.warns(UserWarning, match="all-offline"):
-        table = summary_table(mats)
-    clean = summary_table({"a": mats["a"]})
+        table = summary_table(mats, sets)
+    clean = summary_table({"a": mats["a"]}, sets)
     assert table == clean
     with pytest.raises(ValueError, match="no users"), pytest.warns(UserWarning):
-        summary_table({"dead": mats["dead"]})
+        summary_table({"dead": mats["dead"]}, sets)
+    with pytest.raises(ValueError, match="no eigen-behavior set"), pytest.warns(UserWarning):
+        summary_table(mats, {"dead": None})
