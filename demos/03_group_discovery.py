@@ -8,6 +8,7 @@ pairwise distances (exhaustive set matching vs truncated spectral), clusters
 a planted population, and validates the result three ways.
 """
 
+import sys
 import time
 
 import numpy as np
@@ -56,9 +57,10 @@ start = time.perf_counter()
 dm_spectral = eigen_distance_matrix(eigen_sets_for(matrices))
 spectral_time = time.perf_counter() - start
 
-print(f"set-matching distances:  {set_time:.2f}s")
+# Timings vary from run to run, so they go to stderr and stdout stays comparable.
+print(f"set-matching distances:  {set_time:.2f}s", file=sys.stderr)
 print(f"spectral distances:      {spectral_time:.2f}s  "
-      f"({set_time / spectral_time:.0f}x faster)")
+      f"({set_time / spectral_time:.0f}x faster)", file=sys.stderr)
 
 # -- average-linkage clustering ----------------------------------------------
 partition = agglomerate(dm_spectral.values, target_count=5, labels=dm_spectral.ids)

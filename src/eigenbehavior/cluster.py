@@ -11,6 +11,7 @@ element index it contains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -38,6 +39,20 @@ class Partition:
 
     def sizes(self) -> list[int]:
         return [len(members) for members in self.clusters()]
+
+
+@cache
+def _cdist():
+    # scipy costs more to import than numpy and the rest of the package
+    # together; commands that never measure an L1 distance never load it.
+    from scipy.spatial.distance import cdist
+
+    return cdist
+
+
+def cityblock(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise L1 distances between the rows of a and the rows of b (scipy's cdist)."""
+    return _cdist()(a, b, "cityblock")
 
 
 def validate_square(dm: np.ndarray) -> np.ndarray:

@@ -20,9 +20,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .cluster import validate_square
+from .cluster import cityblock, validate_square
 from .summaries import (
     DEFAULT_POWER_FLOOR,
     EigenBehaviorSet,
@@ -93,8 +92,8 @@ def amvd_distance_matrix(
             if sets[i] is None or sets[j] is None:
                 d = METRIC_MAX["amvd"]
             else:
-                forward = float(np.mean(cdist(sets[i], sets[j], "cityblock").min(axis=1)))
-                backward = float(np.mean(cdist(sets[j], sets[i], "cityblock").min(axis=1)))
+                forward = float(np.mean(cityblock(sets[i], sets[j]).min(axis=1)))
+                backward = float(np.mean(cityblock(sets[j], sets[i]).min(axis=1)))
                 d = (forward + backward) / 2.0
             values[i, j] = values[j, i] = d
     return DistanceMatrix(
@@ -221,7 +220,7 @@ def summary_l1_distance(
         raise ValueError("need at least two users with online slots")
     ids = tuple(vectors)
     stack = np.vstack([vectors[u] for u in ids])
-    values = cdist(stack, stack, "cityblock")
+    values = cityblock(stack, stack)
     values = (values + values.T) / 2.0  # scrub asymmetry noise
     np.fill_diagonal(values, 0.0)
     metric = "onavg_l1" if kind == "onavg" else "centroid_l1"

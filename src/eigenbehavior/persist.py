@@ -2,12 +2,19 @@
 
 All floats are written with 9 significant digits and all JSON with sorted
 keys, so identical inputs and seeds reproduce byte-identical files.
+
+The array writers (matrices, eigen sets, similarity table, distance matrix
+and CDFs) format a whole row, or a chunk of at most ``CHUNK_ROWS`` rows, with
+one ``%.9g`` template applied to ``ndarray.tolist()`` and write it with one
+call; ``"%.9g" % x`` is byte-identical to ``format(x, ".9g")``.  Only user
+ids go through ``csv.writer``, which quotes them as QUOTE_MINIMAL requires.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 from datetime import datetime, timezone
@@ -25,8 +32,39 @@ from .summaries import EigenBehaviorSet
 from .trace import AssociationMatrix, AssociationRecord, TraceConfig
 
 
+CHUNK_ROWS = 4096
+
+
 def fmt(x: float) -> str:
     return format(float(x), ".9g")
+
+
+def _row_template(n_cells: int) -> str:
+    """One CSV line of n_cells 9-significant-digit cells."""
+    return ",".join(["%.9g"] * n_cells) + "\n"
+
+
+def _rounded(values: np.ndarray) -> list:
+    """float(fmt(x)) for every entry, as nested lists in the shape of values."""
+    values = np.asarray(values, dtype=float)
+    flat = values.ravel().tolist()
+    if not flat:
+        return values.tolist()
+    text = ",".join(["%.9g"] * len(flat)) % tuple(flat)
+    return np.reshape(list(map(float, text.split(","))), values.shape).tolist()
+
+
+def _csv_cells(values: Sequence[str]) -> list[str]:
+    """Each value as csv.writer writes it as one cell of a longer row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = []
+    for value in values:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([value, ""])
+        cells.append(buf.getvalue()[: -len(",\n")])
+    return cells
 
 
 def _safe_name(user: str) -> str:
@@ -69,10 +107,10 @@ def write_matrices(
     users = sorted(matrices)
     first = matrices[users[0]]
     for user in users:
+        rows = np.asarray(matrices[user].rows, dtype=float)
+        t, n = rows.shape
         with open(os.path.join(out_dir, f"{_safe_name(user)}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            for row in matrices[user].rows:
-                writer.writerow([fmt(v) for v in row])
+            fh.write(_row_template(n) * t % tuple(rows.ravel().tolist()))
     index = {
         "users": users,
         "t": first.n_slots,
@@ -92,8 +130,7 @@ def write_matrices(
 
 def write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_eigen_sets(
@@ -106,8 +143,8 @@ def write_eigen_sets(
             continue
         payload = {
             "user": user,
-            "weights": [float(fmt(w)) for w in eset.weights],
-            "vectors": [[float(fmt(v)) for v in vec] for vec in eset.vectors],
+            "weights": _rounded(eset.weights),
+            "vectors": _rounded(eset.vectors),
             "power_floor": eset.power_floor,
         }
         write_json(os.path.join(out_dir, f"{_safe_name(user)}.json"), payload)
@@ -128,12 +165,14 @@ def load_eigen_sets(out_dir: str) -> dict[str, EigenBehaviorSet]:
 
 def write_distance_matrix(path: str, dm: DistanceMatrix) -> None:
     """Upper triangle as i,j,distance rows plus a JSON sidecar with ids and params."""
+    values = np.asarray(dm.values, dtype=float)
+    lines = [f"{j},%.9g\n" for j in range(dm.n)]  # row i's line for j is f"{i}," + lines[j]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", "distance"])
-        for i in range(dm.n):
-            for j in range(i + 1, dm.n):
-                writer.writerow([i, j, fmt(dm.values[i, j])])
+        fh.write("i,j,distance\n")
+        for i in range(dm.n - 1):
+            prefix = f"{i},"
+            template = prefix + prefix.join(lines[i + 1 :])
+            fh.write(template % tuple(values[i, i + 1 :].tolist()))
     write_json(
         path + ".json",
         {
@@ -204,12 +243,15 @@ def write_merge_history_csv(path: str, partition: Partition) -> None:
 
 def write_cdf_csv(path: str, samples: np.ndarray) -> None:
     """Sorted samples with their empirical CDF value."""
+    samples = np.asarray(samples, dtype=float)
     n = len(samples)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["distance", "cdf"])
-        for i, value in enumerate(samples):
-            writer.writerow([fmt(value), fmt((i + 1) / n)])
+        fh.write("distance,cdf\n")
+        for start in range(0, n, CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, n)
+            # (i + 1) / n, correctly rounded as Python's int division is
+            cells = np.column_stack((samples[start:stop], np.arange(start + 1, stop + 1) / n))
+            fh.write(_row_template(2) * (stop - start) % tuple(cells.ravel().tolist()))
 
 
 def write_summary_table_csv(path: str, table: dict[str, float]) -> None:
@@ -221,11 +263,12 @@ def write_summary_table_csv(path: str, table: dict[str, float]) -> None:
 
 
 def write_sims_csv(path: str, normalized: np.ndarray, ids: Sequence[str]) -> None:
+    normalized = np.asarray(normalized, dtype=float)
+    template = "%s," + _row_template(normalized.shape[1])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user"] + list(ids))
-        for i, user in enumerate(ids):
-            writer.writerow([user] + [fmt(v) for v in normalized[i]])
+        csv.writer(fh, lineterminator="\n").writerow(["user"] + list(ids))
+        for i, user in enumerate(_csv_cells(ids)):
+            fh.write(template % (user, *normalized[i].tolist()))
 
 
 def load_sims_csv(path: str) -> tuple[np.ndarray, tuple[str, ...]]:

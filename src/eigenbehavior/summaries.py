@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from itertools import takewhile
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .cluster import agglomerate, partition_from_merges
+from .cluster import agglomerate, cityblock, partition_from_merges
 from .trace import AssociationMatrix
 
 DEFAULT_POWER_FLOOR = 0.001  # keep eigen-behaviors carrying >= 0.1% of total power
@@ -102,9 +101,7 @@ def _mode_clusterings(
         return [ModeClustering([], [], offline, thr) for thr in thresholds]
     rows = matrix.rows[online]
     labels = [int(i) for i in online]
-    history = agglomerate(
-        cdist(rows, rows, "cityblock"), threshold=max(thresholds)
-    ).merge_history
+    history = agglomerate(cityblock(rows, rows), threshold=max(thresholds)).merge_history
     out = []
     for thr in thresholds:
         prefix = list(takewhile(lambda merge: merge[2] <= thr, history))

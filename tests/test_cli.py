@@ -6,9 +6,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import eigenbehavior
 from eigenbehavior import jaccard, load_records
 from eigenbehavior.cli import main
 from eigenbehavior.persist import load_partition_csv, load_truth_csv
@@ -319,3 +322,14 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exit_info.value.code == 0
     assert "eigenbehavior" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is loaded on the first L1 distance, so `simulate` never pays for it
+    src = os.path.dirname(os.path.dirname(eigenbehavior.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, eigenbehavior.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -11,8 +11,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenbehavior import (
+    DAY_SECONDS,
     AssociationRecord,
     TraceConfig,
     aggregate_locations,
@@ -225,6 +228,36 @@ def test_build_matrix_matches_per_second_oracle():
             got = build_matrix(records, cfg, locations).rows
             want = oracle_rows(records, cfg, locations)
             np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+@st.composite
+def overlapping_sessions(draw):
+    """A two-day config and sessions near midnight and near the daily window."""
+    locations = [f"L{k}" for k in range(draw(st.integers(1, 4)))]
+    window = None
+    if draw(st.booleans()):
+        w_start = draw(st.integers(0, 600))
+        window = (w_start, draw(st.sampled_from([w_start + 1, w_start + 250, 700, DAY_SECONDS])))
+    config = TraceConfig(
+        0,
+        2 * DAY_SECONDS,
+        slot_seconds=draw(st.sampled_from([100, 300, 3600, DAY_SECONDS])),
+        window=window,
+        normalization=draw(st.sampled_from(["normalized", "absolute"])),
+    )
+    records = []
+    for _ in range(draw(st.integers(1, 8))):
+        start = draw(st.sampled_from([0, DAY_SECONDS, 2 * DAY_SECONDS])) + draw(st.integers(-400, 700))
+        records.append(rec("u", draw(st.sampled_from(locations)), start, start + draw(st.integers(1, 400))))
+    return records, config, locations
+
+
+@given(overlapping_sessions())
+@settings(max_examples=150, deadline=None)
+def test_build_matrix_property_matches_per_second_oracle(case):
+    records, config, locations = case
+    got = build_matrix(records, config, locations).rows
+    np.testing.assert_allclose(got, oracle_rows(records, config, locations), atol=1e-9)
 
 
 def test_window_matches_per_second_oracle():
