@@ -72,15 +72,14 @@ from .trace import (
     DAY_SECONDS,
     AssociationMatrix,
     AssociationRecord,
+    Records,
     TraceConfig,
     aggregate_locations,
-    build_location_index,
     build_matrices,
     build_matrix,
     load_location_map,
     load_records,
     online_slot_count,
-    records_by_user,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -31,7 +31,7 @@ from .profilecast import (
 )
 from .summaries import DEFAULT_POWER_FLOOR, summary_table
 from .synth import generate, spec_from_json, spec_to_json_dict
-from .trace import TraceConfig, aggregate_locations, load_location_map, load_records
+from .trace import Records, TraceConfig, aggregate_locations, load_location_map, load_records
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -98,13 +98,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_config(payload: dict, records) -> TraceConfig:
+def _trace_config(payload: dict, records: Records) -> TraceConfig:
     start = payload.get("trace_start")
     end = payload.get("trace_end")
+    # load_records admits integer seconds only, so these ints are exact.
     if start is None:
-        start = min(r.start for r in records)
+        start = int(records.start.min())
     if end is None:
-        end = max(r.end for r in records)
+        end = int(records.end.max())
     window = payload.get("window")
     return TraceConfig(
         trace_start=start,

@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cluster import Partition
-from .trace import AssociationRecord, _union
+from .trace import AssociationRecord, Records, _runs, as_records
 
 SCHEMES = ("flooding", "centralized", "similarity", "rtx")
 
@@ -177,10 +177,10 @@ class SimulationOutcome:
 
 
 def split_trace(
-    records: Sequence[AssociationRecord],
+    records: Records | Iterable[AssociationRecord],
     fraction: float = 0.5,
     span: tuple[float, float] | None = None,
-) -> tuple[list[AssociationRecord], list[AssociationRecord], float]:
+) -> tuple[Records, Records, float]:
     """Clip the trace into a profile half and a replay half at a time point.
 
     Returns (first, second, split_time).  A record straddling the split lands
@@ -188,91 +188,76 @@ def split_trace(
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie strictly between 0 and 1")
-    if not records:
+    records = as_records(records)
+    if not len(records):
         raise ValueError("cannot split an empty trace")
     if span is None:
-        span = (min(r.start for r in records), max(r.end for r in records))
+        span = (records.start.min().item(), records.end.max().item())
     lo, hi = span
     if not hi > lo:
         raise ValueError("degenerate trace span")
     mid = lo + fraction * (hi - lo)
-    first, second = [], []
-    for rec in records:
-        if rec.start < mid:
-            first.append(
-                AssociationRecord(rec.user_id, rec.location_id, rec.start, min(rec.end, mid))
-            )
-        if rec.end > mid:
-            second.append(
-                AssociationRecord(rec.user_id, rec.location_id, max(rec.start, mid), rec.end)
-            )
+    start, end = records.start, records.end
+    first = records.select(start < mid, start, np.minimum(end, mid))
+    second = records.select(end > mid, np.maximum(start, mid), end)
     return first, second, mid
 
 
-def _merged_user_intervals(
-    records: Iterable[AssociationRecord],
-) -> dict[str, dict[str, list[tuple[float, float]]]]:
-    """location -> user -> merged interval list."""
-    per: dict[str, dict[str, list[tuple[float, float]]]] = {}
-    for rec in records:
-        per.setdefault(rec.location_id, {}).setdefault(rec.user_id, []).append(
-            (rec.start, rec.end)
-        )
-    for users in per.values():
-        for user, intervals in users.items():
-            users[user] = _union(intervals)
-    return per
-
-
-def extract_encounters(records: Sequence[AssociationRecord]) -> Encounters:
+def extract_encounters(records: Records) -> Encounters:
     """All maximal pairwise co-presence intervals, sorted by (start, a, b).
 
-    Each user's intervals are merged per location first, so a user never
-    meets itself and one pair's meetings at a location never touch.  With a
-    location's merged intervals in start order, interval j meets exactly the
-    later intervals that start before it ends: one contiguous run, found by a
-    binary search on the starts.  Rows with equal (start, a, b) come from
-    different locations and keep the order in which the locations first
-    appear in the records.
+    Each user's intervals are merged per location first (abutting ones too),
+    so a user never meets itself and one pair's meetings at a location never
+    touch: with the records sorted by (location, user, start), an interval
+    opens a new merged one unless it starts at or before the running maximum
+    of the ends before it in its (location, user) run.  With a location's
+    merged intervals in start order, interval j meets exactly the later
+    intervals that start before it ends: one contiguous run, found by a
+    binary search.  Rows with equal (start, a, b) come from different
+    locations and keep the order in which the locations first appear in the
+    records.
     """
-    per_location = _merged_user_intervals(records)
-    users = sorted({u for located in per_location.values() for u in located})
-    locations = sorted(per_location)
-    ucode = {u: i for i, u in enumerate(users)}
-    lcode = {loc: i for i, loc in enumerate(locations)}
-    blocks = []
-    for location, located in per_location.items():
-        code = np.array([ucode[u] for u, intervals in located.items() for _ in intervals], np.intp)
-        spans = np.array([iv for intervals in located.values() for iv in intervals], float)
-        order = np.argsort(spans[:, 0], kind="stable")
-        start, end, code = spans[order, 0], spans[order, 1], code[order]
-        first = np.arange(len(start))
-        counts = np.searchsorted(start, end, side="left") - first - 1
-        j = np.repeat(first, counts)
-        i = j + 1 + np.arange(len(j)) - np.repeat(np.cumsum(counts) - counts, counts)
-        blocks.append(
-            (
-                np.minimum(code[i], code[j]),
-                np.maximum(code[i], code[j]),
-                start[i],
-                np.minimum(end[i], end[j]),
-                np.full(len(j), lcode[location], np.intp),
-            )
-        )
-    if not blocks:
+    if not len(records):
         return Encounters.from_rows([])
-    a, b, start, end, loc = (np.concatenate(col) for col in zip(*blocks))
-    order = np.lexsort((b, a, start))  # stable: equal keys keep location order
+    order = np.lexsort((records.start, records.user, records.loc))
+    user, loc = records.user[order], records.loc[order]
+    start, end = records.start[order], records.end[order]
+    # Running max of the ends within each (location, user) run: ends become
+    # ranks, and (run, rank) packed in one integer compares run first.
+    run = loc * len(records.users) + user
+    values, rank = np.unique(end, return_inverse=True)
+    reach = values[np.maximum.accumulate(run * len(values) + rank) % len(values)]
+    opens = np.ones(len(run), dtype=bool)
+    opens[1:] = (run[1:] != run[:-1]) | (start[1:] > reach[:-1])
+    heads = np.flatnonzero(opens)
+    user, loc, start = user[heads], loc[heads], start[heads]
+    end = np.maximum.reduceat(end, heads)
+
+    # Merged intervals by (location, start); j's partners run up to the first
+    # interval at a later location or starting at or after end[j].
+    order = np.lexsort((start, loc))
+    user, loc, start, end = user[order], loc[order], start[order], end[order]
+    values = np.unique(np.concatenate((start, end)))
+    starts_key = loc * len(values) + np.searchsorted(values, start)
+    stop = np.searchsorted(starts_key, loc * len(values) + np.searchsorted(values, end))
+    first = np.arange(len(start))
+    j, k = _runs(stop - first - 1)
+    i = j + 1 + k
+    a = np.minimum(user[i], user[j])
+    b = np.maximum(user[i], user[j])
+    appearance = np.argsort(np.argsort(np.unique(records.loc, return_index=True)[1]))
+    order = np.lexsort((appearance[loc[j]], b, a, start[i]))
+    a, b, loc = a[order], b[order], loc[j][order]
     present = np.unique(np.concatenate((a, b)))
     present_locs = np.unique(loc)
     return Encounters(
-        tuple(users[k] for k in present.tolist()),
-        tuple(locations[k] for k in present_locs.tolist()),
-        np.searchsorted(present, a[order]),
-        np.searchsorted(present, b[order]),
-        start[order],
-        end[order],
-        np.searchsorted(present_locs, loc[order]),
+        tuple(records.users[u] for u in present.tolist()),
+        tuple(records.locations[x] for x in present_locs.tolist()),
+        np.searchsorted(present, a),
+        np.searchsorted(present, b),
+        start[i][order],
+        np.minimum(end[i], end[j])[order],
+        np.searchsorted(present_locs, loc),
     )
 
 

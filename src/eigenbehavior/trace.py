@@ -1,7 +1,8 @@
 """Association traces and per-user normalized association matrices.
 
-A trace is a list of (user, location, start, end) association records.
-The builder turns one user's records into a t x n matrix whose rows are
+A trace is a set of (user, location, start, end) association records, held
+as columns (``Records``: int user and location codes, float start and end).
+The builder turns every user's records into a t x n matrix whose rows are
 time slots (days by default) and whose columns are locations.  Rows of an
 online slot sum to 1 in normalized mode; offline slots stay all zero.
 """
@@ -10,7 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,9 +107,108 @@ class AssociationMatrix:
         return self.rows.shape[1]
 
 
-def load_records(path: str) -> list[AssociationRecord]:
-    """Read a trace CSV with header user,location,start,end (integer epoch seconds)."""
-    records: list[AssociationRecord] = []
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Association records as parallel columns.
+
+    Record i: users[user[i]] at locations[loc[i]] over [start[i], end[i]).
+    ``users`` and ``locations`` are sorted and hold exactly the ids that occur
+    in some record, so the codes order like the ids.  Rows keep the trace
+    order, which every transformation preserves.
+    """
+
+    users: tuple[str, ...]
+    locations: tuple[str, ...]
+    user: np.ndarray
+    loc: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+    def __post_init__(self) -> None:
+        columns = {"user": np.intp, "loc": np.intp, "start": float, "end": float}
+        for name, dtype in columns.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({getattr(self, name).shape for name in columns}) != 1 or self.user.ndim != 1:
+            raise ValueError("record columns must be 1-d and of equal length")
+        if not np.all(self.end > self.start):
+            raise ValueError("record must have end > start")
+        for ids, codes in ((self.users, self.user), (self.locations, self.loc)):
+            if list(ids) != sorted(set(ids)):
+                raise ValueError("record ids must be sorted and unique")
+            if len(codes) and (codes.min() < 0 or codes.max() >= len(ids)):
+                raise ValueError("record code out of range")
+            if not np.bincount(codes, minlength=len(ids)).all():
+                raise ValueError("every record id must occur in some record")
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[AssociationRecord]) -> Records:
+        """Columns from association records, in the given order."""
+        rows = list(rows)
+        users = tuple(sorted({r.user_id for r in rows}))
+        locations = tuple(sorted({r.location_id for r in rows}))
+        ucode = {u: i for i, u in enumerate(users)}
+        lcode = {loc: i for i, loc in enumerate(locations)}
+        return cls(
+            users,
+            locations,
+            [ucode[r.user_id] for r in rows],
+            [lcode[r.location_id] for r in rows],
+            [r.start for r in rows],
+            [r.end for r in rows],
+        )
+
+    def rows(self) -> list[AssociationRecord]:
+        users, locations = self.users, self.locations
+        return [
+            AssociationRecord(users[u], locations[loc], start, end)
+            for u, loc, start, end in zip(
+                self.user.tolist(), self.loc.tolist(), self.start.tolist(), self.end.tolist()
+            )
+        ]
+
+    def select(self, keep: np.ndarray, start: np.ndarray, end: np.ndarray) -> Records:
+        """The records where ``keep`` holds, with bounds taken from the
+        full-length ``start``/``end``; ids left without a record are dropped."""
+        users, user = _present(self.users, self.user[keep])
+        locations, loc = _present(self.locations, self.loc[keep])
+        return Records(users, locations, user, loc, start[keep], end[keep])
+
+
+def _present(ids: tuple[str, ...], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The ids that ``codes`` use, and the codes renumbered over them."""
+    used = np.bincount(codes, minlength=len(ids)) > 0
+    return tuple(i for i, u in zip(ids, used.tolist()) if u), (np.cumsum(used) - 1)[codes]
+
+
+def as_records(records: Records | Iterable[AssociationRecord]) -> Records:
+    """``records`` if already columnar, else the record sequence converted once."""
+    return records if isinstance(records, Records) else Records.from_rows(records)
+
+
+def _new_code(codes: dict[str, int], kind: str, value: str, where: str) -> int:
+    """The next code for an id seen for the first time, once it passes the
+    checks: ids are non-empty and hold no line break, which the CSV writers
+    downstream would not quote."""
+    if not value:
+        raise ValueError(f"{where}: record has empty {kind}_id")
+    if "\r" in value or "\n" in value:
+        raise ValueError(f"{where}: {kind} id {value!r} contains a line break")
+    codes[value] = len(codes)
+    return codes[value]
+
+
+def load_records(path: str) -> Records:
+    """Read a trace CSV with header user,location,start,end (integer epoch seconds).
+
+    One csv.reader pass appends each row to typed columns; an id is checked
+    once, on the line where it first appears.
+    """
+    ucode: dict[str, int] = {}
+    lcode: dict[str, int] = {}
+    user_col, loc_col, start_col, end_col = array("q"), array("q"), array("d"), array("d")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -117,23 +218,54 @@ def load_records(path: str) -> list[AssociationRecord]:
         if header != ["user", "location", "start", "end"]:
             raise ValueError(f"{path}: bad header {header!r}, expected user,location,start,end")
         for row in reader:
-            line = reader.line_num
             if len(row) != 4:
-                raise ValueError(f"{path}:{line}: expected 4 fields, got {len(row)}")
+                raise ValueError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
             user, location, start_s, end_s = row
             try:
                 start = int(start_s)
             except ValueError:
-                raise ValueError(f"{path}:{line}: start is not an integer: {start_s!r}") from None
+                raise ValueError(
+                    f"{path}:{reader.line_num}: start is not an integer: {start_s!r}"
+                ) from None
             try:
                 end = int(end_s)
             except ValueError:
-                raise ValueError(f"{path}:{line}: end is not an integer: {end_s!r}") from None
-            try:
-                records.append(AssociationRecord(user, location, start, end))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line}: {exc}") from None
-    return records
+                raise ValueError(
+                    f"{path}:{reader.line_num}: end is not an integer: {end_s!r}"
+                ) from None
+            u = ucode.get(user)
+            if u is None:
+                u = _new_code(ucode, "user", user, f"{path}:{reader.line_num}")
+            loc = lcode.get(location)
+            if loc is None:
+                loc = _new_code(lcode, "location", location, f"{path}:{reader.line_num}")
+            if not end > start:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: record for {user!r} has end <= start "
+                    f"({end} <= {start})"
+                )
+            user_col.append(u)
+            loc_col.append(loc)
+            start_col.append(start)
+            end_col.append(end)
+    users, user_rank = _sorted_codes(ucode)
+    locations, loc_rank = _sorted_codes(lcode)
+    return Records(
+        users,
+        locations,
+        user_rank[np.asarray(user_col, dtype=np.intp)],
+        loc_rank[np.asarray(loc_col, dtype=np.intp)],
+        np.asarray(start_col, dtype=float),
+        np.asarray(end_col, dtype=float),
+    )
+
+
+def _sorted_codes(first_seen: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted ids, and each first-seen code's position among them."""
+    ids = tuple(sorted(first_seen))
+    rank = np.empty(len(ids), np.intp)
+    rank[[first_seen[i] for i in ids]] = np.arange(len(ids))
+    return ids, rank
 
 
 def load_location_map(path: str) -> dict[str, str]:
@@ -148,52 +280,54 @@ def load_location_map(path: str) -> dict[str, str]:
             if len(row) != 2:
                 raise ValueError(f"{path}:{reader.line_num}: expected 2 fields")
             ap, building = row
+            if ap in mapping:
+                raise ValueError(f"{path}:{reader.line_num}: duplicate access point {ap!r}")
             mapping[ap] = building
     return mapping
 
 
-def aggregate_locations(
-    records: Sequence[AssociationRecord], location_map: dict[str, str]
-) -> list[AssociationRecord]:
+def _first_unmapped(records: Records, mapping: dict) -> str | None:
+    """The location of the first record, in trace order, that ``mapping`` lacks."""
+    missing = np.array([loc not in mapping for loc in records.locations], dtype=bool)
+    if not missing.any():
+        return None
+    return records.locations[records.loc[np.flatnonzero(missing[records.loc])[0]]]
+
+
+def aggregate_locations(records: Records, location_map: dict[str, str]) -> Records:
     """Rewrite access-point location ids to their buildings; count is preserved."""
-    out = []
-    for rec in records:
-        try:
-            building = location_map[rec.location_id]
-        except KeyError:
-            raise ValueError(f"unmapped location: {rec.location_id!r}") from None
-        out.append(AssociationRecord(rec.user_id, building, rec.start, rec.end))
-    return out
+    missing = _first_unmapped(records, location_map)
+    if missing is not None:
+        raise ValueError(f"unmapped location: {missing!r}")
+    buildings = [location_map[loc] for loc in records.locations]
+    index = tuple(sorted(set(buildings)))
+    bcode = {b: i for i, b in enumerate(index)}
+    remap = np.array([bcode[b] for b in buildings], dtype=np.intp)
+    return Records(
+        records.users, index, records.user, remap[records.loc], records.start, records.end
+    )
 
 
-def build_location_index(records: Iterable[AssociationRecord]) -> tuple[str, ...]:
-    """Lexicographically sorted unique location ids."""
-    return tuple(sorted({rec.location_id for rec in records}))
+def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Item k repeated counts[k] times, and each copy's position 0, 1, ... in its run."""
+    item = np.repeat(np.arange(len(counts)), counts)
+    return item, np.arange(len(item)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def records_by_user(records: Iterable[AssociationRecord]) -> dict[str, list[AssociationRecord]]:
-    out: dict[str, list[AssociationRecord]] = {}
-    for rec in records:
-        out.setdefault(rec.user_id, []).append(rec)
-    return out
-
-
-def _clip(start: float, end: float, lo: float, hi: float) -> tuple[float, float] | None:
-    s, e = max(start, lo), min(end, hi)
-    return (s, e) if e > s else None
-
-
-def _window_pieces(start: float, end: float, window: tuple[int, int]) -> list[tuple[float, float]]:
-    """Intersect [start, end) with the daily [w_start, w_end) window of each day it touches."""
+def _window_pieces(
+    user: np.ndarray, col: np.ndarray, s: np.ndarray, e: np.ndarray, window: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Intersect each [s, e) with the daily [w_start, w_end) window of each day
+    it touches: days floor(s / DAY_SECONDS) onwards while day * DAY_SECONDS < e.
+    A day that starts at or after e gives an empty piece, which is dropped."""
     w_start, w_end = window
-    pieces = []
-    day = math.floor(start / DAY_SECONDS)
-    while day * DAY_SECONDS < end:
-        piece = _clip(start, end, day * DAY_SECONDS + w_start, day * DAY_SECONDS + w_end)
-        if piece is not None:
-            pieces.append(piece)
-        day += 1
-    return pieces
+    first = np.floor(s / DAY_SECONDS)
+    last = np.floor(e / DAY_SECONDS)
+    item, k = _runs(np.maximum(last - first + 1, 0).astype(np.intp))
+    day = (first[item] + k) * DAY_SECONDS
+    ps, pe = np.maximum(s[item], day + w_start), np.minimum(e[item], day + w_end)
+    keep = pe > ps
+    return user[item][keep], col[item][keep], ps[keep], pe[keep]
 
 
 def _union(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -241,69 +375,94 @@ def _slot_shares(per_location: dict[int, list[tuple[float, float]]], n_locations
     return shares
 
 
-def build_matrix(
-    records: Sequence[AssociationRecord],
-    config: TraceConfig,
-    location_index: Sequence[str],
-) -> AssociationMatrix:
-    """Build one user's slot-by-location matrix.
-
-    Records are clipped to [trace_start, trace_end) and to the daily window if
-    one is configured, split at slot boundaries, unioned per location, and
-    cross-location overlap is split evenly.  Normalized mode divides each
-    online row by its online seconds so it sums to 1; absolute mode keeps raw
-    (overlap-split) seconds.
-    """
-    if not records:
-        raise ValueError("no records given")
-    users = {rec.user_id for rec in records}
-    if len(users) > 1:
-        raise ValueError(f"records span multiple users: {sorted(users)!r}")
-    loc_pos = {loc: i for i, loc in enumerate(location_index)}
-    if len(loc_pos) != len(location_index):
-        raise ValueError("location_index contains duplicates")
-
-    t = config.n_slots
-    origin = config.slot_origin
-    slot_sec = config.slot_seconds
-    # slot -> location -> clipped interval pieces
-    per_slot: dict[int, dict[int, list[tuple[float, float]]]] = {}
-    for rec in records:
-        try:
-            col = loc_pos[rec.location_id]
-        except KeyError:
-            raise ValueError(f"location {rec.location_id!r} not in location_index") from None
-        clipped = _clip(rec.start, rec.end, config.trace_start, config.trace_end)
-        if clipped is None:
-            continue
-        pieces = [clipped] if config.window is None else _window_pieces(*clipped, config.window)
-        for s, e in pieces:
-            first = int((s - origin) // slot_sec)
-            last = int(math.ceil((e - origin) / slot_sec)) - 1
-            for slot in range(first, last + 1):
-                piece = _clip(s, e, origin + slot * slot_sec, origin + (slot + 1) * slot_sec)
-                if piece is not None:
-                    per_slot.setdefault(slot, {}).setdefault(col, []).append(piece)
-
-    rows = np.zeros((t, len(location_index)))
-    for slot, per_location in per_slot.items():
-        shares = _slot_shares(per_location, len(location_index))
-        total = shares.sum()
-        if config.normalization == "normalized" and total > 0:
-            shares = shares / total
-        rows[slot] = shares
-    return AssociationMatrix(next(iter(users)), rows, tuple(location_index))
-
-
 def build_matrices(
-    records: Sequence[AssociationRecord],
+    records: Records | Iterable[AssociationRecord],
     config: TraceConfig,
     location_index: Sequence[str] | None = None,
 ) -> dict[str, AssociationMatrix]:
-    """Build matrices for every user in the trace over a shared location index."""
-    index = tuple(location_index) if location_index is not None else build_location_index(records)
-    grouped = records_by_user(records)
-    return {user: build_matrix(recs, config, index) for user, recs in sorted(grouped.items())}
+    """Build every user's slot-by-location matrix over a shared location index.
+
+    Records are clipped to [trace_start, trace_end) and to the daily window if
+    one is configured, and split at slot boundaries.  Within a slot, a user's
+    intervals are unioned per location and time covered by k locations at
+    once is split evenly.  Normalized mode divides each online row by its
+    online seconds so it sums to 1; absolute mode keeps raw (overlap-split)
+    seconds.  The default index is every location in the records, sorted.
+
+    All pieces land in one (users, slots, locations) array through
+    ``np.add.at``, in (user, slot, start) order, which is the order in which a
+    sweep over the slot credits them.  A (user, slot) whose pieces overlap or
+    abut at one location is then recomputed by the sweep (``_slot_shares``),
+    because splitting or merging there changes the float sums.
+    """
+    records = as_records(records)
+    if location_index is None:
+        index, col = records.locations, records.loc
+    else:
+        index = tuple(location_index)
+        pos = {loc: i for i, loc in enumerate(index)}
+        if len(pos) != len(index):
+            raise ValueError("location_index contains duplicates")
+        missing = _first_unmapped(records, pos)
+        if missing is not None:
+            raise ValueError(f"location {missing!r} not in location_index")
+        col = np.array([pos[loc] for loc in records.locations], dtype=np.intp)[records.loc]
+
+    t, n = config.n_slots, len(index)
+    origin, slot_sec = float(config.slot_origin), config.slot_seconds
+    s = np.maximum(records.start, config.trace_start)
+    e = np.minimum(records.end, config.trace_end)
+    keep = e > s
+    user, col, s, e = records.user[keep], col[keep], s[keep], e[keep]
+    if config.window is not None:
+        user, col, s, e = _window_pieces(user, col, s, e, config.window)
+    first = np.floor_divide(s - origin, slot_sec)
+    last = np.ceil((e - origin) / slot_sec) - 1
+    item, k = _runs(np.maximum(last - first + 1, 0).astype(np.intp))
+    slot = (first[item] + k).astype(np.intp)
+    ps = np.maximum(s[item], origin + slot * slot_sec)
+    pe = np.minimum(e[item], origin + (slot + 1) * slot_sec)
+    keep = pe > ps
+    user, col, slot, ps, pe = user[item][keep], col[item][keep], slot[keep], ps[keep], pe[keep]
+
+    cell = user * t + slot
+    order = np.lexsort((ps, cell))
+    cell, user, col, slot, ps, pe = (x[order] for x in (cell, user, col, slot, ps, pe))
+    # Start-sorted pieces of one cell that neither overlap nor abut at one
+    # location are disjoint, so comparing neighbours finds every such cell.
+    joined = (cell[1:] == cell[:-1]) & (
+        (ps[1:] < pe[:-1]) | ((ps[1:] == pe[:-1]) & (col[1:] == col[:-1]))
+    )
+    rows = np.zeros((len(records.users), t, n))
+    np.add.at(rows, (user, slot, col), pe - ps)
+    swept = np.isin(cell, cell[1:][joined])
+    if swept.any():
+        per_cell: dict[tuple[int, int], dict[int, list[tuple[float, float]]]] = {}
+        for u, sl, c, a, b in zip(
+            user[swept].tolist(), slot[swept].tolist(), col[swept].tolist(),
+            ps[swept].tolist(), pe[swept].tolist(),
+        ):
+            per_cell.setdefault((u, sl), {}).setdefault(c, []).append((a, b))
+        for (u, sl), per_location in per_cell.items():
+            rows[u, sl] = _slot_shares(per_location, n)
+    if config.normalization == "normalized":
+        totals = rows.sum(axis=2, keepdims=True)
+        np.divide(rows, totals, out=rows, where=totals > 0)
+    return {u: AssociationMatrix(u, rows[i], index) for i, u in enumerate(records.users)}
+
+
+def build_matrix(
+    records: Records | Iterable[AssociationRecord],
+    config: TraceConfig,
+    location_index: Sequence[str],
+) -> AssociationMatrix:
+    """One user's slot-by-location matrix (see ``build_matrices``)."""
+    records = as_records(records)
+    if not len(records):
+        raise ValueError("no records given")
+    if len(records.users) > 1:
+        raise ValueError(f"records span multiple users: {list(records.users)!r}")
+    return build_matrices(records, config, location_index)[records.users[0]]
 
 
 def online_slot_count(matrix: AssociationMatrix) -> int:

@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from eigenbehavior.profilecast import Message, SimConfig, SimResult, SimulationOutcome
-from eigenbehavior.trace import AssociationRecord, _union
+from eigenbehavior.trace import AssociationRecord
+from trace_oracle import _union
 
 
 def encounters_oracle(records):

@@ -100,7 +100,7 @@ def test_synth_outputs(workdir):
     records = load_records(str(synth_dir / "trace.csv"))
     truth = load_truth_csv(str(synth_dir / "truth.csv"))
     assert len(truth) == 24
-    assert {r.user_id for r in records} <= set(truth)
+    assert set(records.users) <= set(truth)
     manifest = json.loads((synth_dir / "manifest.json").read_text())
     assert manifest["command"] == "synth"
     assert manifest["seed"] == 5
@@ -314,6 +314,29 @@ def test_simulate_without_flooding_delivery_exits_2(tmp_path, capsys):
     )
     assert rc == 2
     assert "flooding" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_line_break_in_user_id_exits_2_without_outputs(workdir, tmp_path, capsys):
+    """A quoted carriage return inside a user id would be written unquoted by the
+    output writers and break sims.csv and partition.csv, so the loader refuses it."""
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(b'user,location,start,end\nu1,A,0,100\n"c\rr",A,0,100\n')
+    out = tmp_path / "o"
+    rc = main(
+        [
+            "pipeline",
+            str(trace),
+            "--config",
+            str(workdir / "config.json"),
+            "--clusters",
+            "1",
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 2
+    assert f"{trace}:4: user id 'c\\rr' contains a line break" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -43,7 +43,7 @@ def test_trace_csv_roundtrip(tmp_path):
     ]
     path = tmp_path / "trace.csv"
     write_trace_csv(str(path), records)
-    assert load_records(str(path)) == records
+    assert load_records(str(path)).rows() == records
 
 
 def test_truth_csv_roundtrip(tmp_path):

@@ -12,6 +12,7 @@ from eigenbehavior import (
     AssociationRecord,
     Encounters,
     Message,
+    Records,
     SimConfig,
     build_messages,
     compare_schemes,
@@ -43,8 +44,9 @@ def test_split_trace_clips_straddlers_into_both_halves():
     records = [rec("u", "L", 0, 100), rec("v", "L", 10, 40), rec("w", "L", 60, 90)]
     first, second, mid = split_trace(records)
     assert mid == 50.0
-    assert first == [rec("u", "L", 0, 50), rec("v", "L", 10, 40)]
-    assert second == [rec("u", "L", 50, 100), rec("w", "L", 60, 90)]
+    assert first.rows() == [rec("u", "L", 0, 50), rec("v", "L", 10, 40)]
+    assert second.rows() == [rec("u", "L", 50, 100), rec("w", "L", 60, 90)]
+    assert (first.users, second.users) == (("u", "v"), ("u", "w"))
 
 
 def test_split_trace_fraction_and_span():
@@ -69,7 +71,7 @@ def test_split_trace_validation():
 
 def test_single_encounter_overlap():
     records = [rec("u", "L1", 0, 100), rec("v", "L1", 50, 150)]
-    assert extract_encounters(records).rows() == [enc("u", "v", 50, 100, "L1")]
+    assert extract_encounters(Records.from_rows(records)).rows() == [enc("u", "v", 50, 100, "L1")]
 
 
 def test_adjacent_intervals_merge_into_one_encounter():
@@ -78,17 +80,17 @@ def test_adjacent_intervals_merge_into_one_encounter():
         rec("u", "L1", 50, 100),
         rec("v", "L1", 40, 60),
     ]
-    assert extract_encounters(records).rows() == [enc("u", "v", 40, 60, "L1")]
+    assert extract_encounters(Records.from_rows(records)).rows() == [enc("u", "v", 40, 60, "L1")]
 
 
 def test_different_locations_never_meet():
     records = [rec("u", "L1", 0, 100), rec("v", "L2", 0, 100)]
-    assert extract_encounters(records).rows() == []
+    assert extract_encounters(Records.from_rows(records)).rows() == []
 
 
 def test_touching_intervals_do_not_meet():
     records = [rec("u", "L1", 0, 50), rec("v", "L1", 50, 100)]
-    assert extract_encounters(records).rows() == []
+    assert extract_encounters(Records.from_rows(records)).rows() == []
 
 
 def test_three_users_pairwise_sorted_by_start():
@@ -97,7 +99,7 @@ def test_three_users_pairwise_sorted_by_start():
         rec("v", "L1", 10, 40),
         rec("w", "L1", 20, 50),
     ]
-    assert extract_encounters(records).rows() == [
+    assert extract_encounters(Records.from_rows(records)).rows() == [
         enc("u", "v", 10, 30, "L1"),
         enc("u", "w", 20, 30, "L1"),
         enc("v", "w", 20, 40, "L1"),
@@ -120,7 +122,7 @@ def test_encounters_match_intersection_oracle():
                     s + int(rng.integers(1, 60)),
                 )
             )
-        got = extract_encounters(records)
+        got = extract_encounters(Records.from_rows(records))
         want = encounters_oracle(records)
         assert sorted(got.rows()) == want
         order = [(start, a, b) for a, b, start, _, _ in got.rows()]

@@ -1,6 +1,6 @@
 """Property tests: the columnar sweep and the bitset replay against the oracles
 in profilecast_oracle (brute-force pair intersection, and the replay layer as
-it stood before columnar encounters)."""
+it stood before columnar encounters and records)."""
 
 from __future__ import annotations
 
@@ -12,7 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import profilecast_oracle as oracle
-from eigenbehavior import AssociationRecord, Encounters, Message, SimConfig, extract_encounters, simulate
+from eigenbehavior import (
+    AssociationRecord,
+    Encounters,
+    Message,
+    Records,
+    SimConfig,
+    extract_encounters,
+    simulate,
+    split_trace,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -38,14 +47,46 @@ def sessions(draw):
     return records
 
 
+def assert_matches_old_sweep(records):
+    """``records`` as Records: the columnar sweep equals the old one row for
+    row, in order, and the brute-force intersection as a set."""
+    rows = records.rows()
+    got = extract_encounters(records)
+    assert len(got) == len(got.rows())
+    assert sorted(got.rows()) == oracle.encounters_oracle(rows)
+    old = oracle.extract_encounters(rows)
+    assert got.rows() == [(e.a, e.b, e.start, e.end, e.location) for e in old]
+
+
 @given(sessions())
 @PROPERTY
 def test_extract_encounters_matches_oracles(records):
-    got = extract_encounters(records)
-    assert len(got) == len(got.rows())
-    assert sorted(got.rows()) == oracle.encounters_oracle(records)
-    old = oracle.extract_encounters(records)
-    assert got.rows() == [(e.a, e.b, e.start, e.end, e.location) for e in old]
+    assert_matches_old_sweep(Records.from_rows(records))
+
+
+@given(sessions(), st.sampled_from([0.5, 1 / 3, 0.3, 0.77]))
+@PROPERTY
+def test_extract_encounters_on_split_halves_matches_oracles(records, fraction):
+    """Both halves of split_trace, cut at a fractional mid, as simulate
+    replays the second one."""
+    if not records:
+        return
+    first, second, mid = split_trace(Records.from_rows(records), fraction)
+    for half in (first, second):
+        assert_matches_old_sweep(half)
+
+
+def test_equal_rows_keep_the_locations_first_appearance_order():
+    """One pair meets over the same span at two locations: the rows tie on
+    (start, a, b) and come out in the order the locations first appear."""
+    rows = [
+        AssociationRecord("u", "L2", 0, 10),
+        AssociationRecord("v", "L1", 0, 10),
+        AssociationRecord("v", "L2", 0, 10),
+        AssociationRecord("u", "L1", 0, 10),
+    ]
+    assert_matches_old_sweep(Records.from_rows(rows))
+    assert [row[4] for row in extract_encounters(Records.from_rows(rows)).rows()] == ["L2", "L1"]
 
 
 @st.composite

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 from eigenbehavior import (
     DAY_SECONDS,
     AssociationRecord,
+    Records,
     TraceConfig,
     aggregate_locations,
-    build_location_index,
     build_matrices,
     build_matrix,
+    load_location_map,
     load_records,
     online_slot_count,
 )
@@ -82,7 +83,7 @@ def test_load_records_roundtrip(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("user,location,start,end\nu1,A,0,100\nu2,B,50,150\n")
     records = load_records(str(path))
-    assert records == [rec("u1", "A", 0, 100), rec("u2", "B", 50, 150)]
+    assert records.rows() == [rec("u1", "A", 0, 100), rec("u2", "B", 50, 150)]
 
 
 @pytest.mark.parametrize(
@@ -92,6 +93,7 @@ def test_load_records_roundtrip(tmp_path):
         ("user,location,start,end\nu1,A,xx,100\n", "not an integer"),
         ("user,location,start,end\nu1,A,5,5\n", "end <= start"),
         ("user,location,start,end\nu1,A,5\n", "expected 4 fields"),
+        ("user,location,start,end\n,A,0,5\n", "record has empty user_id"),
     ],
 )
 def test_load_records_errors_carry_line_numbers(tmp_path, body, fragment):
@@ -104,18 +106,47 @@ def test_load_records_errors_carry_line_numbers(tmp_path, body, fragment):
         assert ":2:" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        (b'user,location,start,end\nu1,A,0,5\n"u\n1",A,0,5\n', r":4: user id 'u\n1' contains"),
+        (b'user,location,start,end\nu1,"A\r",0,5\n', r":3: location id 'A\r' contains"),
+        (b'user,location,start,end\nu1,A,0,5\nu1,"B\r\n",0,5\n', r":4: location id 'B\r\n' contains"),
+    ],
+)
+def test_load_records_rejects_line_breaks_in_ids(tmp_path, body, message):
+    """The line is the reader's line number: the last physical line of the row."""
+    path = tmp_path / "bad.csv"
+    path.write_bytes(body)
+    with pytest.raises(ValueError) as err:
+        load_records(str(path))
+    assert str(err.value) == f"{path}{message} a line break"
+
+
 def test_aggregate_locations():
     records = [rec("u", "ap1", 0, 10), rec("u", "ap2", 10, 20)]
-    out = aggregate_locations(records, {"ap1": "B1", "ap2": "B1"})
-    assert [r.location_id for r in out] == ["B1", "B1"]
+    out = aggregate_locations(Records.from_rows(records), {"ap1": "B1", "ap2": "B1"})
+    assert [r.location_id for r in out.rows()] == ["B1", "B1"]
+    assert out.locations == ("B1",)
     assert len(out) == len(records)
     with pytest.raises(ValueError, match="unmapped location: 'ap3'"):
-        aggregate_locations([rec("u", "ap3", 0, 5)], {"ap1": "B1"})
+        aggregate_locations(Records.from_rows([rec("u", "ap3", 0, 5)]), {"ap1": "B1"})
+
+
+def test_load_location_map_rejects_duplicate_access_points(tmp_path):
+    path = tmp_path / "locmap.csv"
+    path.write_text("ap,building\nap1,B1\nap2,B1\nap1,B2\n")
+    with pytest.raises(ValueError, match=r"locmap.csv:4: duplicate access point 'ap1'"):
+        load_location_map(str(path))
+    path.write_text("ap,building\nap1,B1\nap2,B1\n")
+    assert load_location_map(str(path)) == {"ap1": "B1", "ap2": "B1"}
 
 
 def test_build_location_index_lexicographic():
     records = [rec("u", "B", 0, 1), rec("u", "A", 1, 2), rec("v", "C", 0, 1)]
-    assert build_location_index(records) == ("A", "B", "C")
+    assert Records.from_rows(records).locations == ("A", "B", "C")
+    mats = build_matrices(records, TraceConfig(0, 2, slot_seconds=2))
+    assert {m.location_index for m in mats.values()} == {("A", "B", "C")}
 
 
 # ----------------------------------------------------------- build_matrix ---
