@@ -5,7 +5,8 @@ all cross pairs of their elements.  Merging continues until either all
 inter-cluster linkages exceed a threshold or a target cluster count is
 reached.  Ties are broken toward the pair with the smaller cluster id, then
 the smaller partner id, where a cluster's running id is the smallest original
-element index it contains.
+element index it contains.  One engine, merge_histories, grows a stack of
+such trees at once; agglomerate runs it on a single matrix.
 """
 
 from __future__ import annotations
@@ -44,15 +45,38 @@ class Partition:
 @cache
 def _cdist():
     # scipy costs more to import than numpy and the rest of the package
-    # together; commands that never measure an L1 distance never load it.
+    # together, so only the AMVD pair loop, which calls cityblock, loads it.
     from scipy.spatial.distance import cdist
 
     return cdist
 
 
 def cityblock(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise L1 distances between the rows of a and the rows of b (scipy's cdist)."""
+    """Pairwise L1 distances between the rows of a and the rows of b (scipy's cdist).
+
+    Kept for the AMVD pair loop, which calls it twice per user pair: for two
+    20-row sets over 20 locations cdist takes about 9 us and a numpy
+    broadcast about 32 us, and tests/test_acceptance.py times that loop
+    against the eigen route.
+    """
     return _cdist()(a, b, "cityblock")
+
+
+def pairwise_l1(stack: np.ndarray) -> np.ndarray:
+    """(B, n, L) -> (B, n, n): L1 distances between the rows of each matrix.
+
+    The terms are added one location column at a time, in index order, which
+    is the order cdist(..., "cityblock") sums in, so the bits are the same.
+    """
+    stack = np.asarray(stack, dtype=float)
+    n_mats, n, n_cols = stack.shape
+    out = np.zeros((n_mats, n, n))
+    term = np.empty_like(out)
+    for c in range(n_cols):
+        column = stack[:, :, c]
+        np.subtract(column[:, :, None], column[:, None, :], out=term)
+        out += np.abs(term, out=term)
+    return out
 
 
 def validate_square(dm: np.ndarray) -> np.ndarray:
@@ -90,46 +114,109 @@ def agglomerate(
         raise ValueError("labels length must match matrix size")
     if target_count is not None and not 1 <= target_count <= n:
         raise ValueError(f"target_count must lie in [1, {n}]")
-
-    work = dm.copy()
-    np.fill_diagonal(work, np.inf)
-    sizes = np.ones(n, dtype=int)
-    active = np.ones(n, dtype=bool)
-    history: list[tuple[int, int, float]] = []
-    n_active = n
-    last_dist = -np.inf
-
-    while n_active > 1:
-        if target_count is not None and n_active == target_count:
-            break
-        flat = int(np.argmin(work))  # row-major scan realizes the id tie-break
-        i, j = divmod(flat, n)
-        dist = work[i, j]
-        if threshold is not None and dist > threshold:
-            break
-        if i > j:
-            i, j = j, i
-        if dist < last_dist - _MONOTONE_SLACK:
-            raise AssertionError(
-                f"average-linkage monotonicity violated: {dist} after {last_dist}"
-            )
-        last_dist = dist
-        history.append((i, j, float(dist)))
-        # Lance-Williams update for average linkage, result stored at slot i.
-        others = active.copy()
-        others[[i, j]] = False
-        ni, nj = sizes[i], sizes[j]
-        merged_row = (ni * work[i, others] + nj * work[j, others]) / (ni + nj)
-        work[i, others] = merged_row
-        work[others, i] = merged_row
-        work[j, :] = np.inf
-        work[:, j] = np.inf
-        work[i, i] = np.inf
-        sizes[i] = ni + nj
-        active[j] = False
-        n_active -= 1
-
+    (history,) = merge_histories(dm[None], threshold=threshold, target_count=target_count)
     return partition_from_merges(history, labels)
+
+
+def merge_histories(
+    dms: np.ndarray,
+    mask: np.ndarray | None = None,
+    threshold: float | None = None,
+    target_count: int | None = None,
+) -> list[list[tuple[int, int, float]]]:
+    """Average-linkage merge histories of a (B, n, n) stack of distance matrices.
+
+    mask, (B, n) booleans, marks the rows of each matrix that take part; the
+    others are ignored.  Each tree stops on its own, under exactly one of the
+    two rules of agglomerate (the count rule stops at <= target_count active
+    rows).  The matrices are not validated.
+
+    Every tree caches each row's minimum and the first column holding it.
+    The first row with the smallest cached minimum and that row's cached
+    column are the row-major first argmin of the whole matrix, so merges
+    follow the smallest-id tie rule in exactly the greedy global order.  After
+    a merge of (i, j) into i, row i and every row cached on column i or j are
+    rescanned; any other row only compares its new column-i entry with its
+    cache, taking it when smaller, or when equal and i is the smaller column.
+    """
+    if (threshold is None) == (target_count is None):
+        raise ValueError("give exactly one of threshold or target_count")
+    work = np.array(dms, dtype=float)
+    n_trees, n, _ = work.shape
+    if n == 0:
+        return [[] for _ in range(n_trees)]
+    active = np.ones((n_trees, n), bool) if mask is None else np.array(mask, dtype=bool)
+    work[~active] = np.inf
+    work.transpose(0, 2, 1)[~active] = np.inf
+    work[:, np.arange(n), np.arange(n)] = np.inf
+    sizes = np.ones((n_trees, n), dtype=np.int64)
+    n_active = active.sum(axis=1)
+    min_col = work.argmin(axis=2)
+    min_val = np.take_along_axis(work, min_col[..., None], axis=2)[..., 0]
+    last = np.full(n_trees, -np.inf)
+    steps = np.zeros(n_trees, dtype=np.intp)
+    hist_i = np.zeros((n_trees, n), dtype=np.intp)
+    hist_j = np.zeros((n_trees, n), dtype=np.intp)
+    hist_d = np.zeros((n_trees, n))
+    floor = 1 if target_count is None else target_count
+    cols = np.arange(n)
+
+    live = np.flatnonzero(n_active > floor)
+    while live.size:
+        row = min_val[live].argmin(axis=1)
+        col = min_col[live, row]
+        dist = min_val[live, row]
+        if threshold is not None:
+            keep = ~(dist > threshold)
+            live, row, col, dist = live[keep], row[keep], col[keep], dist[keep]
+            if not live.size:
+                break
+        falling = np.flatnonzero(dist < last[live] - _MONOTONE_SLACK)
+        if falling.size:
+            k = falling[0]
+            raise AssertionError(
+                f"average-linkage monotonicity violated: {dist[k]} after {last[live[k]]}"
+            )
+        last[live] = dist
+        i, j = np.minimum(row, col), np.maximum(row, col)
+        hist_i[live, steps[live]] = i
+        hist_j[live, steps[live]] = j
+        hist_d[live, steps[live]] = dist
+        steps[live] += 1
+
+        # Lance-Williams update for average linkage, result stored at slot i.
+        # The diagonal and dead rows and columns hold inf, which it keeps.
+        ni, nj = sizes[live, i][:, None], sizes[live, j][:, None]
+        merged = (ni * work[live, i] + nj * work[live, j]) / (ni + nj)
+        work[live, i] = merged
+        work[live, :, i] = merged
+        work[live, j] = np.inf
+        work[live, :, j] = np.inf
+        sizes[live, i] += sizes[live, j]
+        active[live, j] = False
+        n_active[live] -= 1
+
+        cached = min_col[live]
+        stale = active[live] & (
+            (cached == i[:, None]) | (cached == j[:, None]) | (cols == i[:, None])
+        )
+        current = min_val[live]
+        better = (merged < current) | ((merged == current) & (i[:, None] < cached))
+        min_val[live] = np.where(better, merged, current)
+        min_col[live] = np.where(better, i[:, None], cached)
+        min_val[live, j] = np.inf
+        tree, rows = np.nonzero(stale)
+        if tree.size:
+            rescan = work[live[tree], rows]
+            best = rescan.argmin(axis=1)
+            min_col[live[tree], rows] = best
+            min_val[live[tree], rows] = rescan[np.arange(best.size), best]
+        live = live[n_active[live] > floor]
+
+    return [
+        list(zip(*(h[t, : steps[t]].tolist() for h in (hist_i, hist_j, hist_d))))
+        for t in range(n_trees)
+    ]
 
 
 def partition_from_merges(

@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import cityblock, validate_square
+from .cluster import cityblock, pairwise_l1, validate_square
 from .summaries import (
     DEFAULT_POWER_FLOOR,
     EigenBehaviorSet,
-    centroid_first_mode,
+    centroid_first_modes,
     eigen_behaviors,
     onavg,
 )
@@ -203,24 +203,18 @@ def summary_l1_distance(
     """
     if kind not in SUMMARY_KINDS:
         raise ValueError(f"unknown summary kind {kind!r}, expected one of {SUMMARY_KINDS}")
-    vectors: dict[str, np.ndarray] = {}
-    skipped = []
-    for user in sorted(matrices):
-        matrix = matrices[user]
-        if matrix.rows.sum() <= 0:
-            skipped.append(user)
-            continue
-        if kind == "onavg":
-            vectors[user] = onavg(matrix)
-        else:
-            vectors[user] = centroid_first_mode(matrix, float(kind.split("@")[1]))
+    ids = tuple(u for u in sorted(matrices) if matrices[u].rows.sum() > 0)
+    skipped = sorted(set(matrices) - set(ids))
+    online = [matrices[u] for u in ids]
+    if kind == "onavg":
+        vectors = [onavg(matrix) for matrix in online]
+    else:
+        vectors = centroid_first_modes(online, float(kind.split("@")[1]))
     if skipped:
         warnings.warn(f"summary_l1_distance: excluded all-offline users: {skipped}")
     if len(vectors) < 2:
         raise ValueError("need at least two users with online slots")
-    ids = tuple(vectors)
-    stack = np.vstack([vectors[u] for u in ids])
-    values = cityblock(stack, stack)
+    values = pairwise_l1(np.vstack(vectors)[None])[0]
     values = (values + values.T) / 2.0  # scrub asymmetry noise
     np.fill_diagonal(values, 0.0)
     metric = "onavg_l1" if kind == "onavg" else "centroid_l1"

@@ -29,7 +29,7 @@ from .distances import DistanceMatrix
 from .groups import GroupProfile
 from .profilecast import SimConfig, SimResult
 from .summaries import EigenBehaviorSet
-from .trace import AssociationMatrix, AssociationRecord, TraceConfig
+from .trace import AssociationMatrix, AssociationRecord, TraceConfig, numbered_rows
 
 
 CHUNK_ROWS = 4096
@@ -217,16 +217,16 @@ def load_partition_csv(path: str) -> Partition:
         header = next(reader, None)
         if header != ["element", "cluster"]:
             raise ValueError(f"{path}: bad header {header!r}, expected element,cluster")
-        for row in reader:
+        for line, row in numbered_rows(reader):
             if len(row) != 2:
-                raise ValueError(f"{path}:{reader.line_num}: expected 2 fields")
+                raise ValueError(f"{path}:{line}: expected 2 fields")
             if row[0] in assignment:
-                raise ValueError(f"{path}:{reader.line_num}: duplicate element {row[0]!r}")
+                raise ValueError(f"{path}:{line}: duplicate element {row[0]!r}")
             try:
                 assignment[row[0]] = int(row[1])
             except ValueError:
                 raise ValueError(
-                    f"{path}:{reader.line_num}: cluster is not an integer: {row[1]!r}"
+                    f"{path}:{line}: cluster is not an integer: {row[1]!r}"
                 ) from None
     if not assignment:
         raise ValueError(f"{path}: empty partition")
@@ -278,7 +278,7 @@ def load_sims_csv(path: str) -> tuple[np.ndarray, tuple[str, ...]]:
         if not header or header[0] != "user":
             raise ValueError(f"{path}: bad similarity table header")
         ids = tuple(header[1:])
-        rows = [(reader.line_num, row) for row in reader]
+        rows = list(numbered_rows(reader))
     for line, row in rows:
         if len(row) != len(header):
             raise ValueError(f"{path}:{line}: row has {len(row)} cells, expected {len(header)}")

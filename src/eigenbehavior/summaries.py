@@ -13,14 +13,18 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import takewhile
+from typing import Sequence
 
 import numpy as np
 
-from .cluster import agglomerate, cityblock, partition_from_merges
+from .cluster import merge_histories, pairwise_l1, partition_from_merges
 from .trace import AssociationMatrix
 
 DEFAULT_POWER_FLOOR = 0.001  # keep eigen-behaviors carrying >= 0.1% of total power
 MODE_THRESHOLDS = (0.5, 0.9)
+# Mode trees grown in one engine call hold at most this many distance cells
+# (trees x rows^2): all of a daily-slot population, a few hourly-slot users.
+MODE_TREE_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -82,33 +86,72 @@ def onavg(matrix: AssociationMatrix) -> np.ndarray:
     return matrix.rows.sum(axis=0) / denom
 
 
-def _mode_clusterings(
-    matrix: AssociationMatrix, thresholds: tuple[float, ...]
-) -> list[ModeClustering]:
-    """Modes at each threshold, cut from one average-linkage tree of the online rows.
+def _mode_trees(online_rows: list[np.ndarray], threshold: float) -> list[list[tuple]]:
+    """Merge histories, up to threshold, of the average-linkage trees of each
+    user's online rows under Manhattan distance.
 
-    The tree is grown once, up to the largest threshold; the modes at a
-    threshold are what the prefix of its merge history before the first
-    merge above that threshold leaves, which is exactly what clustering
-    with that threshold would give.
+    The trees are grown together by one engine call per chunk of users; a
+    chunk holds at most MODE_TREE_CELLS distance cells, padding included.
+    """
+    histories: list[list[tuple]] = [[] for _ in online_rows]
+    grown = [b for b, rows in enumerate(online_rows) if rows.shape[0]]
+    if not grown:
+        return histories
+    per_call = max(1, MODE_TREE_CELLS // max(online_rows[b].shape[0] for b in grown) ** 2)
+    for first in range(0, len(grown), per_call):
+        ids = grown[first : first + per_call]
+        width = max(online_rows[b].shape[0] for b in ids)
+        stack = np.zeros((len(ids), width, max(online_rows[b].shape[1] for b in ids)))
+        taking_part = np.zeros((len(ids), width), dtype=bool)
+        for k, b in enumerate(ids):
+            n_rows, n_cols = online_rows[b].shape
+            stack[k, :n_rows, :n_cols] = online_rows[b]
+            taking_part[k, :n_rows] = True
+        trees = merge_histories(pairwise_l1(stack), taking_part, threshold=threshold)
+        for b, history in zip(ids, trees):
+            histories[b] = history
+    return histories
+
+
+def _mode_tables(
+    matrices: Sequence[AssociationMatrix], thresholds: tuple[float, ...]
+) -> list[list[ModeClustering]]:
+    """Each matrix's modes at each threshold, cut from one tree of its online rows.
+
+    The trees are grown once, up to the largest threshold; the modes at a
+    threshold are what the prefix of a merge history before the first merge
+    above that threshold leaves, which is exactly what clustering with that
+    threshold would give.
     """
     if any(thr < 0 for thr in thresholds):
         raise ValueError("threshold must be nonnegative")
-    mask = _online_mask(matrix)
-    online = np.flatnonzero(mask)
-    offline = [int(i) for i in np.flatnonzero(~mask)]
-    if online.size == 0 or not thresholds:
-        return [ModeClustering([], [], offline, thr) for thr in thresholds]
-    rows = matrix.rows[online]
-    labels = [int(i) for i in online]
-    history = agglomerate(cityblock(rows, rows), threshold=max(thresholds)).merge_history
-    out = []
-    for thr in thresholds:
-        prefix = list(takewhile(lambda merge: merge[2] <= thr, history))
-        clusters = partition_from_merges(prefix, labels).clusters()
-        centroids = [rows[np.searchsorted(online, members)].mean(axis=0) for members in clusters]
-        out.append(ModeClustering(clusters, centroids, offline, thr))
-    return out
+    masks = [_online_mask(m) for m in matrices]
+    online_rows = [m.rows[mask] for m, mask in zip(matrices, masks)]
+    histories = (
+        _mode_trees(online_rows, max(thresholds)) if thresholds else [[] for _ in matrices]
+    )
+    tables = []
+    for mask, rows, history in zip(masks, online_rows, histories):
+        online = np.flatnonzero(mask)
+        offline = [int(i) for i in np.flatnonzero(~mask)]
+        labels = [int(i) for i in online]
+        table = []
+        for thr in thresholds:
+            prefix = list(takewhile(lambda merge: merge[2] <= thr, history))
+            clusters = partition_from_merges(prefix, labels).clusters()
+            centroids = [
+                rows[np.searchsorted(online, members)].mean(axis=0) for members in clusters
+            ]
+            table.append(ModeClustering(clusters, centroids, offline, thr))
+        tables.append(table)
+    return tables
+
+
+def _mode_clusterings(
+    matrix: AssociationMatrix, thresholds: tuple[float, ...]
+) -> list[ModeClustering]:
+    """One matrix's modes at each threshold; see _mode_tables."""
+    return _mode_tables([matrix], thresholds)[0]
 
 
 def behavioral_modes(matrix: AssociationMatrix, threshold: float) -> ModeClustering:
@@ -123,8 +166,16 @@ def _largest_mode_centroid(modes: ModeClustering) -> np.ndarray:
 
 def centroid_first_mode(matrix: AssociationMatrix, threshold: float) -> np.ndarray:
     """Mean vector of the largest behavioral mode (ties: the mode holding the earliest row)."""
-    _require_online(matrix)
-    return _largest_mode_centroid(behavioral_modes(matrix, threshold))
+    return centroid_first_modes([matrix], threshold)[0]
+
+
+def centroid_first_modes(
+    matrices: Sequence[AssociationMatrix], threshold: float
+) -> list[np.ndarray]:
+    """centroid_first_mode of every matrix, with all mode trees grown at once."""
+    for matrix in matrices:
+        _require_online(matrix)
+    return [_largest_mode_centroid(t[0]) for t in _mode_tables(matrices, (threshold,))]
 
 
 def significance(matrix: AssociationMatrix, y: np.ndarray, normalize: bool = False) -> float:
@@ -218,9 +269,10 @@ def summary_table(
     for thr in thresholds:
         scores[f"centroid@{thr:g}"] = []
     scores["svd"] = []
-    for user, matrix in usable.items():
+    tables = _mode_tables(list(usable.values()), thresholds)
+    for (user, matrix), table in zip(usable.items(), tables):
         scores["onavg"].append(significance(matrix, onavg(matrix)))
-        for modes in _mode_clusterings(matrix, thresholds):
+        for modes in table:
             centroid = _largest_mode_centroid(modes)
             scores[f"centroid@{modes.threshold:g}"].append(significance(matrix, centroid))
         scores["svd"].append(significance(matrix, eigen_sets[user].vectors[0]))

@@ -13,7 +13,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -200,6 +200,16 @@ def _new_code(codes: dict[str, int], kind: str, value: str, where: str) -> int:
     return codes[value]
 
 
+def numbered_rows(reader) -> Iterator[tuple[int, list[str]]]:
+    """(line, row) for each row a csv.reader reads, where line is the line the
+    row starts on; reader.line_num is the line it ends on, which is later when
+    a quoted field holds a line break."""
+    line = reader.line_num + 1
+    for row in reader:
+        yield line, row
+        line = reader.line_num + 1
+
+
 def load_records(path: str) -> Records:
     """Read a trace CSV with header user,location,start,end (integer epoch seconds).
 
@@ -217,31 +227,31 @@ def load_records(path: str) -> Records:
             raise ValueError(f"{path}: empty trace file") from None
         if header != ["user", "location", "start", "end"]:
             raise ValueError(f"{path}: bad header {header!r}, expected user,location,start,end")
-        for row in reader:
+        for line, row in numbered_rows(reader):
             if len(row) != 4:
-                raise ValueError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
+                raise ValueError(f"{path}:{line}: expected 4 fields, got {len(row)}")
             user, location, start_s, end_s = row
             try:
                 start = int(start_s)
             except ValueError:
                 raise ValueError(
-                    f"{path}:{reader.line_num}: start is not an integer: {start_s!r}"
+                    f"{path}:{line}: start is not an integer: {start_s!r}"
                 ) from None
             try:
                 end = int(end_s)
             except ValueError:
                 raise ValueError(
-                    f"{path}:{reader.line_num}: end is not an integer: {end_s!r}"
+                    f"{path}:{line}: end is not an integer: {end_s!r}"
                 ) from None
             u = ucode.get(user)
             if u is None:
-                u = _new_code(ucode, "user", user, f"{path}:{reader.line_num}")
+                u = _new_code(ucode, "user", user, f"{path}:{line}")
             loc = lcode.get(location)
             if loc is None:
-                loc = _new_code(lcode, "location", location, f"{path}:{reader.line_num}")
+                loc = _new_code(lcode, "location", location, f"{path}:{line}")
             if not end > start:
                 raise ValueError(
-                    f"{path}:{reader.line_num}: record for {user!r} has end <= start "
+                    f"{path}:{line}: record for {user!r} has end <= start "
                     f"({end} <= {start})"
                 )
             user_col.append(u)
@@ -276,12 +286,12 @@ def load_location_map(path: str) -> dict[str, str]:
         header = next(reader, None)
         if header != ["ap", "building"]:
             raise ValueError(f"{path}: bad header {header!r}, expected ap,building")
-        for row in reader:
+        for line, row in numbered_rows(reader):
             if len(row) != 2:
-                raise ValueError(f"{path}:{reader.line_num}: expected 2 fields")
+                raise ValueError(f"{path}:{line}: expected 2 fields")
             ap, building = row
             if ap in mapping:
-                raise ValueError(f"{path}:{reader.line_num}: duplicate access point {ap!r}")
+                raise ValueError(f"{path}:{line}: duplicate access point {ap!r}")
             mapping[ap] = building
     return mapping
 

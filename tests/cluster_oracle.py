@@ -1,0 +1,81 @@
+"""The average-linkage loop as cluster.agglomerate had it before the batched
+engine: one full row-major argmin over the working matrix per merge.
+
+The oracle for cluster.agglomerate and cluster.merge_histories, and the
+linkage behind summaries_oracle's per-threshold modes.
+"""
+
+from __future__ import annotations
+
+from typing import Hashable, Sequence
+
+import numpy as np
+
+from eigenbehavior.cluster import Partition, partition_from_merges, validate_square
+
+_MONOTONE_SLACK = 1e-12
+
+
+def agglomerate(
+    dm: np.ndarray,
+    threshold: float | None = None,
+    target_count: int | None = None,
+    labels: Sequence[Hashable] | None = None,
+) -> Partition:
+    """Cluster elements of a symmetric distance matrix by average linkage.
+
+    Exactly one of threshold / target_count selects the stop rule.  Under the
+    threshold rule, merging proceeds while the smallest inter-cluster linkage
+    is <= threshold; under the count rule, until target_count clusters remain.
+    Merge distances are checked to be non-decreasing on every run.
+    """
+    if (threshold is None) == (target_count is None):
+        raise ValueError("give exactly one of threshold or target_count")
+    dm = validate_square(dm)
+    n = dm.shape[0]
+    if labels is None:
+        labels = list(range(n))
+    elif len(labels) != n:
+        raise ValueError("labels length must match matrix size")
+    if target_count is not None and not 1 <= target_count <= n:
+        raise ValueError(f"target_count must lie in [1, {n}]")
+
+    work = dm.copy()
+    np.fill_diagonal(work, np.inf)
+    sizes = np.ones(n, dtype=int)
+    active = np.ones(n, dtype=bool)
+    history: list[tuple[int, int, float]] = []
+    n_active = n
+    last_dist = -np.inf
+
+    while n_active > 1:
+        if target_count is not None and n_active == target_count:
+            break
+        flat = int(np.argmin(work))  # row-major scan realizes the id tie-break
+        i, j = divmod(flat, n)
+        dist = work[i, j]
+        if threshold is not None and dist > threshold:
+            break
+        if i > j:
+            i, j = j, i
+        if dist < last_dist - _MONOTONE_SLACK:
+            raise AssertionError(
+                f"average-linkage monotonicity violated: {dist} after {last_dist}"
+            )
+        last_dist = dist
+        history.append((i, j, float(dist)))
+        # Lance-Williams update for average linkage, result stored at slot i.
+        others = active.copy()
+        others[[i, j]] = False
+        ni, nj = sizes[i], sizes[j]
+        merged_row = (ni * work[i, others] + nj * work[j, others]) / (ni + nj)
+        work[i, others] = merged_row
+        work[others, i] = merged_row
+        work[j, :] = np.inf
+        work[:, j] = np.inf
+        work[i, i] = np.inf
+        sizes[i] = ni + nj
+        active[j] = False
+        n_active -= 1
+
+    return partition_from_merges(history, labels)

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from eigenbehavior import ModeClustering, agglomerate
+from cluster_oracle import agglomerate
+from eigenbehavior import ModeClustering
 
 
 def behavioral_modes(matrix, threshold: float) -> ModeClustering:

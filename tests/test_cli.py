@@ -336,7 +336,7 @@ def test_line_break_in_user_id_exits_2_without_outputs(workdir, tmp_path, capsys
         ]
     )
     assert rc == 2
-    assert f"{trace}:4: user id 'c\\rr' contains a line break" in capsys.readouterr().err
+    assert f"{trace}:3: user id 'c\\rr' contains a line break" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -356,3 +356,35 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "metric,loads_scipy",
+    [("eigen", False), ("onavg", False), ("centroid05", False), ("amvd", True)],
+)
+def test_only_the_amvd_pipeline_loads_scipy(workdir, tmp_path, metric, loads_scipy):
+    # mode trees and summary distances use numpy; only the AMVD pair loop calls cdist
+    src = os.path.dirname(os.path.dirname(eigenbehavior.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [
+        "pipeline",
+        str(workdir / "synth" / "trace.csv"),
+        "--config",
+        str(workdir / "config.json"),
+        "--metric",
+        metric,
+        "--clusters",
+        "3",
+        "--out",
+        str(tmp_path / "o"),
+    ]
+    probe = (
+        "import sys; from eigenbehavior.cli import main; "
+        f"assert main({argv!r}) == 0; "
+        "import json; print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = json.loads(result.stdout.strip().splitlines()[-1])
+    assert bool(loaded) == loads_scipy, loaded

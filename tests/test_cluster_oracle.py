@@ -1,0 +1,124 @@
+"""Property tests of the batched average-linkage engine against the old
+one-argmin-per-merge loop in cluster_oracle, on tie-heavy inputs, and of
+pairwise_l1 against scipy's cdist."""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
+
+import cluster_oracle as oracle
+from eigenbehavior.cluster import agglomerate, merge_histories, pairwise_l1
+
+PROPERTY = settings(max_examples=150, deadline=None)
+
+THRESHOLDS = st.sampled_from([0.0, 0.3, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 10.0])
+
+
+@st.composite
+def distance_matrices(draw, max_n=12):
+    """Symmetric, zero-diagonal matrices whose entries are small integers or
+    values rounded to one decimal, so equal distances and tied linkages are
+    common, or else plain floats."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["integer", "rounded", "float"]))
+    if kind == "integer":
+        cells = st.integers(0, 3).map(float)
+    elif kind == "rounded":
+        cells = st.floats(0, 2).map(lambda x: round(x, 1))
+    else:
+        cells = st.floats(0, 5, allow_subnormal=False)
+    values = draw(st.lists(cells, min_size=n * n, max_size=n * n))
+    upper = np.triu(np.array(values).reshape(n, n), 1)
+    return upper + upper.T
+
+
+def stop_rule(draw, n):
+    if draw(st.booleans()):
+        return {"target_count": draw(st.integers(1, n))}
+    return {"threshold": draw(THRESHOLDS)}
+
+
+@PROPERTY
+@given(st.data())
+def test_merge_history_matches_oracle(data):
+    dm = data.draw(distance_matrices())
+    stop = stop_rule(data.draw, dm.shape[0])
+    want = oracle.agglomerate(dm, **stop)
+    got = agglomerate(dm, **stop)
+    assert got.merge_history == want.merge_history
+    assert list(got.assignment.items()) == list(want.assignment.items())
+
+
+@PROPERTY
+@given(st.data())
+def test_one_batched_call_equals_one_call_per_matrix(data):
+    dms = data.draw(st.lists(distance_matrices(max_n=9), min_size=1, max_size=5))
+    width = max(dm.shape[0] for dm in dms)
+    # Rows outside a matrix or outside its mask hold -1, smaller than any
+    # distance, so a tree that looked at them would merge them first.
+    stack = np.full((len(dms), width, width), -1.0)
+    mask = np.zeros((len(dms), width), dtype=bool)
+    for b, dm in enumerate(dms):
+        n = dm.shape[0]
+        stack[b, :n, :n] = dm
+        mask[b, :n] = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        stack[b][~mask[b]] = -1.0
+        stack[b][:, ~mask[b]] = -1.0
+    stop = stop_rule(data.draw, width)
+    batched = merge_histories(stack, mask, **stop)
+    assert len(batched) == len(dms)
+    for b, history in enumerate(batched):
+        assert history == merge_histories(stack[b : b + 1], mask[b : b + 1], **stop)[0]
+        taking_part = np.flatnonzero(mask[b])
+        if taking_part.size == 0 or stop.get("target_count", 1) > taking_part.size:
+            assert history == []
+            continue
+        sub = stack[b][np.ix_(taking_part, taking_part)]
+        want = oracle.agglomerate(sub, **stop).merge_history
+        assert history == [(int(taking_part[i]), int(taking_part[j]), d) for i, j, d in want]
+
+
+def spanning_values():
+    """Floats of either sign whose magnitudes span 1e-8 to 1e8."""
+    return st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(1.0, 9.999),
+        st.integers(-8, 7),
+    )
+
+
+@PROPERTY
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 8), st.integers(1, 30)).flatmap(
+        lambda shape: arrays(float, shape, elements=spanning_values())
+    )
+)
+def test_pairwise_l1_has_cdist_bits(stack):
+    got = pairwise_l1(stack)
+    assert got.shape == (stack.shape[0], stack.shape[1], stack.shape[1])
+    for b in range(stack.shape[0]):
+        assert np.array_equal(got[b], cdist(stack[b], stack[b], "cityblock"))
+
+
+def test_linkage_rounding_onto_a_row_minimum_takes_the_smaller_column():
+    # Row 0's minimum, 1.0, is first in column 2.  Merging 3 into 1 gives row 0
+    # the linkage (a + 1) / 2, which rounds to exactly 1.0 in column 1; the
+    # row-major argmin then pairs row 0 with column 1, so the cache must move.
+    a = np.nextafter(1.0, 2.0)
+    dm = np.array(
+        [
+            [0.0, a, 1.0, 1.0],
+            [a, 0.0, 5.0, 0.0],
+            [1.0, 5.0, 0.0, 5.0],
+            [1.0, 0.0, 5.0, 0.0],
+        ]
+    )
+    assert (a + 1.0) / 2 == 1.0
+    want = oracle.agglomerate(dm, target_count=1).merge_history
+    assert want[:2] == [(1, 3, 0.0), (0, 1, 1.0)]
+    assert agglomerate(dm, target_count=1).merge_history == want

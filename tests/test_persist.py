@@ -134,3 +134,14 @@ def test_cdf_csv_is_a_proper_cdf(tmp_path):
     assert lines[0] == "distance,cdf"
     cdf = [float(line.split(",")[1]) for line in lines[1:]]
     assert cdf == [0.25, 0.5, 0.75, 1.0]
+
+
+def test_loaders_name_the_line_a_multiline_row_starts_on(tmp_path):
+    partition = tmp_path / "partition.csv"
+    partition.write_bytes(b'element,cluster\n"u\n1",x\n')
+    with pytest.raises(ValueError, match=r"partition\.csv:2: cluster is not an integer: 'x'"):
+        load_partition_csv(str(partition))
+    sims = tmp_path / "sims.csv"
+    sims.write_bytes(b'user,a,b\na,1,0.5\n"b\n",0.5,1\n')
+    with pytest.raises(ValueError, match=r"sims\.csv:3: row user 'b\\n' differs"):
+        load_sims_csv(str(sims))

@@ -109,13 +109,13 @@ def test_load_records_errors_carry_line_numbers(tmp_path, body, fragment):
 @pytest.mark.parametrize(
     "body,message",
     [
-        (b'user,location,start,end\nu1,A,0,5\n"u\n1",A,0,5\n', r":4: user id 'u\n1' contains"),
-        (b'user,location,start,end\nu1,"A\r",0,5\n', r":3: location id 'A\r' contains"),
-        (b'user,location,start,end\nu1,A,0,5\nu1,"B\r\n",0,5\n', r":4: location id 'B\r\n' contains"),
+        (b'user,location,start,end\nu1,A,0,5\n"u\n1",A,0,5\n', r":3: user id 'u\n1' contains"),
+        (b'user,location,start,end\nu1,"A\r",0,5\n', r":2: location id 'A\r' contains"),
+        (b'user,location,start,end\nu1,A,0,5\nu1,"B\r\n",0,5\n', r":3: location id 'B\r\n' contains"),
     ],
 )
 def test_load_records_rejects_line_breaks_in_ids(tmp_path, body, message):
-    """The line is the reader's line number: the last physical line of the row."""
+    """The line is the one the row starts on, not the last physical line of the row."""
     path = tmp_path / "bad.csv"
     path.write_bytes(body)
     with pytest.raises(ValueError) as err:
@@ -140,6 +140,9 @@ def test_load_location_map_rejects_duplicate_access_points(tmp_path):
         load_location_map(str(path))
     path.write_text("ap,building\nap1,B1\nap2,B1\n")
     assert load_location_map(str(path)) == {"ap1": "B1", "ap2": "B1"}
+    path.write_bytes(b'ap,building\n"a\np",B1\n"a\np",B2\n')
+    with pytest.raises(ValueError, match=r"locmap.csv:4: duplicate access point 'a\\np'"):
+        load_location_map(str(path))
 
 
 def test_build_location_index_lexicographic():
