@@ -94,8 +94,15 @@ def load_truth_csv(path: str) -> dict[str, int]:
         header = next(reader, None)
         if header != ["user", "group"]:
             raise ValueError(f"{path}: bad header {header!r}, expected user,group")
-        for row in reader:
-            out[row[0]] = int(row[1])
+        for line, row in numbered_rows(reader):
+            if len(row) != 2:
+                raise ValueError(f"{path}:{line}: expected 2 fields")
+            try:
+                out[row[0]] = int(row[1])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{line}: group is not an integer: {row[1]!r}"
+                ) from None
     return out
 
 
@@ -194,8 +201,15 @@ def load_distance_matrix(path: str) -> DistanceMatrix:
         header = next(reader, None)
         if header != ["i", "j", "distance"]:
             raise ValueError(f"{path}: bad header {header!r}")
-        for row in reader:
-            i, j, d = int(row[0]), int(row[1]), float(row[2])
+        for line, row in numbered_rows(reader):
+            if len(row) != 3:
+                raise ValueError(f"{path}:{line}: expected 3 fields")
+            try:
+                i, j, d = int(row[0]), int(row[1]), float(row[2])
+            except ValueError:
+                raise ValueError(f"{path}:{line}: bad i,j,distance row {row!r}") from None
+            if not (0 <= i < len(ids) and 0 <= j < len(ids)):
+                raise ValueError(f"{path}:{line}: index out of range for {len(ids)} ids")
             values[i, j] = values[j, i] = d
     return DistanceMatrix(
         values, sidecar["metric"], ids, tuple(sidecar["flagged_ids"]), sidecar["params"]

@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cluster import Partition
-from .trace import AssociationRecord, Records, _runs, as_records
+from .trace import AssociationRecord, Records, _present, _runs, as_records, merge_intervals
 
 SCHEMES = ("flooding", "centralized", "similarity", "rtx")
 
@@ -206,58 +206,47 @@ def split_trace(
 def extract_encounters(records: Records) -> Encounters:
     """All maximal pairwise co-presence intervals, sorted by (start, a, b).
 
-    Each user's intervals are merged per location first (abutting ones too),
-    so a user never meets itself and one pair's meetings at a location never
-    touch: with the records sorted by (location, user, start), an interval
-    opens a new merged one unless it starts at or before the running maximum
-    of the ends before it in its (location, user) run.  With a location's
-    merged intervals in start order, interval j meets exactly the later
-    intervals that start before it ends: one contiguous run, found by a
+    Each user's intervals are merged per location first (abutting ones too,
+    by ``trace.merge_intervals`` over the bounds' ranks), so a user never
+    meets itself and one pair's meetings at a location never touch.  With a
+    location's merged intervals in start order, interval j meets exactly the
+    later intervals that start before it ends: one contiguous run, found by a
     binary search.  Rows with equal (start, a, b) come from different
     locations and keep the order in which the locations first appear in the
     records.
     """
     if not len(records):
         return Encounters.from_rows([])
-    order = np.lexsort((records.start, records.user, records.loc))
-    user, loc = records.user[order], records.loc[order]
-    start, end = records.start[order], records.end[order]
-    # Running max of the ends within each (location, user) run: ends become
-    # ranks, and (run, rank) packed in one integer compares run first.
-    run = loc * len(records.users) + user
-    values, rank = np.unique(end, return_inverse=True)
-    reach = values[np.maximum.accumulate(run * len(values) + rank) % len(values)]
-    opens = np.ones(len(run), dtype=bool)
-    opens[1:] = (run[1:] != run[:-1]) | (start[1:] > reach[:-1])
-    heads = np.flatnonzero(opens)
-    user, loc, start = user[heads], loc[heads], start[heads]
-    end = np.maximum.reduceat(end, heads)
+    n = len(records)
+    values, rank = np.unique(np.concatenate((records.start, records.end)), return_inverse=True)
+    run, lo, hi = merge_intervals(
+        records.loc * len(records.users) + records.user, rank[:n], rank[n:]
+    )
+    loc, user = np.divmod(run, len(records.users))
 
     # Merged intervals by (location, start); j's partners run up to the first
     # interval at a later location or starting at or after end[j].
-    order = np.lexsort((start, loc))
-    user, loc, start, end = user[order], loc[order], start[order], end[order]
-    values = np.unique(np.concatenate((start, end)))
-    starts_key = loc * len(values) + np.searchsorted(values, start)
-    stop = np.searchsorted(starts_key, loc * len(values) + np.searchsorted(values, end))
-    first = np.arange(len(start))
+    starts_key = loc * len(values) + lo
+    order = np.argsort(starts_key, kind="stable")
+    user, loc, lo, hi, starts_key = user[order], loc[order], lo[order], hi[order], starts_key[order]
+    stop = np.searchsorted(starts_key, loc * len(values) + hi)
+    first = np.arange(len(lo))
     j, k = _runs(stop - first - 1)
     i = j + 1 + k
     a = np.minimum(user[i], user[j])
     b = np.maximum(user[i], user[j])
     appearance = np.argsort(np.argsort(np.unique(records.loc, return_index=True)[1]))
-    order = np.lexsort((appearance[loc[j]], b, a, start[i]))
-    a, b, loc = a[order], b[order], loc[j][order]
-    present = np.unique(np.concatenate((a, b)))
-    present_locs = np.unique(loc)
+    order = np.lexsort((appearance[loc[j]], b, a, lo[i]))
+    users, pair = _present(records.users, np.concatenate((a[order], b[order])))
+    locations, loc = _present(records.locations, loc[j][order])
     return Encounters(
-        tuple(records.users[u] for u in present.tolist()),
-        tuple(records.locations[x] for x in present_locs.tolist()),
-        np.searchsorted(present, a),
-        np.searchsorted(present, b),
-        start[i][order],
-        np.minimum(end[i], end[j])[order],
-        np.searchsorted(present_locs, loc),
+        users,
+        locations,
+        pair[: len(order)],
+        pair[len(order) :],
+        values[lo[i][order]],
+        values[np.minimum(hi[i], hi[j])[order]],
+        loc,
     )
 
 

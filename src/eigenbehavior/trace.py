@@ -340,49 +340,29 @@ def _window_pieces(
     return user[item][keep], col[item][keep], ps[keep], pe[keep]
 
 
-def _union(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Merge possibly overlapping half-open intervals (same user, same location)."""
-    merged: list[list[float]] = []
-    for s, e in sorted(intervals):
-        if merged and s <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    return [(s, e) for s, e in merged]
+def merge_intervals(
+    group: np.ndarray, start: np.ndarray, end: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union of each group's half-open intervals, abutting ones merged too.
 
-
-def _slot_shares(per_location: dict[int, list[tuple[float, float]]], n_locations: int) -> np.ndarray:
-    """Seconds credited per location in one slot.
-
-    Per-location intervals are unioned first, then time covered by k locations
-    at once is split evenly, 1/k to each.  The credited total therefore equals
-    the union length of the user's intervals in the slot.
+    ``group`` holds non-negative ints.  ``start`` and ``end`` are the bounds'
+    integer ranks (``np.unique``'s inverse over every bound, say), so that
+    (group, rank) packs into one integer that compares group first.  Returns
+    (group, start, end) of the merged intervals in (group, start) order: with
+    the intervals sorted so, one opens a new merged interval unless it starts
+    at or before the running maximum of the ends before it in its group.
     """
-    shares = np.zeros(n_locations)
-    events: list[tuple[float, int, int]] = []  # (position, +1 start / -1 end, location)
-    for loc, intervals in per_location.items():
-        for s, e in _union(intervals):
-            events.append((s, 1, loc))
-            events.append((e, -1, loc))
-    if not events:
-        return shares
-    positions = sorted({pos for pos, _, _ in events})
-    starts: dict[float, list[int]] = {}
-    ends: dict[float, list[int]] = {}
-    for pos, kind, loc in events:
-        (starts if kind == 1 else ends).setdefault(pos, []).append(loc)
-    active: set[int] = set()
-    for i, pos in enumerate(positions[:-1]):
-        for loc in ends.get(pos, ()):
-            active.discard(loc)
-        for loc in starts.get(pos, ()):
-            active.add(loc)
-        length = positions[i + 1] - pos
-        if active and length > 0:
-            each = length / len(active)
-            for loc in active:
-                shares[loc] += each
-    return shares
+    if not len(group):
+        return group, start, end
+    base = group * (int(end.max()) + 1)
+    key = base + start
+    order = np.argsort(key, kind="stable")
+    reach = np.maximum.accumulate((base + end)[order])
+    opens = np.ones(len(key), dtype=bool)
+    opens[1:] = key[order[1:]] > reach[:-1]
+    heads = order[opens]
+    tails = np.append(np.flatnonzero(opens)[1:], len(key)) - 1
+    return group[heads], start[heads], reach[tails] - base[heads]
 
 
 def build_matrices(
@@ -399,11 +379,12 @@ def build_matrices(
     online seconds so it sums to 1; absolute mode keeps raw (overlap-split)
     seconds.  The default index is every location in the records, sorted.
 
-    All pieces land in one (users, slots, locations) array through
-    ``np.add.at``, in (user, slot, start) order, which is the order in which a
-    sweep over the slot credits them.  A (user, slot) whose pieces overlap or
-    abut at one location is then recomputed by the sweep (``_slot_shares``),
-    because splitting or merging there changes the float sums.
+    One vectorized sweep covers every (user, slot) cell: ``merge_intervals``
+    unions the pieces per (cell, location), and every span between two
+    consecutive distinct bounds of a cell is split over the locations that
+    cover it.  ``np.add.at`` adds the shares into one (users, slots,
+    locations) array in position order within each cell and location, so the
+    float sums are those of a per-slot sweep that adds span by span.
     """
     records = as_records(records)
     if location_index is None:
@@ -435,26 +416,33 @@ def build_matrices(
     keep = pe > ps
     user, col, slot, ps, pe = user[item][keep], col[item][keep], slot[keep], ps[keep], pe[keep]
 
-    cell = user * t + slot
-    order = np.lexsort((ps, cell))
-    cell, user, col, slot, ps, pe = (x[order] for x in (cell, user, col, slot, ps, pe))
-    # Start-sorted pieces of one cell that neither overlap nor abut at one
-    # location are disjoint, so comparing neighbours finds every such cell.
-    joined = (cell[1:] == cell[:-1]) & (
-        (ps[1:] < pe[:-1]) | ((ps[1:] == pe[:-1]) & (col[1:] == col[:-1]))
+    # Sweep every (user, slot) cell over its per-location unions.  The
+    # distinct (cell, bound) pairs are the sweep's points, numbered in order;
+    # between a point and the next, each of the k locations whose union
+    # covers the span gets (next - pos) / k.  k is 0 after a cell's last
+    # point, so a span into the next cell is never credited.
+    flat = (user * t + slot) * n + col
+    values, rank = np.unique(np.concatenate((ps, pe)), return_inverse=True)
+    flat, lo, hi = merge_intervals(flat, rank[: len(ps)], rank[len(ps) :])
+    base = flat // n * len(values)
+    bounds = np.concatenate((base + lo, base + hi))
+    order = np.argsort(bounds, kind="stable")
+    fresh = np.ones(len(bounds), dtype=bool)
+    fresh[1:] = np.diff(bounds[order]) != 0
+    at = values[np.concatenate((lo, hi))[order][fresh]]
+    point = np.empty_like(order)
+    point[order] = np.cumsum(fresh) - 1
+    opened, closed = point[: len(lo)], point[len(lo) :]
+    depth = np.cumsum(
+        np.bincount(opened, minlength=len(at)) - np.bincount(closed, minlength=len(at))
     )
+    share = (at[1:] - at[:-1]) / np.maximum(depth[:-1], 1)
+    # A merged interval covers the spans from its opening point up to its
+    # closing one.  In (cell, location, start) order, np.add.at credits each
+    # cell and location span by span in position order, as the sweep does.
+    item, k = _runs(closed - opened)
     rows = np.zeros((len(records.users), t, n))
-    np.add.at(rows, (user, slot, col), pe - ps)
-    swept = np.isin(cell, cell[1:][joined])
-    if swept.any():
-        per_cell: dict[tuple[int, int], dict[int, list[tuple[float, float]]]] = {}
-        for u, sl, c, a, b in zip(
-            user[swept].tolist(), slot[swept].tolist(), col[swept].tolist(),
-            ps[swept].tolist(), pe[swept].tolist(),
-        ):
-            per_cell.setdefault((u, sl), {}).setdefault(c, []).append((a, b))
-        for (u, sl), per_location in per_cell.items():
-            rows[u, sl] = _slot_shares(per_location, n)
+    np.add.at(rows.reshape(-1), flat[item], share[opened[item] + k])
     if config.normalization == "normalized":
         totals = rows.sum(axis=2, keepdims=True)
         np.divide(rows, totals, out=rows, where=totals > 0)

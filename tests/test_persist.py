@@ -57,6 +57,21 @@ def test_truth_csv_roundtrip(tmp_path):
         load_truth_csv(str(bad))
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("user,group\nu1\n", r"truth\.csv:2: expected 2 fields"),
+        ("user,group\nu1,0\nu2,0,1\n", r"truth\.csv:3: expected 2 fields"),
+        ("user,group\nu1,0\nu2,g\n", r"truth\.csv:3: group is not an integer: 'g'"),
+    ],
+)
+def test_truth_csv_errors_name_path_and_line(tmp_path, body, message):
+    path = tmp_path / "truth.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=message):
+        load_truth_csv(str(path))
+
+
 def test_eigen_sets_roundtrip(tmp_path):
     r = 1 / np.sqrt(2)
     sets = {
@@ -84,6 +99,26 @@ def test_distance_matrix_roundtrip(tmp_path):
     assert tuple(loaded.ids) == ("a", "b", "dead")
     assert loaded.flagged_ids == ("dead",)
     assert loaded.params == {"power_floor": 0.001}
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("i,j,distance\n0,1\n", r"distances\.csv:2: expected 3 fields"),
+        ("i,j,distance\n0,1,0.5\n0,x,0.5\n", r"distances\.csv:3: bad i,j,distance row"),
+        ("i,j,distance\n0,1,near\n", r"distances\.csv:2: bad i,j,distance row"),
+        ("i,j,distance\n0,1,0.5\n0,3,0.5\n", r"distances\.csv:3: index out of range for 3 ids"),
+        ("i,j,distance\n-1,1,0.5\n", r"distances\.csv:2: index out of range for 3 ids"),
+    ],
+)
+def test_distance_matrix_errors_name_path_and_line(tmp_path, body, message):
+    dm = DistanceMatrix(np.zeros((3, 3)), "eigen", ("a", "b", "c"), (), {})
+    path = str(tmp_path / "distances.csv")
+    write_distance_matrix(path, dm)
+    with open(path, "w") as fh:
+        fh.write(body)
+    with pytest.raises(ValueError, match=message):
+        load_distance_matrix(path)
 
 
 def test_partition_csv_roundtrip(tmp_path):

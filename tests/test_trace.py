@@ -2,7 +2,7 @@
 
 The build_matrix oracle simulates coverage second by second: each in-window
 second covered by k locations credits 1/k to each, which must agree with the
-production sweep-line within float tolerance.
+vectorized sweep in build_matrices within float tolerance.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from eigenbehavior import (
     load_records,
     split_trace,
 )
+from eigenbehavior.trace import merge_intervals
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -119,8 +120,9 @@ def test_build_matrices_equals_per_record_oracle(rows, config):
 @given(disjoint_stays(), st.sampled_from(["normalized", "absolute"]))
 @PROPERTY
 def test_build_matrices_float_sums_equal_per_record_oracle(rows, normalization):
-    """Stays within seconds of 0 in one 100 s slot: the cells the fast path
-    sums, next to abutting stays it must leave to the sweep."""
+    """Stays within seconds of 0 in one 100 s slot: disjoint stays, whose
+    float sum depends on the order of addition, next to abutting stays at one
+    location, which must be merged before they are summed."""
     assert_matches_oracle(rows, TraceConfig(0, 100, slot_seconds=100, normalization=normalization))
 
 
@@ -155,6 +157,92 @@ def test_overlapping_stays_are_split_by_the_sweep():
     for normalization in ("normalized", "absolute"):
         config = TraceConfig(0, 100, slot_seconds=50, normalization=normalization)
         assert_matches_oracle(rows, config)
+
+
+def ap_style_rows(seed):
+    """Thirty users over a week of access-point stays.
+
+    Each online day is one session of stays at random access points, most of
+    them minutes to two hours long, so they cross hour boundaries.  A stay
+    follows the last one after a gap, abuts it, or, about a quarter of the
+    time, starts before it ends (a client still associated with the last
+    access point).  Bounds are integer seconds; rows come in random order.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for user in range(30):
+        for day in range(7):
+            if rng.random() < 0.3:
+                continue
+            t = day * DAY_SECONDS + int(rng.integers(6 * 3600, 14 * 3600))
+            for _ in range(int(rng.integers(3, 12))):
+                end = t + int(rng.integers(60, 2 * 3600))
+                rows.append(AssociationRecord(f"u{user:02d}", f"ap{rng.integers(12):02d}", t, end))
+                step = rng.random()
+                if step < 0.25:
+                    t = max(t + 1, end - int(rng.integers(1, 900)))
+                elif step < 0.4:
+                    t = end
+                else:
+                    t = end + int(rng.integers(1, 600))
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+def test_build_matrices_equals_oracle_on_an_ap_style_trace():
+    """Hourly slots and a daily window over tens of users with overlapping
+    stays: many cells, each sweeping stays that overlap or abut."""
+    rows = ap_style_rows(seed=11)
+    by_user = oracle.records_by_user(sorted(rows, key=lambda r: (r.user_id, r.start)))
+    overlapping = sum(
+        b.start < a.end for recs in by_user.values() for a, b in zip(recs, recs[1:])
+    )
+    assert len(by_user) == 30 and overlapping > len(rows) // 5
+    for normalization in ("normalized", "absolute"):
+        config = TraceConfig(
+            0, 7 * DAY_SECONDS, slot_seconds=3600, window=(7 * 3600, 21 * 3600),
+            normalization=normalization,
+        )
+        assert_matches_oracle(rows, config)
+
+
+BOUNDS = st.integers(0, 24).map(lambda k: k / 4 - 1.5)
+
+
+@st.composite
+def interval_groups(draw):
+    """Groups of intervals on a coarse grid, so that runs, nested, abutting
+    and duplicate intervals are common; a group, or the whole input, may be
+    empty.  Group ids are spread out so that the packing is exercised."""
+    groups = {}
+    for g in draw(st.lists(st.integers(0, 50), unique=True, max_size=4)):
+        pairs = draw(st.lists(st.tuples(BOUNDS, BOUNDS).filter(lambda p: p[0] != p[1]), max_size=8))
+        intervals = [(min(p), max(p)) for p in pairs]
+        if intervals:
+            intervals += draw(st.lists(st.sampled_from(intervals), max_size=3))
+        groups[g] = draw(st.permutations(intervals))
+    return groups
+
+
+@given(interval_groups())
+@PROPERTY
+def test_merge_intervals_equals_per_group_union(groups):
+    flat = [(g, s, e) for g, intervals in groups.items() for s, e in intervals]
+    group = np.array([g for g, _, _ in flat], dtype=np.intp)
+    bounds = np.array([s for _, s, _ in flat] + [e for _, _, e in flat])
+    values, rank = np.unique(bounds, return_inverse=True)
+    got = merge_intervals(group, rank[: len(flat)], rank[len(flat) :])
+    want = [(g, s, e) for g in sorted(groups) for s, e in oracle._union(groups[g])]
+    assert list(zip(got[0].tolist(), values[got[1]].tolist(), values[got[2]].tolist())) == want
+
+
+def test_merge_intervals_hand_case():
+    """A run of abutting intervals, a nested one and a duplicate merge into
+    one interval; a later disjoint one and another group stay apart."""
+    group = np.array([0, 0, 0, 0, 0, 0, 2])
+    start = np.array([3, 0, 1, 0, 5, 1, 0])
+    end = np.array([4, 1, 3, 1, 6, 2, 1])
+    got = merge_intervals(group, start, end)
+    assert [x.tolist() for x in got] == [[0, 0, 2], [0, 5, 0], [4, 6, 1]]
 
 
 def test_matrix_rows_are_views_of_one_array():
