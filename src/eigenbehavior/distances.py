@@ -124,7 +124,8 @@ def sim_matrix(sets: list[EigenBehaviorSet], chunk: int = 256) -> np.ndarray:
     bounds = list(starts) + [basis.shape[0]]
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        block = np.abs(weighted[bounds[lo] : bounds[hi]] @ weighted.T)
+        block = weighted[bounds[lo] : bounds[hi]] @ weighted.T
+        np.abs(block, out=block)
         partial = np.add.reduceat(block, starts, axis=1)
         out[lo:hi] = np.add.reduceat(partial, np.array(bounds[lo:hi]) - bounds[lo], axis=0)
     return out

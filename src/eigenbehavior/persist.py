@@ -6,8 +6,9 @@ keys, so identical inputs and seeds reproduce byte-identical files.
 The array writers (matrices, eigen sets, similarity table, distance matrix
 and CDFs) format a whole row, or a chunk of at most ``CHUNK_ROWS`` rows, with
 one ``%.9g`` template applied to ``ndarray.tolist()`` and write it with one
-call; ``"%.9g" % x`` is byte-identical to ``format(x, ".9g")``.  Only user
-ids go through ``csv.writer``, which quotes them as QUOTE_MINIMAL requires.
+call; ``"%.9g" % x`` is byte-identical to ``format(x, ".9g")``.  The trace
+writer does the same with one ``%s,%s,%d,%d`` template.  Ids are quoted once
+each through ``csv.writer``, as QUOTE_MINIMAL requires.
 """
 
 from __future__ import annotations
@@ -29,7 +30,14 @@ from .distances import DistanceMatrix
 from .groups import GroupProfile
 from .profilecast import SimConfig, SimResult
 from .summaries import EigenBehaviorSet
-from .trace import AssociationMatrix, AssociationRecord, TraceConfig, numbered_rows
+from .trace import (
+    AssociationMatrix,
+    AssociationRecord,
+    Records,
+    TraceConfig,
+    as_records,
+    numbered_rows,
+)
 
 
 CHUNK_ROWS = 4096
@@ -71,12 +79,22 @@ def _safe_name(user: str) -> str:
     return quote(user, safe="")
 
 
-def write_trace_csv(path: str, records: Iterable[AssociationRecord]) -> None:
+def write_trace_csv(path: str, records: Records | Iterable[AssociationRecord]) -> None:
+    """Whole-second user,location,start,end rows; ``%d`` truncates a float
+    bound toward zero as ``int()`` does."""
+    records = as_records(records)
+    user_cells = np.array(_csv_cells(records.users), dtype=object)
+    loc_cells = np.array(_csv_cells(records.locations), dtype=object)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user", "location", "start", "end"])
-        for rec in records:
-            writer.writerow([rec.user_id, rec.location_id, int(rec.start), int(rec.end)])
+        fh.write("user,location,start,end\n")
+        for lo in range(0, len(records), CHUNK_ROWS):
+            hi = min(lo + CHUNK_ROWS, len(records))
+            cells = np.empty((hi - lo, 4), dtype=object)
+            cells[:, 0] = user_cells[records.user[lo:hi]]
+            cells[:, 1] = loc_cells[records.loc[lo:hi]]
+            cells[:, 2] = records.start[lo:hi].tolist()
+            cells[:, 3] = records.end[lo:hi].tolist()
+            fh.write("%s,%s,%d,%d\n" * (hi - lo) % tuple(cells.ravel().tolist()))
 
 
 def write_truth_csv(path: str, truth: dict[str, int]) -> None:
@@ -97,6 +115,8 @@ def load_truth_csv(path: str) -> dict[str, int]:
         for line, row in numbered_rows(reader):
             if len(row) != 2:
                 raise ValueError(f"{path}:{line}: expected 2 fields")
+            if row[0] in out:
+                raise ValueError(f"{path}:{line}: duplicate user {row[0]!r}")
             try:
                 out[row[0]] = int(row[1])
             except ValueError:

@@ -5,7 +5,9 @@ a selection probability).  Each user-day is online with probability p_online;
 an online day picks one mode, perturbs its weights with bounded uniform noise,
 and packs 8 hours of association time laid out contiguously from a random
 offset within the day.  Generation is deterministic for a given spec and
-parallel-safe: every user draws from its own child seed.
+parallel-safe: every user draws from its own child seed.  A per-day loop
+makes only the random draws; the weights, the whole-second split and the
+record columns are computed over all online days at once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trace import DAY_SECONDS, AssociationRecord
+from .trace import DAY_SECONDS, Records
 
 ONLINE_SECONDS = 8 * 3600  # association time packed into one online day
 
@@ -135,65 +137,92 @@ def spec_to_json_dict(spec: SynthSpec) -> dict:
     }
 
 
-def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
-    """Split `total` whole seconds proportional to weights (largest remainder)."""
-    raw = weights * total
-    base = np.floor(raw).astype(int)
-    leftover = total - int(base.sum())
-    if leftover > 0:
-        order = np.argsort(-(raw - base), kind="stable")  # ties favor lower index
-        base[order[:leftover]] += 1
-    return base
+def _draws(
+    spec: SynthSpec,
+) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every Generator call, in each user's stream order.
 
-
-def _user_days(
-    rng: np.random.Generator, spec: SynthSpec, group: GroupSpec
-) -> list[tuple[int, int, np.ndarray]]:
-    """(day, start offset, whole-second durations per location) per online day.
-
-    The 8 h block starts at a random offset within the day so co-located users
-    overlap partially instead of identically.
+    Returns the user -> group-index truth and, for each online day in (user,
+    day) order, the user index, the second its 8 h block starts, the chosen
+    mode's index into all groups' modes stacked, and the noise row (no rows
+    without noise).  The block starts at a random offset within the day so
+    co-located users overlap partially instead of identically.
     """
-    modes = np.array(group.modes)
-    probs = np.array(group.mode_probs)
-    probs = probs / probs.sum()
-    days = []
-    for day in range(spec.n_days):
-        if rng.random() >= group.p_online:
-            continue
-        offset = int(rng.integers(0, DAY_SECONDS - ONLINE_SECONDS + 1))
-        mode = modes[rng.choice(len(modes), p=probs)]
-        if spec.noise_epsilon > 0:
-            noisy = mode + rng.uniform(-spec.noise_epsilon, spec.noise_epsilon, spec.n_locations)
-            noisy = np.clip(noisy, 0.0, None)
-            if noisy.sum() <= 0:
-                noisy = mode
-            mode = noisy / noisy.sum()
-        days.append((day, offset, _apportion(mode, ONLINE_SECONDS)))
-    return days
-
-
-def generate(spec: SynthSpec) -> tuple[list[AssociationRecord], dict[str, int]]:
-    """Generate the trace and the user -> group-index ground truth."""
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_users)
-    records: list[AssociationRecord] = []
+    eps = spec.noise_epsilon
     truth: dict[str, int] = {}
-    user_idx = 0
+    days: list[tuple[int, int, int]] = []
+    noise: list[np.ndarray] = []
+    user_idx = first_mode = 0
     for group_idx, group in enumerate(spec.groups):
+        n_modes = len(group.modes)
+        probs = np.array(group.mode_probs)
+        probs = probs / probs.sum()
         for _ in range(group.size):
-            user = user_name(user_idx)
-            truth[user] = group_idx
+            truth[user_name(user_idx)] = group_idx
             rng = np.random.default_rng(seeds[user_idx])
-            for day, offset, durations in _user_days(rng, spec, group):
-                cursor = day * DAY_SECONDS + offset
-                for loc in np.flatnonzero(durations):
-                    dur = int(durations[loc])
-                    records.append(
-                        AssociationRecord(user, location_name(loc), cursor, cursor + dur)
-                    )
-                    cursor += dur
+            for day in range(spec.n_days):
+                if rng.random() >= group.p_online:
+                    continue
+                offset = int(rng.integers(0, DAY_SECONDS - ONLINE_SECONDS + 1))
+                mode = first_mode + int(rng.choice(n_modes, p=probs))
+                days.append((user_idx, day * DAY_SECONDS + offset, mode))
+                if eps > 0:
+                    noise.append(rng.uniform(-eps, eps, spec.n_locations))
             user_idx += 1
-    return records, truth
+        first_mode += n_modes
+    user, begin, mode = np.array(days, dtype=np.int64).reshape(-1, 3).T
+    return truth, user, begin, mode, np.array(noise, dtype=float).reshape(-1, spec.n_locations)
+
+
+def _day_weights(spec: SynthSpec, mode: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Each online day's location weights: its mode plus noise, clipped at 0
+    and renormalized; a day whose noisy weights all clip to 0 keeps its mode
+    (renormalized)."""
+    weights = np.array([m for group in spec.groups for m in group.modes])[mode]
+    if spec.noise_epsilon <= 0:
+        return weights
+    noisy = np.clip(weights + noise, 0.0, None)
+    dead = noisy.sum(axis=1) <= 0
+    noisy[dead] = weights[dead]
+    return noisy / noisy.sum(axis=1)[:, None]
+
+
+def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
+    """Split `total` whole seconds proportional to each row of weights
+    (largest remainder; ties favor the lower index)."""
+    raw = weights * total
+    base = np.floor(raw).astype(np.int64)
+    leftover = total - base.sum(axis=1)
+    order = np.argsort(-(raw - base), axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(weights.shape[1]), axis=1)
+    return base + (rank < leftover[:, None])
+
+
+def _coded(names: list[str], index: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The names that ``index`` uses, sorted as strings, and each entry's
+    code among them."""
+    used = sorted(np.unique(index).tolist(), key=names.__getitem__)
+    rank = np.empty(len(names), np.intp)
+    rank[used] = np.arange(len(used))
+    return tuple(names[i] for i in used), rank[index]
+
+
+def generate(spec: SynthSpec) -> tuple[Records, dict[str, int]]:
+    """Generate the trace and the user -> group-index ground truth.
+
+    Each online day's whole-second durations are laid out contiguously, in
+    location order, from the day's start second; rows run in (user, day,
+    location) order.
+    """
+    truth, user, begin, mode, noise = _draws(spec)
+    durations = _apportion(_day_weights(spec, mode, noise), ONLINE_SECONDS)
+    day, loc = np.nonzero(durations)
+    end = begin[day] + np.cumsum(durations, axis=1)[day, loc]
+    users, user_code = _coded([user_name(i) for i in range(spec.n_users)], user[day])
+    locations, loc_code = _coded([location_name(i) for i in range(spec.n_locations)], loc)
+    return Records(users, locations, user_code, loc_code, end - durations[day, loc], end), truth
 
 
 def single_location_modes(n_locations: int, locations: Sequence[int]) -> tuple[tuple[float, ...], ...]:

@@ -63,6 +63,7 @@ def test_truth_csv_roundtrip(tmp_path):
         ("user,group\nu1\n", r"truth\.csv:2: expected 2 fields"),
         ("user,group\nu1,0\nu2,0,1\n", r"truth\.csv:3: expected 2 fields"),
         ("user,group\nu1,0\nu2,g\n", r"truth\.csv:3: group is not an integer: 'g'"),
+        ("user,group\nu1,0\nu2,1\nu1,1\n", r"truth\.csv:4: duplicate user 'u1'"),
     ],
 )
 def test_truth_csv_errors_name_path_and_line(tmp_path, body, message):

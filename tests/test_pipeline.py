@@ -116,8 +116,9 @@ def test_eigen_pipeline_builds_sets_and_table_once(planted, monkeypatch):
     for name in ("sim_matrix", "eigen_sets_for"):
         monkeypatch.setattr(distances, name, counting(name))
     # a user whose only session lies before the trace horizon is all offline
-    offline = AssociationRecord("zz-offline", records[0].location_id, -100, -10)
-    result = run_pipeline(records + [offline], config, metric="eigen", target_count=3)
+    rows = records.rows()
+    offline = AssociationRecord("zz-offline", rows[0].location_id, -100, -10)
+    result = run_pipeline(rows + [offline], config, metric="eigen", target_count=3)
     assert calls == {"sim_matrix": 1, "eigen_sets_for": 1}
 
     dm = result.distance_matrix

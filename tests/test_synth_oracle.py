@@ -1,0 +1,198 @@
+"""Property tests: the columnar synthetic generator and trace writer against
+the per-record oracles in synth_oracle (``generate`` and the ``csv.writer``
+trace writer as they stood before the columnar generator).  Records and
+truth must be equal and the written bytes identical."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import synth_oracle as oracle
+from eigenbehavior import (
+    DAY_SECONDS,
+    AssociationRecord,
+    GroupSpec,
+    Records,
+    SynthSpec,
+    generate,
+    load_records,
+    persist,
+    spec_from_json,
+)
+
+PROPERTY = settings(max_examples=150, deadline=None)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@st.composite
+def unit_vectors(draw, n: int) -> tuple[float, ...]:
+    """Nonnegative weights summing to 1, often with zero entries."""
+    raw = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
+    return tuple(w / sum(raw) for w in raw)
+
+
+@st.composite
+def synth_specs(draw):
+    n = draw(st.integers(1, 6))
+    groups = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 3))
+        groups.append(
+            GroupSpec(
+                draw(st.integers(1, 3)),
+                tuple(draw(unit_vectors(n)) for _ in range(k)),
+                draw(unit_vectors(k)),
+                p_online=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+            )
+        )
+    return SynthSpec(
+        n_locations=n,
+        n_days=draw(st.integers(1, 5)),
+        groups=tuple(groups),
+        seed=draw(st.integers(0, 2**32)),
+        noise_epsilon=draw(
+            st.one_of(st.sampled_from([0.0, 2.0]), st.floats(0.001, 1.5))
+        ),
+    )
+
+
+def trace_bytes(tmp_path, write, records) -> bytes:
+    path = tmp_path / "trace.csv"
+    write(str(path), records)
+    return path.read_bytes()
+
+
+def assert_matches_oracle(tmp_path, spec: SynthSpec) -> Records:
+    records, truth = generate(spec)
+    want_rows, want_truth = oracle.generate(spec)
+    assert records.rows() == want_rows
+    assert truth == want_truth
+    assert list(truth) == list(want_truth)
+    got = trace_bytes(tmp_path, persist.write_trace_csv, records)
+    assert got == trace_bytes(tmp_path, oracle.write_trace_csv, want_rows)
+    return records
+
+
+@given(synth_specs())
+@PROPERTY
+def test_generate_and_trace_match_oracle(tmp_path_factory, spec):
+    assert_matches_oracle(tmp_path_factory.mktemp("synth"), spec)
+
+
+def test_all_clipped_noise_falls_back_to_the_mode(tmp_path):
+    """Noise of +-2 on weights (0.3, 0.7) clips both to 0 on about one day in
+    16; such a day keeps the mode, which apportions to exactly 8640 / 20160
+    seconds, a split no noisy day reaches."""
+    spec = SynthSpec(
+        n_locations=2,
+        n_days=60,
+        groups=(GroupSpec(3, ((0.3, 0.7),), (1.0,)),),
+        seed=5,
+        noise_epsilon=2.0,
+    )
+    records = assert_matches_oracle(tmp_path, spec)
+    days: dict[tuple[str, int], list[float]] = {}
+    for r in records.rows():
+        days.setdefault((r.user_id, int(r.start // DAY_SECONDS)), []).append(r.end - r.start)
+    assert [8640.0, 20160.0] in days.values()
+
+
+def _benchmark_spec(tmp_path, monkeypatch, n_users: int, seed: int) -> SynthSpec:
+    """The benchmark's planted population spec, read as `synth` reads it."""
+    loader = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, loader.name, workloads)
+    loader.loader.exec_module(workloads)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(workloads.population_spec(n_users, seed)))
+    return spec_from_json(str(path))
+
+
+def test_group_800_seed_0_trace_and_truth_are_byte_identical(tmp_path, monkeypatch):
+    spec = _benchmark_spec(tmp_path, monkeypatch, 800, 0)
+    records, truth = generate(spec)
+    want_rows, want_truth = oracle.generate(spec)
+    assert len(records) == len(want_rows) == 172_806
+    got = trace_bytes(tmp_path, persist.write_trace_csv, records)
+    assert got == trace_bytes(tmp_path, oracle.write_trace_csv, want_rows)
+    assert truth == want_truth
+
+
+def test_written_trace_loads_back_column_for_column(tmp_path):
+    spec = SynthSpec(
+        n_locations=5,
+        n_days=9,
+        groups=(
+            GroupSpec(4, ((0.5, 0.0, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 1.0)), (0.5, 0.5)),
+            GroupSpec(3, ((0.0, 0.25, 0.0, 0.75, 0.0),), (1.0,), p_online=0.6),
+        ),
+        seed=12,
+        noise_epsilon=0.1,
+    )
+    records, _ = generate(spec)
+    path = tmp_path / "trace.csv"
+    persist.write_trace_csv(str(path), records)
+    loaded = load_records(str(path))
+    assert loaded.users == records.users
+    assert loaded.locations == records.locations
+    for column in ("user", "loc", "start", "end"):
+        assert np.array_equal(getattr(loaded, column), getattr(records, column)), column
+
+
+def test_ids_sort_as_strings_past_five_digits():
+    """Users u99999, u100000 and u100001 are coded as load_records codes
+    them: by string order, in which u100000 sorts first."""
+    spec = SynthSpec(
+        n_locations=1,
+        n_days=1,
+        groups=(
+            GroupSpec(99_999, ((1.0,),), (1.0,), p_online=0.0),
+            GroupSpec(3, ((1.0,),), (1.0,)),
+        ),
+    )
+    records, truth = generate(spec)
+    assert records.users == ("u100000", "u100001", "u99999")
+    assert records.user.tolist() == [2, 0, 1]
+    assert len(truth) == 100_002
+
+
+IDS = st.text(alphabet=st.sampled_from(list('ab ,"\n\r%/é;\t')), min_size=1, max_size=6)
+BOUNDS = st.one_of(st.integers(-(2**40), 2**40), st.floats(-1e12, 1e12))
+
+
+@st.composite
+def association_rows(draw):
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        start = draw(BOUNDS)
+        end = start + draw(st.one_of(st.integers(1, 10**6), st.floats(0.001, 1e6)))
+        if end > start:
+            rows.append(AssociationRecord(draw(IDS), draw(IDS), start, end))
+    return rows
+
+
+@given(association_rows())
+@PROPERTY
+def test_trace_writer_matches_oracle_for_awkward_ids_and_bounds(tmp_path_factory, rows):
+    tmp_path = tmp_path_factory.mktemp("trace")
+    want = trace_bytes(tmp_path, oracle.write_trace_csv, rows)
+    assert trace_bytes(tmp_path, persist.write_trace_csv, rows) == want
+    assert trace_bytes(tmp_path, persist.write_trace_csv, Records.from_rows(rows)) == want
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_trace_writer_chunk_edges(tmp_path, extra):
+    n_rows = persist.CHUNK_ROWS + extra
+    rows = [AssociationRecord(f"u{i % 7}", f"L{i % 3}", i, i + 1.5) for i in range(n_rows)]
+    want = trace_bytes(tmp_path, oracle.write_trace_csv, rows)
+    assert trace_bytes(tmp_path, persist.write_trace_csv, rows) == want
