@@ -12,7 +12,7 @@ wall-clock timestamp and is the one exception).
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 
@@ -31,7 +31,14 @@ from .profilecast import (
 )
 from .summaries import DEFAULT_POWER_FLOOR, summary_table
 from .synth import generate, spec_from_json, spec_to_json_dict
-from .trace import Records, TraceConfig, aggregate_locations, load_location_map, load_records
+from .trace import (
+    Records,
+    TraceConfig,
+    aggregate_locations,
+    load_location_map,
+    load_records,
+    read_json,
+)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -70,24 +77,10 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from None
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = spec_from_json(args.spec)
     if args.seed:
-        spec = type(spec)(
-            n_locations=spec.n_locations,
-            n_days=spec.n_days,
-            groups=spec.groups,
-            seed=args.seed,
-            noise_epsilon=spec.noise_epsilon,
-        )
+        spec = dataclasses.replace(spec, seed=args.seed)
     records, truth = generate(spec)
     os.makedirs(args.out, exist_ok=True)
     persist.write_trace_csv(os.path.join(args.out, "trace.csv"), records)
@@ -98,7 +91,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_config(payload: dict, records: Records) -> TraceConfig:
+def _pipeline_config(payload: dict, records: Records) -> tuple[dict, TraceConfig, dict]:
+    """The config file's payload, its trace config and run_pipeline's options."""
     start = payload.get("trace_start")
     end = payload.get("trace_end")
     # load_records admits integer seconds only, so these ints are exact.
@@ -107,7 +101,7 @@ def _trace_config(payload: dict, records: Records) -> TraceConfig:
     if end is None:
         end = int(records.end.max())
     window = payload.get("window")
-    return TraceConfig(
+    config = TraceConfig(
         trace_start=start,
         trace_end=end,
         slot_seconds=int(payload.get("slot_seconds", 86400)),
@@ -115,22 +109,27 @@ def _trace_config(payload: dict, records: Records) -> TraceConfig:
         normalization=payload.get("normalization", "normalized"),
         align_midnight=bool(payload.get("align_midnight", False)),
     )
+    options = {
+        "power_floor": float(payload.get("power_floor", DEFAULT_POWER_FLOOR)),
+        "include_offline": bool(payload.get("include_offline", False)),
+    }
+    return payload, config, options
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     records = load_records(args.trace)
     if args.locmap:
         records = aggregate_locations(records, load_location_map(args.locmap))
-    payload = _load_json(args.config)
-    config = _trace_config(payload, records)
+    payload, config, options = read_json(
+        args.config, "pipeline config", lambda raw: _pipeline_config(raw, records)
+    )
     result = run_pipeline(
         records,
         config,
         metric=args.metric,
         threshold=args.threshold,
         target_count=args.clusters,
-        power_floor=float(payload.get("power_floor", DEFAULT_POWER_FLOOR)),
-        include_offline=bool(payload.get("include_offline", False)),
+        **options,
     )
     table = summary_table(result.matrices, result.eigen_sets)
     os.makedirs(args.out, exist_ok=True)
@@ -169,38 +168,46 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    records = load_records(args.trace)
-    scenario = _load_json(args.scenario)
-    partition = persist.load_partition_csv(os.path.join(args.pipeline_dir, "partition.csv"))
-    schemes = scenario.get("schemes")
+def _scenario(payload: dict, seed: int) -> tuple[dict, list[SimConfig], float, dict]:
+    """The scenario file's payload, one SimConfig per listed scheme (seeded
+    seed, seed + 1, ...), the split fraction and build_messages' options."""
+    schemes = payload.get("schemes")
     if not schemes:
-        raise ValueError(f"{args.scenario}: scenario lists no schemes")
+        raise ValueError("scenario lists no schemes")
     configs = []
     for i, entry in enumerate(schemes):
+        if not isinstance(entry, dict):
+            raise TypeError(f"scheme entry {entry!r} is not an object")
         configs.append(
             SimConfig(
                 scheme=entry.get("scheme", ""),
                 sim_threshold=entry.get("sim_threshold"),
                 p=entry.get("p"),
                 ttl_factor=entry.get("ttl_factor"),
-                seed=args.seed + i,
+                seed=seed + i,
             )
         )
+    options = {
+        "source_fraction": float(payload.get("source_fraction", DEFAULT_SOURCE_FRACTION)),
+        "min_group_size": int(payload.get("min_group_size", DEFAULT_MIN_GROUP_SIZE)),
+    }
+    return payload, configs, float(payload.get("split_fraction", 0.5)), options
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    records = load_records(args.trace)
+    scenario, configs, split_fraction, options = read_json(
+        args.scenario, "scenario", lambda raw: _scenario(raw, args.seed)
+    )
+    partition = persist.load_partition_csv(os.path.join(args.pipeline_dir, "partition.csv"))
     if not any(c.scheme == "flooding" for c in configs):
         raise ValueError("scenario must include the flooding scheme (normalization baseline)")
     sim_table = sim_ids = None
     if any(c.scheme == "similarity" for c in configs):
         sim_table, sim_ids = persist.load_sims_csv(os.path.join(args.pipeline_dir, "sims.csv"))
-    _, second, mid = split_trace(records, float(scenario.get("split_fraction", 0.5)))
+    _, second, mid = split_trace(records, split_fraction)
     encounters = extract_encounters(second)
-    messages = build_messages(
-        partition,
-        creation_time=mid,
-        source_fraction=float(scenario.get("source_fraction", DEFAULT_SOURCE_FRACTION)),
-        min_group_size=int(scenario.get("min_group_size", DEFAULT_MIN_GROUP_SIZE)),
-        seed=args.seed,
-    )
+    messages = build_messages(partition, creation_time=mid, seed=args.seed, **options)
     rows = []
     baseline = None
     for config in configs:

@@ -36,11 +36,14 @@ from .trace import (
     Records,
     TraceConfig,
     as_records,
-    numbered_rows,
+    read_csv,
+    read_json,
+    read_table,
 )
 
 
 CHUNK_ROWS = 4096
+TOP_LOCATIONS = 5  # leading locations of each cluster's first eigen-behavior in report.json
 
 
 def fmt(x: float) -> str:
@@ -106,24 +109,7 @@ def write_truth_csv(path: str, truth: dict[str, int]) -> None:
 
 
 def load_truth_csv(path: str) -> dict[str, int]:
-    out: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["user", "group"]:
-            raise ValueError(f"{path}: bad header {header!r}, expected user,group")
-        for line, row in numbered_rows(reader):
-            if len(row) != 2:
-                raise ValueError(f"{path}:{line}: expected 2 fields")
-            if row[0] in out:
-                raise ValueError(f"{path}:{line}: duplicate user {row[0]!r}")
-            try:
-                out[row[0]] = int(row[1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{line}: group is not an integer: {row[1]!r}"
-                ) from None
-    return out
+    return read_table(path, ("user", "group"), "user", ints=True)
 
 
 def write_matrices(
@@ -177,17 +163,16 @@ def write_eigen_sets(
         write_json(os.path.join(out_dir, f"{_safe_name(user)}.json"), payload)
 
 
+def _eigen_set(raw: dict) -> tuple[str, EigenBehaviorSet]:
+    return raw["user"], EigenBehaviorSet(raw["vectors"], raw["weights"], raw["power_floor"])
+
+
 def load_eigen_sets(out_dir: str) -> dict[str, EigenBehaviorSet]:
-    out: dict[str, EigenBehaviorSet] = {}
-    for name in sorted(os.listdir(out_dir)):
-        if not name.endswith(".json"):
-            continue
-        with open(os.path.join(out_dir, name)) as fh:
-            payload = json.load(fh)
-        out[payload["user"]] = EigenBehaviorSet(
-            np.array(payload["vectors"]), np.array(payload["weights"]), payload["power_floor"]
-        )
-    return out
+    return dict(
+        read_json(os.path.join(out_dir, name), "eigen-behavior set", _eigen_set)
+        for name in sorted(os.listdir(out_dir))
+        if name.endswith(".json")
+    )
 
 
 def write_distance_matrix(path: str, dm: DistanceMatrix) -> None:
@@ -212,28 +197,21 @@ def write_distance_matrix(path: str, dm: DistanceMatrix) -> None:
 
 
 def load_distance_matrix(path: str) -> DistanceMatrix:
-    with open(path + ".json") as fh:
-        sidecar = json.load(fh)
-    ids = sidecar["ids"]
-    values = np.zeros((len(ids), len(ids)))
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["i", "j", "distance"]:
-            raise ValueError(f"{path}: bad header {header!r}")
-        for line, row in numbered_rows(reader):
-            if len(row) != 3:
-                raise ValueError(f"{path}:{line}: expected 3 fields")
-            try:
-                i, j, d = int(row[0]), int(row[1]), float(row[2])
-            except ValueError:
-                raise ValueError(f"{path}:{line}: bad i,j,distance row {row!r}") from None
-            if not (0 <= i < len(ids) and 0 <= j < len(ids)):
-                raise ValueError(f"{path}:{line}: index out of range for {len(ids)} ids")
-            values[i, j] = values[j, i] = d
-    return DistanceMatrix(
-        values, sidecar["metric"], ids, tuple(sidecar["flagged_ids"]), sidecar["params"]
+    ids, metric, flagged_ids, params = read_json(
+        path + ".json",
+        "distance matrix sidecar",
+        lambda raw: (tuple(raw["ids"]), raw["metric"], tuple(raw["flagged_ids"]), raw["params"]),
     )
+    values = np.zeros((len(ids), len(ids)))
+    for line, row in read_csv(path, ("i", "j", "distance")):
+        try:
+            i, j, d = int(row[0]), int(row[1]), float(row[2])
+        except ValueError:
+            raise ValueError(f"{path}:{line}: bad i,j,distance row {row!r}") from None
+        if not (0 <= i < len(ids) and 0 <= j < len(ids)):
+            raise ValueError(f"{path}:{line}: index out of range for {len(ids)} ids")
+        values[i, j] = values[j, i] = d
+    return DistanceMatrix(values, metric, ids, flagged_ids, params)
 
 
 def write_partition_csv(path: str, partition: Partition) -> None:
@@ -245,23 +223,7 @@ def write_partition_csv(path: str, partition: Partition) -> None:
 
 
 def load_partition_csv(path: str) -> Partition:
-    assignment: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["element", "cluster"]:
-            raise ValueError(f"{path}: bad header {header!r}, expected element,cluster")
-        for line, row in numbered_rows(reader):
-            if len(row) != 2:
-                raise ValueError(f"{path}:{line}: expected 2 fields")
-            if row[0] in assignment:
-                raise ValueError(f"{path}:{line}: duplicate element {row[0]!r}")
-            try:
-                assignment[row[0]] = int(row[1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{line}: cluster is not an integer: {row[1]!r}"
-                ) from None
+    assignment = read_table(path, ("element", "cluster"), "element", ints=True)
     if not assignment:
         raise ValueError(f"{path}: empty partition")
     return Partition(assignment=assignment)
@@ -306,17 +268,18 @@ def write_sims_csv(path: str, normalized: np.ndarray, ids: Sequence[str]) -> Non
 
 
 def load_sims_csv(path: str) -> tuple[np.ndarray, tuple[str, ...]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "user":
-            raise ValueError(f"{path}: bad similarity table header")
-        ids = tuple(header[1:])
-        rows = list(numbered_rows(reader))
-    for line, row in rows:
-        if len(row) != len(header):
-            raise ValueError(f"{path}:{line}: row has {len(row)} cells, expected {len(header)}")
-    values = np.array([[float(v) for v in row[1:]] for _, row in rows])
+    """The similarity table: a header of ``user`` and then the ids, and one row
+    per id, in header order, led by that id."""
+    rows = read_csv(path, None)
+    _, header = next(rows, (1, []))
+    if header[:1] != ["user"]:
+        raise ValueError(f"{path}: bad header {header!r}, expected user and then the ids")
+    ids = tuple(header[1:])
+    rows = list(rows)
+    try:
+        values = np.array([[float(v) for v in row[1:]] for _, row in rows])
+    except ValueError as exc:
+        raise ValueError(f"{path}: similarity table holds a non-number ({exc})") from None
     if values.shape != (len(ids), len(ids)):
         raise ValueError(f"{path}: similarity table is not square")
     for (line, row), expected in zip(rows, ids):
@@ -331,14 +294,13 @@ def write_report_json(
     location_index: Sequence[str],
     slope: float | None,
     top10_share: float | None,
-    top_locations: int = 5,
 ) -> None:
     clusters = []
     for profile in profiles:
         entry: dict = {"cluster": profile.cluster_id, "size": profile.size}
         if profile.eigen is not None:
             first = profile.eigen.vectors[0]
-            order = np.argsort(-np.abs(first), kind="stable")[:top_locations]
+            order = np.argsort(-np.abs(first), kind="stable")[:TOP_LOCATIONS]
             entry["weights"] = [float(fmt(w)) for w in profile.eigen.weights]
             entry["top_locations"] = [
                 {"location": location_index[i], "entry": float(fmt(first[i]))} for i in order

@@ -45,7 +45,6 @@ SCHEMES = ("flooding", "centralized", "similarity", "rtx")
 
 DEFAULT_SOURCE_FRACTION = 0.2
 DEFAULT_MIN_GROUP_SIZE = 6  # groups with more than five members get messages
-DEFAULT_TTL_FACTORS = (3, 6, 9)
 
 
 EncounterRow = tuple[str, str, float, float, str]  # (a, b, start, end, location)

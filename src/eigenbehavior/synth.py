@@ -12,13 +12,12 @@ record columns are computed over all online days at once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .trace import DAY_SECONDS, Records
+from .trace import DAY_SECONDS, Records, read_json
 
 ONLINE_SECONDS = 8 * 3600  # association time packed into one online day
 
@@ -94,28 +93,27 @@ def user_name(index: int) -> str:
     return f"u{index:05d}"
 
 
+def _spec_from_dict(raw: dict) -> SynthSpec:
+    groups = tuple(
+        GroupSpec(
+            size=int(g["size"]),
+            modes=tuple(tuple(float(w) for w in m["weights"]) for m in g["modes"]),
+            mode_probs=tuple(float(m["prob"]) for m in g["modes"]),
+            p_online=float(g.get("p_online", 1.0)),
+        )
+        for g in raw["groups"]
+    )
+    return SynthSpec(
+        n_locations=int(raw["n_locations"]),
+        n_days=int(raw["n_days"]),
+        groups=groups,
+        seed=int(raw.get("seed", 0)),
+        noise_epsilon=float(raw.get("noise_epsilon", 0.0)),
+    )
+
+
 def spec_from_json(path: str) -> SynthSpec:
-    with open(path) as fh:
-        raw = json.load(fh)
-    try:
-        groups = tuple(
-            GroupSpec(
-                size=int(g["size"]),
-                modes=tuple(tuple(float(w) for w in m["weights"]) for m in g["modes"]),
-                mode_probs=tuple(float(m["prob"]) for m in g["modes"]),
-                p_online=float(g.get("p_online", 1.0)),
-            )
-            for g in raw["groups"]
-        )
-        return SynthSpec(
-            n_locations=int(raw["n_locations"]),
-            n_days=int(raw["n_days"]),
-            groups=groups,
-            seed=int(raw.get("seed", 0)),
-            noise_epsilon=float(raw.get("noise_epsilon", 0.0)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed synth spec ({exc})") from None
+    return read_json(path, "synth spec", _spec_from_dict)
 
 
 def spec_to_json_dict(spec: SynthSpec) -> dict:

@@ -10,16 +10,19 @@ online slot sum to 1 in normalized mode; offline slots stay all zero.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 DAY_SECONDS = 86_400
 
 NORMALIZATIONS = ("normalized", "absolute")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,8 @@ class TraceConfig:
     def __post_init__(self) -> None:
         if self.slot_seconds <= 0:
             raise ValueError("slot_seconds must be positive")
+        if not (math.isfinite(self.trace_start) and math.isfinite(self.trace_end)):
+            raise ValueError("trace_start and trace_end must be finite")
         if not self.trace_end > self.trace_start:
             raise ValueError("trace_end must exceed trace_start")
         if self.normalization not in NORMALIZATIONS:
@@ -200,14 +205,65 @@ def _new_code(codes: dict[str, int], kind: str, value: str, where: str) -> int:
     return codes[value]
 
 
-def numbered_rows(reader) -> Iterator[tuple[int, list[str]]]:
-    """(line, row) for each row a csv.reader reads, where line is the line the
-    row starts on; reader.line_num is the line it ends on, which is later when
-    a quoted field holds a line break."""
-    line = reader.line_num + 1
-    for row in reader:
-        yield line, row
-        line = reader.line_num + 1
+def read_csv(path: str, header: Sequence[str] | None) -> Iterator[tuple[int, list[str]]]:
+    """(line, row) for each row of a CSV file after a header row equal to
+    ``header``; with ``header`` None, the header row comes first, as line 1.
+    Every row has as many cells as the header.  line is the line the row
+    starts on: a quoted cell holding a line break makes a row span lines."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if header is None:
+                if first is not None:
+                    yield 1, first
+            elif first != list(header):
+                raise ValueError(f"{path}: bad header {first!r}, expected {','.join(header)}")
+            width = len(first or ())
+            line = reader.line_num + 1
+            for row in reader:
+                if len(row) != width:
+                    raise ValueError(f"{path}:{line}: expected {width} fields, got {len(row)}")
+                yield line, row
+                line = reader.line_num + 1
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def read_json(path: str, what: str, parse: Callable[[dict], T]) -> T:
+    """``parse`` of the JSON object in a file.  Invalid JSON, any other
+    top-level value, and a KeyError, TypeError or ValueError from ``parse``
+    raise a ValueError that names the path."""
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    try:
+        return parse(raw)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed {what} ({exc})") from None
+
+
+def _int_cell(text: str, name: str, where: str) -> int:
+    """The integer in a CSV cell; ``where`` is the path and line it is on."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: {name} is not an integer: {text!r}") from None
+
+
+def read_table(path: str, header: tuple[str, str], key: str, ints: bool) -> dict:
+    """A two-column CSV file as a dict from each row's first cell to its
+    second, as an int when ``ints`` is set; a first cell may occur once."""
+    table: dict = {}
+    for line, (name, value) in read_csv(path, header):
+        if name in table:
+            raise ValueError(f"{path}:{line}: duplicate {key} {name!r}")
+        table[name] = _int_cell(value, header[1], f"{path}:{line}") if ints else value
+    return table
 
 
 def load_records(path: str) -> Records:
@@ -219,45 +275,28 @@ def load_records(path: str) -> Records:
     ucode: dict[str, int] = {}
     lcode: dict[str, int] = {}
     user_col, loc_col, start_col, end_col = array("q"), array("q"), array("d"), array("d")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    rows = read_csv(path, ("user", "location", "start", "end"))
+    for line, (user, location, start_s, end_s) in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty trace file") from None
-        if header != ["user", "location", "start", "end"]:
-            raise ValueError(f"{path}: bad header {header!r}, expected user,location,start,end")
-        for line, row in numbered_rows(reader):
-            if len(row) != 4:
-                raise ValueError(f"{path}:{line}: expected 4 fields, got {len(row)}")
-            user, location, start_s, end_s = row
-            try:
-                start = int(start_s)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{line}: start is not an integer: {start_s!r}"
-                ) from None
-            try:
-                end = int(end_s)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{line}: end is not an integer: {end_s!r}"
-                ) from None
-            u = ucode.get(user)
-            if u is None:
-                u = _new_code(ucode, "user", user, f"{path}:{line}")
-            loc = lcode.get(location)
-            if loc is None:
-                loc = _new_code(lcode, "location", location, f"{path}:{line}")
-            if not end > start:
-                raise ValueError(
-                    f"{path}:{line}: record for {user!r} has end <= start "
-                    f"({end} <= {start})"
-                )
-            user_col.append(u)
-            loc_col.append(loc)
-            start_col.append(start)
-            end_col.append(end)
+            start, end = int(start_s), int(end_s)
+        except ValueError:  # _int_cell names the bad cell; the hot path calls no helper
+            where = f"{path}:{line}"
+            start, end = _int_cell(start_s, "start", where), _int_cell(end_s, "end", where)
+        u = ucode.get(user)
+        if u is None:
+            u = _new_code(ucode, "user", user, f"{path}:{line}")
+        loc = lcode.get(location)
+        if loc is None:
+            loc = _new_code(lcode, "location", location, f"{path}:{line}")
+        if not end > start:
+            raise ValueError(
+                f"{path}:{line}: record for {user!r} has end <= start "
+                f"({end} <= {start})"
+            )
+        user_col.append(u)
+        loc_col.append(loc)
+        start_col.append(start)
+        end_col.append(end)
     users, user_rank = _sorted_codes(ucode)
     locations, loc_rank = _sorted_codes(lcode)
     return Records(
@@ -280,20 +319,7 @@ def _sorted_codes(first_seen: dict[str, int]) -> tuple[tuple[str, ...], np.ndarr
 
 def load_location_map(path: str) -> dict[str, str]:
     """Read an access-point to building map CSV with header ap,building."""
-    mapping: dict[str, str] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["ap", "building"]:
-            raise ValueError(f"{path}: bad header {header!r}, expected ap,building")
-        for line, row in numbered_rows(reader):
-            if len(row) != 2:
-                raise ValueError(f"{path}:{line}: expected 2 fields")
-            ap, building = row
-            if ap in mapping:
-                raise ValueError(f"{path}:{line}: duplicate access point {ap!r}")
-            mapping[ap] = building
-    return mapping
+    return read_table(path, ("ap", "building"), "access point", ints=False)
 
 
 def _first_unmapped(records: Records, mapping: dict) -> str | None:

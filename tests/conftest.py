@@ -116,9 +116,3 @@ def sim_trace_spec() -> SynthSpec:
     )
     return SynthSpec(n_locations=n, n_days=60, groups=groups, seed=77001, noise_epsilon=0.05)
 
-
-@pytest.fixture(scope="session")
-def sim_trace():
-    spec = sim_trace_spec()
-    records, truth = generate(spec)
-    return records, truth, spec

@@ -388,3 +388,103 @@ def test_only_the_amvd_pipeline_loads_scipy(workdir, tmp_path, metric, loads_sci
     )
     loaded = json.loads(result.stdout.strip().splitlines()[-1])
     assert bool(loaded) == loads_scipy, loaded
+
+
+def _pipeline_argv(workdir, config, out):
+    return [
+        "pipeline",
+        str(workdir / "synth" / "trace.csv"),
+        "--config",
+        str(config),
+        "--clusters",
+        "3",
+        "--out",
+        str(out),
+    ]
+
+
+def _simulate_argv(workdir, scenario, out):
+    return [
+        "simulate",
+        str(workdir / "synth" / "trace.csv"),
+        "--pipeline",
+        str(workdir / "pipe"),
+        "--scenario",
+        str(scenario),
+        "--out",
+        str(out),
+    ]
+
+
+def _exits_2_naming(argv, path, message, out, capsys):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{path}: {message}" in err
+    assert not out.exists()
+
+
+def test_config_that_is_not_an_object_exits_2(workdir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[]")
+    out = tmp_path / "o"
+    _exits_2_naming(
+        _pipeline_argv(workdir, config, out), config, "expected a JSON object, got list", out, capsys
+    )
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"slot_seconds": "x"}, "malformed pipeline config (invalid literal for int()"),
+        ({"window": [5]}, "malformed pipeline config (not enough values to unpack"),
+        ({"trace_start": "0", "trace_end": "9"}, "malformed pipeline config (must be real number"),
+        ({"trace_end": float("inf")}, "malformed pipeline config (trace_start and trace_end must be finite)"),
+    ],
+    ids=["slot-seconds-not-int", "window-of-one", "bounds-not-numbers", "infinite-end"],
+)
+def test_malformed_config_field_exits_2_naming_the_config(workdir, tmp_path, capsys, payload, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    _exits_2_naming(_pipeline_argv(workdir, config, out), config, message, out, capsys)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"schemes": [1]}, "malformed scenario (scheme entry 1 is not an object)"),
+        (
+            {"schemes": [{"scheme": "flooding"}, {"scheme": "rtx", "p": "x", "ttl_factor": 3}]},
+            "malformed scenario ('<' not supported",
+        ),
+        (
+            {"split_fraction": "half", "schemes": [{"scheme": "flooding"}]},
+            "malformed scenario (could not convert string to float: 'half')",
+        ),
+    ],
+    ids=["scheme-not-object", "rtx-p-not-number", "split-fraction-not-number"],
+)
+def test_malformed_scenario_exits_2_naming_the_scenario(workdir, tmp_path, capsys, payload, message):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    _exits_2_naming(_simulate_argv(workdir, scenario, out), scenario, message, out, capsys)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "invalid JSON (Expecting property name"),
+        (
+            json.dumps({**SPEC, "groups": [{"size": 2, "modes": [{"weights": ["a"], "prob": 1}]}]}),
+            "malformed synth spec (could not convert string to float: 'a')",
+        ),
+    ],
+    ids=["invalid-json", "weight-not-number"],
+)
+def test_malformed_spec_exits_2_naming_the_spec(tmp_path, capsys, text, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    out = tmp_path / "o"
+    _exits_2_naming(["synth", str(spec), "--out", str(out)], spec, message, out, capsys)

@@ -159,8 +159,12 @@ def test_sims_csv_roundtrip(tmp_path):
         load_sims_csv(str(permuted))
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("user,a,b\na,1,0.75\nb,1\n")
-    with pytest.raises(ValueError, match=r"ragged\.csv:3: row has 2 cells, expected 3"):
+    with pytest.raises(ValueError, match=r"ragged\.csv:3: expected 3 fields, got 2"):
         load_sims_csv(str(ragged))
+    not_number = tmp_path / "not_number.csv"
+    not_number.write_text("user,a\na,x\n")
+    with pytest.raises(ValueError, match=r"not_number\.csv: similarity table holds a non-number"):
+        load_sims_csv(str(not_number))
 
 
 def test_cdf_csv_is_a_proper_cdf(tmp_path):
