@@ -35,7 +35,7 @@ from .groups import (
     rank_size_fit,
     top_groups_share,
 )
-from .pipeline import PipelineResult, build_distance_matrix, cluster_population, run_pipeline
+from .pipeline import PipelineResult, build_distance_matrix, run_pipeline
 from .profilecast import (
     Encounters,
     Message,

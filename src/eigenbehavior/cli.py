@@ -25,11 +25,13 @@ from .profilecast import (
     SimConfig,
     build_messages,
     check_baseline,
+    check_source_fraction,
+    check_split_fraction,
     extract_encounters,
     simulate,
     split_trace,
 )
-from .summaries import DEFAULT_POWER_FLOOR, summary_table
+from .summaries import DEFAULT_POWER_FLOOR, check_power_floor, summary_table
 from .synth import generate, spec_from_json, spec_to_json_dict
 from .trace import (
     Records,
@@ -91,6 +93,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _flag(payload: dict, key: str) -> bool:
+    """A true/false config entry, false when absent."""
+    value = payload.get(key, False)
+    if not isinstance(value, bool):
+        raise TypeError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _pipeline_config(payload: dict, records: Records) -> tuple[dict, TraceConfig, dict]:
     """The config file's payload, its trace config and run_pipeline's options."""
     start = payload.get("trace_start")
@@ -107,11 +117,11 @@ def _pipeline_config(payload: dict, records: Records) -> tuple[dict, TraceConfig
         slot_seconds=int(payload.get("slot_seconds", 86400)),
         window=tuple(window) if window else None,
         normalization=payload.get("normalization", "normalized"),
-        align_midnight=bool(payload.get("align_midnight", False)),
+        align_midnight=_flag(payload, "align_midnight"),
     )
     options = {
-        "power_floor": float(payload.get("power_floor", DEFAULT_POWER_FLOOR)),
-        "include_offline": bool(payload.get("include_offline", False)),
+        "power_floor": check_power_floor(float(payload.get("power_floor", DEFAULT_POWER_FLOOR))),
+        "include_offline": _flag(payload, "include_offline"),
     }
     return payload, config, options
 
@@ -142,8 +152,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     persist.write_distance_matrix(os.path.join(args.out, "distances.csv"), result.distance_matrix)
     persist.write_partition_csv(os.path.join(args.out, "partition.csv"), result.partition)
     persist.write_merge_history_csv(os.path.join(args.out, "merges.csv"), result.partition)
-    persist.write_cdf_csv(os.path.join(args.out, "cdf_intra.csv"), result.intra_cdf)
-    persist.write_cdf_csv(os.path.join(args.out, "cdf_inter.csv"), result.inter_cdf)
     persist.write_summary_table_csv(os.path.join(args.out, "summary.csv"), table)
     try:
         slope = rank_size_fit(result.partition)[0]
@@ -188,10 +196,13 @@ def _scenario(payload: dict, seed: int) -> tuple[dict, list[SimConfig], float, d
             )
         )
     options = {
-        "source_fraction": float(payload.get("source_fraction", DEFAULT_SOURCE_FRACTION)),
+        "source_fraction": check_source_fraction(
+            float(payload.get("source_fraction", DEFAULT_SOURCE_FRACTION))
+        ),
         "min_group_size": int(payload.get("min_group_size", DEFAULT_MIN_GROUP_SIZE)),
     }
-    return payload, configs, float(payload.get("split_fraction", 0.5)), options
+    split_fraction = check_split_fraction(float(payload.get("split_fraction", 0.5)))
+    return payload, configs, split_fraction, options
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -216,8 +216,6 @@ def summary_l1_distance(
     if len(vectors) < 2:
         raise ValueError("need at least two users with online slots")
     values = pairwise_l1(np.vstack(vectors)[None])[0]
-    values = (values + values.T) / 2.0  # scrub asymmetry noise
-    np.fill_diagonal(values, 0.0)
     metric = "onavg_l1" if kind == "onavg" else "centroid_l1"
     return DistanceMatrix(values, metric, ids, (), {"kind": kind})
 

@@ -3,8 +3,8 @@
 All floats are written with 9 significant digits and all JSON with sorted
 keys, so identical inputs and seeds reproduce byte-identical files.
 
-The array writers (matrices, eigen sets, similarity table, distance matrix
-and CDFs) format a whole row, or a chunk of at most ``CHUNK_ROWS`` rows, with
+The array writers (matrices, eigen sets, similarity table and distance
+matrix) format a whole row, or a chunk of at most ``CHUNK_ROWS`` rows, with
 one ``%.9g`` template applied to ``ndarray.tolist()`` and write it with one
 call; ``"%.9g" % x`` is byte-identical to ``format(x, ".9g")``.  The trace
 writer does the same with one ``%s,%s,%d,%d`` template.  Ids are quoted once
@@ -235,19 +235,6 @@ def write_merge_history_csv(path: str, partition: Partition) -> None:
         writer.writerow(["step", "a", "b", "distance"])
         for step, (a, b, dist) in enumerate(partition.merge_history):
             writer.writerow([step, a, b, fmt(dist)])
-
-
-def write_cdf_csv(path: str, samples: np.ndarray) -> None:
-    """Sorted samples with their empirical CDF value."""
-    samples = np.asarray(samples, dtype=float)
-    n = len(samples)
-    with open(path, "w", newline="") as fh:
-        fh.write("distance,cdf\n")
-        for start in range(0, n, CHUNK_ROWS):
-            stop = min(start + CHUNK_ROWS, n)
-            # (i + 1) / n, correctly rounded as Python's int division is
-            cells = np.column_stack((samples[start:stop], np.arange(start + 1, stop + 1) / n))
-            fh.write(_row_template(2) * (stop - start) % tuple(cells.ravel().tolist()))
 
 
 def write_summary_table_csv(path: str, table: dict[str, float]) -> None:

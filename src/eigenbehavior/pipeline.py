@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distances, groups, summaries
-from .cluster import Partition, agglomerate, distance_cdfs
+from .cluster import Partition, agglomerate
 from .distances import DistanceMatrix
 from .trace import AssociationMatrix, TraceConfig, build_matrices
 
@@ -37,28 +37,14 @@ def build_distance_matrix(
     raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
 
 
-def cluster_population(
-    dm: DistanceMatrix,
-    threshold: float | None = None,
-    target_count: int | None = None,
-) -> Partition:
-    """Average-linkage clustering of a population given its distance matrix."""
-    return agglomerate(
-        dm.values, threshold=threshold, target_count=target_count, labels=list(dm.ids)
-    )
-
-
 @dataclass
 class PipelineResult:
-    config: TraceConfig
     matrices: dict[str, AssociationMatrix]
     eigen_sets: dict[str, summaries.EigenBehaviorSet | None]
     normalized_sims: np.ndarray | None
     sim_ids: tuple[str, ...] | None
     distance_matrix: DistanceMatrix
     partition: Partition
-    intra_cdf: np.ndarray
-    inter_cdf: np.ndarray
     profiles: list[groups.GroupProfile] = field(default_factory=list)
 
 
@@ -82,18 +68,16 @@ def run_pipeline(
     if len(live) >= 2:
         normalized, sim_ids = distances.normalized_sim_table(live)
     dm = build_distance_matrix(matrices, metric, eigen_sets, normalized, sim_ids, include_offline)
-    partition = cluster_population(dm, threshold=threshold, target_count=target_count)
-    intra, inter = distance_cdfs(partition, dm.values, labels=list(dm.ids))
+    partition = agglomerate(
+        dm.values, threshold=threshold, target_count=target_count, labels=list(dm.ids)
+    )
     profiles = groups.group_profiles(partition, matrices, power_floor=power_floor)
     return PipelineResult(
-        config=config,
         matrices=matrices,
         eigen_sets=eigen_sets,
         normalized_sims=normalized,
         sim_ids=sim_ids,
         distance_matrix=dm,
         partition=partition,
-        intra_cdf=intra,
-        inter_cdf=inter,
         profiles=profiles,
     )

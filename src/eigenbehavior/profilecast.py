@@ -175,6 +175,13 @@ class SimulationOutcome:
     leaked: int = 0  # receipts by nodes outside the message's target set + source
 
 
+def check_split_fraction(fraction: float) -> float:
+    """fraction, checked to lie strictly between 0 and 1."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError("fraction must lie strictly between 0 and 1")
+    return fraction
+
+
 def split_trace(
     records: Records | Iterable[AssociationRecord],
     fraction: float = 0.5,
@@ -185,8 +192,7 @@ def split_trace(
     Returns (first, second, split_time).  A record straddling the split lands
     in both halves, clipped.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must lie strictly between 0 and 1")
+    check_split_fraction(fraction)
     records = as_records(records)
     if not len(records):
         raise ValueError("cannot split an empty trace")
@@ -249,6 +255,13 @@ def extract_encounters(records: Records) -> Encounters:
     )
 
 
+def check_source_fraction(source_fraction: float) -> float:
+    """source_fraction, checked to lie in (0, 1]."""
+    if not 0.0 < source_fraction <= 1.0:
+        raise ValueError("source_fraction must lie in (0, 1]")
+    return source_fraction
+
+
 def build_messages(
     partition: Partition,
     creation_time: float,
@@ -257,8 +270,7 @@ def build_messages(
     seed: int = 0,
 ) -> list[Message]:
     """One group-cast message per sampled source in each large-enough group."""
-    if not 0.0 < source_fraction <= 1.0:
-        raise ValueError("source_fraction must lie in (0, 1]")
+    check_source_fraction(source_fraction)
     rng = np.random.default_rng(seed)
     messages = []
     counter = 0

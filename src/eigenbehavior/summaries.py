@@ -178,25 +178,28 @@ def centroid_first_modes(
     return [_largest_mode_centroid(t[0]) for t in _mode_tables(matrices, (threshold,))]
 
 
-def significance(matrix: AssociationMatrix, y: np.ndarray, normalize: bool = False) -> float:
+def significance(matrix: AssociationMatrix, y: np.ndarray) -> float:
     """SIG(y): total |row . y| over total L1 row mass, scoring y as given.
 
-    normalize=True rescales y to unit L2 norm first; the default keeps the
-    vector's own length, which is what makes the summary comparison table
+    y keeps its own length, which is what makes the summary comparison table
     meaningful (an L1-normalized average is penalized for spreading out).
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (matrix.n_locations,):
         raise ValueError(f"y must have shape ({matrix.n_locations},)")
-    ynorm = np.linalg.norm(y)
-    if ynorm == 0:
+    if np.linalg.norm(y) == 0:
         raise ValueError("y must be nonzero")
-    if normalize:
-        y = y / ynorm
     denom = np.abs(matrix.rows).sum()
     if denom <= 0:
         raise ValueError(f"user {matrix.user_id!r} has no online slots")
     return float(np.abs(matrix.rows @ y).sum() / denom)
+
+
+def check_power_floor(power_floor: float) -> float:
+    """power_floor, checked to lie in [0, 1)."""
+    if not 0 <= power_floor < 1:
+        raise ValueError("power_floor must lie in [0, 1)")
+    return power_floor
 
 
 def cumulative_power(rows: np.ndarray) -> np.ndarray:
@@ -218,8 +221,7 @@ def eigen_behaviors(
     given, caps how many are kept.  Each kept vector is sign-canonicalized so
     its largest-magnitude entry is positive.
     """
-    if not 0 <= power_floor < 1:
-        raise ValueError("power_floor must lie in [0, 1)")
+    check_power_floor(power_floor)
     if max_k is not None and max_k < 1:
         raise ValueError("max_k must be >= 1")
     _require_online(matrix)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,20 @@ from eigenbehavior import (
     single_location_modes,
 )
 from eigenbehavior.trace import DAY_SECONDS
+
+
+def digest_tree(directory, skip=()) -> dict:
+    """sha256 of every file under a directory, keyed by relative path; files
+    named in skip are left out."""
+    out = {}
+    for dirpath, _, filenames in os.walk(directory):
+        for name in filenames:
+            if name in skip:
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, directory)] = hashlib.sha256(fh.read()).hexdigest()
+    return out
 
 
 def matrix_from_rows(rows, user_id="u", locations=None) -> AssociationMatrix:

@@ -98,16 +98,6 @@ def write_distance_matrix(path: str, dm: DistanceMatrix) -> None:
     )
 
 
-def write_cdf_csv(path: str, samples: np.ndarray) -> None:
-    """Sorted samples with their empirical CDF value."""
-    n = len(samples)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["distance", "cdf"])
-        for i, value in enumerate(samples):
-            writer.writerow([fmt(value), fmt((i + 1) / n)])
-
-
 def write_sims_csv(path: str, normalized: np.ndarray, ids: Sequence[str]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

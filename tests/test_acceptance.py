@@ -8,7 +8,6 @@ the sibling test modules; this file gates only the headline behaviors.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -18,7 +17,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from conftest import matrix_from_rows, planted_five_spec, sim_trace_spec
+from conftest import digest_tree, matrix_from_rows, planted_five_spec, sim_trace_spec
 from eigenbehavior import (
     DAY_SECONDS,
     EigenBehaviorSet,
@@ -28,6 +27,7 @@ from eigenbehavior import (
     build_messages,
     centroid_first_mode,
     cross_significance,
+    distance_cdfs,
     eigen_behaviors,
     eigen_distance_matrix,
     extract_encounters,
@@ -234,8 +234,10 @@ def test_planted_group_recovery(planted_run, capsys):
     result, truth, took = planted_run
     agreement = jaccard(result.partition, partition_from_labels(truth))
     assert agreement >= 0.9, f"pair agreement {agreement:.4f} < 0.9"
-    max_intra = float(result.intra_cdf[-1])
-    min_inter = float(result.inter_cdf[0])
+    dm = result.distance_matrix
+    intra, inter = distance_cdfs(result.partition, dm.values, labels=list(dm.ids))
+    max_intra = float(intra[-1])
+    min_inter = float(inter[0])
     assert max_intra < min_inter, f"overlap: intra max {max_intra} >= inter min {min_inter}"
     assert took < 60.0, f"pipeline took {took:.1f}s, budget 60s"
     _report(
@@ -433,16 +435,6 @@ SCENARIO9 = {
 }
 
 
-def _digest_tree(directory) -> dict:
-    out = {}
-    for dirpath, _, filenames in os.walk(directory):
-        for name in filenames:
-            path = os.path.join(dirpath, name)
-            rel = os.path.relpath(path, directory)
-            out[rel] = hashlib.sha256(open(path, "rb").read()).hexdigest()
-    return out
-
-
 def test_cli_reruns_byte_identical(tmp_path, monkeypatch, capsys):
     """Every CLI subcommand rerun with identical inputs and seeds writes
     byte-identical files (manifest timestamps pinned via SOURCE_DATE_EPOCH,
@@ -493,9 +485,9 @@ def test_cli_reruns_byte_identical(tmp_path, monkeypatch, capsys):
             == 0
         )
         digests[tag] = {
-            "synth": _digest_tree(synth_dir),
-            "pipeline": _digest_tree(pipe_dir),
-            "simulate": _digest_tree(sim_dir),
+            "synth": digest_tree(synth_dir),
+            "pipeline": digest_tree(pipe_dir),
+            "simulate": digest_tree(sim_dir),
         }
 
     for _ in range(2):

@@ -3,7 +3,6 @@ and byte-identical reruns of every data output."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +11,7 @@ import sys
 import pytest
 
 import eigenbehavior
+from conftest import digest_tree
 from eigenbehavior import jaccard, load_records
 from eigenbehavior.cli import main
 from eigenbehavior.persist import load_partition_csv, load_truth_csv
@@ -40,6 +40,8 @@ SPEC = {
         },
     ],
 }
+
+SKIP = ("manifest.json",)  # its created_utc differs between runs
 
 SCENARIO = {
     "split_fraction": 0.5,
@@ -83,18 +85,6 @@ def workdir(tmp_path_factory):
     return root
 
 
-def digest_tree(directory, skip=("manifest.json",)):
-    out = {}
-    for dirpath, _, filenames in os.walk(directory):
-        for name in filenames:
-            if name in skip:
-                continue
-            path = os.path.join(dirpath, name)
-            rel = os.path.relpath(path, directory)
-            out[rel] = hashlib.sha256(open(path, "rb").read()).hexdigest()
-    return out
-
-
 def test_synth_outputs(workdir):
     synth_dir = workdir / "synth"
     records = load_records(str(synth_dir / "trace.csv"))
@@ -113,8 +103,8 @@ def test_synth_seed_override(workdir, tmp_path):
     assert main(["synth", str(spec_path), "--seed", "7", "--out", str(a)]) == 0
     assert main(["synth", str(spec_path), "--seed", "7", "--out", str(b)]) == 0
     assert main(["synth", str(spec_path), "--out", str(c)]) == 0
-    assert digest_tree(a) == digest_tree(b)
-    assert digest_tree(a) != digest_tree(c)  # spec seed 5 vs override 7
+    assert digest_tree(a, SKIP) == digest_tree(b, SKIP)
+    assert digest_tree(a, SKIP) != digest_tree(c, SKIP)  # spec seed 5 vs override 7
 
 
 def test_pipeline_outputs_and_recovers_truth(workdir):
@@ -124,8 +114,6 @@ def test_pipeline_outputs_and_recovers_truth(workdir):
         "distances.csv.json",
         "partition.csv",
         "merges.csv",
-        "cdf_intra.csv",
-        "cdf_inter.csv",
         "summary.csv",
         "sims.csv",
         "report.json",
@@ -218,8 +206,8 @@ def test_reruns_are_byte_identical(workdir, tmp_path):
     ]
     assert main(argv + ["--out", str(pipe_a)]) == 0
     assert main(argv + ["--out", str(pipe_b)]) == 0
-    tree_a = digest_tree(pipe_a)
-    assert tree_a == digest_tree(pipe_b)
+    tree_a = digest_tree(pipe_a, SKIP)
+    assert tree_a == digest_tree(pipe_b, SKIP)
     assert len(tree_a) > 10  # matrices + eigen files are all covered
     sim_a, sim_b = tmp_path / "s1", tmp_path / "s2"
     sim_argv = [
@@ -232,7 +220,7 @@ def test_reruns_are_byte_identical(workdir, tmp_path):
     ]
     assert main(sim_argv + ["--out", str(sim_a)]) == 0
     assert main(sim_argv + ["--out", str(sim_b)]) == 0
-    assert digest_tree(sim_a) == digest_tree(sim_b)
+    assert digest_tree(sim_a, SKIP) == digest_tree(sim_b, SKIP)
 
 
 def test_malformed_spec_exits_2_without_outputs(tmp_path, capsys):
@@ -440,8 +428,19 @@ def test_config_that_is_not_an_object_exits_2(workdir, tmp_path, capsys):
         ({"window": [5]}, "malformed pipeline config (not enough values to unpack"),
         ({"trace_start": "0", "trace_end": "9"}, "malformed pipeline config (must be real number"),
         ({"trace_end": float("inf")}, "malformed pipeline config (trace_start and trace_end must be finite)"),
+        ({"align_midnight": "false"}, "malformed pipeline config (align_midnight must be true or false, got 'false')"),
+        ({"include_offline": 1}, "malformed pipeline config (include_offline must be true or false, got 1)"),
+        ({"power_floor": -1}, "malformed pipeline config (power_floor must lie in [0, 1))"),
     ],
-    ids=["slot-seconds-not-int", "window-of-one", "bounds-not-numbers", "infinite-end"],
+    ids=[
+        "slot-seconds-not-int",
+        "window-of-one",
+        "bounds-not-numbers",
+        "infinite-end",
+        "align-midnight-string",
+        "include-offline-number",
+        "power-floor-negative",
+    ],
 )
 def test_malformed_config_field_exits_2_naming_the_config(workdir, tmp_path, capsys, payload, message):
     config = tmp_path / "config.json"
@@ -462,8 +461,22 @@ def test_malformed_config_field_exits_2_naming_the_config(workdir, tmp_path, cap
             {"split_fraction": "half", "schemes": [{"scheme": "flooding"}]},
             "malformed scenario (could not convert string to float: 'half')",
         ),
+        (
+            {"split_fraction": 2, "schemes": [{"scheme": "flooding"}]},
+            "malformed scenario (fraction must lie strictly between 0 and 1)",
+        ),
+        (
+            {"source_fraction": 0, "schemes": [{"scheme": "flooding"}]},
+            "malformed scenario (source_fraction must lie in (0, 1])",
+        ),
     ],
-    ids=["scheme-not-object", "rtx-p-not-number", "split-fraction-not-number"],
+    ids=[
+        "scheme-not-object",
+        "rtx-p-not-number",
+        "split-fraction-not-number",
+        "split-fraction-out-of-range",
+        "source-fraction-zero",
+    ],
 )
 def test_malformed_scenario_exits_2_naming_the_scenario(workdir, tmp_path, capsys, payload, message):
     scenario = tmp_path / "scenario.json"

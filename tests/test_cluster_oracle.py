@@ -101,6 +101,8 @@ def spanning_values():
 def test_pairwise_l1_has_cdist_bits(stack):
     got = pairwise_l1(stack)
     assert got.shape == (stack.shape[0], stack.shape[1], stack.shape[1])
+    assert np.array_equal(got, got.transpose(0, 2, 1))
+    assert not got[:, np.arange(stack.shape[1]), np.arange(stack.shape[1])].any()
     for b in range(stack.shape[0]):
         assert np.array_equal(got[b], cdist(stack[b], stack[b], "cityblock"))
 

@@ -19,7 +19,6 @@ from eigenbehavior.persist import (
     load_partition_csv,
     load_sims_csv,
     load_truth_csv,
-    write_cdf_csv,
     write_distance_matrix,
     write_eigen_sets,
     write_partition_csv,
@@ -165,15 +164,6 @@ def test_sims_csv_roundtrip(tmp_path):
     not_number.write_text("user,a\na,x\n")
     with pytest.raises(ValueError, match=r"not_number\.csv: similarity table holds a non-number"):
         load_sims_csv(str(not_number))
-
-
-def test_cdf_csv_is_a_proper_cdf(tmp_path):
-    path = tmp_path / "cdf.csv"
-    write_cdf_csv(str(path), np.array([0.1, 0.2, 0.4, 0.8]))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "distance,cdf"
-    cdf = [float(line.split(",")[1]) for line in lines[1:]]
-    assert cdf == [0.25, 0.5, 0.75, 1.0]
 
 
 def test_loaders_name_the_line_a_multiline_row_starts_on(tmp_path):

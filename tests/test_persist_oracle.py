@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -133,19 +132,3 @@ def test_write_distance_matrix_two_by_two(tmp_path):
     same_bytes(persist.write_distance_matrix, oracle.write_distance_matrix, dm)
     persist.write_distance_matrix(str(tmp_path / "d.csv"), dm)
     assert (tmp_path / "d.csv").read_text() == "i,j,distance\n0,1,0.333333333\n"
-
-
-@given(st.lists(FLOATS, max_size=40), st.sampled_from([1, 3, persist.CHUNK_ROWS]))
-@PROPERTY
-def test_write_cdf_csv_matches_oracle(samples, chunk_rows):
-    with mock.patch.object(persist, "CHUNK_ROWS", chunk_rows):
-        same_bytes(persist.write_cdf_csv, oracle.write_cdf_csv, np.array(samples, dtype=float))
-
-
-def test_write_cdf_csv_across_chunks_and_empty(tmp_path):
-    rng = np.random.default_rng(3)
-    for n in (0, persist.CHUNK_ROWS, 2 * persist.CHUNK_ROWS + 7):
-        samples = np.sort(rng.random(n))
-        same_bytes(persist.write_cdf_csv, oracle.write_cdf_csv, samples)
-    persist.write_cdf_csv(str(tmp_path / "empty.csv"), np.array([]))
-    assert (tmp_path / "empty.csv").read_text() == "distance,cdf\n"

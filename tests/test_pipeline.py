@@ -12,8 +12,9 @@ from eigenbehavior import (
     GroupSpec,
     SynthSpec,
     TraceConfig,
+    agglomerate,
     build_distance_matrix,
-    cluster_population,
+    distance_cdfs,
     eigen_sets_for,
     generate,
     jaccard,
@@ -68,8 +69,10 @@ def test_pipeline_recovers_planted_groups(planted, metric):
     assert jaccard(result.partition, partition_from_labels(truth)) == 1.0
     assert result.partition.n_clusters == 2
     assert len(result.profiles) == 2
-    assert result.intra_cdf.max() < result.inter_cdf.min()
-    assert result.distance_matrix.n == 12
+    dm = result.distance_matrix
+    intra, inter = distance_cdfs(result.partition, dm.values, labels=list(dm.ids))
+    assert intra.max() < inter.min()
+    assert dm.n == 12
     assert result.normalized_sims is not None and result.normalized_sims.shape == (12, 12)
 
 
@@ -91,13 +94,14 @@ def test_summary_table_reads_pipeline_eigen_sets(planted, monkeypatch):
     assert table == want
 
 
-def test_cluster_population_threshold_route(planted):
+def test_population_threshold_route(planted):
     records, truth, config = planted
     dm = run_pipeline(records, config, target_count=2).distance_matrix
-    partition = cluster_population(dm, threshold=0.5)
+    partition = agglomerate(dm.values, threshold=0.5, labels=list(dm.ids))
     assert jaccard(partition, partition_from_labels(truth)) == 1.0
+    assert run_pipeline(records, config, threshold=0.5).partition.assignment == partition.assignment
     with pytest.raises(ValueError, match="exactly one"):
-        cluster_population(dm)
+        run_pipeline(records, config)
 
 
 def test_eigen_pipeline_builds_sets_and_table_once(planted, monkeypatch):

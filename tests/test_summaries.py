@@ -67,7 +67,6 @@ def test_significance_scales_with_raw_vector_length():
     m = matrix_from_rows(basis_rows([0, 1], 2))
     y = np.array([2.0, 0.0])
     assert significance(m, y) == pytest.approx(1.0)
-    assert significance(m, y, normalize=True) == pytest.approx(0.5)
 
 
 def test_significance_validation():
