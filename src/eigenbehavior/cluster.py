@@ -18,6 +18,9 @@ from typing import Hashable, Sequence
 import numpy as np
 
 _MONOTONE_SLACK = 1e-12
+# validate_square and merge_histories' row rescans work in row blocks of
+# about this many cells.
+ROW_BLOCK_CELLS = 1 << 16
 
 
 @dataclass
@@ -84,8 +87,10 @@ def validate_square(dm: np.ndarray) -> np.ndarray:
     dm = np.asarray(dm, dtype=float)
     if dm.ndim != 2 or dm.shape[0] != dm.shape[1]:
         raise ValueError("distance matrix must be square")
-    if not np.allclose(dm, dm.T, atol=1e-9):
-        raise ValueError("distance matrix must be symmetric")
+    step = max(1, ROW_BLOCK_CELLS // max(len(dm), 1))
+    for lo in range(0, len(dm), step):
+        if not np.allclose(dm[lo : lo + step], dm[:, lo : lo + step].T, atol=1e-9):
+            raise ValueError("distance matrix must be symmetric")
     if not np.allclose(np.diag(dm), 0.0, atol=1e-9):
         raise ValueError("distance matrix must have a zero diagonal")
     return dm
@@ -136,8 +141,9 @@ def merge_histories(
     column are the row-major first argmin of the whole matrix, so merges
     follow the smallest-id tie rule in exactly the greedy global order.  After
     a merge of (i, j) into i, row i and every row cached on column i or j are
-    rescanned; any other row only compares its new column-i entry with its
-    cache, taking it when smaller, or when equal and i is the smaller column.
+    rescanned, ROW_BLOCK_CELLS cells at a time; any other row only compares
+    its new column-i entry with its cache, taking it when smaller, or when
+    equal and i is the smaller column.
     """
     if (threshold is None) == (target_count is None):
         raise ValueError("give exactly one of threshold or target_count")
@@ -160,6 +166,7 @@ def merge_histories(
     hist_d = np.zeros((n_trees, n))
     floor = 1 if target_count is None else target_count
     cols = np.arange(n)
+    rescan_rows = max(1, ROW_BLOCK_CELLS // n)
 
     live = np.flatnonzero(n_active > floor)
     while live.size:
@@ -206,11 +213,12 @@ def merge_histories(
         min_col[live] = np.where(better, i[:, None], cached)
         min_val[live, j] = np.inf
         tree, rows = np.nonzero(stale)
-        if tree.size:
-            rescan = work[live[tree], rows]
+        for lo in range(0, tree.size, rescan_rows):
+            at = live[tree[lo : lo + rescan_rows]], rows[lo : lo + rescan_rows]
+            rescan = work[at]
             best = rescan.argmin(axis=1)
-            min_col[live[tree], rows] = best
-            min_val[live[tree], rows] = rescan[np.arange(best.size), best]
+            min_col[at] = best
+            min_val[at] = rescan[np.arange(best.size), best]
         live = live[n_active[live] > floor]
 
     return [

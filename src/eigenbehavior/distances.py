@@ -29,11 +29,13 @@ from .summaries import (
     eigen_behaviors,
     onavg,
 )
-from .trace import AssociationMatrix
+from .trace import AssociationMatrix, budget_blocks
 
 METRIC_MAX = {"amvd": 2.0, "eigen": 1.0, "onavg_l1": 2.0, "centroid_l1": 2.0}
 
 SUMMARY_KINDS = ("onavg", "centroid@0.5", "centroid@0.9")
+# sim_matrix's block of absolute dot products holds about this many cells.
+SIM_BLOCK_CELLS = 1 << 18
 
 
 @dataclass
@@ -109,11 +111,13 @@ def _stacked(sets: list[EigenBehaviorSet]) -> tuple[np.ndarray, np.ndarray, np.n
     return basis, weights, starts
 
 
-def sim_matrix(sets: list[EigenBehaviorSet], chunk: int = 256) -> np.ndarray:
+def sim_matrix(sets: list[EigenBehaviorSet]) -> np.ndarray:
     """Raw similarity index for every ordered pair (diagonal included).
 
     sim(u, v) = sum over i, j of w_ui * w_vj * |u_i . v_j|, the weighted
-    absolute dot products of the two users' eigen-behavior vectors.
+    absolute dot products of the two users' eigen-behavior vectors.  The
+    products are taken for blocks of users whose vectors times all vectors
+    come to about SIM_BLOCK_CELLS.
     """
     if len(sets) < 2:
         raise ValueError("need at least two eigen-behavior sets")
@@ -121,13 +125,14 @@ def sim_matrix(sets: list[EigenBehaviorSet], chunk: int = 256) -> np.ndarray:
     weighted = basis * weights[:, None]
     n = len(sets)
     out = np.empty((n, n))
-    bounds = list(starts) + [basis.shape[0]]
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    bounds = np.append(starts, len(weighted))
+    per_block = max(1, SIM_BLOCK_CELLS // len(weighted))
+    for lo, hi in budget_blocks(np.diff(bounds), per_block):
         block = weighted[bounds[lo] : bounds[hi]] @ weighted.T
         np.abs(block, out=block)
         partial = np.add.reduceat(block, starts, axis=1)
-        out[lo:hi] = np.add.reduceat(partial, np.array(bounds[lo:hi]) - bounds[lo], axis=0)
+        np.add.reduceat(partial, bounds[lo:hi] - bounds[lo], axis=0, out=out[lo:hi])
+        del block, partial  # freed before the next block is made
     return out
 
 
@@ -135,21 +140,25 @@ def normalize_sims(raw: np.ndarray) -> np.ndarray:
     """Scale each user's row by its largest similarity to any other user.
 
     Off-diagonal entries land in [0, 1]; the diagonal is set to 1.  Rows with
-    no positive similarity to anyone are left at zero with a warning.
+    no positive similarity to anyone are left at zero with a warning.  raw is
+    not changed.
     """
-    raw = np.asarray(raw, dtype=float)
-    n = raw.shape[0]
-    if raw.ndim != 2 or raw.shape != (n, n) or n < 2:
+    out = np.array(raw, dtype=float)
+    n = out.shape[0]
+    if out.ndim != 2 or out.shape != (n, n) or n < 2:
         raise ValueError("raw similarities must be square, at least 2 x 2")
-    off = raw.copy()
-    np.fill_diagonal(off, -np.inf)
-    row_max = off.max(axis=1)
-    out = np.zeros_like(raw)
+    return _normalize_in_place(out)
+
+
+def _normalize_in_place(out: np.ndarray) -> np.ndarray:
+    """normalize_sims, overwriting its square float argument."""
+    np.fill_diagonal(out, -np.inf)
+    row_max = out.max(axis=1)
     dead = row_max <= 0
     if np.any(dead):
         warnings.warn(f"normalize_sims: rows with no positive similarity: {np.flatnonzero(dead).tolist()}")
-    live = ~dead
-    out[live] = raw[live] / row_max[live, None]
+    np.divide(out, row_max[:, None], out=out, where=~dead[:, None])
+    out[dead] = 0.0
     np.fill_diagonal(out, 1.0)
     return out
 
@@ -157,8 +166,7 @@ def normalize_sims(raw: np.ndarray) -> np.ndarray:
 def normalized_sim_table(eigen_sets: dict[str, EigenBehaviorSet]) -> tuple[np.ndarray, tuple[str, ...]]:
     """Population-normalized similarity table and its user-id order."""
     ids = tuple(sorted(eigen_sets))
-    raw = sim_matrix([eigen_sets[u] for u in ids])
-    return normalize_sims(raw), ids
+    return _normalize_in_place(sim_matrix([eigen_sets[u] for u in ids])), ids
 
 
 def eigen_distance_from_sims(
@@ -169,18 +177,24 @@ def eigen_distance_from_sims(
     """Eigen-behavior distance 1 - (S + S^T) / 2 from the table over sim_ids.
 
     Users mapped to None in eigen_sets (no online time) are flagged and sit at
-    the metric maximum from everyone.
+    the metric maximum from everyone.  The distances are computed in place in
+    one array, which is the result when sim_ids covers every user.
     """
     ids = tuple(sorted(eigen_sets))
     flagged = tuple(u for u in ids if eigen_sets[u] is None)
-    live_d = 1.0 - (normalized + normalized.T) / 2.0
+    live_d = normalized + normalized.T
+    live_d /= 2.0
+    np.subtract(1.0, live_d, out=live_d)
     np.fill_diagonal(live_d, 0.0)
-    live_d = np.clip(live_d, 0.0, 1.0)
-    values = np.full((len(ids), len(ids)), METRIC_MAX["eigen"])
-    np.fill_diagonal(values, 0.0)
-    pos_of = {u: i for i, u in enumerate(ids)}
-    live_pos = [pos_of[u] for u in sim_ids]
-    values[np.ix_(live_pos, live_pos)] = live_d
+    np.clip(live_d, 0.0, 1.0, out=live_d)
+    if tuple(sim_ids) == ids:
+        values = live_d
+    else:
+        values = np.full((len(ids), len(ids)), METRIC_MAX["eigen"])
+        np.fill_diagonal(values, 0.0)
+        pos_of = {u: i for i, u in enumerate(ids)}
+        live_pos = [pos_of[u] for u in sim_ids]
+        values[np.ix_(live_pos, live_pos)] = live_d
     floor = eigen_sets[sim_ids[0]].power_floor
     return DistanceMatrix(values, "eigen", ids, flagged, {"power_floor": floor})
 

@@ -3,12 +3,14 @@
 All floats are written with 9 significant digits and all JSON with sorted
 keys, so identical inputs and seeds reproduce byte-identical files.
 
-The array writers (matrices, eigen sets, similarity table and distance
-matrix) format a whole row, or a chunk of at most ``CHUNK_ROWS`` rows, with
-one ``%.9g`` template applied to ``ndarray.tolist()`` and write it with one
-call; ``"%.9g" % x`` is byte-identical to ``format(x, ".9g")``.  The trace
-writer does the same with one ``%s,%s,%d,%d`` template.  Ids are quoted once
-each through ``csv.writer``, as QUOTE_MINIMAL requires.
+The array writers (matrices, similarity table and distance matrix) format a
+user's whole matrix, or one row of an n x n table, with one ``%.9g`` template
+applied to ``ndarray.tolist()`` and write it with one call; the eigen sets
+are rounded through the same template before ``json.dumps``.  ``"%.9g" % x``
+is byte-identical to ``format(x, ".9g")``.  Only the trace writer works in
+chunks: at most ``CHUNK_ROWS`` records at a time, with one ``%s,%s,%d,%d``
+template.  Ids are quoted once each through ``csv.writer``, as QUOTE_MINIMAL
+requires.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import takewhile
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,8 +23,9 @@ from .trace import AssociationMatrix
 DEFAULT_POWER_FLOOR = 0.001  # keep eigen-behaviors carrying >= 0.1% of total power
 MODE_THRESHOLDS = (0.5, 0.9)
 # Mode trees grown in one engine call hold at most this many distance cells
-# (trees x rows^2): all of a daily-slot population, a few hourly-slot users.
-MODE_TREE_CELLS = 1 << 20
+# (trees x rows^2): about 160 users of 28 daily slots, so each of the call's
+# (trees, rows, rows) arrays takes 1 MB.
+MODE_TREE_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -86,26 +87,30 @@ def onavg(matrix: AssociationMatrix) -> np.ndarray:
     return matrix.rows.sum(axis=0) / denom
 
 
-def _mode_trees(online_rows: list[np.ndarray], threshold: float) -> list[list[tuple]]:
+def _mode_trees(
+    matrices: Sequence[AssociationMatrix], online: list[np.ndarray], threshold: float
+) -> list[list[tuple]]:
     """Merge histories, up to threshold, of the average-linkage trees of each
-    user's online rows under Manhattan distance.
+    matrix's online rows (the row indices in ``online``) under Manhattan
+    distance.
 
     The trees are grown together by one engine call per chunk of users; a
-    chunk holds at most MODE_TREE_CELLS distance cells, padding included.
+    chunk holds at most MODE_TREE_CELLS distance cells, padding included, and
+    its rows are copied into the engine's stack only for that call.
     """
-    histories: list[list[tuple]] = [[] for _ in online_rows]
-    grown = [b for b, rows in enumerate(online_rows) if rows.shape[0]]
+    histories: list[list[tuple]] = [[] for _ in matrices]
+    grown = [b for b, rows in enumerate(online) if rows.size]
     if not grown:
         return histories
-    per_call = max(1, MODE_TREE_CELLS // max(online_rows[b].shape[0] for b in grown) ** 2)
+    per_call = max(1, MODE_TREE_CELLS // max(online[b].size for b in grown) ** 2)
     for first in range(0, len(grown), per_call):
         ids = grown[first : first + per_call]
-        width = max(online_rows[b].shape[0] for b in ids)
-        stack = np.zeros((len(ids), width, max(online_rows[b].shape[1] for b in ids)))
+        width = max(online[b].size for b in ids)
+        stack = np.zeros((len(ids), width, max(matrices[b].n_locations for b in ids)))
         taking_part = np.zeros((len(ids), width), dtype=bool)
         for k, b in enumerate(ids):
-            n_rows, n_cols = online_rows[b].shape
-            stack[k, :n_rows, :n_cols] = online_rows[b]
+            n_rows, n_cols = online[b].size, matrices[b].n_locations
+            stack[k, :n_rows, :n_cols] = matrices[b].rows[online[b]]
             taking_part[k, :n_rows] = True
         trees = merge_histories(pairwise_l1(stack), taking_part, threshold=threshold)
         for b, history in zip(ids, trees):
@@ -115,43 +120,39 @@ def _mode_trees(online_rows: list[np.ndarray], threshold: float) -> list[list[tu
 
 def _mode_tables(
     matrices: Sequence[AssociationMatrix], thresholds: tuple[float, ...]
-) -> list[list[ModeClustering]]:
+) -> Iterator[list[ModeClustering]]:
     """Each matrix's modes at each threshold, cut from one tree of its online rows.
 
     The trees are grown once, up to the largest threshold; the modes at a
     threshold are what the prefix of a merge history before the first merge
     above that threshold leaves, which is exactly what clustering with that
-    threshold would give.
+    threshold would give.  The tables are made one matrix at a time, as the
+    caller takes them.
     """
     if any(thr < 0 for thr in thresholds):
         raise ValueError("threshold must be nonnegative")
     masks = [_online_mask(m) for m in matrices]
-    online_rows = [m.rows[mask] for m, mask in zip(matrices, masks)]
+    online = [np.flatnonzero(mask) for mask in masks]
     histories = (
-        _mode_trees(online_rows, max(thresholds)) if thresholds else [[] for _ in matrices]
+        _mode_trees(matrices, online, max(thresholds)) if thresholds else [[] for _ in matrices]
     )
-    tables = []
-    for mask, rows, history in zip(masks, online_rows, histories):
-        online = np.flatnonzero(mask)
+    for matrix, mask, idx, history in zip(matrices, masks, online, histories):
         offline = [int(i) for i in np.flatnonzero(~mask)]
-        labels = [int(i) for i in online]
+        labels = idx.tolist()
         table = []
         for thr in thresholds:
             prefix = list(takewhile(lambda merge: merge[2] <= thr, history))
             clusters = partition_from_merges(prefix, labels).clusters()
-            centroids = [
-                rows[np.searchsorted(online, members)].mean(axis=0) for members in clusters
-            ]
+            centroids = [matrix.rows[members].mean(axis=0) for members in clusters]
             table.append(ModeClustering(clusters, centroids, offline, thr))
-        tables.append(table)
-    return tables
+        yield table
 
 
 def _mode_clusterings(
     matrix: AssociationMatrix, thresholds: tuple[float, ...]
 ) -> list[ModeClustering]:
     """One matrix's modes at each threshold; see _mode_tables."""
-    return _mode_tables([matrix], thresholds)[0]
+    return next(_mode_tables([matrix], thresholds))
 
 
 def behavioral_modes(matrix: AssociationMatrix, threshold: float) -> ModeClustering:

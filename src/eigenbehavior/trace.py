@@ -21,6 +21,9 @@ import numpy as np
 DAY_SECONDS = 86_400
 
 NORMALIZATIONS = ("normalized", "absolute")
+# build_matrices sweeps users in blocks of about this many records, so its
+# per-piece scratch arrays stay a few MB whatever the trace length.
+BLOCK_RECORDS = 1 << 13
 
 T = TypeVar("T")
 
@@ -391,6 +394,17 @@ def merge_intervals(
     return group[heads], start[heads], reach[tails] - base[heads]
 
 
+def budget_blocks(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Consecutive item ranges [lo, hi) covering every item, cut after the
+    first item whose running total of ``sizes`` reaches each multiple of
+    ``budget``: a range holds less than ``budget`` plus its last item's size."""
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if len(ends) else 0
+    cuts = np.unique(np.searchsorted(ends, np.arange(budget, total, budget)) + 1)
+    edges = [0, *cuts[cuts < len(sizes)].tolist(), len(sizes)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def build_matrices(
     records: Records | Iterable[AssociationRecord],
     config: TraceConfig,
@@ -405,16 +419,14 @@ def build_matrices(
     online seconds so it sums to 1; absolute mode keeps raw (overlap-split)
     seconds.  The default index is every location in the records, sorted.
 
-    One vectorized sweep covers every (user, slot) cell: ``merge_intervals``
-    unions the pieces per (cell, location), and every span between two
-    consecutive distinct bounds of a cell is split over the locations that
-    cover it.  ``np.add.at`` adds the shares into one (users, slots,
-    locations) array in position order within each cell and location, so the
-    float sums are those of a per-slot sweep that adds span by span.
+    Cells are independent per user, so the users are swept in blocks of
+    consecutive codes holding about ``BLOCK_RECORDS`` records each (see
+    ``_sweep_block``), which bounds the per-piece scratch arrays.
     """
     records = as_records(records)
     if location_index is None:
-        index, col = records.locations, records.loc
+        index = records.locations
+        remap = np.arange(len(index))
     else:
         index = tuple(location_index)
         pos = {loc: i for i, loc in enumerate(index)}
@@ -423,14 +435,52 @@ def build_matrices(
         missing = _first_unmapped(records, pos)
         if missing is not None:
             raise ValueError(f"location {missing!r} not in location_index")
-        col = np.array([pos[loc] for loc in records.locations], dtype=np.intp)[records.loc]
+        remap = np.array([pos[loc] for loc in records.locations], dtype=np.intp)
 
-    t, n = config.n_slots, len(index)
+    rows = np.zeros((len(records.users), config.n_slots, len(index)))
+    per_user = np.bincount(records.user, minlength=len(records.users))
+    order = np.argsort(records.user, kind="stable")
+    offset = np.concatenate(([0], np.cumsum(per_user)))
+    for u0, u1 in budget_blocks(per_user, BLOCK_RECORDS):
+        take = order[offset[u0] : offset[u1]]
+        _sweep_block(
+            records.user[take] - u0,
+            remap[records.loc[take]],
+            records.start[take],
+            records.end[take],
+            config,
+            rows[u0:u1],
+        )
+    if config.normalization == "normalized":
+        totals = rows.sum(axis=2, keepdims=True)
+        np.divide(rows, totals, out=rows, where=totals > 0)
+    return {u: AssociationMatrix(u, rows[i], index) for i, u in enumerate(records.users)}
+
+
+def _sweep_block(
+    user: np.ndarray,
+    col: np.ndarray,
+    s: np.ndarray,
+    e: np.ndarray,
+    config: TraceConfig,
+    rows: np.ndarray,
+) -> None:
+    """Add the seconds of the records (user, col, s, e) into ``rows``, a
+    (users, slots, locations) array indexed by ``user``.
+
+    One vectorized sweep covers every (user, slot) cell: ``merge_intervals``
+    unions the pieces per (cell, location), and every span between two
+    consecutive distinct bounds of a cell is split over the locations that
+    cover it.  ``np.add.at`` adds the shares in position order within each
+    cell and location, so the float sums are those of a per-slot sweep that
+    adds span by span, whatever other cells the block holds.
+    """
+    _, t, n = rows.shape
     origin, slot_sec = float(config.slot_origin), config.slot_seconds
-    s = np.maximum(records.start, config.trace_start)
-    e = np.minimum(records.end, config.trace_end)
+    s = np.maximum(s, config.trace_start)
+    e = np.minimum(e, config.trace_end)
     keep = e > s
-    user, col, s, e = records.user[keep], col[keep], s[keep], e[keep]
+    user, col, s, e = user[keep], col[keep], s[keep], e[keep]
     if config.window is not None:
         user, col, s, e = _window_pieces(user, col, s, e, config.window)
     first = np.floor_divide(s - origin, slot_sec)
@@ -467,12 +517,7 @@ def build_matrices(
     # closing one.  In (cell, location, start) order, np.add.at credits each
     # cell and location span by span in position order, as the sweep does.
     item, k = _runs(closed - opened)
-    rows = np.zeros((len(records.users), t, n))
     np.add.at(rows.reshape(-1), flat[item], share[opened[item] + k])
-    if config.normalization == "normalized":
-        totals = rows.sum(axis=2, keepdims=True)
-        np.divide(rows, totals, out=rows, where=totals > 0)
-    return {u: AssociationMatrix(u, rows[i], index) for i, u in enumerate(records.users)}
 
 
 def build_matrix(

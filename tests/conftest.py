@@ -133,3 +133,19 @@ def sim_trace_spec() -> SynthSpec:
     )
     return SynthSpec(n_locations=n, n_days=60, groups=groups, seed=77001, noise_epsilon=0.05)
 
+
+OVERLAP_SHARES = (0.3, 0.45, 0.6, 0.75, 0.9)
+
+
+def sim_overlap_spec() -> SynthSpec:
+    """102 users, 20 days, 5 groups whose one mode splits its time between the
+    group's own building and one shared building, in the shares of
+    OVERLAP_SHARES; two groups' symmetrized similarity grows with both shares,
+    so the similarity scheme's thresholds fall between group pairs."""
+    n = 10
+    shared = 9
+    groups = tuple(
+        GroupSpec(size, (_mode(n, [(g, 1.0 - w), (shared, w)]),), (1.0,), p_online=0.7)
+        for g, (size, w) in enumerate(zip((30, 25, 20, 15, 12), OVERLAP_SHARES))
+    )
+    return SynthSpec(n_locations=n, n_days=20, groups=groups, seed=1, noise_epsilon=0.05)

@@ -17,7 +17,14 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from conftest import digest_tree, matrix_from_rows, planted_five_spec, sim_trace_spec
+from conftest import (
+    OVERLAP_SHARES,
+    digest_tree,
+    matrix_from_rows,
+    planted_five_spec,
+    sim_overlap_spec,
+    sim_trace_spec,
+)
 from eigenbehavior import (
     DAY_SECONDS,
     EigenBehaviorSet,
@@ -406,6 +413,49 @@ def test_dissemination_scheme_orderings(capsys):
         f"similarity overhead {overheads} non-increasing; similarity@0.3 delivers "
         f"{delivery_ratio:.0%} of flooding at {overhead_ratio:.0%} overhead "
         f"(need >= 80% at <= 60%); custody within budget; {took:.0f}s < 120s",
+    )
+
+
+def test_similarity_thresholds_change_overhead_on_overlapping_modes(capsys):
+    """On a trace whose groups overlap in a shared building, the similarity
+    scheme's overhead strictly falls over thresholds 0.3/0.5/0.7/0.9, while
+    still reaching every receiver flooding reaches.  The fixture above has
+    one overhead at every threshold, so only this one shows the threshold
+    acts."""
+    spec = sim_overlap_spec()
+    records, _ = generate(spec)
+    first, second, split_time = split_trace(records, 0.5, span=spec.trace_span)
+    result = run_pipeline(
+        first, TraceConfig(0.0, split_time), metric="eigen", target_count=len(OVERLAP_SHARES)
+    )
+    messages = build_messages(result.partition, creation_time=split_time)
+    encounters = extract_encounters(second)
+    flooding = simulate(messages, encounters, SimConfig("flooding")).aggregate
+    thresholds = (0.3, 0.5, 0.7, 0.9)
+    outcomes = [
+        simulate(
+            messages,
+            encounters,
+            SimConfig("similarity", sim_threshold=threshold),
+            sim_table=result.normalized_sims,
+            sim_ids=result.sim_ids,
+        ).aggregate
+        for threshold in thresholds
+    ]
+    overheads = [outcome.overhead for outcome in outcomes]
+    assert all(a > b for a, b in zip(overheads, overheads[1:])), (
+        f"similarity overhead not strictly decreasing: {overheads}"
+    )
+    for threshold, outcome in zip(thresholds, outcomes):
+        assert outcome.delivery_ratio >= flooding.delivery_ratio - 1e-9, (
+            f"similarity@{threshold} delivers {outcome.delivery_ratio:.4f} < flooding "
+            f"{flooding.delivery_ratio:.4f}"
+        )
+    _report(
+        capsys,
+        f"PASS 8/9 on overlapping modes ({len(messages)} messages / {len(encounters)} "
+        f"encounters) similarity overhead {overheads} strictly falls over thresholds "
+        f"{list(thresholds)} at flooding's delivery",
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from eigenbehavior import Partition, agglomerate, distance_cdfs
+from eigenbehavior import Partition, agglomerate, cluster, distance_cdfs
 
 
 def naive_average_linkage(dm, threshold=None, target_count=None):
@@ -113,10 +113,26 @@ def test_validation_errors():
         agglomerate(dm, threshold=1.0, labels=["a"])
 
 
+def test_symmetry_is_checked_in_every_row_block(monkeypatch):
+    monkeypatch.setattr(cluster, "ROW_BLOCK_CELLS", 24)  # blocks of 3 rows, the last of 2
+    dm = random_dm(np.random.default_rng(5), 8)
+    assert cluster.validate_square(dm) is dm
+    for i, j in zip(*np.nonzero(~np.eye(8, dtype=bool))):
+        nudged = dm.copy()
+        nudged[i, j] += 1e-12  # within tolerance
+        cluster.validate_square(nudged)
+        nudged[i, j] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            cluster.validate_square(nudged)
+
+
 # ----------------------------------------------------------------- oracle ---
 
 
-def test_matches_naive_oracle_target_count():
+def test_matches_naive_oracle_target_count(monkeypatch):
+    # blocks of 64 cells, 1 to 21 rows: validation and row rescans take
+    # several blocks
+    monkeypatch.setattr(cluster, "ROW_BLOCK_CELLS", 64)
     rng = np.random.default_rng(101)
     for _ in range(30):
         n = int(rng.integers(3, 41))

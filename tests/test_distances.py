@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from eigenbehavior import distances
 from eigenbehavior import (
     DistanceMatrix,
     EigenBehaviorSet,
@@ -139,14 +140,16 @@ def test_sim_frozen_values():
         sim(e1, unit_set([1.0, 0.0, 0.0], weights=[1.0]))
 
 
-def test_sim_matrix_matches_pairwise_loop():
+def test_sim_matrix_matches_pairwise_loop(monkeypatch):
     rng = np.random.default_rng(71)
     sets = []
     for _ in range(30):
         rows = rng.uniform(0, 1, size=(10, 6))
         rows /= rows.sum(axis=1, keepdims=True)
         sets.append(eigen_behaviors(matrix_from_rows(rows), power_floor=0.0))
-    got = sim_matrix(sets, chunk=7)  # chunk < n exercises the block path
+    # blocks of 40 vectors, about 7 users: n = 30 takes the multi-block path
+    monkeypatch.setattr(distances, "SIM_BLOCK_CELLS", 40 * sum(s.k for s in sets))
+    got = sim_matrix(sets)
     want = np.array([[sim(u, v) for v in sets] for u in sets])
     np.testing.assert_allclose(got, want, atol=1e-12)
     with pytest.raises(ValueError, match="at least two"):
@@ -163,6 +166,15 @@ def test_normalize_sims_frozen_table():
     off = out.copy()
     np.fill_diagonal(off, -np.inf)
     assert np.all(off.max(axis=1) == 1.0)
+
+
+def test_normalize_sims_leaves_its_argument_unchanged():
+    raw = np.array([[5.0, 2.0, 1.0], [2.0, 3.0, 0.5], [0.0, 0.0, 2.0]])
+    kept = raw.copy()
+    with pytest.warns(UserWarning, match="no positive similarity"):
+        out = normalize_sims(raw)
+    assert out is not raw
+    np.testing.assert_array_equal(raw, kept)
 
 
 def test_normalize_sims_dead_row_warns():

@@ -1,0 +1,151 @@
+"""Peak memory of the per-record and n x n stages, measured with tracemalloc.
+
+Each stage may hold its output plus at most one n x n scratch array or one
+block of the size its module's cell budget sets; nothing else may grow with
+the record count or with n squared.  The inputs are built before tracing
+starts, so a peak counts only what the stage allocates.  numpy reports its
+array buffers to tracemalloc, so the figures are array bytes.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+
+from eigenbehavior import (
+    EigenBehaviorSet,
+    Records,
+    TraceConfig,
+    agglomerate,
+    build_matrices,
+    cluster,
+    distances,
+    eigen_distance_from_sims,
+    eigen_sets_for,
+    normalized_sim_table,
+    summaries,
+    summary_table,
+    trace,
+)
+from eigenbehavior.trace import DAY_SECONDS
+
+MB = 1 << 20
+# Small arrays and Python objects a stage makes besides its big arrays.
+SLACK = MB // 4
+
+
+def peak_above_inputs(fn, *args, **kwargs):
+    """fn's result and the peak traced bytes above those allocated when it started."""
+    running = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not running:
+            tracemalloc.stop()
+    return result, peak
+
+
+def assert_within(peak: int, bound: int) -> None:
+    assert peak <= bound, f"peak {peak / MB:.2f} MB above inputs > bound {bound / MB:.2f} MB"
+
+
+def random_records(n_users: int, n_days: int, per_day: int, seed: int) -> Records:
+    """per_day stays a day for each user over 20 locations; a third of the
+    stays overlap the next one, so merge_intervals has unions to build."""
+    rng = np.random.default_rng(seed)
+    n = n_users * n_days * per_day
+    user = np.repeat(np.arange(n_users), n_days * per_day)
+    day = np.tile(np.repeat(np.arange(n_days), per_day), n_users)
+    slot = np.tile(np.arange(per_day), n_users * n_days)
+    start = day * DAY_SECONDS + slot * (DAY_SECONDS // per_day) + rng.integers(0, 600, n)
+    length = DAY_SECONDS // per_day * rng.choice([1, 1, 2], n) - rng.integers(0, 600, n)
+    loc = rng.integers(0, 20, n)
+    loc[:20] = np.arange(20)
+    users = tuple(f"u{i:04d}" for i in range(n_users))
+    locations = tuple(f"L{i:02d}" for i in range(20))
+    order = rng.permutation(n)  # records come in no particular user order
+    return Records(
+        users, locations, user[order], loc[order], start[order], (start + length)[order]
+    )
+
+
+def random_sets(n_users: int, k: int, seed: int) -> dict[str, EigenBehaviorSet]:
+    rng = np.random.default_rng(seed)
+    sets = {}
+    for i in range(n_users):
+        vectors = np.linalg.qr(rng.normal(size=(20, k)))[0].T
+        weights = np.sort(rng.dirichlet(np.ones(k)))[::-1]
+        sets[f"u{i:04d}"] = EigenBehaviorSet(vectors, weights, 0.0)
+    return sets
+
+
+def test_build_matrices_holds_output_and_one_block():
+    records = random_records(200, 28, 8, seed=3)
+    config = TraceConfig(0.0, 28 * DAY_SECONDS)
+    matrices, peak = peak_above_inputs(build_matrices, records, config)
+    output = len(matrices) * 28 * 20 * 8
+    # The sweep keeps fewer than 40 float or index arrays of one block's
+    # pieces alive at once; a record makes one or two pieces here.
+    block = trace.BLOCK_RECORDS * 2 * 40 * 8
+    order = len(records) * 8  # the records' user order, one index each
+    assert_within(peak, output + order + block + SLACK)
+
+
+def test_normalized_sim_table_holds_output_and_one_block():
+    n, k = 600, 4
+    sets = random_sets(n, k, seed=5)
+    (table, ids), peak = peak_above_inputs(normalized_sim_table, sets)
+    output = n * n * 8
+    stacked = 3 * n * k * 20 * 8  # the stacked and weighted basis vectors
+    block = 2 * distances.SIM_BLOCK_CELLS * 8  # products, and their per-user sums
+    assert_within(peak, output + stacked + block + SLACK)
+
+
+def test_eigen_distance_holds_output_and_validation_block():
+    n = 600
+    sets = random_sets(n, 2, seed=7)
+    table, ids = normalized_sim_table(sets)
+    dm, peak = peak_above_inputs(eigen_distance_from_sims, table, ids, sets)
+    output = n * n * 8
+    validate = 4 * cluster.ROW_BLOCK_CELLS * 8  # allclose's temporaries for one row block
+    assert_within(peak, output + validate + SLACK)
+
+
+def test_eigen_distance_with_flagged_users_holds_one_more_square():
+    n = 600
+    sets = random_sets(n, 2, seed=7)
+    table, ids = normalized_sim_table(sets)
+    with_flagged = {**sets, "zz-offline": None}
+    dm, peak = peak_above_inputs(eigen_distance_from_sims, table, ids, with_flagged)
+    assert dm.flagged_ids == ("zz-offline",)
+    output = (n + 1) ** 2 * 8
+    validate = 4 * cluster.ROW_BLOCK_CELLS * 8
+    assert_within(peak, output + n * n * 8 + validate + SLACK)
+
+
+def test_agglomerate_holds_one_square():
+    n = 1000
+    rng = np.random.default_rng(11)
+    dm = rng.random((n, n))
+    dm += dm.T
+    np.fill_diagonal(dm, 0.0)
+    partition, peak = peak_above_inputs(agglomerate, dm, target_count=10)
+    assert partition.n_clusters == 10
+    block = 4 * cluster.ROW_BLOCK_CELLS * 8  # validation, or one row rescan
+    assert_within(peak, n * n * 8 + block + SLACK)
+
+
+def test_summary_table_holds_one_block_of_mode_trees():
+    records = random_records(600, 28, 4, seed=13)
+    matrices = build_matrices(records, TraceConfig(0.0, 28 * DAY_SECONDS))
+    sets = eigen_sets_for(matrices)
+    scores, peak = peak_above_inputs(summary_table, matrices, sets)
+    assert set(scores) == {"onavg", "centroid@0.5", "centroid@0.9", "svd"}
+    trees = 3 * summaries.MODE_TREE_CELLS * 8  # rows, distances, engine copy
+    histories = len(matrices) * 27 * 150  # up to 27 merges a user, ~150 bytes each
+    assert_within(peak, trees + histories + SLACK)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trace_oracle as oracle
+from eigenbehavior import trace
 from eigenbehavior import (
     DAY_SECONDS,
     AssociationRecord,
@@ -188,21 +189,26 @@ def ap_style_rows(seed):
     return [rows[i] for i in rng.permutation(len(rows))]
 
 
-def test_build_matrices_equals_oracle_on_an_ap_style_trace():
+def test_build_matrices_equals_oracle_on_an_ap_style_trace(monkeypatch):
     """Hourly slots and a daily window over tens of users with overlapping
-    stays: many cells, each sweeping stays that overlap or abut."""
+    stays: many cells, each sweeping stays that overlap or abut.  The users
+    are swept in one block, then in blocks of about 100 records (a few users
+    each), which must not change a bit."""
     rows = ap_style_rows(seed=11)
     by_user = oracle.records_by_user(sorted(rows, key=lambda r: (r.user_id, r.start)))
     overlapping = sum(
         b.start < a.end for recs in by_user.values() for a, b in zip(recs, recs[1:])
     )
     assert len(by_user) == 30 and overlapping > len(rows) // 5
-    for normalization in ("normalized", "absolute"):
-        config = TraceConfig(
-            0, 7 * DAY_SECONDS, slot_seconds=3600, window=(7 * 3600, 21 * 3600),
-            normalization=normalization,
-        )
-        assert_matches_oracle(rows, config)
+    assert len(rows) <= trace.BLOCK_RECORDS
+    for block_records in (trace.BLOCK_RECORDS, 100):
+        monkeypatch.setattr(trace, "BLOCK_RECORDS", block_records)
+        for normalization in ("normalized", "absolute"):
+            config = TraceConfig(
+                0, 7 * DAY_SECONDS, slot_seconds=3600, window=(7 * 3600, 21 * 3600),
+                normalization=normalization,
+            )
+            assert_matches_oracle(rows, config)
 
 
 BOUNDS = st.integers(0, 24).map(lambda k: k / 4 - 1.5)
