@@ -142,9 +142,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         **options,
     )
     table = summary_table(result.matrices, result.eigen_sets)
+    location_index = result.matrices[min(result.matrices)].location_index
     os.makedirs(args.out, exist_ok=True)
     persist.write_matrices(os.path.join(args.out, "matrices"), result.matrices, config)
-    persist.write_eigen_sets(os.path.join(args.out, "eigen"), result.eigen_sets)
+    persist.write_eigen_sets(os.path.join(args.out, "eigen.csv"), result.eigen_sets, location_index)
     if result.normalized_sims is not None:
         persist.write_sims_csv(
             os.path.join(args.out, "sims.csv"), result.normalized_sims, result.sim_ids
@@ -164,7 +165,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     persist.write_report_json(
         os.path.join(args.out, "report.json"),
         result.profiles,
-        result.matrices[next(iter(sorted(result.matrices)))].location_index,
+        location_index,
         slope,
         share,
     )

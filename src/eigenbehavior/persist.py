@@ -3,14 +3,15 @@
 All floats are written with 9 significant digits and all JSON with sorted
 keys, so identical inputs and seeds reproduce byte-identical files.
 
-The array writers (matrices, similarity table and distance matrix) format a
-user's whole matrix, or one row of an n x n table, with one ``%.9g`` template
-applied to ``ndarray.tolist()`` and write it with one call; the eigen sets
-are rounded through the same template before ``json.dumps``.  ``"%.9g" % x``
-is byte-identical to ``format(x, ".9g")``.  Only the trace writer works in
-chunks: at most ``CHUNK_ROWS`` records at a time, with one ``%s,%s,%d,%d``
-template.  Ids are quoted once each through ``csv.writer``, as QUOTE_MINIMAL
-requires.
+Every per-user array (``matrices/rows.csv``, ``eigen.csv`` and ``sims.csv``)
+is one labelled CSV: a header of ``user`` and the column names, then one line
+per array row, led by its user's cell.  No file is named after a user.  One
+writer formats a user's whole block with one ``%.9g`` template applied to
+``ndarray.tolist()``, and one reader, on ``trace.read_csv``, parses them
+back; ``"%.9g" % x`` is byte-identical to ``format(x, ".9g")``.  The distance
+matrix is written a row at a time the same way, and the trace writer in
+chunks of at most ``CHUNK_ROWS`` records, with one ``%s,%s,%d,%d`` template.
+Ids are quoted once each through ``csv.writer``, as QUOTE_MINIMAL requires.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import json
 import os
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
-from urllib.parse import quote
 
 import numpy as np
 
@@ -45,26 +45,13 @@ from .trace import (
 
 
 CHUNK_ROWS = 4096
+EIGEN_LEAD = ("user", "power_floor", "weight")  # eigen.csv's columns before the location ids
+RESULT_HEADER = ["scheme", "param", "delivery_ratio", "mean_delay_s", "overhead"]
 TOP_LOCATIONS = 5  # leading locations of each cluster's first eigen-behavior in report.json
 
 
 def fmt(x: float) -> str:
     return format(float(x), ".9g")
-
-
-def _row_template(n_cells: int) -> str:
-    """One CSV line of n_cells 9-significant-digit cells."""
-    return ",".join(["%.9g"] * n_cells) + "\n"
-
-
-def _rounded(values: np.ndarray) -> list:
-    """float(fmt(x)) for every entry, as nested lists in the shape of values."""
-    values = np.asarray(values, dtype=float)
-    flat = values.ravel().tolist()
-    if not flat:
-        return values.tolist()
-    text = ",".join(["%.9g"] * len(flat)) % tuple(flat)
-    return np.reshape(list(map(float, text.split(","))), values.shape).tolist()
 
 
 def _csv_cells(values: Sequence[str]) -> list[str]:
@@ -80,8 +67,47 @@ def _csv_cells(values: Sequence[str]) -> list[str]:
     return cells
 
 
-def _safe_name(user: str) -> str:
-    return quote(user, safe="")
+def _write_labelled_rows(
+    path: str, header: Sequence[str], users: Sequence[str], blocks: Iterable[np.ndarray]
+) -> None:
+    """A CSV file of ``header`` and then, for each user, the rows of its block
+    of numbers, each led by the user's cell.  One block is formatted at a
+    time, with the cell (its ``%`` escaped) embedded in the row template."""
+    row = ",".join(["%.9g"] * (len(header) - 1)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_csv_cells(header)) + "\n")
+        for cell, block in zip(_csv_cells(users), blocks):
+            block = np.asarray(block, dtype=float)
+            template = (cell.replace("%", "%%") + "," + row) * len(block)
+            fh.write(template % tuple(block.ravel().tolist()))
+
+
+def _read_labelled_rows(
+    path: str, lead: Sequence[str], what: str
+) -> tuple[tuple[str, ...], list[tuple[int, str]], np.ndarray]:
+    """A file of _write_labelled_rows: the header names after ``lead``, the
+    (line, user) of each row, and the rows' numbers as one array."""
+    rows = read_csv(path, None)
+    _, header = next(rows, (1, []))
+    if header[: len(lead)] != list(lead):
+        raise ValueError(f"{path}: bad header {header!r}, expected {','.join(lead)} and then the ids")
+    labels, numbers = [], []
+    for line, row in rows:
+        try:
+            numbers.append(np.fromiter(map(float, row[1:]), float, len(row) - 1))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {what} holds a non-number at {path}:{line} ({exc})") from None
+        labels.append((line, row[0]))
+    values = np.array(numbers).reshape(len(numbers), len(header) - 1)
+    return tuple(header[len(lead) :]), labels, values
+
+
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A small table, every row through csv.writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_trace_csv(path: str, records: Records | Iterable[AssociationRecord]) -> None:
@@ -103,11 +129,7 @@ def write_trace_csv(path: str, records: Records | Iterable[AssociationRecord]) -
 
 
 def write_truth_csv(path: str, truth: dict[str, int]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user", "group"])
-        for user in sorted(truth):
-            writer.writerow([user, truth[user]])
+    _write_csv(path, ["user", "group"], ([user, truth[user]] for user in sorted(truth)))
 
 
 def load_truth_csv(path: str) -> dict[str, int]:
@@ -117,15 +139,13 @@ def load_truth_csv(path: str) -> dict[str, int]:
 def write_matrices(
     out_dir: str, matrices: dict[str, AssociationMatrix], config: TraceConfig
 ) -> None:
-    """One CSV per user plus an index manifest with the shared location index."""
+    """Every user's rows, in sorted-user order, in one rows.csv, plus an index
+    manifest with the shared location index."""
     os.makedirs(out_dir, exist_ok=True)
     users = sorted(matrices)
     first = matrices[users[0]]
-    for user in users:
-        rows = np.asarray(matrices[user].rows, dtype=float)
-        t, n = rows.shape
-        with open(os.path.join(out_dir, f"{_safe_name(user)}.csv"), "w", newline="") as fh:
-            fh.write(_row_template(n) * t % tuple(rows.ravel().tolist()))
+    rows = (matrices[user].rows for user in users)
+    _write_labelled_rows(os.path.join(out_dir, "rows.csv"), ["user", *first.location_index], users, rows)
     index = {
         "users": users,
         "t": first.n_slots,
@@ -149,32 +169,34 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def write_eigen_sets(
-    out_dir: str, eigen_sets: dict[str, EigenBehaviorSet | None]
+    path: str, eigen_sets: dict[str, EigenBehaviorSet | None], location_index: Sequence[str]
 ) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    for user in sorted(eigen_sets):
-        eset = eigen_sets[user]
-        if eset is None:
-            continue
-        payload = {
-            "user": user,
-            "weights": _rounded(eset.weights),
-            "vectors": _rounded(eset.vectors),
-            "power_floor": eset.power_floor,
-        }
-        write_json(os.path.join(out_dir, f"{_safe_name(user)}.json"), payload)
-
-
-def _eigen_set(raw: dict) -> tuple[str, EigenBehaviorSet]:
-    return raw["user"], EigenBehaviorSet(raw["vectors"], raw["weights"], raw["power_floor"])
-
-
-def load_eigen_sets(out_dir: str) -> dict[str, EigenBehaviorSet]:
-    return dict(
-        read_json(os.path.join(out_dir, name), "eigen-behavior set", _eigen_set)
-        for name in sorted(os.listdir(out_dir))
-        if name.endswith(".json")
+    """One power_floor,weight,vector row per kept eigen-behavior, users in
+    sorted order; users without a set are left out."""
+    users = [user for user in sorted(eigen_sets) if eigen_sets[user] is not None]
+    blocks = (
+        np.column_stack([np.full(eset.k, eset.power_floor), eset.weights, eset.vectors])
+        for eset in map(eigen_sets.get, users)
     )
+    _write_labelled_rows(path, [*EIGEN_LEAD, *location_index], users, blocks)
+
+
+def load_eigen_sets(path: str) -> dict[str, EigenBehaviorSet]:
+    """Each user's set from its run of consecutive rows in an eigen.csv."""
+    _, labels, values = _read_labelled_rows(path, EIGEN_LEAD, "eigen-behavior table")
+    starts = [i for i in range(len(labels)) if i == 0 or labels[i][1] != labels[i - 1][1]]
+    sets: dict[str, EigenBehaviorSet] = {}
+    for lo, hi in zip(starts, starts[1:] + [len(labels)]):
+        (line, user), block = labels[lo], values[lo:hi]
+        if user in sets:
+            raise ValueError(f"{path}:{line}: rows of user {user!r} are not contiguous")
+        if np.unique(block[:, 0]).size != 1:
+            raise ValueError(f"{path}:{line}: power_floor differs between the rows of user {user!r}")
+        try:
+            sets[user] = EigenBehaviorSet(block[:, 2:], block[:, 1], float(block[0, 0]))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line}: bad eigen-behavior set of user {user!r} ({exc})") from None
+    return sets
 
 
 def write_distance_matrix(path: str, dm: DistanceMatrix) -> None:
@@ -217,11 +239,8 @@ def load_distance_matrix(path: str) -> DistanceMatrix:
 
 
 def write_partition_csv(path: str, partition: Partition) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["element", "cluster"])
-        for element in sorted(partition.assignment, key=str):
-            writer.writerow([element, partition.assignment[element]])
+    assignment = partition.assignment
+    _write_csv(path, ["element", "cluster"], ([e, assignment[e]] for e in sorted(assignment, key=str)))
 
 
 def load_partition_csv(path: str) -> Partition:
@@ -232,48 +251,28 @@ def load_partition_csv(path: str) -> Partition:
 
 
 def write_merge_history_csv(path: str, partition: Partition) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "a", "b", "distance"])
-        for step, (a, b, dist) in enumerate(partition.merge_history):
-            writer.writerow([step, a, b, fmt(dist)])
+    merges = enumerate(partition.merge_history)
+    _write_csv(path, ["step", "a", "b", "distance"], ([s, a, b, fmt(d)] for s, (a, b, d) in merges))
 
 
 def write_summary_table_csv(path: str, table: dict[str, float]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["summary", "mean_significance"])
-        for name in table:
-            writer.writerow([name, fmt(table[name])])
+    _write_csv(path, ["summary", "mean_significance"], ([name, fmt(table[name])] for name in table))
 
 
 def write_sims_csv(path: str, normalized: np.ndarray, ids: Sequence[str]) -> None:
-    normalized = np.asarray(normalized, dtype=float)
-    template = "%s," + _row_template(normalized.shape[1])
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(["user"] + list(ids))
-        for i, user in enumerate(_csv_cells(ids)):
-            fh.write(template % (user, *normalized[i].tolist()))
+    rows = np.asarray(normalized, dtype=float)[:, None]  # one (1, n) block per user
+    _write_labelled_rows(path, ["user", *ids], ids, rows)
 
 
 def load_sims_csv(path: str) -> tuple[np.ndarray, tuple[str, ...]]:
     """The similarity table: a header of ``user`` and then the ids, and one row
     per id, in header order, led by that id."""
-    rows = read_csv(path, None)
-    _, header = next(rows, (1, []))
-    if header[:1] != ["user"]:
-        raise ValueError(f"{path}: bad header {header!r}, expected user and then the ids")
-    ids = tuple(header[1:])
-    rows = list(rows)
-    try:
-        values = np.array([[float(v) for v in row[1:]] for _, row in rows])
-    except ValueError as exc:
-        raise ValueError(f"{path}: similarity table holds a non-number ({exc})") from None
+    ids, labels, values = _read_labelled_rows(path, ("user",), "similarity table")
     if values.shape != (len(ids), len(ids)):
         raise ValueError(f"{path}: similarity table is not square")
-    for (line, row), expected in zip(rows, ids):
-        if row[0] != expected:
-            raise ValueError(f"{path}:{line}: row user {row[0]!r} differs from header id {expected!r}")
+    for (line, user), expected in zip(labels, ids):
+        if user != expected:
+            raise ValueError(f"{path}:{line}: row user {user!r} differs from header id {expected!r}")
     return values, ids
 
 
@@ -307,37 +306,30 @@ def write_report_json(
 
 
 def write_results_csv(path: str, rows: list[tuple[SimConfig, SimResult]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scheme", "param", "delivery_ratio", "mean_delay_s", "overhead"])
-        for config, result in rows:
-            writer.writerow(
-                [
-                    config.scheme,
-                    config.param,
-                    fmt(result.delivery_ratio),
-                    fmt(result.mean_delay),
-                    result.overhead,
-                ]
-            )
+    _write_csv(
+        path,
+        RESULT_HEADER,
+        ([c.scheme, c.param, fmt(r.delivery_ratio), fmt(r.mean_delay), r.overhead] for c, r in rows),
+    )
 
 
 def write_normalized_results_csv(
     path: str, rows: list[tuple[SimConfig, SimResult]], baseline: SimResult
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scheme", "param", "delivery_ratio", "mean_delay_s", "overhead"])
-        for config, result in rows:
-            writer.writerow(
-                [
-                    config.scheme,
-                    config.param,
-                    fmt(result.delivery_ratio / baseline.delivery_ratio),
-                    fmt(result.mean_delay / baseline.mean_delay),
-                    fmt(result.overhead / baseline.overhead),
-                ]
-            )
+    _write_csv(
+        path,
+        RESULT_HEADER,
+        (
+            [
+                config.scheme,
+                config.param,
+                fmt(result.delivery_ratio / baseline.delivery_ratio),
+                fmt(result.mean_delay / baseline.mean_delay),
+                fmt(result.overhead / baseline.overhead),
+            ]
+            for config, result in rows
+        ),
+    )
 
 
 def sha256_file(path: str) -> str:

@@ -1,4 +1,4 @@
-"""The per-value array writers as persist had them before block formatting.
+"""Per-value reference writers for persist's array outputs.
 
 Each cell goes through ``fmt`` and each row through ``csv.writer``; the
 block-formatted writers in ``eigenbehavior.persist`` must write the same bytes.
@@ -10,7 +10,6 @@ import csv
 import json
 import os
 from typing import Sequence
-from urllib.parse import quote
 
 import numpy as np
 
@@ -23,10 +22,6 @@ def fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _safe_name(user: str) -> str:
-    return quote(user, safe="")
-
-
 def write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -36,15 +31,17 @@ def write_json(path: str, payload: dict) -> None:
 def write_matrices(
     out_dir: str, matrices: dict[str, AssociationMatrix], config: TraceConfig
 ) -> None:
-    """One CSV per user plus an index manifest with the shared location index."""
+    """Every user's rows in one rows.csv plus an index manifest with the shared
+    location index."""
     os.makedirs(out_dir, exist_ok=True)
     users = sorted(matrices)
     first = matrices[users[0]]
-    for user in users:
-        with open(os.path.join(out_dir, f"{_safe_name(user)}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+    with open(os.path.join(out_dir, "rows.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["user"] + list(first.location_index))
+        for user in users:
             for row in matrices[user].rows:
-                writer.writerow([fmt(v) for v in row])
+                writer.writerow([user] + [fmt(v) for v in row])
     index = {
         "users": users,
         "t": first.n_slots,
@@ -63,20 +60,17 @@ def write_matrices(
 
 
 def write_eigen_sets(
-    out_dir: str, eigen_sets: dict[str, EigenBehaviorSet | None]
+    path: str, eigen_sets: dict[str, EigenBehaviorSet | None], location_index: Sequence[str]
 ) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    for user in sorted(eigen_sets):
-        eset = eigen_sets[user]
-        if eset is None:
-            continue
-        payload = {
-            "user": user,
-            "weights": [float(fmt(w)) for w in eset.weights],
-            "vectors": [[float(fmt(v)) for v in vec] for vec in eset.vectors],
-            "power_floor": eset.power_floor,
-        }
-        write_json(os.path.join(out_dir, f"{_safe_name(user)}.json"), payload)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["user", "power_floor", "weight"] + list(location_index))
+        for user in sorted(eigen_sets):
+            eset = eigen_sets[user]
+            if eset is None:
+                continue
+            for weight, vector in zip(eset.weights, eset.vectors):
+                writer.writerow([user, fmt(eset.power_floor), fmt(weight)] + [fmt(v) for v in vector])
 
 
 def write_distance_matrix(path: str, dm: DistanceMatrix) -> None:

@@ -8,13 +8,19 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import eigenbehavior
 from conftest import digest_tree
 from eigenbehavior import jaccard, load_records
 from eigenbehavior.cli import main
-from eigenbehavior.persist import load_partition_csv, load_truth_csv
+from eigenbehavior.persist import (
+    _read_labelled_rows,
+    load_eigen_sets,
+    load_partition_csv,
+    load_truth_csv,
+)
 
 
 SPEC = {
@@ -42,6 +48,21 @@ SPEC = {
 }
 
 SKIP = ("manifest.json",)  # its created_utc differs between runs
+
+# every file a pipeline run writes; none is named after a user
+PIPELINE_FILES = {
+    os.path.join("matrices", "rows.csv"),
+    os.path.join("matrices", "index.json"),
+    "eigen.csv",
+    "sims.csv",
+    "distances.csv",
+    "distances.csv.json",
+    "partition.csv",
+    "merges.csv",
+    "summary.csv",
+    "report.json",
+    "manifest.json",
+}
 
 SCENARIO = {
     "split_fraction": 0.5,
@@ -109,19 +130,7 @@ def test_synth_seed_override(workdir, tmp_path):
 
 def test_pipeline_outputs_and_recovers_truth(workdir):
     pipe_dir = workdir / "pipe"
-    expected = {
-        "distances.csv",
-        "distances.csv.json",
-        "partition.csv",
-        "merges.csv",
-        "summary.csv",
-        "sims.csv",
-        "report.json",
-        "manifest.json",
-    }
-    assert expected <= set(os.listdir(pipe_dir))
-    assert (pipe_dir / "matrices" / "index.json").exists()
-    assert (pipe_dir / "eigen").is_dir()
+    assert set(digest_tree(pipe_dir)) == PIPELINE_FILES
     partition = load_partition_csv(str(pipe_dir / "partition.csv"))
     truth = load_truth_csv(str(workdir / "synth" / "truth.csv"))
     from eigenbehavior import partition_from_labels
@@ -130,6 +139,35 @@ def test_pipeline_outputs_and_recovers_truth(workdir):
     assert jaccard(partition, partition_from_labels(truth)) == 1.0
     report = json.loads((pipe_dir / "report.json").read_text())
     assert len(report["clusters"]) == 3
+
+
+def test_pipeline_writes_a_long_user_id_into_its_rows(workdir, tmp_path):
+    """A user id is a cell, never a file name: 100 x 'é' quotes to a
+    600-character name, longer than a file name may be."""
+    long_id = "é" * 100
+    trace = tmp_path / "trace.csv"
+    text = (workdir / "synth" / "trace.csv").read_text(encoding="utf-8")
+    trace.write_text(text.replace("\nu00000,", f"\n{long_id},"), encoding="utf-8")
+    out = tmp_path / "pipe"
+    argv = ["pipeline", str(trace), "--config", str(workdir / "config.json")]
+    assert main(argv + ["--clusters", "3", "--out", str(out)]) == 0
+    assert set(digest_tree(out)) == PIPELINE_FILES
+    # the renamed user's rows and eigen set are those of u00000 in the fixture run
+    def matrix_rows(pipe_dir):
+        return _read_labelled_rows(str(pipe_dir / "matrices" / "rows.csv"), ("user",), "matrices")
+
+    got_ids, got_labels, got_rows = matrix_rows(out)
+    ids, labels, rows = matrix_rows(workdir / "pipe")
+    assert got_ids == ids
+    got = [i for i, (_, user) in enumerate(got_labels) if user == long_id]
+    want = [i for i, (_, user) in enumerate(labels) if user == "u00000"]
+    assert len(got) == len(want) == 8  # one row per day
+    np.testing.assert_array_equal(got_rows[got], rows[want])
+    loaded = load_eigen_sets(str(out / "eigen.csv"))
+    fixture = load_eigen_sets(str(workdir / "pipe" / "eigen.csv"))
+    assert long_id in loaded and "u00000" not in loaded
+    np.testing.assert_array_equal(loaded[long_id].vectors, fixture["u00000"].vectors)
+    np.testing.assert_array_equal(loaded[long_id].weights, fixture["u00000"].weights)
 
 
 def test_pipeline_amvd_metric_and_locmap(workdir, tmp_path):
@@ -208,7 +246,7 @@ def test_reruns_are_byte_identical(workdir, tmp_path):
     assert main(argv + ["--out", str(pipe_b)]) == 0
     tree_a = digest_tree(pipe_a, SKIP)
     assert tree_a == digest_tree(pipe_b, SKIP)
-    assert len(tree_a) > 10  # matrices + eigen files are all covered
+    assert set(tree_a) == PIPELINE_FILES - set(SKIP)
     sim_a, sim_b = tmp_path / "s1", tmp_path / "s2"
     sim_argv = [
         "simulate",

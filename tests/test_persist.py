@@ -81,11 +81,52 @@ def test_eigen_sets_roundtrip(tmp_path):
         "beta/slash": EigenBehaviorSet(np.array([[r, r]]), np.array([1.0]), 0.001),
         "dead": None,
     }
-    write_eigen_sets(str(tmp_path), sets)
-    loaded = load_eigen_sets(str(tmp_path))
+    path = str(tmp_path / "eigen.csv")
+    write_eigen_sets(path, sets, ("A", "B"))
+    assert (tmp_path / "eigen.csv").read_text().splitlines() == [
+        "user,power_floor,weight,A,B",
+        "alpha,0.001,0.8,1,0",
+        "alpha,0.001,0.2,0,1",
+        "beta/slash,0.001,1,0.707106781,0.707106781",
+    ]
+    loaded = load_eigen_sets(path)
     assert set(loaded) == {"alpha", "beta/slash"}  # None entries are not written
     np.testing.assert_allclose(loaded["alpha"].weights, [0.8, 0.2])
     np.testing.assert_allclose(loaded["beta/slash"].vectors, [[r, r]], atol=1e-9)
+    assert loaded["alpha"].power_floor == 0.001
+
+
+EIGEN_HEADER = "user,power_floor,weight,A,B\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("user,weight,A,B\na,1,1,0\n", r"eigen\.csv: bad header \['user', 'weight'"),
+        (EIGEN_HEADER + "a,0.001,1,1\n", r"eigen\.csv:2: expected 5 fields, got 4"),
+        (
+            EIGEN_HEADER + "a,0.001,0.6,1,0\na,0.001,0.4,x,1\n",
+            r"eigen\.csv: eigen-behavior table holds a non-number at \S*eigen\.csv:3 ",
+        ),
+        (
+            EIGEN_HEADER + "a,0.001,0.6,1,0\nb,0.001,1,0,1\na,0.001,0.4,0,1\n",
+            r"eigen\.csv:4: rows of user 'a' are not contiguous",
+        ),
+        (
+            EIGEN_HEADER + "a,0.001,1,1,0\nb,0.001,1,0.5,0.5\n",
+            r"eigen\.csv:3: bad eigen-behavior set of user 'b' \(eigen-behavior vectors must be unit",
+        ),
+        (
+            EIGEN_HEADER + "a,0.001,0.6,1,0\na,0.01,0.4,0,1\n",
+            r"eigen\.csv:2: power_floor differs between the rows of user 'a'",
+        ),
+    ],
+)
+def test_eigen_sets_errors_name_path_and_line(tmp_path, body, message):
+    path = tmp_path / "eigen.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=message):
+        load_eigen_sets(str(path))
 
 
 def test_distance_matrix_roundtrip(tmp_path):

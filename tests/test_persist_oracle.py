@@ -65,7 +65,7 @@ def same_bytes(write, oracle_write, *args) -> None:
 def matrix_sets(draw):
     t, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     users = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
-    locations = tuple(f"L{k}" for k in range(n))
+    locations = draw(st.lists(IDS, min_size=n, max_size=n, unique=True))
     return {user: AssociationMatrix(user, floats(draw, (t, n)), locations) for user in users}
 
 
@@ -78,25 +78,27 @@ def test_write_matrices_matches_oracle(matrices):
 
 @st.composite
 def eigen_set_maps(draw):
+    n = draw(st.integers(1, 5))
+    locations = draw(st.lists(IDS, min_size=n, max_size=n, unique=True))
     out = {}
     for user in draw(st.lists(IDS, min_size=1, max_size=4, unique=True)):
         if draw(st.booleans()):
             out[user] = None
             continue
-        k = draw(st.integers(1, 3))
-        n = draw(st.integers(k, 5))
+        k = draw(st.integers(1, n))
         eset = EigenBehaviorSet(np.eye(n)[:k], np.full(k, 1.0 / k))
         # the writer formats whatever it is given, valid unit vectors or not
         object.__setattr__(eset, "vectors", floats(draw, (k, n)))
         object.__setattr__(eset, "weights", floats(draw, (k,)))
+        object.__setattr__(eset, "power_floor", draw(FLOATS))
         out[user] = eset
-    return out
+    return out, locations
 
 
 @given(eigen_set_maps())
 @PROPERTY
 def test_write_eigen_sets_matches_oracle(eigen_sets):
-    same_bytes(persist.write_eigen_sets, oracle.write_eigen_sets, eigen_sets)
+    same_bytes(persist.write_eigen_sets, oracle.write_eigen_sets, *eigen_sets)
 
 
 @st.composite

@@ -10,6 +10,7 @@ import pytest
 
 from eigenbehavior.persist import (
     load_distance_matrix,
+    load_eigen_sets,
     load_partition_csv,
     load_sims_csv,
     load_truth_csv,
@@ -24,6 +25,7 @@ LOADERS = {
     "partition": (load_partition_csv, "element,cluster", "u1,0"),
     "distances": (load_distance_matrix, "i,j,distance", "0,1,0.5"),
     "sims": (load_sims_csv, "user,a,b", "a,1,0.5"),
+    "eigen": (load_eigen_sets, "user,power_floor,weight,A,B", "a,0.001,1,1,0"),
 }
 
 
