@@ -93,6 +93,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_trace(path: str) -> Records:
+    """The trace at path, refused when it holds no records."""
+    records = load_records(path)
+    if not len(records):
+        raise ValueError(f"{path}: trace has no records")
+    return records
+
+
 def _flag(payload: dict, key: str) -> bool:
     """A true/false config entry, false when absent."""
     value = payload.get(key, False)
@@ -127,7 +135,7 @@ def _pipeline_config(payload: dict, records: Records) -> tuple[dict, TraceConfig
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    records = load_records(args.trace)
+    records = _load_trace(args.trace)
     if args.locmap:
         records = aggregate_locations(records, load_location_map(args.locmap))
     payload, config, options = read_json(
@@ -207,7 +215,7 @@ def _scenario(payload: dict, seed: int) -> tuple[dict, list[SimConfig], float, d
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    records = load_records(args.trace)
+    records = _load_trace(args.trace)
     scenario, configs, split_fraction, options = read_json(
         args.scenario, "scenario", lambda raw: _scenario(raw, args.seed)
     )

@@ -6,13 +6,13 @@ inter-cluster linkages exceed a threshold or a target cluster count is
 reached.  Ties are broken toward the pair with the smaller cluster id, then
 the smaller partner id, where a cluster's running id is the smallest original
 element index it contains.  One engine, merge_histories, grows a stack of
-such trees at once; agglomerate runs it on a single matrix.
+such trees at once; agglomerate runs it on a single matrix.  pairwise_l1 is
+the package's one L1 kernel: mode trees, summary distances and AMVD use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -45,39 +45,20 @@ class Partition:
         return [len(members) for members in self.clusters()]
 
 
-@cache
-def _cdist():
-    # scipy costs more to import than numpy and the rest of the package
-    # together, so only the AMVD pair loop, which calls cityblock, loads it.
-    from scipy.spatial.distance import cdist
+def pairwise_l1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(..., m, L) x (..., k, L) -> (..., m, k): L1 distances between the rows
+    of a and the rows of b, matrix by matrix.
 
-    return cdist
-
-
-def cityblock(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise L1 distances between the rows of a and the rows of b (scipy's cdist).
-
-    Kept for the AMVD pair loop, which calls it twice per user pair: for two
-    20-row sets over 20 locations cdist takes about 9 us and a numpy
-    broadcast about 32 us, and tests/test_acceptance.py times that loop
-    against the eigen route.
+    The terms are added one location column at a time, in index order, as a
+    per-pair loop over the columns adds them, so the bits are that loop's.
     """
-    return _cdist()(a, b, "cityblock")
-
-
-def pairwise_l1(stack: np.ndarray) -> np.ndarray:
-    """(B, n, L) -> (B, n, n): L1 distances between the rows of each matrix.
-
-    The terms are added one location column at a time, in index order, which
-    is the order cdist(..., "cityblock") sums in, so the bits are the same.
-    """
-    stack = np.asarray(stack, dtype=float)
-    n_mats, n, n_cols = stack.shape
-    out = np.zeros((n_mats, n, n))
+    # one contiguous (..., rows) array per location column
+    a = np.moveaxis(np.asarray(a, dtype=float), -1, 0).copy()
+    b = np.moveaxis(np.asarray(b, dtype=float), -1, 0).copy()
+    out = np.zeros(np.broadcast_shapes(a.shape[1:-1], b.shape[1:-1]) + (a.shape[-1], b.shape[-1]))
     term = np.empty_like(out)
-    for c in range(n_cols):
-        column = stack[:, :, c]
-        np.subtract(column[:, :, None], column[:, None, :], out=term)
+    for a_col, b_col in zip(a, b, strict=True):
+        np.subtract(a_col[..., :, None], b_col[..., None, :], out=term)
         out += np.abs(term, out=term)
     return out
 

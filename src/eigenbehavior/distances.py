@@ -5,8 +5,9 @@ patterns:
 
 * AMVD works on raw matrices.  The asymmetric part averages, over the days of
   one user, the Manhattan distance to the closest day of the other user; the
-  symmetric distance averages both directions.  Cost grows with the square of
-  the day count per pair.
+  symmetric distance averages both directions, both read off one block of
+  day-to-day distances per pair.  Cost grows with the square of the day count
+  per pair.
 * The eigen route compresses each user to a few weighted eigen-behavior
   vectors first.  The similarity index sums weighted absolute dot products of
   two users' vectors, is normalized per user by the largest similarity to any
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import cityblock, pairwise_l1, validate_square
+from .cluster import pairwise_l1, validate_square
 from .summaries import (
     DEFAULT_POWER_FLOOR,
     EigenBehaviorSet,
@@ -64,43 +65,45 @@ class DistanceMatrix:
         return len(self.ids)
 
 
-def _vector_set(rows: np.ndarray, include_offline: bool) -> np.ndarray:
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("expected a 2-D vector set")
-    if include_offline:
-        return rows
-    return rows[np.abs(rows).sum(axis=1) > 0]
-
-
 def amvd_distance_matrix(
     matrices: dict[str, AssociationMatrix], include_offline: bool = False
 ) -> DistanceMatrix:
-    """Pairwise symmetric AMVD; pairs touching an all-offline user get the metric max."""
+    """Pairwise symmetric AMVD; pairs touching an all-offline user get the metric max.
+
+    Users are taken in order of row count, ids breaking ties.  Each user's L1
+    distances to the rows of the users after it are made once, in blocks of
+    about SIM_BLOCK_CELLS cells: minima over each later user's rows give the
+    forward means, minima over the user's own rows the backward ones.  Each
+    mean is a row mean over one contiguous run, so it has np.mean's bits; the
+    later users' counts never fall, so their backward runs reshape to rows.
+    """
     ids = tuple(sorted(matrices))
-    sets = []
-    flagged = []
-    for user in ids:
-        rows = _vector_set(matrices[user].rows, include_offline)
-        if rows.shape[0] == 0:
-            flagged.append(user)
-            sets.append(None)
-        else:
-            sets.append(rows)
-    n = len(ids)
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sets[i] is None or sets[j] is None:
-                d = METRIC_MAX["amvd"]
-            else:
-                forward = float(np.mean(cityblock(sets[i], sets[j]).min(axis=1)))
-                backward = float(np.mean(cityblock(sets[j], sets[i]).min(axis=1)))
-                d = (forward + backward) / 2.0
-            values[i, j] = values[j, i] = d
-    return DistanceMatrix(
-        values, "amvd", ids, tuple(flagged), {"include_offline": include_offline}
-    )
+    sets = [matrices[user].rows for user in ids]
+    if not include_offline:
+        sets = [rows[np.abs(rows).sum(axis=1) > 0] for rows in sets]
+    counts = np.array([len(rows) for rows in sets])
+    flagged = tuple(user for user, count in zip(ids, counts) if count == 0)
+    order = np.argsort(counts, kind="stable")  # flagged users first
+    rows = np.vstack([sets[u] for u in order])
+    sizes = counts[order]
+    bounds = np.append(0, np.cumsum(sizes))
+    values = np.full((len(ids), len(ids)), METRIC_MAX["amvd"])
+    np.fill_diagonal(values, 0.0)
+    for p in range(len(flagged), len(ids) - 1):
+        own = rows[bounds[p] : bounds[p + 1]]
+        for lo, hi in budget_blocks(sizes[p + 1 :], max(1, SIM_BLOCK_CELLS // len(own))):
+            lo, hi = lo + p + 1, hi + p + 1
+            dist = pairwise_l1(own, rows[bounds[lo] : bounds[hi]])
+            edges = bounds[lo:hi] - bounds[lo]
+            forward = np.minimum.reduceat(dist, edges, axis=1).T.copy().mean(axis=1)
+            nearest = dist.min(axis=0)
+            del dist  # freed before the next block is made
+            cuts = np.flatnonzero(np.diff(sizes[lo:hi])) + 1  # where the row count grows
+            runs = zip(np.split(nearest, edges[cuts]), sizes[lo + np.append(0, cuts)])
+            backward = np.concatenate([run.reshape(-1, size).mean(axis=1) for run, size in runs])
+            others = order[lo:hi]
+            values[order[p], others] = values[others, order[p]] = (forward + backward) / 2.0
+    return DistanceMatrix(values, "amvd", ids, flagged, {"include_offline": include_offline})
 
 
 def _stacked(sets: list[EigenBehaviorSet]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,7 +232,8 @@ def summary_l1_distance(
         warnings.warn(f"summary_l1_distance: excluded all-offline users: {skipped}")
     if len(vectors) < 2:
         raise ValueError("need at least two users with online slots")
-    values = pairwise_l1(np.vstack(vectors)[None])[0]
+    stacked = np.vstack(vectors)
+    values = pairwise_l1(stacked, stacked)
     metric = "onavg_l1" if kind == "onavg" else "centroid_l1"
     return DistanceMatrix(values, metric, ids, (), {"kind": kind})
 

@@ -112,7 +112,7 @@ def _mode_trees(
             n_rows, n_cols = online[b].size, matrices[b].n_locations
             stack[k, :n_rows, :n_cols] = matrices[b].rows[online[b]]
             taking_part[k, :n_rows] = True
-        trees = merge_histories(pairwise_l1(stack), taking_part, threshold=threshold)
+        trees = merge_histories(pairwise_l1(stack, stack), taking_part, threshold=threshold)
         for b, history in zip(ids, trees):
             histories[b] = history
     return histories

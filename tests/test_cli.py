@@ -15,6 +15,7 @@ import eigenbehavior
 from conftest import digest_tree
 from eigenbehavior import jaccard, load_records
 from eigenbehavior.cli import main
+from eigenbehavior.pipeline import METRICS
 from eigenbehavior.persist import (
     _read_labelled_rows,
     load_eigen_sets,
@@ -366,6 +367,32 @@ def test_line_break_in_user_id_exits_2_without_outputs(workdir, tmp_path, capsys
     assert not out.exists()
 
 
+def test_pipeline_on_a_trace_without_records_exits_2_naming_the_trace(tmp_path, capsys):
+    """The trace is blamed, not the config whose defaults it would fill."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text("user,location,start,end\n")
+    config = tmp_path / "cfg.json"
+    config.write_text("{}")
+    out = tmp_path / "o"
+    rc = main(["pipeline", str(trace), "--config", str(config), "--clusters", "1", "--out", str(out)])
+    assert rc == 2
+    assert f"{trace}: trace has no records" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_on_a_trace_without_records_exits_2_naming_the_trace(workdir, tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("user,location,start,end\n")
+    out = tmp_path / "o"
+    rc = main(
+        ["simulate", str(trace), "--pipeline", str(workdir / "pipe")]
+        + ["--scenario", str(workdir / "scenario.json"), "--out", str(out)]
+    )
+    assert rc == 2
+    assert f"{trace}: trace has no records" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--version"])
@@ -373,47 +400,41 @@ def test_version_flag(capsys):
     assert "eigenbehavior" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is loaded on the first L1 distance, so `simulate` never pays for it
+def test_every_command_runs_without_scipy(workdir, tmp_path):
+    """numpy is the only runtime dependency: every command, with every metric
+    and with a location map, runs where importing scipy fails."""
     src = os.path.dirname(os.path.dirname(eigenbehavior.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, eigenbehavior.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    locmap = tmp_path / "locmap.csv"
+    locmap.write_text("ap,building\nL000,B0\nL001,B0\nL002,B1\nL003,B1\n")
+    trace = str(tmp_path / "synth" / "trace.csv")
+    config = str(workdir / "config.json")
+    runs = [["synth", str(workdir / "spec.json"), "--out", str(tmp_path / "synth")]]
+    for metric in METRICS:
+        argv = ["pipeline", trace, "--config", config, "--metric", metric, "--clusters", "3"]
+        runs.append(argv + ["--out", str(tmp_path / metric)])
+    runs.append(
+        ["pipeline", trace, "--config", config, "--locmap", str(locmap), "--metric", "amvd"]
+        + ["--clusters", "2", "--out", str(tmp_path / "locmap")]
     )
-    assert result.stdout.strip() == "[]"
-
-
-@pytest.mark.parametrize(
-    "metric,loads_scipy",
-    [("eigen", False), ("onavg", False), ("centroid05", False), ("amvd", True)],
-)
-def test_only_the_amvd_pipeline_loads_scipy(workdir, tmp_path, metric, loads_scipy):
-    # mode trees and summary distances use numpy; only the AMVD pair loop calls cdist
-    src = os.path.dirname(os.path.dirname(eigenbehavior.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    argv = [
-        "pipeline",
-        str(workdir / "synth" / "trace.csv"),
-        "--config",
-        str(workdir / "config.json"),
-        "--metric",
-        metric,
-        "--clusters",
-        "3",
-        "--out",
-        str(tmp_path / "o"),
-    ]
+    runs.append(
+        ["simulate", trace, "--pipeline", str(tmp_path / "eigen")]
+        + ["--scenario", str(workdir / "scenario.json"), "--out", str(tmp_path / "sim")]
+    )
+    partition = str(tmp_path / "eigen" / "partition.csv")
+    runs.append(["compare", partition, partition])
     probe = (
-        "import sys; from eigenbehavior.cli import main; "
-        f"assert main({argv!r}) == 0; "
-        "import json; print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+        "import sys; sys.modules['scipy'] = None\n"
+        "try:\n    import scipy.spatial\nexcept ImportError:\n    pass\n"
+        "else:\n    raise SystemExit('scipy imported')\n"
+        "from eigenbehavior.cli import main\n"
+        f"for argv in {runs!r}:\n    assert main(argv) == 0, argv\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    loaded = json.loads(result.stdout.strip().splitlines()[-1])
-    assert bool(loaded) == loads_scipy, loaded
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert set(digest_tree(tmp_path / "locmap")) == PIPELINE_FILES
+    assert (tmp_path / "sim" / "results.csv").exists()
+    assert result.stdout.strip() == "1.0000"
 
 
 def _pipeline_argv(workdir, config, out):

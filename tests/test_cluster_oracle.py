@@ -99,12 +99,28 @@ def spanning_values():
     )
 )
 def test_pairwise_l1_has_cdist_bits(stack):
-    got = pairwise_l1(stack)
+    got = pairwise_l1(stack, stack)
     assert got.shape == (stack.shape[0], stack.shape[1], stack.shape[1])
     assert np.array_equal(got, got.transpose(0, 2, 1))
     assert not got[:, np.arange(stack.shape[1]), np.arange(stack.shape[1])].any()
     for b in range(stack.shape[0]):
         assert np.array_equal(got[b], cdist(stack[b], stack[b], "cityblock"))
+
+
+@PROPERTY
+@given(
+    st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 30)).flatmap(
+        lambda shape: st.tuples(
+            arrays(float, shape[::2], elements=spanning_values()),
+            arrays(float, shape[1:], elements=spanning_values()),
+        )
+    )
+)
+def test_pairwise_l1_of_two_row_sets_has_cdist_bits(sets):
+    a, b = sets
+    got = pairwise_l1(a, b)
+    assert np.array_equal(got, cdist(a, b, "cityblock"))
+    assert np.array_equal(pairwise_l1(b, a), got.T)
 
 
 def test_linkage_rounding_onto_a_row_minimum_takes_the_smaller_column():

@@ -124,6 +124,42 @@ def test_amvd_distance_matrix_consistent_and_flags_offline():
     assert np.all(np.diag(dm.values) == 0.0)
 
 
+@pytest.mark.parametrize(
+    "include_offline,cells", [(False, 40), (False, 200), (True, 40), (True, 300)]
+)
+def test_amvd_distance_matrix_blocks_match_cdist_oracle(monkeypatch, include_offline, cells):
+    """Every cell has the bits of the per-pair cdist oracle when each user's
+    later users are cut into several blocks.  Users hold 1 to 12 online rows
+    out of 14 (means over 8 or more minima take numpy's pairwise sum), in an
+    order unlike their id order, and two users are never online."""
+    rng = np.random.default_rng(73)
+    slots, n_locations = 14, 5
+    online_counts = [0, 0, *range(1, 13)]
+    mats = {}
+    for i, count in enumerate(rng.permutation(online_counts)):
+        rows = np.zeros((slots, n_locations))
+        online = rng.choice(slots, size=count, replace=False)
+        rows[online] = rng.dirichlet(np.full(n_locations, 0.5), size=count)
+        mats[f"u{i:02d}"] = matrix_from_rows(rows, user_id=f"u{i:02d}")
+    calls = []
+    kernel = distances.pairwise_l1
+    monkeypatch.setattr(distances, "SIM_BLOCK_CELLS", cells)
+    monkeypatch.setattr(distances, "pairwise_l1", lambda a, b: calls.append(1) or kernel(a, b))
+    dm = amvd_distance_matrix(mats, include_offline=include_offline)
+    live = [u for u in dm.ids if include_offline or mats[u].rows.any()]
+    assert len(calls) > len(live) - 1  # some user's later users span several blocks
+    assert dm.flagged_ids == tuple(u for u in dm.ids if u not in live)
+    for i, u in enumerate(dm.ids):
+        for j, v in enumerate(dm.ids):
+            if i == j:
+                want = 0.0
+            elif u in live and v in live:
+                want = amvd_distance(mats[u].rows, mats[v].rows, include_offline)
+            else:
+                want = 2.0
+            assert dm.values[i, j] == want, (u, v)
+
+
 # ------------------------------------------------------------- similarity ---
 
 

@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 
 from eigenbehavior import (
+    AssociationMatrix,
     EigenBehaviorSet,
     Records,
     TraceConfig,
@@ -104,6 +105,25 @@ def test_normalized_sim_table_holds_output_and_one_block():
     stacked = 3 * n * k * 20 * 8  # the stacked and weighted basis vectors
     block = 2 * distances.SIM_BLOCK_CELLS * 8  # products, and their per-user sums
     assert_within(peak, output + stacked + block + SLACK)
+
+
+def test_amvd_holds_output_and_one_block():
+    # 60 users of 200 rows: one user against every later row would take
+    # 200 x 11800 cells, nine times a block
+    n, t = 60, 200
+    rng = np.random.default_rng(17)
+    matrices = {
+        f"u{i:02d}": AssociationMatrix(f"u{i:02d}", rng.dirichlet(np.ones(2), size=t), ("A", "B"))
+        for i in range(n)
+    }
+    # budget_blocks' first np.unique imports numpy.ma; that import is not the stage's
+    distances.amvd_distance_matrix(dict(list(matrices.items())[:2]))
+    dm, peak = peak_above_inputs(distances.amvd_distance_matrix, matrices)
+    assert dm.flagged_ids == ()
+    output = n * n * 8
+    rows = 2 * n * t * 2 * 8  # each user's online rows, and all of them stacked
+    block = 2 * (distances.SIM_BLOCK_CELLS + t * t) * 8  # distances and their terms
+    assert_within(peak, output + rows + block + SLACK)
 
 
 def test_eigen_distance_holds_output_and_validation_block():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -23,6 +24,7 @@ from eigenbehavior import (
     summary_table,
 )
 from eigenbehavior import distances, summaries
+from eigenbehavior.distances import METRIC_MAX
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +76,34 @@ def test_pipeline_recovers_planted_groups(planted, metric):
     assert intra.max() < inter.min()
     assert dm.n == 12
     assert result.normalized_sims is not None and result.normalized_sims.shape == (12, 12)
+
+
+@pytest.mark.parametrize(
+    "metric,kept",
+    [("eigen", True), ("amvd", True), ("onavg", False), ("centroid05", False), ("centroid09", False)],
+)
+def test_never_online_user_is_flagged_or_dropped_by_metric(planted, metric, kept):
+    """eigen and amvd keep a never-online user, flagged at the metric maximum;
+    the summary metrics drop it from the distances and the partition, with a warning."""
+    records, _, config = planted
+    rows = records.rows()
+    offline = AssociationRecord("zz-offline", rows[0].location_id, -100, -10)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_pipeline(rows + [offline], config, metric=metric, target_count=3)
+    dropped = [str(w.message) for w in caught if "summary_l1_distance" in str(w.message)]
+    dm = result.distance_matrix
+    assert "zz-offline" in result.matrices
+    if kept:
+        assert dm.flagged_ids == ("zz-offline",)
+        dead = dm.ids.index("zz-offline")
+        assert np.all(np.delete(dm.values[dead], dead) == METRIC_MAX[dm.metric])
+        assert "zz-offline" in result.partition.assignment
+        assert dropped == []
+    else:
+        assert "zz-offline" not in dm.ids and dm.flagged_ids == ()
+        assert "zz-offline" not in result.partition.assignment
+        assert dropped == ["summary_l1_distance: excluded all-offline users: ['zz-offline']"]
 
 
 def test_summary_table_reads_pipeline_eigen_sets(planted, monkeypatch):
