@@ -437,6 +437,50 @@ def test_every_command_runs_without_scipy(workdir, tmp_path):
     assert result.stdout.strip() == "1.0000"
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # with scipy installed (the test extra), importing the CLI still loads none of it
+    src = os.path.dirname(os.path.dirname(eigenbehavior.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, eigenbehavior.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "metric,loads_scipy",
+    [("eigen", False), ("onavg", False), ("centroid05", False), ("amvd", False)],
+)
+def test_only_the_amvd_pipeline_loads_scipy(workdir, tmp_path, metric, loads_scipy):
+    # AMVD once called scipy's cdist; every metric now runs on numpy alone, so
+    # with scipy installed no pipeline loads it, not even through an optional import
+    src = os.path.dirname(os.path.dirname(eigenbehavior.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [
+        "pipeline",
+        str(workdir / "synth" / "trace.csv"),
+        "--config",
+        str(workdir / "config.json"),
+        "--metric",
+        metric,
+        "--clusters",
+        "3",
+        "--out",
+        str(tmp_path / "o"),
+    ]
+    probe = (
+        "import sys; from eigenbehavior.cli import main; "
+        f"assert main({argv!r}) == 0; "
+        "import json; print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = json.loads(result.stdout.strip().splitlines()[-1])
+    assert bool(loaded) == loads_scipy, loaded
+
+
 def _pipeline_argv(workdir, config, out):
     return [
         "pipeline",
