@@ -63,13 +63,13 @@ print(f"spectral distances:      {spectral_time:.2f}s  "
       f"({set_time / spectral_time:.0f}x faster)", file=sys.stderr)
 
 # -- average-linkage clustering ----------------------------------------------
-partition = agglomerate(dm_spectral.values, target_count=5, labels=dm_spectral.ids)
+partition = agglomerate(dm_spectral, target_count=5)
 sizes = sorted(partition.sizes(), reverse=True)
 agreement = jaccard(partition, partition_from_labels(truth))
 print(f"\nclusters found: sizes {sizes}, pair agreement with planted truth "
       f"{agreement:.4f}")
 
-intra, inter = distance_cdfs(partition, dm_spectral.values, dm_spectral.ids)
+intra, inter = distance_cdfs(partition, dm_spectral)
 print(f"within-group distances:  max {intra.max():.4f}")
 print(f"between-group distances: min {inter.min():.4f}")
 

@@ -77,7 +77,7 @@ configs = {
     "rtx p=0.5 ttl=3": SimConfig("rtx", p=0.5, ttl_factor=3.0),
 }
 
-results = {}
+results = []
 leaks = {}
 for label, config in configs.items():
     outcome = simulate(
@@ -87,11 +87,11 @@ for label, config in configs.items():
         sim_table=result.normalized_sims,
         sim_ids=result.sim_ids,
     )
-    results[label] = outcome.aggregate
+    results.append((label, outcome.aggregate))
     leaks[label] = outcome.leaked
 
 print(f"{'scheme':18s} {'delivery':>9s} {'delay(h)':>9s} {'overhead':>9s} {'leaked':>7s}")
-for label, agg in results.items():
+for label, agg in results:
     delay = agg.mean_delay / 3600 if np.isfinite(agg.mean_delay) else float("nan")
     print(f"{label:18s} {agg.delivery_ratio:9.3f} {delay:9.1f} "
           f"{agg.overhead:9d} {leaks[label]:7d}")

@@ -10,9 +10,8 @@ validation (power scatter, cross significance, rank-size power law, Jaccard)
 
 __version__ = "0.1.0"
 
-from .cluster import Partition, agglomerate, distance_cdfs
+from .cluster import DistanceMatrix, Partition, agglomerate, distance_cdfs
 from .distances import (
-    DistanceMatrix,
     amvd_distance_matrix,
     eigen_distance_from_sims,
     eigen_distance_matrix,

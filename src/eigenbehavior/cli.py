@@ -24,9 +24,9 @@ from .profilecast import (
     DEFAULT_SOURCE_FRACTION,
     SimConfig,
     build_messages,
-    check_baseline,
     check_source_fraction,
     check_split_fraction,
+    compare_schemes,
     extract_encounters,
     simulate,
     split_trace,
@@ -37,6 +37,7 @@ from .trace import (
     Records,
     TraceConfig,
     aggregate_locations,
+    json_int,
     load_location_map,
     load_records,
     read_json,
@@ -122,7 +123,7 @@ def _pipeline_config(payload: dict, records: Records) -> tuple[dict, TraceConfig
     config = TraceConfig(
         trace_start=start,
         trace_end=end,
-        slot_seconds=int(payload.get("slot_seconds", 86400)),
+        slot_seconds=json_int(payload, "slot_seconds", 86400),
         window=tuple(window) if window else None,
         normalization=payload.get("normalization", "normalized"),
         align_midnight=_flag(payload, "align_midnight"),
@@ -208,10 +209,21 @@ def _scenario(payload: dict, seed: int) -> tuple[dict, list[SimConfig], float, d
         "source_fraction": check_source_fraction(
             float(payload.get("source_fraction", DEFAULT_SOURCE_FRACTION))
         ),
-        "min_group_size": int(payload.get("min_group_size", DEFAULT_MIN_GROUP_SIZE)),
+        "min_group_size": json_int(payload, "min_group_size", DEFAULT_MIN_GROUP_SIZE),
     }
     split_fraction = check_split_fraction(float(payload.get("split_fraction", 0.5)))
     return payload, configs, split_fraction, options
+
+
+def _check_profile_half(pipeline_dir: str, split_time: float) -> None:
+    """Refuse a pipeline directory whose profile reaches past the split time."""
+    index = os.path.join(pipeline_dir, "matrices", "index.json")
+    end = read_json(index, "matrices index", lambda raw: float(raw["config"]["trace_end"]))
+    if end > split_time:
+        raise ValueError(
+            f"{index}: trace_end {end} is after the split time {split_time}, "
+            "so the profile saw the replay half"
+        )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -219,28 +231,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario, configs, split_fraction, options = read_json(
         args.scenario, "scenario", lambda raw: _scenario(raw, args.seed)
     )
-    partition = persist.load_partition_csv(os.path.join(args.pipeline_dir, "partition.csv"))
     if not any(c.scheme == "flooding" for c in configs):
         raise ValueError("scenario must include the flooding scheme (normalization baseline)")
+    _, second, mid = split_trace(records, split_fraction)
+    _check_profile_half(args.pipeline_dir, mid)
+    partition = persist.load_partition_csv(os.path.join(args.pipeline_dir, "partition.csv"))
     sim_table = sim_ids = None
     if any(c.scheme == "similarity" for c in configs):
         sim_table, sim_ids = persist.load_sims_csv(os.path.join(args.pipeline_dir, "sims.csv"))
-    _, second, mid = split_trace(records, split_fraction)
     encounters = extract_encounters(second)
     messages = build_messages(partition, creation_time=mid, seed=args.seed, **options)
-    rows = []
-    baseline = None
-    for config in configs:
-        outcome = simulate(messages, encounters, config, sim_table, sim_ids)
-        rows.append((config, outcome.aggregate))
-        if config.scheme == "flooding" and baseline is None:
-            baseline = outcome.aggregate
-    check_baseline(baseline, "flooding")
+    results = [
+        simulate(messages, encounters, config, sim_table, sim_ids).aggregate for config in configs
+    ]
+    ratios = compare_schemes([(c.scheme, r) for c, r in zip(configs, results)])
     os.makedirs(args.out, exist_ok=True)
-    persist.write_results_csv(os.path.join(args.out, "results.csv"), rows)
-    persist.write_normalized_results_csv(
-        os.path.join(args.out, "normalized.csv"), rows, baseline
-    )
+    persist.write_results_csv(os.path.join(args.out, "results.csv"), configs, results)
+    persist.write_normalized_results_csv(os.path.join(args.out, "normalized.csv"), configs, ratios)
     persist.write_run_manifest(
         args.out, "simulate", args.seed, scenario, [args.trace, args.scenario]
     )

@@ -6,8 +6,10 @@ inter-cluster linkages exceed a threshold or a target cluster count is
 reached.  Ties are broken toward the pair with the smaller cluster id, then
 the smaller partner id, where a cluster's running id is the smallest original
 element index it contains.  One engine, merge_histories, grows a stack of
-such trees at once; agglomerate runs it on a single matrix.  pairwise_l1 is
-the package's one L1 kernel: mode trees, summary distances and AMVD use it.
+such trees at once; agglomerate runs it on a single checked DistanceMatrix,
+the package's one n x n distance type, validated once when it is built.
+pairwise_l1 is the package's one L1 kernel: mode trees, summary distances and
+AMVD use it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ _MONOTONE_SLACK = 1e-12
 # validate_square and merge_histories' row rescans work in row blocks of
 # about this many cells.
 ROW_BLOCK_CELLS = 1 << 16
+
+METRIC_MAX = {"amvd": 2.0, "eigen": 1.0, "onavg_l1": 2.0, "centroid_l1": 2.0}
 
 
 @dataclass
@@ -77,31 +81,50 @@ def validate_square(dm: np.ndarray) -> np.ndarray:
     return dm
 
 
+@dataclass
+class DistanceMatrix:
+    """Symmetric pairwise distances with a metric tag and element ids.
+
+    Building one is the one check of an n x n distance matrix: validate_square,
+    one row per id, and [0, METRIC_MAX] for a metric listed there.  Everything
+    that takes a DistanceMatrix trusts it.
+    """
+
+    values: np.ndarray
+    metric: str
+    ids: tuple[str, ...]
+    flagged_ids: tuple[str, ...] = ()
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.ids = tuple(self.ids)
+        self.flagged_ids = tuple(self.flagged_ids)
+        self.values = validate_square(self.values)
+        if len(self.values) != len(self.ids):
+            raise ValueError("values must be N x N matching ids")
+        top = METRIC_MAX.get(self.metric)
+        if top is not None and (self.values.min() < -1e-9 or self.values.max() > top + 1e-9):
+            raise ValueError(f"{self.metric} distances must lie in [0, {top}]")
+
+    @property
+    def n(self) -> int:
+        return len(self.ids)
+
+
 def agglomerate(
-    dm: np.ndarray,
-    threshold: float | None = None,
-    target_count: int | None = None,
-    labels: Sequence[Hashable] | None = None,
+    dm: DistanceMatrix, threshold: float | None = None, target_count: int | None = None
 ) -> Partition:
-    """Cluster elements of a symmetric distance matrix by average linkage.
+    """Cluster the elements of dm, keyed by dm.ids, by average linkage.
 
     Exactly one of threshold / target_count selects the stop rule.  Under the
     threshold rule, merging proceeds while the smallest inter-cluster linkage
     is <= threshold; under the count rule, until target_count clusters remain.
     Merge distances are checked to be non-decreasing on every run.
     """
-    if (threshold is None) == (target_count is None):
-        raise ValueError("give exactly one of threshold or target_count")
-    dm = validate_square(dm)
-    n = dm.shape[0]
-    if labels is None:
-        labels = list(range(n))
-    elif len(labels) != n:
-        raise ValueError("labels length must match matrix size")
-    if target_count is not None and not 1 <= target_count <= n:
-        raise ValueError(f"target_count must lie in [1, {n}]")
-    (history,) = merge_histories(dm[None], threshold=threshold, target_count=target_count)
-    return partition_from_merges(history, labels)
+    if target_count is not None and not 1 <= target_count <= dm.n:
+        raise ValueError(f"target_count must lie in [1, {dm.n}]")
+    (history,) = merge_histories(dm.values[None], threshold=threshold, target_count=target_count)
+    return partition_from_merges(history, dm.ids)
 
 
 def merge_histories(
@@ -227,18 +250,10 @@ def partition_from_merges(
     return Partition(assignment=assignment, merge_history=list(merges))
 
 
-def distance_cdfs(
-    partition: Partition,
-    dm: np.ndarray,
-    labels: Sequence[Hashable] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted intra-cluster and inter-cluster pair distance samples."""
-    dm = validate_square(dm)
-    n = dm.shape[0]
-    if labels is None:
-        labels = list(range(n))
-    cluster_of = np.array([partition.assignment[lab] for lab in labels])
-    iu, ju = np.triu_indices(n, k=1)
+def distance_cdfs(partition: Partition, dm: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted intra-cluster and inter-cluster pair distance samples of dm's ids."""
+    cluster_of = np.array([partition.assignment[element] for element in dm.ids])
+    iu, ju = np.triu_indices(dm.n, k=1)
     same = cluster_of[iu] == cluster_of[ju]
-    values = dm[iu, ju]
+    values = dm.values[iu, ju]
     return np.sort(values[same]), np.sort(values[~same])

@@ -18,11 +18,10 @@ patterns:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import pairwise_l1, validate_square
+from .cluster import METRIC_MAX, DistanceMatrix, pairwise_l1
 from .summaries import (
     DEFAULT_POWER_FLOOR,
     EigenBehaviorSet,
@@ -32,37 +31,9 @@ from .summaries import (
 )
 from .trace import AssociationMatrix, budget_blocks
 
-METRIC_MAX = {"amvd": 2.0, "eigen": 1.0, "onavg_l1": 2.0, "centroid_l1": 2.0}
-
 SUMMARY_KINDS = ("onavg", "centroid@0.5", "centroid@0.9")
 # sim_matrix's block of absolute dot products holds about this many cells.
 SIM_BLOCK_CELLS = 1 << 18
-
-
-@dataclass
-class DistanceMatrix:
-    """Symmetric pairwise distances with a metric tag and element ids."""
-
-    values: np.ndarray
-    metric: str
-    ids: tuple[str, ...]
-    flagged_ids: tuple[str, ...] = ()
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.ids = tuple(self.ids)
-        self.flagged_ids = tuple(self.flagged_ids)
-        n = len(self.ids)
-        if np.shape(self.values) != (n, n):
-            raise ValueError("values must be N x N matching ids")
-        self.values = validate_square(self.values)
-        top = METRIC_MAX.get(self.metric)
-        if top is not None and (self.values.min() < -1e-9 or self.values.max() > top + 1e-9):
-            raise ValueError(f"{self.metric} distances must lie in [0, {top}]")
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
 
 
 def amvd_distance_matrix(

@@ -27,8 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .cluster import Partition
-from .distances import DistanceMatrix
+from .cluster import DistanceMatrix, Partition
 from .groups import GroupProfile
 from .profilecast import SimConfig, SimResult
 from .summaries import EigenBehaviorSet
@@ -305,7 +304,8 @@ def write_report_json(
     )
 
 
-def write_results_csv(path: str, rows: list[tuple[SimConfig, SimResult]]) -> None:
+def write_results_csv(path: str, configs: Sequence[SimConfig], results: Sequence[SimResult]) -> None:
+    rows = zip(configs, results, strict=True)
     _write_csv(
         path,
         RESULT_HEADER,
@@ -314,21 +314,14 @@ def write_results_csv(path: str, rows: list[tuple[SimConfig, SimResult]]) -> Non
 
 
 def write_normalized_results_csv(
-    path: str, rows: list[tuple[SimConfig, SimResult]], baseline: SimResult
+    path: str, configs: Sequence[SimConfig], ratios: Sequence[tuple[str, float, float, float]]
 ) -> None:
+    """One row per config of profilecast.compare_schemes's ratios to the baseline."""
+    rows = zip(configs, ratios, strict=True)
     _write_csv(
         path,
         RESULT_HEADER,
-        (
-            [
-                config.scheme,
-                config.param,
-                fmt(result.delivery_ratio / baseline.delivery_ratio),
-                fmt(result.mean_delay / baseline.mean_delay),
-                fmt(result.overhead / baseline.overhead),
-            ]
-            for config, result in rows
-        ),
+        ([c.scheme, c.param, fmt(d), fmt(delay), fmt(o)] for c, (_, d, delay, o) in rows),
     )
 
 

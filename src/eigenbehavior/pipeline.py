@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distances, groups, summaries
-from .cluster import Partition, agglomerate
-from .distances import DistanceMatrix
+from .cluster import DistanceMatrix, Partition, agglomerate
 from .trace import AssociationMatrix, TraceConfig, build_matrices
 
 METRICS = ("eigen", "amvd", "onavg", "centroid05", "centroid09")
@@ -68,9 +67,7 @@ def run_pipeline(
     if len(live) >= 2:
         normalized, sim_ids = distances.normalized_sim_table(live)
     dm = build_distance_matrix(matrices, metric, eigen_sets, normalized, sim_ids, include_offline)
-    partition = agglomerate(
-        dm.values, threshold=threshold, target_count=target_count, labels=list(dm.ids)
-    )
+    partition = agglomerate(dm, threshold=threshold, target_count=target_count)
     profiles = groups.group_profiles(partition, matrices, power_floor=power_floor)
     return PipelineResult(
         matrices=matrices,

@@ -458,32 +458,27 @@ def simulate(
     return SimulationOutcome(per_message, aggregate, leaked)
 
 
-def check_baseline(result: SimResult, name: str) -> None:
-    """Raise unless result can normalize other schemes: it delivered and transmitted."""
-    if result.delivery_ratio <= 0 or result.overhead <= 0:
-        raise ValueError(f"baseline {name!r} delivered nothing; ratios undefined")
-
-
 def compare_schemes(
-    results: dict[str, SimResult], baseline: str = "flooding"
+    results: Sequence[tuple[str, SimResult]], baseline: str = "flooding"
 ) -> list[tuple[str, float, float, float]]:
-    """Each scheme's aggregate metrics as ratios to the baseline scheme.
+    """Each scheme's aggregate metrics as ratios to the baseline scheme's.
 
-    Rows are (label, delivery_ratio_rel, mean_delay_rel, overhead_rel).
+    results holds (label, result) rows; the first row labelled baseline is the
+    baseline, which must have delivered and transmitted.  Rows are (label,
+    delivery_ratio_rel, mean_delay_rel, overhead_rel) in the given order; a
+    scheme that delivered nothing has a nan delay ratio.
     """
-    if baseline not in results:
+    base = next((res for label, res in results if label == baseline), None)
+    if base is None:
         raise ValueError(f"baseline {baseline!r} missing from results")
-    base = results[baseline]
-    check_baseline(base, baseline)
-    rows = []
-    for label in results:
-        res = results[label]
-        rows.append(
-            (
-                label,
-                res.delivery_ratio / base.delivery_ratio,
-                res.mean_delay / base.mean_delay if np.isfinite(res.mean_delay) else float("nan"),
-                res.overhead / base.overhead,
-            )
+    if base.delivery_ratio <= 0 or base.overhead <= 0:
+        raise ValueError(f"baseline {baseline!r} delivered nothing; ratios undefined")
+    return [
+        (
+            label,
+            res.delivery_ratio / base.delivery_ratio,
+            res.mean_delay / base.mean_delay,
+            res.overhead / base.overhead,
         )
-    return rows
+        for label, res in results
+    ]

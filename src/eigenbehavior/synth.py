@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trace import DAY_SECONDS, Records, read_json
+from .trace import DAY_SECONDS, Records, json_int, read_json
 
 ONLINE_SECONDS = 8 * 3600  # association time packed into one online day
 
@@ -96,7 +96,7 @@ def user_name(index: int) -> str:
 def _spec_from_dict(raw: dict) -> SynthSpec:
     groups = tuple(
         GroupSpec(
-            size=int(g["size"]),
+            size=json_int(g, "size"),
             modes=tuple(tuple(float(w) for w in m["weights"]) for m in g["modes"]),
             mode_probs=tuple(float(m["prob"]) for m in g["modes"]),
             p_online=float(g.get("p_online", 1.0)),
@@ -104,10 +104,10 @@ def _spec_from_dict(raw: dict) -> SynthSpec:
         for g in raw["groups"]
     )
     return SynthSpec(
-        n_locations=int(raw["n_locations"]),
-        n_days=int(raw["n_days"]),
+        n_locations=json_int(raw, "n_locations"),
+        n_days=json_int(raw, "n_days"),
         groups=groups,
-        seed=int(raw.get("seed", 0)),
+        seed=json_int(raw, "seed", 0),
         noise_epsilon=float(raw.get("noise_epsilon", 0.0)),
     )
 

@@ -250,6 +250,15 @@ def read_json(path: str, what: str, parse: Callable[[dict], T]) -> T:
         raise ValueError(f"{path}: malformed {what} ({exc})") from None
 
 
+def json_int(payload: dict, key: str, default: int | None = None) -> int:
+    """The JSON integer at payload[key], or default when the key is absent (it
+    is required when default is None).  Floats and true/false are refused."""
+    value = payload[key] if default is None else payload.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _int_cell(text: str, name: str, where: str) -> int:
     """The integer in a CSV cell; ``where`` is the path and line it is on."""
     try:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 
 import numpy as np
@@ -10,12 +11,14 @@ import pytest
 
 from eigenbehavior import (
     AssociationMatrix,
+    DistanceMatrix,
     GroupSpec,
     SynthSpec,
     TraceConfig,
     build_matrices,
     generate,
     single_location_modes,
+    split_trace,
 )
 from eigenbehavior.trace import DAY_SECONDS
 
@@ -32,6 +35,19 @@ def digest_tree(directory, skip=()) -> dict:
             with open(path, "rb") as fh:
                 out[os.path.relpath(path, directory)] = hashlib.sha256(fh.read()).hexdigest()
     return out
+
+
+def profile_half_config(records) -> dict:
+    """A pipeline config that ends at the last whole second at or before the
+    trace's split time under split_fraction 0.5, so that simulate accepts the
+    profile: it sees nothing of the replay half."""
+    return {"trace_start": 0, "trace_end": math.floor(split_trace(records)[2])}
+
+
+def checked(values, ids=None) -> DistanceMatrix:
+    """values as a checked DistanceMatrix of an untagged metric, keyed by
+    0..n-1 unless ids are given."""
+    return DistanceMatrix(values, "custom", range(len(values)) if ids is None else ids)
 
 
 def matrix_from_rows(rows, user_id="u", locations=None) -> AssociationMatrix:

@@ -22,6 +22,7 @@ from conftest import (
     digest_tree,
     matrix_from_rows,
     planted_five_spec,
+    profile_half_config,
     sim_overlap_spec,
     sim_trace_spec,
 )
@@ -49,6 +50,7 @@ from eigenbehavior import (
     significance,
     sim_matrix,
     simulate,
+    spec_from_json,
     split_trace,
     top_groups_share,
 )
@@ -242,7 +244,7 @@ def test_planted_group_recovery(planted_run, capsys):
     agreement = jaccard(result.partition, partition_from_labels(truth))
     assert agreement >= 0.9, f"pair agreement {agreement:.4f} < 0.9"
     dm = result.distance_matrix
-    intra, inter = distance_cdfs(result.partition, dm.values, labels=list(dm.ids))
+    intra, inter = distance_cdfs(result.partition, dm)
     max_intra = float(intra[-1])
     min_inter = float(inter[0])
     assert max_intra < min_inter, f"overlap: intra max {max_intra} >= inter min {min_inter}"
@@ -493,7 +495,8 @@ def test_cli_reruns_byte_identical(tmp_path, monkeypatch, capsys):
     spec_path = tmp_path / "population.json"
     spec_path.write_text(json.dumps(SPEC9))
     config_path = tmp_path / "window.json"
-    config_path.write_text(json.dumps({"trace_start": 0, "trace_end": 8 * 86400}))
+    records, _ = generate(spec_from_json(str(spec_path)))
+    config_path.write_text(json.dumps(profile_half_config(records)))
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(SCENARIO9))
 

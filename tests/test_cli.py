@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import eigenbehavior
-from conftest import digest_tree
+from conftest import digest_tree, profile_half_config
 from eigenbehavior import jaccard, load_records
 from eigenbehavior.cli import main
 from eigenbehavior.pipeline import METRICS
@@ -78,16 +78,18 @@ SCENARIO = {
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """One synth + pipeline run shared by the downstream command tests."""
+    """One synth + pipeline run on the profile half, shared by the downstream
+    command tests."""
     root = tmp_path_factory.mktemp("cli")
     spec_path = root / "spec.json"
     spec_path.write_text(json.dumps(SPEC))
-    config_path = root / "config.json"
-    config_path.write_text(json.dumps({"trace_start": 0, "trace_end": 8 * 86400}))
     scenario_path = root / "scenario.json"
     scenario_path.write_text(json.dumps(SCENARIO))
     synth_dir = root / "synth"
     assert main(["synth", str(spec_path), "--out", str(synth_dir)]) == 0
+    config_path = root / "config.json"
+    config = profile_half_config(load_records(str(synth_dir / "trace.csv")))
+    config_path.write_text(json.dumps(config))
     pipe_dir = root / "pipe"
     assert (
         main(
@@ -162,7 +164,8 @@ def test_pipeline_writes_a_long_user_id_into_its_rows(workdir, tmp_path):
     assert got_ids == ids
     got = [i for i, (_, user) in enumerate(got_labels) if user == long_id]
     want = [i for i, (_, user) in enumerate(labels) if user == "u00000"]
-    assert len(got) == len(want) == 8  # one row per day
+    days = json.loads((out / "matrices" / "index.json").read_text())["t"]
+    assert len(got) == len(want) == days == 5  # one row per day of the profile half
     np.testing.assert_array_equal(got_rows[got], rows[want])
     loaded = load_eigen_sets(str(out / "eigen.csv"))
     fixture = load_eigen_sets(str(workdir / "pipe" / "eigen.csv"))
@@ -320,7 +323,8 @@ def test_simulate_without_flooding_delivery_exits_2(tmp_path, capsys):
         lines.append(f"{user},alone-{user},100,200")
     trace.write_text("\n".join(lines) + "\n")
     pipe = tmp_path / "pipe"
-    pipe.mkdir()
+    (pipe / "matrices").mkdir(parents=True)
+    (pipe / "matrices" / "index.json").write_text(json.dumps({"config": {"trace_end": 100}}))
     (pipe / "partition.csv").write_text(
         "element,cluster\n" + "".join(f"{u},{g}\n" for u, g in users.items())
     )
@@ -342,6 +346,21 @@ def test_simulate_without_flooding_delivery_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "flooding" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_refuses_a_profile_of_the_whole_trace(workdir, tmp_path, capsys):
+    """A pipeline run whose horizon reaches past the split time learned its
+    profiles from the replay half; simulate names its index and writes nothing."""
+    config = tmp_path / "whole.json"
+    config.write_text(json.dumps({"trace_start": 0, "trace_end": 8 * 86400}))
+    pipe = tmp_path / "whole"
+    assert main(_pipeline_argv(workdir, config, pipe)) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    argv = ["simulate", str(workdir / "synth" / "trace.csv"), "--pipeline", str(pipe)]
+    argv += ["--scenario", str(workdir / "scenario.json"), "--out", str(out)]
+    index = pipe / "matrices" / "index.json"
+    _exits_2_naming(argv, index, "trace_end 691200.0 is after the split time", out, capsys)
 
 
 def test_line_break_in_user_id_exits_2_without_outputs(workdir, tmp_path, capsys):
@@ -527,7 +546,9 @@ def test_config_that_is_not_an_object_exits_2(workdir, tmp_path, capsys):
 @pytest.mark.parametrize(
     "payload, message",
     [
-        ({"slot_seconds": "x"}, "malformed pipeline config (invalid literal for int()"),
+        ({"slot_seconds": "x"}, "malformed pipeline config (slot_seconds must be an integer, got 'x')"),
+        ({"slot_seconds": 86400.9}, "malformed pipeline config (slot_seconds must be an integer, got 86400.9)"),
+        ({"slot_seconds": True}, "malformed pipeline config (slot_seconds must be an integer, got True)"),
         ({"window": [5]}, "malformed pipeline config (not enough values to unpack"),
         ({"trace_start": "0", "trace_end": "9"}, "malformed pipeline config (must be real number"),
         ({"trace_end": float("inf")}, "malformed pipeline config (trace_start and trace_end must be finite)"),
@@ -537,6 +558,8 @@ def test_config_that_is_not_an_object_exits_2(workdir, tmp_path, capsys):
     ],
     ids=[
         "slot-seconds-not-int",
+        "slot-seconds-float",
+        "slot-seconds-true",
         "window-of-one",
         "bounds-not-numbers",
         "infinite-end",
@@ -572,6 +595,14 @@ def test_malformed_config_field_exits_2_naming_the_config(workdir, tmp_path, cap
             {"source_fraction": 0, "schemes": [{"scheme": "flooding"}]},
             "malformed scenario (source_fraction must lie in (0, 1])",
         ),
+        (
+            {"min_group_size": 6.9, "schemes": [{"scheme": "flooding"}]},
+            "malformed scenario (min_group_size must be an integer, got 6.9)",
+        ),
+        (
+            {"min_group_size": True, "schemes": [{"scheme": "flooding"}]},
+            "malformed scenario (min_group_size must be an integer, got True)",
+        ),
     ],
     ids=[
         "scheme-not-object",
@@ -579,6 +610,8 @@ def test_malformed_config_field_exits_2_naming_the_config(workdir, tmp_path, cap
         "split-fraction-not-number",
         "split-fraction-out-of-range",
         "source-fraction-zero",
+        "min-group-size-float",
+        "min-group-size-true",
     ],
 )
 def test_malformed_scenario_exits_2_naming_the_scenario(workdir, tmp_path, capsys, payload, message):
@@ -596,8 +629,15 @@ def test_malformed_scenario_exits_2_naming_the_scenario(workdir, tmp_path, capsy
             json.dumps({**SPEC, "groups": [{"size": 2, "modes": [{"weights": ["a"], "prob": 1}]}]}),
             "malformed synth spec (could not convert string to float: 'a')",
         ),
+        (json.dumps({**SPEC, "n_days": 6.5}), "malformed synth spec (n_days must be an integer, got 6.5)"),
+        (json.dumps({**SPEC, "n_locations": "4"}), "malformed synth spec (n_locations must be an integer, got '4')"),
+        (json.dumps({**SPEC, "seed": True}), "malformed synth spec (seed must be an integer, got True)"),
+        (
+            json.dumps({**SPEC, "groups": [{**SPEC["groups"][0], "size": 8.0}]}),
+            "malformed synth spec (size must be an integer, got 8.0)",
+        ),
     ],
-    ids=["invalid-json", "weight-not-number"],
+    ids=["invalid-json", "weight-not-number", "n-days-float", "n-locations-string", "seed-true", "size-float"],
 )
 def test_malformed_spec_exits_2_naming_the_spec(tmp_path, capsys, text, message):
     spec = tmp_path / "spec.json"

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from eigenbehavior import Partition, agglomerate, cluster, distance_cdfs
+from conftest import checked
+from eigenbehavior import DistanceMatrix, Partition, agglomerate, cluster, distance_cdfs
 
 
 def naive_average_linkage(dm, threshold=None, target_count=None):
@@ -52,78 +53,87 @@ def random_dm(rng, n):
 
 def test_three_points_on_a_line():
     dm = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 4.0], [5.0, 4.0, 0.0]])
-    p = agglomerate(dm, threshold=2.0)
+    p = agglomerate(checked(dm), threshold=2.0)
     assert p.assignment == {0: 0, 1: 0, 2: 1}
     assert p.merge_history == [(0, 1, 1.0)]
-    full = agglomerate(dm, target_count=1)
+    full = agglomerate(checked(dm), target_count=1)
     assert full.merge_history == [(0, 1, 1.0), (0, 2, 4.5)]
     assert full.assignment == {0: 0, 1: 0, 2: 0}
 
 
 def test_all_tied_distances_merge_lowest_ids_first():
     dm = np.ones((4, 4)) - np.eye(4)
-    p = agglomerate(dm, target_count=1)
+    p = agglomerate(checked(dm), target_count=1)
     assert p.merge_history == [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)]
 
 
 def test_tie_prefers_smaller_first_id():
     # (0,2) and (1,2) tie at 1; (0,1) is larger.
     dm = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    p = agglomerate(dm, target_count=2)
+    p = agglomerate(checked(dm), target_count=2)
     assert p.merge_history == [(0, 2, 1.0)]
     assert p.assignment == {0: 0, 2: 0, 1: 1}
 
 
 def test_threshold_is_inclusive():
     dm = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert agglomerate(dm, threshold=1.0).n_clusters == 1
-    assert agglomerate(dm, threshold=0.999).n_clusters == 2
+    assert agglomerate(checked(dm), threshold=1.0).n_clusters == 1
+    assert agglomerate(checked(dm), threshold=0.999).n_clusters == 2
 
 
 def test_labels_key_the_assignment():
     dm = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 4.0], [5.0, 4.0, 0.0]])
-    p = agglomerate(dm, threshold=2.0, labels=["w", "x", "y"])
+    p = agglomerate(checked(dm, ["w", "x", "y"]), threshold=2.0)
     assert p.assignment == {"w": 0, "x": 0, "y": 1}
     assert p.clusters() == [["w", "x"], ["y"]]
     assert p.sizes() == [2, 1]
 
 
 def test_single_element():
-    p = agglomerate(np.zeros((1, 1)), threshold=1.0)
+    p = agglomerate(checked(np.zeros((1, 1))), threshold=1.0)
     assert p.assignment == {0: 0}
     assert p.merge_history == []
 
 
 def test_validation_errors():
-    dm = np.zeros((3, 3))
+    dm = checked(np.zeros((3, 3)))
     with pytest.raises(ValueError, match="exactly one"):
         agglomerate(dm)
     with pytest.raises(ValueError, match="exactly one"):
         agglomerate(dm, threshold=1.0, target_count=2)
     with pytest.raises(ValueError, match="square"):
-        agglomerate(np.zeros((2, 3)), threshold=1.0)
+        checked(np.zeros((2, 3)))
     asym = np.array([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(ValueError, match="symmetric"):
-        agglomerate(asym, threshold=1.0)
+        checked(asym)
     with pytest.raises(ValueError, match="zero diagonal"):
-        agglomerate(np.ones((2, 2)), threshold=1.0)
+        checked(np.ones((2, 2)))
     with pytest.raises(ValueError, match="target_count"):
         agglomerate(dm, target_count=0)
-    with pytest.raises(ValueError, match="labels length"):
-        agglomerate(dm, threshold=1.0, labels=["a"])
+    with pytest.raises(ValueError, match="N x N matching ids"):
+        checked(np.zeros((3, 3)), ["a"])
 
 
 def test_symmetry_is_checked_in_every_row_block(monkeypatch):
     monkeypatch.setattr(cluster, "ROW_BLOCK_CELLS", 24)  # blocks of 3 rows, the last of 2
     dm = random_dm(np.random.default_rng(5), 8)
-    assert cluster.validate_square(dm) is dm
+    assert checked(dm).values is dm
     for i, j in zip(*np.nonzero(~np.eye(8, dtype=bool))):
         nudged = dm.copy()
         nudged[i, j] += 1e-12  # within tolerance
-        cluster.validate_square(nudged)
+        checked(nudged)
         nudged[i, j] += 1e-3
         with pytest.raises(ValueError, match="symmetric"):
-            cluster.validate_square(nudged)
+            checked(nudged)
+
+
+def test_a_checked_matrix_is_validated_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cluster, "validate_square", lambda dm: calls.append(1) or dm)
+    dm = DistanceMatrix(random_dm(np.random.default_rng(3), 6), "eigen", "abcdef")
+    partition = agglomerate(dm, target_count=2)
+    distance_cdfs(partition, dm)
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------- oracle ---
@@ -138,7 +148,7 @@ def test_matches_naive_oracle_target_count(monkeypatch):
         n = int(rng.integers(3, 41))
         dm = random_dm(rng, n)
         k = int(rng.integers(1, n + 1))
-        got = agglomerate(dm, target_count=k)
+        got = agglomerate(checked(dm), target_count=k)
         want_assign, want_hist = naive_average_linkage(dm, target_count=k)
         assert got.assignment == want_assign
         assert [(a, b) for a, b, _ in got.merge_history] == [
@@ -157,7 +167,7 @@ def test_matches_naive_oracle_threshold():
         n = int(rng.integers(3, 31))
         dm = random_dm(rng, n)
         threshold = float(rng.uniform(0.2, 0.9))
-        got = agglomerate(dm, threshold=threshold)
+        got = agglomerate(checked(dm), threshold=threshold)
         want_assign, want_hist = naive_average_linkage(dm, threshold=threshold)
         assert got.assignment == want_assign
         assert len(got.merge_history) == len(want_hist)
@@ -167,7 +177,7 @@ def test_merge_distances_nondecreasing():
     rng = np.random.default_rng(107)
     for _ in range(20):
         n = int(rng.integers(3, 41))
-        p = agglomerate(random_dm(rng, n), target_count=1)
+        p = agglomerate(checked(random_dm(rng, n)), target_count=1)
         ds = [d for _, _, d in p.merge_history]
         assert all(b >= a - 1e-12 for a, b in zip(ds, ds[1:]))
 
@@ -177,13 +187,13 @@ def test_threshold_between_merge_levels_reproduces_prefix():
     for _ in range(20):
         n = int(rng.integers(4, 31))
         dm = random_dm(rng, n)
-        full = agglomerate(dm, target_count=1)
+        full = agglomerate(checked(dm), target_count=1)
         ds = [d for _, _, d in full.merge_history]
         m = int(rng.integers(1, n - 1))
         if ds[m] - ds[m - 1] < 1e-9:
             continue
         cut = (ds[m - 1] + ds[m]) / 2.0
-        p = agglomerate(dm, threshold=cut)
+        p = agglomerate(checked(dm), threshold=cut)
         assert p.merge_history == full.merge_history[:m]
         assert p.n_clusters == n - m
 
@@ -201,7 +211,7 @@ def test_distance_cdfs_hand_case():
         ]
     )
     p = Partition(assignment={0: 0, 1: 0, 2: 1, 3: 1})
-    intra, inter = distance_cdfs(p, dm)
+    intra, inter = distance_cdfs(p, checked(dm))
     np.testing.assert_allclose(intra, [0.1, 0.2])
     np.testing.assert_allclose(inter, [0.6, 0.7, 0.8, 0.9])
     assert len(intra) + len(inter) == 6
@@ -210,6 +220,6 @@ def test_distance_cdfs_hand_case():
 def test_distance_cdfs_with_labels():
     dm = np.array([[0.0, 0.5], [0.5, 0.0]])
     p = Partition(assignment={"a": 0, "b": 0})
-    intra, inter = distance_cdfs(p, dm, labels=["a", "b"])
+    intra, inter = distance_cdfs(p, checked(dm, ["a", "b"]))
     np.testing.assert_allclose(intra, [0.5])
     assert inter.size == 0

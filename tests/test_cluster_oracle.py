@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 import cluster_oracle as oracle
+from conftest import checked
 from eigenbehavior.cluster import agglomerate, merge_histories, pairwise_l1
 
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -48,7 +49,7 @@ def test_merge_history_matches_oracle(data):
     dm = data.draw(distance_matrices())
     stop = stop_rule(data.draw, dm.shape[0])
     want = oracle.agglomerate(dm, **stop)
-    got = agglomerate(dm, **stop)
+    got = agglomerate(checked(dm), **stop)
     assert got.merge_history == want.merge_history
     assert list(got.assignment.items()) == list(want.assignment.items())
 
@@ -139,4 +140,4 @@ def test_linkage_rounding_onto_a_row_minimum_takes_the_smaller_column():
     assert (a + 1.0) / 2 == 1.0
     want = oracle.agglomerate(dm, target_count=1).merge_history
     assert want[:2] == [(1, 3, 0.0), (0, 1, 1.0)]
-    assert agglomerate(dm, target_count=1).merge_history == want
+    assert agglomerate(checked(dm), target_count=1).merge_history == want

@@ -331,8 +331,10 @@ def test_eigen_sets_for_marks_offline_users():
 def test_distance_matrix_validation():
     ok = np.array([[0.0, 1.0], [1.0, 0.0]])
     DistanceMatrix(ok, "amvd", ("a", "b"))
-    with pytest.raises(ValueError, match="N x N"):
+    with pytest.raises(ValueError, match="square"):
         DistanceMatrix(np.zeros((2, 3)), "amvd", ("a", "b"))
+    with pytest.raises(ValueError, match="N x N"):
+        DistanceMatrix(np.zeros((3, 3)), "amvd", ("a", "b"))
     with pytest.raises(ValueError, match="symmetric"):
         DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), "amvd", ("a", "b"))
     with pytest.raises(ValueError, match="diagonal"):

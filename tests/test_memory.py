@@ -15,6 +15,7 @@ import numpy as np
 
 from eigenbehavior import (
     AssociationMatrix,
+    DistanceMatrix,
     EigenBehaviorSet,
     Records,
     TraceConfig,
@@ -151,13 +152,14 @@ def test_eigen_distance_with_flagged_users_holds_one_more_square():
 def test_agglomerate_holds_one_square():
     n = 1000
     rng = np.random.default_rng(11)
-    dm = rng.random((n, n))
-    dm += dm.T
-    np.fill_diagonal(dm, 0.0)
+    values = rng.random((n, n))
+    values += values.T
+    np.fill_diagonal(values, 0.0)
+    dm = DistanceMatrix(values, "custom", range(n))  # checked before tracing starts
     partition, peak = peak_above_inputs(agglomerate, dm, target_count=10)
     assert partition.n_clusters == 10
-    block = 4 * cluster.ROW_BLOCK_CELLS * 8  # validation, or one row rescan
-    assert_within(peak, n * n * 8 + block + SLACK)
+    rescan = cluster.ROW_BLOCK_CELLS * 8  # one block of row rescans
+    assert_within(peak, n * n * 8 + rescan + SLACK)
 
 
 def test_summary_table_holds_one_block_of_mode_trees():

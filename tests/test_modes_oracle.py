@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import summaries_oracle as oracle
+from conftest import checked
 from eigenbehavior import agglomerate, behavioral_modes, centroid_first_mode
 from eigenbehavior.cluster import partition_from_merges
 from eigenbehavior.summaries import _mode_clusterings
@@ -77,10 +78,10 @@ def test_modes_cut_from_one_tree_match_per_threshold_oracle(matrix, thresholds):
 def test_threshold_run_is_prefix_of_full_history(dm, threshold):
     n = dm.shape[0]
     labels = [f"e{i}" for i in range(n)]
-    full = agglomerate(dm, target_count=1, labels=labels)
+    full = agglomerate(checked(dm, labels), target_count=1)
     assert len(full.merge_history) == n - 1
     prefix = list(takewhile(lambda merge: merge[2] <= threshold, full.merge_history))
-    cut = agglomerate(dm, threshold=threshold, labels=labels)
+    cut = agglomerate(checked(dm, labels), threshold=threshold)
     assert cut.merge_history == prefix
     assert list(cut.assignment.items()) == list(
         partition_from_merges(prefix, labels).assignment.items()

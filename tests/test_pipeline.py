@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import warnings
 from collections import Counter
 
@@ -23,8 +24,8 @@ from eigenbehavior import (
     run_pipeline,
     summary_table,
 )
-from eigenbehavior import distances, summaries
-from eigenbehavior.distances import METRIC_MAX
+from eigenbehavior import cluster, distances, summaries
+from eigenbehavior.cluster import METRIC_MAX
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +73,7 @@ def test_pipeline_recovers_planted_groups(planted, metric):
     assert result.partition.n_clusters == 2
     assert len(result.profiles) == 2
     dm = result.distance_matrix
-    intra, inter = distance_cdfs(result.partition, dm.values, labels=list(dm.ids))
+    intra, inter = distance_cdfs(result.partition, dm)
     assert intra.max() < inter.min()
     assert dm.n == 12
     assert result.normalized_sims is not None and result.normalized_sims.shape == (12, 12)
@@ -127,11 +128,31 @@ def test_summary_table_reads_pipeline_eigen_sets(planted, monkeypatch):
 def test_population_threshold_route(planted):
     records, truth, config = planted
     dm = run_pipeline(records, config, target_count=2).distance_matrix
-    partition = agglomerate(dm.values, threshold=0.5, labels=list(dm.ids))
+    partition = agglomerate(dm, threshold=0.5)
     assert jaccard(partition, partition_from_labels(truth)) == 1.0
     assert run_pipeline(records, config, threshold=0.5).partition.assignment == partition.assignment
     with pytest.raises(ValueError, match="exactly one"):
         run_pipeline(records, config)
+
+
+@pytest.mark.parametrize("metric", ["eigen", "amvd", "onavg"])
+def test_a_pipeline_run_validates_its_distance_matrix_once(planted, metric):
+    """The n x n check runs when the DistanceMatrix is built; clustering trusts
+    it.  Calls are counted by code object, whatever name a module binds."""
+    records, _, config = planted
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is cluster.validate_square.__code__:
+            calls.append(frame.f_back.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run_pipeline(records, config, metric=metric, target_count=2)
+    finally:
+        sys.setprofile(previous)
+    assert calls == ["__post_init__"]
 
 
 def test_eigen_pipeline_builds_sets_and_table_once(planted, monkeypatch):

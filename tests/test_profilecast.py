@@ -457,10 +457,10 @@ def test_centralized_never_leaks_property():
 
 
 def test_compare_schemes_ratios():
-    results = {
-        "flooding": SimResult(0.9, 100.0, 50, delivered=90, n_targets=100),
-        "similarity@0.5": SimResult(0.45, 200.0, 10, delivered=45, n_targets=100),
-    }
+    results = [
+        ("flooding", SimResult(0.9, 100.0, 50, delivered=90, n_targets=100)),
+        ("similarity@0.5", SimResult(0.45, 200.0, 10, delivered=45, n_targets=100)),
+    ]
     rows = compare_schemes(results)
     assert rows[0] == ("flooding", 1.0, 1.0, 1.0)
     label, delivery_rel, delay_rel, overhead_rel = rows[1]
@@ -472,13 +472,30 @@ def test_compare_schemes_ratios():
 
 def test_compare_schemes_errors_and_nan_delay():
     with pytest.raises(ValueError, match="baseline"):
-        compare_schemes({"similarity": SimResult(1.0, 1.0, 1)})
+        compare_schemes([("similarity", SimResult(1.0, 1.0, 1))])
     with pytest.raises(ValueError, match="delivered nothing"):
-        compare_schemes({"flooding": SimResult(0.0, float("nan"), 0)})
+        compare_schemes([("flooding", SimResult(0.0, float("nan"), 0))])
     rows = compare_schemes(
-        {
-            "flooding": SimResult(1.0, 10.0, 5),
-            "centralized": SimResult(0.0, float("nan"), 0),
-        }
+        [
+            ("flooding", SimResult(1.0, 10.0, 5)),
+            ("centralized", SimResult(0.0, float("nan"), 0)),
+        ]
     )
     assert math.isnan(rows[1][2])
+
+
+def test_compare_schemes_keeps_every_row_and_takes_the_first_baseline():
+    rows = compare_schemes(
+        [
+            ("rtx", SimResult(0.5, 30.0, 4)),
+            ("flooding", SimResult(1.0, 10.0, 8)),
+            ("rtx", SimResult(0.25, 40.0, 2)),
+            ("flooding", SimResult(0.5, 20.0, 16)),
+        ]
+    )
+    assert rows == [
+        ("rtx", 0.5, 3.0, 0.5),
+        ("flooding", 1.0, 1.0, 1.0),
+        ("rtx", 0.25, 4.0, 0.25),
+        ("flooding", 0.5, 2.0, 2.0),
+    ]
