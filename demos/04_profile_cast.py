@@ -24,6 +24,7 @@ from eigenbehavior import (
     compare_schemes,
     extract_encounters,
     generate,
+    normalized_sim_table,
     run_pipeline,
     simulate,
     split_trace,
@@ -77,6 +78,8 @@ configs = {
     "rtx p=0.5 ttl=3": SimConfig("rtx", p=0.5, ttl_factor=3.0),
 }
 
+live = {user: eset for user, eset in result.eigen_sets.items() if eset is not None}
+sim_table, sim_ids = normalized_sim_table(live)
 results = []
 leaks = {}
 for label, config in configs.items():
@@ -84,8 +87,8 @@ for label, config in configs.items():
         messages,
         encounters,
         config,
-        sim_table=result.normalized_sims,
-        sim_ids=result.sim_ids,
+        sim_table=sim_table,
+        sim_ids=sim_ids,
     )
     results.append((label, outcome.aggregate))
     leaks[label] = outcome.leaked

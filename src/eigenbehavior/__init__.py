@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .cluster import DistanceMatrix, Partition, agglomerate, distance_cdfs
 from .distances import (
     amvd_distance_matrix,
-    eigen_distance_from_sims,
     eigen_distance_matrix,
     eigen_sets_for,
     normalize_sims,

@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .cluster import METRIC_MAX, DistanceMatrix, pairwise_l1
+from .cluster import METRIC_MAX, ROW_BLOCK_CELLS, DistanceMatrix, pairwise_l1
 from .summaries import (
     DEFAULT_POWER_FLOOR,
     EigenBehaviorSet,
@@ -143,42 +143,45 @@ def normalized_sim_table(eigen_sets: dict[str, EigenBehaviorSet]) -> tuple[np.nd
     return _normalize_in_place(sim_matrix([eigen_sets[u] for u in ids])), ids
 
 
-def eigen_distance_from_sims(
-    normalized: np.ndarray,
-    sim_ids: tuple[str, ...],
+def eigen_distance_matrix(
     eigen_sets: dict[str, EigenBehaviorSet | None],
 ) -> DistanceMatrix:
-    """Eigen-behavior distance 1 - (S + S^T) / 2 from the table over sim_ids.
+    """Eigen-behavior distance 1 - (S + S^T) / 2 over the normalized sim table S.
 
-    Users mapped to None in eigen_sets (no online time) are flagged and sit at
-    the metric maximum from everyone.  The distances are computed in place in
-    one array, which is the result when sim_ids covers every user.
+    Users mapped to None (no online time) are flagged and sit at the metric
+    maximum from everyone.  The table is turned into distances in its own
+    array, which is the result when no user is flagged: each block of rows,
+    from the diagonal on, is summed with its transposed block of columns and
+    written back to both.  Addition commutes, so every cell has the bits of
+    the whole-array S + S^T.
     """
     ids = tuple(sorted(eigen_sets))
-    flagged = tuple(u for u in ids if eigen_sets[u] is None)
-    live_d = normalized + normalized.T
-    live_d /= 2.0
-    np.subtract(1.0, live_d, out=live_d)
-    np.fill_diagonal(live_d, 0.0)
-    np.clip(live_d, 0.0, 1.0, out=live_d)
-    if tuple(sim_ids) == ids:
+    live = {u: s for u, s in eigen_sets.items() if s is not None}
+    if len(live) < 2:
+        raise ValueError("need at least two users with eigen-behavior sets")
+    live_d, live_ids = normalized_sim_table(live)
+    n = len(live_d)
+    step = max(1, ROW_BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        block = live_d[lo:hi, lo:] + live_d[lo:, lo:hi].T
+        block /= 2.0
+        np.subtract(1.0, block, out=block)
+        np.clip(block, 0.0, 1.0, out=block)
+        live_d[lo:hi, lo:] = block
+        live_d[lo:, lo:hi] = block.T
+        del block  # freed before the next block is made
+    if live_ids == ids:  # the table's diagonal of ones became zeros
         values = live_d
     else:
         values = np.full((len(ids), len(ids)), METRIC_MAX["eigen"])
         np.fill_diagonal(values, 0.0)
         pos_of = {u: i for i, u in enumerate(ids)}
-        live_pos = [pos_of[u] for u in sim_ids]
+        live_pos = [pos_of[u] for u in live_ids]
         values[np.ix_(live_pos, live_pos)] = live_d
-    floor = eigen_sets[sim_ids[0]].power_floor
+    flagged = tuple(u for u in ids if eigen_sets[u] is None)
+    floor = live[live_ids[0]].power_floor
     return DistanceMatrix(values, "eigen", ids, flagged, {"power_floor": floor})
-
-
-def eigen_distance_matrix(
-    eigen_sets: dict[str, EigenBehaviorSet | None],
-) -> DistanceMatrix:
-    """Pairwise eigen-behavior distance over a population; see eigen_distance_from_sims."""
-    live = {u: s for u, s in eigen_sets.items() if s is not None}
-    return eigen_distance_from_sims(*normalized_sim_table(live), eigen_sets)
 
 
 def summary_l1_distance(

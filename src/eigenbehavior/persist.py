@@ -3,15 +3,18 @@
 All floats are written with 9 significant digits and all JSON with sorted
 keys, so identical inputs and seeds reproduce byte-identical files.
 
-Every per-user array (``matrices/rows.csv``, ``eigen.csv`` and ``sims.csv``)
-is one labelled CSV: a header of ``user`` and the column names, then one line
-per array row, led by its user's cell.  No file is named after a user.  One
+Every per-user array (``matrices/rows.csv`` and ``eigen.csv``) is one
+labelled CSV: a header of ``user`` and the column names, then one line per
+array row, led by its user's cell.  No file is named after a user.  One
 writer formats a user's whole block with one ``%.9g`` template applied to
 ``ndarray.tolist()``, and one reader, on ``trace.read_csv``, parses them
 back; ``"%.9g" % x`` is byte-identical to ``format(x, ".9g")``.  The distance
 matrix is written a row at a time the same way, and the trace writer in
 chunks of at most ``CHUNK_ROWS`` records, with one ``%s,%s,%d,%d`` template.
 Ids are quoted once each through ``csv.writer``, as QUOTE_MINIMAL requires.
+
+The similarity table is not stored: it is a function of the eigen sets,
+``distances.normalized_sim_table(load_eigen_sets(path))``.
 """
 
 from __future__ import annotations
@@ -256,23 +259,6 @@ def write_merge_history_csv(path: str, partition: Partition) -> None:
 
 def write_summary_table_csv(path: str, table: dict[str, float]) -> None:
     _write_csv(path, ["summary", "mean_significance"], ([name, fmt(table[name])] for name in table))
-
-
-def write_sims_csv(path: str, normalized: np.ndarray, ids: Sequence[str]) -> None:
-    rows = np.asarray(normalized, dtype=float)[:, None]  # one (1, n) block per user
-    _write_labelled_rows(path, ["user", *ids], ids, rows)
-
-
-def load_sims_csv(path: str) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The similarity table: a header of ``user`` and then the ids, and one row
-    per id, in header order, led by that id."""
-    ids, labels, values = _read_labelled_rows(path, ("user",), "similarity table")
-    if values.shape != (len(ids), len(ids)):
-        raise ValueError(f"{path}: similarity table is not square")
-    for (line, user), expected in zip(labels, ids):
-        if user != expected:
-            raise ValueError(f"{path}:{line}: row user {user!r} differs from header id {expected!r}")
-    return values, ids
 
 
 def write_report_json(

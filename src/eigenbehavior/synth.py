@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trace import DAY_SECONDS, Records, json_int, read_json
+from .trace import DAY_SECONDS, Records, json_int, json_number, read_json
 
 ONLINE_SECONDS = 8 * 3600  # association time packed into one online day
 
@@ -93,13 +93,19 @@ def user_name(index: int) -> str:
     return f"u{index:05d}"
 
 
+def _weights(mode: dict) -> tuple[float, ...]:
+    """A mode's location weights, each a JSON number."""
+    entries = {f"weights[{i}]": w for i, w in enumerate(mode["weights"])}
+    return tuple(json_number(entries, key) for key in entries)
+
+
 def _spec_from_dict(raw: dict) -> SynthSpec:
     groups = tuple(
         GroupSpec(
             size=json_int(g, "size"),
-            modes=tuple(tuple(float(w) for w in m["weights"]) for m in g["modes"]),
-            mode_probs=tuple(float(m["prob"]) for m in g["modes"]),
-            p_online=float(g.get("p_online", 1.0)),
+            modes=tuple(_weights(m) for m in g["modes"]),
+            mode_probs=tuple(json_number(m, "prob") for m in g["modes"]),
+            p_online=json_number(g, "p_online", 1.0),
         )
         for g in raw["groups"]
     )
@@ -108,7 +114,7 @@ def _spec_from_dict(raw: dict) -> SynthSpec:
         n_days=json_int(raw, "n_days"),
         groups=groups,
         seed=json_int(raw, "seed", 0),
-        noise_epsilon=float(raw.get("noise_epsilon", 0.0)),
+        noise_epsilon=json_number(raw, "noise_epsilon", 0.0),
     )
 
 

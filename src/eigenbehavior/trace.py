@@ -259,6 +259,16 @@ def json_int(payload: dict, key: str, default: int | None = None) -> int:
     return value
 
 
+def json_number(payload: dict, key: str, default: float | None = None) -> float:
+    """The JSON number at payload[key] as a float, or default when the key is
+    absent (it is required when default is None).  Strings, null and
+    true/false are refused."""
+    value = payload[key] if default is None else payload.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _int_cell(text: str, name: str, where: str) -> int:
     """The integer in a CSV cell; ``where`` is the path and line it is on."""
     try:

@@ -11,8 +11,6 @@ import json
 import os
 from typing import Sequence
 
-import numpy as np
-
 from eigenbehavior.distances import DistanceMatrix
 from eigenbehavior.summaries import EigenBehaviorSet
 from eigenbehavior.trace import AssociationMatrix, TraceConfig
@@ -90,11 +88,3 @@ def write_distance_matrix(path: str, dm: DistanceMatrix) -> None:
             "params": dm.params,
         },
     )
-
-
-def write_sims_csv(path: str, normalized: np.ndarray, ids: Sequence[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user"] + list(ids))
-        for i, user in enumerate(ids):
-            writer.writerow([user] + [fmt(v) for v in normalized[i]])

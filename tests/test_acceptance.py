@@ -42,6 +42,7 @@ from eigenbehavior import (
     generate,
     group_power_scatter,
     jaccard,
+    normalized_sim_table,
     onavg,
     partition_from_labels,
     power_captured,
@@ -350,6 +351,11 @@ def test_partition_agreement_matches_pair_oracle(capsys):
 # ---------------------------------------------------------------- check 8 ---
 
 
+def live_sim_table(result):
+    """The normalized similarity table of a pipeline result's users with eigen sets."""
+    return normalized_sim_table({u: s for u, s in result.eigen_sets.items() if s is not None})
+
+
 def test_dissemination_scheme_orderings(capsys):
     """On a 500-user trace (profiles from the first 30 days, replay on the
     second 30): flooding delivery >= every scheme (slack 1e-9); the oracle
@@ -367,6 +373,7 @@ def test_dissemination_scheme_orderings(capsys):
     messages = build_messages(result.partition, creation_time=split_time)
     encounters = extract_encounters(second)
 
+    sim_table, sim_ids = live_sim_table(result)
     runs = {
         "flooding": simulate(messages, encounters, SimConfig("flooding")),
         "centralized": simulate(messages, encounters, SimConfig("centralized")),
@@ -378,8 +385,8 @@ def test_dissemination_scheme_orderings(capsys):
             messages,
             encounters,
             SimConfig("similarity", sim_threshold=threshold),
-            sim_table=result.normalized_sims,
-            sim_ids=result.sim_ids,
+            sim_table=sim_table,
+            sim_ids=sim_ids,
         )
     took = time.perf_counter() - start
 
@@ -433,14 +440,15 @@ def test_similarity_thresholds_change_overhead_on_overlapping_modes(capsys):
     messages = build_messages(result.partition, creation_time=split_time)
     encounters = extract_encounters(second)
     flooding = simulate(messages, encounters, SimConfig("flooding")).aggregate
+    sim_table, sim_ids = live_sim_table(result)
     thresholds = (0.3, 0.5, 0.7, 0.9)
     outcomes = [
         simulate(
             messages,
             encounters,
             SimConfig("similarity", sim_threshold=threshold),
-            sim_table=result.normalized_sims,
-            sim_ids=result.sim_ids,
+            sim_table=sim_table,
+            sim_ids=sim_ids,
         ).aggregate
         for threshold in thresholds
     ]

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -55,7 +56,6 @@ PIPELINE_FILES = {
     os.path.join("matrices", "rows.csv"),
     os.path.join("matrices", "index.json"),
     "eigen.csv",
-    "sims.csv",
     "distances.csv",
     "distances.csv.json",
     "partition.csv",
@@ -199,9 +199,8 @@ def test_pipeline_amvd_metric_and_locmap(workdir, tmp_path):
     assert rc == 0
     index = json.loads((out / "matrices" / "index.json").read_text())
     assert index["location_index"] == ["B0", "B1"]
-    # the similarity table ships regardless of clustering metric: the simulate
-    # command's similarity scheme reads it from the pipeline directory
-    assert (out / "sims.csv").exists()
+    # no similarity table is stored: simulate's similarity scheme rebuilds it from eigen.csv
+    assert set(digest_tree(out)) == PIPELINE_FILES
 
 
 def test_simulate_outputs(workdir, tmp_path):
@@ -365,7 +364,7 @@ def test_simulate_refuses_a_profile_of_the_whole_trace(workdir, tmp_path, capsys
 
 def test_line_break_in_user_id_exits_2_without_outputs(workdir, tmp_path, capsys):
     """A quoted carriage return inside a user id would be written unquoted by the
-    output writers and break sims.csv and partition.csv, so the loader refuses it."""
+    output writers and break eigen.csv and partition.csv, so the loader refuses it."""
     trace = tmp_path / "trace.csv"
     trace.write_bytes(b'user,location,start,end\nu1,A,0,100\n"c\rr",A,0,100\n')
     out = tmp_path / "o"
@@ -550,22 +549,37 @@ def test_config_that_is_not_an_object_exits_2(workdir, tmp_path, capsys):
         ({"slot_seconds": 86400.9}, "malformed pipeline config (slot_seconds must be an integer, got 86400.9)"),
         ({"slot_seconds": True}, "malformed pipeline config (slot_seconds must be an integer, got True)"),
         ({"window": [5]}, "malformed pipeline config (not enough values to unpack"),
-        ({"trace_start": "0", "trace_end": "9"}, "malformed pipeline config (must be real number"),
-        ({"trace_end": float("inf")}, "malformed pipeline config (trace_start and trace_end must be finite)"),
+        ({"window": [True, 3600]}, "malformed pipeline config (window[0] must be an integer, got True)"),
+        ({"window": [0, 3600.5]}, "malformed pipeline config (window[1] must be an integer, got 3600.5)"),
+        ({"trace_start": "0", "trace_end": "9"}, "malformed pipeline config (trace_start must be an integer, got '0')"),
+        ({"trace_start": 1.5}, "malformed pipeline config (trace_start must be an integer, got 1.5)"),
+        (
+            {"trace_start": False, "trace_end": True},
+            "malformed pipeline config (trace_start must be an integer, got False)",
+        ),
+        ({"trace_end": float("inf")}, "malformed pipeline config (trace_end must be an integer, got inf)"),
         ({"align_midnight": "false"}, "malformed pipeline config (align_midnight must be true or false, got 'false')"),
         ({"include_offline": 1}, "malformed pipeline config (include_offline must be true or false, got 1)"),
         ({"power_floor": -1}, "malformed pipeline config (power_floor must lie in [0, 1))"),
+        ({"power_floor": True}, "malformed pipeline config (power_floor must be a number, got True)"),
+        ({"power_floor": "0.1"}, "malformed pipeline config (power_floor must be a number, got '0.1')"),
     ],
     ids=[
         "slot-seconds-not-int",
         "slot-seconds-float",
         "slot-seconds-true",
         "window-of-one",
+        "window-entry-true",
+        "window-entry-float",
         "bounds-not-numbers",
+        "trace-start-float",
+        "bounds-true-false",
         "infinite-end",
         "align-midnight-string",
         "include-offline-number",
         "power-floor-negative",
+        "power-floor-true",
+        "power-floor-string",
     ],
 )
 def test_malformed_config_field_exits_2_naming_the_config(workdir, tmp_path, capsys, payload, message):
@@ -581,11 +595,27 @@ def test_malformed_config_field_exits_2_naming_the_config(workdir, tmp_path, cap
         ({"schemes": [1]}, "malformed scenario (scheme entry 1 is not an object)"),
         (
             {"schemes": [{"scheme": "flooding"}, {"scheme": "rtx", "p": "x", "ttl_factor": 3}]},
-            "malformed scenario ('<' not supported",
+            "malformed scenario (p must be a number, got 'x')",
+        ),
+        (
+            {"schemes": [{"scheme": "flooding"}, {"scheme": "rtx", "p": True, "ttl_factor": True}]},
+            "malformed scenario (p must be a number, got True)",
+        ),
+        (
+            {"schemes": [{"scheme": "flooding"}, {"scheme": "rtx", "p": 1.0, "ttl_factor": True}]},
+            "malformed scenario (ttl_factor must be a number, got True)",
+        ),
+        (
+            {"schemes": [{"scheme": "flooding"}, {"scheme": "similarity", "sim_threshold": False}]},
+            "malformed scenario (sim_threshold must be a number, got False)",
         ),
         (
             {"split_fraction": "half", "schemes": [{"scheme": "flooding"}]},
-            "malformed scenario (could not convert string to float: 'half')",
+            "malformed scenario (split_fraction must be a number, got 'half')",
+        ),
+        (
+            {"split_fraction": True, "schemes": [{"scheme": "flooding"}]},
+            "malformed scenario (split_fraction must be a number, got True)",
         ),
         (
             {"split_fraction": 2, "schemes": [{"scheme": "flooding"}]},
@@ -594,6 +624,10 @@ def test_malformed_config_field_exits_2_naming_the_config(workdir, tmp_path, cap
         (
             {"source_fraction": 0, "schemes": [{"scheme": "flooding"}]},
             "malformed scenario (source_fraction must lie in (0, 1])",
+        ),
+        (
+            {"source_fraction": True, "schemes": [{"scheme": "flooding"}]},
+            "malformed scenario (source_fraction must be a number, got True)",
         ),
         (
             {"min_group_size": 6.9, "schemes": [{"scheme": "flooding"}]},
@@ -607,9 +641,14 @@ def test_malformed_config_field_exits_2_naming_the_config(workdir, tmp_path, cap
     ids=[
         "scheme-not-object",
         "rtx-p-not-number",
+        "rtx-p-and-ttl-true",
+        "rtx-ttl-true",
+        "sim-threshold-false",
         "split-fraction-not-number",
+        "split-fraction-true",
         "split-fraction-out-of-range",
         "source-fraction-zero",
+        "source-fraction-true",
         "min-group-size-float",
         "min-group-size-true",
     ],
@@ -627,8 +666,17 @@ def test_malformed_scenario_exits_2_naming_the_scenario(workdir, tmp_path, capsy
         ("{not json", "invalid JSON (Expecting property name"),
         (
             json.dumps({**SPEC, "groups": [{"size": 2, "modes": [{"weights": ["a"], "prob": 1}]}]}),
-            "malformed synth spec (could not convert string to float: 'a')",
+            "malformed synth spec (weights[0] must be a number, got 'a')",
         ),
+        (
+            json.dumps({**SPEC, "groups": [{"size": 2, "modes": [{"weights": [True], "prob": 1}]}]}),
+            "malformed synth spec (weights[0] must be a number, got True)",
+        ),
+        (
+            json.dumps({**SPEC, "groups": [{**SPEC["groups"][0], "p_online": True}]}),
+            "malformed synth spec (p_online must be a number, got True)",
+        ),
+        (json.dumps({**SPEC, "noise_epsilon": False}), "malformed synth spec (noise_epsilon must be a number, got False)"),
         (json.dumps({**SPEC, "n_days": 6.5}), "malformed synth spec (n_days must be an integer, got 6.5)"),
         (json.dumps({**SPEC, "n_locations": "4"}), "malformed synth spec (n_locations must be an integer, got '4')"),
         (json.dumps({**SPEC, "seed": True}), "malformed synth spec (seed must be an integer, got True)"),
@@ -637,10 +685,54 @@ def test_malformed_scenario_exits_2_naming_the_scenario(workdir, tmp_path, capsy
             "malformed synth spec (size must be an integer, got 8.0)",
         ),
     ],
-    ids=["invalid-json", "weight-not-number", "n-days-float", "n-locations-string", "seed-true", "size-float"],
+    ids=[
+        "invalid-json",
+        "weight-not-number",
+        "weight-true",
+        "p-online-true",
+        "noise-epsilon-false",
+        "n-days-float",
+        "n-locations-string",
+        "seed-true",
+        "size-float",
+    ],
 )
 def test_malformed_spec_exits_2_naming_the_spec(tmp_path, capsys, text, message):
     spec = tmp_path / "spec.json"
     spec.write_text(text)
     out = tmp_path / "o"
     _exits_2_naming(["synth", str(spec), "--out", str(out)], spec, message, out, capsys)
+
+
+def test_similarity_replay_does_not_depend_on_the_profile_metric(workdir, tmp_path):
+    """simulate rebuilds the similarity table from eigen.csv, which every metric
+    writes alike, so an amvd and an eigen profile of the same half, grouped
+    alike, replay to the same bytes."""
+    amvd = tmp_path / "amvd"
+    assert main(_pipeline_argv(workdir, workdir / "config.json", amvd) + ["--metric", "amvd"]) == 0
+    eigen = workdir / "pipe"
+    for name in ("eigen.csv", "partition.csv"):
+        assert (amvd / name).read_bytes() == (eigen / name).read_bytes(), name
+    assert "similarity" in {entry["scheme"] for entry in SCENARIO["schemes"]}
+    results = []
+    for pipe in (amvd, eigen):
+        out = tmp_path / f"sim-{pipe.name}"
+        argv = ["simulate", str(workdir / "synth" / "trace.csv"), "--pipeline", str(pipe)]
+        assert main(argv + ["--scenario", str(workdir / "scenario.json"), "--out", str(out)]) == 0
+        results.append((out / "results.csv").read_bytes())
+    assert results[0] == results[1]
+
+
+def test_similarity_scheme_needs_two_eigen_sets(workdir, tmp_path, capsys):
+    """The similarity table is rebuilt from eigen.csv; one user's rows make no
+    table, and simulate names the file."""
+    pipe = tmp_path / "pipe"
+    shutil.copytree(workdir / "pipe", pipe)
+    eigen = pipe / "eigen.csv"
+    lines = eigen.read_text().splitlines(keepends=True)
+    eigen.write_text("".join(line for line in lines if line.startswith(("user,", "u00000,"))))
+    out = tmp_path / "o"
+    argv = ["simulate", str(workdir / "synth" / "trace.csv"), "--pipeline", str(pipe)]
+    argv += ["--scenario", str(workdir / "scenario.json"), "--out", str(out)]
+    message = "the similarity scheme needs two or more users with eigen sets"
+    _exits_2_naming(argv, eigen, message, out, capsys)

@@ -23,7 +23,7 @@ from eigenbehavior import (
     build_matrices,
     cluster,
     distances,
-    eigen_distance_from_sims,
+    eigen_distance_matrix,
     eigen_sets_for,
     normalized_sim_table,
     summaries,
@@ -127,26 +127,35 @@ def test_amvd_holds_output_and_one_block():
     assert_within(peak, output + rows + block + SLACK)
 
 
-def test_eigen_distance_holds_output_and_validation_block():
-    n = 600
-    sets = random_sets(n, 2, seed=7)
-    table, ids = normalized_sim_table(sets)
-    dm, peak = peak_above_inputs(eigen_distance_from_sims, table, ids, sets)
-    output = n * n * 8
+def eigen_distance_blocks(n: int, k: int) -> int:
+    """Bytes eigen_distance_matrix may hold besides its squares: the stacked
+    basis and one sim block, then one row block summed with its transposed
+    columns, then validation."""
+    stacked = 3 * n * k * 20 * 8
+    sims = 2 * distances.SIM_BLOCK_CELLS * 8
+    transposed = cluster.ROW_BLOCK_CELLS * 8
     validate = 4 * cluster.ROW_BLOCK_CELLS * 8  # allclose's temporaries for one row block
-    assert_within(peak, output + validate + SLACK)
+    return stacked + sims + transposed + validate
+
+
+def test_eigen_distance_holds_output_and_validation_block():
+    # at 1200 users the square (11 MB) outweighs every block, so a second one breaks the bound
+    n, k = 1200, 2
+    sets = random_sets(n, k, seed=7)
+    dm, peak = peak_above_inputs(eigen_distance_matrix, sets)
+    assert dm.flagged_ids == ()
+    assert_within(peak, n * n * 8 + eigen_distance_blocks(n, k) + SLACK)
 
 
 def test_eigen_distance_with_flagged_users_holds_one_more_square():
-    n = 600
-    sets = random_sets(n, 2, seed=7)
-    table, ids = normalized_sim_table(sets)
+    # the live distances and the flagged matrix are two squares; at 1200 users a third breaks the bound
+    n, k = 1200, 2
+    sets = random_sets(n, k, seed=7)
     with_flagged = {**sets, "zz-offline": None}
-    dm, peak = peak_above_inputs(eigen_distance_from_sims, table, ids, with_flagged)
+    dm, peak = peak_above_inputs(eigen_distance_matrix, with_flagged)
     assert dm.flagged_ids == ("zz-offline",)
     output = (n + 1) ** 2 * 8
-    validate = 4 * cluster.ROW_BLOCK_CELLS * 8
-    assert_within(peak, output + n * n * 8 + validate + SLACK)
+    assert_within(peak, output + n * n * 8 + eigen_distance_blocks(n, k) + SLACK)
 
 
 def test_agglomerate_holds_one_square():

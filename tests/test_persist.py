@@ -17,12 +17,10 @@ from eigenbehavior.persist import (
     load_distance_matrix,
     load_eigen_sets,
     load_partition_csv,
-    load_sims_csv,
     load_truth_csv,
     write_distance_matrix,
     write_eigen_sets,
     write_partition_csv,
-    write_sims_csv,
     write_trace_csv,
     write_truth_csv,
 )
@@ -182,37 +180,12 @@ def test_partition_csv_roundtrip(tmp_path):
         load_partition_csv(str(not_int))
 
 
-def test_sims_csv_roundtrip(tmp_path):
-    table = np.array([[1.0, 0.75], [0.5, 1.0]])
-    path = str(tmp_path / "sims.csv")
-    write_sims_csv(path, table, ("a", "b"))
-    loaded, ids = load_sims_csv(path)
-    np.testing.assert_allclose(loaded, table, atol=1e-9)
-    assert ids == ("a", "b")
-    bad = tmp_path / "bad.csv"
-    bad.write_text("user,a\n1.0,2.0\n3.0,4.0\n")
-    with pytest.raises(ValueError, match="not square"):
-        load_sims_csv(str(bad))
-    permuted = tmp_path / "permuted.csv"
-    permuted.write_text("user,a,b\nb,0.5,1\na,1,0.75\n")
-    with pytest.raises(ValueError, match=r"permuted\.csv:2: row user 'b' differs"):
-        load_sims_csv(str(permuted))
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_text("user,a,b\na,1,0.75\nb,1\n")
-    with pytest.raises(ValueError, match=r"ragged\.csv:3: expected 3 fields, got 2"):
-        load_sims_csv(str(ragged))
-    not_number = tmp_path / "not_number.csv"
-    not_number.write_text("user,a\na,x\n")
-    with pytest.raises(ValueError, match=r"not_number\.csv: similarity table holds a non-number"):
-        load_sims_csv(str(not_number))
-
-
 def test_loaders_name_the_line_a_multiline_row_starts_on(tmp_path):
     partition = tmp_path / "partition.csv"
     partition.write_bytes(b'element,cluster\n"u\n1",x\n')
     with pytest.raises(ValueError, match=r"partition\.csv:2: cluster is not an integer: 'x'"):
         load_partition_csv(str(partition))
-    sims = tmp_path / "sims.csv"
-    sims.write_bytes(b'user,a,b\na,1,0.5\n"b\n",0.5,1\n')
-    with pytest.raises(ValueError, match=r"sims\.csv:3: row user 'b\\n' differs"):
-        load_sims_csv(str(sims))
+    eigen = tmp_path / "eigen.csv"
+    eigen.write_bytes(b'user,power_floor,weight,A,B\na,0.001,1,1,0\n"b\n",0.001,x,1,0\n')
+    with pytest.raises(ValueError, match=r"eigen\.csv:3 \(could not convert string to float: 'x'\)"):
+        load_eigen_sets(str(eigen))

@@ -102,18 +102,6 @@ def test_write_eigen_sets_matches_oracle(eigen_sets):
 
 
 @st.composite
-def sims_tables(draw):
-    ids = draw(st.lists(IDS, min_size=1, max_size=5, unique=True))
-    return floats(draw, (len(ids), len(ids))), tuple(ids)
-
-
-@given(sims_tables())
-@PROPERTY
-def test_write_sims_csv_matches_oracle(table):
-    same_bytes(persist.write_sims_csv, oracle.write_sims_csv, *table)
-
-
-@st.composite
 def distance_matrices(draw):
     n = draw(st.integers(1, 7))
     dm = DistanceMatrix(np.zeros((n, n)), "eigen", tuple(f"u{i}" for i in range(n)))

@@ -57,12 +57,11 @@ def planted():
 def test_build_distance_matrix_dispatch(planted, metric, tag):
     records, _, config = planted
     built = run_pipeline(records, config, target_count=2)
-    products = (built.eigen_sets, built.normalized_sims, built.sim_ids)
-    dm = build_distance_matrix(built.matrices, metric, *products)
+    dm = build_distance_matrix(built.matrices, metric, built.eigen_sets)
     assert dm.metric == tag
     assert dm.n == 12
     with pytest.raises(ValueError, match="unknown metric"):
-        build_distance_matrix(built.matrices, "cosine", *products)
+        build_distance_matrix(built.matrices, "cosine", built.eigen_sets)
 
 
 @pytest.mark.parametrize("metric", ["eigen", "amvd", "onavg", "centroid05"])
@@ -76,7 +75,6 @@ def test_pipeline_recovers_planted_groups(planted, metric):
     intra, inter = distance_cdfs(result.partition, dm)
     assert intra.max() < inter.min()
     assert dm.n == 12
-    assert result.normalized_sims is not None and result.normalized_sims.shape == (12, 12)
 
 
 @pytest.mark.parametrize(
@@ -175,12 +173,19 @@ def test_eigen_pipeline_builds_sets_and_table_once(planted, monkeypatch):
     offline = AssociationRecord("zz-offline", rows[0].location_id, -100, -10)
     result = run_pipeline(rows + [offline], config, metric="eigen", target_count=3)
     assert calls == {"sim_matrix": 1, "eigen_sets_for": 1}
+    # the other metrics build no sim table
+    for metric in ("amvd", "onavg", "centroid05"):
+        calls.clear()
+        run_pipeline(records, config, metric=metric, target_count=2)
+        assert calls == {"eigen_sets_for": 1}, metric
 
     dm = result.distance_matrix
     assert dm.flagged_ids == ("zz-offline",)
-    assert "zz-offline" not in result.sim_ids
-    table = result.normalized_sims
-    live = [dm.ids.index(u) for u in result.sim_ids]
+    table, sim_ids = distances.normalized_sim_table(
+        {u: s for u, s in result.eigen_sets.items() if s is not None}
+    )
+    assert "zz-offline" not in sim_ids
+    live = [dm.ids.index(u) for u in sim_ids]
     np.testing.assert_array_equal(
         dm.values[np.ix_(live, live)], np.clip(1.0 - (table + table.T) / 2.0, 0.0, 1.0)
     )

@@ -12,7 +12,6 @@ from eigenbehavior.persist import (
     load_distance_matrix,
     load_eigen_sets,
     load_partition_csv,
-    load_sims_csv,
     load_truth_csv,
 )
 from eigenbehavior.trace import load_location_map, load_records, read_csv, read_json
@@ -24,7 +23,6 @@ LOADERS = {
     "truth": (load_truth_csv, "user,group", "u1,0"),
     "partition": (load_partition_csv, "element,cluster", "u1,0"),
     "distances": (load_distance_matrix, "i,j,distance", "0,1,0.5"),
-    "sims": (load_sims_csv, "user,a,b", "a,1,0.5"),
     "eigen": (load_eigen_sets, "user,power_floor,weight,A,B", "a,0.001,1,1,0"),
 }
 
