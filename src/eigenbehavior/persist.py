@@ -186,13 +186,22 @@ def write_eigen_sets(
 def load_eigen_sets(path: str) -> dict[str, EigenBehaviorSet]:
     """Each user's set from its run of consecutive rows in an eigen.csv."""
     _, labels, values = _read_labelled_rows(path, EIGEN_LEAD, "eigen-behavior table")
-    starts = [i for i in range(len(labels)) if i == 0 or labels[i][1] != labels[i - 1][1]]
     sets: dict[str, EigenBehaviorSet] = {}
-    for lo, hi in zip(starts, starts[1:] + [len(labels)]):
+    if not labels:
+        return sets
+    starts = [i for i in range(len(labels)) if i == 0 or labels[i][1] != labels[i - 1][1]]
+    # A user's power_floor differs when some row's differs from the row before
+    # it (NaN equal to NaN, as np.unique counts them).
+    floor = values[:, 0]
+    changed = np.zeros(len(labels), dtype=bool)
+    changed[1:] = (floor[1:] != floor[:-1]) & ~(np.isnan(floor[1:]) & np.isnan(floor[:-1]))
+    changed[starts] = False
+    mixed = np.logical_or.reduceat(changed, starts).tolist()
+    for lo, hi, floor_differs in zip(starts, starts[1:] + [len(labels)], mixed):
         (line, user), block = labels[lo], values[lo:hi]
         if user in sets:
             raise ValueError(f"{path}:{line}: rows of user {user!r} are not contiguous")
-        if np.unique(block[:, 0]).size != 1:
+        if floor_differs:
             raise ValueError(f"{path}:{line}: power_floor differs between the rows of user {user!r}")
         try:
             sets[user] = EigenBehaviorSet(block[:, 2:], block[:, 1], float(block[0, 0]))

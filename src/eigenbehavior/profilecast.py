@@ -28,13 +28,23 @@ location codes).  The replay keeps one Python-int bitset over the messages
 per user, so one encounter costs a few integer operations whatever the number
 of messages; earliest-arrival replay over a time-ordered contact sequence
 follows Wu et al., "Path problems in temporal graphs" (VLDB 2014).
+
+The replay reads the encounters in blocks of ``REPLAY_BLOCK`` rows, and numpy
+picks the rows of a block that can still change state; Python visits only
+those.  A user is saturated once it has seen every message it may receive;
+seen only grows, so it stays saturated, and flooding, centralized and
+similarity drop the rows between two users saturated at the block's start.
+rtx walks only the rows of users holding custody of a message with hops
+left, in row order, and draws its p-rolls many at a time from the same
+Generator stream, so every transmission is the one of a row-by-row replay.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +55,9 @@ SCHEMES = ("flooding", "centralized", "similarity", "rtx")
 
 DEFAULT_SOURCE_FRACTION = 0.2
 DEFAULT_MIN_GROUP_SIZE = 6  # groups with more than five members get messages
+# simulate reads the encounters in blocks of this many rows, so its per-row
+# scratch arrays and lists stay a few MB whatever the replay's length.
+REPLAY_BLOCK = 1 << 14
 
 
 EncounterRow = tuple[str, str, float, float, str]  # (a, b, start, end, location)
@@ -301,6 +314,21 @@ def _bits_of(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
+def _rolls(rng: np.random.Generator, n_msgs: int, p: float) -> Iterator[int]:
+    """Bitsets of ``rng.random(n_msgs) < p``, one per call of next().
+
+    The draws come as rows of ``rng.random((k, n_msgs))``, about REPLAY_BLOCK
+    numbers at a time; row i holds the bits of the i-th ``rng.random(n_msgs)``
+    call, so the Generator gives every roll the numbers it gave one call each.
+    """
+    rows = max(1, REPLAY_BLOCK // n_msgs)
+    width = (n_msgs + 7) // 8
+    while True:
+        packed = np.packbits(rng.random((rows, n_msgs)) < p, axis=1, bitorder="little").tobytes()
+        for i in range(0, len(packed), width):
+            yield int.from_bytes(packed[i : i + width], "little")
+
+
 def simulate(
     messages: Sequence[Message],
     encounters: Encounters,
@@ -315,9 +343,23 @@ def simulate(
     the symmetrized value (mean of the two directions).
 
     State is one bitset over the messages per user (bit m is message m): the
-    messages it has seen, those whose group it belongs to, and under rtx those
-    in its custody.  Both directions of an encounter are decided from the
-    state before it.
+    messages it has seen, those it may receive (all, or under centralized
+    those of its groups), and under rtx those in its custody.  Both directions
+    of an encounter are decided from the state before it.
+
+    The encounters are read REPLAY_BLOCK rows at a time, and only the rows
+    that can still change state are visited:
+
+    * flooding, centralized and similarity skip the rows that start before
+      the first message exists, those between two users saturated at the
+      start of the block (seen covers what they may receive: such a row
+      forwards nothing either way, and seen only grows), and under similarity
+      those whose gate, ``(t[a, b] + t[b, a]) / 2.0``, is below the threshold;
+    * rtx walks, in row order, only the rows of users that hold custody of a
+      message with hops left, through a heap of the current custodians over a
+      per-block index from user to rows; a taker joins the walk at its next
+      row.  The p-rolls come from ``_rolls``, so every transmission is the one
+      a roll per handover would make.
     """
     if not messages:
         raise ValueError("no messages to simulate")
@@ -330,20 +372,16 @@ def simulate(
     n_users = len(users)
     n_msgs = len(messages)
     to_user = np.array([uidx[u] for u in encounters.users], dtype=np.intp)
-    enc_a, enc_b, enc_start = to_user[encounters.a], to_user[encounters.b], encounters.start
 
     if config.scheme == "similarity":
         if sim_table is None or sim_ids is None:
             raise ValueError("similarity scheme needs sim_table and sim_ids")
         table = np.asarray(sim_table, dtype=float)
-        sym = (table + table.T) / 2.0
         pos = {u: i for i, u in enumerate(sim_ids)}
         missing = [u for u in users if u not in pos]
         if missing:
             raise ValueError(f"users without profile similarities: {missing[:5]}")
-        order = np.array([pos[u] for u in users])
-        keep = sym[order[enc_a], order[enc_b]] >= config.sim_threshold
-        enc_a, enc_b, enc_start = enc_a[keep], enc_b[keep], enc_start[keep]
+        sim_row = np.array([pos[u] for u in users], dtype=np.intp)
 
     member = np.zeros((n_msgs, n_users), dtype=bool)  # target set + source
     is_target = np.zeros((n_msgs, n_users), dtype=bool)
@@ -367,15 +405,20 @@ def simulate(
     else:
         reach = [(1 << n_msgs) - 1] * n_users
     funded = _bits_of(np.array(budget) > 0)  # rtx: messages with hops left
+    # users whose seen covers reach; kept up to date from the receipts at
+    # the start of each block
+    saturated = np.array([not r & ~s for r, s in zip(reach, seen)])
+    receipts_seen = 0
 
     # live(now) = messages created at or before now, whatever the encounter order
     by_creation = np.argsort(created, kind="stable")
-    creation_times = created[by_creation].tolist()
+    creation_sorted = created[by_creation]
     live_prefix = [0]
     for m in by_creation.tolist():
         live_prefix.append(live_prefix[-1] | 1 << m)
 
     rng = np.random.default_rng(config.seed)
+    rolls = _rolls(rng, n_msgs, config.p) if config.scheme == "rtx" and config.p < 1.0 else None
     got_m: list[int] = []  # one receipt per newly set bit: message, node, time
     got_u: list[int] = []
     got_t: list[float] = []
@@ -389,37 +432,87 @@ def simulate(
             got_t.append(now)
             bits ^= low
 
-    for a, b, now in zip(enc_a.tolist(), enc_b.tolist(), enc_start.tolist()):
-        live = live_prefix[bisect_right(creation_times, now)]
-        if not live:
+    for lo in range(0, len(encounters), REPLAY_BLOCK):
+        block = slice(lo, lo + REPLAY_BLOCK)
+        enc_a, enc_b = to_user[encounters.a[block]], to_user[encounters.b[block]]
+        enc_start = encounters.start[block]
+        n_live = np.searchsorted(creation_sorted, enc_start, side="right")
+
+        if config.scheme != "rtx":
+            for u in set(got_u[receipts_seen:]):
+                saturated[u] = not reach[u] & ~seen[u]
+            receipts_seen = len(got_u)
+            rows = np.flatnonzero((n_live > 0) & ~(saturated[enc_a] & saturated[enc_b]))
+            if config.scheme == "similarity":
+                oa, ob = sim_row[enc_a[rows]], sim_row[enc_b[rows]]
+                rows = rows[(table[oa, ob] + table[ob, oa]) / 2.0 >= config.sim_threshold]
+            for a, b, now, k in zip(
+                enc_a[rows].tolist(), enc_b[rows].tolist(), enc_start[rows].tolist(), n_live[rows].tolist()
+            ):
+                live = live_prefix[k]
+                seen_a, seen_b = seen[a], seen[b]
+                fwd_ab = live & seen_a & ~seen_b & reach[b]
+                fwd_ba = live & seen_b & ~seen_a & reach[a]
+                if fwd_ab:
+                    receive(fwd_ab, b, now)
+                if fwd_ba:
+                    receive(fwd_ba, a, now)
             continue
-        seen_a, seen_b = seen[a], seen[b]
-        if config.scheme == "rtx":
-            give_ab = live & funded & custody[a] & ~seen_b
-            give_ba = live & funded & custody[b] & ~seen_a
-            if not give_ab | give_ba:
+
+        custodians = [u for u in range(n_users) if custody[u] & funded]
+        if not custodians:
+            break
+        # Both ends of every row as keys user * n + row, sorted: user u's rows,
+        # in order, are the keys from position first[u] to first[u + 1].
+        n = len(enc_a)
+        keys = np.concatenate((enc_a, enc_b)) * n + np.tile(np.arange(n), 2)
+        keys.sort()
+        first = keys.searchsorted(np.arange(n_users + 1) * n).tolist()
+        key_list = keys.tolist()
+        pa, pb, pt, pk = enc_a.tolist(), enc_b.tolist(), enc_start.tolist(), n_live.tolist()
+        # (row, user, key position): each custodian waits at its next row
+        heap = [(key_list[first[u]] - u * n, u, first[u]) for u in custodians if first[u] < first[u + 1]]
+        heapify(heap)
+        queued = [False] * n_users
+        for _, u, _ in heap:
+            queued[u] = True
+        last = -1
+        while heap:
+            r, u, at = heappop(heap)
+            queued[u] = False
+            if not custody[u] & funded:
                 continue
-            if config.p < 1.0:
-                roll = _bits_of(rng.random(n_msgs) < config.p)
-                give_ab &= roll
-                give_ba &= roll
-            handed_from = len(got_m)
-            for give, giver, taker in ((give_ab, a, b), (give_ba, b, a)):
-                if give:
-                    receive(give, taker, now)
-                    custody[giver] &= ~give
-                    custody[taker] |= give
-            for m in got_m[handed_from:]:
-                budget[m] -= 1
-                if not budget[m]:
-                    funded &= ~(1 << m)
-            continue
-        fwd_ab = live & seen_a & ~seen_b & reach[b]
-        fwd_ba = live & seen_b & ~seen_a & reach[a]
-        if fwd_ab:
-            receive(fwd_ab, b, now)
-        if fwd_ba:
-            receive(fwd_ba, a, now)
+            if r != last:  # the other end may hold custody too and visit r first
+                last = r
+                a, b, now, live = pa[r], pb[r], pt[r], live_prefix[pk[r]]
+                give_ab = live & funded & custody[a] & ~seen[b]
+                give_ba = live & funded & custody[b] & ~seen[a]
+                if give_ab | give_ba:
+                    if rolls is not None:
+                        roll = next(rolls)
+                        give_ab &= roll
+                        give_ba &= roll
+                    handed_from = len(got_m)
+                    for give, giver, taker in ((give_ab, a, b), (give_ba, b, a)):
+                        if give:
+                            receive(give, taker, now)
+                            custody[giver] &= ~give
+                            custody[taker] |= give
+                    for m in got_m[handed_from:]:
+                        budget[m] -= 1
+                        if not budget[m]:
+                            funded &= ~(1 << m)
+                    # a taker that was not a custodian joins at its next row
+                    v = b if u == a else a
+                    if not queued[v] and custody[v] & funded:
+                        at_v = bisect_left(key_list, v * n + r + 1, first[v], first[v + 1])
+                        if at_v < first[v + 1]:
+                            heappush(heap, (key_list[at_v] - v * n, v, at_v))
+                            queued[v] = True
+            at += 1
+            if at < first[u + 1] and custody[u] & funded:
+                heappush(heap, (key_list[at] - u * n, u, at))
+                queued[u] = True
 
     arrival = np.full((n_msgs, n_users), np.nan)
     arrival[got_m, got_u] = got_t

@@ -13,11 +13,16 @@ import tracemalloc
 
 import numpy as np
 
+import pytest
+
 from eigenbehavior import (
     AssociationMatrix,
     DistanceMatrix,
     EigenBehaviorSet,
+    Encounters,
+    Message,
     Records,
+    SimConfig,
     TraceConfig,
     agglomerate,
     build_matrices,
@@ -26,6 +31,8 @@ from eigenbehavior import (
     eigen_distance_matrix,
     eigen_sets_for,
     normalized_sim_table,
+    profilecast,
+    simulate,
     summaries,
     summary_table,
     trace,
@@ -180,3 +187,61 @@ def test_summary_table_holds_one_block_of_mode_trees():
     trees = 3 * summaries.MODE_TREE_CELLS * 8  # rows, distances, engine copy
     histories = len(matrices) * 27 * 150  # up to 27 merges a user, ~150 bytes each
     assert_within(peak, trees + histories + SLACK)
+
+
+def random_replay(n_users: int, n_rows: int, n_msgs: int, seed: int) -> tuple[list[Message], Encounters]:
+    """n_msgs messages to ten users each, created at 0, and n_rows encounters
+    between random pairs in start order."""
+    rng = np.random.default_rng(seed)
+    users = tuple(f"u{i:04d}" for i in range(n_users))
+    messages = []
+    for m in range(n_msgs):
+        source, *targets = rng.choice(n_users, size=11, replace=False).tolist()
+        messages.append(Message(f"m{m:04d}", users[source], frozenset(users[t] for t in targets), 0.0))
+    pair = np.sort(rng.choice(n_users, size=(n_rows, 2)), axis=1)
+    pair = pair[pair[:, 0] < pair[:, 1]]
+    start = np.sort(rng.uniform(0.0, 1e6, len(pair)))
+    zeros = np.zeros(len(pair), dtype=np.intp)
+    return messages, Encounters(users, ("L",), pair[:, 0], pair[:, 1], start, start + 60.0, zeros)
+
+
+def replay_allowance(n_msgs: int, n_users: int) -> int:
+    """Bytes simulate may hold besides its inputs: one block of rows and the
+    results.  A block row costs at most about 256 bytes: a dozen index and
+    float arrays, and under rtx the walk's per-block lists (two keys and four
+    column values a row, as Python objects).  A (message, user) cell costs at
+    most about 128 bytes: its entries in the result arrays and one receipt of
+    three list items."""
+    return profilecast.REPLAY_BLOCK * 256 + n_msgs * n_users * 128 + SLACK
+
+
+REPLAY_CONFIGS = (
+    SimConfig("flooding"),
+    SimConfig("centralized"),
+    SimConfig("similarity", sim_threshold=0.3),
+    SimConfig("rtx", p=0.5, ttl_factor=3.0),
+)
+
+
+@pytest.mark.parametrize("config", REPLAY_CONFIGS, ids=lambda c: c.scheme)
+def test_replay_holds_one_block_of_encounters(config):
+    # 400 k encounters, 24 blocks: the whole columns as Python lists would take
+    # about 20 MB, five times the allowance
+    n_users, n_msgs = 60, 40
+    messages, encounters = random_replay(n_users, 400_000, n_msgs, seed=19)
+    table = np.random.default_rng(19).uniform(size=(n_users, n_users))
+    outcome, peak = peak_above_inputs(simulate, messages, encounters, config, table, encounters.users)
+    assert outcome.aggregate.overhead > 0
+    assert_within(peak, replay_allowance(n_msgs, n_users))
+
+
+def test_similarity_replay_holds_no_square():
+    # the gate is read per block from the table as given: no symmetrized copy
+    n, n_msgs = 1000, 20
+    messages, encounters = random_replay(n, 50_000, n_msgs, seed=23)
+    table = np.random.default_rng(23).uniform(size=(n, n))
+    config = SimConfig("similarity", sim_threshold=0.5)
+    outcome, peak = peak_above_inputs(simulate, messages, encounters, config, table, encounters.users)
+    assert outcome.aggregate.overhead > 0
+    assert replay_allowance(n_msgs, n) < n * n * 8
+    assert_within(peak, replay_allowance(n_msgs, n))

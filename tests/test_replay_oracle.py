@@ -1,10 +1,16 @@
 """Property tests: the columnar sweep and the bitset replay against the oracles
 in profilecast_oracle (brute-force pair intersection, and the replay layer as
-it stood before columnar encounters and records)."""
+it stood before columnar encounters and records).
+
+The replay reads its encounters in blocks of ``profilecast.REPLAY_BLOCK``
+rows and skips rows by the state at the start of each block, so its tests
+also run with blocks of a few rows, where every skip rule and the rtx walk
+cross block boundaries."""
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -16,12 +22,16 @@ from eigenbehavior import (
     AssociationRecord,
     Encounters,
     Message,
+    Partition,
     Records,
     SimConfig,
+    build_messages,
     extract_encounters,
+    profilecast,
     simulate,
     split_trace,
 )
+from eigenbehavior.synth import GroupSpec, SynthSpec, generate
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -134,43 +144,131 @@ def _comparable(outcome):
     return per_message, fields(outcome.aggregate), outcome.leaked
 
 
+# The shipped block size holds every replay drawn here in one block; these
+# make the skip rules and the rtx walk cross block boundaries.
+SMALL_BLOCKS = (1, 2, 3, 7)
+
+
+@contextmanager
+def replay_block(rows):
+    """simulate reads blocks of ``rows`` encounters (None: the shipped size)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if rows is not None:
+            patch.setattr(profilecast, "REPLAY_BLOCK", rows)
+        yield
+
+
+def assert_replay_matches_oracle(replay, config, block=None):
+    messages, rows, table = replay
+    with replay_block(block):
+        got = simulate(messages, Encounters.from_rows(rows), config, table, USERS)
+    want = oracle.simulate(messages, [oracle.Encounter(*r) for r in rows], config, table, USERS)
+    assert _comparable(got) == _comparable(want), config
+
+
 @given(replays(), CONFIGS)
 @PROPERTY
 def test_simulate_matches_oracle(replay, config):
-    messages, rows, table = replay
-    got = simulate(messages, Encounters.from_rows(rows), config, table, USERS)
-    want = oracle.simulate(messages, [oracle.Encounter(*r) for r in rows], config, table, USERS)
-    assert _comparable(got) == _comparable(want)
+    assert_replay_matches_oracle(replay, config)
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+@given(replays(), CONFIGS)
+@PROPERTY
+def test_simulate_matches_oracle_in_small_blocks(block, replay, config):
+    assert_replay_matches_oracle(replay, config, block)
+
+
+FIXED_MESSAGES = [
+    Message("m0000", "u0", frozenset({"u1", "u2", "u6"}), 5.0),
+    Message("m0001", "u3", frozenset({"u4", "u7"}), 0.0),
+]
+FIXED_ROWS = [
+    ("u1", "u2", 40.0, 45.0, "L"),
+    ("u0", "u1", 10.0, 20.0, "L"),
+    ("u3", "u4", 2.0, 3.0, "L"),
+    ("u0", "u5", 1.0, 9.0, "L"),
+    ("u1", "u5", 30.0, 31.0, "L"),
+    ("u4", "u5", 6.0, 8.0, "L"),
+    ("u2", "u3", 50.0, 60.0, "L"),
+]
+FIXED_REPLAY = (FIXED_MESSAGES, FIXED_ROWS, np.random.default_rng(3).uniform(size=(8, 8)))
+FIXED_CONFIGS = [
+    SimConfig("flooding"),
+    SimConfig("centralized"),
+    SimConfig("similarity", sim_threshold=0.5),
+    SimConfig("rtx", p=0.3, ttl_factor=3.0, seed=5),
+    SimConfig("rtx", p=1.0, ttl_factor=3.0),
+]
 
 
 def test_simulate_matches_oracle_on_each_scheme_of_a_fixed_scenario():
     """One hand-built unsorted replay per scheme, so no scheme depends on what
     Hypothesis happens to draw."""
-    messages = [
-        Message("m0000", "u0", frozenset({"u1", "u2", "u6"}), 5.0),
-        Message("m0001", "u3", frozenset({"u4", "u7"}), 0.0),
-    ]
-    rows = [
-        ("u1", "u2", 40.0, 45.0, "L"),
-        ("u0", "u1", 10.0, 20.0, "L"),
-        ("u3", "u4", 2.0, 3.0, "L"),
-        ("u0", "u5", 1.0, 9.0, "L"),
-        ("u1", "u5", 30.0, 31.0, "L"),
-        ("u4", "u5", 6.0, 8.0, "L"),
-        ("u2", "u3", 50.0, 60.0, "L"),
-    ]
-    table = np.random.default_rng(3).uniform(size=(8, 8))
-    configs = [
-        SimConfig("flooding"),
-        SimConfig("centralized"),
-        SimConfig("similarity", sim_threshold=0.5),
-        SimConfig("rtx", p=0.3, ttl_factor=3.0, seed=5),
-        SimConfig("rtx", p=1.0, ttl_factor=3.0),
-    ]
-    for config in configs:
-        got = simulate(messages, Encounters.from_rows(rows), config, table, USERS)
-        want = oracle.simulate(messages, [oracle.Encounter(*r) for r in rows], config, table, USERS)
-        assert _comparable(got) == _comparable(want), config
+    for config in FIXED_CONFIGS:
+        assert_replay_matches_oracle(FIXED_REPLAY, config)
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+def test_simulate_matches_oracle_on_each_scheme_of_a_fixed_scenario_in_small_blocks(block):
+    for config in FIXED_CONFIGS:
+        assert_replay_matches_oracle(FIXED_REPLAY, config, block)
+
+
+def _mode(n_locations, weights):
+    vector = [0.0] * n_locations
+    for loc, weight in weights:
+        vector[loc] = weight
+    return tuple(vector)
+
+
+SYNTH_CONFIGS = (
+    SimConfig("flooding"),
+    SimConfig("centralized"),
+    SimConfig("similarity", sim_threshold=0.5),
+    SimConfig("rtx", p=0.5, ttl_factor=3.0, seed=4),
+    SimConfig("rtx", p=1.0, ttl_factor=1.0),
+)
+
+
+@pytest.fixture(scope="module")
+def synth_replay():
+    """The replay half of a 60-user synth population: four groups of 15 over
+    four home locations and one common one, 3466 encounters, 12 messages;
+    each config's oracle outcome is computed once."""
+    n = 6
+    groups = tuple(
+        GroupSpec(
+            15,
+            (_mode(n, [(g, 0.8), (5, 0.2)]), _mode(n, [(g, 0.3), ((g + 1) % 4, 0.5), (5, 0.2)])),
+            (0.7, 0.3),
+            p_online=0.6,
+        )
+        for g in range(4)
+    )
+    records, truth = generate(SynthSpec(n_locations=n, n_days=16, groups=groups, seed=2024, noise_epsilon=0.05))
+    _, second, mid = split_trace(records)
+    encounters = extract_encounters(second)
+    messages = build_messages(Partition(assignment=truth), creation_time=mid, seed=3)
+    users = sorted(truth)
+    table = np.random.default_rng(1).uniform(size=(len(users), len(users)))
+    rows = [oracle.Encounter(*row) for row in encounters.rows()]
+    want = {
+        config: _comparable(oracle.simulate(messages, rows, config, table, users)) for config in SYNTH_CONFIGS
+    }
+    return messages, encounters, table, users, want
+
+
+@pytest.mark.parametrize("block", (None, 7, 256))
+@pytest.mark.parametrize("config", SYNTH_CONFIGS, ids=lambda c: f"{c.scheme}-{c.param}")
+def test_simulate_matches_oracle_on_a_synth_population(synth_replay, block, config):
+    """Every per-message field and the leak count of each scheme; at 7 and
+    256 rows a block, users saturate and custody moves between blocks."""
+    messages, encounters, table, users, want = synth_replay
+    assert len(encounters) == 3466 and len(messages) == 12
+    with replay_block(block):
+        got = simulate(messages, encounters, config, table, users)
+    assert _comparable(got) == want[config]
 
 
 def test_encounters_columns_round_trip_in_given_order():
