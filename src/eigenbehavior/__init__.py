@@ -37,11 +37,13 @@ from .pipeline import PipelineResult, build_distance_matrix, run_pipeline
 from .profilecast import (
     Encounters,
     Message,
+    Replay,
     SimConfig,
     SimResult,
     SimulationOutcome,
     build_messages,
     compare_schemes,
+    encounter_blocks,
     extract_encounters,
     simulate,
     split_trace,

@@ -32,8 +32,8 @@ import numpy as np
 from . import __version__
 from .cluster import DistanceMatrix, Partition
 from .groups import GroupProfile
-from .profilecast import SimConfig, SimResult
-from .summaries import EigenBehaviorSet
+from .profilecast import Message, SimConfig, SimResult
+from .summaries import EigenBehaviorSet, check_power_floor
 from .trace import (
     AssociationMatrix,
     AssociationRecord,
@@ -204,7 +204,7 @@ def load_eigen_sets(path: str) -> dict[str, EigenBehaviorSet]:
         if floor_differs:
             raise ValueError(f"{path}:{line}: power_floor differs between the rows of user {user!r}")
         try:
-            sets[user] = EigenBehaviorSet(block[:, 2:], block[:, 1], float(block[0, 0]))
+            sets[user] = EigenBehaviorSet(block[:, 2:], block[:, 1], check_power_floor(float(block[0, 0])))
         except ValueError as exc:
             raise ValueError(f"{path}:{line}: bad eigen-behavior set of user {user!r} ({exc})") from None
     return sets
@@ -295,6 +295,31 @@ def write_report_json(
             "clusters": clusters,
             "rank_size_slope": None if slope is None else float(fmt(slope)),
             "top10_share": None if top10_share is None else float(fmt(top10_share)),
+        },
+    )
+
+
+def write_replay_report_json(
+    path: str,
+    records: int,
+    encounters: int,
+    messages: Sequence[Message],
+    configs: Sequence[SimConfig],
+    results: Sequence[SimResult],
+) -> None:
+    """The counts of a replay: its records and encounters, the messages and
+    their targets, and each scheme's transmissions and deliveries."""
+    write_json(
+        path,
+        {
+            "records": records,
+            "encounters": encounters,
+            "messages": len(messages),
+            "targets": sum(len(m.targets) for m in messages),
+            "schemes": [
+                {"scheme": c.scheme, "param": c.param, "transmissions": r.overhead, "delivered": r.delivered}
+                for c, r in zip(configs, results, strict=True)
+            ],
         },
     )
 

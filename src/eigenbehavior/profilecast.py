@@ -24,23 +24,35 @@ One forwarding decision is taken per (encounter, message); receipt time is the
 encounter start; a node holds at most one copy of a message.
 
 Encounters are columnar (``Encounters``: parallel arrays over int user and
-location codes).  The replay keeps one Python-int bitset over the messages
-per user, so one encounter costs a few integer operations whatever the number
-of messages; earliest-arrival replay over a time-ordered contact sequence
-follows Wu et al., "Path problems in temporal graphs" (VLDB 2014).
+location codes).  ``encounter_blocks`` merges the replay half's intervals once
+and yields the encounters as a stream of blocks of about ``REPLAY_BLOCK``
+rows, in (start, a, b, location appearance) order, each cut between two
+distinct start times; an encounter that starts in [T0, T1) depends only on
+the merged intervals that overlap that window, so only one block is ever
+held.  ``extract_encounters`` is the concatenation of the stream.
 
-The replay reads the encounters in blocks of ``REPLAY_BLOCK`` rows, and numpy
-picks the rows of a block that can still change state; Python visits only
-those.  A user is saturated once it has seen every message it may receive;
-seen only grows, so it stays saturated, and flooding, centralized and
-similarity drop the rows between two users saturated at the block's start.
-rtx walks only the rows of users holding custody of a message with hops
-left, in row order, and draws its p-rolls many at a time from the same
-Generator stream, so every transmission is the one of a row-by-row replay.
+The replay of one scheme is a ``Replay`` state fed the blocks in order; the
+``simulate`` command feeds every scheme's state each block in turn, so the
+encounters are extracted once for all schemes, and ``simulate`` is one state
+fed one block.  A state keeps one Python-int bitset over the messages per
+user, so one encounter costs a few integer operations whatever the number of
+messages; earliest-arrival replay over a time-ordered contact sequence
+follows Wu et al., "Path problems in temporal graphs" (VLDB 2014), and needs
+only the current block of contacts.
+
+A state reads its blocks REPLAY_BLOCK rows at a time, and numpy picks the
+rows that can still change state; Python visits only those.  A user is
+saturated once it has seen every message it may receive; seen only grows, so
+it stays saturated, and flooding, centralized and similarity drop the rows
+between two users saturated at the start of the rows read.  rtx walks only
+the rows of users holding custody of a message with hops left, in row order,
+and draws its p-rolls many at a time from the same Generator stream, so
+every transmission is the one of a row-by-row replay.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -49,14 +61,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .cluster import Partition
-from .trace import AssociationRecord, Records, _present, _runs, as_records, merge_intervals
+from .trace import AssociationRecord, Records, _present, _runs, as_records, budget_blocks, merge_intervals
 
 SCHEMES = ("flooding", "centralized", "similarity", "rtx")
 
 DEFAULT_SOURCE_FRACTION = 0.2
 DEFAULT_MIN_GROUP_SIZE = 6  # groups with more than five members get messages
-# simulate reads the encounters in blocks of this many rows, so its per-row
-# scratch arrays and lists stay a few MB whatever the replay's length.
+# Encounters are extracted and replayed in blocks of about this many rows, so
+# the per-row scratch arrays and lists stay a few MB whatever the replay's
+# length.
 REPLAY_BLOCK = 1 << 14
 
 
@@ -68,9 +81,11 @@ class Encounters:
     """Encounters as parallel columns.
 
     Row i: users[a[i]] and users[b[i]] co-located over [start[i], end[i]) at
-    locations[loc[i]].  ``users`` and ``locations`` are sorted and hold exactly
-    the ids that occur in some row, so the codes order like the ids and
-    a < b holds for the codes exactly when it holds for the ids.
+    locations[loc[i]].  ``users`` and ``locations`` are sorted and unique, so
+    the codes order like the ids and a < b holds for the codes exactly when it
+    holds for the ids.  ``from_rows`` and ``extract_encounters`` keep exactly
+    the ids that occur in some row; a block of ``encounter_blocks`` keeps its
+    records' ids.
     """
 
     users: tuple[str, ...]
@@ -221,51 +236,96 @@ def split_trace(
     return first, second, mid
 
 
-def extract_encounters(records: Records) -> Encounters:
-    """All maximal pairwise co-presence intervals, sorted by (start, a, b).
+class _Sweep:
+    """A trace's intervals merged per (user, location), in (location, start)
+    order, with the run of later intervals each one meets.
 
-    Each user's intervals are merged per location first (abutting ones too,
-    by ``trace.merge_intervals`` over the bounds' ranks), so a user never
-    meets itself and one pair's meetings at a location never touch.  With a
+    Each user's intervals are merged per location (abutting ones too, by
+    ``trace.merge_intervals`` over the bounds' ranks), so a user never meets
+    itself and one pair's meetings at a location never touch.  With a
     location's merged intervals in start order, interval j meets exactly the
-    later intervals that start before it ends: one contiguous run, found by a
-    binary search.  Rows with equal (start, a, b) come from different
-    locations and keep the order in which the locations first appear in the
-    records.
+    later intervals that start before it ends: positions j + 1 to stop[j],
+    found by a binary search, and each meeting starts where its later
+    interval does.  Bounds are kept as ranks into ``values``.
+    """
+
+    def __init__(self, records: Records) -> None:
+        self.records = records
+        n = len(records)
+        self.values, rank = np.unique(np.concatenate((records.start, records.end)), return_inverse=True)
+        run, lo, hi = merge_intervals(records.loc * len(records.users) + records.user, rank[:n], rank[n:])
+        loc, user = np.divmod(run, len(records.users))
+        key = loc * len(self.values) + lo
+        order = np.argsort(key, kind="stable")
+        self.user, self.loc, self.lo, self.hi, self.key = user[order], loc[order], lo[order], hi[order], key[order]
+        self.stop = np.searchsorted(self.key, self.loc * len(self.values) + self.hi)
+        self.appearance = np.argsort(np.argsort(np.unique(records.loc, return_index=True)[1]))
+
+    def windows(self) -> list[tuple[int, int]]:
+        """Consecutive [t0, t1) ranges of start ranks covering every start,
+        cut between distinct starts by ``trace.budget_blocks`` over the
+        number of meetings at each, REPLAY_BLOCK at a time."""
+        # Interval i is the later one of a meeting with each earlier j whose
+        # run reaches past it: i minus the runs that stop at or before i.
+        m = len(self.lo)
+        later_of = np.arange(m) - np.cumsum(np.bincount(self.stop, minlength=m + 1))[:m]
+        per_start = np.bincount(self.lo, weights=later_of, minlength=len(self.values)).astype(np.intp)
+        return budget_blocks(per_start, REPLAY_BLOCK)
+
+    def meetings(self, t0: int, t1: int) -> Encounters:
+        """The meetings that start in [t0, t1), sorted by (start, a, b,
+        location appearance); they pair intervals that overlap the window."""
+        user, loc, lo, hi, key, v = self.user, self.loc, self.lo, self.hi, self.key, len(self.values)
+        j = np.flatnonzero((lo < t1) & (hi > t0))
+        begin = np.maximum(j + 1, np.searchsorted(key, loc[j] * v + t0))
+        end = np.minimum(self.stop[j], np.searchsorted(key, loc[j] * v + t1))
+        pick, k = _runs(np.maximum(end - begin, 0))
+        i, j = begin[pick] + k, j[pick]
+        a = np.minimum(user[i], user[j])
+        b = np.maximum(user[i], user[j])
+        rows = np.lexsort((self.appearance[loc[j]], b, a, lo[i]))
+        return Encounters(
+            self.records.users,
+            self.records.locations,
+            a[rows],
+            b[rows],
+            self.values[lo[i][rows]],
+            self.values[np.minimum(hi[i], hi[j])[rows]],
+            loc[j][rows],
+        )
+
+
+def encounter_blocks(records: Records) -> Iterator[Encounters]:
+    """All maximal pairwise co-presence intervals, as a stream of blocks of
+    about REPLAY_BLOCK rows.
+
+    The blocks cover consecutive windows of start times, cut only between
+    distinct starts; each is sorted by (start, a, b), and rows with equal
+    (start, a, b) come from different locations and keep the order in which
+    the locations first appear in the records.  Every block codes its rows
+    over the records' ``users`` and ``locations``; a window without a
+    meeting yields no block.
     """
     if not len(records):
-        return Encounters.from_rows([])
-    n = len(records)
-    values, rank = np.unique(np.concatenate((records.start, records.end)), return_inverse=True)
-    run, lo, hi = merge_intervals(
-        records.loc * len(records.users) + records.user, rank[:n], rank[n:]
-    )
-    loc, user = np.divmod(run, len(records.users))
+        return
+    sweep = _Sweep(records)
+    for t0, t1 in sweep.windows():
+        block = sweep.meetings(t0, t1)
+        if len(block):
+            yield block
 
-    # Merged intervals by (location, start); j's partners run up to the first
-    # interval at a later location or starting at or after end[j].
-    starts_key = loc * len(values) + lo
-    order = np.argsort(starts_key, kind="stable")
-    user, loc, lo, hi, starts_key = user[order], loc[order], lo[order], hi[order], starts_key[order]
-    stop = np.searchsorted(starts_key, loc * len(values) + hi)
-    first = np.arange(len(lo))
-    j, k = _runs(stop - first - 1)
-    i = j + 1 + k
-    a = np.minimum(user[i], user[j])
-    b = np.maximum(user[i], user[j])
-    appearance = np.argsort(np.argsort(np.unique(records.loc, return_index=True)[1]))
-    order = np.lexsort((appearance[loc[j]], b, a, lo[i]))
-    users, pair = _present(records.users, np.concatenate((a[order], b[order])))
-    locations, loc = _present(records.locations, loc[j][order])
-    return Encounters(
-        users,
-        locations,
-        pair[: len(order)],
-        pair[len(order) :],
-        values[lo[i][order]],
-        values[np.minimum(hi[i], hi[j])[order]],
-        loc,
-    )
+
+def extract_encounters(records: Records) -> Encounters:
+    """Every block of ``encounter_blocks``, concatenated and renumbered to the
+    ids that occur in some row."""
+    blocks = list(encounter_blocks(records))
+    if not blocks:
+        return Encounters.from_rows([])
+    column = lambda name: np.concatenate([getattr(block, name) for block in blocks])  # noqa: E731
+    a, b, loc = column("a"), column("b"), column("loc")
+    users, pair = _present(records.users, np.concatenate((a, b)))
+    locations, loc = _present(records.locations, loc)
+    return Encounters(users, locations, pair[: len(a)], pair[len(a) :], column("start"), column("end"), loc)
 
 
 def check_source_fraction(source_fraction: float) -> float:
@@ -329,139 +389,173 @@ def _rolls(rng: np.random.Generator, n_msgs: int, p: float) -> Iterator[int]:
             yield int.from_bytes(packed[i : i + width], "little")
 
 
-def simulate(
-    messages: Sequence[Message],
-    encounters: Encounters,
-    config: SimConfig,
-    sim_table: np.ndarray | None = None,
-    sim_ids: Sequence[str] | None = None,
-) -> SimulationOutcome:
-    """Replay the encounters, in the given order, under one forwarding scheme.
+def _membership(messages: Sequence[Message], uidx: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(member, is_target): (messages x users) masks of each message's target
+    set plus source, and of its targets alone."""
+    member = np.zeros((len(messages), len(uidx)), dtype=bool)
+    is_target = np.zeros_like(member)
+    for m, msg in enumerate(messages):
+        targets = [uidx[t] for t in msg.targets]
+        member[m, uidx[msg.source]] = member[m, targets] = True
+        is_target[m, targets] = True
+    return member, is_target
 
+
+class Replay:
+    """One forwarding scheme's replay, fed blocks of encounters in order.
+
+    The users are those given (the replay half's, say) plus the messages'
+    sources and targets; every encounter fed must be between two of them.
     The similarity scheme needs sim_table/sim_ids: the population-normalized
-    similarity matrix from the profile half and its user-id order; the gate is
-    the symmetrized value (mean of the two directions).
+    similarity matrix from the profile half and its user-id order, covering
+    every user; the gate is the symmetrized value (mean of the two
+    directions).
 
     State is one bitset over the messages per user (bit m is message m): the
     messages it has seen, those it may receive (all, or under centralized
     those of its groups), and under rtx those in its custody.  Both directions
-    of an encounter are decided from the state before it.
+    of an encounter are decided from the state before it.  Receipts (message,
+    user, time) are kept in typed arrays, one per newly set bit.
 
-    The encounters are read REPLAY_BLOCK rows at a time, and only the rows
+    ``feed`` reads a block REPLAY_BLOCK rows at a time, and only the rows
     that can still change state are visited:
 
     * flooding, centralized and similarity skip the rows that start before
       the first message exists, those between two users saturated at the
-      start of the block (seen covers what they may receive: such a row
+      start of the rows read (seen covers what they may receive: such a row
       forwards nothing either way, and seen only grows), and under similarity
       those whose gate, ``(t[a, b] + t[b, a]) / 2.0``, is below the threshold;
     * rtx walks, in row order, only the rows of users that hold custody of a
-      message with hops left, through a heap of the current custodians over a
-      per-block index from user to rows; a taker joins the walk at its next
-      row.  The p-rolls come from ``_rolls``, so every transmission is the one
-      a roll per handover would make.
+      message with hops left, through a heap of the current custodians over
+      an index from user to rows; a taker joins the walk at its next row.
+      The p-rolls come from ``_rolls``, so every transmission is the one a
+      roll per handover would make.  Once no message has hops left, the rest
+      of the stream is skipped.
     """
-    if not messages:
-        raise ValueError("no messages to simulate")
-    users = sorted(
-        {m.source for m in messages}
-        | {t for m in messages for t in m.targets}
-        | set(encounters.users)
-    )
-    uidx = {u: i for i, u in enumerate(users)}
-    n_users = len(users)
-    n_msgs = len(messages)
-    to_user = np.array([uidx[u] for u in encounters.users], dtype=np.intp)
 
-    if config.scheme == "similarity":
-        if sim_table is None or sim_ids is None:
-            raise ValueError("similarity scheme needs sim_table and sim_ids")
-        table = np.asarray(sim_table, dtype=float)
-        pos = {u: i for i, u in enumerate(sim_ids)}
-        missing = [u for u in users if u not in pos]
-        if missing:
-            raise ValueError(f"users without profile similarities: {missing[:5]}")
-        sim_row = np.array([pos[u] for u in users], dtype=np.intp)
+    def __init__(
+        self,
+        messages: Sequence[Message],
+        config: SimConfig,
+        users: Iterable[str],
+        sim_table: np.ndarray | None = None,
+        sim_ids: Sequence[str] | None = None,
+    ) -> None:
+        if not messages:
+            raise ValueError("no messages to simulate")
+        self.messages = list(messages)
+        self.config = config
+        self.users = sorted(
+            {m.source for m in messages} | {t for m in messages for t in m.targets} | set(users)
+        )
+        self._uidx = uidx = {u: i for i, u in enumerate(self.users)}
+        n_users, n_msgs = len(self.users), len(messages)
+        self._block_users: tuple[str, ...] | None = None
+        self._to_user = np.empty(0, dtype=np.intp)
 
-    member = np.zeros((n_msgs, n_users), dtype=bool)  # target set + source
-    is_target = np.zeros((n_msgs, n_users), dtype=bool)
-    created = np.empty(n_msgs)
-    seen = [0] * n_users
-    custody = [0] * n_users  # rtx
-    budget = [0] * n_msgs  # rtx
-    for m, msg in enumerate(messages):
-        src = uidx[msg.source]
-        seen[src] |= 1 << m
-        custody[src] |= 1 << m
-        member[m, src] = True
-        created[m] = msg.creation_time
-        for t in msg.targets:
-            member[m, uidx[t]] = True
-            is_target[m, uidx[t]] = True
-        if config.scheme == "rtx":
-            budget[m] = int(round(config.ttl_factor * (len(msg.targets) + 1)))
-    if config.scheme == "centralized":
-        reach = [_bits_of(column) for column in member.T]
-    else:
-        reach = [(1 << n_msgs) - 1] * n_users
-    funded = _bits_of(np.array(budget) > 0)  # rtx: messages with hops left
-    # users whose seen covers reach; kept up to date from the receipts at
-    # the start of each block
-    saturated = np.array([not r & ~s for r, s in zip(reach, seen)])
-    receipts_seen = 0
+        if config.scheme == "similarity":
+            if sim_table is None or sim_ids is None:
+                raise ValueError("similarity scheme needs sim_table and sim_ids")
+            self._table = np.asarray(sim_table, dtype=float)
+            pos = {u: i for i, u in enumerate(sim_ids)}
+            missing = [u for u in self.users if u not in pos]
+            if missing:
+                raise ValueError(f"users without profile similarities: {missing[:5]}")
+            self._sim_row = np.array([pos[u] for u in self.users], dtype=np.intp)
 
-    # live(now) = messages created at or before now, whatever the encounter order
-    by_creation = np.argsort(created, kind="stable")
-    creation_sorted = created[by_creation]
-    live_prefix = [0]
-    for m in by_creation.tolist():
-        live_prefix.append(live_prefix[-1] | 1 << m)
+        self._created = np.array([msg.creation_time for msg in messages], dtype=float)
+        self._seen = [0] * n_users
+        self._custody = [0] * n_users  # rtx
+        self._budget = [0] * n_msgs  # rtx
+        for m, msg in enumerate(messages):
+            src = uidx[msg.source]
+            self._seen[src] |= 1 << m
+            self._custody[src] |= 1 << m
+            if config.scheme == "rtx":
+                self._budget[m] = int(round(config.ttl_factor * (len(msg.targets) + 1)))
+        if config.scheme == "centralized":
+            self._reach = [_bits_of(column) for column in _membership(messages, uidx)[0].T]
+        else:
+            self._reach = [(1 << n_msgs) - 1] * n_users
+        self._funded = _bits_of(np.array(self._budget) > 0)  # rtx: messages with hops left
+        # users whose seen covers reach; kept up to date from the receipts at
+        # the start of each run of rows
+        self._saturated = np.array([not r & ~s for r, s in zip(self._reach, self._seen)])
+        self._receipts_seen = 0
 
-    rng = np.random.default_rng(config.seed)
-    rolls = _rolls(rng, n_msgs, config.p) if config.scheme == "rtx" and config.p < 1.0 else None
-    got_m: list[int] = []  # one receipt per newly set bit: message, node, time
-    got_u: list[int] = []
-    got_t: list[float] = []
+        # live(now) = messages created at or before now, whatever the encounter order
+        by_creation = np.argsort(self._created, kind="stable")
+        self._creation_sorted = self._created[by_creation]
+        self._live_prefix = [0]
+        for m in by_creation.tolist():
+            self._live_prefix.append(self._live_prefix[-1] | 1 << m)
 
-    def receive(bits: int, node: int, now: float) -> None:
-        seen[node] |= bits
+        rng = np.random.default_rng(config.seed)
+        self._rolls = _rolls(rng, n_msgs, config.p) if config.scheme == "rtx" and config.p < 1.0 else None
+        self._got_m = array("i")
+        self._got_u = array("i")
+        self._got_t = array("d")
+
+    def _receive(self, bits: int, node: int, now: float) -> None:
+        self._seen[node] |= bits
         while bits:
             low = bits & -bits
-            got_m.append(low.bit_length() - 1)
-            got_u.append(node)
-            got_t.append(now)
+            self._got_m.append(low.bit_length() - 1)
+            self._got_u.append(node)
+            self._got_t.append(now)
             bits ^= low
 
-    for lo in range(0, len(encounters), REPLAY_BLOCK):
-        block = slice(lo, lo + REPLAY_BLOCK)
-        enc_a, enc_b = to_user[encounters.a[block]], to_user[encounters.b[block]]
-        enc_start = encounters.start[block]
-        n_live = np.searchsorted(creation_sorted, enc_start, side="right")
+    def feed(self, encounters: Encounters) -> None:
+        """Replay the next encounters, in the given order."""
+        if encounters.users != self._block_users:
+            self._block_users = encounters.users
+            self._to_user = np.array([self._uidx[u] for u in encounters.users], dtype=np.intp)
+        rtx = self.config.scheme == "rtx"
+        step = self._walk if rtx else self._forward
+        for lo in range(0, len(encounters), REPLAY_BLOCK):
+            if rtx and not self._funded:  # no hops left: no row can change state
+                return
+            rows = slice(lo, lo + REPLAY_BLOCK)
+            enc_start = encounters.start[rows]
+            step(
+                self._to_user[encounters.a[rows]],
+                self._to_user[encounters.b[rows]],
+                enc_start,
+                np.searchsorted(self._creation_sorted, enc_start, side="right"),
+            )
 
-        if config.scheme != "rtx":
-            for u in set(got_u[receipts_seen:]):
-                saturated[u] = not reach[u] & ~seen[u]
-            receipts_seen = len(got_u)
-            rows = np.flatnonzero((n_live > 0) & ~(saturated[enc_a] & saturated[enc_b]))
-            if config.scheme == "similarity":
-                oa, ob = sim_row[enc_a[rows]], sim_row[enc_b[rows]]
-                rows = rows[(table[oa, ob] + table[ob, oa]) / 2.0 >= config.sim_threshold]
-            for a, b, now, k in zip(
-                enc_a[rows].tolist(), enc_b[rows].tolist(), enc_start[rows].tolist(), n_live[rows].tolist()
-            ):
-                live = live_prefix[k]
-                seen_a, seen_b = seen[a], seen[b]
-                fwd_ab = live & seen_a & ~seen_b & reach[b]
-                fwd_ba = live & seen_b & ~seen_a & reach[a]
-                if fwd_ab:
-                    receive(fwd_ab, b, now)
-                if fwd_ba:
-                    receive(fwd_ba, a, now)
-            continue
+    def _forward(self, enc_a: np.ndarray, enc_b: np.ndarray, enc_start: np.ndarray, n_live: np.ndarray) -> None:
+        """flooding, centralized and similarity over one run of rows."""
+        seen, reach, saturated, live_prefix = self._seen, self._reach, self._saturated, self._live_prefix
+        receive = self._receive
+        for u in set(self._got_u[self._receipts_seen :]):
+            saturated[u] = not reach[u] & ~seen[u]
+        self._receipts_seen = len(self._got_u)
+        rows = np.flatnonzero((n_live > 0) & ~(saturated[enc_a] & saturated[enc_b]))
+        if self.config.scheme == "similarity":
+            table = self._table
+            oa, ob = self._sim_row[enc_a[rows]], self._sim_row[enc_b[rows]]
+            rows = rows[(table[oa, ob] + table[ob, oa]) / 2.0 >= self.config.sim_threshold]
+        for a, b, now, k in zip(
+            enc_a[rows].tolist(), enc_b[rows].tolist(), enc_start[rows].tolist(), n_live[rows].tolist()
+        ):
+            live = live_prefix[k]
+            seen_a, seen_b = seen[a], seen[b]
+            fwd_ab = live & seen_a & ~seen_b & reach[b]
+            fwd_ba = live & seen_b & ~seen_a & reach[a]
+            if fwd_ab:
+                receive(fwd_ab, b, now)
+            if fwd_ba:
+                receive(fwd_ba, a, now)
 
+    def _walk(self, enc_a: np.ndarray, enc_b: np.ndarray, enc_start: np.ndarray, n_live: np.ndarray) -> None:
+        """rtx over one run of rows.  Each message has one custodian, so some
+        user holds custody of a message with hops left."""
+        seen, custody, budget, live_prefix = self._seen, self._custody, self._budget, self._live_prefix
+        rolls, got_m, receive = self._rolls, self._got_m, self._receive
+        n_users = len(seen)
+        funded = self._funded
         custodians = [u for u in range(n_users) if custody[u] & funded]
-        if not custodians:
-            break
         # Both ends of every row as keys user * n + row, sorted: user u's rows,
         # in order, are the keys from position first[u] to first[u + 1].
         n = len(enc_a)
@@ -513,42 +607,64 @@ def simulate(
             if at < first[u + 1] and custody[u] & funded:
                 heappush(heap, (key_list[at] - u * n, u, at))
                 queued[u] = True
+        self._funded = funded
 
-    arrival = np.full((n_msgs, n_users), np.nan)
-    arrival[got_m, got_u] = got_t
-    received = ~np.isnan(arrival)
-    tx = np.bincount(np.array(got_m, dtype=np.intp), minlength=n_msgs)
-    per_message: dict[str, SimResult] = {}
-    total_delivered = 0
-    total_targets = 0
-    total_tx = 0
-    delays: list[np.ndarray] = []
-    leaked = int((received & ~member).sum())
-    for m, msg in enumerate(messages):
-        got = received[m] & is_target[m]
-        delivered = int(got.sum())
-        n_targets = int(is_target[m].sum())
-        delay = arrival[m, got] - created[m]
-        per_message[msg.message_id] = SimResult(
-            delivery_ratio=delivered / n_targets,
-            mean_delay=float(delay.mean()) if delivered else float("nan"),
-            overhead=int(tx[m]),
-            delivered=delivered,
-            n_targets=n_targets,
+    def outcome(self) -> SimulationOutcome:
+        """Per-message and aggregate metrics of the encounters fed so far."""
+        messages, created = self.messages, self._created
+        n_msgs = len(messages)
+        member, is_target = _membership(messages, self._uidx)
+        got_m = np.array(self._got_m, dtype=np.intp)
+        arrival = np.full((n_msgs, len(self.users)), np.nan)
+        arrival[got_m, np.array(self._got_u, dtype=np.intp)] = np.array(self._got_t)
+        received = ~np.isnan(arrival)
+        tx = np.bincount(got_m, minlength=n_msgs)
+        per_message: dict[str, SimResult] = {}
+        total_delivered = 0
+        total_targets = 0
+        total_tx = 0
+        delays: list[np.ndarray] = []
+        leaked = int((received & ~member).sum())
+        for m, msg in enumerate(messages):
+            got = received[m] & is_target[m]
+            delivered = int(got.sum())
+            n_targets = int(is_target[m].sum())
+            delay = arrival[m, got] - created[m]
+            per_message[msg.message_id] = SimResult(
+                delivery_ratio=delivered / n_targets,
+                mean_delay=float(delay.mean()) if delivered else float("nan"),
+                overhead=int(tx[m]),
+                delivered=delivered,
+                n_targets=n_targets,
+            )
+            total_delivered += delivered
+            total_targets += n_targets
+            total_tx += int(tx[m])
+            delays.append(delay)
+        all_delays = np.concatenate(delays) if delays else np.array([])
+        aggregate = SimResult(
+            delivery_ratio=total_delivered / total_targets,
+            mean_delay=float(all_delays.mean()) if all_delays.size else float("nan"),
+            overhead=total_tx,
+            delivered=total_delivered,
+            n_targets=total_targets,
         )
-        total_delivered += delivered
-        total_targets += n_targets
-        total_tx += int(tx[m])
-        delays.append(delay)
-    all_delays = np.concatenate(delays) if delays else np.array([])
-    aggregate = SimResult(
-        delivery_ratio=total_delivered / total_targets,
-        mean_delay=float(all_delays.mean()) if all_delays.size else float("nan"),
-        overhead=total_tx,
-        delivered=total_delivered,
-        n_targets=total_targets,
-    )
-    return SimulationOutcome(per_message, aggregate, leaked)
+        return SimulationOutcome(per_message, aggregate, leaked)
+
+
+def simulate(
+    messages: Sequence[Message],
+    encounters: Encounters,
+    config: SimConfig,
+    sim_table: np.ndarray | None = None,
+    sim_ids: Sequence[str] | None = None,
+) -> SimulationOutcome:
+    """Replay the encounters, in the given order, under one forwarding
+    scheme: one ``Replay`` over the messages' and the encounters' users, fed
+    the encounters as one block."""
+    replay = Replay(messages, config, encounters.users, sim_table, sim_ids)
+    replay.feed(encounters)
+    return replay.outcome()
 
 
 def compare_schemes(

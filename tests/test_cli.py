@@ -3,6 +3,7 @@ and byte-identical reruns of every data output."""
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import shutil
@@ -14,7 +15,7 @@ import pytest
 
 import eigenbehavior
 from conftest import digest_tree, profile_half_config
-from eigenbehavior import jaccard, load_records
+from eigenbehavior import build_messages, extract_encounters, jaccard, load_records, split_trace
 from eigenbehavior.cli import main
 from eigenbehavior.pipeline import METRICS
 from eigenbehavior.persist import (
@@ -64,6 +65,9 @@ PIPELINE_FILES = {
     "report.json",
     "manifest.json",
 }
+
+# every file a simulate run writes
+SIMULATE_FILES = {"results.csv", "normalized.csv", "report.json", "manifest.json"}
 
 SCENARIO = {
     "split_fraction": 0.5,
@@ -227,6 +231,32 @@ def test_simulate_outputs(workdir, tmp_path):
     flood_row = normalized[1].split(",")
     assert flood_row[0] == "flooding"
     assert float(flood_row[2]) == 1.0  # baseline normalizes to itself
+    assert set(digest_tree(out)) == SIMULATE_FILES
+
+
+def test_simulate_report_counts(workdir, tmp_path):
+    """report.json counts the replay: the encounters it counted from the
+    stream are those extract_encounters finds on the replay half, and each
+    scheme's transmissions are its results.csv overhead."""
+    out = tmp_path / "sim"
+    trace = str(workdir / "synth" / "trace.csv")
+    argv = ["simulate", trace, "--pipeline", str(workdir / "pipe"), "--scenario", str(workdir / "scenario.json")]
+    assert main(argv + ["--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    _, second, mid = split_trace(load_records(trace), SCENARIO["split_fraction"])
+    messages = build_messages(load_partition_csv(str(workdir / "pipe" / "partition.csv")), creation_time=mid)
+    assert report["records"] == len(second)
+    assert report["encounters"] == len(extract_encounters(second)) > 0
+    assert report["messages"] == len(messages)
+    assert report["targets"] == sum(len(m.targets) for m in messages)
+    with open(out / "results.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [(s["scheme"], s["param"], s["transmissions"]) for s in report["schemes"]] == [
+        (row[0], row[1], int(row[4])) for row in rows
+    ]
+    # flooding, centralized and similarity reach every target here; rtx (p = 1, ttl 3) does not
+    delivered = [s["delivered"] for s in report["schemes"]]
+    assert delivered[:3] == [report["targets"]] * 3 and 0 < delivered[3] < report["targets"]
 
 
 def test_compare_prints_jaccard(workdir, capsys):

@@ -22,6 +22,7 @@ from eigenbehavior import (
     Encounters,
     Message,
     Records,
+    Replay,
     SimConfig,
     TraceConfig,
     agglomerate,
@@ -30,6 +31,7 @@ from eigenbehavior import (
     distances,
     eigen_distance_matrix,
     eigen_sets_for,
+    encounter_blocks,
     normalized_sim_table,
     profilecast,
     simulate,
@@ -245,3 +247,65 @@ def test_similarity_replay_holds_no_square():
     assert outcome.aggregate.overhead > 0
     assert replay_allowance(n_msgs, n) < n * n * 8
     assert_within(peak, replay_allowance(n_msgs, n))
+
+
+def meeting_records(n_users: int, n_stays: int, seed: int) -> Records:
+    """n_stays stays of ten minutes to two hours per user, anywhere in two
+    weeks, at one of four locations: at 240 users and 100 stays, 24 k
+    records meet in about 410 k encounters."""
+    rng = np.random.default_rng(seed)
+    n = n_users * n_stays
+    user = np.repeat(np.arange(n_users), n_stays)
+    start = rng.integers(0, 14 * DAY_SECONDS, n)
+    loc = rng.integers(0, 4, n)
+    users = tuple(f"u{i:04d}" for i in range(n_users))
+    return Records(users, ("L0", "L1", "L2", "L3"), user, loc, start, start + rng.integers(600, 7200, n))
+
+
+def stream_allowance(n_records: int) -> int:
+    """Bytes encounter_blocks may hold: about 25 index and float arrays a
+    record while it merges and orders the intervals (np.unique over both
+    bounds, merge_intervals, the (location, start) order and each interval's
+    run of partners), then one block of rows, at most 16 arrays a row."""
+    return n_records * 25 * 8 + profilecast.REPLAY_BLOCK * 16 * 8 + SLACK
+
+
+def count_blocks(records: Records) -> int:
+    return sum(len(block) for block in encounter_blocks(records))
+
+
+def test_encounter_stream_holds_one_block():
+    # 410 k encounters: their five columns alone would take 16 MB, more than
+    # twice the allowance, which does not grow with the encounters
+    records = meeting_records(240, 100, seed=29)
+    n_encounters, peak = peak_above_inputs(count_blocks, records)
+    assert n_encounters > 400_000
+    assert_within(peak, stream_allowance(len(records)))
+
+
+def test_lockstep_replay_of_four_schemes_holds_one_block():
+    # The simulate command's replay over the same 410 k encounters: the
+    # stream, one block of one scheme's scratch at a time, and each scheme's
+    # receipts and results.
+    records = meeting_records(240, 100, seed=29)
+    rng = np.random.default_rng(29)
+    n_users, n_msgs = len(records.users), 40
+    messages = []
+    for m in range(n_msgs):
+        source, *targets = rng.choice(n_users, size=11, replace=False).tolist()
+        messages.append(
+            Message(f"m{m:04d}", records.users[source], frozenset(records.users[t] for t in targets), 0.0)
+        )
+    table = rng.uniform(size=(n_users, n_users))
+
+    def replay():
+        states = [Replay(messages, config, records.users, table, records.users) for config in REPLAY_CONFIGS]
+        for block in encounter_blocks(records):
+            for state in states:
+                state.feed(block)
+        return [state.outcome().aggregate.overhead for state in states]
+
+    overheads, peak = peak_above_inputs(replay)
+    assert min(overheads) > 0
+    per_scheme = n_msgs * n_users * 128  # receipts and results, as in replay_allowance
+    assert_within(peak, stream_allowance(len(records)) + profilecast.REPLAY_BLOCK * 256 + 4 * per_scheme)

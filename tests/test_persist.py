@@ -126,6 +126,18 @@ EIGEN_HEADER = "user,power_floor,weight,A,B\n"
             EIGEN_HEADER + "a,0.001,1,1,0\nb,0.001,0.6,1,0\nb,nan,0.4,0,1\n",
             r"eigen\.csv:3: power_floor differs between the rows of user 'b'",
         ),
+        (
+            EIGEN_HEADER + "a,0.001,1,1,0\nb,7,1,0,1\n",
+            r"eigen\.csv:3: bad eigen-behavior set of user 'b' \(power_floor must lie in \[0, 1\)\)",
+        ),
+        (
+            EIGEN_HEADER + "a,nan,1,1,0\nb,0.001,1,0,1\n",
+            r"eigen\.csv:2: bad eigen-behavior set of user 'a' \(power_floor must lie in \[0, 1\)\)",
+        ),
+        (
+            EIGEN_HEADER + "a,-0.5,1,1,0\n",
+            r"eigen\.csv:2: bad eigen-behavior set of user 'a' \(power_floor must lie in \[0, 1\)\)",
+        ),
     ],
 )
 def test_eigen_sets_errors_name_path_and_line(tmp_path, body, message):
@@ -136,13 +148,16 @@ def test_eigen_sets_errors_name_path_and_line(tmp_path, body, message):
 
 
 def test_eigen_sets_power_floor_is_compared_within_each_user(tmp_path):
-    """Floors may differ between users, and a NaN on every row of one user is
-    one value, as np.unique counts NaNs."""
+    """Floors may differ between users; a NaN on every row of one user is one
+    value, as np.unique counts NaNs, and is refused as a floor outside [0, 1)."""
     path = tmp_path / "eigen.csv"
-    path.write_text(EIGEN_HEADER + "a,0.001,0.6,1,0\na,0.001,0.4,0,1\nb,0.01,1,0,1\nc,nan,0.6,1,0\nc,nan,0.4,0,1\n")
+    path.write_text(EIGEN_HEADER + "a,0.001,0.6,1,0\na,0.001,0.4,0,1\nb,0.01,1,0,1\n")
     sets = load_eigen_sets(str(path))
     assert [sets["a"].power_floor, sets["b"].power_floor] == [0.001, 0.01]
-    assert np.isnan(sets["c"].power_floor)
+    path.write_text(EIGEN_HEADER + "a,0.001,0.6,1,0\na,0.001,0.4,0,1\nb,0.01,1,0,1\nc,nan,0.6,1,0\nc,nan,0.4,0,1\n")
+    refusal = r"eigen\.csv:5: bad eigen-behavior set of user 'c' \(power_floor must lie in \[0, 1\)\)"
+    with pytest.raises(ValueError, match=refusal):
+        load_eigen_sets(str(path))
     path.write_text(EIGEN_HEADER)
     assert load_eigen_sets(str(path)) == {}
 

@@ -2,10 +2,13 @@
 in profilecast_oracle (brute-force pair intersection, and the replay layer as
 it stood before columnar encounters and records).
 
-The replay reads its encounters in blocks of ``profilecast.REPLAY_BLOCK``
-rows and skips rows by the state at the start of each block, so its tests
-also run with blocks of a few rows, where every skip rule and the rtx walk
-cross block boundaries."""
+The encounters are extracted in blocks of about ``profilecast.REPLAY_BLOCK``
+rows, and the replay reads its encounters in blocks of that many rows and
+skips rows by the state at the start of each block, so the tests also run
+with blocks of a few rows, where the extraction's windows, every skip rule
+and the rtx walk cross block boundaries.  The simulate command replays every
+scheme in lockstep over one stream; those tests feed several ``Replay``
+states the same blocks."""
 
 from __future__ import annotations
 
@@ -24,8 +27,10 @@ from eigenbehavior import (
     Message,
     Partition,
     Records,
+    Replay,
     SimConfig,
     build_messages,
+    encounter_blocks,
     extract_encounters,
     profilecast,
     simulate,
@@ -99,6 +104,61 @@ def test_equal_rows_keep_the_locations_first_appearance_order():
     assert [row[4] for row in extract_encounters(Records.from_rows(rows)).rows()] == ["L2", "L1"]
 
 
+# The shipped block size holds every trace and replay drawn here in one
+# block; these make the extraction's windows, the skip rules and the rtx walk
+# cross block boundaries.
+SMALL_BLOCKS = (1, 2, 3, 7)
+
+
+@contextmanager
+def replay_block(rows):
+    """Encounters are extracted and replayed in blocks of ``rows`` (None: the
+    shipped size)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if rows is not None:
+            patch.setattr(profilecast, "REPLAY_BLOCK", rows)
+        yield
+
+
+def assert_blocks_match(records, block=None):
+    """The stream's blocks concatenate to extract_encounters, which matches
+    the oracles; blocks are non-empty, coded over the records' ids, cut only
+    between distinct starts, and hold fewer than the budget rows before their
+    last start."""
+    with replay_block(block):
+        blocks = list(encounter_blocks(records))
+        assert_matches_old_sweep(records)
+        whole = extract_encounters(records)
+    assert [row for b in blocks for row in b.rows()] == whole.rows()
+    budget = block or profilecast.REPLAY_BLOCK
+    for b in blocks:
+        assert (b.users, b.locations) == (records.users, records.locations)
+        assert 0 < len(b) and len(b) - np.count_nonzero(b.start == b.start[-1]) < budget
+    for prev, nxt in zip(blocks, blocks[1:]):
+        assert prev.start[-1] < nxt.start[0]
+
+
+@pytest.mark.parametrize("block", (*SMALL_BLOCKS, None))
+@given(sessions())
+@PROPERTY
+def test_encounter_blocks_concatenate_to_the_oracles(block, records):
+    assert_blocks_match(Records.from_rows(records), block)
+
+
+@pytest.mark.parametrize("block", (1, 2, 3))
+def test_rows_with_one_start_stay_in_one_block(block):
+    """Four users meet at 0 (six rows) and two of them again at 50 and 70:
+    however small the budget, the six rows that start at 0 share a block."""
+    rows = [AssociationRecord(u, "L", 0, 10) for u in ("a", "b", "c", "d")]
+    rows += [AssociationRecord("a", "L", 50, 60), AssociationRecord("b", "L", 55, 80)]
+    rows += [AssociationRecord("a", "L", 70, 90)]
+    records = Records.from_rows(rows)
+    assert_blocks_match(records, block)
+    with replay_block(block):
+        sizes = [len(b) for b in encounter_blocks(records)]
+    assert sizes[0] == 6 and sum(sizes) == 8
+
+
 @st.composite
 def replays(draw):
     """Messages with staggered creation times over unsorted encounter rows."""
@@ -142,20 +202,6 @@ def _comparable(outcome):
 
     per_message = {mid: fields(res) for mid, res in outcome.per_message.items()}
     return per_message, fields(outcome.aggregate), outcome.leaked
-
-
-# The shipped block size holds every replay drawn here in one block; these
-# make the skip rules and the rtx walk cross block boundaries.
-SMALL_BLOCKS = (1, 2, 3, 7)
-
-
-@contextmanager
-def replay_block(rows):
-    """simulate reads blocks of ``rows`` encounters (None: the shipped size)."""
-    with pytest.MonkeyPatch.context() as patch:
-        if rows is not None:
-            patch.setattr(profilecast, "REPLAY_BLOCK", rows)
-        yield
 
 
 def assert_replay_matches_oracle(replay, config, block=None):
@@ -215,6 +261,29 @@ def test_simulate_matches_oracle_on_each_scheme_of_a_fixed_scenario_in_small_blo
         assert_replay_matches_oracle(FIXED_REPLAY, config, block)
 
 
+def lockstep(messages, blocks, configs, table, sim_ids, users):
+    """Each config's outcome from one pass over the blocks, every config's
+    Replay fed each block in turn, as the simulate command replays."""
+    states = [Replay(messages, config, users, table, sim_ids) for config in configs]
+    for block in blocks:
+        for state in states:
+            state.feed(block)
+    return [_comparable(state.outcome()) for state in states]
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+def test_lockstep_replay_matches_oracle_on_a_fixed_scenario(block):
+    """The fixed scenario's rows in chunks of ``block``, each chunk its own
+    Encounters with only its ids, fed to every scheme in lockstep over all
+    eight users."""
+    messages, rows, table = FIXED_REPLAY
+    chunks = [Encounters.from_rows(rows[lo : lo + block]) for lo in range(0, len(rows), block)]
+    with replay_block(block):
+        got = lockstep(messages, chunks, FIXED_CONFIGS, table, USERS, USERS)
+    old = [oracle.Encounter(*r) for r in rows]
+    assert got == [_comparable(oracle.simulate(messages, old, c, table, USERS)) for c in FIXED_CONFIGS]
+
+
 def _mode(n_locations, weights):
     vector = [0.0] * n_locations
     for loc, weight in weights:
@@ -256,7 +325,7 @@ def synth_replay():
     want = {
         config: _comparable(oracle.simulate(messages, rows, config, table, users)) for config in SYNTH_CONFIGS
     }
-    return messages, encounters, table, users, want
+    return messages, encounters, table, users, want, second
 
 
 @pytest.mark.parametrize("block", (None, 7, 256))
@@ -264,11 +333,23 @@ def synth_replay():
 def test_simulate_matches_oracle_on_a_synth_population(synth_replay, block, config):
     """Every per-message field and the leak count of each scheme; at 7 and
     256 rows a block, users saturate and custody moves between blocks."""
-    messages, encounters, table, users, want = synth_replay
+    messages, encounters, table, users, want, _ = synth_replay
     assert len(encounters) == 3466 and len(messages) == 12
     with replay_block(block):
         got = simulate(messages, encounters, config, table, users)
     assert _comparable(got) == want[config]
+
+
+@pytest.mark.parametrize("block", (None, 7, 256))
+def test_lockstep_replay_matches_oracle_on_a_synth_population(synth_replay, block):
+    """The simulate command's replay: every config over one stream of the
+    replay half's blocks, over the replay half's users."""
+    messages, _, table, users, want, second = synth_replay
+    with replay_block(block):
+        blocks = list(encounter_blocks(second))
+        got = lockstep(messages, blocks, SYNTH_CONFIGS, table, users, second.users)
+    assert (len(blocks) == 1) == (block is None) and sum(map(len, blocks)) == 3466
+    assert got == [want[config] for config in SYNTH_CONFIGS]
 
 
 def test_encounters_columns_round_trip_in_given_order():
