@@ -35,6 +35,7 @@ from .groups import (
 )
 from .pipeline import PipelineResult, build_distance_matrix, run_pipeline
 from .profilecast import (
+    EncounterStream,
     Encounters,
     Message,
     Replay,
@@ -43,7 +44,6 @@ from .profilecast import (
     SimulationOutcome,
     build_messages,
     compare_schemes,
-    encounter_blocks,
     extract_encounters,
     simulate,
     split_trace,

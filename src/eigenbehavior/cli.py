@@ -23,13 +23,13 @@ from .pipeline import METRICS, run_pipeline
 from .profilecast import (
     DEFAULT_MIN_GROUP_SIZE,
     DEFAULT_SOURCE_FRACTION,
-    Replay,
+    EncounterStream,
     SimConfig,
     build_messages,
     check_source_fraction,
     check_split_fraction,
     compare_schemes,
-    encounter_blocks,
+    simulate,
     split_trace,
 )
 from .summaries import DEFAULT_POWER_FLOOR, check_power_floor, summary_table
@@ -234,21 +234,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError(f"{path}: the similarity scheme needs two or more users with eigen sets")
     messages = build_messages(partition, creation_time=mid, seed=args.seed, **options)
     sim_table, sim_ids = (None, None) if eigen_sets is None else normalized_sim_table(eigen_sets)
-    # One pass over the encounters feeds every scheme's replay: they are
-    # extracted once, and one block of them is held at a time.
-    replays = [Replay(messages, config, second.users, sim_table, sim_ids) for config in configs]
-    encounters = 0
-    for block in encounter_blocks(second):
-        encounters += len(block)
-        for replay in replays:
-            replay.feed(block)
-    results = [replay.outcome().aggregate for replay in replays]
+    encounters = EncounterStream(second)
+    results = [
+        simulate(messages, encounters, config, sim_table, sim_ids).aggregate for config in configs
+    ]
     ratios = compare_schemes([(c.scheme, r) for c, r in zip(configs, results)])
     os.makedirs(args.out, exist_ok=True)
     persist.write_results_csv(os.path.join(args.out, "results.csv"), configs, results)
     persist.write_normalized_results_csv(os.path.join(args.out, "normalized.csv"), configs, ratios)
     persist.write_replay_report_json(
-        os.path.join(args.out, "report.json"), len(second), encounters, messages, configs, results
+        os.path.join(args.out, "report.json"), len(second), len(encounters), messages, configs, results
     )
     persist.write_run_manifest(
         args.out, "simulate", args.seed, scenario, [args.trace, args.scenario]

@@ -24,21 +24,23 @@ One forwarding decision is taken per (encounter, message); receipt time is the
 encounter start; a node holds at most one copy of a message.
 
 Encounters are columnar (``Encounters``: parallel arrays over int user and
-location codes).  ``encounter_blocks`` merges the replay half's intervals once
-and yields the encounters as a stream of blocks of about ``REPLAY_BLOCK``
-rows, in (start, a, b, location appearance) order, each cut between two
-distinct start times; an encounter that starts in [T0, T1) depends only on
-the merged intervals that overlap that window, so only one block is ever
-held.  ``extract_encounters`` is the concatenation of the stream.
+location codes).  An ``EncounterStream`` merges the replay half's intervals
+once and yields the encounters as a stream of blocks of about
+``REPLAY_BLOCK`` rows, in (start, a, b, location appearance) order, each cut
+between two distinct start times; an encounter that starts in [T0, T1)
+depends only on the merged intervals that overlap that window, so only one
+block is ever held.  ``extract_encounters`` is the concatenation of the
+stream.
 
-The replay of one scheme is a ``Replay`` state fed the blocks in order; the
-``simulate`` command feeds every scheme's state each block in turn, so the
-encounters are extracted once for all schemes, and ``simulate`` is one state
-fed one block.  A state keeps one Python-int bitset over the messages per
-user, so one encounter costs a few integer operations whatever the number of
-messages; earliest-arrival replay over a time-ordered contact sequence
-follows Wu et al., "Path problems in temporal graphs" (VLDB 2014), and needs
-only the current block of contacts.
+The replay of one scheme is a ``Replay`` state fed blocks in order.
+``simulate`` replays one scheme over an ``Encounters`` or an
+``EncounterStream``; the ``simulate`` command replays each scheme in turn
+over one stream, which walks the merged intervals again for each scheme and
+so holds one block and one scheme's state at a time.  A state keeps one
+Python-int bitset over the messages per user, so one encounter costs a few
+integer operations whatever the number of messages; earliest-arrival replay
+over a time-ordered contact sequence follows Wu et al., "Path problems in
+temporal graphs" (VLDB 2014), and needs only the current block of contacts.
 
 A state reads its blocks REPLAY_BLOCK rows at a time, and numpy picks the
 rows that can still change state; Python visits only those.  A user is
@@ -71,6 +73,7 @@ DEFAULT_MIN_GROUP_SIZE = 6  # groups with more than five members get messages
 # the per-row scratch arrays and lists stay a few MB whatever the replay's
 # length.
 REPLAY_BLOCK = 1 << 14
+_KEY_LIMIT = np.iinfo(np.int64).max  # the largest sort key packed into one integer
 
 
 EncounterRow = tuple[str, str, float, float, str]  # (a, b, start, end, location)
@@ -84,8 +87,8 @@ class Encounters:
     locations[loc[i]].  ``users`` and ``locations`` are sorted and unique, so
     the codes order like the ids and a < b holds for the codes exactly when it
     holds for the ids.  ``from_rows`` and ``extract_encounters`` keep exactly
-    the ids that occur in some row; a block of ``encounter_blocks`` keeps its
-    records' ids.
+    the ids that occur in some row; a block of an ``EncounterStream`` keeps
+    its records' ids.
     """
 
     users: tuple[str, ...]
@@ -236,89 +239,101 @@ def split_trace(
     return first, second, mid
 
 
-class _Sweep:
-    """A trace's intervals merged per (user, location), in (location, start)
-    order, with the run of later intervals each one meets.
+class EncounterStream:
+    """A trace's encounters (all maximal pairwise co-presence intervals) as a
+    stream of blocks of about REPLAY_BLOCK rows.
 
-    Each user's intervals are merged per location (abutting ones too, by
-    ``trace.merge_intervals`` over the bounds' ranks), so a user never meets
-    itself and one pair's meetings at a location never touch.  With a
-    location's merged intervals in start order, interval j meets exactly the
-    later intervals that start before it ends: positions j + 1 to stop[j],
-    found by a binary search, and each meeting starts where its later
-    interval does.  Bounds are kept as ranks into ``values``.
+    The intervals are merged once, when the stream is made: each user's per
+    location (abutting ones too, by ``trace.merge_intervals`` over the
+    bounds' ranks), so a user never meets itself and one pair's meetings at
+    a location never touch.  With a location's merged intervals in start
+    order, interval j meets exactly the later intervals that start before it
+    ends: positions j + 1 to stop[j], found by a binary search, and each
+    meeting starts where its later interval does.  Bounds are kept as ranks
+    into ``_values``.
+
+    Each iteration walks the merged intervals anew and yields the blocks of
+    consecutive windows [T0, T1) of start ranks, cut only between distinct
+    starts (``trace.budget_blocks`` over the number of encounters at each);
+    a window pairs only the intervals that overlap it, those still open from
+    earlier windows and those starting in it.  Each block is sorted by
+    (start, a, b), and rows with equal (start, a, b) come from different
+    locations and keep the order in which the locations first appear in the
+    records.  Every block codes its rows over the records' ``users`` and
+    ``locations``; a window without a meeting yields no block.  ``len`` is
+    the number of encounters, known without a walk.
     """
 
     def __init__(self, records: Records) -> None:
-        self.records = records
-        n = len(records)
-        self.values, rank = np.unique(np.concatenate((records.start, records.end)), return_inverse=True)
-        run, lo, hi = merge_intervals(records.loc * len(records.users) + records.user, rank[:n], rank[n:])
-        loc, user = np.divmod(run, len(records.users))
-        key = loc * len(self.values) + lo
+        self.users, self.locations = records.users, records.locations
+        n, n_users = len(records), len(records.users)
+        self._values, rank = np.unique(np.concatenate((records.start, records.end)), return_inverse=True)
+        run, lo, hi = merge_intervals(records.loc * n_users + records.user, rank[:n], rank[n:])
+        loc, user = np.divmod(run, n_users)
+        key = loc * len(self._values) + lo
         order = np.argsort(key, kind="stable")
-        self.user, self.loc, self.lo, self.hi, self.key = user[order], loc[order], lo[order], hi[order], key[order]
-        self.stop = np.searchsorted(self.key, self.loc * len(self.values) + self.hi)
-        self.appearance = np.argsort(np.argsort(np.unique(records.loc, return_index=True)[1]))
-
-    def windows(self) -> list[tuple[int, int]]:
-        """Consecutive [t0, t1) ranges of start ranks covering every start,
-        cut between distinct starts by ``trace.budget_blocks`` over the
-        number of meetings at each, REPLAY_BLOCK at a time."""
+        self._user, self._loc, self._key = user[order], loc[order], key[order]
+        self._lo, self._hi = lo[order], hi[order]
+        self._stop = np.searchsorted(self._key, self._loc * len(self._values) + self._hi)
+        self._appearance = np.argsort(np.argsort(np.unique(records.loc, return_index=True)[1]))
+        self._by_start = np.argsort(self._lo, kind="stable")
         # Interval i is the later one of a meeting with each earlier j whose
         # run reaches past it: i minus the runs that stop at or before i.
-        m = len(self.lo)
-        later_of = np.arange(m) - np.cumsum(np.bincount(self.stop, minlength=m + 1))[:m]
-        per_start = np.bincount(self.lo, weights=later_of, minlength=len(self.values)).astype(np.intp)
-        return budget_blocks(per_start, REPLAY_BLOCK)
+        m = len(self._lo)
+        later_of = np.arange(m) - np.cumsum(np.bincount(self._stop, minlength=m + 1))[:m]
+        per_start = np.bincount(self._lo, weights=later_of, minlength=len(self._values)).astype(np.intp)
+        self._windows = budget_blocks(per_start, REPLAY_BLOCK)
+        self._count = int(per_start.sum())
 
-    def meetings(self, t0: int, t1: int) -> Encounters:
-        """The meetings that start in [t0, t1), sorted by (start, a, b,
-        location appearance); they pair intervals that overlap the window."""
-        user, loc, lo, hi, key, v = self.user, self.loc, self.lo, self.hi, self.key, len(self.values)
-        j = np.flatnonzero((lo < t1) & (hi > t0))
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Encounters]:
+        hi, by_start = self._hi, self._by_start
+        starts = self._lo[by_start]
+        overlapping = by_start[:0]
+        for t0, t1 in self._windows:
+            fresh = by_start[np.searchsorted(starts, t0) : np.searchsorted(starts, t1)]
+            # in (location, start) order, so the searches in _meetings walk
+            # their sorted keys forwards
+            overlapping = np.sort(np.concatenate((overlapping[hi[overlapping] > t0], fresh)))
+            block = self._meetings(overlapping, t0, t1)
+            if len(block):
+                yield block
+
+    def _meetings(self, j: np.ndarray, t0: int, t1: int) -> Encounters:
+        """The meetings that start in [t0, t1) of the intervals j, which
+        overlap that window, sorted by (start, a, b, location appearance)."""
+        user, loc, lo, hi, key, v = self._user, self._loc, self._lo, self._hi, self._key, len(self._values)
         begin = np.maximum(j + 1, np.searchsorted(key, loc[j] * v + t0))
-        end = np.minimum(self.stop[j], np.searchsorted(key, loc[j] * v + t1))
+        end = np.minimum(self._stop[j], np.searchsorted(key, loc[j] * v + t1))
         pick, k = _runs(np.maximum(end - begin, 0))
         i, j = begin[pick] + k, j[pick]
         a = np.minimum(user[i], user[j])
         b = np.maximum(user[i], user[j])
-        rows = np.lexsort((self.appearance[loc[j]], b, a, lo[i]))
+        appearance = self._appearance[loc[j]]
+        # (start, a, b, appearance) is unique per row; one argsort of it as a
+        # mixed-radix integer when that fits in an int64
+        n_users, n_locations = len(self.users), len(self.locations)
+        if (t1 - t0) * n_users * n_users * n_locations <= _KEY_LIMIT:
+            rows = np.argsort((((lo[i] - t0) * n_users + a) * n_users + b) * n_locations + appearance)
+        else:
+            rows = np.lexsort((appearance, b, a, lo[i]))
         return Encounters(
-            self.records.users,
-            self.records.locations,
+            self.users,
+            self.locations,
             a[rows],
             b[rows],
-            self.values[lo[i][rows]],
-            self.values[np.minimum(hi[i], hi[j])[rows]],
+            self._values[lo[i][rows]],
+            self._values[np.minimum(hi[i], hi[j])[rows]],
             loc[j][rows],
         )
 
 
-def encounter_blocks(records: Records) -> Iterator[Encounters]:
-    """All maximal pairwise co-presence intervals, as a stream of blocks of
-    about REPLAY_BLOCK rows.
-
-    The blocks cover consecutive windows of start times, cut only between
-    distinct starts; each is sorted by (start, a, b), and rows with equal
-    (start, a, b) come from different locations and keep the order in which
-    the locations first appear in the records.  Every block codes its rows
-    over the records' ``users`` and ``locations``; a window without a
-    meeting yields no block.
-    """
-    if not len(records):
-        return
-    sweep = _Sweep(records)
-    for t0, t1 in sweep.windows():
-        block = sweep.meetings(t0, t1)
-        if len(block):
-            yield block
-
-
 def extract_encounters(records: Records) -> Encounters:
-    """Every block of ``encounter_blocks``, concatenated and renumbered to the
-    ids that occur in some row."""
-    blocks = list(encounter_blocks(records))
+    """Every block of an ``EncounterStream``, concatenated and renumbered to
+    the ids that occur in some row."""
+    blocks = list(EncounterStream(records))
     if not blocks:
         return Encounters.from_rows([])
     column = lambda name: np.concatenate([getattr(block, name) for block in blocks])  # noqa: E731
@@ -408,8 +423,9 @@ class Replay:
     sources and targets; every encounter fed must be between two of them.
     The similarity scheme needs sim_table/sim_ids: the population-normalized
     similarity matrix from the profile half and its user-id order, covering
-    every user; the gate is the symmetrized value (mean of the two
-    directions).
+    every user of a message and every user fed an encounter (a user without
+    a row is refused when it is first found so); the gate is the
+    symmetrized value (mean of the two directions).
 
     State is one bitset over the messages per user (bit m is message m): the
     messages it has seen, those it may receive (all, or under centralized
@@ -445,9 +461,8 @@ class Replay:
             raise ValueError("no messages to simulate")
         self.messages = list(messages)
         self.config = config
-        self.users = sorted(
-            {m.source for m in messages} | {t for m in messages for t in m.targets} | set(users)
-        )
+        users_of_messages = {m.source for m in messages} | {t for m in messages for t in m.targets}
+        self.users = sorted(users_of_messages | set(users))
         self._uidx = uidx = {u: i for i, u in enumerate(self.users)}
         n_users, n_msgs = len(self.users), len(messages)
         self._block_users: tuple[str, ...] | None = None
@@ -458,10 +473,8 @@ class Replay:
                 raise ValueError("similarity scheme needs sim_table and sim_ids")
             self._table = np.asarray(sim_table, dtype=float)
             pos = {u: i for i, u in enumerate(sim_ids)}
-            missing = [u for u in self.users if u not in pos]
-            if missing:
-                raise ValueError(f"users without profile similarities: {missing[:5]}")
-            self._sim_row = np.array([pos[u] for u in self.users], dtype=np.intp)
+            self._sim_row = np.array([pos.get(u, -1) for u in self.users], dtype=np.intp)
+            self._check_sims(np.array([uidx[u] for u in users_of_messages], dtype=np.intp))
 
         self._created = np.array([msg.creation_time for msg in messages], dtype=float)
         self._seen = [0] * n_users
@@ -505,6 +518,12 @@ class Replay:
             self._got_t.append(now)
             bits ^= low
 
+    def _check_sims(self, users: np.ndarray) -> None:
+        """Refuse the users (codes) that have no profile similarities."""
+        missing = np.unique(users[self._sim_row[users] < 0])
+        if len(missing):
+            raise ValueError(f"users without profile similarities: {[self.users[u] for u in missing[:5]]}")
+
     def feed(self, encounters: Encounters) -> None:
         """Replay the next encounters, in the given order."""
         if encounters.users != self._block_users:
@@ -533,6 +552,7 @@ class Replay:
         self._receipts_seen = len(self._got_u)
         rows = np.flatnonzero((n_live > 0) & ~(saturated[enc_a] & saturated[enc_b]))
         if self.config.scheme == "similarity":
+            self._check_sims(np.concatenate((enc_a, enc_b)))
             table = self._table
             oa, ob = self._sim_row[enc_a[rows]], self._sim_row[enc_b[rows]]
             rows = rows[(table[oa, ob] + table[ob, oa]) / 2.0 >= self.config.sim_threshold]
@@ -654,16 +674,18 @@ class Replay:
 
 def simulate(
     messages: Sequence[Message],
-    encounters: Encounters,
+    encounters: Encounters | EncounterStream,
     config: SimConfig,
     sim_table: np.ndarray | None = None,
     sim_ids: Sequence[str] | None = None,
 ) -> SimulationOutcome:
     """Replay the encounters, in the given order, under one forwarding
-    scheme: one ``Replay`` over the messages' and the encounters' users, fed
-    the encounters as one block."""
+    scheme: one ``Replay`` over the messages' and the encounters' users
+    (a stream's are its records'), fed an ``Encounters`` as one block or a
+    stream's blocks in turn."""
     replay = Replay(messages, config, encounters.users, sim_table, sim_ids)
-    replay.feed(encounters)
+    for block in [encounters] if isinstance(encounters, Encounters) else encounters:
+        replay.feed(block)
     return replay.outcome()
 
 

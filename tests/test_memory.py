@@ -21,8 +21,8 @@ from eigenbehavior import (
     EigenBehaviorSet,
     Encounters,
     Message,
+    EncounterStream,
     Records,
-    Replay,
     SimConfig,
     TraceConfig,
     agglomerate,
@@ -31,7 +31,6 @@ from eigenbehavior import (
     distances,
     eigen_distance_matrix,
     eigen_sets_for,
-    encounter_blocks,
     normalized_sim_table,
     profilecast,
     simulate,
@@ -263,15 +262,16 @@ def meeting_records(n_users: int, n_stays: int, seed: int) -> Records:
 
 
 def stream_allowance(n_records: int) -> int:
-    """Bytes encounter_blocks may hold: about 25 index and float arrays a
+    """Bytes an EncounterStream may hold: about 25 index and float arrays a
     record while it merges and orders the intervals (np.unique over both
-    bounds, merge_intervals, the (location, start) order and each interval's
-    run of partners), then one block of rows, at most 16 arrays a row."""
+    bounds, merge_intervals, the (location, start) and start orders and each
+    interval's run of partners), then one block of rows, at most 16 arrays a
+    row."""
     return n_records * 25 * 8 + profilecast.REPLAY_BLOCK * 16 * 8 + SLACK
 
 
 def count_blocks(records: Records) -> int:
-    return sum(len(block) for block in encounter_blocks(records))
+    return sum(len(block) for block in EncounterStream(records))
 
 
 def test_encounter_stream_holds_one_block():
@@ -283,10 +283,10 @@ def test_encounter_stream_holds_one_block():
     assert_within(peak, stream_allowance(len(records)))
 
 
-def test_lockstep_replay_of_four_schemes_holds_one_block():
+def test_four_schemes_replayed_over_one_stream_hold_one_block():
     # The simulate command's replay over the same 410 k encounters: the
-    # stream, one block of one scheme's scratch at a time, and each scheme's
-    # receipts and results.
+    # stream, walked once per scheme, one block of one scheme's scratch at a
+    # time, and each scheme's receipts and results.
     records = meeting_records(240, 100, seed=29)
     rng = np.random.default_rng(29)
     n_users, n_msgs = len(records.users), 40
@@ -299,11 +299,11 @@ def test_lockstep_replay_of_four_schemes_holds_one_block():
     table = rng.uniform(size=(n_users, n_users))
 
     def replay():
-        states = [Replay(messages, config, records.users, table, records.users) for config in REPLAY_CONFIGS]
-        for block in encounter_blocks(records):
-            for state in states:
-                state.feed(block)
-        return [state.outcome().aggregate.overhead for state in states]
+        stream = EncounterStream(records)
+        return [
+            simulate(messages, stream, config, table, records.users).aggregate.overhead
+            for config in REPLAY_CONFIGS
+        ]
 
     overheads, peak = peak_above_inputs(replay)
     assert min(overheads) > 0

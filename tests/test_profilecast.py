@@ -10,6 +10,7 @@ import pytest
 
 from eigenbehavior import (
     AssociationRecord,
+    EncounterStream,
     Encounters,
     Message,
     Records,
@@ -381,6 +382,24 @@ def test_simulate_validation():
             sim_table=np.eye(1),
             sim_ids=("A",),
         )
+
+
+def test_similarity_refuses_only_users_that_meet_or_hold_messages():
+    """Over a stream the universe is every user of the records, but a user
+    without profile similarities is refused only once it meets someone or
+    is a message's source or target: C is never near anyone, D meets A."""
+    config = SimConfig("similarity", sim_threshold=0.5)
+    table, ids = np.ones((2, 2)), ("A", "B")
+    quiet = Records.from_rows([rec("A", "L", 0, 20), rec("B", "L", 10, 30), rec("C", "M", 0, 30)])
+    outcome = simulate([msg("A", {"B"})], EncounterStream(quiet), config, table, ids)
+    assert outcome.aggregate.delivered == 1
+    with pytest.raises(ValueError, match=r"without profile similarities: \['C'\]"):
+        simulate([msg("A", {"C"})], EncounterStream(quiet), config, table, ids)
+    met = Records.from_rows(
+        [rec("A", "L", 0, 20), rec("B", "L", 10, 30), rec("D", "L", 40, 50), rec("A", "L", 45, 60)]
+    )
+    with pytest.raises(ValueError, match=r"without profile similarities: \['D'\]"):
+        simulate([msg("A", {"B"})], EncounterStream(met), config, table, ids)
 
 
 # -------------------------------------------------- scheme interplay (random) ---

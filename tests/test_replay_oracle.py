@@ -6,9 +6,9 @@ The encounters are extracted in blocks of about ``profilecast.REPLAY_BLOCK``
 rows, and the replay reads its encounters in blocks of that many rows and
 skips rows by the state at the start of each block, so the tests also run
 with blocks of a few rows, where the extraction's windows, every skip rule
-and the rtx walk cross block boundaries.  The simulate command replays every
-scheme in lockstep over one stream; those tests feed several ``Replay``
-states the same blocks."""
+and the rtx walk cross block boundaries.  The simulate command replays each
+scheme in turn over one ``EncounterStream``; those tests do the same, and
+others feed several ``Replay`` states the same blocks in lockstep."""
 
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import profilecast_oracle as oracle
 from eigenbehavior import (
     AssociationRecord,
+    EncounterStream,
     Encounters,
     Message,
     Partition,
@@ -30,7 +31,6 @@ from eigenbehavior import (
     Replay,
     SimConfig,
     build_messages,
-    encounter_blocks,
     extract_encounters,
     profilecast,
     simulate,
@@ -122,14 +122,23 @@ def replay_block(rows):
 
 def assert_blocks_match(records, block=None):
     """The stream's blocks concatenate to extract_encounters, which matches
-    the oracles; blocks are non-empty, coded over the records' ids, cut only
-    between distinct starts, and hold fewer than the budget rows before their
-    last start."""
+    the oracles, and a second walk of the stream, or one that orders rows by
+    np.lexsort, yields them again; blocks
+    are non-empty, coded over the records' ids, cut only between distinct
+    starts, and hold fewer than the budget rows before their last start."""
     with replay_block(block):
-        blocks = list(encounter_blocks(records))
+        stream = EncounterStream(records)
+        blocks = list(stream)
+        again = list(stream)
         assert_matches_old_sweep(records)
         whole = extract_encounters(records)
     assert [row for b in blocks for row in b.rows()] == whole.rows()
+    assert [b.rows() for b in again] == [b.rows() for b in blocks]
+    assert len(stream) == len(whole)
+    # the rows sorted by np.lexsort, as when a packed key would overflow
+    with replay_block(block), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(profilecast, "_KEY_LIMIT", 0)
+        assert [b.rows() for b in EncounterStream(records)] == [b.rows() for b in blocks]
     budget = block or profilecast.REPLAY_BLOCK
     for b in blocks:
         assert (b.users, b.locations) == (records.users, records.locations)
@@ -141,7 +150,7 @@ def assert_blocks_match(records, block=None):
 @pytest.mark.parametrize("block", (*SMALL_BLOCKS, None))
 @given(sessions())
 @PROPERTY
-def test_encounter_blocks_concatenate_to_the_oracles(block, records):
+def test_encounter_stream_concatenates_to_the_oracles(block, records):
     assert_blocks_match(Records.from_rows(records), block)
 
 
@@ -155,7 +164,7 @@ def test_rows_with_one_start_stay_in_one_block(block):
     records = Records.from_rows(rows)
     assert_blocks_match(records, block)
     with replay_block(block):
-        sizes = [len(b) for b in encounter_blocks(records)]
+        sizes = [len(b) for b in EncounterStream(records)]
     assert sizes[0] == 6 and sum(sizes) == 8
 
 
@@ -263,7 +272,7 @@ def test_simulate_matches_oracle_on_each_scheme_of_a_fixed_scenario_in_small_blo
 
 def lockstep(messages, blocks, configs, table, sim_ids, users):
     """Each config's outcome from one pass over the blocks, every config's
-    Replay fed each block in turn, as the simulate command replays."""
+    Replay fed each block in turn."""
     states = [Replay(messages, config, users, table, sim_ids) for config in configs]
     for block in blocks:
         for state in states:
@@ -341,15 +350,18 @@ def test_simulate_matches_oracle_on_a_synth_population(synth_replay, block, conf
 
 
 @pytest.mark.parametrize("block", (None, 7, 256))
-def test_lockstep_replay_matches_oracle_on_a_synth_population(synth_replay, block):
-    """The simulate command's replay: every config over one stream of the
-    replay half's blocks, over the replay half's users."""
+def test_simulate_over_one_stream_matches_oracle_on_a_synth_population(synth_replay, block):
+    """The simulate command's replay: each config in turn over one stream of
+    the replay half's blocks, over the replay half's users; and every config
+    in lockstep over the same blocks."""
     messages, _, table, users, want, second = synth_replay
     with replay_block(block):
-        blocks = list(encounter_blocks(second))
-        got = lockstep(messages, blocks, SYNTH_CONFIGS, table, users, second.users)
-    assert (len(blocks) == 1) == (block is None) and sum(map(len, blocks)) == 3466
-    assert got == [want[config] for config in SYNTH_CONFIGS]
+        stream = EncounterStream(second)
+        blocks = list(stream)
+        got = [_comparable(simulate(messages, stream, config, table, users)) for config in SYNTH_CONFIGS]
+        together = lockstep(messages, blocks, SYNTH_CONFIGS, table, users, second.users)
+    assert (len(blocks) == 1) == (block is None) and sum(map(len, blocks)) == len(stream) == 3466
+    assert got == together == [want[config] for config in SYNTH_CONFIGS]
 
 
 def test_encounters_columns_round_trip_in_given_order():
