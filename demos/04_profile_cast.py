@@ -16,13 +16,13 @@ under four forwarding schemes:
 import numpy as np
 
 from eigenbehavior import (
+    EncounterStream,
     GroupSpec,
     SimConfig,
     SynthSpec,
     TraceConfig,
     build_messages,
     compare_schemes,
-    extract_encounters,
     generate,
     normalized_sim_table,
     run_pipeline,
@@ -65,7 +65,7 @@ result = run_pipeline(
 )
 
 messages = build_messages(result.partition, creation_time=split_time)
-encounters = extract_encounters(replay_half)
+encounters = EncounterStream(replay_half)
 print(f"{len(messages)} messages (one per sampled group member), "
       f"{len(encounters)} encounters in the replay half\n")
 

@@ -38,13 +38,11 @@ from .profilecast import (
     EncounterStream,
     Encounters,
     Message,
-    Replay,
     SimConfig,
     SimResult,
     SimulationOutcome,
     build_messages,
     compare_schemes,
-    extract_encounters,
     simulate,
     split_trace,
 )

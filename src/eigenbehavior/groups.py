@@ -96,11 +96,7 @@ class CrossSignificance:
     other_mean: float  # mean SIG over all (cluster, non-member) pairs
 
 
-def cross_significance(
-    partition: Partition,
-    matrices: dict[str, AssociationMatrix],
-    power_floor: float = DEFAULT_POWER_FLOOR,
-) -> CrossSignificance:
+def cross_significance(partition: Partition, matrices: dict[str, AssociationMatrix]) -> CrossSignificance:
     """Score each cluster's first joint eigen-behavior on members vs everyone else."""
     online = {u for u, m in matrices.items() if m.rows.sum() > 0}
     per_cluster = []
@@ -110,9 +106,7 @@ def cross_significance(
         member_set = set(members) & online
         if not member_set:
             continue
-        first = eigen_behaviors(
-            joint_matrix([matrices[m] for m in sorted(member_set)]), power_floor
-        ).vectors[0]
+        first = eigen_behaviors(joint_matrix([matrices[m] for m in sorted(member_set)])).vectors[0]
         own = [significance(matrices[u], first) for u in sorted(member_set)]
         other = [significance(matrices[u], first) for u in sorted(online - member_set)]
         per_cluster.append((cid, float(np.mean(own)), float(np.mean(other)) if other else float("nan")))

@@ -9,8 +9,9 @@ array row, led by its user's cell.  No file is named after a user.  One
 writer formats a user's whole block with one ``%.9g`` template applied to
 ``ndarray.tolist()``, and one reader, on ``trace.read_csv``, parses them
 back; ``"%.9g" % x`` is byte-identical to ``format(x, ".9g")``.  The distance
-matrix is written a row at a time the same way, and the trace writer in
-chunks of at most ``CHUNK_ROWS`` records, with one ``%s,%s,%d,%d`` template.
+matrix is written a row at a time the same way, and read back only in the
+order written; the trace writer writes in chunks of at most ``CHUNK_ROWS``
+records, with one ``%s,%s,%d,%d`` template.
 Ids are quoted once each through ``csv.writer``, as QUOTE_MINIMAL requires.
 
 The similarity table is not stored: it is a function of the eigen sets,
@@ -24,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+from array import array
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
 
@@ -237,15 +239,28 @@ def load_distance_matrix(path: str) -> DistanceMatrix:
         "distance matrix sidecar",
         lambda raw: (tuple(raw["ids"]), raw["metric"], tuple(raw["flagged_ids"]), raw["params"]),
     )
-    values = np.zeros((len(ids), len(ids)))
+    # the rows are the upper triangle's pairs in the writer's row-major order
+    upper = np.triu_indices(len(ids), 1)
+    pairs = zip(*(index.tolist() for index in upper))
+    distances = array("d")
+    line = 1
     for line, row in read_csv(path, ("i", "j", "distance")):
         try:
             i, j, d = int(row[0]), int(row[1]), float(row[2])
         except ValueError:
             raise ValueError(f"{path}:{line}: bad i,j,distance row {row!r}") from None
-        if not (0 <= i < len(ids) and 0 <= j < len(ids)):
-            raise ValueError(f"{path}:{line}: index out of range for {len(ids)} ids")
-        values[i, j] = values[j, i] = d
+        want = next(pairs, None)
+        if (i, j) != want:
+            if not (0 <= i < len(ids) and 0 <= j < len(ids)):
+                raise ValueError(f"{path}:{line}: index out of range for {len(ids)} ids")
+            expected = "no more rows" if want is None else f"pair {want[0]},{want[1]}"
+            raise ValueError(f"{path}:{line}: pair {i},{j} where the triangle has {expected}")
+        distances.append(d)
+    if len(distances) < len(upper[0]):
+        i, j = next(pairs)
+        raise ValueError(f"{path}:{line + 1}: missing pair {i},{j} ({len(distances)} of {len(upper[0])} rows)")
+    values = np.zeros((len(ids), len(ids)))
+    values[upper] = values.T[upper] = distances
     return DistanceMatrix(values, metric, ids, flagged_ids, params)
 
 

@@ -29,27 +29,27 @@ once and yields the encounters as a stream of blocks of about
 ``REPLAY_BLOCK`` rows, in (start, a, b, location appearance) order, each cut
 between two distinct start times; an encounter that starts in [T0, T1)
 depends only on the merged intervals that overlap that window, so only one
-block is ever held.  ``extract_encounters`` is the concatenation of the
-stream.
+block is ever held.
 
-The replay of one scheme is a ``Replay`` state fed blocks in order.
 ``simulate`` replays one scheme over an ``Encounters`` or an
-``EncounterStream``; the ``simulate`` command replays each scheme in turn
-over one stream, which walks the merged intervals again for each scheme and
-so holds one block and one scheme's state at a time.  A state keeps one
-Python-int bitset over the messages per user, so one encounter costs a few
-integer operations whatever the number of messages; earliest-arrival replay
-over a time-ordered contact sequence follows Wu et al., "Path problems in
-temporal graphs" (VLDB 2014), and needs only the current block of contacts.
+``EncounterStream``; the ``simulate`` command calls it for each scheme in
+turn over one stream, which walks the merged intervals again for each scheme
+and so holds one block and one scheme's state at a time.  The state keeps
+one Python-int bitset over the messages per user, so one encounter costs a
+few integer operations whatever the number of messages; earliest-arrival
+replay over a time-ordered contact sequence follows Wu et al., "Path
+problems in temporal graphs" (VLDB 2014), and needs only the current block
+of contacts.
 
-A state reads its blocks REPLAY_BLOCK rows at a time, and numpy picks the
-rows that can still change state; Python visits only those.  A user is
-saturated once it has seen every message it may receive; seen only grows, so
-it stays saturated, and flooding, centralized and similarity drop the rows
-between two users saturated at the start of the rows read.  rtx walks only
-the rows of users holding custody of a message with hops left, in row order,
-and draws its p-rolls many at a time from the same Generator stream, so
-every transmission is the one of a row-by-row replay.
+``simulate`` reads the encounters REPLAY_BLOCK rows at a time, and numpy
+picks the rows that can still change state; Python visits only those.  A
+user is saturated once it has seen every message it may receive; seen only
+grows, so it stays saturated, and flooding, centralized and similarity drop
+the rows between two users saturated at the start of the rows read.  rtx
+walks only the rows of users holding custody of a message with hops left, in
+row order, and draws its p-rolls many at a time from the same Generator
+stream (at p = 1 every roll is all ones), so every transmission is the one
+of a row-by-row replay.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .cluster import Partition
-from .trace import AssociationRecord, Records, _present, _runs, as_records, budget_blocks, merge_intervals
+from .trace import AssociationRecord, Records, _runs, as_records, budget_blocks, merge_intervals
 
 SCHEMES = ("flooding", "centralized", "similarity", "rtx")
 
@@ -86,9 +86,8 @@ class Encounters:
     Row i: users[a[i]] and users[b[i]] co-located over [start[i], end[i]) at
     locations[loc[i]].  ``users`` and ``locations`` are sorted and unique, so
     the codes order like the ids and a < b holds for the codes exactly when it
-    holds for the ids.  ``from_rows`` and ``extract_encounters`` keep exactly
-    the ids that occur in some row; a block of an ``EncounterStream`` keeps
-    its records' ids.
+    holds for the ids.  ``from_rows`` keeps exactly the ids that occur in
+    some row; a block of an ``EncounterStream`` keeps its records' ids.
     """
 
     users: tuple[str, ...]
@@ -330,19 +329,6 @@ class EncounterStream:
         )
 
 
-def extract_encounters(records: Records) -> Encounters:
-    """Every block of an ``EncounterStream``, concatenated and renumbered to
-    the ids that occur in some row."""
-    blocks = list(EncounterStream(records))
-    if not blocks:
-        return Encounters.from_rows([])
-    column = lambda name: np.concatenate([getattr(block, name) for block in blocks])  # noqa: E731
-    a, b, loc = column("a"), column("b"), column("loc")
-    users, pair = _present(records.users, np.concatenate((a, b)))
-    locations, loc = _present(records.locations, loc)
-    return Encounters(users, locations, pair[: len(a)], pair[len(a) :], column("start"), column("end"), loc)
-
-
 def check_source_fraction(source_fraction: float) -> float:
     """source_fraction, checked to lie in (0, 1]."""
     if not 0.0 < source_fraction <= 1.0:
@@ -416,16 +402,16 @@ def _membership(messages: Sequence[Message], uidx: dict[str, int]) -> tuple[np.n
     return member, is_target
 
 
-class Replay:
-    """One forwarding scheme's replay, fed blocks of encounters in order.
+class _Replay:
+    """One forwarding scheme's replay state, fed blocks of encounters in order.
 
-    The users are those given (the replay half's, say) plus the messages'
-    sources and targets; every encounter fed must be between two of them.
-    The similarity scheme needs sim_table/sim_ids: the population-normalized
-    similarity matrix from the profile half and its user-id order, covering
-    every user of a message and every user fed an encounter (a user without
-    a row is refused when it is first found so); the gate is the
-    symmetrized value (mean of the two directions).
+    The users are the messages' sources and targets plus ``users``, the ids
+    every block fed codes its rows over.  The similarity scheme needs
+    sim_table/sim_ids: the population-normalized similarity matrix from the
+    profile half and its user-id order, covering every user of a message and
+    every user fed an encounter (a user without a row is refused when it is
+    first found so); the gate is the symmetrized value (mean of the two
+    directions).
 
     State is one bitset over the messages per user (bit m is message m): the
     messages it has seen, those it may receive (all, or under centralized
@@ -445,15 +431,15 @@ class Replay:
       message with hops left, through a heap of the current custodians over
       an index from user to rows; a taker joins the walk at its next row.
       The p-rolls come from ``_rolls``, so every transmission is the one a
-      roll per handover would make.  Once no message has hops left, the rest
-      of the stream is skipped.
+      roll per handover would make; at p = 1 every roll is all ones.  Once
+      no message has hops left, the rest of the stream is skipped.
     """
 
     def __init__(
         self,
         messages: Sequence[Message],
         config: SimConfig,
-        users: Iterable[str],
+        users: tuple[str, ...],
         sim_table: np.ndarray | None = None,
         sim_ids: Sequence[str] | None = None,
     ) -> None:
@@ -465,8 +451,7 @@ class Replay:
         self.users = sorted(users_of_messages | set(users))
         self._uidx = uidx = {u: i for i, u in enumerate(self.users)}
         n_users, n_msgs = len(self.users), len(messages)
-        self._block_users: tuple[str, ...] | None = None
-        self._to_user = np.empty(0, dtype=np.intp)
+        self._to_user = np.array([uidx[u] for u in users], dtype=np.intp)
 
         if config.scheme == "similarity":
             if sim_table is None or sim_ids is None:
@@ -503,8 +488,7 @@ class Replay:
         for m in by_creation.tolist():
             self._live_prefix.append(self._live_prefix[-1] | 1 << m)
 
-        rng = np.random.default_rng(config.seed)
-        self._rolls = _rolls(rng, n_msgs, config.p) if config.scheme == "rtx" and config.p < 1.0 else None
+        self._rolls = _rolls(np.random.default_rng(config.seed), n_msgs, config.p)  # rtx
         self._got_m = array("i")
         self._got_u = array("i")
         self._got_t = array("d")
@@ -525,10 +509,7 @@ class Replay:
             raise ValueError(f"users without profile similarities: {[self.users[u] for u in missing[:5]]}")
 
     def feed(self, encounters: Encounters) -> None:
-        """Replay the next encounters, in the given order."""
-        if encounters.users != self._block_users:
-            self._block_users = encounters.users
-            self._to_user = np.array([self._uidx[u] for u in encounters.users], dtype=np.intp)
+        """Replay the next encounters, coded over ``users``, in the given order."""
         rtx = self.config.scheme == "rtx"
         step = self._walk if rtx else self._forward
         for lo in range(0, len(encounters), REPLAY_BLOCK):
@@ -602,10 +583,9 @@ class Replay:
                 give_ab = live & funded & custody[a] & ~seen[b]
                 give_ba = live & funded & custody[b] & ~seen[a]
                 if give_ab | give_ba:
-                    if rolls is not None:
-                        roll = next(rolls)
-                        give_ab &= roll
-                        give_ba &= roll
+                    roll = next(rolls)
+                    give_ab &= roll
+                    give_ba &= roll
                     handed_from = len(got_m)
                     for give, giver, taker in ((give_ab, a, b), (give_ba, b, a)):
                         if give:
@@ -680,30 +660,28 @@ def simulate(
     sim_ids: Sequence[str] | None = None,
 ) -> SimulationOutcome:
     """Replay the encounters, in the given order, under one forwarding
-    scheme: one ``Replay`` over the messages' and the encounters' users
-    (a stream's are its records'), fed an ``Encounters`` as one block or a
+    scheme: one state over the messages' and the encounters' users (a
+    stream's are its records'), fed an ``Encounters`` as one block or a
     stream's blocks in turn."""
-    replay = Replay(messages, config, encounters.users, sim_table, sim_ids)
+    replay = _Replay(messages, config, encounters.users, sim_table, sim_ids)
     for block in [encounters] if isinstance(encounters, Encounters) else encounters:
         replay.feed(block)
     return replay.outcome()
 
 
-def compare_schemes(
-    results: Sequence[tuple[str, SimResult]], baseline: str = "flooding"
-) -> list[tuple[str, float, float, float]]:
-    """Each scheme's aggregate metrics as ratios to the baseline scheme's.
+def compare_schemes(results: Sequence[tuple[str, SimResult]]) -> list[tuple[str, float, float, float]]:
+    """Each scheme's aggregate metrics as ratios to flooding's.
 
-    results holds (label, result) rows; the first row labelled baseline is the
-    baseline, which must have delivered and transmitted.  Rows are (label,
-    delivery_ratio_rel, mean_delay_rel, overhead_rel) in the given order; a
-    scheme that delivered nothing has a nan delay ratio.
+    results holds (label, result) rows; the first row labelled "flooding" is
+    the baseline, which must have delivered and transmitted.  Rows are
+    (label, delivery_ratio_rel, mean_delay_rel, overhead_rel) in the given
+    order; a scheme that delivered nothing has a nan delay ratio.
     """
-    base = next((res for label, res in results if label == baseline), None)
+    base = next((res for label, res in results if label == "flooding"), None)
     if base is None:
-        raise ValueError(f"baseline {baseline!r} missing from results")
+        raise ValueError("baseline 'flooding' missing from results")
     if base.delivery_ratio <= 0 or base.overhead <= 0:
-        raise ValueError(f"baseline {baseline!r} delivered nothing; ratios undefined")
+        raise ValueError("baseline 'flooding' delivered nothing; ratios undefined")
     return [
         (
             label,

@@ -253,13 +253,13 @@ def power_captured(matrix: AssociationMatrix, k: int) -> float:
 def summary_table(
     matrices: dict[str, AssociationMatrix],
     eigen_sets: dict[str, EigenBehaviorSet | None],
-    thresholds: tuple[float, ...] = MODE_THRESHOLDS,
 ) -> dict[str, float]:
     """Mean significance per summary kind over all users with online time.
 
-    Keys: "onavg", "centroid@<thr>" per threshold, and "svd" for the first
-    eigen-behavior vector, read from eigen_sets (one set per online user, as
-    eigen_sets_for builds them).  All-offline users are skipped with a warning.
+    Keys: "onavg", "centroid@<thr>" per threshold of MODE_THRESHOLDS, and
+    "svd" for the first eigen-behavior vector, read from eigen_sets (one set
+    per online user, as eigen_sets_for builds them).  All-offline users are
+    skipped with a warning.
     """
     usable = {u: m for u, m in matrices.items() if np.any(_online_mask(m))}
     skipped = sorted(set(matrices) - set(usable))
@@ -271,10 +271,10 @@ def summary_table(
     if missing:
         raise ValueError(f"no eigen-behavior set for online users: {missing}")
     scores: dict[str, list[float]] = {"onavg": []}
-    for thr in thresholds:
+    for thr in MODE_THRESHOLDS:
         scores[f"centroid@{thr:g}"] = []
     scores["svd"] = []
-    tables = _mode_tables(list(usable.values()), thresholds)
+    tables = _mode_tables(list(usable.values()), MODE_THRESHOLDS)
     for (user, matrix), table in zip(usable.items(), tables):
         scores["onavg"].append(significance(matrix, onavg(matrix)))
         for modes in table:

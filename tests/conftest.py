@@ -12,6 +12,7 @@ import pytest
 from eigenbehavior import (
     AssociationMatrix,
     DistanceMatrix,
+    EncounterStream,
     GroupSpec,
     SynthSpec,
     TraceConfig,
@@ -42,6 +43,16 @@ def profile_half_config(records) -> dict:
     trace's split time under split_fraction 0.5, so that simulate accepts the
     profile: it sees nothing of the replay half."""
     return {"trace_start": 0, "trace_end": math.floor(split_trace(records)[2])}
+
+
+def stream_rows(records) -> list[tuple]:
+    """The (a, b, start, end, location) rows of every block of an
+    EncounterStream over records, concatenated; their number is the
+    stream's len."""
+    stream = EncounterStream(records)
+    rows = [row for block in stream for row in block.rows()]
+    assert len(rows) == len(stream)
+    return rows
 
 
 def checked(values, ids=None) -> DistanceMatrix:

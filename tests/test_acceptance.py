@@ -29,6 +29,7 @@ from conftest import (
 from eigenbehavior import (
     DAY_SECONDS,
     EigenBehaviorSet,
+    EncounterStream,
     SimConfig,
     TraceConfig,
     amvd_distance_matrix,
@@ -38,7 +39,6 @@ from eigenbehavior import (
     distance_cdfs,
     eigen_behaviors,
     eigen_distance_matrix,
-    extract_encounters,
     generate,
     group_power_scatter,
     jaccard,
@@ -371,7 +371,7 @@ def test_dissemination_scheme_orderings(capsys):
         first, TraceConfig(0.0, split_time), metric="eigen", target_count=10
     )
     messages = build_messages(result.partition, creation_time=split_time)
-    encounters = extract_encounters(second)
+    encounters = EncounterStream(second)
 
     sim_table, sim_ids = live_sim_table(result)
     runs = {
@@ -438,7 +438,7 @@ def test_similarity_thresholds_change_overhead_on_overlapping_modes(capsys):
         first, TraceConfig(0.0, split_time), metric="eigen", target_count=len(OVERLAP_SHARES)
     )
     messages = build_messages(result.partition, creation_time=split_time)
-    encounters = extract_encounters(second)
+    encounters = EncounterStream(second)
     flooding = simulate(messages, encounters, SimConfig("flooding")).aggregate
     sim_table, sim_ids = live_sim_table(result)
     thresholds = (0.3, 0.5, 0.7, 0.9)

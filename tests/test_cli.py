@@ -15,7 +15,7 @@ import pytest
 
 import eigenbehavior
 from conftest import digest_tree, profile_half_config
-from eigenbehavior import build_messages, extract_encounters, jaccard, load_records, split_trace
+from eigenbehavior import EncounterStream, build_messages, jaccard, load_records, split_trace
 from eigenbehavior.cli import main
 from eigenbehavior.pipeline import METRICS
 from eigenbehavior.persist import (
@@ -235,9 +235,9 @@ def test_simulate_outputs(workdir, tmp_path):
 
 
 def test_simulate_report_counts(workdir, tmp_path):
-    """report.json counts the replay: the encounters it counted from the
-    stream are those extract_encounters finds on the replay half, and each
-    scheme's transmissions are its results.csv overhead."""
+    """report.json counts the replay: its encounters are the len of an
+    EncounterStream over the replay half and the rows of a walk of it, and
+    each scheme's transmissions are its results.csv overhead."""
     out = tmp_path / "sim"
     trace = str(workdir / "synth" / "trace.csv")
     argv = ["simulate", trace, "--pipeline", str(workdir / "pipe"), "--scenario", str(workdir / "scenario.json")]
@@ -246,7 +246,8 @@ def test_simulate_report_counts(workdir, tmp_path):
     _, second, mid = split_trace(load_records(trace), SCENARIO["split_fraction"])
     messages = build_messages(load_partition_csv(str(workdir / "pipe" / "partition.csv")), creation_time=mid)
     assert report["records"] == len(second)
-    assert report["encounters"] == len(extract_encounters(second)) > 0
+    stream = EncounterStream(second)
+    assert report["encounters"] == len(stream) == sum(map(len, stream)) > 0
     assert report["messages"] == len(messages)
     assert report["targets"] == sum(len(m.targets) for m in messages)
     with open(out / "results.csv", newline="") as fh:

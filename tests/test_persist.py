@@ -183,6 +183,17 @@ def test_distance_matrix_roundtrip(tmp_path):
         ("i,j,distance\n0,1,near\n", r"distances\.csv:2: bad i,j,distance row"),
         ("i,j,distance\n0,1,0.5\n0,3,0.5\n", r"distances\.csv:3: index out of range for 3 ids"),
         ("i,j,distance\n-1,1,0.5\n", r"distances\.csv:2: index out of range for 3 ids"),
+        # the rows must be the triangle's pairs in the writer's order
+        ("i,j,distance\n", r"distances\.csv:2: missing pair 0,1 \(0 of 3 rows\)"),
+        ("i,j,distance\n0,1,0.5\n", r"distances\.csv:3: missing pair 0,2 \(1 of 3 rows\)"),
+        ("i,j,distance\n0,1,0.5\n0,1,0.9\n", r"distances\.csv:3: pair 0,1 where the triangle has pair 0,2"),
+        ("i,j,distance\n0,2,0.5\n0,1,0.5\n", r"distances\.csv:2: pair 0,2 where the triangle has pair 0,1"),
+        ("i,j,distance\n0,1,0.5\n0,2,0.5\n2,1,0.5\n", r"distances\.csv:4: pair 2,1 where the triangle has pair 1,2"),
+        ("i,j,distance\n2,2,0.5\n", r"distances\.csv:2: pair 2,2 where the triangle has pair 0,1"),
+        (
+            "i,j,distance\n0,1,0.5\n0,2,0.5\n1,2,0.5\n2,2,0.5\n",
+            r"distances\.csv:5: pair 2,2 where the triangle has no more rows",
+        ),
     ],
 )
 def test_distance_matrix_errors_name_path_and_line(tmp_path, body, message):

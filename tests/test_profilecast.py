@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import stream_rows
 from eigenbehavior import (
     AssociationRecord,
     EncounterStream,
@@ -17,7 +18,6 @@ from eigenbehavior import (
     SimConfig,
     build_messages,
     compare_schemes,
-    extract_encounters,
     partition_from_labels,
     simulate,
     split_trace,
@@ -72,7 +72,7 @@ def test_split_trace_validation():
 
 def test_single_encounter_overlap():
     records = [rec("u", "L1", 0, 100), rec("v", "L1", 50, 150)]
-    assert extract_encounters(Records.from_rows(records)).rows() == [enc("u", "v", 50, 100, "L1")]
+    assert stream_rows(Records.from_rows(records)) == [enc("u", "v", 50, 100, "L1")]
 
 
 def test_adjacent_intervals_merge_into_one_encounter():
@@ -81,17 +81,17 @@ def test_adjacent_intervals_merge_into_one_encounter():
         rec("u", "L1", 50, 100),
         rec("v", "L1", 40, 60),
     ]
-    assert extract_encounters(Records.from_rows(records)).rows() == [enc("u", "v", 40, 60, "L1")]
+    assert stream_rows(Records.from_rows(records)) == [enc("u", "v", 40, 60, "L1")]
 
 
 def test_different_locations_never_meet():
     records = [rec("u", "L1", 0, 100), rec("v", "L2", 0, 100)]
-    assert extract_encounters(Records.from_rows(records)).rows() == []
+    assert stream_rows(Records.from_rows(records)) == []
 
 
 def test_touching_intervals_do_not_meet():
     records = [rec("u", "L1", 0, 50), rec("v", "L1", 50, 100)]
-    assert extract_encounters(Records.from_rows(records)).rows() == []
+    assert stream_rows(Records.from_rows(records)) == []
 
 
 def test_three_users_pairwise_sorted_by_start():
@@ -100,7 +100,7 @@ def test_three_users_pairwise_sorted_by_start():
         rec("v", "L1", 10, 40),
         rec("w", "L1", 20, 50),
     ]
-    assert extract_encounters(Records.from_rows(records)).rows() == [
+    assert stream_rows(Records.from_rows(records)) == [
         enc("u", "v", 10, 30, "L1"),
         enc("u", "w", 20, 30, "L1"),
         enc("v", "w", 20, 40, "L1"),
@@ -123,10 +123,10 @@ def test_encounters_match_intersection_oracle():
                     s + int(rng.integers(1, 60)),
                 )
             )
-        got = extract_encounters(Records.from_rows(records))
+        got = stream_rows(Records.from_rows(records))
         want = encounters_oracle(records)
-        assert sorted(got.rows()) == want
-        order = [(start, a, b) for a, b, start, _, _ in got.rows()]
+        assert sorted(got) == want
+        order = [(start, a, b) for a, b, start, _, _ in got]
         assert order == sorted(order)
 
 

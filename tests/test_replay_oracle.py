@@ -7,8 +7,7 @@ rows, and the replay reads its encounters in blocks of that many rows and
 skips rows by the state at the start of each block, so the tests also run
 with blocks of a few rows, where the extraction's windows, every skip rule
 and the rtx walk cross block boundaries.  The simulate command replays each
-scheme in turn over one ``EncounterStream``; those tests do the same, and
-others feed several ``Replay`` states the same blocks in lockstep."""
+scheme in turn over one ``EncounterStream``; those tests do the same."""
 
 from __future__ import annotations
 
@@ -21,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import profilecast_oracle as oracle
+from conftest import stream_rows
 from eigenbehavior import (
     AssociationRecord,
     EncounterStream,
@@ -28,10 +28,8 @@ from eigenbehavior import (
     Message,
     Partition,
     Records,
-    Replay,
     SimConfig,
     build_messages,
-    extract_encounters,
     profilecast,
     simulate,
     split_trace,
@@ -66,11 +64,10 @@ def assert_matches_old_sweep(records):
     """``records`` as Records: the columnar sweep equals the old one row for
     row, in order, and the brute-force intersection as a set."""
     rows = records.rows()
-    got = extract_encounters(records)
-    assert len(got) == len(got.rows())
-    assert sorted(got.rows()) == oracle.encounters_oracle(rows)
+    got = stream_rows(records)
+    assert sorted(got) == oracle.encounters_oracle(rows)
     old = oracle.extract_encounters(rows)
-    assert got.rows() == [(e.a, e.b, e.start, e.end, e.location) for e in old]
+    assert got == [(e.a, e.b, e.start, e.end, e.location) for e in old]
 
 
 @given(sessions())
@@ -101,7 +98,7 @@ def test_equal_rows_keep_the_locations_first_appearance_order():
         AssociationRecord("u", "L1", 0, 10),
     ]
     assert_matches_old_sweep(Records.from_rows(rows))
-    assert [row[4] for row in extract_encounters(Records.from_rows(rows)).rows()] == ["L2", "L1"]
+    assert [row[4] for row in stream_rows(Records.from_rows(rows))] == ["L2", "L1"]
 
 
 # The shipped block size holds every trace and replay drawn here in one
@@ -121,18 +118,18 @@ def replay_block(rows):
 
 
 def assert_blocks_match(records, block=None):
-    """The stream's blocks concatenate to extract_encounters, which matches
-    the oracles, and a second walk of the stream, or one that orders rows by
-    np.lexsort, yields them again; blocks
-    are non-empty, coded over the records' ids, cut only between distinct
-    starts, and hold fewer than the budget rows before their last start."""
+    """The stream's blocks concatenate to the rows that match the oracles,
+    and a second walk of the stream, or one that orders rows by np.lexsort,
+    yields them again; blocks are non-empty, coded over the records' ids,
+    cut only between distinct starts, and hold fewer than the budget rows
+    before their last start."""
     with replay_block(block):
         stream = EncounterStream(records)
         blocks = list(stream)
         again = list(stream)
         assert_matches_old_sweep(records)
-        whole = extract_encounters(records)
-    assert [row for b in blocks for row in b.rows()] == whole.rows()
+        whole = stream_rows(records)
+    assert [row for b in blocks for row in b.rows()] == whole
     assert [b.rows() for b in again] == [b.rows() for b in blocks]
     assert len(stream) == len(whole)
     # the rows sorted by np.lexsort, as when a packed key would overflow
@@ -270,29 +267,6 @@ def test_simulate_matches_oracle_on_each_scheme_of_a_fixed_scenario_in_small_blo
         assert_replay_matches_oracle(FIXED_REPLAY, config, block)
 
 
-def lockstep(messages, blocks, configs, table, sim_ids, users):
-    """Each config's outcome from one pass over the blocks, every config's
-    Replay fed each block in turn."""
-    states = [Replay(messages, config, users, table, sim_ids) for config in configs]
-    for block in blocks:
-        for state in states:
-            state.feed(block)
-    return [_comparable(state.outcome()) for state in states]
-
-
-@pytest.mark.parametrize("block", SMALL_BLOCKS)
-def test_lockstep_replay_matches_oracle_on_a_fixed_scenario(block):
-    """The fixed scenario's rows in chunks of ``block``, each chunk its own
-    Encounters with only its ids, fed to every scheme in lockstep over all
-    eight users."""
-    messages, rows, table = FIXED_REPLAY
-    chunks = [Encounters.from_rows(rows[lo : lo + block]) for lo in range(0, len(rows), block)]
-    with replay_block(block):
-        got = lockstep(messages, chunks, FIXED_CONFIGS, table, USERS, USERS)
-    old = [oracle.Encounter(*r) for r in rows]
-    assert got == [_comparable(oracle.simulate(messages, old, c, table, USERS)) for c in FIXED_CONFIGS]
-
-
 def _mode(n_locations, weights):
     vector = [0.0] * n_locations
     for loc, weight in weights:
@@ -326,7 +300,7 @@ def synth_replay():
     )
     records, truth = generate(SynthSpec(n_locations=n, n_days=16, groups=groups, seed=2024, noise_epsilon=0.05))
     _, second, mid = split_trace(records)
-    encounters = extract_encounters(second)
+    encounters = Encounters.from_rows(stream_rows(second))
     messages = build_messages(Partition(assignment=truth), creation_time=mid, seed=3)
     users = sorted(truth)
     table = np.random.default_rng(1).uniform(size=(len(users), len(users)))
@@ -352,16 +326,14 @@ def test_simulate_matches_oracle_on_a_synth_population(synth_replay, block, conf
 @pytest.mark.parametrize("block", (None, 7, 256))
 def test_simulate_over_one_stream_matches_oracle_on_a_synth_population(synth_replay, block):
     """The simulate command's replay: each config in turn over one stream of
-    the replay half's blocks, over the replay half's users; and every config
-    in lockstep over the same blocks."""
+    the replay half's blocks, over the replay half's users."""
     messages, _, table, users, want, second = synth_replay
     with replay_block(block):
         stream = EncounterStream(second)
         blocks = list(stream)
         got = [_comparable(simulate(messages, stream, config, table, users)) for config in SYNTH_CONFIGS]
-        together = lockstep(messages, blocks, SYNTH_CONFIGS, table, users, second.users)
     assert (len(blocks) == 1) == (block is None) and sum(map(len, blocks)) == len(stream) == 3466
-    assert got == together == [want[config] for config in SYNTH_CONFIGS]
+    assert got == [want[config] for config in SYNTH_CONFIGS]
 
 
 def test_encounters_columns_round_trip_in_given_order():
