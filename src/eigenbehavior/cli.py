@@ -53,13 +53,15 @@ def _parser() -> argparse.ArgumentParser:
         "replay group-cast messaging over them.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, help="output directory")
+    common = argparse.ArgumentParser(add_help=False, parents=[out])
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    common.add_argument("--out", required=True, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", parents=[common], help="generate a synthetic trace")
+    p_synth = sub.add_parser("synth", parents=[out], help="generate a synthetic trace")
     p_synth.add_argument("spec", help="synth spec JSON")
+    p_synth.add_argument("--seed", type=int, help="seed in place of the spec's (0 included)")
 
     p_pipe = sub.add_parser("pipeline", parents=[common], help="matrices to group report")
     p_pipe.add_argument("trace", help="trace CSV (user,location,start,end)")
@@ -84,7 +86,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = spec_from_json(args.spec)
-    if args.seed:
+    if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     records, truth = generate(spec)
     os.makedirs(args.out, exist_ok=True)

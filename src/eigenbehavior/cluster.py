@@ -103,7 +103,9 @@ class DistanceMatrix:
         if len(self.values) != len(self.ids):
             raise ValueError("values must be N x N matching ids")
         top = METRIC_MAX.get(self.metric)
-        if top is not None and (self.values.min() < -1e-9 or self.values.max() > top + 1e-9):
+        if top is not None and self.values.size and (
+            self.values.min() < -1e-9 or self.values.max() > top + 1e-9
+        ):
             raise ValueError(f"{self.metric} distances must lie in [0, {top}]")
 
     @property

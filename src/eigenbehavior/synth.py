@@ -2,7 +2,9 @@
 
 Every group plants one or more behavioral modes (a location-weight vector plus
 a selection probability).  Each user-day is online with probability p_online;
-an online day picks one mode, perturbs its weights with bounded uniform noise,
+an online day picks one mode (the first entry of the group's cumulative mode
+probabilities above one ``random()`` draw, the draw and pick of
+``Generator.choice``), perturbs its weights with bounded uniform noise,
 and packs 8 hours of association time laid out contiguously from a random
 offset within the day.  Generation is deterministic for a given spec and
 parallel-safe: every user draws from its own child seed.  A per-day loop
@@ -12,6 +14,7 @@ record columns are computed over all online days at once.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,12 +45,13 @@ class GroupSpec:
             raise ValueError("modes and mode_probs must have equal length")
         if not 0.0 <= self.p_online <= 1.0:
             raise ValueError("p_online must lie in [0, 1]")
-        if abs(sum(self.mode_probs) - 1.0) > 1e-9 or any(p < 0 for p in self.mode_probs):
+        # each check is written so that NaN fails it
+        if not (all(p >= 0 for p in self.mode_probs) and abs(sum(self.mode_probs) - 1.0) <= 1e-9):
             raise ValueError("mode_probs must be nonnegative and sum to 1")
         for mode in self.modes:
-            if any(w < 0 for w in mode):
+            if not all(w >= 0 for w in mode):
                 raise ValueError("mode weights must be nonnegative")
-            if abs(sum(mode) - 1.0) > 1e-9:
+            if not abs(sum(mode) - 1.0) <= 1e-9:
                 raise ValueError("each mode weight vector must sum to 1")
 
 
@@ -67,7 +71,7 @@ class SynthSpec:
             raise ValueError("n_days must be positive")
         if not self.groups:
             raise ValueError("need at least one group")
-        if self.noise_epsilon < 0:
+        if not self.noise_epsilon >= 0:
             raise ValueError("noise_epsilon must be nonnegative")
         for group in self.groups:
             for mode in group.modes:
@@ -160,8 +164,11 @@ def _draws(
     user_idx = first_mode = 0
     for group_idx, group in enumerate(spec.groups):
         n_modes = len(group.modes)
+        # the cdf and draw of Generator.choice(n_modes, p=probs); GroupSpec
+        # has checked p once
         probs = np.array(group.mode_probs)
-        probs = probs / probs.sum()
+        cdf = np.cumsum(probs / probs.sum())
+        cdf = (cdf / cdf[-1]).tolist()
         for _ in range(group.size):
             truth[user_name(user_idx)] = group_idx
             rng = np.random.default_rng(seeds[user_idx])
@@ -169,7 +176,7 @@ def _draws(
                 if rng.random() >= group.p_online:
                     continue
                 offset = int(rng.integers(0, DAY_SECONDS - ONLINE_SECONDS + 1))
-                mode = first_mode + int(rng.choice(n_modes, p=probs))
+                mode = first_mode + bisect_right(cdf, rng.random())
                 days.append((user_idx, day * DAY_SECONDS + offset, mode))
                 if eps > 0:
                     noise.append(rng.uniform(-eps, eps, spec.n_locations))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -133,6 +134,15 @@ def test_synth_seed_override(workdir, tmp_path):
     assert main(["synth", str(spec_path), "--out", str(c)]) == 0
     assert digest_tree(a, SKIP) == digest_tree(b, SKIP)
     assert digest_tree(a, SKIP) != digest_tree(c, SKIP)  # spec seed 5 vs override 7
+    # --seed 0 overrides the spec's seed 5 too
+    seed_0 = tmp_path / "spec-seed-0.json"
+    seed_0.write_text(json.dumps({**SPEC, "seed": 0}))
+    zero, spec_zero = tmp_path / "zero", tmp_path / "spec-zero"
+    assert main(["synth", str(spec_path), "--seed", "0", "--out", str(zero)]) == 0
+    assert main(["synth", str(seed_0), "--out", str(spec_zero)]) == 0
+    assert digest_tree(zero, SKIP) == digest_tree(spec_zero, SKIP)
+    assert digest_tree(zero, SKIP) != digest_tree(c, SKIP)
+    assert json.loads((zero / "manifest.json").read_text())["seed"] == 0
 
 
 def test_pipeline_outputs_and_recovers_truth(workdir):
@@ -715,6 +725,15 @@ def test_malformed_scenario_exits_2_naming_the_scenario(workdir, tmp_path, capsy
             json.dumps({**SPEC, "groups": [{**SPEC["groups"][0], "size": 8.0}]}),
             "malformed synth spec (size must be an integer, got 8.0)",
         ),
+        (
+            json.dumps({**SPEC, "groups": [{"size": 2, "modes": [{"weights": [1, 0, 0, 0], "prob": math.nan}]}]}),
+            "malformed synth spec (mode_probs must be nonnegative and sum to 1)",
+        ),
+        (
+            json.dumps({**SPEC, "groups": [{"size": 2, "modes": [{"weights": [math.nan, 1, 0, 0], "prob": 1}]}]}),
+            "malformed synth spec (mode weights must be nonnegative)",
+        ),
+        (json.dumps({**SPEC, "noise_epsilon": math.nan}), "malformed synth spec (noise_epsilon must be nonnegative)"),
     ],
     ids=[
         "invalid-json",
@@ -726,6 +745,9 @@ def test_malformed_scenario_exits_2_naming_the_scenario(workdir, tmp_path, capsy
         "n-locations-string",
         "seed-true",
         "size-float",
+        "prob-nan",
+        "weight-nan",
+        "noise-epsilon-nan",
     ],
 )
 def test_malformed_spec_exits_2_naming_the_spec(tmp_path, capsys, text, message):

@@ -175,6 +175,19 @@ def test_distance_matrix_roundtrip(tmp_path):
     assert loaded.params == {"power_floor": 0.001}
 
 
+def test_empty_distance_matrix_roundtrip(tmp_path):
+    """A bounded metric's 0 x 0 matrix has no values to range-check; it
+    writes a header-only file and loads back."""
+    path = str(tmp_path / "distances.csv")
+    write_distance_matrix(path, DistanceMatrix(np.zeros((0, 0)), "eigen", (), (), {}))
+    with open(path) as fh:
+        assert fh.read() == "i,j,distance\n"
+    loaded = load_distance_matrix(path)
+    assert loaded.values.shape == (0, 0)
+    assert loaded.metric == "eigen"
+    assert loaded.ids == ()
+
+
 @pytest.mark.parametrize(
     "body, message",
     [

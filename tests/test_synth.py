@@ -49,6 +49,15 @@ def test_spec_validation():
         SynthSpec(n_locations=2, n_days=1, groups=(GroupSpec(1, ((1.0,),), (1.0,)),))
     with pytest.raises(ValueError):
         SynthSpec(n_locations=1, n_days=0, groups=(GroupSpec(1, ((1.0,),), (1.0,)),))
+    nan = float("nan")
+    with pytest.raises(ValueError, match="mode weights"):
+        GroupSpec(1, ((nan, 1.0),), (1.0,))
+    with pytest.raises(ValueError, match="mode_probs"):
+        GroupSpec(1, ((1.0,), (1.0,)), (nan, 1.0))
+    with pytest.raises(ValueError, match="p_online"):
+        GroupSpec(1, ((1.0,),), (1.0,), p_online=nan)
+    with pytest.raises(ValueError, match="noise_epsilon"):
+        SynthSpec(n_locations=1, n_days=1, groups=(GroupSpec(1, ((1.0,),), (1.0,)),), noise_epsilon=nan)
 
 
 def test_generate_is_deterministic():

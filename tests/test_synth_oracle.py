@@ -118,11 +118,16 @@ def _benchmark_spec(tmp_path, monkeypatch, n_users: int, seed: int) -> SynthSpec
     return spec_from_json(str(path))
 
 
-def test_group_800_seed_0_trace_and_truth_are_byte_identical(tmp_path, monkeypatch):
-    spec = _benchmark_spec(tmp_path, monkeypatch, 800, 0)
+@pytest.mark.parametrize(
+    "n_users, seed, n_records",
+    [(800, 0, 172_806), (250, 101, 54_099)],
+    ids=["group-800-seed-0", "replay-250-seed-101"],
+)
+def test_benchmark_trace_and_truth_are_byte_identical(tmp_path, monkeypatch, n_users, seed, n_records):
+    spec = _benchmark_spec(tmp_path, monkeypatch, n_users, seed)
     records, truth = generate(spec)
     want_rows, want_truth = oracle.generate(spec)
-    assert len(records) == len(want_rows) == 172_806
+    assert len(records) == len(want_rows) == n_records
     got = trace_bytes(tmp_path, persist.write_trace_csv, records)
     assert got == trace_bytes(tmp_path, oracle.write_trace_csv, want_rows)
     assert truth == want_truth
