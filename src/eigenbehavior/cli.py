@@ -154,9 +154,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     table = summary_table(result.matrices, result.eigen_sets)
     location_index = result.matrices[min(result.matrices)].location_index
     os.makedirs(args.out, exist_ok=True)
-    persist.write_matrices(os.path.join(args.out, "matrices"), result.matrices, config)
+    persist.write_matrix_index(os.path.join(args.out, "matrices"), result.matrices, config)
     persist.write_eigen_sets(os.path.join(args.out, "eigen.csv"), result.eigen_sets, location_index)
-    persist.write_distance_matrix(os.path.join(args.out, "distances.csv"), result.distance_matrix)
+    persist.write_distance_matrix(os.path.join(args.out, "distances.npy"), result.distance_matrix)
     persist.write_partition_csv(os.path.join(args.out, "partition.csv"), result.partition)
     persist.write_merge_history_csv(os.path.join(args.out, "merges.csv"), result.partition)
     persist.write_summary_table_csv(os.path.join(args.out, "summary.csv"), table)

@@ -1,21 +1,28 @@
 """Deterministic on-disk formats for every pipeline artifact.
 
-All floats are written with 9 significant digits and all JSON with sorted
-keys, so identical inputs and seeds reproduce byte-identical files.
+Floats in the CSV and JSON files are written with 9 significant digits and
+all JSON with sorted keys, so identical inputs and seeds reproduce
+byte-identical files.
 
-Every per-user array (``matrices/rows.csv`` and ``eigen.csv``) is one
-labelled CSV: a header of ``user`` and the column names, then one line per
-array row, led by its user's cell.  No file is named after a user.  One
-writer formats a user's whole block with one ``%.9g`` template applied to
-``ndarray.tolist()``, and one reader, on ``trace.read_csv``, parses them
-back; ``"%.9g" % x`` is byte-identical to ``format(x, ".9g")``.  The distance
-matrix is written a row at a time the same way, and read back only in the
-order written; the trace writer writes in chunks of at most ``CHUNK_ROWS``
-records, with one ``%s,%s,%d,%d`` template.
+The per-user array ``eigen.csv`` is one labelled CSV: a header of ``user``
+and the column names, then one line per array row, led by its user's cell.
+No file is named after a user.  One writer formats a user's whole block with
+one ``%.9g`` template applied to ``ndarray.tolist()``, and one reader, on
+``trace.read_csv``, parses them back; ``"%.9g" % x`` is byte-identical to
+``format(x, ".9g")``.  The trace writer writes in chunks of at most
+``CHUNK_ROWS`` records, with one ``%s,%s,%d,%d`` template.
 Ids are quoted once each through ``csv.writer``, as QUOTE_MINIMAL requires.
 
-The similarity table is not stored: it is a function of the eigen sets,
-``distances.normalized_sim_table(load_eigen_sets(path))``.
+The distance matrix is the one binary file and is stored exactly: its
+condensed upper triangle as float64 in NumPy's own ``.npy`` format (the
+row-major ``i < j`` order of scipy's ``squareform``), with a JSON sidecar of
+its ids, metric and params.
+
+Nothing that can be recomputed is stored.  The association matrices are a
+function of the trace, config and locmap whose digests ``manifest.json``
+records, so ``matrices/index.json`` keeps only their shape, users, location
+index and the trace config.  The similarity table is a function of the eigen
+sets, ``distances.normalized_sim_table(load_eigen_sets(path))``.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ import hashlib
 import io
 import json
 import os
-from array import array
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
 
@@ -71,41 +77,6 @@ def _csv_cells(values: Sequence[str]) -> list[str]:
     return cells
 
 
-def _write_labelled_rows(
-    path: str, header: Sequence[str], users: Sequence[str], blocks: Iterable[np.ndarray]
-) -> None:
-    """A CSV file of ``header`` and then, for each user, the rows of its block
-    of numbers, each led by the user's cell.  One block is formatted at a
-    time, with the cell (its ``%`` escaped) embedded in the row template."""
-    row = ",".join(["%.9g"] * (len(header) - 1)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_csv_cells(header)) + "\n")
-        for cell, block in zip(_csv_cells(users), blocks):
-            block = np.asarray(block, dtype=float)
-            template = (cell.replace("%", "%%") + "," + row) * len(block)
-            fh.write(template % tuple(block.ravel().tolist()))
-
-
-def _read_labelled_rows(
-    path: str, lead: Sequence[str], what: str
-) -> tuple[tuple[str, ...], list[tuple[int, str]], np.ndarray]:
-    """A file of _write_labelled_rows: the header names after ``lead``, the
-    (line, user) of each row, and the rows' numbers as one array."""
-    rows = read_csv(path, None)
-    _, header = next(rows, (1, []))
-    if header[: len(lead)] != list(lead):
-        raise ValueError(f"{path}: bad header {header!r}, expected {','.join(lead)} and then the ids")
-    labels, numbers = [], []
-    for line, row in rows:
-        try:
-            numbers.append(np.fromiter(map(float, row[1:]), float, len(row) - 1))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {what} holds a non-number at {path}:{line} ({exc})") from None
-        labels.append((line, row[0]))
-    values = np.array(numbers).reshape(len(numbers), len(header) - 1)
-    return tuple(header[len(lead) :]), labels, values
-
-
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """A small table, every row through csv.writer."""
     with open(path, "w", newline="") as fh:
@@ -140,16 +111,15 @@ def load_truth_csv(path: str) -> dict[str, int]:
     return read_table(path, ("user", "group"), "user", ints=True)
 
 
-def write_matrices(
+def write_matrix_index(
     out_dir: str, matrices: dict[str, AssociationMatrix], config: TraceConfig
 ) -> None:
-    """Every user's rows, in sorted-user order, in one rows.csv, plus an index
-    manifest with the shared location index."""
+    """index.json: the sorted users, the matrices' shape, their shared location
+    index and the trace config.  The rows are not stored: build_matrices
+    rebuilds them from the trace, config and locmap that manifest.json digests."""
     os.makedirs(out_dir, exist_ok=True)
     users = sorted(matrices)
     first = matrices[users[0]]
-    rows = (matrices[user].rows for user in users)
-    _write_labelled_rows(os.path.join(out_dir, "rows.csv"), ["user", *first.location_index], users, rows)
     index = {
         "users": users,
         "t": first.n_slots,
@@ -175,19 +145,35 @@ def write_json(path: str, payload: dict) -> None:
 def write_eigen_sets(
     path: str, eigen_sets: dict[str, EigenBehaviorSet | None], location_index: Sequence[str]
 ) -> None:
-    """One power_floor,weight,vector row per kept eigen-behavior, users in
-    sorted order; users without a set are left out."""
+    """One power_floor,weight,vector row per kept eigen-behavior, led by its
+    user's cell, users in sorted order; users without a set are left out.  One
+    user's block is formatted at a time, with the cell (its ``%`` escaped)
+    embedded in the row template."""
     users = [user for user in sorted(eigen_sets) if eigen_sets[user] is not None]
-    blocks = (
-        np.column_stack([np.full(eset.k, eset.power_floor), eset.weights, eset.vectors])
-        for eset in map(eigen_sets.get, users)
-    )
-    _write_labelled_rows(path, [*EIGEN_LEAD, *location_index], users, blocks)
+    header = [*EIGEN_LEAD, *location_index]
+    row = ",".join(["%.9g"] * (len(header) - 1)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_csv_cells(header)) + "\n")
+        for cell, eset in zip(_csv_cells(users), map(eigen_sets.get, users)):
+            block = np.column_stack([np.full(eset.k, eset.power_floor), eset.weights, eset.vectors])
+            template = (cell.replace("%", "%%") + "," + row) * len(block)
+            fh.write(template % tuple(block.ravel().tolist()))
 
 
 def load_eigen_sets(path: str) -> dict[str, EigenBehaviorSet]:
     """Each user's set from its run of consecutive rows in an eigen.csv."""
-    _, labels, values = _read_labelled_rows(path, EIGEN_LEAD, "eigen-behavior table")
+    rows = read_csv(path, None)
+    _, header = next(rows, (1, []))
+    if header[: len(EIGEN_LEAD)] != list(EIGEN_LEAD):
+        raise ValueError(f"{path}: bad header {header!r}, expected {','.join(EIGEN_LEAD)} and then the ids")
+    labels, numbers = [], []
+    for line, row in rows:
+        try:
+            numbers.append(np.fromiter(map(float, row[1:]), float, len(row) - 1))
+        except ValueError as exc:
+            raise ValueError(f"{path}: eigen-behavior table holds a non-number at {path}:{line} ({exc})") from None
+        labels.append((line, row[0]))
+    values = np.array(numbers).reshape(len(numbers), len(header) - 1)
     sets: dict[str, EigenBehaviorSet] = {}
     if not labels:
         return sets
@@ -213,15 +199,12 @@ def load_eigen_sets(path: str) -> dict[str, EigenBehaviorSet]:
 
 
 def write_distance_matrix(path: str, dm: DistanceMatrix) -> None:
-    """Upper triangle as i,j,distance rows plus a JSON sidecar with ids and params."""
-    values = np.asarray(dm.values, dtype=float)
-    lines = [f"{j},%.9g\n" for j in range(dm.n)]  # row i's line for j is f"{i}," + lines[j]
-    with open(path, "w", newline="") as fh:
-        fh.write("i,j,distance\n")
-        for i in range(dm.n - 1):
-            prefix = f"{i},"
-            template = prefix + prefix.join(lines[i + 1 :])
-            fh.write(template % tuple(values[i, i + 1 :].tolist()))
+    """The condensed upper triangle (the ``i < j`` pairs, row-major) as one
+    float64 .npy array, gathered a row slice at a time, plus a JSON sidecar
+    with the ids and params."""
+    rows = (dm.values[i, i + 1 :] for i in range(dm.n))
+    with open(path, "wb") as fh:
+        np.save(fh, np.concatenate([np.empty(0), *rows]), allow_pickle=False)
     write_json(
         path + ".json",
         {
@@ -234,34 +217,32 @@ def write_distance_matrix(path: str, dm: DistanceMatrix) -> None:
 
 
 def load_distance_matrix(path: str) -> DistanceMatrix:
+    """A file of write_distance_matrix, its triangle filled in a row slice at a time."""
     ids, metric, flagged_ids, params = read_json(
         path + ".json",
         "distance matrix sidecar",
         lambda raw: (tuple(raw["ids"]), raw["metric"], tuple(raw["flagged_ids"]), raw["params"]),
     )
-    # the rows are the upper triangle's pairs in the writer's row-major order
-    upper = np.triu_indices(len(ids), 1)
-    pairs = zip(*(index.tolist() for index in upper))
-    distances = array("d")
-    line = 1
-    for line, row in read_csv(path, ("i", "j", "distance")):
+    with open(path, "rb") as fh:
         try:
-            i, j, d = int(row[0]), int(row[1]), float(row[2])
-        except ValueError:
-            raise ValueError(f"{path}:{line}: bad i,j,distance row {row!r}") from None
-        want = next(pairs, None)
-        if (i, j) != want:
-            if not (0 <= i < len(ids) and 0 <= j < len(ids)):
-                raise ValueError(f"{path}:{line}: index out of range for {len(ids)} ids")
-            expected = "no more rows" if want is None else f"pair {want[0]},{want[1]}"
-            raise ValueError(f"{path}:{line}: pair {i},{j} where the triangle has {expected}")
-        distances.append(d)
-    if len(distances) < len(upper[0]):
-        i, j = next(pairs)
-        raise ValueError(f"{path}:{line + 1}: missing pair {i},{j} ({len(distances)} of {len(upper[0])} rows)")
-    values = np.zeros((len(ids), len(ids)))
-    values[upper] = values.T[upper] = distances
-    return DistanceMatrix(values, metric, ids, flagged_ids, params)
+            condensed = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError) as exc:
+            raise ValueError(f"{path}: not a .npy array ({exc})") from None
+    n = len(ids)
+    if not isinstance(condensed, np.ndarray) or condensed.ndim != 1 or condensed.dtype != np.float64:
+        raise ValueError(f"{path}: expected a 1-D float64 array")
+    if len(condensed) != n * (n - 1) // 2:
+        raise ValueError(f"{path}: {len(condensed)} distances, where {n} ids have {n * (n - 1) // 2} pairs")
+    values = np.zeros((n, n))
+    lo = 0
+    for i in range(n):
+        row = condensed[lo : lo + n - 1 - i]
+        values[i, i + 1 :] = values[i + 1 :, i] = row
+        lo += len(row)
+    try:
+        return DistanceMatrix(values, metric, ids, flagged_ids, params)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_partition_csv(path: str, partition: Partition) -> None:

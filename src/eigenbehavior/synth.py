@@ -14,6 +14,7 @@ record columns are computed over all online days at once.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -79,6 +80,10 @@ class SynthSpec:
                     raise ValueError(
                         f"mode length {len(mode)} does not match n_locations {self.n_locations}"
                     )
+        # the noise range (2 eps) and a day's noisy weights (summing to at most
+        # 1 + n_locations eps) must be finite; inf and NaN fail this
+        if not math.isfinite((self.n_locations + 2) * self.noise_epsilon):
+            raise ValueError("noise_epsilon is too large: the noisy weights would overflow")
 
     @property
     def n_users(self) -> int:

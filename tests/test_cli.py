@@ -16,11 +16,11 @@ import pytest
 
 import eigenbehavior
 from conftest import digest_tree, profile_half_config
-from eigenbehavior import EncounterStream, build_messages, jaccard, load_records, split_trace
-from eigenbehavior.cli import main
-from eigenbehavior.pipeline import METRICS
+from eigenbehavior import EncounterStream, build_messages, distance_cdfs, jaccard, load_records, split_trace
+from eigenbehavior.cli import _pipeline_config, main
+from eigenbehavior.pipeline import METRICS, run_pipeline
 from eigenbehavior.persist import (
-    _read_labelled_rows,
+    load_distance_matrix,
     load_eigen_sets,
     load_partition_csv,
     load_truth_csv,
@@ -55,11 +55,10 @@ SKIP = ("manifest.json",)  # its created_utc differs between runs
 
 # every file a pipeline run writes; none is named after a user
 PIPELINE_FILES = {
-    os.path.join("matrices", "rows.csv"),
     os.path.join("matrices", "index.json"),
     "eigen.csv",
-    "distances.csv",
-    "distances.csv.json",
+    "distances.npy",
+    "distances.npy.json",
     "partition.csv",
     "merges.csv",
     "summary.csv",
@@ -169,23 +168,42 @@ def test_pipeline_writes_a_long_user_id_into_its_rows(workdir, tmp_path):
     argv = ["pipeline", str(trace), "--config", str(workdir / "config.json")]
     assert main(argv + ["--clusters", "3", "--out", str(out)]) == 0
     assert set(digest_tree(out)) == PIPELINE_FILES
-    # the renamed user's rows and eigen set are those of u00000 in the fixture run
-    def matrix_rows(pipe_dir):
-        return _read_labelled_rows(str(pipe_dir / "matrices" / "rows.csv"), ("user",), "matrices")
-
-    got_ids, got_labels, got_rows = matrix_rows(out)
-    ids, labels, rows = matrix_rows(workdir / "pipe")
-    assert got_ids == ids
-    got = [i for i, (_, user) in enumerate(got_labels) if user == long_id]
-    want = [i for i, (_, user) in enumerate(labels) if user == "u00000"]
-    days = json.loads((out / "matrices" / "index.json").read_text())["t"]
-    assert len(got) == len(want) == days == 5  # one row per day of the profile half
-    np.testing.assert_array_equal(got_rows[got], rows[want])
+    # the renamed user takes u00000's place in the index, and its eigen set is
+    # that of u00000 in the fixture run
+    index = json.loads((out / "matrices" / "index.json").read_text(encoding="utf-8"))
+    fixture_index = json.loads((workdir / "pipe" / "matrices" / "index.json").read_text(encoding="utf-8"))
+    assert long_id in index["users"] and "u00000" not in index["users"]
+    assert sorted(long_id if u == "u00000" else u for u in fixture_index["users"]) == index["users"]
+    assert {**index, "users": None} == {**fixture_index, "users": None}
+    assert index["t"] == 5  # one row per day of the profile half
     loaded = load_eigen_sets(str(out / "eigen.csv"))
     fixture = load_eigen_sets(str(workdir / "pipe" / "eigen.csv"))
     assert long_id in loaded and "u00000" not in loaded
     np.testing.assert_array_equal(loaded[long_id].vectors, fixture["u00000"].vectors)
     np.testing.assert_array_equal(loaded[long_id].weights, fixture["u00000"].weights)
+
+
+@pytest.mark.parametrize("metric", ["eigen", "amvd"])
+def test_reloaded_distances_give_exact_cdfs(workdir, tmp_path, metric):
+    """distances.npy reloads bit for bit, so the within- and between-group
+    distance CDFs of a run directory are those of a matrix recomputed in
+    process."""
+    out = workdir / "pipe"
+    trace, config_path = str(workdir / "synth" / "trace.csv"), str(workdir / "config.json")
+    if metric != "eigen":
+        out = tmp_path / metric
+        argv = ["pipeline", trace, "--config", config_path, "--metric", metric, "--clusters", "3"]
+        assert main(argv + ["--out", str(out)]) == 0
+    records = load_records(trace)
+    _, config, options = _pipeline_config(json.loads((workdir / "config.json").read_text()), records)
+    result = run_pipeline(records, config, metric=metric, target_count=3, **options)
+    loaded = load_distance_matrix(str(out / "distances.npy"))
+    assert loaded.ids == result.distance_matrix.ids and loaded.metric == metric
+    assert loaded.values.tobytes() == result.distance_matrix.values.tobytes()
+    got = distance_cdfs(load_partition_csv(str(out / "partition.csv")), loaded)
+    want = distance_cdfs(result.partition, result.distance_matrix)
+    assert [cdf.tobytes() for cdf in got] == [cdf.tobytes() for cdf in want]
+    assert all(len(cdf) for cdf in got)
 
 
 def test_pipeline_amvd_metric_and_locmap(workdir, tmp_path):
@@ -734,6 +752,14 @@ def test_malformed_scenario_exits_2_naming_the_scenario(workdir, tmp_path, capsy
             "malformed synth spec (mode weights must be nonnegative)",
         ),
         (json.dumps({**SPEC, "noise_epsilon": math.nan}), "malformed synth spec (noise_epsilon must be nonnegative)"),
+        (
+            json.dumps({**SPEC, "noise_epsilon": 1e308}),
+            "malformed synth spec (noise_epsilon is too large: the noisy weights would overflow)",
+        ),
+        (
+            json.dumps({**SPEC, "noise_epsilon": math.inf}),
+            "malformed synth spec (noise_epsilon is too large: the noisy weights would overflow)",
+        ),
     ],
     ids=[
         "invalid-json",
@@ -748,6 +774,8 @@ def test_malformed_scenario_exits_2_naming_the_scenario(workdir, tmp_path, capsy
         "prob-nan",
         "weight-nan",
         "noise-epsilon-nan",
+        "noise-epsilon-1e308",
+        "noise-epsilon-infinity",
     ],
 )
 def test_malformed_spec_exits_2_naming_the_spec(tmp_path, capsys, text, message):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import io
+import pickle
+import re
+
 import numpy as np
 import pytest
 
@@ -163,60 +167,82 @@ def test_eigen_sets_power_floor_is_compared_within_each_user(tmp_path):
 
 
 def test_distance_matrix_roundtrip(tmp_path):
-    values = np.array([[0.0, 0.25, 1.0], [0.25, 0.0, 0.5], [1.0, 0.5, 0.0]])
+    """The triangle is stored as float64 .npy, so every bit comes back."""
+    values = np.array([[0.0, 0.25, 1 / 3], [0.25, 0.0, np.nextafter(0.5, 1)], [1 / 3, np.nextafter(0.5, 1), 0.0]])
     dm = DistanceMatrix(values, "eigen", ("a", "b", "dead"), ("dead",), {"power_floor": 0.001})
-    path = str(tmp_path / "distances.csv")
+    path = str(tmp_path / "distances.npy")
     write_distance_matrix(path, dm)
+    np.testing.assert_array_equal(np.load(path, allow_pickle=False), [0.25, 1 / 3, np.nextafter(0.5, 1)])
     loaded = load_distance_matrix(path)
-    np.testing.assert_allclose(loaded.values, values, atol=1e-9)
+    np.testing.assert_array_equal(loaded.values, values)
     assert loaded.metric == "eigen"
     assert tuple(loaded.ids) == ("a", "b", "dead")
     assert loaded.flagged_ids == ("dead",)
     assert loaded.params == {"power_floor": 0.001}
 
 
-def test_empty_distance_matrix_roundtrip(tmp_path):
-    """A bounded metric's 0 x 0 matrix has no values to range-check; it
-    writes a header-only file and loads back."""
-    path = str(tmp_path / "distances.csv")
-    write_distance_matrix(path, DistanceMatrix(np.zeros((0, 0)), "eigen", (), (), {}))
-    with open(path) as fh:
-        assert fh.read() == "i,j,distance\n"
+@pytest.mark.parametrize("n", [0, 1])
+def test_empty_distance_matrix_roundtrip(tmp_path, n):
+    """A bounded metric's 0 x 0 matrix has no values to range-check; it and
+    the 1 x 1 matrix write an empty triangle and load back."""
+    path = str(tmp_path / "distances.npy")
+    ids = tuple(f"u{i}" for i in range(n))
+    write_distance_matrix(path, DistanceMatrix(np.zeros((n, n)), "eigen", ids, (), {}))
+    assert np.load(path, allow_pickle=False).shape == (0,)
     loaded = load_distance_matrix(path)
-    assert loaded.values.shape == (0, 0)
+    assert loaded.values.shape == (n, n)
     assert loaded.metric == "eigen"
-    assert loaded.ids == ()
+    assert loaded.ids == ids
+
+
+def _saved(save, *args, **kwargs) -> bytes:
+    buf = io.BytesIO()
+    save(buf, *args, **kwargs)
+    return buf.getvalue()
+
+
+THREE = np.array([0.5, 0.5, 0.5])
 
 
 @pytest.mark.parametrize(
     "body, message",
     [
-        ("i,j,distance\n0,1\n", r"distances\.csv:2: expected 3 fields"),
-        ("i,j,distance\n0,1,0.5\n0,x,0.5\n", r"distances\.csv:3: bad i,j,distance row"),
-        ("i,j,distance\n0,1,near\n", r"distances\.csv:2: bad i,j,distance row"),
-        ("i,j,distance\n0,1,0.5\n0,3,0.5\n", r"distances\.csv:3: index out of range for 3 ids"),
-        ("i,j,distance\n-1,1,0.5\n", r"distances\.csv:2: index out of range for 3 ids"),
-        # the rows must be the triangle's pairs in the writer's order
-        ("i,j,distance\n", r"distances\.csv:2: missing pair 0,1 \(0 of 3 rows\)"),
-        ("i,j,distance\n0,1,0.5\n", r"distances\.csv:3: missing pair 0,2 \(1 of 3 rows\)"),
-        ("i,j,distance\n0,1,0.5\n0,1,0.9\n", r"distances\.csv:3: pair 0,1 where the triangle has pair 0,2"),
-        ("i,j,distance\n0,2,0.5\n0,1,0.5\n", r"distances\.csv:2: pair 0,2 where the triangle has pair 0,1"),
-        ("i,j,distance\n0,1,0.5\n0,2,0.5\n2,1,0.5\n", r"distances\.csv:4: pair 2,1 where the triangle has pair 1,2"),
-        ("i,j,distance\n2,2,0.5\n", r"distances\.csv:2: pair 2,2 where the triangle has pair 0,1"),
+        (_saved(np.save, THREE[:2]), r"2 distances, where 3 ids have 3 pairs"),
+        (_saved(np.save, np.append(THREE, 0.5)), r"4 distances, where 3 ids have 3 pairs"),
+        (_saved(np.save, THREE[None]), r"expected a 1-D float64 array"),
+        (_saved(np.save, np.array([0, 1, 1])), r"expected a 1-D float64 array"),
+        (_saved(np.save, THREE.astype(np.float32)), r"expected a 1-D float64 array"),
         (
-            "i,j,distance\n0,1,0.5\n0,2,0.5\n1,2,0.5\n2,2,0.5\n",
-            r"distances\.csv:5: pair 2,2 where the triangle has no more rows",
+            _saved(np.save, THREE.astype(object), allow_pickle=True),
+            r"not a \.npy array \(Object arrays cannot be loaded when allow_pickle=False\)",
         ),
+        (pickle.dumps(THREE), r"not a \.npy array \(This file contains pickled \(object\) data"),
+        (b"i,j,distance\n0,1,0.5\n0,2,0.5\n1,2,0.5\n", r"not a \.npy array"),
+        (b"", r"not a \.npy array"),
+        (_saved(np.savez, THREE), r"expected a 1-D float64 array"),
+        (_saved(np.save, np.array([0.5, np.nan, 0.5])), r"distance matrix must be symmetric"),
+        (_saved(np.save, np.array([0.5, 1.5, 0.5])), r"eigen distances must lie in \[0, 1\.0\]"),
+        (_saved(np.save, np.array([0.5, -0.5, 0.5])), r"eigen distances must lie in \[0, 1\.0\]"),
     ],
+    ids=["short", "long", "2-d", "int", "float32", "object", "pickle", "csv", "empty", "npz", "nan", "above", "below"],
 )
-def test_distance_matrix_errors_name_path_and_line(tmp_path, body, message):
-    dm = DistanceMatrix(np.zeros((3, 3)), "eigen", ("a", "b", "c"), (), {})
-    path = str(tmp_path / "distances.csv")
-    write_distance_matrix(path, dm)
-    with open(path, "w") as fh:
-        fh.write(body)
-    with pytest.raises(ValueError, match=message):
-        load_distance_matrix(path)
+def test_distance_matrix_refusals_name_the_path(tmp_path, body, message):
+    path = tmp_path / "distances.npy"
+    write_distance_matrix(str(path), DistanceMatrix(np.zeros((3, 3)), "eigen", ("a", "b", "c"), (), {}))
+    path.write_bytes(body)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ": " + message):
+        load_distance_matrix(str(path))
+
+
+def test_truncated_distance_file_names_the_path(tmp_path):
+    """A file cut short in its header or in its data is refused."""
+    path = tmp_path / "distances.npy"
+    write_distance_matrix(str(path), DistanceMatrix(np.full((4, 4), 0.5) - np.diag([0.5] * 4), "eigen", "abcd"))
+    whole = path.read_bytes()
+    for cut in (len(whole) - 8, 100, 20, 5):
+        path.write_bytes(whole[:cut])
+        with pytest.raises(ValueError, match=re.escape(str(path)) + r": not a \.npy array"):
+            load_distance_matrix(str(path))
 
 
 def test_partition_csv_roundtrip(tmp_path):

@@ -1,5 +1,6 @@
-"""Property tests: each block-formatted array writer writes exactly the bytes of
-its per-value oracle in persist_oracle, for awkward floats and ids."""
+"""Property tests, for awkward floats and ids: the block-formatted eigen.csv
+writer writes exactly the bytes of its per-value oracle in persist_oracle, and
+distances.npy holds exactly the bits of a per-pair loop over the triangle."""
 
 from __future__ import annotations
 
@@ -11,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import persist_oracle as oracle
-from eigenbehavior import DistanceMatrix, EigenBehaviorSet, TraceConfig, persist
-from eigenbehavior.trace import AssociationMatrix
+from eigenbehavior import DistanceMatrix, EigenBehaviorSet, persist
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -62,21 +62,6 @@ def same_bytes(write, oracle_write, *args) -> None:
 
 
 @st.composite
-def matrix_sets(draw):
-    t, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    users = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
-    locations = draw(st.lists(IDS, min_size=n, max_size=n, unique=True))
-    return {user: AssociationMatrix(user, floats(draw, (t, n)), locations) for user in users}
-
-
-@given(matrix_sets())
-@PROPERTY
-def test_write_matrices_matches_oracle(matrices):
-    config = TraceConfig(0, 86400, slot_seconds=3600, window=(0, 7200))
-    same_bytes(persist.write_matrices, oracle.write_matrices, matrices, config)
-
-
-@st.composite
 def eigen_set_maps(draw):
     n = draw(st.integers(1, 5))
     locations = draw(st.lists(IDS, min_size=n, max_size=n, unique=True))
@@ -103,22 +88,22 @@ def test_write_eigen_sets_matches_oracle(eigen_sets):
 
 @st.composite
 def distance_matrices(draw):
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(0, 7))
     dm = DistanceMatrix(np.zeros((n, n)), "eigen", tuple(f"u{i}" for i in range(n)))
-    # the writer formats whatever it is given, in the metric's range or not
-    iu, ju = np.triu_indices(n, k=1)
-    dm.values[iu, ju] = dm.values[ju, iu] = floats(draw, (len(iu),))
+    # the writer stores whatever it is given, in the metric's range or not
+    for i in range(n):
+        for j in range(i + 1, n):
+            dm.values[i, j] = dm.values[j, i] = draw(FLOATS)
     return dm
 
 
 @given(distance_matrices())
 @PROPERTY
-def test_write_distance_matrix_matches_oracle(dm):
-    same_bytes(persist.write_distance_matrix, oracle.write_distance_matrix, dm)
-
-
-def test_write_distance_matrix_two_by_two(tmp_path):
-    dm = DistanceMatrix(np.array([[0.0, 1 / 3], [1 / 3, 0.0]]), "eigen", ("a", "b,c"))
-    same_bytes(persist.write_distance_matrix, oracle.write_distance_matrix, dm)
-    persist.write_distance_matrix(str(tmp_path / "d.csv"), dm)
-    assert (tmp_path / "d.csv").read_text() == "i,j,distance\n0,1,0.333333333\n"
+def test_write_distance_matrix_stores_every_bit_in_pair_order(dm):
+    """distances.npy holds the i < j pairs, row-major, bit for bit."""
+    want = np.array([dm.values[i, j] for i in range(dm.n) for j in range(i + 1, dm.n)], dtype=np.float64)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "distances.npy")
+        persist.write_distance_matrix(path, dm)
+        got = np.load(path, allow_pickle=False)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()

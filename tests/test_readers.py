@@ -3,13 +3,11 @@ row starts on, and every JSON document error names the file."""
 
 from __future__ import annotations
 
-import json
 import locale
 
 import pytest
 
 from eigenbehavior.persist import (
-    load_distance_matrix,
     load_eigen_sets,
     load_partition_csv,
     load_truth_csv,
@@ -22,7 +20,6 @@ LOADERS = {
     "locmap": (load_location_map, "ap,building", "ap1,B1"),
     "truth": (load_truth_csv, "user,group", "u1,0"),
     "partition": (load_partition_csv, "element,cluster", "u1,0"),
-    "distances": (load_distance_matrix, "i,j,distance", "0,1,0.5"),
     "eigen": (load_eigen_sets, "user,power_floor,weight,A,B", "a,0.001,1,1,0"),
 }
 
@@ -30,9 +27,6 @@ LOADERS = {
 def _write(tmp_path, kind: str, body: bytes) -> str:
     path = tmp_path / f"{kind}.csv"
     path.write_bytes(body)
-    if kind == "distances":
-        sidecar = {"metric": "eigen", "ids": ["a", "b", "c"], "flagged_ids": [], "params": {}}
-        (tmp_path / "distances.csv.json").write_text(json.dumps(sidecar))
     return str(path)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +59,20 @@ def test_spec_validation():
         GroupSpec(1, ((1.0,),), (1.0,), p_online=nan)
     with pytest.raises(ValueError, match="noise_epsilon"):
         SynthSpec(n_locations=1, n_days=1, groups=(GroupSpec(1, ((1.0,),), (1.0,)),), noise_epsilon=nan)
+
+
+@pytest.mark.parametrize("n_locations", [1, 3])
+def test_noise_epsilon_is_refused_where_the_noise_would_overflow(n_locations):
+    """A noise_epsilon near the largest accepted one generates a trace; 1e308
+    and inf, whose noise range 2 eps overflows, are refused."""
+    mode = (1.0,) + (0.0,) * (n_locations - 1)
+    group = GroupSpec(2, (mode,), (1.0,))
+    huge = sys.float_info.max / (n_locations + 3)
+    records, _ = generate(SynthSpec(n_locations=n_locations, n_days=3, groups=(group,), noise_epsilon=huge))
+    assert len(records) > 0
+    for eps in (1e308, float("inf")):
+        with pytest.raises(ValueError, match="noise_epsilon is too large"):
+            SynthSpec(n_locations=n_locations, n_days=3, groups=(group,), noise_epsilon=eps)
 
 
 def test_generate_is_deterministic():
