@@ -6,10 +6,10 @@ inter-cluster linkages exceed a threshold or a target cluster count is
 reached.  Ties are broken toward the pair with the smaller cluster id, then
 the smaller partner id, where a cluster's running id is the smallest original
 element index it contains.  One engine, merge_histories, grows a stack of
-such trees at once; agglomerate runs it on a single checked DistanceMatrix,
-the package's one n x n distance type, validated once when it is built.
-pairwise_l1 is the package's one L1 kernel: mode trees, summary distances and
-AMVD use it.
+such trees at once; agglomerate runs it on the square of a DistanceMatrix,
+the package's one distance type: the condensed triangle of the pairwise
+distances, checked once when it is built.  pairwise_l1 is the package's one
+L1 kernel: mode trees, summary distances and AMVD use it.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 _MONOTONE_SLACK = 1e-12
-# validate_square and merge_histories' row rescans work in row blocks of
-# about this many cells.
+# merge_histories' row rescans work in row blocks of about this many cells.
 ROW_BLOCK_CELLS = 1 << 16
 
 METRIC_MAX = {"amvd": 2.0, "eigen": 1.0, "onavg_l1": 2.0, "centroid_l1": 2.0}
@@ -67,27 +66,27 @@ def pairwise_l1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def validate_square(dm: np.ndarray) -> np.ndarray:
-    """dm as a float array, checked to be square, symmetric and zero on the diagonal."""
-    dm = np.asarray(dm, dtype=float)
-    if dm.ndim != 2 or dm.shape[0] != dm.shape[1]:
-        raise ValueError("distance matrix must be square")
-    step = max(1, ROW_BLOCK_CELLS // max(len(dm), 1))
-    for lo in range(0, len(dm), step):
-        if not np.allclose(dm[lo : lo + step], dm[:, lo : lo + step].T, atol=1e-9):
-            raise ValueError("distance matrix must be symmetric")
-    if not np.allclose(np.diag(dm), 0.0, atol=1e-9):
-        raise ValueError("distance matrix must have a zero diagonal")
-    return dm
+def pair_index(n: int, i, j):
+    """Position of the pair (i, j), i < j, of n elements in their condensed
+    upper triangle: the i < j pairs in row-major order."""
+    return i * (2 * n - i - 1) // 2 + j - i - 1
+
+
+def condensed(square: np.ndarray) -> np.ndarray:
+    """The upper triangle of a square array, above its diagonal, in pair
+    order, gathered a row slice at a time."""
+    return np.concatenate([np.empty(0, square.dtype), *(row[i + 1 :] for i, row in enumerate(square))])
 
 
 @dataclass
 class DistanceMatrix:
-    """Symmetric pairwise distances with a metric tag and element ids.
+    """Pairwise distances with a metric tag and element ids.
 
-    Building one is the one check of an n x n distance matrix: validate_square,
-    one row per id, and [0, METRIC_MAX] for a metric listed there.  Everything
-    that takes a DistanceMatrix trusts it.
+    values is the condensed upper triangle, the i < j pairs of the ids in
+    row-major order (see pair_index), so symmetry and a zero diagonal hold by
+    construction.  Building one is its one check: n(n - 1) / 2 float64 values
+    for n ids, no NaN, and [0, METRIC_MAX] for a metric listed there.
+    Everything that takes a DistanceMatrix trusts it.
     """
 
     values: np.ndarray
@@ -99,18 +98,33 @@ class DistanceMatrix:
     def __post_init__(self) -> None:
         self.ids = tuple(self.ids)
         self.flagged_ids = tuple(self.flagged_ids)
-        self.values = validate_square(self.values)
-        if len(self.values) != len(self.ids):
-            raise ValueError("values must be N x N matching ids")
+        self.values = np.asarray(self.values, dtype=float)
+        pairs = self.n * (self.n - 1) // 2
+        if self.values.shape != (pairs,):
+            raise ValueError(f"values must be the {pairs} pair distances of {self.n} ids")
+        if not self.values.size:
+            return
+        low, high = self.values.min(), self.values.max()  # NaN if any value is NaN
+        if np.isnan(low):
+            raise ValueError("distances must not be NaN")
         top = METRIC_MAX.get(self.metric)
-        if top is not None and self.values.size and (
-            self.values.min() < -1e-9 or self.values.max() > top + 1e-9
-        ):
+        if top is not None and (low < -1e-9 or high > top + 1e-9):
             raise ValueError(f"{self.metric} distances must lie in [0, {top}]")
 
     @property
     def n(self) -> int:
         return len(self.ids)
+
+    def square(self) -> np.ndarray:
+        """A fresh n x n array of the distances, zero on the diagonal, filled
+        a row slice at a time."""
+        out = np.zeros((self.n, self.n))
+        lo = 0
+        for i in range(self.n):
+            row = self.values[lo : lo + self.n - 1 - i]
+            out[i, i + 1 :] = out[i + 1 :, i] = row
+            lo += len(row)
+        return out
 
 
 def agglomerate(
@@ -125,7 +139,7 @@ def agglomerate(
     """
     if target_count is not None and not 1 <= target_count <= dm.n:
         raise ValueError(f"target_count must lie in [1, {dm.n}]")
-    (history,) = merge_histories(dm.values[None], threshold=threshold, target_count=target_count)
+    (history,) = merge_histories(dm.square()[None], threshold=threshold, target_count=target_count)
     return partition_from_merges(history, dm.ids)
 
 
@@ -140,7 +154,8 @@ def merge_histories(
     mask, (B, n) booleans, marks the rows of each matrix that take part; the
     others are ignored.  Each tree stops on its own, under exactly one of the
     two rules of agglomerate (the count rule stops at <= target_count active
-    rows).  The matrices are not validated.
+    rows).  The matrices are not validated; the engine works in the given
+    array, so a float64 stack comes back overwritten.
 
     Every tree caches each row's minimum and the first column holding it.
     The first row with the smallest cached minimum and that row's cached
@@ -153,7 +168,7 @@ def merge_histories(
     """
     if (threshold is None) == (target_count is None):
         raise ValueError("give exactly one of threshold or target_count")
-    work = np.array(dms, dtype=float)
+    work = np.asarray(dms, dtype=float)
     n_trees, n, _ = work.shape
     if n == 0:
         return [[] for _ in range(n_trees)]
@@ -255,7 +270,5 @@ def partition_from_merges(
 def distance_cdfs(partition: Partition, dm: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Sorted intra-cluster and inter-cluster pair distance samples of dm's ids."""
     cluster_of = np.array([partition.assignment[element] for element in dm.ids])
-    iu, ju = np.triu_indices(dm.n, k=1)
-    same = cluster_of[iu] == cluster_of[ju]
-    values = dm.values[iu, ju]
-    return np.sort(values[same]), np.sort(values[~same])
+    same = condensed(cluster_of[:, None] == cluster_of)
+    return np.sort(dm.values[same]), np.sort(dm.values[~same])

@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .cluster import METRIC_MAX, ROW_BLOCK_CELLS, DistanceMatrix, pairwise_l1
+from .cluster import METRIC_MAX, DistanceMatrix, condensed, pair_index, pairwise_l1
 from .summaries import (
     DEFAULT_POWER_FLOOR,
     EigenBehaviorSet,
@@ -58,8 +58,7 @@ def amvd_distance_matrix(
     rows = np.vstack([sets[u] for u in order])
     sizes = counts[order]
     bounds = np.append(0, np.cumsum(sizes))
-    values = np.full((len(ids), len(ids)), METRIC_MAX["amvd"])
-    np.fill_diagonal(values, 0.0)
+    values = np.full(len(ids) * (len(ids) - 1) // 2, METRIC_MAX["amvd"])
     for p in range(len(flagged), len(ids) - 1):
         own = rows[bounds[p] : bounds[p + 1]]
         for lo, hi in budget_blocks(sizes[p + 1 :], max(1, SIM_BLOCK_CELLS // len(own))):
@@ -72,8 +71,8 @@ def amvd_distance_matrix(
             cuts = np.flatnonzero(np.diff(sizes[lo:hi])) + 1  # where the row count grows
             runs = zip(np.split(nearest, edges[cuts]), sizes[lo + np.append(0, cuts)])
             backward = np.concatenate([run.reshape(-1, size).mean(axis=1) for run, size in runs])
-            others = order[lo:hi]
-            values[order[p], others] = values[others, order[p]] = (forward + backward) / 2.0
+            first, second = np.minimum(order[p], order[lo:hi]), np.maximum(order[p], order[lo:hi])
+            values[pair_index(len(ids), first, second)] = (forward + backward) / 2.0
     return DistanceMatrix(values, "amvd", ids, flagged, {"include_offline": include_offline})
 
 
@@ -149,36 +148,25 @@ def eigen_distance_matrix(
     """Eigen-behavior distance 1 - (S + S^T) / 2 over the normalized sim table S.
 
     Users mapped to None (no online time) are flagged and sit at the metric
-    maximum from everyone.  The table is turned into distances in its own
-    array, which is the result when no user is flagged: each block of rows,
-    from the diagonal on, is summed with its transposed block of columns and
-    written back to both.  Addition commutes, so every cell has the bits of
-    the whole-array S + S^T.
+    maximum from everyone: the condensed triangle starts at that maximum, and
+    each live user's row a of S gives its distances to the live users after
+    it, 1 - (S[a, a+1:] + S[a+1:, a]) / 2 clipped to [0, 1], written at those
+    pairs' places.  Addition commutes, so every cell has the bits of the
+    whole-array S + S^T.
     """
     ids = tuple(sorted(eigen_sets))
     live = {u: s for u, s in eigen_sets.items() if s is not None}
     if len(live) < 2:
         raise ValueError("need at least two users with eigen-behavior sets")
-    live_d, live_ids = normalized_sim_table(live)
-    n = len(live_d)
-    step = max(1, ROW_BLOCK_CELLS // n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        block = live_d[lo:hi, lo:] + live_d[lo:, lo:hi].T
-        block /= 2.0
-        np.subtract(1.0, block, out=block)
-        np.clip(block, 0.0, 1.0, out=block)
-        live_d[lo:hi, lo:] = block
-        live_d[lo:, lo:hi] = block.T
-        del block  # freed before the next block is made
-    if live_ids == ids:  # the table's diagonal of ones became zeros
-        values = live_d
-    else:
-        values = np.full((len(ids), len(ids)), METRIC_MAX["eigen"])
-        np.fill_diagonal(values, 0.0)
-        pos_of = {u: i for i, u in enumerate(ids)}
-        live_pos = [pos_of[u] for u in live_ids]
-        values[np.ix_(live_pos, live_pos)] = live_d
+    table, live_ids = normalized_sim_table(live)
+    n = len(ids)
+    pos = np.flatnonzero([eigen_sets[u] is not None for u in ids])  # live_ids' places in ids
+    values = np.full(n * (n - 1) // 2, METRIC_MAX["eigen"])
+    for a, p in enumerate(pos):
+        row = table[a, a + 1 :] + table[a + 1 :, a]
+        row /= 2.0
+        np.subtract(1.0, row, out=row)
+        values[pair_index(n, p, pos[a + 1 :])] = np.clip(row, 0.0, 1.0, out=row)
     flagged = tuple(u for u in ids if eigen_sets[u] is None)
     floor = live[live_ids[0]].power_floor
     return DistanceMatrix(values, "eigen", ids, flagged, {"power_floor": floor})
@@ -207,7 +195,7 @@ def summary_l1_distance(
     if len(vectors) < 2:
         raise ValueError("need at least two users with online slots")
     stacked = np.vstack(vectors)
-    values = pairwise_l1(stacked, stacked)
+    values = condensed(pairwise_l1(stacked, stacked))
     metric = "onavg_l1" if kind == "onavg" else "centroid_l1"
     return DistanceMatrix(values, metric, ids, (), {"kind": kind})
 

@@ -14,8 +14,9 @@ one ``%.9g`` template applied to ``ndarray.tolist()``, and one reader, on
 Ids are quoted once each through ``csv.writer``, as QUOTE_MINIMAL requires.
 
 The distance matrix is the one binary file and is stored exactly: its
-condensed upper triangle as float64 in NumPy's own ``.npy`` format (the
-row-major ``i < j`` order of scipy's ``squareform``), with a JSON sidecar of
+``DistanceMatrix.values``, the condensed upper triangle as float64 (the
+row-major ``i < j`` order of scipy's ``squareform``), saved as it is in
+NumPy's own ``.npy`` format and loaded back as it is, with a JSON sidecar of
 its ids, metric and params.
 
 Nothing that can be recomputed is stored.  The association matrices are a
@@ -200,11 +201,9 @@ def load_eigen_sets(path: str) -> dict[str, EigenBehaviorSet]:
 
 def write_distance_matrix(path: str, dm: DistanceMatrix) -> None:
     """The condensed upper triangle (the ``i < j`` pairs, row-major) as one
-    float64 .npy array, gathered a row slice at a time, plus a JSON sidecar
-    with the ids and params."""
-    rows = (dm.values[i, i + 1 :] for i in range(dm.n))
+    float64 .npy array, plus a JSON sidecar with the ids and params."""
     with open(path, "wb") as fh:
-        np.save(fh, np.concatenate([np.empty(0), *rows]), allow_pickle=False)
+        np.save(fh, dm.values, allow_pickle=False)
     write_json(
         path + ".json",
         {
@@ -217,7 +216,7 @@ def write_distance_matrix(path: str, dm: DistanceMatrix) -> None:
 
 
 def load_distance_matrix(path: str) -> DistanceMatrix:
-    """A file of write_distance_matrix, its triangle filled in a row slice at a time."""
+    """A file of write_distance_matrix, its triangle checked by DistanceMatrix."""
     ids, metric, flagged_ids, params = read_json(
         path + ".json",
         "distance matrix sidecar",
@@ -233,14 +232,8 @@ def load_distance_matrix(path: str) -> DistanceMatrix:
         raise ValueError(f"{path}: expected a 1-D float64 array")
     if len(condensed) != n * (n - 1) // 2:
         raise ValueError(f"{path}: {len(condensed)} distances, where {n} ids have {n * (n - 1) // 2} pairs")
-    values = np.zeros((n, n))
-    lo = 0
-    for i in range(n):
-        row = condensed[lo : lo + n - 1 - i]
-        values[i, i + 1 :] = values[i + 1 :, i] = row
-        lo += len(row)
     try:
-        return DistanceMatrix(values, metric, ids, flagged_ids, params)
+        return DistanceMatrix(condensed, metric, ids, flagged_ids, params)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

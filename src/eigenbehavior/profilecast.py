@@ -54,6 +54,7 @@ of a row-by-row replay.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -175,8 +176,9 @@ class SimConfig:
         if self.scheme == "rtx":
             if self.p is None or not 0.0 < self.p <= 1.0:
                 raise ValueError("rtx scheme needs p in (0, 1]")
-            if self.ttl_factor is None or self.ttl_factor <= 0:
-                raise ValueError("rtx scheme needs a positive ttl_factor")
+            # past sys.maxsize: more hops than any replay has encounters; NaN fails
+            if self.ttl_factor is None or not 0.0 < self.ttl_factor <= sys.maxsize:
+                raise ValueError(f"rtx scheme needs a ttl_factor in (0, {sys.maxsize}]")
 
     @property
     def param(self) -> str:

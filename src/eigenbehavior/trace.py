@@ -68,8 +68,9 @@ class TraceConfig:
     align_midnight: bool = False
 
     def __post_init__(self) -> None:
-        if self.slot_seconds <= 0:
-            raise ValueError("slot_seconds must be positive")
+        # math.isfinite raises OverflowError on an int too large for a float
+        if not (self.slot_seconds > 0 and math.isfinite(self.slot_seconds)):
+            raise ValueError("slot_seconds must be positive and finite")
         if not (math.isfinite(self.trace_start) and math.isfinite(self.trace_end)):
             raise ValueError("trace_start and trace_end must be finite")
         if not self.trace_end > self.trace_start:
@@ -235,8 +236,8 @@ def read_csv(path: str, header: Sequence[str] | None) -> Iterator[tuple[int, lis
 
 def read_json(path: str, what: str, parse: Callable[[dict], T]) -> T:
     """``parse`` of the JSON object in a file.  Invalid JSON, any other
-    top-level value, and a KeyError, TypeError or ValueError from ``parse``
-    raise a ValueError that names the path."""
+    top-level value, and a KeyError, TypeError, ValueError or OverflowError
+    from ``parse`` raise a ValueError that names the path."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -246,7 +247,7 @@ def read_json(path: str, what: str, parse: Callable[[dict], T]) -> T:
         raise ValueError(f"{path}: expected a JSON object, got {type(raw).__name__}")
     try:
         return parse(raw)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed {what} ({exc})") from None
 
 
@@ -495,7 +496,7 @@ def _sweep_block(
     adds span by span, whatever other cells the block holds.
     """
     _, t, n = rows.shape
-    origin, slot_sec = float(config.slot_origin), config.slot_seconds
+    origin, slot_sec = float(config.slot_origin), float(config.slot_seconds)
     s = np.maximum(s, config.trace_start)
     e = np.minimum(e, config.trace_end)
     keep = e > s

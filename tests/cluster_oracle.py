@@ -11,9 +11,21 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from eigenbehavior.cluster import Partition, partition_from_merges, validate_square
+from eigenbehavior.cluster import Partition, partition_from_merges
 
 _MONOTONE_SLACK = 1e-12
+
+
+def check_square(dm: np.ndarray) -> np.ndarray:
+    """dm as a float array, checked to be square, symmetric and zero on the diagonal."""
+    dm = np.asarray(dm, dtype=float)
+    if dm.ndim != 2 or dm.shape[0] != dm.shape[1]:
+        raise ValueError("distance matrix must be square")
+    if not np.allclose(dm, dm.T, atol=1e-9):
+        raise ValueError("distance matrix must be symmetric")
+    if not np.allclose(np.diag(dm), 0.0, atol=1e-9):
+        raise ValueError("distance matrix must have a zero diagonal")
+    return dm
 
 
 def agglomerate(
@@ -31,7 +43,7 @@ def agglomerate(
     """
     if (threshold is None) == (target_count is None):
         raise ValueError("give exactly one of threshold or target_count")
-    dm = validate_square(dm)
+    dm = check_square(dm)
     n = dm.shape[0]
     if labels is None:
         labels = list(range(n))

@@ -21,7 +21,10 @@ from eigenbehavior import (
     single_location_modes,
     split_trace,
 )
+from eigenbehavior.cluster import condensed
 from eigenbehavior.trace import DAY_SECONDS
+
+from cluster_oracle import check_square
 
 
 def digest_tree(directory, skip=()) -> dict:
@@ -55,10 +58,11 @@ def stream_rows(records) -> list[tuple]:
     return rows
 
 
-def checked(values, ids=None) -> DistanceMatrix:
-    """values as a checked DistanceMatrix of an untagged metric, keyed by
-    0..n-1 unless ids are given."""
-    return DistanceMatrix(values, "custom", range(len(values)) if ids is None else ids)
+def checked(square, ids=None) -> DistanceMatrix:
+    """A symmetric, zero-diagonal square as a DistanceMatrix of an untagged
+    metric, keyed by 0..n-1 unless ids are given."""
+    square = check_square(square)
+    return DistanceMatrix(condensed(square), "custom", range(len(square)) if ids is None else ids)
 
 
 def matrix_from_rows(rows, user_id="u", locations=None) -> AssociationMatrix:

@@ -200,6 +200,7 @@ def test_reloaded_distances_give_exact_cdfs(workdir, tmp_path, metric):
     loaded = load_distance_matrix(str(out / "distances.npy"))
     assert loaded.ids == result.distance_matrix.ids and loaded.metric == metric
     assert loaded.values.tobytes() == result.distance_matrix.values.tobytes()
+    assert np.array_equal(loaded.values, np.load(out / "distances.npy"))
     got = distance_cdfs(load_partition_csv(str(out / "partition.csv")), loaded)
     want = distance_cdfs(result.partition, result.distance_matrix)
     assert [cdf.tobytes() for cdf in got] == [cdf.tobytes() for cdf in want]
@@ -617,6 +618,8 @@ def test_config_that_is_not_an_object_exits_2(workdir, tmp_path, capsys):
             "malformed pipeline config (trace_start must be an integer, got False)",
         ),
         ({"trace_end": float("inf")}, "malformed pipeline config (trace_end must be an integer, got inf)"),
+        ({"trace_end": 10**400}, "malformed pipeline config (int too large to convert to float)"),
+        ({"slot_seconds": 10**400}, "malformed pipeline config (int too large to convert to float)"),
         ({"align_midnight": "false"}, "malformed pipeline config (align_midnight must be true or false, got 'false')"),
         ({"include_offline": 1}, "malformed pipeline config (include_offline must be true or false, got 1)"),
         ({"power_floor": -1}, "malformed pipeline config (power_floor must lie in [0, 1))"),
@@ -634,6 +637,8 @@ def test_config_that_is_not_an_object_exits_2(workdir, tmp_path, capsys):
         "trace-start-float",
         "bounds-true-false",
         "infinite-end",
+        "end-too-large-for-a-float",
+        "slot-seconds-too-large-for-a-float",
         "align-midnight-string",
         "include-offline-number",
         "power-floor-negative",
@@ -663,6 +668,13 @@ def test_malformed_config_field_exits_2_naming_the_config(workdir, tmp_path, cap
         (
             {"schemes": [{"scheme": "flooding"}, {"scheme": "rtx", "p": 1.0, "ttl_factor": True}]},
             "malformed scenario (ttl_factor must be a number, got True)",
+        ),
+        *(
+            (
+                {"schemes": [{"scheme": "flooding"}, {"scheme": "rtx", "p": 0.5, "ttl_factor": ttl}]},
+                f"malformed scenario (rtx scheme needs a ttl_factor in (0, {sys.maxsize}])",
+            )
+            for ttl in (float("inf"), 1e308, float("nan"))
         ),
         (
             {"schemes": [{"scheme": "flooding"}, {"scheme": "similarity", "sim_threshold": False}]},
@@ -702,6 +714,9 @@ def test_malformed_config_field_exits_2_naming_the_config(workdir, tmp_path, cap
         "rtx-p-not-number",
         "rtx-p-and-ttl-true",
         "rtx-ttl-true",
+        "rtx-ttl-infinite",
+        "rtx-ttl-budget-overflows",
+        "rtx-ttl-nan",
         "sim-threshold-false",
         "split-fraction-not-number",
         "split-fraction-true",

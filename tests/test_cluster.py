@@ -13,6 +13,7 @@ import pytest
 
 from conftest import checked
 from eigenbehavior import DistanceMatrix, Partition, agglomerate, cluster, distance_cdfs
+from eigenbehavior.cluster import condensed, pair_index
 
 
 def naive_average_linkage(dm, threshold=None, target_count=None):
@@ -101,36 +102,26 @@ def test_validation_errors():
         agglomerate(dm)
     with pytest.raises(ValueError, match="exactly one"):
         agglomerate(dm, threshold=1.0, target_count=2)
-    with pytest.raises(ValueError, match="square"):
-        checked(np.zeros((2, 3)))
-    asym = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(ValueError, match="symmetric"):
-        checked(asym)
-    with pytest.raises(ValueError, match="zero diagonal"):
-        checked(np.ones((2, 2)))
     with pytest.raises(ValueError, match="target_count"):
         agglomerate(dm, target_count=0)
-    with pytest.raises(ValueError, match="N x N matching ids"):
-        checked(np.zeros((3, 3)), ["a"])
 
 
-def test_symmetry_is_checked_in_every_row_block(monkeypatch):
-    monkeypatch.setattr(cluster, "ROW_BLOCK_CELLS", 24)  # blocks of 3 rows, the last of 2
-    dm = random_dm(np.random.default_rng(5), 8)
-    assert checked(dm).values is dm
-    for i, j in zip(*np.nonzero(~np.eye(8, dtype=bool))):
-        nudged = dm.copy()
-        nudged[i, j] += 1e-12  # within tolerance
-        checked(nudged)
-        nudged[i, j] += 1e-3
-        with pytest.raises(ValueError, match="symmetric"):
-            checked(nudged)
+def test_square_unfolds_the_pair_order():
+    dm = DistanceMatrix(np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), "custom", "abcd")
+    assert np.array_equal(
+        dm.square(),
+        [[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 4.0, 5.0], [2.0, 4.0, 0.0, 6.0], [3.0, 5.0, 6.0, 0.0]],
+    )
+    assert [pair_index(4, i, j) for i in range(4) for j in range(i + 1, 4)] == list(range(6))
+    assert np.array_equal(condensed(dm.square()), dm.values)
+    assert dm.square() is not dm.square()  # fresh, for the engine to work in
 
 
 def test_a_checked_matrix_is_validated_once(monkeypatch):
     calls = []
-    monkeypatch.setattr(cluster, "validate_square", lambda dm: calls.append(1) or dm)
-    dm = DistanceMatrix(random_dm(np.random.default_rng(3), 6), "eigen", "abcdef")
+    post_init = DistanceMatrix.__post_init__
+    monkeypatch.setattr(DistanceMatrix, "__post_init__", lambda dm: calls.append(1) or post_init(dm))
+    dm = DistanceMatrix(condensed(random_dm(np.random.default_rng(3), 6)), "eigen", "abcdef")
     partition = agglomerate(dm, target_count=2)
     distance_cdfs(partition, dm)
     assert len(calls) == 1
@@ -140,8 +131,7 @@ def test_a_checked_matrix_is_validated_once(monkeypatch):
 
 
 def test_matches_naive_oracle_target_count(monkeypatch):
-    # blocks of 64 cells, 1 to 21 rows: validation and row rescans take
-    # several blocks
+    # blocks of 64 cells, 1 to 21 rows: row rescans take several blocks
     monkeypatch.setattr(cluster, "ROW_BLOCK_CELLS", 64)
     rng = np.random.default_rng(101)
     for _ in range(30):

@@ -12,7 +12,7 @@ from scipy.spatial.distance import cdist
 
 import cluster_oracle as oracle
 from conftest import checked
-from eigenbehavior.cluster import agglomerate, merge_histories, pairwise_l1
+from eigenbehavior.cluster import DistanceMatrix, agglomerate, condensed, merge_histories, pairwise_l1
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -46,10 +46,16 @@ def stop_rule(draw, n):
 @PROPERTY
 @given(st.data())
 def test_merge_history_matches_oracle(data):
-    dm = data.draw(distance_matrices())
-    stop = stop_rule(data.draw, dm.shape[0])
-    want = oracle.agglomerate(dm, **stop)
-    got = agglomerate(checked(dm), **stop)
+    """The square's gathered triangle unfolds back into the square, and
+    clusters as the oracle clusters the square."""
+    square = data.draw(distance_matrices())
+    n = square.shape[0]
+    dm = DistanceMatrix(condensed(square), "custom", range(n))
+    assert dm.values.shape == (n * (n - 1) // 2,)
+    assert np.array_equal(dm.square(), square)
+    stop = stop_rule(data.draw, n)
+    want = oracle.agglomerate(square, **stop)
+    got = agglomerate(dm, **stop)
     assert got.merge_history == want.merge_history
     assert list(got.assignment.items()) == list(want.assignment.items())
 
@@ -70,10 +76,10 @@ def test_one_batched_call_equals_one_call_per_matrix(data):
         stack[b][~mask[b]] = -1.0
         stack[b][:, ~mask[b]] = -1.0
     stop = stop_rule(data.draw, width)
-    batched = merge_histories(stack, mask, **stop)
+    batched = merge_histories(stack.copy(), mask, **stop)  # the engine works in its argument
     assert len(batched) == len(dms)
     for b, history in enumerate(batched):
-        assert history == merge_histories(stack[b : b + 1], mask[b : b + 1], **stop)[0]
+        assert history == merge_histories(stack[b : b + 1].copy(), mask[b : b + 1], **stop)[0]
         taking_part = np.flatnonzero(mask[b])
         if taking_part.size == 0 or stop.get("target_count", 1) > taking_part.size:
             assert history == []

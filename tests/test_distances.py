@@ -118,10 +118,8 @@ def test_amvd_distance_matrix_consistent_and_flags_offline():
     assert dm.flagged_ids == ("dead",)
     assert dm.metric == "amvd"
     assert dm.params == {"include_offline": False}
-    i, j, k = 0, 1, 2
-    assert dm.values[i, j] == amvd_distance(mats["a"].rows, mats["b"].rows)
-    assert dm.values[i, k] == 2.0 and dm.values[j, k] == 2.0
-    assert np.all(np.diag(dm.values) == 0.0)
+    # the pairs (a, b), (a, dead), (b, dead)
+    assert dm.values.tolist() == [amvd_distance(mats["a"].rows, mats["b"].rows), 2.0, 2.0]
 
 
 @pytest.mark.parametrize(
@@ -149,6 +147,7 @@ def test_amvd_distance_matrix_blocks_match_cdist_oracle(monkeypatch, include_off
     live = [u for u in dm.ids if include_offline or mats[u].rows.any()]
     assert len(calls) > len(live) - 1  # some user's later users span several blocks
     assert dm.flagged_ids == tuple(u for u in dm.ids if u not in live)
+    square = dm.square()
     for i, u in enumerate(dm.ids):
         for j, v in enumerate(dm.ids):
             if i == j:
@@ -157,7 +156,7 @@ def test_amvd_distance_matrix_blocks_match_cdist_oracle(monkeypatch, include_off
                 want = amvd_distance(mats[u].rows, mats[v].rows, include_offline)
             else:
                 want = 2.0
-            assert dm.values[i, j] == want, (u, v)
+            assert square[i, j] == want, (u, v)
 
 
 # ------------------------------------------------------------- similarity ---
@@ -246,10 +245,11 @@ def test_eigen_distance_matrix_frozen_trio():
     # a and c are both nearest to b, so those links normalize to 1 -> distance 0;
     # a and c are orthogonal -> distance 1.
     a, b, c, dead = range(4)
-    assert dm.values[a, b] == pytest.approx(0.0)
-    assert dm.values[b, c] == pytest.approx(0.0)
-    assert dm.values[a, c] == pytest.approx(1.0)
-    assert dm.values[a, dead] == 1.0 and dm.values[dead, dead] == 0.0
+    square = dm.square()
+    assert square[a, b] == pytest.approx(0.0)
+    assert square[b, c] == pytest.approx(0.0)
+    assert square[a, c] == pytest.approx(1.0)
+    assert square[a, dead] == 1.0 and square[dead, dead] == 0.0
     assert dm.params == {"power_floor": 0.0}
     with pytest.raises(ValueError, match="at least two"):
         eigen_distance_matrix({"a": sets["a"], "dead": None})
@@ -269,7 +269,7 @@ def test_eigen_distance_matrix_matches_scalar_oracle():
         [[eigen_distance(table[i, j], table[j, i]) for j in range(len(ids))] for i in range(len(ids))]
     )
     np.fill_diagonal(want, 0.0)
-    np.testing.assert_allclose(dm.values, want, atol=1e-12)
+    np.testing.assert_allclose(dm.square(), want, atol=1e-12)
 
 
 def test_normalized_sim_table_orders_ids():
@@ -294,10 +294,10 @@ def test_summary_l1_distance_onavg_and_centroid():
     }
     dm = summary_l1_distance(mats, "onavg")
     assert dm.metric == "onavg_l1"
-    assert dm.values[0, 1] == pytest.approx(4 / 3)  # (2/3,1/3) vs (0,1)
+    assert dm.values[0] == pytest.approx(4 / 3)  # (2/3,1/3) vs (0,1)
     dm_c = summary_l1_distance(mats, "centroid@0.5")
     assert dm_c.metric == "centroid_l1"
-    assert dm_c.values[0, 1] == pytest.approx(2.0)  # dominant modes e1 vs e2
+    assert dm_c.values[0] == pytest.approx(2.0)  # dominant modes e1 vs e2
     with pytest.raises(ValueError, match="unknown summary kind"):
         summary_l1_distance(mats, "median")
 
@@ -329,16 +329,16 @@ def test_eigen_sets_for_marks_offline_users():
 
 
 def test_distance_matrix_validation():
-    ok = np.array([[0.0, 1.0], [1.0, 0.0]])
+    ok = np.array([1.0])
     DistanceMatrix(ok, "amvd", ("a", "b"))
-    with pytest.raises(ValueError, match="square"):
-        DistanceMatrix(np.zeros((2, 3)), "amvd", ("a", "b"))
-    with pytest.raises(ValueError, match="N x N"):
-        DistanceMatrix(np.zeros((3, 3)), "amvd", ("a", "b"))
-    with pytest.raises(ValueError, match="symmetric"):
-        DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), "amvd", ("a", "b"))
-    with pytest.raises(ValueError, match="diagonal"):
-        DistanceMatrix(np.ones((2, 2)), "amvd", ("a", "b"))
+    with pytest.raises(ValueError, match="the 1 pair distances of 2 ids"):
+        DistanceMatrix(np.zeros((2, 2)), "amvd", ("a", "b"))
+    with pytest.raises(ValueError, match="the 1 pair distances of 2 ids"):
+        DistanceMatrix(np.zeros(3), "amvd", ("a", "b"))
+    with pytest.raises(ValueError, match="must not be NaN"):
+        DistanceMatrix(np.array([np.nan]), "amvd", ("a", "b"))
+    with pytest.raises(ValueError, match="must not be NaN"):
+        DistanceMatrix(np.array([np.nan]), "custom", ("a", "b"))
     with pytest.raises(ValueError, match=r"lie in \[0, 1"):
         DistanceMatrix(ok * 1.5, "eigen", ("a", "b"))
     # untagged metrics skip the range check

@@ -1,10 +1,11 @@
 """Peak memory of the per-record and n x n stages, measured with tracemalloc.
 
 Each stage may hold its output plus at most one n x n scratch array or one
-block of the size its module's cell budget sets; nothing else may grow with
-the record count or with n squared.  The inputs are built before tracing
-starts, so a peak counts only what the stage allocates.  numpy reports its
-array buffers to tracemalloc, so the figures are array bytes.
+block of the size its module's cell budget sets; distances are held as their
+condensed triangle, and nothing else may grow with the record count or with
+n squared.  The inputs are built before tracing starts, so a peak counts only
+what the stage allocates.  numpy reports its array buffers to tracemalloc, so
+the figures are array bytes.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from eigenbehavior import (
     Encounters,
     Message,
     EncounterStream,
+    GroupSpec,
     Records,
     SimConfig,
+    SynthSpec,
     TraceConfig,
     agglomerate,
     build_matrices,
@@ -31,13 +34,17 @@ from eigenbehavior import (
     distances,
     eigen_distance_matrix,
     eigen_sets_for,
+    generate,
     normalized_sim_table,
     profilecast,
+    run_pipeline,
     simulate,
+    single_location_modes,
     summaries,
     summary_table,
     trace,
 )
+from eigenbehavior.cluster import condensed
 from eigenbehavior.trace import DAY_SECONDS
 
 MB = 1 << 20
@@ -136,34 +143,29 @@ def test_amvd_holds_output_and_one_block():
 
 
 def eigen_distance_blocks(n: int, k: int) -> int:
-    """Bytes eigen_distance_matrix may hold besides its squares: the stacked
-    basis and one sim block, then one row block summed with its transposed
-    columns, then validation."""
+    """Bytes the similarity table's making may hold besides the table: the
+    stacked basis and one sim block."""
     stacked = 3 * n * k * 20 * 8
     sims = 2 * distances.SIM_BLOCK_CELLS * 8
-    transposed = cluster.ROW_BLOCK_CELLS * 8
-    validate = 4 * cluster.ROW_BLOCK_CELLS * 8  # allclose's temporaries for one row block
-    return stacked + sims + transposed + validate
+    return stacked + sims
 
 
-def test_eigen_distance_holds_output_and_validation_block():
-    # at 1200 users the square (11 MB) outweighs every block, so a second one breaks the bound
+def triangle(n: int) -> int:
+    """Bytes of the condensed distances of n ids."""
+    return n * (n - 1) // 2 * 8
+
+
+@pytest.mark.parametrize("flagged", [(), ("zz-offline",)], ids=["live", "flagged"])
+def test_eigen_distance_holds_the_table_and_then_its_triangle(flagged):
+    # one path for live and flagged users alike: the sim table, then the
+    # triangle written row by row beside it; at 1200 users a second square
+    # (11 MB) breaks the bound
     n, k = 1200, 2
-    sets = random_sets(n, k, seed=7)
+    sets = {**random_sets(n, k, seed=7), **dict.fromkeys(flagged)}
     dm, peak = peak_above_inputs(eigen_distance_matrix, sets)
-    assert dm.flagged_ids == ()
-    assert_within(peak, n * n * 8 + eigen_distance_blocks(n, k) + SLACK)
-
-
-def test_eigen_distance_with_flagged_users_holds_one_more_square():
-    # the live distances and the flagged matrix are two squares; at 1200 users a third breaks the bound
-    n, k = 1200, 2
-    sets = random_sets(n, k, seed=7)
-    with_flagged = {**sets, "zz-offline": None}
-    dm, peak = peak_above_inputs(eigen_distance_matrix, with_flagged)
-    assert dm.flagged_ids == ("zz-offline",)
-    output = (n + 1) ** 2 * 8
-    assert_within(peak, output + n * n * 8 + eigen_distance_blocks(n, k) + SLACK)
+    assert dm.flagged_ids == flagged
+    table = n * n * 8
+    assert_within(peak, table + max(eigen_distance_blocks(n, k), triangle(n + len(flagged))) + SLACK)
 
 
 def test_agglomerate_holds_one_square():
@@ -171,12 +173,31 @@ def test_agglomerate_holds_one_square():
     rng = np.random.default_rng(11)
     values = rng.random((n, n))
     values += values.T
-    np.fill_diagonal(values, 0.0)
-    dm = DistanceMatrix(values, "custom", range(n))  # checked before tracing starts
+    dm = DistanceMatrix(condensed(values), "custom", range(n))  # checked before tracing starts
     partition, peak = peak_above_inputs(agglomerate, dm, target_count=10)
     assert partition.n_clusters == 10
     rescan = cluster.ROW_BLOCK_CELLS * 8  # one block of row rescans
     assert_within(peak, n * n * 8 + rescan + SLACK)
+
+
+def test_eigen_pipeline_holds_one_square_beside_the_triangle():
+    # 1200 users in 12 planted groups, 28 days: the matrices (5 MB), then the
+    # sim table or the linkage's square (11 MB) beside the triangle (5.5 MB);
+    # holding the distances as a square as well breaks the bound
+    n_groups, size, n_days = 12, 100, 28
+    groups = tuple(
+        GroupSpec(size, single_location_modes(20, [g]), (1.0,), p_online=0.8) for g in range(n_groups)
+    )
+    records, _ = generate(SynthSpec(n_locations=20, n_days=n_days, groups=groups, seed=5, noise_epsilon=0.05))
+    config = TraceConfig(0.0, n_days * DAY_SECONDS)
+    result, peak = peak_above_inputs(run_pipeline, records, config, metric="eigen", target_count=n_groups)
+    n = len(result.matrices)
+    assert n == n_groups * size and result.partition.n_clusters == n_groups
+    k = max(s.k for s in result.eigen_sets.values() if s is not None)
+    matrices = n * n_days * 20 * 8
+    rescan = cluster.ROW_BLOCK_CELLS * 8
+    allowance = n * n * 8 + triangle(n) + eigen_distance_blocks(n, k) + rescan
+    assert_within(peak, matrices + allowance + SLACK)
 
 
 def test_summary_table_holds_one_block_of_mode_trees():
@@ -185,7 +206,7 @@ def test_summary_table_holds_one_block_of_mode_trees():
     sets = eigen_sets_for(matrices)
     scores, peak = peak_above_inputs(summary_table, matrices, sets)
     assert set(scores) == {"onavg", "centroid@0.5", "centroid@0.9", "svd"}
-    trees = 3 * summaries.MODE_TREE_CELLS * 8  # rows, distances, engine copy
+    trees = 3 * summaries.MODE_TREE_CELLS * 8  # rows, distances and pairwise_l1's terms
     histories = len(matrices) * 27 * 150  # up to 27 merges a user, ~150 bytes each
     assert_within(peak, trees + histories + SLACK)
 

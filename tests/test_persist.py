@@ -167,14 +167,16 @@ def test_eigen_sets_power_floor_is_compared_within_each_user(tmp_path):
 
 
 def test_distance_matrix_roundtrip(tmp_path):
-    """The triangle is stored as float64 .npy, so every bit comes back."""
-    values = np.array([[0.0, 0.25, 1 / 3], [0.25, 0.0, np.nextafter(0.5, 1)], [1 / 3, np.nextafter(0.5, 1), 0.0]])
+    """The triangle is stored as float64 .npy, so every bit comes back, and
+    the loaded values are the stored array itself."""
+    values = np.array([0.25, 1 / 3, np.nextafter(0.5, 1)])
     dm = DistanceMatrix(values, "eigen", ("a", "b", "dead"), ("dead",), {"power_floor": 0.001})
     path = str(tmp_path / "distances.npy")
     write_distance_matrix(path, dm)
-    np.testing.assert_array_equal(np.load(path, allow_pickle=False), [0.25, 1 / 3, np.nextafter(0.5, 1)])
+    assert np.load(path, allow_pickle=False).tobytes() == values.tobytes()
     loaded = load_distance_matrix(path)
-    np.testing.assert_array_equal(loaded.values, values)
+    assert np.array_equal(loaded.values, np.load(path, allow_pickle=False))
+    assert loaded.values.tobytes() == values.tobytes()
     assert loaded.metric == "eigen"
     assert tuple(loaded.ids) == ("a", "b", "dead")
     assert loaded.flagged_ids == ("dead",)
@@ -187,10 +189,11 @@ def test_empty_distance_matrix_roundtrip(tmp_path, n):
     the 1 x 1 matrix write an empty triangle and load back."""
     path = str(tmp_path / "distances.npy")
     ids = tuple(f"u{i}" for i in range(n))
-    write_distance_matrix(path, DistanceMatrix(np.zeros((n, n)), "eigen", ids, (), {}))
+    write_distance_matrix(path, DistanceMatrix(np.zeros(0), "eigen", ids, (), {}))
     assert np.load(path, allow_pickle=False).shape == (0,)
     loaded = load_distance_matrix(path)
-    assert loaded.values.shape == (n, n)
+    assert loaded.values.shape == (0,)
+    assert loaded.square().shape == (n, n)
     assert loaded.metric == "eigen"
     assert loaded.ids == ids
 
@@ -220,7 +223,7 @@ THREE = np.array([0.5, 0.5, 0.5])
         (b"i,j,distance\n0,1,0.5\n0,2,0.5\n1,2,0.5\n", r"not a \.npy array"),
         (b"", r"not a \.npy array"),
         (_saved(np.savez, THREE), r"expected a 1-D float64 array"),
-        (_saved(np.save, np.array([0.5, np.nan, 0.5])), r"distance matrix must be symmetric"),
+        (_saved(np.save, np.array([0.5, np.nan, 0.5])), r"distances must not be NaN"),
         (_saved(np.save, np.array([0.5, 1.5, 0.5])), r"eigen distances must lie in \[0, 1\.0\]"),
         (_saved(np.save, np.array([0.5, -0.5, 0.5])), r"eigen distances must lie in \[0, 1\.0\]"),
     ],
@@ -228,7 +231,7 @@ THREE = np.array([0.5, 0.5, 0.5])
 )
 def test_distance_matrix_refusals_name_the_path(tmp_path, body, message):
     path = tmp_path / "distances.npy"
-    write_distance_matrix(str(path), DistanceMatrix(np.zeros((3, 3)), "eigen", ("a", "b", "c"), (), {}))
+    write_distance_matrix(str(path), DistanceMatrix(np.zeros(3), "eigen", ("a", "b", "c"), (), {}))
     path.write_bytes(body)
     with pytest.raises(ValueError, match=re.escape(str(path)) + ": " + message):
         load_distance_matrix(str(path))
@@ -237,7 +240,7 @@ def test_distance_matrix_refusals_name_the_path(tmp_path, body, message):
 def test_truncated_distance_file_names_the_path(tmp_path):
     """A file cut short in its header or in its data is refused."""
     path = tmp_path / "distances.npy"
-    write_distance_matrix(str(path), DistanceMatrix(np.full((4, 4), 0.5) - np.diag([0.5] * 4), "eigen", "abcd"))
+    write_distance_matrix(str(path), DistanceMatrix(np.full(6, 0.5), "eigen", "abcd"))
     whole = path.read_bytes()
     for cut in (len(whole) - 8, 100, 20, 5):
         path.write_bytes(whole[:cut])

@@ -96,7 +96,7 @@ def test_never_online_user_is_flagged_or_dropped_by_metric(planted, metric, kept
     if kept:
         assert dm.flagged_ids == ("zz-offline",)
         dead = dm.ids.index("zz-offline")
-        assert np.all(np.delete(dm.values[dead], dead) == METRIC_MAX[dm.metric])
+        assert np.all(np.delete(dm.square()[dead], dead) == METRIC_MAX[dm.metric])
         assert "zz-offline" in result.partition.assignment
         assert dropped == []
     else:
@@ -135,14 +135,14 @@ def test_population_threshold_route(planted):
 
 @pytest.mark.parametrize("metric", ["eigen", "amvd", "onavg"])
 def test_a_pipeline_run_validates_its_distance_matrix_once(planted, metric):
-    """The n x n check runs when the DistanceMatrix is built; clustering trusts
-    it.  Calls are counted by code object, whatever name a module binds."""
+    """The check runs when the DistanceMatrix is built; clustering trusts it.
+    Calls are counted by code object, whatever name a module binds."""
     records, _, config = planted
     calls = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is cluster.validate_square.__code__:
-            calls.append(frame.f_back.f_code.co_name)
+        if event == "call" and frame.f_code is cluster.DistanceMatrix.__post_init__.__code__:
+            calls.append(frame.f_back.f_back.f_code.co_name)  # who called __init__
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -150,7 +150,12 @@ def test_a_pipeline_run_validates_its_distance_matrix_once(planted, metric):
         run_pipeline(records, config, metric=metric, target_count=2)
     finally:
         sys.setprofile(previous)
-    assert calls == ["__post_init__"]
+    builders = {
+        "eigen": "eigen_distance_matrix",
+        "amvd": "amvd_distance_matrix",
+        "onavg": "summary_l1_distance",
+    }
+    assert calls == [builders[metric]]
 
 
 def test_eigen_pipeline_builds_sets_and_table_once(planted, monkeypatch):
@@ -186,8 +191,9 @@ def test_eigen_pipeline_builds_sets_and_table_once(planted, monkeypatch):
     )
     assert "zz-offline" not in sim_ids
     live = [dm.ids.index(u) for u in sim_ids]
+    square = dm.square()
     np.testing.assert_array_equal(
-        dm.values[np.ix_(live, live)], np.clip(1.0 - (table + table.T) / 2.0, 0.0, 1.0)
+        square[np.ix_(live, live)], np.clip(1.0 - (table + table.T) / 2.0, 0.0, 1.0)
     )
     dead = dm.ids.index("zz-offline")
-    assert np.all(np.delete(dm.values[dead], dead) == 1.0)
+    assert np.all(np.delete(square[dead], dead) == 1.0)

@@ -160,6 +160,9 @@ def test_single_record_spanning_slots():
     m = build_matrix([rec("u", "A", 0, 250)], config, ["A"])
     assert m.rows.shape == (3, 1)
     np.testing.assert_allclose(m.rows[:, 0], [100.0, 100.0, 50.0])
+    # a slot longer than any int64 product of slot number and slot length
+    whole = build_matrix([rec("u", "A", 0, 250)], TraceConfig(0, 250, 2**63, normalization="absolute"), ["A"])
+    np.testing.assert_array_equal(whole.rows, [[250.0]])
 
 
 def test_cross_location_overlap_split_evenly():
@@ -225,6 +228,10 @@ def test_config_validation():
         TraceConfig(0, 0)
     with pytest.raises(ValueError):
         TraceConfig(0, 10, slot_seconds=0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        TraceConfig(0, 10, slot_seconds=float("inf"))
+    with pytest.raises(OverflowError):  # read_json names the file for it
+        TraceConfig(0, 10, slot_seconds=10**400)
     with pytest.raises(ValueError):
         TraceConfig(0, 10, window=(10, 5))
     with pytest.raises(ValueError):
