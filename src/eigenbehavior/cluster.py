@@ -236,10 +236,9 @@ def merge_histories(
         tree, rows = np.nonzero(stale)
         for lo in range(0, tree.size, rescan_rows):
             at = live[tree[lo : lo + rescan_rows]], rows[lo : lo + rescan_rows]
-            rescan = work[at]
-            best = rescan.argmin(axis=1)
+            best = work[at].argmin(axis=1)  # the block is freed before the next is made
             min_col[at] = best
-            min_val[at] = rescan[np.arange(best.size), best]
+            min_val[at] = work[(*at, best)]
         live = live[n_active[live] > floor]
 
     return [

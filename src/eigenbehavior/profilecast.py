@@ -64,7 +64,16 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .cluster import Partition
-from .trace import AssociationRecord, Records, _runs, as_records, budget_blocks, merge_intervals
+from .trace import (
+    AssociationRecord,
+    Records,
+    _runs,
+    as_records,
+    budget_blocks,
+    code_ids,
+    merge_intervals,
+    set_columns,
+)
 
 SCHEMES = ("flooding", "centralized", "similarity", "rtx")
 
@@ -100,15 +109,9 @@ class Encounters:
     loc: np.ndarray
 
     def __post_init__(self) -> None:
-        columns = {"a": np.intp, "b": np.intp, "start": float, "end": float, "loc": np.intp}
-        for name, dtype in columns.items():
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        if len({getattr(self, name).shape for name in columns}) != 1 or self.a.ndim != 1:
-            raise ValueError("encounter columns must be 1-d and of equal length")
+        set_columns(self, "encounter", a=np.intp, b=np.intp, start=float, end=float, loc=np.intp)
         if np.any(self.a >= self.b):
             raise ValueError("encounter users must satisfy a < b")
-        if not np.all(self.end > self.start):
-            raise ValueError("encounter must have end > start")
 
     def __len__(self) -> int:
         return len(self.a)
@@ -117,19 +120,10 @@ class Encounters:
     def from_rows(cls, rows: Iterable[EncounterRow]) -> Encounters:
         """Columns from (a, b, start, end, location) rows, in the given order."""
         rows = list(rows)
-        users = tuple(sorted({r[0] for r in rows} | {r[1] for r in rows}))
-        locations = tuple(sorted({r[4] for r in rows}))
-        ucode = {u: i for i, u in enumerate(users)}
-        lcode = {loc: i for i, loc in enumerate(locations)}
-        return cls(
-            users,
-            locations,
-            [ucode[r[0]] for r in rows],
-            [ucode[r[1]] for r in rows],
-            [r[2] for r in rows],
-            [r[3] for r in rows],
-            [lcode[r[4]] for r in rows],
-        )
+        n = len(rows)
+        users, ab = code_ids([r[0] for r in rows] + [r[1] for r in rows], np.arange(2 * n))
+        locations, loc = code_ids([r[4] for r in rows], np.arange(n))
+        return cls(users, locations, ab[:n], ab[n:], [r[2] for r in rows], [r[3] for r in rows], loc)
 
     def rows(self) -> list[EncounterRow]:
         users, locations = self.users, self.locations
@@ -450,10 +444,11 @@ class _Replay:
         self.messages = list(messages)
         self.config = config
         users_of_messages = {m.source for m in messages} | {t for m in messages for t in m.targets}
-        self.users = sorted(users_of_messages | set(users))
+        names = [*users, *users_of_messages]
+        self.users, codes = code_ids(names, np.arange(len(names)))
+        self._to_user = codes[: len(users)]
         self._uidx = uidx = {u: i for i, u in enumerate(self.users)}
         n_users, n_msgs = len(self.users), len(messages)
-        self._to_user = np.array([uidx[u] for u in users], dtype=np.intp)
 
         if config.scheme == "similarity":
             if sim_table is None or sim_ids is None:

@@ -215,26 +215,20 @@ def cumulative_power(rows: np.ndarray) -> np.ndarray:
 def eigen_behaviors(
     matrix: AssociationMatrix,
     power_floor: float = DEFAULT_POWER_FLOOR,
-    max_k: int | None = None,
 ) -> EigenBehaviorSet:
     """Eigen-behavior vectors: unit eigenvectors of X^T X in decreasing power order.
 
     The j-th weight is sigma_j^2 over the sum of all squared singular values;
-    vectors whose weight falls below power_floor are dropped, and max_k, when
-    given, caps how many are kept.  Each kept vector is sign-canonicalized so
-    its largest-magnitude entry is positive.
+    vectors whose weight falls below power_floor are dropped.  Each kept
+    vector is sign-canonicalized so its largest-magnitude entry is positive.
     """
     check_power_floor(power_floor)
-    if max_k is not None and max_k < 1:
-        raise ValueError("max_k must be >= 1")
     _require_online(matrix)
     _, s, vt = np.linalg.svd(matrix.rows, full_matrices=False)
     powers = s * s
     weights = powers / powers.sum()
     keep = weights >= power_floor
     keep[0] = True  # the dominant direction always qualifies
-    if max_k is not None:
-        keep &= np.arange(keep.size) < max_k
     vectors = vt[keep]
     flip = vectors[np.arange(vectors.shape[0]), np.abs(vectors).argmax(axis=1)] < 0
     vectors[flip] *= -1.0

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trace import DAY_SECONDS, Records, json_int, json_number, read_json
+from .trace import DAY_SECONDS, Records, code_ids, json_int, json_number, read_json
 
 ONLINE_SECONDS = 8 * 3600  # association time packed into one online day
 
@@ -216,15 +216,6 @@ def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
     return base + (rank < leftover[:, None])
 
 
-def _coded(names: list[str], index: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """The names that ``index`` uses, sorted as strings, and each entry's
-    code among them."""
-    used = sorted(np.unique(index).tolist(), key=names.__getitem__)
-    rank = np.empty(len(names), np.intp)
-    rank[used] = np.arange(len(used))
-    return tuple(names[i] for i in used), rank[index]
-
-
 def generate(spec: SynthSpec) -> tuple[Records, dict[str, int]]:
     """Generate the trace and the user -> group-index ground truth.
 
@@ -236,8 +227,8 @@ def generate(spec: SynthSpec) -> tuple[Records, dict[str, int]]:
     durations = _apportion(_day_weights(spec, mode, noise), ONLINE_SECONDS)
     day, loc = np.nonzero(durations)
     end = begin[day] + np.cumsum(durations, axis=1)[day, loc]
-    users, user_code = _coded([user_name(i) for i in range(spec.n_users)], user[day])
-    locations, loc_code = _coded([location_name(i) for i in range(spec.n_locations)], loc)
+    users, user_code = code_ids([user_name(i) for i in range(spec.n_users)], user[day])
+    locations, loc_code = code_ids([location_name(i) for i in range(spec.n_locations)], loc)
     return Records(users, locations, user_code, loc_code, end - durations[day, loc], end), truth
 
 

@@ -134,13 +134,7 @@ class Records:
     end: np.ndarray
 
     def __post_init__(self) -> None:
-        columns = {"user": np.intp, "loc": np.intp, "start": float, "end": float}
-        for name, dtype in columns.items():
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        if len({getattr(self, name).shape for name in columns}) != 1 or self.user.ndim != 1:
-            raise ValueError("record columns must be 1-d and of equal length")
-        if not np.all(self.end > self.start):
-            raise ValueError("record must have end > start")
+        set_columns(self, "record", user=np.intp, loc=np.intp, start=float, end=float)
         for ids, codes in ((self.users, self.user), (self.locations, self.loc)):
             if list(ids) != sorted(set(ids)):
                 raise ValueError("record ids must be sorted and unique")
@@ -156,18 +150,10 @@ class Records:
     def from_rows(cls, rows: Iterable[AssociationRecord]) -> Records:
         """Columns from association records, in the given order."""
         rows = list(rows)
-        users = tuple(sorted({r.user_id for r in rows}))
-        locations = tuple(sorted({r.location_id for r in rows}))
-        ucode = {u: i for i, u in enumerate(users)}
-        lcode = {loc: i for i, loc in enumerate(locations)}
-        return cls(
-            users,
-            locations,
-            [ucode[r.user_id] for r in rows],
-            [lcode[r.location_id] for r in rows],
-            [r.start for r in rows],
-            [r.end for r in rows],
-        )
+        each = np.arange(len(rows))
+        users, user = code_ids([r.user_id for r in rows], each)
+        locations, loc = code_ids([r.location_id for r in rows], each)
+        return cls(users, locations, user, loc, [r.start for r in rows], [r.end for r in rows])
 
     def rows(self) -> list[AssociationRecord]:
         users, locations = self.users, self.locations
@@ -181,15 +167,39 @@ class Records:
     def select(self, keep: np.ndarray, start: np.ndarray, end: np.ndarray) -> Records:
         """The records where ``keep`` holds, with bounds taken from the
         full-length ``start``/``end``; ids left without a record are dropped."""
-        users, user = _present(self.users, self.user[keep])
-        locations, loc = _present(self.locations, self.loc[keep])
+        users, user = code_ids(self.users, self.user[keep])
+        locations, loc = code_ids(self.locations, self.loc[keep])
         return Records(users, locations, user, loc, start[keep], end[keep])
 
 
-def _present(ids: tuple[str, ...], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """The ids that ``codes`` use, and the codes renumbered over them."""
-    used = np.bincount(codes, minlength=len(ids)) > 0
-    return tuple(i for i, u in zip(ids, used.tolist()) if u), (np.cumsum(used) - 1)[codes]
+def set_columns(table: object, what: str, **dtypes: type) -> None:
+    """Make each named field of the frozen dataclass ``table`` an array of its
+    dtype, and check that they are 1-d and of equal length and that every row
+    has end > start; ``what`` names a row in the errors."""
+    for name, dtype in dtypes.items():
+        object.__setattr__(table, name, np.asarray(getattr(table, name), dtype=dtype))
+    columns = [getattr(table, name) for name in dtypes]
+    if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
+        raise ValueError(f"{what} columns must be 1-d and of equal length")
+    if not np.all(table.end > table.start):
+        raise ValueError(f"{what} must have end > start")
+
+
+def code_ids(names: Sequence[str], index: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct names that ``index`` uses, sorted as strings, and each
+    index entry's code among them, so that the codes order like the ids.
+
+    ``names`` may repeat a name, whose entries then share one code, and may
+    hold names that no entry uses, which are dropped.  One ``np.bincount``
+    over ``index`` finds the used names; only those are sorted.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    used = np.flatnonzero(np.bincount(index, minlength=len(names))).tolist()
+    ids = sorted({names[i] for i in used})
+    code = {name: c for c, name in enumerate(ids)}
+    rank = np.zeros(len(names), np.intp)
+    rank[used] = [code[names[i]] for i in used]
+    return tuple(ids), rank[index]
 
 
 def as_records(records: Records | Iterable[AssociationRecord]) -> Records:
@@ -197,14 +207,19 @@ def as_records(records: Records | Iterable[AssociationRecord]) -> Records:
     return records if isinstance(records, Records) else Records.from_rows(records)
 
 
-def _new_code(codes: dict[str, int], kind: str, value: str, where: str) -> int:
-    """The next code for an id seen for the first time, once it passes the
-    checks: ids are non-empty and hold no line break, which the CSV writers
-    downstream would not quote."""
+def _check_id(kind: str, value: str, where: str) -> None:
+    """Refuse an empty id and one holding a line break, which the CSV writers
+    downstream would not quote; ``where`` is the path and line it is on."""
     if not value:
         raise ValueError(f"{where}: record has empty {kind}_id")
     if "\r" in value or "\n" in value:
         raise ValueError(f"{where}: {kind} id {value!r} contains a line break")
+
+
+def _new_code(codes: dict[str, int], kind: str, value: str, where: str) -> int:
+    """The next code for an id seen for the first time, once it passes
+    ``_check_id``."""
+    _check_id(kind, value, where)
     codes[value] = len(codes)
     return codes[value]
 
@@ -280,12 +295,17 @@ def _int_cell(text: str, name: str, where: str) -> int:
 
 def read_table(path: str, header: tuple[str, str], key: str, ints: bool) -> dict:
     """A two-column CSV file as a dict from each row's first cell to its
-    second, as an int when ``ints`` is set; a first cell may occur once."""
+    second; a first cell may occur once.  With ``ints`` set the second cell
+    is an int, else both cells are ids and must pass ``_check_id``."""
     table: dict = {}
     for line, (name, value) in read_csv(path, header):
+        where = f"{path}:{line}"
+        if not ints:
+            _check_id(header[0], name, where)
+            _check_id(header[1], value, where)
         if name in table:
-            raise ValueError(f"{path}:{line}: duplicate {key} {name!r}")
-        table[name] = _int_cell(value, header[1], f"{path}:{line}") if ints else value
+            raise ValueError(f"{where}: duplicate {key} {name!r}")
+        table[name] = _int_cell(value, header[1], where) if ints else value
     return table
 
 
@@ -320,28 +340,14 @@ def load_records(path: str) -> Records:
         loc_col.append(loc)
         start_col.append(start)
         end_col.append(end)
-    users, user_rank = _sorted_codes(ucode)
-    locations, loc_rank = _sorted_codes(lcode)
-    return Records(
-        users,
-        locations,
-        user_rank[np.asarray(user_col, dtype=np.intp)],
-        loc_rank[np.asarray(loc_col, dtype=np.intp)],
-        np.asarray(start_col, dtype=float),
-        np.asarray(end_col, dtype=float),
-    )
-
-
-def _sorted_codes(first_seen: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Sorted ids, and each first-seen code's position among them."""
-    ids = tuple(sorted(first_seen))
-    rank = np.empty(len(ids), np.intp)
-    rank[[first_seen[i] for i in ids]] = np.arange(len(ids))
-    return ids, rank
+    users, user = code_ids(list(ucode), user_col)
+    locations, loc = code_ids(list(lcode), loc_col)
+    return Records(users, locations, user, loc, start_col, end_col)
 
 
 def load_location_map(path: str) -> dict[str, str]:
-    """Read an access-point to building map CSV with header ap,building."""
+    """Read an access-point to building map CSV with header ap,building; its
+    ids are checked as the trace loader checks a user or location id."""
     return read_table(path, ("ap", "building"), "access point", ints=False)
 
 
@@ -358,13 +364,8 @@ def aggregate_locations(records: Records, location_map: dict[str, str]) -> Recor
     missing = _first_unmapped(records, location_map)
     if missing is not None:
         raise ValueError(f"unmapped location: {missing!r}")
-    buildings = [location_map[loc] for loc in records.locations]
-    index = tuple(sorted(set(buildings)))
-    bcode = {b: i for i, b in enumerate(index)}
-    remap = np.array([bcode[b] for b in buildings], dtype=np.intp)
-    return Records(
-        records.users, index, records.user, remap[records.loc], records.start, records.end
-    )
+    buildings, loc = code_ids([location_map[ap] for ap in records.locations], records.loc)
+    return Records(records.users, buildings, records.user, loc, records.start, records.end)
 
 
 def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

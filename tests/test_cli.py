@@ -445,6 +445,29 @@ def test_line_break_in_user_id_exits_2_without_outputs(workdir, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b"ap,building\nL000,\n", ":2: record has empty building_id"),
+        (b'ap,building\nL000,B0\nL001,"B\nC"\n', ":3: building id 'B\\nC' contains a line break"),
+    ],
+    ids=["empty", "line-break"],
+)
+def test_bad_building_id_in_locmap_exits_2_naming_the_file(workdir, tmp_path, capsys, body, message):
+    """A locmap id is checked as a trace id is: an empty or line-break
+    building would otherwise reach matrices/index.json and eigen.csv's header."""
+    locmap = tmp_path / "locmap.csv"
+    locmap.write_bytes(body)
+    out = tmp_path / "o"
+    rc = main(
+        ["pipeline", str(workdir / "synth" / "trace.csv"), "--config", str(workdir / "config.json")]
+        + ["--locmap", str(locmap), "--clusters", "1", "--out", str(out)]
+    )
+    assert rc == 2
+    assert f"{locmap}{message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_on_a_trace_without_records_exits_2_naming_the_trace(tmp_path, capsys):
     """The trace is blamed, not the config whose defaults it would fill."""
     trace = tmp_path / "trace.csv"

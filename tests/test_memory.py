@@ -180,6 +180,21 @@ def test_agglomerate_holds_one_square():
     assert_within(peak, n * n * 8 + rescan + SLACK)
 
 
+def test_agglomerate_rescans_one_block_at_a_time():
+    # a star: every row's nearest id is 0, so the first merge makes nearly
+    # every row stale, and holding the previous rescan block while the next
+    # is made breaks the bound
+    n = 1000
+    values = np.full((n, n), 2.0)
+    values[0, 1:] = values[1:, 0] = 1.0
+    dm = DistanceMatrix(condensed(values), "custom", range(n))
+    partition, peak = peak_above_inputs(agglomerate, dm, target_count=n - 1)
+    assert partition.n_clusters == n - 1
+    rescan = cluster.ROW_BLOCK_CELLS * 8
+    assert n // max(1, cluster.ROW_BLOCK_CELLS // n) > 2  # the stale rows span several blocks
+    assert_within(peak, n * n * 8 + rescan + SLACK)
+
+
 def test_eigen_pipeline_holds_one_square_beside_the_triangle():
     # 1200 users in 12 planted groups, 28 days: the matrices (5 MB), then the
     # sim table or the linkage's square (11 MB) beside the triangle (5.5 MB);

@@ -193,18 +193,10 @@ def test_first_vector_survives_any_floor():
     assert eb.vectors.shape == (1, 2)
 
 
-def test_max_k_caps_vector_count():
-    m = matrix_from_rows(basis_rows([0, 1, 2, 0, 1, 2], 3))
-    assert eigen_behaviors(m, power_floor=0.0).vectors.shape == (3, 3)
-    assert eigen_behaviors(m, power_floor=0.0, max_k=2).vectors.shape == (2, 3)
-
-
 def test_eigen_validation():
     m = matrix_from_rows(basis_rows([0], 2))
     with pytest.raises(ValueError, match="power_floor"):
         eigen_behaviors(m, power_floor=1.0)
-    with pytest.raises(ValueError, match="max_k"):
-        eigen_behaviors(m, max_k=0)
     with pytest.raises(ValueError, match="no online slots"):
         eigen_behaviors(matrix_from_rows(np.zeros((2, 2))))
 

@@ -140,9 +140,23 @@ def test_load_location_map_rejects_duplicate_access_points(tmp_path):
         load_location_map(str(path))
     path.write_text("ap,building\nap1,B1\nap2,B1\n")
     assert load_location_map(str(path)) == {"ap1": "B1", "ap2": "B1"}
-    path.write_bytes(b'ap,building\n"a\np",B1\n"a\np",B2\n')
-    with pytest.raises(ValueError, match=r"locmap.csv:4: duplicate access point 'a\\np'"):
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b'ap,building\nap1,B1\n"a\np",B1\n"a\np",B2\n', ":3: ap id 'a\\np' contains a line break"),
+        (b'ap,building\nap1,"B\r\nC"\n', ":2: building id 'B\\r\\nC' contains a line break"),
+        (b"ap,building\nap1,B1\n,B1\n", ":3: record has empty ap_id"),
+        (b"ap,building\nap1,\n", ":2: record has empty building_id"),
+    ],
+)
+def test_load_location_map_checks_ids_as_the_trace_loader_does(tmp_path, body, message):
+    path = tmp_path / "locmap.csv"
+    path.write_bytes(body)
+    with pytest.raises(ValueError) as err:
         load_location_map(str(path))
+    assert str(err.value) == f"{path}{message}"
 
 
 def test_build_location_index_lexicographic():

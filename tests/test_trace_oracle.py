@@ -277,6 +277,46 @@ def test_records_round_trip(rows):
     assert records.locations == tuple(sorted({r.location_id for r in rows}))
 
 
+# ids whose sorted order differs from any first-seen order, non-ASCII ids, and
+# "a" beside "a\x00": numpy's <U dtype strips a trailing NUL, which would
+# make those two one id
+CODE_NAMES = st.one_of(
+    st.sampled_from(["a", "a\x00", "\x00", "b", "B", "10", "9", "é", "e\u0301", "日本"]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def coded_names(draw):
+    """Names (repeats allowed) and an index that may leave some of them unused."""
+    names = draw(st.lists(CODE_NAMES, max_size=8))
+    index = draw(st.lists(st.integers(0, len(names) - 1), max_size=20)) if names else []
+    return names, index
+
+
+@given(coded_names())
+@PROPERTY
+def test_code_ids_equals_sorted_set_and_dict(case):
+    names, index = case
+    ids = sorted({names[i] for i in index})
+    code = {name: c for c, name in enumerate(ids)}
+    got_ids, got_codes = trace.code_ids(names, np.array(index, dtype=np.intp))
+    assert got_ids == tuple(ids)
+    assert got_codes.dtype == np.intp
+    assert got_codes.tolist() == [code[names[i]] for i in index]
+
+
+def test_code_ids_hand_cases():
+    # first-seen order is not sorted order; a repeated name shares one code
+    ids, codes = trace.code_ids(["b", "a\x00", "a", "b"], np.array([0, 1, 2, 3, 1]))
+    assert ids == ("a", "a\x00", "b") and codes.tolist() == [2, 1, 0, 2, 1]
+    # unused names are dropped
+    ids, codes = trace.code_ids(["z", "y", "x"], np.array([2, 2]))
+    assert ids == ("x",) and codes.tolist() == [0, 0]
+    ids, codes = trace.code_ids(["z"], np.array([], dtype=np.intp))
+    assert ids == () and codes.tolist() == []
+
+
 def test_records_validate_columns():
     with pytest.raises(ValueError, match="equal length"):
         Records(("u",), ("A",), [0], [0, 0], [0.0], [1.0])
