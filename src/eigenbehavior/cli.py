@@ -35,6 +35,7 @@ from .profilecast import (
 from .summaries import DEFAULT_POWER_FLOOR, check_power_floor, summary_table
 from .synth import generate, spec_from_json, spec_to_json_dict
 from .trace import (
+    MatricesTooLarge,
     Records,
     TraceConfig,
     aggregate_locations,
@@ -143,14 +144,17 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     payload, config, options = read_json(
         args.config, "pipeline config", lambda raw: _pipeline_config(raw, records)
     )
-    result = run_pipeline(
-        records,
-        config,
-        metric=args.metric,
-        threshold=args.threshold,
-        target_count=args.clusters,
-        **options,
-    )
+    try:
+        result = run_pipeline(
+            records,
+            config,
+            metric=args.metric,
+            threshold=args.threshold,
+            target_count=args.clusters,
+            **options,
+        )
+    except MatricesTooLarge as exc:  # the config's horizon and slots size them
+        raise ValueError(f"{args.config}: {exc}") from None
     table = summary_table(result.matrices, result.eigen_sets)
     location_index = result.matrices[min(result.matrices)].location_index
     os.makedirs(args.out, exist_ok=True)

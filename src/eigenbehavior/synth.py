@@ -7,23 +7,46 @@ probabilities above one ``random()`` draw, the draw and pick of
 ``Generator.choice``), perturbs its weights with bounded uniform noise,
 and packs 8 hours of association time laid out contiguously from a random
 offset within the day.  Generation is deterministic for a given spec and
-parallel-safe: every user draws from its own child seed.  A per-day loop
-makes only the random draws; the weights, the whole-second split and the
-record columns are computed over all online days at once.
+parallel-safe: every user draws from its own child seed.
+
+Users are generated in blocks of consecutive users of about
+SYNTH_BLOCK_CELLS cells, so only the record columns grow with the
+population.  A block reads each user's 64-bit PCG64 words
+(``PCG64.random_raw``) and decodes them as that user's ``Generator``
+would, for all of the block's users at once: ``random()`` is the top 53
+bits times 2**-53, ``integers`` is numpy's 32-bit Lemire draw on the word
+halves, and ``uniform`` is low plus range times a double.  Only the online
+draws and start offsets are decoded day by day; the mode picks, noise,
+weights, whole-second split and record columns are computed over the
+block's online days at once.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .trace import DAY_SECONDS, Records, code_ids, json_int, json_number, read_json
+from .trace import (
+    DAY_SECONDS,
+    Records,
+    budget_blocks,
+    code_ids,
+    json_int,
+    json_number,
+    read_json,
+)
 
 ONLINE_SECONDS = 8 * 3600  # association time packed into one online day
+# a day's start offset is integers(0, OFFSETS): the 8 h block ends by midnight
+OFFSETS = DAY_SECONDS - ONLINE_SECONDS + 1
+# numpy's Lemire rejection threshold for that range, 2**32 mod OFFSETS
+_LEMIRE_THRESHOLD = np.uint64((1 << 32) % OFFSETS)
+# generate sweeps users in blocks of about this many (day, location) cells,
+# so a block's word, weight and duration arrays stay a few MB each
+SYNTH_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -150,54 +173,168 @@ def spec_to_json_dict(spec: SynthSpec) -> dict:
     }
 
 
-def _draws(
-    spec: SynthSpec,
-) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every Generator call, in each user's stream order.
+class _Streams:
+    """The PCG64 streams of a block of users, decoded in lockstep exactly as
+    each user's own ``Generator`` decodes them.
 
-    Returns the user -> group-index truth and, for each online day in (user,
-    day) order, the user index, the second its 8 h block starts, the chosen
-    mode's index into all groups' modes stacked, and the noise row (no rows
-    without noise).  The block starts at a random offset within the day so
-    co-located users overlap partially instead of identically.
+    Row u of ``words`` is a prefix of user u's 64-bit words
+    (``PCG64.random_raw``) and ``pos[u]`` its next unread word.  ``spare``
+    holds the upper half of a word whose lower half a 32-bit draw took, which
+    the next 32-bit draw uses first, as numpy's ``pcg64_next32`` does; a
+    64-bit draw never touches it.  The decoders mirror numpy's
+    ``pcg64_next_double`` (``_doubles``), ``buffered_bounded_lemire_uint32``
+    (``offsets``) and ``random_uniform`` (``_uniform``).
     """
-    seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_users)
-    eps = spec.noise_epsilon
-    truth: dict[str, int] = {}
-    days: list[tuple[int, int, int]] = []
-    noise: list[np.ndarray] = []
-    user_idx = first_mode = 0
-    for group_idx, group in enumerate(spec.groups):
-        n_modes = len(group.modes)
-        # the cdf and draw of Generator.choice(n_modes, p=probs); GroupSpec
-        # has checked p once
-        probs = np.array(group.mode_probs)
+
+    def __init__(self, seeds: Sequence[np.random.SeedSequence], width: int) -> None:
+        self.bitgens = [np.random.PCG64(seed) for seed in seeds]
+        self.words = np.stack([bg.random_raw(width) for bg in self.bitgens])
+        self.pos = np.zeros(len(seeds), dtype=np.intp)
+        self.spare = np.zeros(len(seeds), dtype=np.uint64)
+        self.has_spare = np.zeros(len(seeds), dtype=bool)
+
+    def take(self, users: np.ndarray, n: int = 1) -> np.ndarray:
+        """The position of each user's next n words, which are then read;
+        every row is extended from its bit generator if one runs out."""
+        first = self.pos[users]
+        short = (int(first.max()) + n if len(users) else 0) - self.words.shape[1]
+        if short > 0:
+            more = np.stack([bg.random_raw(short) for bg in self.bitgens])
+            self.words = np.concatenate((self.words, more), axis=1)
+        self.pos[users] += n
+        return first
+
+    def doubles(self, users: np.ndarray) -> np.ndarray:
+        """``Generator.random()`` for each user."""
+        at = self.take(users)  # first, since it may extend the words
+        return _doubles(self.words[users, at])
+
+    def _uint32(self, users: np.ndarray) -> np.ndarray:
+        """The next 32-bit draw of each user: the spare half, else the lower
+        half of a new word, whose upper half is kept."""
+        value = self.spare[users]
+        needs = ~self.has_spare[users]
+        fresh = users[needs]
+        at = self.take(fresh)
+        word = self.words[fresh, at]
+        value[needs] = word & np.uint64(0xFFFFFFFF)
+        self.spare[fresh] = word >> np.uint64(32)
+        self.has_spare[users] = needs
+        return value
+
+    def offsets(self, users: np.ndarray) -> np.ndarray:
+        """``Generator.integers(0, OFFSETS)`` for each user: Lemire's
+        multiply-shift, redrawing a user whose low product falls below the
+        rejection threshold."""
+        out = np.empty(len(users), dtype=np.int64)
+        todo = np.arange(len(users))
+        while len(todo):
+            product = self._uint32(users[todo]) * np.uint64(OFFSETS)
+            kept = product & np.uint64(0xFFFFFFFF) >= _LEMIRE_THRESHOLD
+            out[todo[kept]] = product[kept] >> np.uint64(32)
+            todo = todo[~kept]
+        return out
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """``Generator.random()`` of each 64-bit word: its top 53 bits times
+    2**-53 (numpy's ``pcg64_next_double``)."""
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def _uniform(words: np.ndarray, eps: float) -> np.ndarray:
+    """``Generator.uniform(-eps, eps)`` of each 64-bit word: low plus range
+    times a double (numpy's ``random_uniform``)."""
+    return -eps + (eps - -eps) * _doubles(words)
+
+
+def _user_blocks(spec: SynthSpec) -> list[tuple[int, int]]:
+    """Consecutive user ranges of about SYNTH_BLOCK_CELLS cells each, a user
+    counting one cell per (day, location) and three more per day."""
+    per_user = np.full(spec.n_users, spec.n_days * (spec.n_locations + 3))
+    return budget_blocks(per_user, SYNTH_BLOCK_CELLS)
+
+
+class _Groups(NamedTuple):
+    """The spec's groups as arrays: every group's modes stacked in group
+    order, and per group its first mode row, mode cdf and p_online."""
+
+    weights: np.ndarray  # one row per mode
+    seconds: np.ndarray  # each row's whole-second split, a noise-free day's durations
+    first: np.ndarray  # each group's first row
+    cdfs: np.ndarray  # each group's cumulative mode probabilities, padded with 2
+    p_online: np.ndarray  # each group's p_online
+
+
+def _stack_groups(spec: SynthSpec) -> _Groups:
+    weights = np.array([m for g in spec.groups for m in g.modes])
+    cdfs = np.full((len(spec.groups), max(len(g.modes) for g in spec.groups)), 2.0)
+    for i, g in enumerate(spec.groups):
+        # the cdf of Generator.choice(n_modes, p=probs); GroupSpec has checked p once
+        probs = np.array(g.mode_probs)
         cdf = np.cumsum(probs / probs.sum())
-        cdf = (cdf / cdf[-1]).tolist()
-        for _ in range(group.size):
-            truth[user_name(user_idx)] = group_idx
-            rng = np.random.default_rng(seeds[user_idx])
-            for day in range(spec.n_days):
-                if rng.random() >= group.p_online:
-                    continue
-                offset = int(rng.integers(0, DAY_SECONDS - ONLINE_SECONDS + 1))
-                mode = first_mode + bisect_right(cdf, rng.random())
-                days.append((user_idx, day * DAY_SECONDS + offset, mode))
-                if eps > 0:
-                    noise.append(rng.uniform(-eps, eps, spec.n_locations))
-            user_idx += 1
-        first_mode += n_modes
-    user, begin, mode = np.array(days, dtype=np.int64).reshape(-1, 3).T
-    return truth, user, begin, mode, np.array(noise, dtype=float).reshape(-1, spec.n_locations)
+        cdfs[i, : len(cdf)] = cdf / cdf[-1]
+    return _Groups(
+        weights,
+        _apportion(weights, ONLINE_SECONDS),
+        np.cumsum([0] + [len(g.modes) for g in spec.groups[:-1]]),
+        cdfs,
+        np.array([g.p_online for g in spec.groups]),
+    )
 
 
-def _day_weights(spec: SynthSpec, mode: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Each online day's location weights: its mode plus noise, clipped at 0
-    and renormalized; a day whose noisy weights all clip to 0 keeps its mode
+def _block_records(
+    spec: SynthSpec, seeds: Sequence[np.random.SeedSequence], group: np.ndarray, groups: _Groups
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The records of one block of users, whose seeds and group indices are
+    given, as (user, location, start, end) columns, the user counted from the
+    block's first.
+
+    Each user's stream gives, every day, one ``random()`` against p_online
+    and, on an online day, ``integers(0, OFFSETS)`` for the start offset,
+    ``random()`` for the mode and ``uniform(-eps, eps, n_locations)`` for the
+    noise (no noise draws when eps is 0).  The day loop reads the online
+    draws and start offsets and notes where the mode and noise words lie;
+    the rest is decoded for all online days at once.
+    """
+    eps = spec.noise_epsilon
+    n_noise = spec.n_locations if eps > 0 else 0
+    p_online = groups.p_online[group]
+    # a day reads at most three words besides its noise, unless Lemire rejects
+    streams = _Streams(seeds, spec.n_days * (3 + n_noise))
+    everyone = np.arange(len(seeds))
+    online = np.zeros((len(seeds), spec.n_days), dtype=bool)
+    begin = np.zeros(online.shape, dtype=np.int64)
+    mode_at = np.zeros(online.shape, dtype=np.intp)
+    noise_at = np.zeros(online.shape, dtype=np.intp)
+    for day in range(spec.n_days):
+        on = everyone[streams.doubles(everyone) < p_online]
+        online[on, day] = True
+        begin[on, day] = day * DAY_SECONDS + streams.offsets(on)
+        mode_at[on, day] = streams.take(on)
+        noise_at[on, day] = streams.take(on, n_noise)
+    # the online (user, day) pairs in (user, day) order
+    user, day = np.nonzero(online)
+    words = streams.words
+    g = group[user]
+    # the first cdf entry above the draw, as Generator.choice picks
+    pick = (groups.cdfs[g] <= _doubles(words[user, mode_at[user, day]])[:, None]).sum(axis=1)
+    mode = groups.first[g] + pick
+    if n_noise:
+        at = noise_at[user, day][:, None] + np.arange(n_noise)
+        weights = _noisy_weights(groups.weights[mode], _uniform(words[user[:, None], at], eps))
+        durations = _apportion(weights, ONLINE_SECONDS)
+    else:
+        durations = groups.seconds[mode]
+    row, loc = np.nonzero(durations)
+    end = begin[user, day][row] + np.cumsum(durations, axis=1)[row, loc]
+    return user[row], loc, end - durations[row, loc], end
+
+
+def _noisy_weights(weights: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Each online day's mode weights plus noise, clipped at 0 and
+    renormalized; a day whose noisy weights all clip to 0 keeps its mode
     (renormalized)."""
-    weights = np.array([m for group in spec.groups for m in group.modes])[mode]
-    if spec.noise_epsilon <= 0:
-        return weights
     noisy = np.clip(weights + noise, 0.0, None)
     dead = noisy.sum(axis=1) <= 0
     noisy[dead] = weights[dead]
@@ -221,15 +358,24 @@ def generate(spec: SynthSpec) -> tuple[Records, dict[str, int]]:
 
     Each online day's whole-second durations are laid out contiguously, in
     location order, from the day's start second; rows run in (user, day,
-    location) order.
+    location) order.  Users are generated in blocks of about
+    SYNTH_BLOCK_CELLS cells (``_block_records``), so only the record columns
+    grow with the population.
     """
-    truth, user, begin, mode, noise = _draws(spec)
-    durations = _apportion(_day_weights(spec, mode, noise), ONLINE_SECONDS)
-    day, loc = np.nonzero(durations)
-    end = begin[day] + np.cumsum(durations, axis=1)[day, loc]
-    users, user_code = code_ids([user_name(i) for i in range(spec.n_users)], user[day])
+    group = np.repeat(np.arange(len(spec.groups)), [g.size for g in spec.groups])
+    truth = {user_name(u): g for u, g in enumerate(group.tolist())}
+    groups = _stack_groups(spec)
+    root = np.random.SeedSequence(spec.seed)
+    blocks = []
+    for lo, hi in _user_blocks(spec):
+        # spawning in blocks gives the same children as spawning all at once
+        user, loc, start, end = _block_records(spec, root.spawn(hi - lo), group[lo:hi], groups)
+        blocks.append((user + lo, loc, start, end))
+    user, loc, start, end = (np.concatenate(column) for column in zip(*blocks))
+    del blocks
+    users, user_code = code_ids(list(truth), user)
     locations, loc_code = code_ids([location_name(i) for i in range(spec.n_locations)], loc)
-    return Records(users, locations, user_code, loc_code, end - durations[day, loc], end), truth
+    return Records(users, locations, user_code, loc_code, start, end), truth
 
 
 def single_location_modes(n_locations: int, locations: Sequence[int]) -> tuple[tuple[float, ...], ...]:

@@ -28,6 +28,10 @@ BLOCK_RECORDS = 1 << 13
 T = TypeVar("T")
 
 
+class MatricesTooLarge(MemoryError):
+    """The (users, slots, locations) association matrices cannot be allocated."""
+
+
 @dataclass(frozen=True)
 class AssociationRecord:
     """One association interval: user at location over [start, end) epoch seconds."""
@@ -458,7 +462,13 @@ def build_matrices(
             raise ValueError(f"location {missing!r} not in location_index")
         remap = np.array([pos[loc] for loc in records.locations], dtype=np.intp)
 
-    rows = np.zeros((len(records.users), config.n_slots, len(index)))
+    shape = (len(records.users), config.n_slots, len(index))
+    try:
+        rows = np.zeros(shape)
+    except MemoryError:
+        raise MatricesTooLarge(
+            f"the (users, slots, locations) = {shape} association matrices do not fit in memory"
+        ) from None
     per_user = np.bincount(records.user, minlength=len(records.users))
     order = np.argsort(records.user, kind="stable")
     offset = np.concatenate(([0], np.cumsum(per_user)))

@@ -42,6 +42,7 @@ from eigenbehavior import (
     single_location_modes,
     summaries,
     summary_table,
+    synth,
     trace,
 )
 from eigenbehavior.cluster import condensed
@@ -99,6 +100,28 @@ def random_sets(n_users: int, k: int, seed: int) -> dict[str, EigenBehaviorSet]:
         weights = np.sort(rng.dirichlet(np.ones(k)))[::-1]
         sets[f"u{i:04d}"] = EigenBehaviorSet(vectors, weights, 0.0)
     return sets
+
+
+def test_generate_holds_its_records_and_one_block():
+    # 1200 users over 200 locations without noise: 23.6 k records, but 23.5 k
+    # online days x 200 locations, so one (online days x locations) array of
+    # the whole population (38 MB) breaks the bound
+    n_locations, n_groups = 200, 40
+    groups = tuple(
+        GroupSpec(30, single_location_modes(n_locations, [g, n_locations - 1 - g]), (0.7, 0.3), p_online=0.7)
+        for g in range(n_groups)
+    )
+    spec = SynthSpec(n_locations=n_locations, n_days=28, groups=groups, seed=3)
+    generate(SynthSpec(n_locations=1, n_days=1, groups=(GroupSpec(1, ((1.0,),), (1.0,)),)))
+    (records, truth), peak = peak_above_inputs(generate, spec)
+    assert len(records) < 24_000 and len(truth) == 1200
+    # the blocks' four columns and their concatenation, then the two code columns
+    columns = len(records) * 10 * 8
+    names = len(truth) * 300  # the truth and the user names, as Python objects
+    # a block's words, weights, noise, _apportion's scratch and durations:
+    # fewer than 8 arrays of its cells
+    block = 8 * synth.SYNTH_BLOCK_CELLS * 8
+    assert_within(peak, columns + names + block + SLACK)
 
 
 def test_build_matrices_holds_output_and_one_block():

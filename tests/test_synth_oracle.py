@@ -26,6 +26,7 @@ from eigenbehavior import (
     load_records,
     persist,
     spec_from_json,
+    synth,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -103,6 +104,95 @@ def test_all_clipped_noise_falls_back_to_the_mode(tmp_path):
     for r in records.rows():
         days.setdefault((r.user_id, int(r.start // DAY_SECONDS)), []).append(r.end - r.start)
     assert [8640.0, 20160.0] in days.values()
+
+
+# generate decodes each block's PCG64 words itself; these check the decoder
+# against the Generator calls it replaces, on the same seeds.
+
+
+def _generators(seeds) -> list[np.random.Generator]:
+    return [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+
+
+@pytest.mark.parametrize("width", [1, 30 * 8], ids=["words-run-out", "words-in-hand"])
+def test_streams_decode_as_each_users_generator(width):
+    """Thirty days of generate's draws for six users: random() against
+    p_online and, on an online day, integers(0, OFFSETS), random() and
+    uniform(-eps, eps, 5).  At width 1 every row runs out of words and is
+    extended; 30 * 8 words, generate's bound of three words a day besides the
+    noise, last unless Lemire rejects.  An offset drawn from a word's lower
+    half leaves its upper half to the user's next online day."""
+    seeds = np.random.SeedSequence(7).spawn(6)
+    streams = synth._Streams(seeds, width)
+    rngs = _generators(seeds)
+    everyone = np.arange(len(seeds))
+    eps, n_noise = 0.05, 5
+    carried = 0
+    for _ in range(30):
+        draws = streams.doubles(everyone)
+        assert draws.tolist() == [rng.random() for rng in rngs]
+        on = everyone[draws < 0.6]
+        carried += int(streams.has_spare[on].sum())
+        assert streams.offsets(on).tolist() == [rngs[u].integers(0, synth.OFFSETS) for u in on]
+        assert streams.doubles(on).tolist() == [rngs[u].random() for u in on]
+        at = streams.take(on, n_noise)[:, None] + np.arange(n_noise)
+        noise = synth._uniform(streams.words[on[:, None], at], eps)
+        assert np.array_equal(noise, [rngs[u].uniform(-eps, eps, n_noise) for u in on])
+    assert carried > 0
+    assert (streams.words.shape[1] > width) == (width == 1)
+
+
+def test_offsets_redraw_a_lemire_rejection():
+    """numpy redraws an integers(0, OFFSETS) draw whose low 32 product bits
+    fall below 2**32 mod OFFSETS (6332), about once in 678,000 draws.  The
+    first rejection in a seeded stream of two million such draws is found
+    from the raw words, then the decoder draws across it beside numpy."""
+    seed, n = 7, 2_000_000
+    values = np.random.Generator(np.random.PCG64(seed)).integers(0, synth.OFFSETS, size=n)
+    words = np.random.PCG64(seed).random_raw(n // 2)
+    halves = np.stack((words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)), axis=1).ravel()
+    product = halves * np.uint64(synth.OFFSETS)
+    rejected = np.flatnonzero(product & np.uint64(0xFFFFFFFF) < 6332)
+    assert len(rejected) and rejected[0] + 1 not in rejected
+    first = int(rejected[0])
+    # draw i is half i up to the first rejection, and half i + 1 just after it
+    assert np.array_equal(values[:first], product[:first] >> np.uint64(32))
+    assert values[first] == product[first + 1] >> np.uint64(32)
+
+    user = np.array([0])
+    streams = synth._Streams([np.random.SeedSequence(seed)], 1)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    skip = first // 2 - 2  # words read as random() draws, as numpy does
+    streams.take(user, skip)
+    rng.random(skip)
+    got = [int(streams.offsets(user)[0]) for _ in range(8)]
+    assert got == [rng.integers(0, synth.OFFSETS) for _ in range(8)]
+    # eight draws read nine halves: the rejected one was redrawn
+    halves_read = 2 * (int(streams.pos[0]) - skip) - int(streams.has_spare[0])
+    assert halves_read == 9
+
+
+@pytest.mark.parametrize("sizes", [[1] * 9, [2, 2, 2, 2, 1], [3, 3, 3]], ids=["1", "2", "3"])
+def test_blocks_of_a_few_users_match_oracle(tmp_path, monkeypatch, sizes):
+    """Blocks of one, two and three users, some of whose boundaries fall
+    inside the groups of four, three and two users."""
+    spec = SynthSpec(
+        n_locations=3,
+        n_days=8,
+        groups=(
+            GroupSpec(4, ((0.5, 0.5, 0.0), (0.0, 0.0, 1.0)), (0.7, 0.3), p_online=0.7),
+            GroupSpec(3, ((0.2, 0.3, 0.5),), (1.0,), p_online=0.5),
+            GroupSpec(2, ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0)), (0.5, 0.5)),
+        ),
+        seed=11,
+        noise_epsilon=0.2,
+    )
+    user_cells = spec.n_days * (spec.n_locations + 3)
+    monkeypatch.setattr(synth, "SYNTH_BLOCK_CELLS", sizes[0] * user_cells)
+    blocks = synth._user_blocks(spec)
+    assert [hi - lo for lo, hi in blocks] == sizes
+    assert {lo for lo, _ in blocks} - {0, 4, 7}  # the groups' first users
+    assert_matches_oracle(tmp_path, spec)
 
 
 def _benchmark_spec(tmp_path, monkeypatch, n_users: int, seed: int) -> SynthSpec:
