@@ -260,7 +260,6 @@ class _Groups(NamedTuple):
     order, and per group its first mode row, mode cdf and p_online."""
 
     weights: np.ndarray  # one row per mode
-    seconds: np.ndarray  # each row's whole-second split, a noise-free day's durations
     first: np.ndarray  # each group's first row
     cdfs: np.ndarray  # each group's cumulative mode probabilities, padded with 2
     p_online: np.ndarray  # each group's p_online
@@ -276,7 +275,6 @@ def _stack_groups(spec: SynthSpec) -> _Groups:
         cdfs[i, : len(cdf)] = cdf / cdf[-1]
     return _Groups(
         weights,
-        _apportion(weights, ONLINE_SECONDS),
         np.cumsum([0] + [len(g.modes) for g in spec.groups[:-1]]),
         cdfs,
         np.array([g.p_online for g in spec.groups]),
@@ -319,14 +317,13 @@ def _block_records(
     g = group[user]
     # the first cdf entry above the draw, as Generator.choice picks
     pick = (groups.cdfs[g] <= _doubles(words[user, mode_at[user, day]])[:, None]).sum(axis=1)
-    mode = groups.first[g] + pick
+    weights = groups.weights[groups.first[g] + pick]
     if n_noise:
         at = noise_at[user, day][:, None] + np.arange(n_noise)
-        weights = _noisy_weights(groups.weights[mode], _uniform(words[user[:, None], at], eps))
-        durations = _apportion(weights, ONLINE_SECONDS)
-    else:
-        durations = groups.seconds[mode]
+        weights = _noisy_weights(weights, _uniform(words[user[:, None], at], eps))
+    durations = _apportion(weights, ONLINE_SECONDS)
     row, loc = np.nonzero(durations)
+    loc = loc.copy()  # nonzero's columns are views of one (records, 2) array
     end = begin[user, day][row] + np.cumsum(durations, axis=1)[row, loc]
     return user[row], loc, end - durations[row, loc], end
 

@@ -465,7 +465,7 @@ def build_matrices(
     shape = (len(records.users), config.n_slots, len(index))
     try:
         rows = np.zeros(shape)
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy raises ValueError past its size limits
         raise MatricesTooLarge(
             f"the (users, slots, locations) = {shape} association matrices do not fit in memory"
         ) from None

@@ -676,18 +676,29 @@ def test_malformed_config_field_exits_2_naming_the_config(workdir, tmp_path, cap
     _exits_2_naming(_pipeline_argv(workdir, config, out), config, message, out, capsys)
 
 
-def test_trace_end_too_large_for_the_matrices_exits_2_naming_the_config(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "trace_end, n_slots",
+    [
+        (10**18, 11574074074075),  # numpy's MemoryError: 1.6 PiB
+        (10**22, math.ceil(10**22 / 86400)),  # ValueError: more bytes than 2**63
+        (10**300, math.ceil(10**300 / 86400)),  # ValueError: beyond numpy's largest dimension
+    ],
+    ids=["1e18", "1e22", "1e300"],
+)
+def test_trace_end_too_large_for_the_matrices_exits_2_naming_the_config(
+    trace_end, n_slots, tmp_path, capsys
+):
     """A 200-row trace of one user at 20 locations, and a trace_end whose day
-    slots would take 1.6 PiB of matrices: more than a 64-bit address space
-    holds, so the allocation fails at once and no memory is touched."""
+    slots would take more matrices than a 64-bit address space holds, so the
+    allocation fails at once and no memory is touched."""
     trace = tmp_path / "trace.csv"
     rows = "".join(f"u1,L{i % 20:02d},{i * 100},{i * 100 + 50}\n" for i in range(200))
     trace.write_text("user,location,start,end\n" + rows)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"trace_start": 0, "trace_end": 10**18}))
+    config.write_text(json.dumps({"trace_start": 0, "trace_end": trace_end}))
     out = tmp_path / "o"
     argv = ["pipeline", str(trace), "--config", str(config), "--clusters", "1", "--out", str(out)]
-    message = "the (users, slots, locations) = (1, 11574074074075, 20) association matrices do not fit in memory"
+    message = f"the (users, slots, locations) = (1, {n_slots}, 20) association matrices do not fit in memory"
     _exits_2_naming(argv, config, message, out, capsys)
 
 

@@ -102,23 +102,34 @@ def random_sets(n_users: int, k: int, seed: int) -> dict[str, EigenBehaviorSet]:
     return sets
 
 
-def test_generate_holds_its_records_and_one_block():
-    # 1200 users over 200 locations without noise: 23.6 k records, but 23.5 k
-    # online days x 200 locations, so one (online days x locations) array of
-    # the whole population (38 MB) breaks the bound
+@pytest.mark.parametrize("noise_epsilon, n_users", [(0.0, 1200), (0.05, 120)])
+def test_generate_holds_its_records_and_one_block(noise_epsilon, n_users, monkeypatch):
+    # 200 locations, blocks of 2**15 cells (6 users).  Without noise, 1200
+    # users make 23.6 k records over 23.5 k online days, so one (online days x
+    # locations) array of the whole population (38 MB) breaks the bound.  With
+    # noise, about half the locations get a record every online day: 120 users
+    # make 236 k records, and the whole-population arrays break it by 9 MB.
+    monkeypatch.setattr(synth, "SYNTH_BLOCK_CELLS", 1 << 15)
     n_locations, n_groups = 200, 40
     groups = tuple(
-        GroupSpec(30, single_location_modes(n_locations, [g, n_locations - 1 - g]), (0.7, 0.3), p_online=0.7)
+        GroupSpec(
+            n_users // n_groups,
+            single_location_modes(n_locations, [g, n_locations - 1 - g]),
+            (0.7, 0.3),
+            p_online=0.7,
+        )
         for g in range(n_groups)
     )
-    spec = SynthSpec(n_locations=n_locations, n_days=28, groups=groups, seed=3)
+    spec = SynthSpec(n_locations=n_locations, n_days=28, groups=groups, seed=3, noise_epsilon=noise_epsilon)
     generate(SynthSpec(n_locations=1, n_days=1, groups=(GroupSpec(1, ((1.0,),), (1.0,)),)))
     (records, truth), peak = peak_above_inputs(generate, spec)
-    assert len(records) < 24_000 and len(truth) == 1200
-    # the blocks' four columns and their concatenation, then the two code columns
-    columns = len(records) * 10 * 8
+    assert len(truth) == n_users
+    assert 20 * n_users > len(records) if noise_epsilon == 0 else len(records) > 1900 * n_users
+    # the blocks' four columns and their concatenation; the two code columns
+    # are made once the blocks are freed
+    columns = len(records) * 8 * 8
     names = len(truth) * 300  # the truth and the user names, as Python objects
-    # a block's words, weights, noise, _apportion's scratch and durations:
+    # a block's words, noise, weights, _apportion's scratch and durations:
     # fewer than 8 arrays of its cells
     block = 8 * synth.SYNTH_BLOCK_CELLS * 8
     assert_within(peak, columns + names + block + SLACK)
