@@ -26,6 +26,7 @@ from .profilecast import (
     EncounterStream,
     SimConfig,
     build_messages,
+    check_min_group_size,
     check_source_fraction,
     check_split_fraction,
     compare_schemes,
@@ -57,7 +58,8 @@ def _parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", required=True, help="output directory")
     common = argparse.ArgumentParser(add_help=False, parents=[out])
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    common.add_argument("--seed", type=int, default=0,
+                        help="seed of simulate's draws; pipeline draws none and records it in manifest.json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", parents=[out], help="generate a synthetic trace")
@@ -158,7 +160,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     table = summary_table(result.matrices, result.eigen_sets)
     location_index = result.matrices[min(result.matrices)].location_index
     os.makedirs(args.out, exist_ok=True)
-    persist.write_matrix_index(os.path.join(args.out, "matrices"), result.matrices, config)
+    persist.write_matrix_index(os.path.join(args.out, "matrices"), result.matrices, config, options)
     persist.write_eigen_sets(os.path.join(args.out, "eigen.csv"), result.eigen_sets, location_index)
     persist.write_distance_matrix(os.path.join(args.out, "distances.npy"), result.distance_matrix)
     persist.write_partition_csv(os.path.join(args.out, "partition.csv"), result.partition)
@@ -205,7 +207,7 @@ def _scenario(payload: dict, seed: int) -> tuple[dict, list[SimConfig], float, d
         "source_fraction": check_source_fraction(
             json_number(payload, "source_fraction", DEFAULT_SOURCE_FRACTION)
         ),
-        "min_group_size": json_int(payload, "min_group_size", DEFAULT_MIN_GROUP_SIZE),
+        "min_group_size": check_min_group_size(json_int(payload, "min_group_size", DEFAULT_MIN_GROUP_SIZE)),
     }
     split_fraction = check_split_fraction(json_number(payload, "split_fraction", 0.5))
     return payload, configs, split_fraction, options

@@ -14,6 +14,8 @@ L1 kernel: mode trees, summary distances and AMVD use it.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
@@ -23,7 +25,8 @@ _MONOTONE_SLACK = 1e-12
 # merge_histories' row rescans work in row blocks of about this many cells.
 ROW_BLOCK_CELLS = 1 << 16
 
-METRIC_MAX = {"amvd": 2.0, "eigen": 1.0, "onavg_l1": 2.0, "centroid_l1": 2.0}
+# Each metric the pipeline builds, by its --metric name, with its largest distance.
+METRIC_MAX = {"eigen": 1.0, "amvd": 2.0, "onavg": 2.0, "centroid05": 2.0, "centroid09": 2.0}
 
 
 @dataclass
@@ -80,24 +83,26 @@ def condensed(square: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DistanceMatrix:
-    """Pairwise distances with a metric tag and element ids.
+    """Pairwise distances with a metric name and element ids.
 
     values is the condensed upper triangle, the i < j pairs of the ids in
     row-major order (see pair_index), so symmetry and a zero diagonal hold by
-    construction.  Building one is its one check: n(n - 1) / 2 float64 values
-    for n ids, no NaN, and [0, METRIC_MAX] for a metric listed there.
-    Everything that takes a DistanceMatrix trusts it.
+    construction.  Building one is its one check: distinct ids, n(n - 1) / 2
+    float64 values for n ids, no NaN, and [0, METRIC_MAX] for a metric listed
+    there.  Everything that takes a DistanceMatrix trusts it.
     """
 
     values: np.ndarray
     metric: str
     ids: tuple[str, ...]
     flagged_ids: tuple[str, ...] = ()
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.ids = tuple(self.ids)
         self.flagged_ids = tuple(self.flagged_ids)
+        if len(set(self.ids)) < self.n:
+            repeated = [i for i, count in Counter(self.ids).items() if count > 1]
+            raise ValueError(f"ids must be distinct; repeated: {repeated}")
         self.values = np.asarray(self.values, dtype=float)
         pairs = self.n * (self.n - 1) // 2
         if self.values.shape != (pairs,):
@@ -134,8 +139,9 @@ def agglomerate(
 
     Exactly one of threshold / target_count selects the stop rule.  Under the
     threshold rule, merging proceeds while the smallest inter-cluster linkage
-    is <= threshold; under the count rule, until target_count clusters remain.
-    Merge distances are checked to be non-decreasing on every run.
+    is <= threshold (a NaN threshold is refused); under the count rule, until
+    target_count clusters remain.  Merge distances are checked to be
+    non-decreasing on every run.
     """
     if target_count is not None and not 1 <= target_count <= dm.n:
         raise ValueError(f"target_count must lie in [1, {dm.n}]")
@@ -168,6 +174,8 @@ def merge_histories(
     """
     if (threshold is None) == (target_count is None):
         raise ValueError("give exactly one of threshold or target_count")
+    if threshold is not None and math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     work = np.asarray(dms, dtype=float)
     n_trees, n, _ = work.shape
     if n == 0:
@@ -195,7 +203,7 @@ def merge_histories(
         col = min_col[live, row]
         dist = min_val[live, row]
         if threshold is not None:
-            keep = ~(dist > threshold)
+            keep = dist <= threshold
             live, row, col, dist = live[keep], row[keep], col[keep], dist[keep]
             if not live.size:
                 break

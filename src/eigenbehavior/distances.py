@@ -31,7 +31,7 @@ from .summaries import (
 )
 from .trace import AssociationMatrix, budget_blocks
 
-SUMMARY_KINDS = ("onavg", "centroid@0.5", "centroid@0.9")
+CENTROID_THRESHOLDS = {"centroid05": 0.5, "centroid09": 0.9}  # each centroid metric's mode threshold
 # sim_matrix's block of absolute dot products holds about this many cells.
 SIM_BLOCK_CELLS = 1 << 18
 
@@ -73,15 +73,7 @@ def amvd_distance_matrix(
             backward = np.concatenate([run.reshape(-1, size).mean(axis=1) for run, size in runs])
             first, second = np.minimum(order[p], order[lo:hi]), np.maximum(order[p], order[lo:hi])
             values[pair_index(len(ids), first, second)] = (forward + backward) / 2.0
-    return DistanceMatrix(values, "amvd", ids, flagged, {"include_offline": include_offline})
-
-
-def _stacked(sets: list[EigenBehaviorSet]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    counts = [s.k for s in sets]
-    basis = np.vstack([s.vectors for s in sets])
-    weights = np.concatenate([s.weights for s in sets])
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return basis, weights, starts
+    return DistanceMatrix(values, "amvd", ids, flagged)
 
 
 def sim_matrix(sets: list[EigenBehaviorSet]) -> np.ndarray:
@@ -94,11 +86,11 @@ def sim_matrix(sets: list[EigenBehaviorSet]) -> np.ndarray:
     """
     if len(sets) < 2:
         raise ValueError("need at least two eigen-behavior sets")
-    basis, weights, starts = _stacked(sets)
-    weighted = basis * weights[:, None]
+    weighted = np.vstack([s.vectors * s.weights[:, None] for s in sets])
     n = len(sets)
     out = np.empty((n, n))
-    bounds = np.append(starts, len(weighted))
+    bounds = np.append(0, np.cumsum([s.k for s in sets]))
+    starts = bounds[:-1]
     per_block = max(1, SIM_BLOCK_CELLS // len(weighted))
     for lo, hi in budget_blocks(np.diff(bounds), per_block):
         block = weighted[bounds[lo] : bounds[hi]] @ weighted.T
@@ -158,9 +150,9 @@ def eigen_distance_matrix(
     live = {u: s for u, s in eigen_sets.items() if s is not None}
     if len(live) < 2:
         raise ValueError("need at least two users with eigen-behavior sets")
-    table, live_ids = normalized_sim_table(live)
+    table, _ = normalized_sim_table(live)
     n = len(ids)
-    pos = np.flatnonzero([eigen_sets[u] is not None for u in ids])  # live_ids' places in ids
+    pos = np.flatnonzero([eigen_sets[u] is not None for u in ids])  # the live users' places in ids
     values = np.full(n * (n - 1) // 2, METRIC_MAX["eigen"])
     for a, p in enumerate(pos):
         row = table[a, a + 1 :] + table[a + 1 :, a]
@@ -168,36 +160,33 @@ def eigen_distance_matrix(
         np.subtract(1.0, row, out=row)
         values[pair_index(n, p, pos[a + 1 :])] = np.clip(row, 0.0, 1.0, out=row)
     flagged = tuple(u for u in ids if eigen_sets[u] is None)
-    floor = live[live_ids[0]].power_floor
-    return DistanceMatrix(values, "eigen", ids, flagged, {"power_floor": floor})
+    return DistanceMatrix(values, "eigen", ids, flagged)
 
 
 def summary_l1_distance(
-    matrices: dict[str, AssociationMatrix], kind: str
+    matrices: dict[str, AssociationMatrix], metric: str
 ) -> DistanceMatrix:
     """Manhattan distance between per-user summary vectors.
 
-    kind is one of "onavg", "centroid@0.5", "centroid@0.9".  Users without a
-    summary (all offline) are excluded with a warning, so the result may cover
-    a subset of the input users.
+    metric is "onavg" or a centroid metric of CENTROID_THRESHOLDS.  Users
+    without a summary (all offline) are excluded with a warning, so the result
+    may cover a subset of the input users.
     """
-    if kind not in SUMMARY_KINDS:
-        raise ValueError(f"unknown summary kind {kind!r}, expected one of {SUMMARY_KINDS}")
+    if metric != "onavg" and metric not in CENTROID_THRESHOLDS:
+        raise ValueError(f"unknown summary metric {metric!r}")
     ids = tuple(u for u in sorted(matrices) if matrices[u].rows.sum() > 0)
     skipped = sorted(set(matrices) - set(ids))
     online = [matrices[u] for u in ids]
-    if kind == "onavg":
+    if metric == "onavg":
         vectors = [onavg(matrix) for matrix in online]
     else:
-        vectors = centroid_first_modes(online, float(kind.split("@")[1]))
+        vectors = centroid_first_modes(online, CENTROID_THRESHOLDS[metric])
     if skipped:
         warnings.warn(f"summary_l1_distance: excluded all-offline users: {skipped}")
     if len(vectors) < 2:
         raise ValueError("need at least two users with online slots")
     stacked = np.vstack(vectors)
-    values = condensed(pairwise_l1(stacked, stacked))
-    metric = "onavg_l1" if kind == "onavg" else "centroid_l1"
-    return DistanceMatrix(values, metric, ids, (), {"kind": kind})
+    return DistanceMatrix(condensed(pairwise_l1(stacked, stacked)), metric, ids)
 
 
 def eigen_sets_for(

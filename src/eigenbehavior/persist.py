@@ -17,18 +17,22 @@ The distance matrix is the one binary file and is stored exactly: its
 ``DistanceMatrix.values``, the condensed upper triangle as float64 (the
 row-major ``i < j`` order of scipy's ``squareform``), saved as it is in
 NumPy's own ``.npy`` format and loaded back as it is, with a JSON sidecar of
-its ids, metric and params.
+its ids, its ``--metric`` name and its flagged ids.
 
-Nothing that can be recomputed is stored.  The association matrices are a
-function of the trace, config and locmap whose digests ``manifest.json``
-records, so ``matrices/index.json`` keeps only their shape, users, location
-index and the trace config.  The similarity table is a function of the eigen
-sets, ``distances.normalized_sim_table(load_eigen_sets(path))``.
+Each run option is stored once, and nothing that can be recomputed is stored.
+The association matrices are a function of the trace, config and locmap whose
+digests ``manifest.json`` records, so ``matrices/index.json`` keeps only their
+shape, users and location index, and in its ``config`` the trace config and
+the analysis options (``power_floor``, ``include_offline``).  The data files
+keep only data: ``eigen.csv`` holds each kept eigen-behavior's weight and
+vector, not the floor that kept it.  The similarity table is a function of the
+eigen sets, ``distances.normalized_sim_table(load_eigen_sets(path))``.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -42,7 +46,7 @@ from . import __version__
 from .cluster import DistanceMatrix, Partition
 from .groups import GroupProfile
 from .profilecast import Message, SimConfig, SimResult
-from .summaries import EigenBehaviorSet, check_power_floor
+from .summaries import EigenBehaviorSet
 from .trace import (
     AssociationMatrix,
     AssociationRecord,
@@ -56,7 +60,7 @@ from .trace import (
 
 
 CHUNK_ROWS = 4096
-EIGEN_LEAD = ("user", "power_floor", "weight")  # eigen.csv's columns before the location ids
+EIGEN_LEAD = ("user", "weight")  # eigen.csv's columns before the location ids
 RESULT_HEADER = ["scheme", "param", "delivery_ratio", "mean_delay_s", "overhead"]
 TOP_LOCATIONS = 5  # leading locations of each cluster's first eigen-behavior in report.json
 
@@ -113,11 +117,12 @@ def load_truth_csv(path: str) -> dict[str, int]:
 
 
 def write_matrix_index(
-    out_dir: str, matrices: dict[str, AssociationMatrix], config: TraceConfig
+    out_dir: str, matrices: dict[str, AssociationMatrix], config: TraceConfig, options: dict
 ) -> None:
     """index.json: the sorted users, the matrices' shape, their shared location
-    index and the trace config.  The rows are not stored: build_matrices
-    rebuilds them from the trace, config and locmap that manifest.json digests."""
+    index, and as its config the trace config and the run's analysis options.
+    The rows are not stored: build_matrices rebuilds them from the trace,
+    config and locmap that manifest.json digests."""
     os.makedirs(out_dir, exist_ok=True)
     users = sorted(matrices)
     first = matrices[users[0]]
@@ -126,14 +131,7 @@ def write_matrix_index(
         "t": first.n_slots,
         "n": first.n_locations,
         "location_index": list(first.location_index),
-        "config": {
-            "trace_start": config.trace_start,
-            "trace_end": config.trace_end,
-            "slot_seconds": config.slot_seconds,
-            "window": list(config.window) if config.window else None,
-            "normalization": config.normalization,
-            "align_midnight": config.align_midnight,
-        },
+        "config": {**dataclasses.asdict(config), **options},
     }
     write_json(os.path.join(out_dir, "index.json"), index)
 
@@ -146,17 +144,17 @@ def write_json(path: str, payload: dict) -> None:
 def write_eigen_sets(
     path: str, eigen_sets: dict[str, EigenBehaviorSet | None], location_index: Sequence[str]
 ) -> None:
-    """One power_floor,weight,vector row per kept eigen-behavior, led by its
-    user's cell, users in sorted order; users without a set are left out.  One
-    user's block is formatted at a time, with the cell (its ``%`` escaped)
-    embedded in the row template."""
+    """One weight,vector row per kept eigen-behavior, led by its user's cell,
+    users in sorted order; users without a set are left out.  One user's
+    block is formatted at a time, with the cell (its ``%`` escaped) embedded
+    in the row template."""
     users = [user for user in sorted(eigen_sets) if eigen_sets[user] is not None]
     header = [*EIGEN_LEAD, *location_index]
     row = ",".join(["%.9g"] * (len(header) - 1)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_csv_cells(header)) + "\n")
         for cell, eset in zip(_csv_cells(users), map(eigen_sets.get, users)):
-            block = np.column_stack([np.full(eset.k, eset.power_floor), eset.weights, eset.vectors])
+            block = np.column_stack([eset.weights, eset.vectors])
             template = (cell.replace("%", "%%") + "," + row) * len(block)
             fh.write(template % tuple(block.ravel().tolist()))
 
@@ -176,24 +174,13 @@ def load_eigen_sets(path: str) -> dict[str, EigenBehaviorSet]:
         labels.append((line, row[0]))
     values = np.array(numbers).reshape(len(numbers), len(header) - 1)
     sets: dict[str, EigenBehaviorSet] = {}
-    if not labels:
-        return sets
     starts = [i for i in range(len(labels)) if i == 0 or labels[i][1] != labels[i - 1][1]]
-    # A user's power_floor differs when some row's differs from the row before
-    # it (NaN equal to NaN, as np.unique counts them).
-    floor = values[:, 0]
-    changed = np.zeros(len(labels), dtype=bool)
-    changed[1:] = (floor[1:] != floor[:-1]) & ~(np.isnan(floor[1:]) & np.isnan(floor[:-1]))
-    changed[starts] = False
-    mixed = np.logical_or.reduceat(changed, starts).tolist()
-    for lo, hi, floor_differs in zip(starts, starts[1:] + [len(labels)], mixed):
+    for lo, hi in zip(starts, starts[1:] + [len(labels)]):
         (line, user), block = labels[lo], values[lo:hi]
         if user in sets:
             raise ValueError(f"{path}:{line}: rows of user {user!r} are not contiguous")
-        if floor_differs:
-            raise ValueError(f"{path}:{line}: power_floor differs between the rows of user {user!r}")
         try:
-            sets[user] = EigenBehaviorSet(block[:, 2:], block[:, 1], check_power_floor(float(block[0, 0])))
+            sets[user] = EigenBehaviorSet(block[:, 1:], block[:, 0])
         except ValueError as exc:
             raise ValueError(f"{path}:{line}: bad eigen-behavior set of user {user!r} ({exc})") from None
     return sets
@@ -201,26 +188,29 @@ def load_eigen_sets(path: str) -> dict[str, EigenBehaviorSet]:
 
 def write_distance_matrix(path: str, dm: DistanceMatrix) -> None:
     """The condensed upper triangle (the ``i < j`` pairs, row-major) as one
-    float64 .npy array, plus a JSON sidecar with the ids and params."""
+    float64 .npy array, plus a JSON sidecar with the ids, metric and flagged ids."""
     with open(path, "wb") as fh:
         np.save(fh, dm.values, allow_pickle=False)
     write_json(
         path + ".json",
-        {
-            "metric": dm.metric,
-            "ids": list(dm.ids),
-            "flagged_ids": list(dm.flagged_ids),
-            "params": dm.params,
-        },
+        {"metric": dm.metric, "ids": list(dm.ids), "flagged_ids": list(dm.flagged_ids)},
     )
+
+
+def _id_list(raw: dict, key: str) -> tuple[str, ...]:
+    """The JSON list of strings at raw[key]."""
+    ids = raw[key]
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise TypeError(f"{key} must be a list of strings")
+    return tuple(ids)
 
 
 def load_distance_matrix(path: str) -> DistanceMatrix:
     """A file of write_distance_matrix, its triangle checked by DistanceMatrix."""
-    ids, metric, flagged_ids, params = read_json(
+    ids, metric, flagged_ids = read_json(
         path + ".json",
         "distance matrix sidecar",
-        lambda raw: (tuple(raw["ids"]), raw["metric"], tuple(raw["flagged_ids"]), raw["params"]),
+        lambda raw: (_id_list(raw, "ids"), raw["metric"], _id_list(raw, "flagged_ids")),
     )
     with open(path, "rb") as fh:
         try:
@@ -233,7 +223,7 @@ def load_distance_matrix(path: str) -> DistanceMatrix:
     if len(condensed) != n * (n - 1) // 2:
         raise ValueError(f"{path}: {len(condensed)} distances, where {n} ids have {n * (n - 1) // 2} pairs")
     try:
-        return DistanceMatrix(condensed, metric, ids, flagged_ids, params)
+        return DistanceMatrix(condensed, metric, ids, flagged_ids)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

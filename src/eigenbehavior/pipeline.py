@@ -5,12 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import distances, groups, summaries
-from .cluster import DistanceMatrix, Partition, agglomerate
+from .cluster import METRIC_MAX, DistanceMatrix, Partition, agglomerate
 from .trace import AssociationMatrix, TraceConfig, build_matrices
 
-METRICS = ("eigen", "amvd", "onavg", "centroid05", "centroid09")
-
-_SUMMARY_KIND = {"onavg": "onavg", "centroid05": "centroid@0.5", "centroid09": "centroid@0.9"}
+METRICS = tuple(METRIC_MAX)
 
 
 def build_distance_matrix(
@@ -20,13 +18,13 @@ def build_distance_matrix(
     include_offline: bool = False,
 ) -> DistanceMatrix:
     """Distance matrix for a metric; eigen distances come from the given sets."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     if metric == "eigen":
         return distances.eigen_distance_matrix(eigen_sets)
     if metric == "amvd":
         return distances.amvd_distance_matrix(matrices, include_offline)
-    if metric in _SUMMARY_KIND:
-        return distances.summary_l1_distance(matrices, _SUMMARY_KIND[metric])
-    raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
+    return distances.summary_l1_distance(matrices, metric)
 
 
 @dataclass

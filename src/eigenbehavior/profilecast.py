@@ -332,6 +332,13 @@ def check_source_fraction(source_fraction: float) -> float:
     return source_fraction
 
 
+def check_min_group_size(min_group_size: int) -> int:
+    """min_group_size, checked to be at least 2: a group of one has no one to send to."""
+    if min_group_size < 2:
+        raise ValueError("min_group_size must be at least 2")
+    return min_group_size
+
+
 def build_messages(
     partition: Partition,
     creation_time: float,
@@ -341,6 +348,7 @@ def build_messages(
 ) -> list[Message]:
     """One group-cast message per sampled source in each large-enough group."""
     check_source_fraction(source_fraction)
+    check_min_group_size(min_group_size)
     rng = np.random.default_rng(seed)
     messages = []
     counter = 0

@@ -34,7 +34,6 @@ class EigenBehaviorSet:
 
     vectors: np.ndarray
     weights: np.ndarray
-    power_floor: float = DEFAULT_POWER_FLOOR
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=float))
@@ -50,7 +49,7 @@ class EigenBehaviorSet:
             raise ValueError("eigen-behavior vectors must be unit length")
         if (self.weights[1:] - self.weights[:-1] > 1e-12).any():
             raise ValueError("weights must be in decreasing order")
-        if (self.weights < 0).any() or self.weights.sum() > 1.0 + 1e-9:
+        if not ((self.weights >= 0).all() and self.weights.sum() <= 1.0 + 1e-9):  # NaN fails
             raise ValueError("weights must be nonnegative with sum <= 1")
 
     @property
@@ -232,7 +231,7 @@ def eigen_behaviors(
     vectors = vt[keep]
     flip = vectors[np.arange(vectors.shape[0]), np.abs(vectors).argmax(axis=1)] < 0
     vectors[flip] *= -1.0
-    return EigenBehaviorSet(vectors, weights[keep], power_floor)
+    return EigenBehaviorSet(vectors, weights[keep])
 
 
 def power_captured(matrix: AssociationMatrix, k: int) -> float:

@@ -22,10 +22,10 @@ def write_eigen_sets(
 ) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user", "power_floor", "weight"] + list(location_index))
+        writer.writerow(["user", "weight"] + list(location_index))
         for user in sorted(eigen_sets):
             eset = eigen_sets[user]
             if eset is None:
                 continue
             for weight, vector in zip(eset.weights, eset.vectors):
-                writer.writerow([user, fmt(eset.power_floor), fmt(weight)] + [fmt(v) for v in vector])
+                writer.writerow([user, fmt(weight)] + [fmt(v) for v in vector])

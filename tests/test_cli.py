@@ -422,6 +422,48 @@ def test_simulate_refuses_a_profile_of_the_whole_trace(workdir, tmp_path, capsys
     _exits_2_naming(argv, index, "trace_end 691200.0 is after the split time", out, capsys)
 
 
+def test_nan_threshold_exits_2_without_outputs(workdir, tmp_path, capsys):
+    """No linkage exceeds NaN, so a NaN threshold would merge every user into one group."""
+    out = tmp_path / "o"
+    argv = _pipeline_argv(workdir, workdir / "config.json", out)
+    argv[argv.index("--clusters") : argv.index("--clusters") + 2] = ["--threshold", "nan"]
+    assert main(argv) == 2
+    assert "threshold must not be NaN" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_run_option_is_stored_once_in_the_index(workdir, tmp_path):
+    """index.json's config holds the trace config and the analysis options;
+    eigen.csv and the distance sidecar hold only data."""
+    config = tmp_path / "config.json"
+    options = {"power_floor": 0.01, "include_offline": True}
+    config.write_text(json.dumps({**json.loads((workdir / "config.json").read_text()), **options}))
+    out = tmp_path / "o"
+    assert main(_pipeline_argv(workdir, config, out) + ["--metric", "amvd"]) == 0
+    index = json.loads((out / "matrices" / "index.json").read_text())
+    fixture = json.loads((workdir / "pipe" / "matrices" / "index.json").read_text())
+    assert index["config"] == {**fixture["config"], **options}
+    assert fixture["config"]["power_floor"] == 0.001 and fixture["config"]["include_offline"] is False
+    assert (out / "eigen.csv").read_text().startswith("user,weight,L000,")
+    sidecar = json.loads((out / "distances.npy.json").read_text())
+    assert set(sidecar) == {"ids", "metric", "flagged_ids"} and sidecar["metric"] == "amvd"
+
+
+def test_simulate_refuses_an_eigen_csv_with_a_power_floor_column(workdir, tmp_path, capsys):
+    """eigen.csv once carried each row's power floor in its second column; such
+    a file is refused by its header, never read one column shifted."""
+    pipe = tmp_path / "pipe"
+    shutil.copytree(workdir / "pipe", pipe)
+    eigen = pipe / "eigen.csv"
+    lines = eigen.read_text().splitlines(keepends=True)
+    header = lines[0].replace("user,", "user,power_floor,", 1)
+    eigen.write_text(header + "".join(row.replace(",", ",0.001,", 1) for row in lines[1:]))
+    out = tmp_path / "o"
+    argv = ["simulate", str(workdir / "synth" / "trace.csv"), "--pipeline", str(pipe)]
+    argv += ["--scenario", str(workdir / "scenario.json"), "--out", str(out)]
+    _exits_2_naming(argv, eigen, "bad header ['user', 'power_floor', 'weight', 'L000'", out, capsys)
+
+
 def test_line_break_in_user_id_exits_2_without_outputs(workdir, tmp_path, capsys):
     """A quoted carriage return inside a user id would be written unquoted by the
     output writers and break eigen.csv and partition.csv, so the loader refuses it."""
@@ -757,6 +799,13 @@ def test_trace_end_too_large_for_the_matrices_exits_2_naming_the_config(
             {"min_group_size": True, "schemes": [{"scheme": "flooding"}]},
             "malformed scenario (min_group_size must be an integer, got True)",
         ),
+        *(
+            (
+                {"min_group_size": size, "schemes": [{"scheme": "flooding"}]},
+                "malformed scenario (min_group_size must be at least 2)",
+            )
+            for size in (1, 0, -3)
+        ),
     ],
     ids=[
         "scheme-not-object",
@@ -774,6 +823,9 @@ def test_trace_end_too_large_for_the_matrices_exits_2_naming_the_config(
         "source-fraction-true",
         "min-group-size-float",
         "min-group-size-true",
+        "min-group-size-one",
+        "min-group-size-zero",
+        "min-group-size-negative",
     ],
 )
 def test_malformed_scenario_exits_2_naming_the_scenario(workdir, tmp_path, capsys, payload, message):

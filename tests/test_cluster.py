@@ -106,6 +106,23 @@ def test_validation_errors():
         agglomerate(dm, target_count=0)
 
 
+def test_nan_threshold_is_refused_and_inf_and_negative_keep_their_meaning():
+    """A NaN threshold would merge everything, as no linkage exceeds it; inf
+    merges everything and a negative threshold merges nothing."""
+    dm = checked(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
+    with pytest.raises(ValueError, match="threshold must not be NaN"):
+        agglomerate(dm, threshold=float("nan"))
+    with pytest.raises(ValueError, match="threshold must not be NaN"):
+        cluster.merge_histories(dm.square()[None], threshold=np.nan)
+    assert agglomerate(dm, threshold=float("inf")).n_clusters == 1
+    assert agglomerate(dm, threshold=-1.0).n_clusters == 3
+
+
+def test_repeated_ids_are_refused():
+    with pytest.raises(ValueError, match=r"ids must be distinct; repeated: \['a'\]"):
+        DistanceMatrix(np.zeros(3), "custom", ("a", "a", "c"))
+
+
 def test_square_unfolds_the_pair_order():
     dm = DistanceMatrix(np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), "custom", "abcd")
     assert np.array_equal(

@@ -33,7 +33,7 @@ def unit_set(*rows, weights=None):
     vectors = np.array(rows, dtype=float)
     if weights is None:
         weights = np.full(len(vectors), 1.0 / len(vectors))
-    return EigenBehaviorSet(vectors, np.asarray(weights, dtype=float), 0.0)
+    return EigenBehaviorSet(vectors, np.asarray(weights, dtype=float))
 
 
 def amvd_oracle(a_rows, b_rows):
@@ -117,7 +117,6 @@ def test_amvd_distance_matrix_consistent_and_flags_offline():
     assert dm.ids == ("a", "b", "dead")
     assert dm.flagged_ids == ("dead",)
     assert dm.metric == "amvd"
-    assert dm.params == {"include_offline": False}
     # the pairs (a, b), (a, dead), (b, dead)
     assert dm.values.tolist() == [amvd_distance(mats["a"].rows, mats["b"].rows), 2.0, 2.0]
 
@@ -250,7 +249,7 @@ def test_eigen_distance_matrix_frozen_trio():
     assert square[b, c] == pytest.approx(0.0)
     assert square[a, c] == pytest.approx(1.0)
     assert square[a, dead] == 1.0 and square[dead, dead] == 0.0
-    assert dm.params == {"power_floor": 0.0}
+    assert dm.metric == "eigen"
     with pytest.raises(ValueError, match="at least two"):
         eigen_distance_matrix({"a": sets["a"], "dead": None})
 
@@ -293,13 +292,15 @@ def test_summary_l1_distance_onavg_and_centroid():
         "b": matrix_from_rows(basis_rows([1], 2), user_id="b"),
     }
     dm = summary_l1_distance(mats, "onavg")
-    assert dm.metric == "onavg_l1"
+    assert dm.metric == "onavg"
     assert dm.values[0] == pytest.approx(4 / 3)  # (2/3,1/3) vs (0,1)
-    dm_c = summary_l1_distance(mats, "centroid@0.5")
-    assert dm_c.metric == "centroid_l1"
-    assert dm_c.values[0] == pytest.approx(2.0)  # dominant modes e1 vs e2
-    with pytest.raises(ValueError, match="unknown summary kind"):
-        summary_l1_distance(mats, "median")
+    for metric in ("centroid05", "centroid09"):
+        dm_c = summary_l1_distance(mats, metric)
+        assert dm_c.metric == metric
+        assert dm_c.values[0] == pytest.approx(2.0)  # dominant modes e1 vs e2
+    for name in ("median", "centroid@0.5", "onavg_l1", "eigen"):
+        with pytest.raises(ValueError, match="unknown summary metric"):
+            summary_l1_distance(mats, name)
 
 
 def test_summary_l1_distance_excludes_offline():

@@ -98,7 +98,7 @@ def random_sets(n_users: int, k: int, seed: int) -> dict[str, EigenBehaviorSet]:
     for i in range(n_users):
         vectors = np.linalg.qr(rng.normal(size=(20, k)))[0].T
         weights = np.sort(rng.dirichlet(np.ones(k)))[::-1]
-        sets[f"u{i:04d}"] = EigenBehaviorSet(vectors, weights, 0.0)
+        sets[f"u{i:04d}"] = EigenBehaviorSet(vectors, weights)
     return sets
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import pickle
 import re
 
@@ -77,70 +78,64 @@ def test_truth_csv_errors_name_path_and_line(tmp_path, body, message):
 def test_eigen_sets_roundtrip(tmp_path):
     r = 1 / np.sqrt(2)
     sets = {
-        "alpha": EigenBehaviorSet(
-            np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.8, 0.2]), 0.001
-        ),
-        "beta/slash": EigenBehaviorSet(np.array([[r, r]]), np.array([1.0]), 0.001),
+        "alpha": EigenBehaviorSet(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.8, 0.2])),
+        "beta/slash": EigenBehaviorSet(np.array([[r, r]]), np.array([1.0])),
         "dead": None,
     }
     path = str(tmp_path / "eigen.csv")
     write_eigen_sets(path, sets, ("A", "B"))
     assert (tmp_path / "eigen.csv").read_text().splitlines() == [
-        "user,power_floor,weight,A,B",
-        "alpha,0.001,0.8,1,0",
-        "alpha,0.001,0.2,0,1",
-        "beta/slash,0.001,1,0.707106781,0.707106781",
+        "user,weight,A,B",
+        "alpha,0.8,1,0",
+        "alpha,0.2,0,1",
+        "beta/slash,1,0.707106781,0.707106781",
     ]
     loaded = load_eigen_sets(path)
     assert set(loaded) == {"alpha", "beta/slash"}  # None entries are not written
     np.testing.assert_allclose(loaded["alpha"].weights, [0.8, 0.2])
     np.testing.assert_allclose(loaded["beta/slash"].vectors, [[r, r]], atol=1e-9)
-    assert loaded["alpha"].power_floor == 0.001
+    write_eigen_sets(path, {"dead": None}, ("A", "B"))
+    assert (tmp_path / "eigen.csv").read_text() == "user,weight,A,B\n"
+    assert load_eigen_sets(path) == {}
 
 
-EIGEN_HEADER = "user,power_floor,weight,A,B\n"
+EIGEN_HEADER = "user,weight,A,B\n"
 
 
 @pytest.mark.parametrize(
     "body, message",
     [
-        ("user,weight,A,B\na,1,1,0\n", r"eigen\.csv: bad header \['user', 'weight'"),
-        (EIGEN_HEADER + "a,0.001,1,1\n", r"eigen\.csv:2: expected 5 fields, got 4"),
+        # the format before the power floor moved to index.json: never read one column shifted
+        ("user,power_floor,weight,A,B\na,0.001,1,1,0\n", r"eigen\.csv: bad header \['user', 'power_floor'"),
+        ("user,A,B\na,1,0\n", r"eigen\.csv: bad header \['user', 'A'"),
+        (EIGEN_HEADER + "a,1,1\n", r"eigen\.csv:2: expected 4 fields, got 3"),
         (
-            EIGEN_HEADER + "a,0.001,0.6,1,0\na,0.001,0.4,x,1\n",
+            EIGEN_HEADER + "a,0.6,1,0\na,0.4,x,1\n",
             r"eigen\.csv: eigen-behavior table holds a non-number at \S*eigen\.csv:3 ",
         ),
         (
-            EIGEN_HEADER + "a,0.001,0.6,1,0\nb,0.001,1,0,1\na,0.001,0.4,0,1\n",
+            EIGEN_HEADER + "a,0.6,1,0\nb,1,0,1\na,0.4,0,1\n",
             r"eigen\.csv:4: rows of user 'a' are not contiguous",
         ),
         (
-            EIGEN_HEADER + "a,0.001,1,1,0\nb,0.001,1,0.5,0.5\n",
+            EIGEN_HEADER + "a,1,1,0\nb,1,0.5,0.5\n",
             r"eigen\.csv:3: bad eigen-behavior set of user 'b' \(eigen-behavior vectors must be unit",
         ),
         (
-            EIGEN_HEADER + "a,0.001,0.6,1,0\na,0.01,0.4,0,1\n",
-            r"eigen\.csv:2: power_floor differs between the rows of user 'a'",
-        ),
-        (
-            EIGEN_HEADER + "a,0.001,1,1,0\nb,0.001,0.6,0,1\nb,0.001,0.4,nan,0\n",
+            EIGEN_HEADER + "a,1,1,0\nb,0.6,0,1\nb,0.4,nan,0\n",
             r"eigen\.csv:3: bad eigen-behavior set of user 'b' \(eigen-behavior vectors must be unit",
         ),
         (
-            EIGEN_HEADER + "a,0.001,1,1,0\nb,0.001,0.6,1,0\nb,nan,0.4,0,1\n",
-            r"eigen\.csv:3: power_floor differs between the rows of user 'b'",
+            EIGEN_HEADER + "a,1,1,0\nb,0.4,1,0\nb,0.6,0,1\n",
+            r"eigen\.csv:3: bad eigen-behavior set of user 'b' \(weights must be in decreasing order\)",
         ),
         (
-            EIGEN_HEADER + "a,0.001,1,1,0\nb,7,1,0,1\n",
-            r"eigen\.csv:3: bad eigen-behavior set of user 'b' \(power_floor must lie in \[0, 1\)\)",
+            EIGEN_HEADER + "a,1,1,0\nb,nan,0,1\n",
+            r"eigen\.csv:3: bad eigen-behavior set of user 'b' \(weights must be nonnegative with sum <= 1\)",
         ),
         (
-            EIGEN_HEADER + "a,nan,1,1,0\nb,0.001,1,0,1\n",
-            r"eigen\.csv:2: bad eigen-behavior set of user 'a' \(power_floor must lie in \[0, 1\)\)",
-        ),
-        (
-            EIGEN_HEADER + "a,-0.5,1,1,0\n",
-            r"eigen\.csv:2: bad eigen-behavior set of user 'a' \(power_floor must lie in \[0, 1\)\)",
+            EIGEN_HEADER + "a,-0.5,1,0\n",
+            r"eigen\.csv:2: bad eigen-behavior set of user 'a' \(weights must be nonnegative with sum <= 1\)",
         ),
     ],
 )
@@ -151,28 +146,15 @@ def test_eigen_sets_errors_name_path_and_line(tmp_path, body, message):
         load_eigen_sets(str(path))
 
 
-def test_eigen_sets_power_floor_is_compared_within_each_user(tmp_path):
-    """Floors may differ between users; a NaN on every row of one user is one
-    value, as np.unique counts NaNs, and is refused as a floor outside [0, 1)."""
-    path = tmp_path / "eigen.csv"
-    path.write_text(EIGEN_HEADER + "a,0.001,0.6,1,0\na,0.001,0.4,0,1\nb,0.01,1,0,1\n")
-    sets = load_eigen_sets(str(path))
-    assert [sets["a"].power_floor, sets["b"].power_floor] == [0.001, 0.01]
-    path.write_text(EIGEN_HEADER + "a,0.001,0.6,1,0\na,0.001,0.4,0,1\nb,0.01,1,0,1\nc,nan,0.6,1,0\nc,nan,0.4,0,1\n")
-    refusal = r"eigen\.csv:5: bad eigen-behavior set of user 'c' \(power_floor must lie in \[0, 1\)\)"
-    with pytest.raises(ValueError, match=refusal):
-        load_eigen_sets(str(path))
-    path.write_text(EIGEN_HEADER)
-    assert load_eigen_sets(str(path)) == {}
-
-
 def test_distance_matrix_roundtrip(tmp_path):
     """The triangle is stored as float64 .npy, so every bit comes back, and
     the loaded values are the stored array itself."""
     values = np.array([0.25, 1 / 3, np.nextafter(0.5, 1)])
-    dm = DistanceMatrix(values, "eigen", ("a", "b", "dead"), ("dead",), {"power_floor": 0.001})
+    dm = DistanceMatrix(values, "eigen", ("a", "b", "dead"), ("dead",))
     path = str(tmp_path / "distances.npy")
     write_distance_matrix(path, dm)
+    with open(path + ".json") as fh:
+        assert json.load(fh) == {"ids": ["a", "b", "dead"], "metric": "eigen", "flagged_ids": ["dead"]}
     assert np.load(path, allow_pickle=False).tobytes() == values.tobytes()
     loaded = load_distance_matrix(path)
     assert np.array_equal(loaded.values, np.load(path, allow_pickle=False))
@@ -180,7 +162,6 @@ def test_distance_matrix_roundtrip(tmp_path):
     assert loaded.metric == "eigen"
     assert tuple(loaded.ids) == ("a", "b", "dead")
     assert loaded.flagged_ids == ("dead",)
-    assert loaded.params == {"power_floor": 0.001}
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -189,7 +170,7 @@ def test_empty_distance_matrix_roundtrip(tmp_path, n):
     the 1 x 1 matrix write an empty triangle and load back."""
     path = str(tmp_path / "distances.npy")
     ids = tuple(f"u{i}" for i in range(n))
-    write_distance_matrix(path, DistanceMatrix(np.zeros(0), "eigen", ids, (), {}))
+    write_distance_matrix(path, DistanceMatrix(np.zeros(0), "eigen", ids))
     assert np.load(path, allow_pickle=False).shape == (0,)
     loaded = load_distance_matrix(path)
     assert loaded.values.shape == (0,)
@@ -210,30 +191,42 @@ THREE = np.array([0.5, 0.5, 0.5])
 @pytest.mark.parametrize(
     "body, message",
     [
-        (_saved(np.save, THREE[:2]), r"2 distances, where 3 ids have 3 pairs"),
-        (_saved(np.save, np.append(THREE, 0.5)), r"4 distances, where 3 ids have 3 pairs"),
-        (_saved(np.save, THREE[None]), r"expected a 1-D float64 array"),
-        (_saved(np.save, np.array([0, 1, 1])), r"expected a 1-D float64 array"),
-        (_saved(np.save, THREE.astype(np.float32)), r"expected a 1-D float64 array"),
+        (_saved(np.save, THREE[:2]), r": 2 distances, where 3 ids have 3 pairs"),
+        (_saved(np.save, np.append(THREE, 0.5)), r": 4 distances, where 3 ids have 3 pairs"),
+        (_saved(np.save, THREE[None]), r": expected a 1-D float64 array"),
+        (_saved(np.save, np.array([0, 1, 1])), r": expected a 1-D float64 array"),
+        (_saved(np.save, THREE.astype(np.float32)), r": expected a 1-D float64 array"),
         (
             _saved(np.save, THREE.astype(object), allow_pickle=True),
-            r"not a \.npy array \(Object arrays cannot be loaded when allow_pickle=False\)",
+            r": not a \.npy array \(Object arrays cannot be loaded when allow_pickle=False\)",
         ),
-        (pickle.dumps(THREE), r"not a \.npy array \(This file contains pickled \(object\) data"),
-        (b"i,j,distance\n0,1,0.5\n0,2,0.5\n1,2,0.5\n", r"not a \.npy array"),
-        (b"", r"not a \.npy array"),
-        (_saved(np.savez, THREE), r"expected a 1-D float64 array"),
-        (_saved(np.save, np.array([0.5, np.nan, 0.5])), r"distances must not be NaN"),
-        (_saved(np.save, np.array([0.5, 1.5, 0.5])), r"eigen distances must lie in \[0, 1\.0\]"),
-        (_saved(np.save, np.array([0.5, -0.5, 0.5])), r"eigen distances must lie in \[0, 1\.0\]"),
+        (pickle.dumps(THREE), r": not a \.npy array \(This file contains pickled \(object\) data"),
+        (b"i,j,distance\n0,1,0.5\n0,2,0.5\n1,2,0.5\n", r": not a \.npy array"),
+        (b"", r": not a \.npy array"),
+        (_saved(np.savez, THREE), r": expected a 1-D float64 array"),
+        (_saved(np.save, np.array([0.5, np.nan, 0.5])), r": distances must not be NaN"),
+        (_saved(np.save, np.array([0.5, 1.5, 0.5])), r": eigen distances must lie in \[0, 1\.0\]"),
+        (_saved(np.save, np.array([0.5, -0.5, 0.5])), r": eigen distances must lie in \[0, 1\.0\]"),
+        # a dict replaces those keys of the sidecar
+        ({"ids": ["a", "a", "c"]}, r": ids must be distinct; repeated: \['a'\]"),
+        ({"ids": "abc"}, r"\.json: malformed distance matrix sidecar \(ids must be a list of strings\)"),
+        ({"ids": [1, 2, 3]}, r"\.json: malformed distance matrix sidecar \(ids must be a list of strings\)"),
+        ({"flagged_ids": "c"}, r"\.json: malformed distance matrix sidecar \(flagged_ids must be a list of strings\)"),
     ],
-    ids=["short", "long", "2-d", "int", "float32", "object", "pickle", "csv", "empty", "npz", "nan", "above", "below"],
+    ids=[
+        "short", "long", "2-d", "int", "float32", "object", "pickle", "csv", "empty", "npz", "nan", "above", "below",
+        "ids-repeat", "ids-string", "ids-numbers", "flagged-ids-string",
+    ],
 )
 def test_distance_matrix_refusals_name_the_path(tmp_path, body, message):
     path = tmp_path / "distances.npy"
-    write_distance_matrix(str(path), DistanceMatrix(np.zeros(3), "eigen", ("a", "b", "c"), (), {}))
-    path.write_bytes(body)
-    with pytest.raises(ValueError, match=re.escape(str(path)) + ": " + message):
+    write_distance_matrix(str(path), DistanceMatrix(np.zeros(3), "eigen", ("a", "b", "c")))
+    if isinstance(body, dict):
+        sidecar = tmp_path / "distances.npy.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **body}))
+    else:
+        path.write_bytes(body)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + message):
         load_distance_matrix(str(path))
 
 
@@ -274,6 +267,6 @@ def test_loaders_name_the_line_a_multiline_row_starts_on(tmp_path):
     with pytest.raises(ValueError, match=r"partition\.csv:2: cluster is not an integer: 'x'"):
         load_partition_csv(str(partition))
     eigen = tmp_path / "eigen.csv"
-    eigen.write_bytes(b'user,power_floor,weight,A,B\na,0.001,1,1,0\n"b\n",0.001,x,1,0\n')
+    eigen.write_bytes(b'user,weight,A,B\na,1,1,0\n"b\n",x,1,0\n')
     with pytest.raises(ValueError, match=r"eigen\.csv:3 \(could not convert string to float: 'x'\)"):
         load_eigen_sets(str(eigen))

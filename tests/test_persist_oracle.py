@@ -75,7 +75,6 @@ def eigen_set_maps(draw):
         # the writer formats whatever it is given, valid unit vectors or not
         object.__setattr__(eset, "vectors", floats(draw, (k, n)))
         object.__setattr__(eset, "weights", floats(draw, (k,)))
-        object.__setattr__(eset, "power_floor", draw(FLOATS))
         out[user] = eset
     return out, locations
 

@@ -169,6 +169,9 @@ def test_build_messages_full_fraction_and_errors():
         build_messages(partition, 0.0, min_group_size=7)
     with pytest.raises(ValueError, match="source_fraction"):
         build_messages(partition, 0.0, source_fraction=0.0)
+    for size in (1, 0, -3):  # a group of one has no one to send to
+        with pytest.raises(ValueError, match="min_group_size must be at least 2"):
+            build_messages(partition, 0.0, min_group_size=size)
 
 
 def test_message_validation():

@@ -20,7 +20,7 @@ LOADERS = {
     "locmap": (load_location_map, "ap,building", "ap1,B1"),
     "truth": (load_truth_csv, "user,group", "u1,0"),
     "partition": (load_partition_csv, "element,cluster", "u1,0"),
-    "eigen": (load_eigen_sets, "user,power_floor,weight,A,B", "a,0.001,1,1,0"),
+    "eigen": (load_eigen_sets, "user,weight,A,B", "a,1,1,0"),
 }
 
 

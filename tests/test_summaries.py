@@ -203,10 +203,10 @@ def test_eigen_validation():
 
 def test_eigen_set_invariants_enforced():
     with pytest.raises(ValueError):
-        EigenBehaviorSet(np.array([[2.0, 0.0]]), np.array([1.0]), 0.001)
+        EigenBehaviorSet(np.array([[2.0, 0.0]]), np.array([1.0]))
     with pytest.raises(ValueError):
         EigenBehaviorSet(
-            np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.3, 0.7]), 0.001
+            np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.3, 0.7])
         )
 
 
