@@ -27,6 +27,7 @@ from eigenbehavior import (
     eigen_sets_for,
     generate,
     group_power_scatter,
+    group_profiles,
     jaccard,
     partition_from_labels,
     rank_size_fit,
@@ -74,16 +75,20 @@ print(f"within-group distances:  max {intra.max():.4f}")
 print(f"between-group distances: min {inter.min():.4f}")
 
 # -- validation: are these real groups? ---------------------------------------
+# Each group's members are pooled into one joint matrix, decomposed once; both
+# tests below read those profiles.
+profiles = group_profiles(partition, matrices)
+
 # (a) each group's joint matrix concentrates its power in few directions,
 #     which a size-matched random sample of users does not
 print("\njoint top-4 power, group vs size-matched random sample")
-for point in group_power_scatter(partition, matrices, seed=1):
+for point in group_power_scatter(profiles, matrices, seed=1):
     print(f"  cluster {point.cluster_id} (n={point.size}):  "
           f"{point.coherent_power:.3f} vs {point.random_power:.3f}")
 
 # (b) each group's first joint direction scores its own members far higher
 #     than everybody else
-cross = cross_significance(partition, matrices)
+cross = cross_significance(profiles, matrices)
 print(f"\nin-group significance {cross.own_mean:.3f} vs out-of-group "
       f"{cross.other_mean:.3f}")
 

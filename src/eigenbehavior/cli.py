@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -48,11 +49,31 @@ from .trace import (
 )
 
 
+def threshold(text: str) -> float:
+    """--threshold's value, refused when NaN: no linkage exceeds NaN."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError("threshold must not be NaN")
+    return value
+
+
+def cluster_count(text: str) -> int:
+    """--clusters' value, refused below 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"clusters must be at least 1, got {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
+    """The command line; a value that an option's type refuses raises
+    argparse.ArgumentError (exit_on_error=False), which main turns into exit 2
+    before any input is read."""
     parser = argparse.ArgumentParser(
         prog="eigenbehavior",
         description="Mine behavioral groups from WLAN association traces and "
         "replay group-cast messaging over them.",
+        exit_on_error=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     out = argparse.ArgumentParser(add_help=False)
@@ -62,26 +83,26 @@ def _parser() -> argparse.ArgumentParser:
                         help="seed of simulate's draws; pipeline draws none and records it in manifest.json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", parents=[out], help="generate a synthetic trace")
+    p_synth = sub.add_parser("synth", parents=[out], help="generate a synthetic trace", exit_on_error=False)
     p_synth.add_argument("spec", help="synth spec JSON")
     p_synth.add_argument("--seed", type=int, help="seed in place of the spec's (0 included)")
 
-    p_pipe = sub.add_parser("pipeline", parents=[common], help="matrices to group report")
+    p_pipe = sub.add_parser("pipeline", parents=[common], help="matrices to group report", exit_on_error=False)
     p_pipe.add_argument("trace", help="trace CSV (user,location,start,end)")
     p_pipe.add_argument("--config", required=True, help="trace/analysis config JSON")
     p_pipe.add_argument("--locmap", help="ap,building CSV to aggregate locations")
     p_pipe.add_argument("--metric", choices=METRICS, default="eigen")
     stop = p_pipe.add_mutually_exclusive_group(required=True)
-    stop.add_argument("--clusters", type=int, help="stop at this cluster count")
-    stop.add_argument("--threshold", type=float, help="stop when linkages exceed this")
+    stop.add_argument("--clusters", type=cluster_count, help="stop at this cluster count")
+    stop.add_argument("--threshold", type=threshold, help="stop when linkages exceed this")
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="replay group-cast schemes")
+    p_sim = sub.add_parser("simulate", parents=[common], help="replay group-cast schemes", exit_on_error=False)
     p_sim.add_argument("trace", help="trace CSV; the second half is replayed")
     p_sim.add_argument("--pipeline", required=True, dest="pipeline_dir",
                        help="output directory of a pipeline run on the profile half")
     p_sim.add_argument("--scenario", required=True, help="scenario JSON (schemes, split)")
 
-    p_cmp = sub.add_parser("compare", help="Jaccard index of two partition CSVs")
+    p_cmp = sub.add_parser("compare", help="Jaccard index of two partition CSVs", exit_on_error=False)
     p_cmp.add_argument("partition_a")
     p_cmp.add_argument("partition_b")
     return parser
@@ -267,7 +288,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"eigenbehavior: error: {exc}", file=sys.stderr)
+        return 2
     handlers = {
         "synth": cmd_synth,
         "pipeline": cmd_pipeline,

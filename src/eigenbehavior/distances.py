@@ -49,9 +49,7 @@ def amvd_distance_matrix(
     later users' counts never fall, so their backward runs reshape to rows.
     """
     ids = tuple(sorted(matrices))
-    sets = [matrices[user].rows for user in ids]
-    if not include_offline:
-        sets = [rows[np.abs(rows).sum(axis=1) > 0] for rows in sets]
+    sets = [m.rows if include_offline else m.rows[m.online] for m in map(matrices.get, ids)]
     counts = np.array([len(rows) for rows in sets])
     flagged = tuple(user for user, count in zip(ids, counts) if count == 0)
     order = np.argsort(counts, kind="stable")  # flagged users first
@@ -174,7 +172,7 @@ def summary_l1_distance(
     """
     if metric != "onavg" and metric not in CENTROID_THRESHOLDS:
         raise ValueError(f"unknown summary metric {metric!r}")
-    ids = tuple(u for u in sorted(matrices) if matrices[u].rows.sum() > 0)
+    ids = tuple(u for u in sorted(matrices) if matrices[u].online.any())
     skipped = sorted(set(matrices) - set(ids))
     online = [matrices[u] for u in ids]
     if metric == "onavg":
@@ -193,10 +191,7 @@ def eigen_sets_for(
     matrices: dict[str, AssociationMatrix], power_floor: float = DEFAULT_POWER_FLOOR
 ) -> dict[str, EigenBehaviorSet | None]:
     """Eigen-behavior sets per user; all-offline users map to None."""
-    out: dict[str, EigenBehaviorSet | None] = {}
-    for user, matrix in matrices.items():
-        if matrix.rows.sum() <= 0:
-            out[user] = None
-        else:
-            out[user] = eigen_behaviors(matrix, power_floor)
-    return out
+    return {
+        user: eigen_behaviors(matrix, power_floor) if matrix.online.any() else None
+        for user, matrix in matrices.items()
+    }

@@ -11,6 +11,7 @@ index.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Hashable, Sequence
@@ -22,7 +23,7 @@ from .summaries import (
     DEFAULT_POWER_FLOOR,
     EigenBehaviorSet,
     cumulative_power,
-    eigen_behaviors,
+    eigen_decomposition,
     power_captured,
     significance,
 )
@@ -50,8 +51,37 @@ def joint_matrix(matrices: Sequence[AssociationMatrix]) -> AssociationMatrix:
     return AssociationMatrix("+".join(users), joint, index)
 
 
-def _cluster_members(partition: Partition) -> list[list[str]]:
-    return [[str(m) for m in members] for members in partition.clusters()]
+@dataclass
+class GroupProfile:
+    cluster_id: int
+    members: tuple[str, ...]  # sorted member ids
+    eigen: EigenBehaviorSet | None  # None for all-offline clusters
+    top_power: list[float]  # cumulative power captured by the top 1..4 components
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+
+def group_profiles(
+    partition: Partition,
+    matrices: dict[str, AssociationMatrix],
+    power_floor: float = DEFAULT_POWER_FLOOR,
+) -> list[GroupProfile]:
+    """Each cluster's members, joint eigen-behaviors and top 1..4 cumulative
+    power, both from one SVD of its joint matrix; the validation functions
+    read these profiles instead of rebuilding the clusters."""
+    profiles = []
+    for cid, members in enumerate(partition.clusters()):
+        members = tuple(map(str, members))
+        joint = joint_matrix([matrices[m] for m in members])
+        eigen, top = None, []
+        if joint.online.any():
+            eigen, s = eigen_decomposition(joint, power_floor)
+            cumulative = cumulative_power(s)
+            top = [float(cumulative[min(i, s.size - 1)]) for i in range(SCATTER_TOP_K)]
+        profiles.append(GroupProfile(cid, members, eigen, top))
+    return profiles
 
 
 @dataclass
@@ -63,7 +93,7 @@ class ScatterPoint:
 
 
 def group_power_scatter(
-    partition: Partition,
+    profiles: list[GroupProfile],
     matrices: dict[str, AssociationMatrix],
     min_size: int = 5,
     seed: int = 0,
@@ -75,15 +105,15 @@ def group_power_scatter(
     rng = np.random.default_rng(seed)
     population = sorted(matrices)
     points = []
-    for cid, members in enumerate(_cluster_members(partition)):
-        if len(members) <= min_size or not any(matrices[m].rows.sum() > 0 for m in members):
+    for profile in profiles:
+        if profile.size <= min_size or profile.eigen is None:
             continue
-        coherent = power_captured(joint_matrix([matrices[m] for m in members]), SCATTER_TOP_K)
-        sample = rng.choice(len(population), size=len(members), replace=False)
+        sample = rng.choice(len(population), size=profile.size, replace=False)
         random_power = power_captured(
             joint_matrix([matrices[population[i]] for i in sorted(sample)]), SCATTER_TOP_K
         )
-        points.append(ScatterPoint(cid, len(members), coherent, random_power))
+        coherent = profile.top_power[SCATTER_TOP_K - 1]
+        points.append(ScatterPoint(profile.cluster_id, profile.size, coherent, random_power))
     if not points:
         raise ValueError(f"no cluster with online members has more than {min_size} users")
     return points
@@ -96,20 +126,24 @@ class CrossSignificance:
     other_mean: float  # mean SIG over all (cluster, non-member) pairs
 
 
-def cross_significance(partition: Partition, matrices: dict[str, AssociationMatrix]) -> CrossSignificance:
-    """Score each cluster's first joint eigen-behavior on members vs everyone else."""
-    online = {u for u, m in matrices.items() if m.rows.sum() > 0}
+def cross_significance(
+    profiles: list[GroupProfile], matrices: dict[str, AssociationMatrix]
+) -> CrossSignificance:
+    """Score each cluster's first joint eigen-behavior on online members vs everyone else."""
+    online = {u for u, m in matrices.items() if m.online.any()}
     per_cluster = []
     own_all: list[float] = []
     other_all: list[float] = []
-    for cid, members in enumerate(_cluster_members(partition)):
-        member_set = set(members) & online
-        if not member_set:
+    for profile in profiles:
+        if profile.eigen is None:
             continue
-        first = eigen_behaviors(joint_matrix([matrices[m] for m in sorted(member_set)])).vectors[0]
+        first = profile.eigen.vectors[0]
+        member_set = online.intersection(profile.members)
         own = [significance(matrices[u], first) for u in sorted(member_set)]
         other = [significance(matrices[u], first) for u in sorted(online - member_set)]
-        per_cluster.append((cid, float(np.mean(own)), float(np.mean(other)) if other else float("nan")))
+        per_cluster.append(
+            (profile.cluster_id, float(np.mean(own)), float(np.mean(other)) if other else float("nan"))
+        )
         own_all.extend(own)
         other_all.extend(other)
     if not per_cluster:
@@ -152,19 +186,10 @@ def jaccard(p: Partition, q: Partition) -> float:
     """
     if set(p.assignment) != set(q.assignment):
         raise ValueError("partitions must cover the same elements")
-    contingency: dict[tuple[int, int], int] = {}
-    p_sizes: dict[int, int] = {}
-    q_sizes: dict[int, int] = {}
-    for element, pc in p.assignment.items():
-        qc = q.assignment[element]
-        contingency[(pc, qc)] = contingency.get((pc, qc), 0) + 1
-        p_sizes[pc] = p_sizes.get(pc, 0) + 1
-        q_sizes[qc] = q_sizes.get(qc, 0) + 1
+    contingency = Counter((pc, q.assignment[element]) for element, pc in p.assignment.items())
     r = sum(comb(c, 2) for c in contingency.values())
-    same_p = sum(comb(c, 2) for c in p_sizes.values())
-    same_q = sum(comb(c, 2) for c in q_sizes.values())
-    u = same_p - r
-    v = same_q - r
+    u = sum(comb(c, 2) for c in Counter(p.assignment.values()).values()) - r
+    v = sum(comb(c, 2) for c in Counter(q.assignment.values()).values()) - r
     denom = r + u + v
     return 1.0 if denom == 0 else r / denom
 
@@ -179,31 +204,3 @@ def partition_from_labels(labels: dict[Hashable, int]) -> Partition:
             relabel[gid] = len(relabel)
         assignment[element] = relabel[gid]
     return Partition(assignment=assignment)
-
-
-@dataclass
-class GroupProfile:
-    cluster_id: int
-    size: int
-    eigen: EigenBehaviorSet | None  # None for all-offline clusters
-    top_power: list[float]  # cumulative power captured by the top 1..4 components
-
-
-def group_profiles(
-    partition: Partition,
-    matrices: dict[str, AssociationMatrix],
-    power_floor: float = DEFAULT_POWER_FLOOR,
-) -> list[GroupProfile]:
-    """Joint eigen-behavior profile and power concentration per cluster."""
-    profiles = []
-    for cid, members in enumerate(_cluster_members(partition)):
-        joint = joint_matrix([matrices[m] for m in members])
-        if joint.rows.sum() <= 0:
-            profiles.append(GroupProfile(cid, len(members), None, []))
-            continue
-        cumulative = cumulative_power(joint.rows)
-        top = [float(cumulative[min(i, cumulative.size - 1)]) for i in range(SCATTER_TOP_K)]
-        profiles.append(
-            GroupProfile(cid, len(members), eigen_behaviors(joint, power_floor), top)
-        )
-    return profiles

@@ -205,13 +205,21 @@ def _id_list(raw: dict, key: str) -> tuple[str, ...]:
     return tuple(ids)
 
 
+def _sidecar(raw: dict) -> tuple[tuple[str, ...], str, tuple[str, ...]]:
+    """The ids, metric name and flagged ids of a distance matrix sidecar."""
+    ids, metric, flagged_ids = _id_list(raw, "ids"), raw["metric"], _id_list(raw, "flagged_ids")
+    if not isinstance(metric, str):
+        raise TypeError(f"metric must be a string, got {metric!r}")
+    strangers = sorted(set(flagged_ids) - set(ids))
+    if strangers:
+        raise ValueError(f"flagged_ids must be among the ids; not there: {strangers}")
+    return ids, metric, flagged_ids
+
+
 def load_distance_matrix(path: str) -> DistanceMatrix:
-    """A file of write_distance_matrix, its triangle checked by DistanceMatrix."""
-    ids, metric, flagged_ids = read_json(
-        path + ".json",
-        "distance matrix sidecar",
-        lambda raw: (_id_list(raw, "ids"), raw["metric"], _id_list(raw, "flagged_ids")),
-    )
+    """A file of write_distance_matrix, its sidecar checked here and its
+    triangle by DistanceMatrix."""
+    ids, metric, flagged_ids = read_json(path + ".json", "distance matrix sidecar", _sidecar)
     with open(path, "rb") as fh:
         try:
             condensed = np.load(fh, allow_pickle=False)
@@ -249,6 +257,11 @@ def write_summary_table_csv(path: str, table: dict[str, float]) -> None:
     _write_csv(path, ["summary", "mean_significance"], ([name, fmt(table[name])] for name in table))
 
 
+def _json_float(x: float) -> float:
+    """x at fmt's 9 digits as a JSON number; + 0.0 turns -0.0 into 0.0."""
+    return float(fmt(x)) + 0.0
+
+
 def write_report_json(
     path: str,
     profiles: list[GroupProfile],
@@ -262,18 +275,18 @@ def write_report_json(
         if profile.eigen is not None:
             first = profile.eigen.vectors[0]
             order = np.argsort(-np.abs(first), kind="stable")[:TOP_LOCATIONS]
-            entry["weights"] = [float(fmt(w)) for w in profile.eigen.weights]
+            entry["weights"] = [_json_float(w) for w in profile.eigen.weights]
             entry["top_locations"] = [
-                {"location": location_index[i], "entry": float(fmt(first[i]))} for i in order
+                {"location": location_index[i], "entry": _json_float(first[i])} for i in order
             ]
-            entry["top_power"] = [float(fmt(p)) for p in profile.top_power]
+            entry["top_power"] = [_json_float(p) for p in profile.top_power]
         clusters.append(entry)
     write_json(
         path,
         {
             "clusters": clusters,
-            "rank_size_slope": None if slope is None else float(fmt(slope)),
-            "top10_share": None if top10_share is None else float(fmt(top10_share)),
+            "rank_size_slope": None if slope is None else _json_float(slope),
+            "top10_share": None if top10_share is None else _json_float(top10_share),
         },
     )
 

@@ -71,12 +71,8 @@ class ModeClustering:
         return len(self.row_clusters) >= 2
 
 
-def _online_mask(matrix: AssociationMatrix) -> np.ndarray:
-    return matrix.rows.sum(axis=1) > 0
-
-
 def _require_online(matrix: AssociationMatrix) -> None:
-    if not np.any(_online_mask(matrix)):
+    if not matrix.online.any():
         raise ValueError(f"user {matrix.user_id!r} has no online slots")
 
 
@@ -132,7 +128,7 @@ def _mode_tables(
     """
     if any(thr < 0 for thr in thresholds):
         raise ValueError("threshold must be nonnegative")
-    masks = [_online_mask(m) for m in matrices]
+    masks = [m.online for m in matrices]
     online = [np.flatnonzero(mask) for mask in masks]
     histories = (
         _mode_trees(matrices, online, max(thresholds)) if thresholds else [[] for _ in matrices]
@@ -204,11 +200,28 @@ def check_power_floor(power_floor: float) -> float:
     return power_floor
 
 
-def cumulative_power(rows: np.ndarray) -> np.ndarray:
-    """Share of total squared singular-value power captured by the top 1..r components."""
-    s = np.linalg.svd(rows, compute_uv=False)
+def cumulative_power(s: np.ndarray) -> np.ndarray:
+    """Share of total squared singular-value power captured by the top 1..r
+    of the singular values s."""
     powers = s * s
     return np.cumsum(powers) / powers.sum()
+
+
+def eigen_decomposition(
+    matrix: AssociationMatrix, power_floor: float = DEFAULT_POWER_FLOOR
+) -> tuple[EigenBehaviorSet, np.ndarray]:
+    """eigen_behaviors of matrix and the singular values of the one SVD it takes."""
+    check_power_floor(power_floor)
+    _require_online(matrix)
+    _, s, vt = np.linalg.svd(matrix.rows, full_matrices=False)
+    powers = s * s
+    weights = powers / powers.sum()
+    keep = weights >= power_floor
+    keep[0] = True  # the dominant direction always qualifies
+    vectors = vt[keep]
+    flip = vectors[np.arange(vectors.shape[0]), np.abs(vectors).argmax(axis=1)] < 0
+    vectors[flip] *= -1.0
+    return EigenBehaviorSet(vectors, weights[keep]), s
 
 
 def eigen_behaviors(
@@ -221,25 +234,16 @@ def eigen_behaviors(
     vectors whose weight falls below power_floor are dropped.  Each kept
     vector is sign-canonicalized so its largest-magnitude entry is positive.
     """
-    check_power_floor(power_floor)
-    _require_online(matrix)
-    _, s, vt = np.linalg.svd(matrix.rows, full_matrices=False)
-    powers = s * s
-    weights = powers / powers.sum()
-    keep = weights >= power_floor
-    keep[0] = True  # the dominant direction always qualifies
-    vectors = vt[keep]
-    flip = vectors[np.arange(vectors.shape[0]), np.abs(vectors).argmax(axis=1)] < 0
-    vectors[flip] *= -1.0
-    return EigenBehaviorSet(vectors, weights[keep])
+    return eigen_decomposition(matrix, power_floor)[0]
 
 
 def power_captured(matrix: AssociationMatrix, k: int) -> float:
-    """Fraction of total squared association mass captured by the top k components."""
+    """Fraction of total squared association mass captured by the top k
+    components, from the singular values alone."""
     if k < 1:
         raise ValueError("k must be >= 1")
     _require_online(matrix)
-    cumulative = cumulative_power(matrix.rows)
+    cumulative = cumulative_power(np.linalg.svd(matrix.rows, compute_uv=False))
     return float(cumulative[min(k, cumulative.size) - 1])
 
 
@@ -254,7 +258,7 @@ def summary_table(
     per online user, as eigen_sets_for builds them).  All-offline users are
     skipped with a warning.
     """
-    usable = {u: m for u, m in matrices.items() if np.any(_online_mask(m))}
+    usable = {u: m for u, m in matrices.items() if m.online.any()}
     skipped = sorted(set(matrices) - set(usable))
     if skipped:
         warnings.warn(f"summary_table: skipped all-offline users: {skipped}")

@@ -119,6 +119,11 @@ class AssociationMatrix:
     def n_locations(self) -> int:
         return self.rows.shape[1]
 
+    @property
+    def online(self) -> np.ndarray:
+        """Mask of the online slots, the rows with association time."""
+        return self.rows.sum(axis=1) > 0
+
 
 @dataclass(frozen=True, eq=False)
 class Records:
@@ -567,4 +572,4 @@ def build_matrix(
 
 def online_slot_count(matrix: AssociationMatrix) -> int:
     """Number of slots with any association time."""
-    return int(np.count_nonzero(matrix.rows.sum(axis=1) > 0))
+    return int(np.count_nonzero(matrix.online))

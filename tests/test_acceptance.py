@@ -267,14 +267,14 @@ def test_group_validation_scatter_and_significance(planted_run, capsys):
     sample, and the in-group significance mean exceeds the out-of-group mean
     by >= 0.5."""
     result, _, _ = planted_run
-    points = group_power_scatter(result.partition, result.matrices, seed=0)
+    points = group_power_scatter(result.profiles, result.matrices, seed=0)
     min_margin = min(p.coherent_power - p.random_power for p in points)
     for p in points:
         assert p.coherent_power > p.random_power, (
             f"cluster {p.cluster_id} (size {p.size}): coherent {p.coherent_power:.4f} "
             f"<= random {p.random_power:.4f}"
         )
-    cross = cross_significance(result.partition, result.matrices)
+    cross = cross_significance(result.profiles, result.matrices)
     gap = cross.own_mean - cross.other_mean
     assert gap >= 0.5, f"significance gap {gap:.4f} < 0.5"
     _report(

@@ -432,6 +432,56 @@ def test_nan_threshold_exits_2_without_outputs(workdir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "stop, message",
+    [
+        (["--threshold", "nan"], "argument --threshold: threshold must not be NaN"),
+        (["--clusters", "0"], "argument --clusters: clusters must be at least 1, got 0"),
+        (["--clusters", "-3"], "argument --clusters: clusters must be at least 1, got -3"),
+    ],
+    ids=["threshold-nan", "clusters-zero", "clusters-negative"],
+)
+def test_bad_stop_value_exits_2_before_the_trace_is_read(tmp_path, capsys, stop, message):
+    """The stop value is refused at argument parsing, so the absent trace is
+    never opened and the error names the flag, not the trace."""
+    config = tmp_path / "c.json"
+    config.write_text("{}")
+    out = tmp_path / "o"
+    argv = ["pipeline", str(tmp_path / "absent.csv"), "--config", str(config), *stop, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "absent.csv" not in err
+    assert not out.exists()
+
+
+def test_noise_free_report_writes_zero_entries_without_a_sign(tmp_path):
+    """Noise-free groups have first eigen-behaviors with exact-zero entries;
+    report.json writes each as 0.0, never as -0.0."""
+    groups = []
+    for g in range(6):
+        weights = [0.0] * 12
+        weights[g], weights[6 + g % 3] = 0.8, 0.2
+        groups.append({"size": 20, "p_online": 0.8, "modes": [{"weights": weights, "prob": 1}]})
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_locations": 12, "n_days": 28, "seed": 0, "noise_epsilon": 0, "groups": groups}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trace_start": 0, "trace_end": 28 * 86400}))
+    assert main(["synth", str(spec), "--out", str(tmp_path / "synth")]) == 0
+    trace = str(tmp_path / "synth" / "trace.csv")
+    out = tmp_path / "o"
+    assert main(["pipeline", trace, "--config", str(config), "--clusters", "6", "--out", str(out)]) == 0
+    clusters = json.loads((out / "report.json").read_text())["clusters"]
+    numbers = [
+        x
+        for c in clusters
+        for x in [*c["weights"], *c["top_power"], *(loc["entry"] for loc in c["top_locations"])]
+    ]
+    zeros = [x for x in numbers if x == 0.0]
+    assert zeros, "the spec plants no exact-zero entry"
+    assert all(math.copysign(1.0, x) == 1.0 for x in zeros)
+
+
 def test_each_run_option_is_stored_once_in_the_index(workdir, tmp_path):
     """index.json's config holds the trace config and the analysis options;
     eigen.csv and the distance sidecar hold only data."""

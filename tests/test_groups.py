@@ -10,6 +10,7 @@ import pytest
 
 from eigenbehavior import (
     Partition,
+    groups,
     cross_significance,
     group_power_scatter,
     group_profiles,
@@ -80,20 +81,21 @@ def test_joint_matrix_validation():
 
 def test_power_scatter_coherent_beats_random():
     matrices, partition = orthogonal_population(n_groups=8, per_group=10)
-    points = group_power_scatter(partition, matrices, min_size=5, seed=0)
+    profiles = group_profiles(partition, matrices)
+    points = group_power_scatter(profiles, matrices, min_size=5, seed=0)
     assert len(points) == 8
     for point in points:
         assert point.size == 10
         assert point.coherent_power == pytest.approx(1.0)
         assert point.coherent_power > point.random_power
-    again = group_power_scatter(partition, matrices, min_size=5, seed=0)
+    again = group_power_scatter(profiles, matrices, min_size=5, seed=0)
     assert [p.random_power for p in again] == [p.random_power for p in points]
 
 
 def test_power_scatter_size_filter_is_strict():
     matrices, partition = orthogonal_population(per_group=6)
     with pytest.raises(ValueError, match="more than 6"):
-        group_power_scatter(partition, matrices, min_size=6)
+        group_power_scatter(group_profiles(partition, matrices), matrices, min_size=6)
 
 
 def test_power_scatter_skips_offline_only_clusters():
@@ -104,7 +106,8 @@ def test_power_scatter_skips_offline_only_clusters():
         labels[f"x{i}"] = 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        points = group_power_scatter(partition_from_labels(labels), matrices, min_size=5)
+        profiles = group_profiles(partition_from_labels(labels), matrices)
+        points = group_power_scatter(profiles, matrices, min_size=5)
     assert [p.cluster_id for p in points] == [0, 1]
     assert all(p.coherent_power == pytest.approx(1.0) for p in points)
     assert all(np.isfinite(p.random_power) for p in points)
@@ -115,7 +118,7 @@ def test_power_scatter_skips_offline_only_clusters():
 
 def test_cross_significance_separates_groups():
     matrices, partition = orthogonal_population(n_groups=3, per_group=4)
-    result = cross_significance(partition, matrices)
+    result = cross_significance(group_profiles(partition, matrices), matrices)
     assert len(result.per_cluster) == 3
     assert result.own_mean == pytest.approx(1.0)
     assert result.other_mean == pytest.approx(0.0)
@@ -131,7 +134,7 @@ def test_cross_significance_skips_offline_only_clusters():
         "dead": matrix_from_rows(np.zeros((1, 2)), user_id="dead"),
     }
     partition = partition_from_labels({"a": 0, "b": 1, "dead": 2})
-    result = cross_significance(partition, matrices)
+    result = cross_significance(group_profiles(partition, matrices), matrices)
     assert [cid for cid, _, _ in result.per_cluster] == [0, 1]
 
 
@@ -217,10 +220,41 @@ def test_group_profiles():
     profiles = group_profiles(partition, matrices)
     assert [p.cluster_id for p in profiles] == [0, 1]
     live = profiles[0]
-    assert live.size == 2
+    assert live.members == ("a", "b") and live.size == 2
     assert len(live.top_power) == 4
     assert all(b >= a for a, b in zip(live.top_power, live.top_power[1:]))
     assert live.top_power[-1] == pytest.approx(1.0)
     np.testing.assert_allclose(live.eigen.vectors[0], [1.0, 0.0], atol=1e-12)
     offline = profiles[1]
+    assert offline.members == ("dead",) and offline.size == 1
     assert offline.eigen is None and offline.top_power == []
+
+
+def test_validation_decomposes_each_cluster_once(monkeypatch):
+    """group_profiles builds and decomposes each cluster's joint matrix once;
+    the scatter and cross significance read its profiles, so the only other
+    joint matrices and SVDs are the scatter's random samples."""
+    matrices, partition = orthogonal_population(n_groups=4, per_group=6)
+    for i in range(6):  # an all-offline cluster: built once, never decomposed
+        matrices[f"x{i}"] = matrix_from_rows(np.zeros((5, 4)), user_id=f"x{i}")
+    labels = {**partition.assignment, **{f"x{i}": 4 for i in range(6)}}
+    counts = {"svd": 0, "joint": 0}
+    svd, joint = np.linalg.svd, groups.joint_matrix
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    monkeypatch.setattr(groups, "joint_matrix", counted("joint", joint))
+    profiles = group_profiles(partition_from_labels(labels), matrices)
+    assert counts == {"svd": 4, "joint": 5}
+    points = group_power_scatter(profiles, matrices, min_size=5, seed=0)
+    cross = cross_significance(profiles, matrices)
+    assert len(points) == 4 and len(cross.per_cluster) == 4
+    assert counts == {"svd": 8, "joint": 9}  # one more of each per random sample
+    for point, profile in zip(points, profiles):
+        assert point.coherent_power == profile.top_power[3]

@@ -212,10 +212,17 @@ THREE = np.array([0.5, 0.5, 0.5])
         ({"ids": "abc"}, r"\.json: malformed distance matrix sidecar \(ids must be a list of strings\)"),
         ({"ids": [1, 2, 3]}, r"\.json: malformed distance matrix sidecar \(ids must be a list of strings\)"),
         ({"flagged_ids": "c"}, r"\.json: malformed distance matrix sidecar \(flagged_ids must be a list of strings\)"),
+        ({"metric": ["eigen"]}, r"\.json: malformed distance matrix sidecar \(metric must be a string, got \['eigen'\]\)"),
+        ({"metric": 5}, r"\.json: malformed distance matrix sidecar \(metric must be a string, got 5\)"),
+        (
+            {"flagged_ids": ["nobody"]},
+            r"\.json: malformed distance matrix sidecar \(flagged_ids must be among the ids; not there: \['nobody'\]\)",
+        ),
     ],
     ids=[
         "short", "long", "2-d", "int", "float32", "object", "pickle", "csv", "empty", "npz", "nan", "above", "below",
-        "ids-repeat", "ids-string", "ids-numbers", "flagged-ids-string",
+        "ids-repeat", "ids-string", "ids-numbers", "flagged-ids-string", "metric-list", "metric-number",
+        "flagged-ids-unknown",
     ],
 )
 def test_distance_matrix_refusals_name_the_path(tmp_path, body, message):
