@@ -25,7 +25,7 @@ from .summaries import (
     cumulative_power,
     eigen_decomposition,
     power_captured,
-    significance,
+    significances,
 )
 from .trace import AssociationMatrix
 
@@ -99,16 +99,18 @@ def group_power_scatter(
     seed: int = 0,
 ) -> list[ScatterPoint]:
     """Top-4 joint power of each cluster with more than min_size users,
-    against one seeded random same-size sample drawn from the whole population
-    without replacement.  Clusters without online members have no power to
-    compare and are skipped."""
+    against one seeded random sample of as many users with online time as it
+    has online members, drawn without replacement.  Clusters without online
+    members have no power to compare and are skipped."""
     rng = np.random.default_rng(seed)
-    population = sorted(matrices)
+    online = {u for u, m in matrices.items() if m.online.any()}
+    population = sorted(online)
     points = []
     for profile in profiles:
         if profile.size <= min_size or profile.eigen is None:
             continue
-        sample = rng.choice(len(population), size=profile.size, replace=False)
+        n_online = len(online.intersection(profile.members))
+        sample = rng.choice(len(population), size=n_online, replace=False)
         random_power = power_captured(
             joint_matrix([matrices[population[i]] for i in sorted(sample)]), SCATTER_TOP_K
         )
@@ -130,28 +132,29 @@ def cross_significance(
     profiles: list[GroupProfile], matrices: dict[str, AssociationMatrix]
 ) -> CrossSignificance:
     """Score each cluster's first joint eigen-behavior on online members vs everyone else."""
-    online = {u for u, m in matrices.items() if m.online.any()}
-    per_cluster = []
-    own_all: list[float] = []
-    other_all: list[float] = []
-    for profile in profiles:
-        if profile.eigen is None:
-            continue
-        first = profile.eigen.vectors[0]
-        member_set = online.intersection(profile.members)
-        own = [significance(matrices[u], first) for u in sorted(member_set)]
-        other = [significance(matrices[u], first) for u in sorted(online - member_set)]
-        per_cluster.append(
-            (profile.cluster_id, float(np.mean(own)), float(np.mean(other)) if other else float("nan"))
-        )
-        own_all.extend(own)
-        other_all.extend(other)
-    if not per_cluster:
+    scored = [p for p in profiles if p.eigen is not None]
+    if not scored:
         raise ValueError("no cluster has online members")
+    online = np.array(sorted(u for u, m in matrices.items() if m.online.any()))
+    firsts = np.array([p.eigen.vectors[0] for p in scored])
+    table = significances([matrices[u] for u in online], firsts).T  # (clusters, users)
+    flat = table.reshape(-1)
+    per_cluster, own_all, n_other = [], [], 0
+    for profile, scores in zip(scored, table):
+        member = np.isin(online, profile.members)
+        own, other = scores[member], scores[~member]
+        per_cluster.append(
+            (profile.cluster_id, float(own.mean()), float(other.mean()) if other.size else float("nan"))
+        )
+        own_all.append(own)
+        # the other-scores overwrite rows already read, so that the mean over
+        # all (cluster, non-member) pairs reads one contiguous run
+        flat[n_other : n_other + other.size] = other
+        n_other += other.size
     return CrossSignificance(
         per_cluster,
-        float(np.mean(own_all)),
-        float(np.mean(other_all)) if other_all else float("nan"),
+        float(np.concatenate(own_all).mean()),
+        float(flat[:n_other].mean()) if n_other else float("nan"),
     )
 
 
@@ -196,11 +199,8 @@ def jaccard(p: Partition, q: Partition) -> float:
 
 def partition_from_labels(labels: dict[Hashable, int]) -> Partition:
     """Wrap a plain element -> group-id mapping (ids made contiguous)."""
+    elements = sorted(labels, key=str)
     relabel: dict[int, int] = {}
-    assignment: dict[Hashable, int] = {}
-    for element in sorted(labels, key=str):
-        gid = labels[element]
-        if gid not in relabel:
-            relabel[gid] = len(relabel)
-        assignment[element] = relabel[gid]
-    return Partition(assignment=assignment)
+    for element in elements:
+        relabel.setdefault(labels[element], len(relabel))
+    return Partition(assignment={element: relabel[labels[element]] for element in elements})

@@ -615,46 +615,36 @@ class _Replay:
         self._funded = funded
 
     def outcome(self) -> SimulationOutcome:
-        """Per-message and aggregate metrics of the encounters fed so far."""
-        messages, created = self.messages, self._created
-        n_msgs = len(messages)
+        """Per-message and aggregate metrics of the encounters fed so far,
+        read off one (messages, users) table of delays."""
+        messages = self.messages
         member, is_target = _membership(messages, self._uidx)
         got_m = np.array(self._got_m, dtype=np.intp)
-        arrival = np.full((n_msgs, len(self.users)), np.nan)
-        arrival[got_m, np.array(self._got_u, dtype=np.intp)] = np.array(self._got_t)
-        received = ~np.isnan(arrival)
-        tx = np.bincount(got_m, minlength=n_msgs)
-        per_message: dict[str, SimResult] = {}
-        total_delivered = 0
-        total_targets = 0
-        total_tx = 0
-        delays: list[np.ndarray] = []
-        leaked = int((received & ~member).sum())
+        delay = np.full((len(messages), len(self.users)), np.nan)
+        delay[got_m, np.array(self._got_u, dtype=np.intp)] = np.array(self._got_t)
+        received = ~np.isnan(delay)
+        delay -= self._created[:, None]
+        got = received & is_target
+        tx = np.bincount(got_m, minlength=len(messages)).tolist()
+        delivered, n_targets = got.sum(axis=1).tolist(), is_target.sum(axis=1).tolist()
+        per_message = {}
         for m, msg in enumerate(messages):
-            got = received[m] & is_target[m]
-            delivered = int(got.sum())
-            n_targets = int(is_target[m].sum())
-            delay = arrival[m, got] - created[m]
             per_message[msg.message_id] = SimResult(
-                delivery_ratio=delivered / n_targets,
-                mean_delay=float(delay.mean()) if delivered else float("nan"),
-                overhead=int(tx[m]),
-                delivered=delivered,
-                n_targets=n_targets,
+                delivery_ratio=delivered[m] / n_targets[m],
+                mean_delay=float(delay[m, got[m]].mean()) if delivered[m] else float("nan"),
+                overhead=tx[m],
+                delivered=delivered[m],
+                n_targets=n_targets[m],
             )
-            total_delivered += delivered
-            total_targets += n_targets
-            total_tx += int(tx[m])
-            delays.append(delay)
-        all_delays = np.concatenate(delays) if delays else np.array([])
+        all_delays = delay[got]  # message by message, users in code order
         aggregate = SimResult(
-            delivery_ratio=total_delivered / total_targets,
+            delivery_ratio=sum(delivered) / sum(n_targets),
             mean_delay=float(all_delays.mean()) if all_delays.size else float("nan"),
-            overhead=total_tx,
-            delivered=total_delivered,
-            n_targets=total_targets,
+            overhead=sum(tx),
+            delivered=sum(delivered),
+            n_targets=sum(n_targets),
         )
-        return SimulationOutcome(per_message, aggregate, leaked)
+        return SimulationOutcome(per_message, aggregate, int((received & ~member).sum()))
 
 
 def simulate(

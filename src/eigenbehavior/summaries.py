@@ -18,13 +18,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .cluster import merge_histories, pairwise_l1, partition_from_merges
-from .trace import AssociationMatrix
+from .trace import AssociationMatrix, budget_blocks
 
 DEFAULT_POWER_FLOOR = 0.001  # keep eigen-behaviors carrying >= 0.1% of total power
 MODE_THRESHOLDS = (0.5, 0.9)
 # Mode trees grown in one engine call hold at most this many distance cells
 # (trees x rows^2): about 160 users of 28 daily slots, so each of the call's
-# (trees, rows, rows) arrays takes 1 MB.
+# (trees, rows, rows) arrays takes 1 MB.  A block of significance scores
+# holds at most this many stacked row and product cells.
 MODE_TREE_CELLS = 1 << 17
 
 
@@ -145,16 +146,9 @@ def _mode_tables(
         yield table
 
 
-def _mode_clusterings(
-    matrix: AssociationMatrix, thresholds: tuple[float, ...]
-) -> list[ModeClustering]:
-    """One matrix's modes at each threshold; see _mode_tables."""
-    return next(_mode_tables([matrix], thresholds))
-
-
 def behavioral_modes(matrix: AssociationMatrix, threshold: float) -> ModeClustering:
     """Cluster the online rows by average linkage under Manhattan distance."""
-    return _mode_clusterings(matrix, (threshold,))[0]
+    return next(_mode_tables([matrix], (threshold,)))[0]
 
 
 def _largest_mode_centroid(modes: ModeClustering) -> np.ndarray:
@@ -187,10 +181,31 @@ def significance(matrix: AssociationMatrix, y: np.ndarray) -> float:
         raise ValueError(f"y must have shape ({matrix.n_locations},)")
     if np.linalg.norm(y) == 0:
         raise ValueError("y must be nonzero")
-    denom = np.abs(matrix.rows).sum()
-    if denom <= 0:
-        raise ValueError(f"user {matrix.user_id!r} has no online slots")
-    return float(np.abs(matrix.rows @ y).sum() / denom)
+    _require_online(matrix)
+    return float(significances([matrix], y[None])[0, 0])
+
+
+def significances(matrices: Sequence[AssociationMatrix], vectors: np.ndarray) -> np.ndarray:
+    """SIG of k vectors on each of the matrices, which share one shape: a
+    (matrices, k) table with contiguous columns.  vectors is (matrices, k,
+    locations), a set per matrix, or (k, locations), shared.  Each cell is the
+    matrix-vector product of one significance call, with its bits (a gemm
+    rounds differently), in blocks of MODE_TREE_CELLS row and product cells."""
+    shapes = {m.rows.shape for m in matrices}
+    if len(shapes) != 1:
+        raise ValueError(f"matrices must share one (slots, locations) shape, not {sorted(shapes)}")
+    ((n_slots, n_locations),) = shapes
+    k = vectors.shape[-2]
+    table = np.empty((k, len(matrices)))
+    per_matrix = np.full(len(matrices), n_slots * (n_locations + k))
+    for lo, hi in budget_blocks(per_matrix, MODE_TREE_CELLS):
+        rows = np.stack([m.rows for m in matrices[lo:hi]])
+        ys = vectors if vectors.ndim == 2 else vectors[lo:hi]
+        products = np.matmul(rows[:, None], ys[..., None])[..., 0]  # (block, k, slots)
+        mass = np.abs(rows, out=rows).reshape(hi - lo, -1).sum(axis=1)
+        table[:, lo:hi] = (np.abs(products, out=products).sum(axis=2) / mass[:, None]).T
+        del rows, products  # before the next block is stacked
+    return table.T
 
 
 def check_power_floor(power_floor: float) -> float:
@@ -267,15 +282,10 @@ def summary_table(
     missing = sorted(u for u in usable if eigen_sets.get(u) is None)
     if missing:
         raise ValueError(f"no eigen-behavior set for online users: {missing}")
-    scores: dict[str, list[float]] = {"onavg": []}
-    for thr in MODE_THRESHOLDS:
-        scores[f"centroid@{thr:g}"] = []
-    scores["svd"] = []
-    tables = _mode_tables(list(usable.values()), MODE_THRESHOLDS)
-    for (user, matrix), table in zip(usable.items(), tables):
-        scores["onavg"].append(significance(matrix, onavg(matrix)))
-        for modes in table:
-            centroid = _largest_mode_centroid(modes)
-            scores[f"centroid@{modes.threshold:g}"].append(significance(matrix, centroid))
-        scores["svd"].append(significance(matrix, eigen_sets[user].vectors[0]))
-    return {name: float(np.mean(vals)) for name, vals in scores.items()}
+    names = ["onavg", *(f"centroid@{thr:g}" for thr in MODE_THRESHOLDS), "svd"]
+    online = list(usable.values())
+    vectors = np.empty((len(online), len(names), online[0].n_locations))
+    for i, (user, table) in enumerate(zip(usable, _mode_tables(online, MODE_THRESHOLDS))):
+        centroids = [_largest_mode_centroid(modes) for modes in table]
+        vectors[i] = [onavg(usable[user]), *centroids, eigen_sets[user].vectors[0]]
+    return dict(zip(names, significances(online, vectors).T.mean(axis=1).tolist()))

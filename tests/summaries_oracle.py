@@ -1,17 +1,24 @@
 """Behavioral modes clustered once per threshold, as they were before the
-package cut every threshold's modes from one merge tree per user.
+package cut every threshold's modes from one merge tree per user, and
+significance scored one (user, vector) pair at a time, as it was before the
+package scored every pair of a summary table or of cross significance in one
+significances table.
 
-The oracle for summaries._mode_clusterings, behavioral_modes and
-centroid_first_mode.
+The oracle for summaries._mode_tables, behavioral_modes and
+centroid_first_mode, and for significance, summary_table and
+groups.cross_significance.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from cluster_oracle import agglomerate
-from eigenbehavior import ModeClustering
+from eigenbehavior import CrossSignificance, ModeClustering, centroid_first_mode, onavg
+from eigenbehavior.summaries import MODE_THRESHOLDS
 
 
 def behavioral_modes(matrix, threshold: float) -> ModeClustering:
@@ -34,3 +41,65 @@ def behavioral_modes(matrix, threshold: float) -> ModeClustering:
 def modal_class(matrix, threshold: float) -> bool:
     """True when the user shows two or more distinct online behavioral modes."""
     return behavioral_modes(matrix, threshold).multi_modal
+
+
+def significance(matrix, y: np.ndarray) -> float:
+    """SIG(y): total |row . y| over total L1 row mass, scoring y as given."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (matrix.n_locations,):
+        raise ValueError(f"y must have shape ({matrix.n_locations},)")
+    if np.linalg.norm(y) == 0:
+        raise ValueError("y must be nonzero")
+    denom = np.abs(matrix.rows).sum()
+    if denom <= 0:
+        raise ValueError(f"user {matrix.user_id!r} has no online slots")
+    return float(np.abs(matrix.rows @ y).sum() / denom)
+
+
+def summary_table(matrices, eigen_sets) -> dict[str, float]:
+    """Mean significance per summary kind over all users with online time,
+    four significance calls a user."""
+    usable = {u: m for u, m in matrices.items() if m.online.any()}
+    skipped = sorted(set(matrices) - set(usable))
+    if skipped:
+        warnings.warn(f"summary_table: skipped all-offline users: {skipped}")
+    if not usable:
+        raise ValueError("no users with online slots")
+    scores: dict[str, list[float]] = {"onavg": []}
+    for thr in MODE_THRESHOLDS:
+        scores[f"centroid@{thr:g}"] = []
+    scores["svd"] = []
+    for user, matrix in usable.items():
+        scores["onavg"].append(significance(matrix, onavg(matrix)))
+        for thr in MODE_THRESHOLDS:
+            scores[f"centroid@{thr:g}"].append(significance(matrix, centroid_first_mode(matrix, thr)))
+        scores["svd"].append(significance(matrix, eigen_sets[user].vectors[0]))
+    return {name: float(np.mean(vals)) for name, vals in scores.items()}
+
+
+def cross_significance(profiles, matrices) -> CrossSignificance:
+    """Each cluster's first joint eigen-behavior scored on its online members
+    and on every other online user, one significance call a pair."""
+    online = {u for u, m in matrices.items() if m.online.any()}
+    per_cluster = []
+    own_all: list[float] = []
+    other_all: list[float] = []
+    for profile in profiles:
+        if profile.eigen is None:
+            continue
+        first = profile.eigen.vectors[0]
+        member_set = online.intersection(profile.members)
+        own = [significance(matrices[u], first) for u in sorted(member_set)]
+        other = [significance(matrices[u], first) for u in sorted(online - member_set)]
+        per_cluster.append(
+            (profile.cluster_id, float(np.mean(own)), float(np.mean(other)) if other else float("nan"))
+        )
+        own_all.extend(own)
+        other_all.extend(other)
+    if not per_cluster:
+        raise ValueError("no cluster has online members")
+    return CrossSignificance(
+        per_cluster,
+        float(np.mean(own_all)),
+        float(np.mean(other_all)) if other_all else float("nan"),
+    )

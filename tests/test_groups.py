@@ -17,6 +17,7 @@ from eigenbehavior import (
     jaccard,
     joint_matrix,
     partition_from_labels,
+    power_captured,
     rank_size_fit,
     top_groups_share,
 )
@@ -111,6 +112,33 @@ def test_power_scatter_skips_offline_only_clusters():
     assert [p.cluster_id for p in points] == [0, 1]
     assert all(p.coherent_power == pytest.approx(1.0) for p in points)
     assert all(np.isfinite(p.random_power) for p in points)
+
+
+def test_power_scatter_draws_from_online_users_only():
+    """7 users at one location beside 30 all-offline users: a sample drawn
+    from everyone could hold only offline users (seed 4 did), whose joint
+    matrix has no power to measure."""
+    matrices = {f"a{i}": matrix_from_rows(basis_rows([0] * 5, 2), user_id=f"a{i}") for i in range(7)}
+    for i in range(30):
+        matrices[f"z{i:02d}"] = matrix_from_rows(np.zeros((5, 2)), user_id=f"z{i:02d}")
+    labels = {u: int(u[0] == "z") for u in matrices}
+    labels.update({"z00": 0, "z01": 0})  # 9 members, 7 online: the sample takes 7
+    profiles = group_profiles(partition_from_labels(labels), matrices)
+    for seed in range(10):
+        (point,) = group_power_scatter(profiles, matrices, seed=seed)
+        assert (point.size, point.coherent_power, point.random_power) == (9, 1.0, 1.0)
+
+
+def test_power_scatter_draws_are_unchanged_when_everyone_is_online():
+    matrices, partition = orthogonal_population(n_groups=4, per_group=7)
+    population = sorted(matrices)
+    rng = np.random.default_rng(3)
+    want = []
+    for profile in group_profiles(partition, matrices):
+        sample = sorted(rng.choice(len(population), size=profile.size, replace=False))
+        want.append(power_captured(joint_matrix([matrices[population[i]] for i in sample]), 4))
+    points = group_power_scatter(group_profiles(partition, matrices), matrices, seed=3)
+    assert [p.random_power for p in points] == want
 
 
 # ------------------------------------------------------ cross significance ---

@@ -31,11 +31,14 @@ from eigenbehavior import (
     agglomerate,
     build_matrices,
     cluster,
+    cross_significance,
     distances,
     eigen_distance_matrix,
     eigen_sets_for,
     generate,
+    group_profiles,
     normalized_sim_table,
+    partition_from_labels,
     profilecast,
     run_pipeline,
     simulate,
@@ -258,6 +261,23 @@ def test_summary_table_holds_one_block_of_mode_trees():
     trees = 3 * summaries.MODE_TREE_CELLS * 8  # rows, distances and pairwise_l1's terms
     histories = len(matrices) * 27 * 150  # up to 27 merges a user, ~150 bytes each
     assert_within(peak, trees + histories + SLACK)
+
+
+def test_cross_significance_holds_its_table_and_one_block():
+    """1200 users, a third of their slots offline, in 30 clusters: stacking
+    every user's rows and products at once would take 1200 x 28 x (20 + 30)
+    cells, 13.4 MB."""
+    rng = np.random.default_rng(17)
+    locations = tuple(f"L{j:03d}" for j in range(20))
+    matrices = {}
+    for i in range(1200):
+        rows = rng.random((28, 20)) * (rng.random((28, 1)) < 0.7)
+        matrices[f"u{i:04d}"] = AssociationMatrix(f"u{i:04d}", rows, locations)
+    profiles = group_profiles(partition_from_labels({u: i % 30 for i, u in enumerate(matrices)}), matrices)
+    result, peak = peak_above_inputs(cross_significance, profiles, matrices)
+    assert len(result.per_cluster) == 30
+    table = 1200 * 30 * 8
+    assert_within(peak, table + summaries.MODE_TREE_CELLS * 8 + SLACK)
 
 
 def random_replay(n_users: int, n_rows: int, n_msgs: int, seed: int) -> tuple[list[Message], Encounters]:

@@ -14,7 +14,7 @@ import summaries_oracle as oracle
 from conftest import checked
 from eigenbehavior import agglomerate, behavioral_modes, centroid_first_mode
 from eigenbehavior.cluster import partition_from_merges
-from eigenbehavior.summaries import _mode_clusterings
+from eigenbehavior.summaries import _mode_tables
 
 from conftest import matrix_from_rows
 
@@ -59,7 +59,7 @@ def assert_modes_equal(got, want):
 @PROPERTY
 @given(tie_heavy_matrix(), st.lists(THRESHOLDS, min_size=1, max_size=4))
 def test_modes_cut_from_one_tree_match_per_threshold_oracle(matrix, thresholds):
-    cut = _mode_clusterings(matrix, tuple(thresholds))
+    cut = next(_mode_tables([matrix], tuple(thresholds)))
     assert len(cut) == len(thresholds)
     for thr, modes in zip(thresholds, cut):
         want = oracle.behavioral_modes(matrix, thr)
