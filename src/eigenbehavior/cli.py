@@ -141,7 +141,9 @@ def _flag(payload: dict, key: str) -> bool:
 def _pipeline_config(payload: dict, records: Records) -> tuple[dict, TraceConfig, dict]:
     """The config file's payload, its trace config and run_pipeline's options."""
     window = payload.get("window")
-    if window:
+    if window is not None:
+        if not isinstance(window, list):
+            raise TypeError(f"window must be null or a list of two integers, got {window!r}")
         entries = {f"window[{i}]": entry for i, entry in enumerate(window)}
         window = tuple(json_int(entries, key) for key in entries)
     config = TraceConfig(
@@ -149,7 +151,7 @@ def _pipeline_config(payload: dict, records: Records) -> tuple[dict, TraceConfig
         trace_start=json_int(payload, "trace_start", int(records.start.min())),
         trace_end=json_int(payload, "trace_end", int(records.end.max())),
         slot_seconds=json_int(payload, "slot_seconds", 86400),
-        window=window or None,
+        window=window,
         normalization=payload.get("normalization", "normalized"),
         align_midnight=_flag(payload, "align_midnight"),
     )

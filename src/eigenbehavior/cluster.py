@@ -58,9 +58,10 @@ def pairwise_l1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The terms are added one location column at a time, in index order, as a
     per-pair loop over the columns adds them, so the bits are that loop's.
     """
-    # one contiguous (..., rows) array per location column
+    # one contiguous (..., rows) array per location column, made once when b is a
+    same = b is a
     a = np.moveaxis(np.asarray(a, dtype=float), -1, 0).copy()
-    b = np.moveaxis(np.asarray(b, dtype=float), -1, 0).copy()
+    b = a if same else np.moveaxis(np.asarray(b, dtype=float), -1, 0).copy()
     out = np.zeros(np.broadcast_shapes(a.shape[1:-1], b.shape[1:-1]) + (a.shape[-1], b.shape[-1]))
     term = np.empty_like(out)
     for a_col, b_col in zip(a, b, strict=True):

@@ -25,7 +25,7 @@ from .cluster import METRIC_MAX, DistanceMatrix, condensed, pair_index, pairwise
 from .summaries import (
     DEFAULT_POWER_FLOOR,
     EigenBehaviorSet,
-    centroid_first_modes,
+    _mode_cuts,
     eigen_behaviors,
     onavg,
 )
@@ -176,15 +176,14 @@ def summary_l1_distance(
     skipped = sorted(set(matrices) - set(ids))
     online = [matrices[u] for u in ids]
     if metric == "onavg":
-        vectors = [onavg(matrix) for matrix in online]
+        vectors = np.array([onavg(matrix) for matrix in online])
     else:
-        vectors = centroid_first_modes(online, CENTROID_THRESHOLDS[metric])
+        vectors = _mode_cuts(online, (CENTROID_THRESHOLDS[metric],))[1][:, 0]
     if skipped:
         warnings.warn(f"summary_l1_distance: excluded all-offline users: {skipped}")
     if len(vectors) < 2:
         raise ValueError("need at least two users with online slots")
-    stacked = np.vstack(vectors)
-    return DistanceMatrix(condensed(pairwise_l1(stacked, stacked)), metric, ids)
+    return DistanceMatrix(condensed(pairwise_l1(vectors, vectors)), metric, ids)
 
 
 def eigen_sets_for(

@@ -6,18 +6,19 @@ rows under Manhattan distance), and eigen-behavior vectors from the singular
 value decomposition of the matrix (principal directions of X^T X, no mean
 subtraction).  A summary's quality is its significance score, the total
 projection of the rows onto the summary over the total L1 association mass.
+Every threshold's modes are cut from one merge tree per user, each online row
+named by its mode's earliest row.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import takewhile
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cluster import merge_histories, pairwise_l1, partition_from_merges
+from .cluster import merge_histories, pairwise_l1
 from .trace import AssociationMatrix, budget_blocks
 
 DEFAULT_POWER_FLOOR = 0.001  # keep eigen-behaviors carrying >= 0.1% of total power
@@ -85,89 +86,86 @@ def onavg(matrix: AssociationMatrix) -> np.ndarray:
     return matrix.rows.sum(axis=0) / denom
 
 
-def _mode_trees(
-    matrices: Sequence[AssociationMatrix], online: list[np.ndarray], threshold: float
-) -> list[list[tuple]]:
-    """Merge histories, up to threshold, of the average-linkage trees of each
-    matrix's online rows (the row indices in ``online``) under Manhattan
-    distance.
-
-    The trees are grown together by one engine call per chunk of users; a
-    chunk holds at most MODE_TREE_CELLS distance cells, padding included, and
-    its rows are copied into the engine's stack only for that call.
-    """
-    histories: list[list[tuple]] = [[] for _ in matrices]
-    grown = [b for b, rows in enumerate(online) if rows.size]
-    if not grown:
-        return histories
-    per_call = max(1, MODE_TREE_CELLS // max(online[b].size for b in grown) ** 2)
-    for first in range(0, len(grown), per_call):
-        ids = grown[first : first + per_call]
-        width = max(online[b].size for b in ids)
-        stack = np.zeros((len(ids), width, max(matrices[b].n_locations for b in ids)))
-        taking_part = np.zeros((len(ids), width), dtype=bool)
-        for k, b in enumerate(ids):
-            n_rows, n_cols = online[b].size, matrices[b].n_locations
-            stack[k, :n_rows, :n_cols] = matrices[b].rows[online[b]]
-            taking_part[k, :n_rows] = True
-        trees = merge_histories(pairwise_l1(stack, stack), taking_part, threshold=threshold)
-        for b, history in zip(ids, trees):
-            histories[b] = history
-    return histories
-
-
-def _mode_tables(
+def _mode_cuts(
     matrices: Sequence[AssociationMatrix], thresholds: tuple[float, ...]
-) -> Iterator[list[ModeClustering]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Each matrix's modes at each threshold, cut from one tree of its online rows.
 
-    The trees are grown once, up to the largest threshold; the modes at a
-    threshold are what the prefix of a merge history before the first merge
-    above that threshold leaves, which is exactly what clustering with that
-    threshold would give.  The tables are made one matrix at a time, as the
-    caller takes them.
+    Returns the (thresholds, rows) roots of the online rows, matrix after
+    matrix, and the (matrices, thresholds, locations) centroids of the largest
+    modes (the earliest root's on ties), NaN for a matrix with no online row.
+    A row's root is the place among its matrix's online rows of its mode's
+    earliest row, the slot id partition_from_merges gives the mode.  Trees are
+    grown to the largest threshold, MODE_TREE_CELLS distance cells at a time.
     """
     if any(thr < 0 for thr in thresholds):
         raise ValueError("threshold must be nonnegative")
-    masks = [m.online for m in matrices]
-    online = [np.flatnonzero(mask) for mask in masks]
-    histories = (
-        _mode_trees(matrices, online, max(thresholds)) if thresholds else [[] for _ in matrices]
-    )
-    for matrix, mask, idx, history in zip(matrices, masks, online, histories):
-        offline = [int(i) for i in np.flatnonzero(~mask)]
-        labels = idx.tolist()
-        table = []
-        for thr in thresholds:
-            prefix = list(takewhile(lambda merge: merge[2] <= thr, history))
-            clusters = partition_from_merges(prefix, labels).clusters()
-            centroids = [matrix.rows[members].mean(axis=0) for members in clusters]
-            table.append(ModeClustering(clusters, centroids, offline, thr))
-        yield table
+    n_online = np.array([np.count_nonzero(m.online) for m in matrices], dtype=np.intp)
+    roots = np.empty((len(thresholds), n_online.sum()), dtype=np.intp)
+    n_locations = max((m.n_locations for m in matrices), default=0)
+    centroids = np.full((len(matrices), len(thresholds), n_locations), np.nan)
+    grown = np.flatnonzero(n_online)
+    per_call = max(1, MODE_TREE_CELLS // n_online.max(initial=1) ** 2)
+    lo = 0
+    for first in range(0, grown.size, per_call):
+        ids = grown[first : first + per_call]
+        hi = lo + n_online[ids].sum()
+        roots[:, lo:hi], centroids[ids] = _chunk_cuts([matrices[b] for b in ids], thresholds, n_locations)
+        lo = hi
+    return roots, centroids
+
+
+def _chunk_cuts(
+    chunk: list[AssociationMatrix], thresholds: tuple[float, ...], n_locations: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """_mode_cuts of matrices with online rows, from one merge_histories call.
+    Each slot that a merge before the first one above the threshold absorbs
+    points at its partner, and the pointers are followed to the roots.  A
+    centroid sums its mode's rows, gathered in row order, over their count:
+    the bits of their mean."""
+    counts = np.array([np.count_nonzero(m.online) for m in chunk])
+    width = counts.max()
+    taking_part = np.arange(width) < counts[:, None]
+    stack = np.zeros((len(chunk), width, n_locations))
+    stack[taking_part] = np.concatenate([m.rows[m.online] for m in chunk])
+    merges = np.full((len(chunk), width, 3), np.inf)  # (i, j, distance); inf past a history's end
+    trees = merge_histories(pairwise_l1(stack, stack), taking_part, threshold=max(thresholds))
+    for k, history in enumerate(trees):
+        merges[k, : len(history)] = np.reshape(history, (-1, 3))
+    roots = np.empty((len(thresholds), counts.sum()), dtype=np.intp)
+    centroids = np.empty((len(chunk), len(thresholds), n_locations))
+    for c, thr in enumerate(thresholds):
+        tree, step = np.nonzero(np.logical_and.accumulate(merges[..., 2] <= thr, axis=1))
+        parent = np.tile(np.arange(width), (len(chunk), 1))
+        parent[tree, merges[tree, step, 1].astype(np.intp)] = merges[tree, step, 0]
+        up = np.take_along_axis(parent, parent, axis=1)
+        while not np.array_equal(up, parent):  # each pass doubles the hops taken
+            parent, up = up, np.take_along_axis(up, up, axis=1)
+        roots[c] = parent[taking_part]
+        sizes = ((parent[..., None] == np.arange(width)) & taking_part[..., None]).sum(axis=1)
+        largest = sizes.argmax(axis=1)  # the earliest root on ties
+        members = (parent == largest[:, None]) & taking_part
+        count = members.sum(axis=1)
+        order = np.argsort(~members, axis=1, kind="stable")  # members first, in row order
+        for n in np.unique(count):
+            at = np.flatnonzero(count == n)
+            centroids[at, c] = stack[at[:, None], order[at, :n]].sum(axis=1) / n
+    return roots, centroids
 
 
 def behavioral_modes(matrix: AssociationMatrix, threshold: float) -> ModeClustering:
     """Cluster the online rows by average linkage under Manhattan distance."""
-    return next(_mode_tables([matrix], (threshold,)))[0]
-
-
-def _largest_mode_centroid(modes: ModeClustering) -> np.ndarray:
-    sizes = [len(members) for members in modes.row_clusters]
-    return modes.centroids[sizes.index(max(sizes))]  # cluster ids follow the smallest row index
+    (roots,), _ = _mode_cuts([matrix], (threshold,))
+    online = np.flatnonzero(matrix.online)
+    clusters = [online[roots == root].tolist() for root in np.unique(roots)]
+    centroids = [matrix.rows[members].mean(axis=0) for members in clusters]
+    return ModeClustering(clusters, centroids, np.flatnonzero(~matrix.online).tolist(), threshold)
 
 
 def centroid_first_mode(matrix: AssociationMatrix, threshold: float) -> np.ndarray:
     """Mean vector of the largest behavioral mode (ties: the mode holding the earliest row)."""
-    return centroid_first_modes([matrix], threshold)[0]
-
-
-def centroid_first_modes(
-    matrices: Sequence[AssociationMatrix], threshold: float
-) -> list[np.ndarray]:
-    """centroid_first_mode of every matrix, with all mode trees grown at once."""
-    for matrix in matrices:
-        _require_online(matrix)
-    return [_largest_mode_centroid(t[0]) for t in _mode_tables(matrices, (threshold,))]
+    _require_online(matrix)
+    return _mode_cuts([matrix], (threshold,))[1][0, 0]
 
 
 def significance(matrix: AssociationMatrix, y: np.ndarray) -> float:
@@ -284,8 +282,7 @@ def summary_table(
         raise ValueError(f"no eigen-behavior set for online users: {missing}")
     names = ["onavg", *(f"centroid@{thr:g}" for thr in MODE_THRESHOLDS), "svd"]
     online = list(usable.values())
-    vectors = np.empty((len(online), len(names), online[0].n_locations))
-    for i, (user, table) in enumerate(zip(usable, _mode_tables(online, MODE_THRESHOLDS))):
-        centroids = [_largest_mode_centroid(modes) for modes in table]
-        vectors[i] = [onavg(usable[user]), *centroids, eigen_sets[user].vectors[0]]
+    centroids = _mode_cuts(online, MODE_THRESHOLDS)[1]
+    others = np.array([[onavg(m), eigen_sets[u].vectors[0]] for u, m in usable.items()])
+    vectors = np.concatenate([others[:, :1], centroids, others[:, 1:]], axis=1)
     return dict(zip(names, significances(online, vectors).T.mean(axis=1).tolist()))

@@ -4,7 +4,7 @@ significance scored one (user, vector) pair at a time, as it was before the
 package scored every pair of a summary table or of cross significance in one
 significances table.
 
-The oracle for summaries._mode_tables, behavioral_modes and
+The oracle for summaries._mode_cuts, behavioral_modes and
 centroid_first_mode, and for significance, summary_table and
 groups.cross_significance.
 """
@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from cluster_oracle import agglomerate
-from eigenbehavior import CrossSignificance, ModeClustering, centroid_first_mode, onavg
+from eigenbehavior import CrossSignificance, ModeClustering
 from eigenbehavior.summaries import MODE_THRESHOLDS
 
 
@@ -36,6 +36,12 @@ def behavioral_modes(matrix, threshold: float) -> ModeClustering:
     pos = {int(row): p for p, row in enumerate(online)}
     centroids = [rows[[pos[i] for i in members]].mean(axis=0) for members in clusters]
     return ModeClustering(clusters, centroids, offline, threshold)
+
+
+def largest_mode_centroid(modes: ModeClustering) -> np.ndarray:
+    """Centroid of the mode with the most rows, the earliest row's mode on ties."""
+    sizes = [len(members) for members in modes.row_clusters]
+    return modes.centroids[sizes.index(max(sizes))]
 
 
 def modal_class(matrix, threshold: float) -> bool:
@@ -70,9 +76,11 @@ def summary_table(matrices, eigen_sets) -> dict[str, float]:
         scores[f"centroid@{thr:g}"] = []
     scores["svd"] = []
     for user, matrix in usable.items():
-        scores["onavg"].append(significance(matrix, onavg(matrix)))
+        rows = matrix.rows
+        scores["onavg"].append(significance(matrix, rows.sum(axis=0) / np.abs(rows).sum()))
         for thr in MODE_THRESHOLDS:
-            scores[f"centroid@{thr:g}"].append(significance(matrix, centroid_first_mode(matrix, thr)))
+            centroid = largest_mode_centroid(behavioral_modes(matrix, thr))
+            scores[f"centroid@{thr:g}"].append(significance(matrix, centroid))
         scores["svd"].append(significance(matrix, eigen_sets[user].vectors[0]))
     return {name: float(np.mean(vals)) for name, vals in scores.items()}
 

@@ -724,6 +724,10 @@ def test_config_that_is_not_an_object_exits_2(workdir, tmp_path, capsys):
         ({"slot_seconds": 86400.9}, "malformed pipeline config (slot_seconds must be an integer, got 86400.9)"),
         ({"slot_seconds": True}, "malformed pipeline config (slot_seconds must be an integer, got True)"),
         ({"window": [5]}, "malformed pipeline config (not enough values to unpack"),
+        ({"window": []}, "malformed pipeline config (not enough values to unpack (expected 2, got 0))"),
+        ({"window": 0}, "malformed pipeline config (window must be null or a list of two integers, got 0)"),
+        ({"window": False}, "malformed pipeline config (window must be null or a list of two integers, got False)"),
+        ({"window": {}}, "malformed pipeline config (window must be null or a list of two integers, got {})"),
         ({"window": [True, 3600]}, "malformed pipeline config (window[0] must be an integer, got True)"),
         ({"window": [0, 3600.5]}, "malformed pipeline config (window[1] must be an integer, got 3600.5)"),
         ({"trace_start": "0", "trace_end": "9"}, "malformed pipeline config (trace_start must be an integer, got '0')"),
@@ -746,6 +750,10 @@ def test_config_that_is_not_an_object_exits_2(workdir, tmp_path, capsys):
         "slot-seconds-float",
         "slot-seconds-true",
         "window-of-one",
+        "window-empty-list",
+        "window-zero",
+        "window-false",
+        "window-empty-object",
         "window-entry-true",
         "window-entry-float",
         "bounds-not-numbers",
@@ -766,6 +774,15 @@ def test_malformed_config_field_exits_2_naming_the_config(workdir, tmp_path, cap
     config.write_text(json.dumps(payload))
     out = tmp_path / "o"
     _exits_2_naming(_pipeline_argv(workdir, config, out), config, message, out, capsys)
+
+
+@pytest.mark.parametrize("window", [None, [0, 43200]], ids=["null", "two-integers"])
+def test_window_null_or_two_integers_is_kept(workdir, tmp_path, window):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"window": window}))
+    out = tmp_path / "o"
+    assert main(_pipeline_argv(workdir, config, out)) == 0
+    assert json.loads((out / "matrices" / "index.json").read_text())["config"]["window"] == window
 
 
 @pytest.mark.parametrize(

@@ -253,14 +253,26 @@ def test_eigen_pipeline_holds_one_square_beside_the_triangle():
 
 
 def test_summary_table_holds_one_block_of_mode_trees():
-    records = random_records(600, 28, 4, seed=13)
-    matrices = build_matrices(records, TraceConfig(0.0, 28 * DAY_SECONDS))
+    """1200 users in 12 planted two-mode groups, 28 days: nearly every online
+    row merges below both thresholds.  Holding every user's merge history at
+    once, or a second column copy of a chunk's rows, breaks the bound."""
+    n_days = 28
+    groups = tuple(
+        GroupSpec(100, single_location_modes(20, [g, (g + 7) % 20]), (0.7, 0.3), p_online=0.8) for g in range(12)
+    )
+    records, _ = generate(SynthSpec(n_locations=20, n_days=n_days, groups=groups, seed=5, noise_epsilon=0.05))
+    matrices = build_matrices(records, TraceConfig(0.0, n_days * DAY_SECONDS))
     sets = eigen_sets_for(matrices)
     scores, peak = peak_above_inputs(summary_table, matrices, sets)
     assert set(scores) == {"onavg", "centroid@0.5", "centroid@0.9", "svd"}
-    trees = 3 * summaries.MODE_TREE_CELLS * 8  # rows, distances and pairwise_l1's terms
-    histories = len(matrices) * 27 * 150  # up to 27 merges a user, ~150 bytes each
-    assert_within(peak, trees + histories + SLACK)
+    online = [int(m.online.sum()) for m in matrices.values()]
+    width = max(online)
+    chunk = summaries.MODE_TREE_CELLS // width**2  # the users whose trees are grown together
+    rows = 2 * chunk * width * 20 * 8  # a chunk's rows and pairwise_l1's column copy of them
+    distances = 2 * chunk * width**2 * 8  # its distances and pairwise_l1's terms
+    histories = chunk * (width - 1) * 150  # up to width - 1 merges a user, ~150 bytes each
+    cuts = (sum(online) + len(matrices) * 20) * 2 * 8  # each online row's roots, each user's centroids
+    assert_within(peak, rows + distances + histories + cuts + SLACK)
 
 
 def test_cross_significance_holds_its_table_and_one_block():

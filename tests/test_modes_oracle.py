@@ -1,20 +1,25 @@
 """Property tests on tie-heavy inputs: behavioral modes cut from one merge tree
 per user against the per-threshold oracle in summaries_oracle, and threshold
-clustering against the prefix of a full merge history."""
+clustering against the prefix of a full merge history.  A random population's
+modes and centroid distances, cut in chunks of 1, 2 and 7 users, against the
+same oracle."""
 
 from __future__ import annotations
 
 from itertools import takewhile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 import summaries_oracle as oracle
 from conftest import checked
-from eigenbehavior import agglomerate, behavioral_modes, centroid_first_mode
+from eigenbehavior import agglomerate, behavioral_modes, centroid_first_mode, summaries
 from eigenbehavior.cluster import partition_from_merges
-from eigenbehavior.summaries import _mode_tables
+from eigenbehavior.distances import summary_l1_distance
+from eigenbehavior.summaries import MODE_THRESHOLDS, _mode_cuts
 
 from conftest import matrix_from_rows
 
@@ -59,18 +64,20 @@ def assert_modes_equal(got, want):
 @PROPERTY
 @given(tie_heavy_matrix(), st.lists(THRESHOLDS, min_size=1, max_size=4))
 def test_modes_cut_from_one_tree_match_per_threshold_oracle(matrix, thresholds):
-    cut = next(_mode_tables([matrix], tuple(thresholds)))
-    assert len(cut) == len(thresholds)
-    for thr, modes in zip(thresholds, cut):
+    roots, centroids = _mode_cuts([matrix], tuple(thresholds))
+    assert roots.shape == (len(thresholds), matrix.online.sum())
+    online = np.flatnonzero(matrix.online)
+    for thr, root, centroid in zip(thresholds, roots, centroids[0]):
         want = oracle.behavioral_modes(matrix, thr)
-        assert_modes_equal(modes, want)
+        assert [online[root == r].tolist() for r in np.unique(root)] == want.row_clusters
+        assert (root <= np.arange(root.size)).all() and (root[root] == root).all()  # earliest rows
         assert_modes_equal(behavioral_modes(matrix, thr), want)
-        assert modes.multi_modal == oracle.modal_class(matrix, thr)
+        assert behavioral_modes(matrix, thr).multi_modal == oracle.modal_class(matrix, thr)
         if want.row_clusters:
-            sizes = [len(members) for members in want.row_clusters]
-            np.testing.assert_array_equal(
-                centroid_first_mode(matrix, thr), want.centroids[sizes.index(max(sizes))]
-            )
+            np.testing.assert_array_equal(centroid, oracle.largest_mode_centroid(want))
+            np.testing.assert_array_equal(centroid_first_mode(matrix, thr), centroid)
+        else:
+            assert np.isnan(centroid).all()
 
 
 @PROPERTY
@@ -86,3 +93,48 @@ def test_threshold_run_is_prefix_of_full_history(dm, threshold):
     assert list(cut.assignment.items()) == list(
         partition_from_merges(prefix, labels).assignment.items()
     )
+
+
+@pytest.fixture(scope="module")
+def population():
+    """200 users of 28 rows over 4 locations, each row near one of a user's
+    two prototypes, each user offline on a random share of its rows; u000 is
+    all offline, u001 has one online row and u002 is online on every row."""
+    rng = np.random.default_rng(8)
+    prototypes = rng.random((6, 4)) ** 3  # peaked, so most users are multi-modal at 0.9 too
+    matrices = {}
+    for u in range(200):
+        picks = rng.choice(rng.choice(6, size=2, replace=False), size=28, p=[0.7, 0.3])
+        rows = prototypes[picks] + 0.2 * rng.random((28, 4))
+        rows /= rows.sum(axis=1, keepdims=True)
+        rows[rng.random(28) < rng.uniform(0.0, 0.8)] = 0.0
+        matrices[f"u{u:03d}"] = rows
+    matrices["u000"][:] = 0.0
+    matrices["u001"][1:] = 0.0
+    matrices["u002"] = prototypes[rng.integers(0, 6, 28)]
+    matrices = {u: matrix_from_rows(rows, u) for u, rows in matrices.items()}
+    modes = {thr: {u: oracle.behavioral_modes(m, thr) for u, m in matrices.items()} for thr in MODE_THRESHOLDS}
+    return matrices, modes
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2, 7])
+def test_population_cut_in_chunks_matches_oracle(population, per_chunk, monkeypatch):
+    matrices, modes = population
+    online_counts = [int(m.online.sum()) for m in matrices.values()]
+    assert {0, 1, 28} <= set(online_counts) and len(set(online_counts)) > 10
+    monkeypatch.setattr(summaries, "MODE_TREE_CELLS", per_chunk * 28**2)
+
+    roots, _ = _mode_cuts(list(matrices.values()), MODE_THRESHOLDS)
+    ends = np.cumsum(online_counts)
+    for (user, matrix), end, count in zip(matrices.items(), ends, online_counts):
+        online = np.flatnonzero(matrix.online)
+        for thr, root in zip(MODE_THRESHOLDS, roots[:, end - count : end]):
+            assert [online[root == r].tolist() for r in np.unique(root)] == modes[thr][user].row_clusters
+            assert_modes_equal(behavioral_modes(matrix, thr), modes[thr][user])
+
+    for metric, thr in [("centroid05", 0.5), ("centroid09", 0.9)]:
+        with pytest.warns(UserWarning, match=r"excluded all-offline users: \['u000'\]"):
+            dm = summary_l1_distance(matrices, metric)
+        assert dm.ids == tuple(sorted(matrices))[1:]
+        centroids = np.array([oracle.largest_mode_centroid(modes[thr][u]) for u in dm.ids])
+        assert np.array_equal(dm.values, pdist(centroids, "cityblock"))
