@@ -21,6 +21,7 @@ from eigenbehavior import (
     generate,
     power_captured,
     summary_table,
+    summary_vectors,
 )
 
 # A small seeded campus: regulars with one routine, commuters with two, and
@@ -82,7 +83,7 @@ print()
 
 # Population view: mean explanatory score of each one-vector summary, and the
 # share of users whose five leading directions capture 90% of the power.
-table = summary_table(matrices, eigen_sets_for(matrices))
+table = summary_table(matrices, summary_vectors(matrices, eigen_sets_for(matrices)))
 print("population mean significance of each summary")
 for method in ("onavg", "centroid@0.5", "centroid@0.9", "svd"):
     print(f"  {method:13s} {table[method]:.4f}")

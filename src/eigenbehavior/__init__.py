@@ -49,6 +49,7 @@ from .profilecast import (
 from .summaries import (
     EigenBehaviorSet,
     ModeClustering,
+    SummaryVectors,
     behavioral_modes,
     centroid_first_mode,
     eigen_behaviors,
@@ -56,6 +57,7 @@ from .summaries import (
     power_captured,
     significance,
     summary_table,
+    summary_vectors,
 )
 from .synth import (
     ONLINE_SECONDS,

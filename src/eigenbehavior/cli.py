@@ -24,6 +24,7 @@ from .pipeline import METRICS, run_pipeline
 from .profilecast import (
     DEFAULT_MIN_GROUP_SIZE,
     DEFAULT_SOURCE_FRACTION,
+    SCHEME_PARAMS,
     EncounterStream,
     SimConfig,
     build_messages,
@@ -34,7 +35,7 @@ from .profilecast import (
     simulate,
     split_trace,
 )
-from .summaries import DEFAULT_POWER_FLOOR, check_power_floor, summary_table
+from .summaries import DEFAULT_POWER_FLOOR, check_power_floor
 from .synth import generate, spec_from_json, spec_to_json_dict
 from .trace import (
     MatricesTooLarge,
@@ -42,6 +43,7 @@ from .trace import (
     TraceConfig,
     aggregate_locations,
     json_int,
+    json_keys,
     json_number,
     load_location_map,
     load_records,
@@ -159,6 +161,7 @@ def _pipeline_config(payload: dict, records: Records) -> tuple[dict, TraceConfig
         "power_floor": check_power_floor(json_number(payload, "power_floor", DEFAULT_POWER_FLOOR)),
         "include_offline": _flag(payload, "include_offline"),
     }
+    json_keys(payload, [*dataclasses.asdict(config), *options])  # the keys index.json's config stores
     return payload, config, options
 
 
@@ -180,7 +183,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         )
     except MatricesTooLarge as exc:  # the config's horizon and slots size them
         raise ValueError(f"{args.config}: {exc}") from None
-    table = summary_table(result.matrices, result.eigen_sets)
     location_index = result.matrices[min(result.matrices)].location_index
     os.makedirs(args.out, exist_ok=True)
     persist.write_matrix_index(os.path.join(args.out, "matrices"), result.matrices, config, options)
@@ -188,7 +190,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     persist.write_distance_matrix(os.path.join(args.out, "distances.npy"), result.distance_matrix)
     persist.write_partition_csv(os.path.join(args.out, "partition.csv"), result.partition)
     persist.write_merge_history_csv(os.path.join(args.out, "merges.csv"), result.partition)
-    persist.write_summary_table_csv(os.path.join(args.out, "summary.csv"), table)
+    persist.write_summary_table_csv(os.path.join(args.out, "summary.csv"), result.summary_table)
     try:
         slope = rank_size_fit(result.partition)[0]
     except ValueError:
@@ -215,6 +217,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 def _scenario(payload: dict, seed: int) -> tuple[dict, list[SimConfig], float, dict]:
     """The scenario file's payload, one SimConfig per listed scheme (seeded
     seed, seed + 1, ...), the split fraction and build_messages' options."""
+    json_keys(payload, ("schemes", "split_fraction", "source_fraction", "min_group_size"))
     schemes = payload.get("schemes")
     if not schemes:
         raise ValueError("scenario lists no schemes")
@@ -222,9 +225,8 @@ def _scenario(payload: dict, seed: int) -> tuple[dict, list[SimConfig], float, d
     for i, entry in enumerate(schemes):
         if not isinstance(entry, dict):
             raise TypeError(f"scheme entry {entry!r} is not an object")
-        params = {
-            key: json_number(entry, key) for key in ("sim_threshold", "p", "ttl_factor") if key in entry
-        }
+        json_keys(entry, ("scheme", *SCHEME_PARAMS), f"scheme entry {i}")
+        params = {key: json_number(entry, key) for key in SCHEME_PARAMS if key in entry}
         configs.append(SimConfig(scheme=entry.get("scheme", ""), seed=seed + i, **params))
     options = {
         "source_fraction": check_source_fraction(
@@ -239,7 +241,7 @@ def _scenario(payload: dict, seed: int) -> tuple[dict, list[SimConfig], float, d
 def _check_profile_half(pipeline_dir: str, split_time: float) -> None:
     """Refuse a pipeline directory whose profile reaches past the split time."""
     index = os.path.join(pipeline_dir, "matrices", "index.json")
-    end = read_json(index, "matrices index", lambda raw: float(raw["config"]["trace_end"]))
+    end = persist.load_trace_end(index)
     if end > split_time:
         raise ValueError(
             f"{index}: trace_end {end} is after the split time {split_time}, "

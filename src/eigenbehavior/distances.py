@@ -22,16 +22,9 @@ import warnings
 import numpy as np
 
 from .cluster import METRIC_MAX, DistanceMatrix, condensed, pair_index, pairwise_l1
-from .summaries import (
-    DEFAULT_POWER_FLOOR,
-    EigenBehaviorSet,
-    _mode_cuts,
-    eigen_behaviors,
-    onavg,
-)
+from .summaries import DEFAULT_POWER_FLOOR, SUMMARY_NAMES, EigenBehaviorSet, SummaryVectors, eigen_behaviors
 from .trace import AssociationMatrix, budget_blocks
 
-CENTROID_THRESHOLDS = {"centroid05": 0.5, "centroid09": 0.9}  # each centroid metric's mode threshold
 # sim_matrix's block of absolute dot products holds about this many cells.
 SIM_BLOCK_CELLS = 1 << 18
 
@@ -161,29 +154,17 @@ def eigen_distance_matrix(
     return DistanceMatrix(values, "eigen", ids, flagged)
 
 
-def summary_l1_distance(
-    matrices: dict[str, AssociationMatrix], metric: str
-) -> DistanceMatrix:
-    """Manhattan distance between per-user summary vectors.
-
-    metric is "onavg" or a centroid metric of CENTROID_THRESHOLDS.  Users
-    without a summary (all offline) are excluded with a warning, so the result
-    may cover a subset of the input users.
-    """
-    if metric != "onavg" and metric not in CENTROID_THRESHOLDS:
+def summary_l1_distance(summary: SummaryVectors, metric: str) -> DistanceMatrix:
+    """Manhattan distance between the users' summaries that metric names in
+    SUMMARY_NAMES, users in sorted order.  summary holds only users with online
+    time, so the result may cover a subset of a run's users."""
+    kind = {name: k for k, (_, name) in enumerate(SUMMARY_NAMES) if name is not None}.get(metric)
+    if kind is None:
         raise ValueError(f"unknown summary metric {metric!r}")
-    ids = tuple(u for u in sorted(matrices) if matrices[u].online.any())
-    skipped = sorted(set(matrices) - set(ids))
-    online = [matrices[u] for u in ids]
-    if metric == "onavg":
-        vectors = np.array([onavg(matrix) for matrix in online])
-    else:
-        vectors = _mode_cuts(online, (CENTROID_THRESHOLDS[metric],))[1][:, 0]
-    if skipped:
-        warnings.warn(f"summary_l1_distance: excluded all-offline users: {skipped}")
-    if len(vectors) < 2:
+    if len(summary.ids) < 2:
         raise ValueError("need at least two users with online slots")
-    return DistanceMatrix(condensed(pairwise_l1(vectors, vectors)), metric, ids)
+    vectors = summary.vectors[sorted(range(len(summary.ids)), key=summary.ids.__getitem__), kind]
+    return DistanceMatrix(condensed(pairwise_l1(vectors, vectors)), metric, tuple(sorted(summary.ids)))
 
 
 def eigen_sets_for(

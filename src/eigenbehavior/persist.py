@@ -53,6 +53,7 @@ from .trace import (
     Records,
     TraceConfig,
     as_records,
+    json_number,
     read_csv,
     read_json,
     read_table,
@@ -134,6 +135,12 @@ def write_matrix_index(
         "config": {**dataclasses.asdict(config), **options},
     }
     write_json(os.path.join(out_dir, "index.json"), index)
+
+
+def load_trace_end(path: str) -> float:
+    """The trace_end of the config that write_matrix_index stored in the
+    index.json at path."""
+    return read_json(path, "matrices index", lambda raw: json_number(raw["config"], "trace_end"))
 
 
 def write_json(path: str, payload: dict) -> None:

@@ -15,16 +15,17 @@ def build_distance_matrix(
     matrices: dict[str, AssociationMatrix],
     metric: str,
     eigen_sets: dict[str, summaries.EigenBehaviorSet | None],
+    summary: summaries.SummaryVectors,
     include_offline: bool = False,
 ) -> DistanceMatrix:
-    """Distance matrix for a metric; eigen distances come from the given sets."""
+    """Distance matrix for a metric, read off the eigen sets or summary vectors if it uses them."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     if metric == "eigen":
         return distances.eigen_distance_matrix(eigen_sets)
     if metric == "amvd":
         return distances.amvd_distance_matrix(matrices, include_offline)
-    return distances.summary_l1_distance(matrices, metric)
+    return distances.summary_l1_distance(summary, metric)
 
 
 @dataclass
@@ -33,6 +34,7 @@ class PipelineResult:
     eigen_sets: dict[str, summaries.EigenBehaviorSet | None]
     distance_matrix: DistanceMatrix
     partition: Partition
+    summary_table: dict[str, float]  # summaries.summary_table of the run's summary vectors
     profiles: list[groups.GroupProfile] = field(default_factory=list)
 
 
@@ -47,11 +49,12 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run the full grouping pipeline on prepared (already aggregated) records.
 
-    Eigen sets are built once and feed every output; the similarity table is
-    built only for the eigen metric."""
+    Eigen sets and then summary vectors are built once and feed every output;
+    the similarity table is built only for the eigen metric."""
     matrices = build_matrices(records, config)
     eigen_sets = distances.eigen_sets_for(matrices, power_floor)
-    dm = build_distance_matrix(matrices, metric, eigen_sets, include_offline)
+    summary = summaries.summary_vectors(matrices, eigen_sets)
+    dm = build_distance_matrix(matrices, metric, eigen_sets, summary, include_offline)
     partition = agglomerate(dm, threshold=threshold, target_count=target_count)
     profiles = groups.group_profiles(partition, matrices, power_floor=power_floor)
     return PipelineResult(
@@ -59,5 +62,6 @@ def run_pipeline(
         eigen_sets=eigen_sets,
         distance_matrix=dm,
         partition=partition,
+        summary_table=summaries.summary_table(matrices, summary),
         profiles=profiles,
     )

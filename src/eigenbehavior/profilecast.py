@@ -75,7 +75,9 @@ from .trace import (
     set_columns,
 )
 
-SCHEMES = ("flooding", "centralized", "similarity", "rtx")
+SCHEME_PARAMS = ("sim_threshold", "p", "ttl_factor")  # the SimConfig fields a scheme may read
+# Each scheme and the parameters it reads; SimConfig refuses the others.
+SCHEMES = {"flooding": (), "centralized": (), "similarity": ("sim_threshold",), "rtx": ("p", "ttl_factor")}
 
 DEFAULT_SOURCE_FRACTION = 0.2
 DEFAULT_MIN_GROUP_SIZE = 6  # groups with more than five members get messages
@@ -164,6 +166,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        unused = [
+            name for name in SCHEME_PARAMS if getattr(self, name) is not None and name not in SCHEMES[self.scheme]
+        ]
+        if unused:
+            raise ValueError(f"the {self.scheme} scheme does not use {', '.join(unused)}")
         if self.scheme == "similarity":
             if self.sim_threshold is None or not 0.0 <= self.sim_threshold <= 1.0:
                 raise ValueError("similarity scheme needs sim_threshold in [0, 1]")

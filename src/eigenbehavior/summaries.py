@@ -23,6 +23,12 @@ from .trace import AssociationMatrix, budget_blocks
 
 DEFAULT_POWER_FLOOR = 0.001  # keep eigen-behaviors carrying >= 0.1% of total power
 MODE_THRESHOLDS = (0.5, 0.9)
+# Each summary's summary.csv name and --metric (None: none), in SummaryVectors' kinds order.
+SUMMARY_NAMES = (
+    ("onavg", "onavg"),
+    *((f"centroid@{thr:g}", f"centroid{thr:g}".replace(".", "")) for thr in MODE_THRESHOLDS),
+    ("svd", None),
+)
 # Mode trees grown in one engine call hold at most this many distance cells
 # (trees x rows^2): about 160 users of 28 daily slots, so each of the call's
 # (trees, rows, rows) arrays takes 1 MB.  A block of significance scores
@@ -57,6 +63,14 @@ class EigenBehaviorSet:
     @property
     def k(self) -> int:
         return self.vectors.shape[0]
+
+
+@dataclass(frozen=True)
+class SummaryVectors:
+    """vectors[i, kind], of shape (users, kinds, locations), is user ids[i]'s summary SUMMARY_NAMES[kind]."""
+
+    ids: tuple[str, ...]
+    vectors: np.ndarray
 
 
 @dataclass
@@ -260,29 +274,28 @@ def power_captured(matrix: AssociationMatrix, k: int) -> float:
     return float(cumulative[min(k, cumulative.size) - 1])
 
 
-def summary_table(
+def summary_vectors(
     matrices: dict[str, AssociationMatrix],
     eigen_sets: dict[str, EigenBehaviorSet | None],
-) -> dict[str, float]:
-    """Mean significance per summary kind over all users with online time.
-
-    Keys: "onavg", "centroid@<thr>" per threshold of MODE_THRESHOLDS, and
-    "svd" for the first eigen-behavior vector, read from eigen_sets (one set
-    per online user, as eigen_sets_for builds them).  All-offline users are
-    skipped with a warning.
-    """
+) -> SummaryVectors:
+    """Each online user's summaries, in the order of matrices: onavg, the largest
+    mode's centroid at each of MODE_THRESHOLDS, cut from one tree, and the first
+    vector of its set in eigen_sets.  All-offline users are skipped with one warning."""
     usable = {u: m for u, m in matrices.items() if m.online.any()}
     skipped = sorted(set(matrices) - set(usable))
     if skipped:
-        warnings.warn(f"summary_table: skipped all-offline users: {skipped}")
+        warnings.warn(f"summary_vectors: skipped all-offline users: {skipped}")
     if not usable:
         raise ValueError("no users with online slots")
     missing = sorted(u for u in usable if eigen_sets.get(u) is None)
     if missing:
         raise ValueError(f"no eigen-behavior set for online users: {missing}")
-    names = ["onavg", *(f"centroid@{thr:g}" for thr in MODE_THRESHOLDS), "svd"]
-    online = list(usable.values())
-    centroids = _mode_cuts(online, MODE_THRESHOLDS)[1]
+    centroids = _mode_cuts(list(usable.values()), MODE_THRESHOLDS)[1]
     others = np.array([[onavg(m), eigen_sets[u].vectors[0]] for u, m in usable.items()])
-    vectors = np.concatenate([others[:, :1], centroids, others[:, 1:]], axis=1)
-    return dict(zip(names, significances(online, vectors).T.mean(axis=1).tolist()))
+    return SummaryVectors(tuple(usable), np.concatenate([others[:, :1], centroids, others[:, 1:]], axis=1))
+
+
+def summary_table(matrices: dict[str, AssociationMatrix], summary: SummaryVectors) -> dict[str, float]:
+    """Mean significance of each summary on its user's matrix, keyed by its summary.csv name."""
+    scores = significances([matrices[u] for u in summary.ids], summary.vectors)
+    return dict(zip([name for name, _ in SUMMARY_NAMES], scores.T.mean(axis=1).tolist()))

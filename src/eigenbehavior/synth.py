@@ -35,6 +35,7 @@ from .trace import (
     budget_blocks,
     code_ids,
     json_int,
+    json_keys,
     json_number,
     read_json,
 )
@@ -131,20 +132,24 @@ def _weights(mode: dict) -> tuple[float, ...]:
     return tuple(json_number(entries, key) for key in entries)
 
 
-def _spec_from_dict(raw: dict) -> SynthSpec:
-    groups = tuple(
-        GroupSpec(
-            size=json_int(g, "size"),
-            modes=tuple(_weights(m) for m in g["modes"]),
-            mode_probs=tuple(json_number(m, "prob") for m in g["modes"]),
-            p_online=json_number(g, "p_online", 1.0),
-        )
-        for g in raw["groups"]
+def _group(raw: dict, where: str) -> GroupSpec:
+    """A spec's group entry; where names it in messages."""
+    json_keys(raw, ("size", "modes", "p_online"), where)
+    modes = [json_keys(m, ("weights", "prob"), f"{where}.modes[{j}]") for j, m in enumerate(raw["modes"])]
+    return GroupSpec(
+        size=json_int(raw, "size"),
+        modes=tuple(_weights(m) for m in modes),
+        mode_probs=tuple(json_number(m, "prob") for m in modes),
+        p_online=json_number(raw, "p_online", 1.0),
     )
+
+
+def _spec_from_dict(raw: dict) -> SynthSpec:
+    json_keys(raw, ("n_locations", "n_days", "groups", "seed", "noise_epsilon"))
     return SynthSpec(
         n_locations=json_int(raw, "n_locations"),
         n_days=json_int(raw, "n_days"),
-        groups=groups,
+        groups=tuple(_group(g, f"groups[{i}]") for i, g in enumerate(raw["groups"])),
         seed=json_int(raw, "seed", 0),
         noise_epsilon=json_number(raw, "noise_epsilon", 0.0),
     )

@@ -275,6 +275,19 @@ def read_json(path: str, what: str, parse: Callable[[dict], T]) -> T:
         raise ValueError(f"{path}: malformed {what} ({exc})") from None
 
 
+def json_keys(payload: dict, keys: Sequence[str], where: str = "") -> dict:
+    """payload, refused unless it is a JSON object whose keys are all among
+    keys, so that a misspelt key fails instead of reading as absent; where
+    names a nested object in the message."""
+    place = f" in {where}" if where else ""
+    if not isinstance(payload, dict):
+        raise TypeError(f"expected an object{place}, got {payload!r}")
+    unknown = sorted(set(payload).difference(keys))
+    if unknown:
+        raise ValueError(f"unknown key {', '.join(map(repr, unknown))}{place}; the keys are {sorted(keys)}")
+    return payload
+
+
 def json_int(payload: dict, key: str, default: int | None = None) -> int:
     """The JSON integer at payload[key], or default when the key is absent (it
     is required when default is None).  Floats and true/false are refused."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +40,22 @@ def digest_tree(directory, skip=()) -> dict:
             with open(path, "rb") as fh:
                 out[os.path.relpath(path, directory)] = hashlib.sha256(fh.read()).hexdigest()
     return out
+
+
+def count_calls(monkeypatch, module, name: str, calls) -> None:
+    """Count each call of module.name into calls[name], through every
+    eigenbehavior module that binds the function, under whatever name."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "eigenbehavior":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
 
 
 def profile_half_config(records) -> dict:

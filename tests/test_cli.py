@@ -10,13 +10,15 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import eigenbehavior
-from conftest import digest_tree, profile_half_config
+from conftest import count_calls, digest_tree, profile_half_config
 from eigenbehavior import EncounterStream, build_messages, distance_cdfs, jaccard, load_records, split_trace
+from eigenbehavior import summaries
 from eigenbehavior.cli import _pipeline_config, main
 from eigenbehavior.pipeline import METRICS, run_pipeline
 from eigenbehavior.persist import (
@@ -966,6 +968,91 @@ def test_malformed_spec_exits_2_naming_the_spec(tmp_path, capsys, text, message)
     spec.write_text(text)
     out = tmp_path / "o"
     _exits_2_naming(["synth", str(spec), "--out", str(out)], spec, message, out, capsys)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_a_pipeline_run_builds_the_summaries_once(workdir, tmp_path, monkeypatch, metric):
+    """summary.csv and a summary metric read one summary pass: one _mode_cuts
+    call grows every user's mode trees, and onavg runs once a user with
+    online time (each user in eigen.csv)."""
+    calls = Counter()
+    for name in ("_mode_cuts", "onavg"):
+        count_calls(monkeypatch, summaries, name, calls)
+    out = tmp_path / "o"
+    assert main(_pipeline_argv(workdir, workdir / "config.json", out) + ["--metric", metric]) == 0
+    online = {line.split(",", 1)[0] for line in (out / "eigen.csv").read_text().splitlines()[1:]}
+    assert calls == {"_mode_cuts": 1, "onavg": len(online)}
+
+
+def test_summary_csv_is_the_same_for_every_metric(workdir, tmp_path):
+    tables = set()
+    for metric in METRICS:
+        out = tmp_path / metric
+        assert main(_pipeline_argv(workdir, workdir / "config.json", out) + ["--metric", metric]) == 0
+        tables.add((out / "summary.csv").read_bytes())
+    assert tables == {(workdir / "pipe" / "summary.csv").read_bytes()}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"windw": [0, 43200]}, "unknown key 'windw'; the keys are"),
+        ({"trace_start": 0, "powr_floor": 0.1}, "unknown key 'powr_floor'; the keys are"),
+    ],
+    ids=["window-misspelt", "power-floor-misspelt"],
+)
+def test_unknown_config_key_exits_2_naming_the_config(workdir, tmp_path, capsys, payload, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    _exits_2_naming(_pipeline_argv(workdir, config, out), config, f"malformed pipeline config ({message}", out, capsys)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            {"split_fractoin": 0.5, "schemes": [{"scheme": "flooding"}]},
+            "unknown key 'split_fractoin'; the keys are",
+        ),
+        (
+            {"schemes": [{"scheme": "flooding"}, {"scheme": "rtx", "p": 0.5, "ttl_factor": 3, "ttl": 3}]},
+            "unknown key 'ttl' in scheme entry 1; the keys are",
+        ),
+        (
+            {"schemes": [{"scheme": "flooding", "p": 0.3}]},
+            "the flooding scheme does not use p",
+        ),
+    ],
+    ids=["split-fraction-misspelt", "rtx-ttl", "flooding-with-p"],
+)
+def test_unknown_scenario_key_exits_2_naming_the_scenario(workdir, tmp_path, capsys, payload, message):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    _exits_2_naming(_simulate_argv(workdir, scenario, out), scenario, f"malformed scenario ({message}", out, capsys)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({**SPEC, "noise_epsilom": 0.1}, "unknown key 'noise_epsilom'; the keys are"),
+        (
+            {**SPEC, "groups": [SPEC["groups"][0], {**SPEC["groups"][1], "p_onlne": 0.5}]},
+            "unknown key 'p_onlne' in groups[1]; the keys are",
+        ),
+        (
+            {**SPEC, "groups": [{**SPEC["groups"][0], "modes": [{"weights": [1, 0, 0, 0], "probability": 1}]}]},
+            "unknown key 'probability' in groups[0].modes[0]; the keys are",
+        ),
+    ],
+    ids=["noise-epsilon-misspelt", "group-p-online-misspelt", "mode-prob-misspelt"],
+)
+def test_unknown_spec_key_exits_2_naming_the_spec(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "o"
+    _exits_2_naming(["synth", str(path), "--out", str(out)], path, f"malformed synth spec ({message}", out, capsys)
 
 
 def test_similarity_replay_does_not_depend_on_the_profile_metric(workdir, tmp_path):

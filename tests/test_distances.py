@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from eigenbehavior import distances
+from eigenbehavior import distances, summaries
 from eigenbehavior import (
     DistanceMatrix,
     EigenBehaviorSet,
@@ -23,6 +23,7 @@ from eigenbehavior import (
     normalized_sim_table,
     sim_matrix,
     summary_l1_distance,
+    summary_vectors,
 )
 
 from conftest import basis_rows, matrix_from_rows
@@ -286,21 +287,42 @@ def test_normalized_sim_table_orders_ids():
 # --------------------------------------------------------- summary L1 dms ---
 
 
+def summaries_of(mats):
+    return summary_vectors(mats, eigen_sets_for(mats))
+
+
 def test_summary_l1_distance_onavg_and_centroid():
     mats = {
         "a": matrix_from_rows(basis_rows([0, 0, 1], 2), user_id="a"),
         "b": matrix_from_rows(basis_rows([1], 2), user_id="b"),
     }
-    dm = summary_l1_distance(mats, "onavg")
+    summary = summaries_of(mats)
+    dm = summary_l1_distance(summary, "onavg")
     assert dm.metric == "onavg"
     assert dm.values[0] == pytest.approx(4 / 3)  # (2/3,1/3) vs (0,1)
     for metric in ("centroid05", "centroid09"):
-        dm_c = summary_l1_distance(mats, metric)
+        dm_c = summary_l1_distance(summary, metric)
         assert dm_c.metric == metric
         assert dm_c.values[0] == pytest.approx(2.0)  # dominant modes e1 vs e2
-    for name in ("median", "centroid@0.5", "onavg_l1", "eigen"):
+    for name in ("median", "centroid@0.5", "onavg_l1", "eigen", "svd", None):
         with pytest.raises(ValueError, match="unknown summary metric"):
-            summary_l1_distance(mats, name)
+            summary_l1_distance(summary, name)
+
+
+def test_summary_l1_distance_reads_its_column_in_sorted_user_order():
+    """The summaries keep the dict's user order; the distances sort the users."""
+    mats = {
+        u: matrix_from_rows(basis_rows(slots, 3), user_id=u)
+        for u, slots in (("c", [2, 2, 0]), ("a", [0, 0, 1]), ("b", [1, 1, 1]))
+    }
+    summary = summaries_of(mats)
+    assert summary.ids == ("c", "a", "b")
+    for metric in ("onavg", "centroid05", "centroid09"):
+        kind = [name for _, name in summaries.SUMMARY_NAMES].index(metric)
+        vectors = summary.vectors[[1, 2, 0], kind]
+        dm = summary_l1_distance(summary, metric)
+        assert dm.ids == ("a", "b", "c")
+        assert np.array_equal(dm.square(), np.abs(vectors[:, None] - vectors[None]).sum(axis=2))
 
 
 def test_summary_l1_distance_excludes_offline():
@@ -309,11 +331,12 @@ def test_summary_l1_distance_excludes_offline():
         "b": matrix_from_rows(basis_rows([1], 2), user_id="b"),
         "dead": matrix_from_rows(np.zeros((1, 2)), user_id="dead"),
     }
-    with pytest.warns(UserWarning, match="excluded all-offline"):
-        dm = summary_l1_distance(mats, "onavg")
+    with pytest.warns(UserWarning, match=r"summary_vectors: skipped all-offline users: \['dead'\]"):
+        summary = summaries_of(mats)
+    dm = summary_l1_distance(summary, "onavg")
     assert dm.ids == ("a", "b")
     with pytest.raises(ValueError, match="at least two"):
-        summary_l1_distance({"a": mats["a"]}, "onavg")
+        summary_l1_distance(summaries_of({"a": mats["a"]}), "onavg")
 
 
 def test_eigen_sets_for_marks_offline_users():

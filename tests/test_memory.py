@@ -45,6 +45,7 @@ from eigenbehavior import (
     single_location_modes,
     summaries,
     summary_table,
+    summary_vectors,
     synth,
     trace,
 )
@@ -263,7 +264,12 @@ def test_summary_table_holds_one_block_of_mode_trees():
     records, _ = generate(SynthSpec(n_locations=20, n_days=n_days, groups=groups, seed=5, noise_epsilon=0.05))
     matrices = build_matrices(records, TraceConfig(0.0, n_days * DAY_SECONDS))
     sets = eigen_sets_for(matrices)
-    scores, peak = peak_above_inputs(summary_table, matrices, sets)
+
+    def summary_pass():
+        summary = summary_vectors(matrices, sets)
+        return summary, summary_table(matrices, summary)
+
+    (_, scores), peak = peak_above_inputs(summary_pass)
     assert set(scores) == {"onavg", "centroid@0.5", "centroid@0.9", "svd"}
     online = [int(m.online.sum()) for m in matrices.values()]
     width = max(online)

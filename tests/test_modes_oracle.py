@@ -18,8 +18,8 @@ import summaries_oracle as oracle
 from conftest import checked
 from eigenbehavior import agglomerate, behavioral_modes, centroid_first_mode, summaries
 from eigenbehavior.cluster import partition_from_merges
-from eigenbehavior.distances import summary_l1_distance
-from eigenbehavior.summaries import MODE_THRESHOLDS, _mode_cuts
+from eigenbehavior.distances import eigen_sets_for, summary_l1_distance
+from eigenbehavior.summaries import MODE_THRESHOLDS, _mode_cuts, summary_vectors
 
 from conftest import matrix_from_rows
 
@@ -132,9 +132,10 @@ def test_population_cut_in_chunks_matches_oracle(population, per_chunk, monkeypa
             assert [online[root == r].tolist() for r in np.unique(root)] == modes[thr][user].row_clusters
             assert_modes_equal(behavioral_modes(matrix, thr), modes[thr][user])
 
+    with pytest.warns(UserWarning, match=r"skipped all-offline users: \['u000'\]"):
+        summary = summary_vectors(matrices, eigen_sets_for(matrices))
     for metric, thr in [("centroid05", 0.5), ("centroid09", 0.9)]:
-        with pytest.warns(UserWarning, match=r"excluded all-offline users: \['u000'\]"):
-            dm = summary_l1_distance(matrices, metric)
+        dm = summary_l1_distance(summary, metric)
         assert dm.ids == tuple(sorted(matrices))[1:]
         centroids = np.array([oracle.largest_mode_centroid(modes[thr][u]) for u in dm.ids])
         assert np.array_equal(dm.values, pdist(centroids, "cityblock"))

@@ -15,20 +15,33 @@ from eigenbehavior import (
     DistanceMatrix,
     EigenBehaviorSet,
     Partition,
+    TraceConfig,
     load_records,
 )
+from conftest import matrix_from_rows
 from eigenbehavior.persist import (
     fmt,
     load_distance_matrix,
     load_eigen_sets,
     load_partition_csv,
+    load_trace_end,
     load_truth_csv,
     write_distance_matrix,
     write_eigen_sets,
+    write_matrix_index,
     write_partition_csv,
     write_trace_csv,
     write_truth_csv,
 )
+
+
+def test_trace_end_reads_back_from_the_matrix_index(tmp_path):
+    matrices = {"u": matrix_from_rows(np.eye(2), user_id="u")}
+    write_matrix_index(str(tmp_path), matrices, TraceConfig(0, 172800), {"power_floor": 0.001})
+    assert load_trace_end(str(tmp_path / "index.json")) == 172800.0
+    (tmp_path / "index.json").write_text(json.dumps({"config": {"trace_end": "172800"}}))
+    with pytest.raises(ValueError, match=r"index\.json: malformed matrices index \(trace_end must be a number"):
+        load_trace_end(str(tmp_path / "index.json"))
 
 
 def test_fmt_nine_significant_digits():

@@ -16,6 +16,7 @@ from eigenbehavior import (
     TraceConfig,
     agglomerate,
     build_distance_matrix,
+    build_matrices,
     distance_cdfs,
     eigen_sets_for,
     generate,
@@ -23,10 +24,13 @@ from eigenbehavior import (
     partition_from_labels,
     run_pipeline,
     summary_table,
+    summary_vectors,
 )
 from eigenbehavior import cluster, distances, summaries
 from eigenbehavior.cluster import METRIC_MAX
 from eigenbehavior.pipeline import METRICS
+
+from conftest import count_calls
 
 
 @pytest.fixture(scope="module")
@@ -50,11 +54,12 @@ def test_build_distance_matrix_dispatch(planted, metric):
     """Every --metric name builds a matrix under that name."""
     records, _, config = planted
     built = run_pipeline(records, config, target_count=2)
-    dm = build_distance_matrix(built.matrices, metric, built.eigen_sets)
+    summary = summary_vectors(built.matrices, built.eigen_sets)
+    dm = build_distance_matrix(built.matrices, metric, built.eigen_sets, summary)
     assert dm.metric == metric
     assert dm.n == 12
     with pytest.raises(ValueError, match="unknown metric"):
-        build_distance_matrix(built.matrices, "cosine", built.eigen_sets)
+        build_distance_matrix(built.matrices, "cosine", built.eigen_sets, summary)
 
 
 @pytest.mark.parametrize("metric", ["eigen", "amvd", "onavg", "centroid05"])
@@ -76,14 +81,16 @@ def test_pipeline_recovers_planted_groups(planted, metric):
 )
 def test_never_online_user_is_flagged_or_dropped_by_metric(planted, metric, kept):
     """eigen and amvd keep a never-online user, flagged at the metric maximum;
-    the summary metrics drop it from the distances and the partition, with a warning."""
+    the summary metrics drop it from the distances and the partition.  The
+    summary pass, which every metric runs once, warns once that it skipped it."""
     records, _, config = planted
     rows = records.rows()
     offline = AssociationRecord("zz-offline", rows[0].location_id, -100, -10)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = run_pipeline(rows + [offline], config, metric=metric, target_count=3)
-    dropped = [str(w.message) for w in caught if "summary_l1_distance" in str(w.message)]
+    dropped = [str(w.message) for w in caught if "all-offline" in str(w.message)]
+    assert dropped == ["summary_vectors: skipped all-offline users: ['zz-offline']"]
     dm = result.distance_matrix
     assert "zz-offline" in result.matrices
     if kept:
@@ -91,29 +98,38 @@ def test_never_online_user_is_flagged_or_dropped_by_metric(planted, metric, kept
         dead = dm.ids.index("zz-offline")
         assert np.all(np.delete(dm.square()[dead], dead) == METRIC_MAX[dm.metric])
         assert "zz-offline" in result.partition.assignment
-        assert dropped == []
     else:
         assert "zz-offline" not in dm.ids and dm.flagged_ids == ()
         assert "zz-offline" not in result.partition.assignment
-        assert dropped == ["summary_l1_distance: excluded all-offline users: ['zz-offline']"]
 
 
 def test_summary_table_reads_pipeline_eigen_sets(planted, monkeypatch):
+    """run_pipeline returns the summary table of its own eigen sets: the only
+    eigen-behaviors it computes are eigen_sets_for's, one per online user."""
     records, _, config = planted
-    result = run_pipeline(records, config, target_count=2)
-    want = summary_table(result.matrices, eigen_sets_for(result.matrices))
+    matrices = build_matrices(records, config)
+    want = summary_table(matrices, summary_vectors(matrices, eigen_sets_for(matrices)))
     calls = Counter()
-    original = summaries.eigen_behaviors
+    count_calls(monkeypatch, summaries, "eigen_behaviors", calls)
+    result = run_pipeline(records, config, target_count=2)
+    assert calls["eigen_behaviors"] == sum(m.online.any() for m in matrices.values())
+    assert list(result.summary_table) == ["onavg", "centroid@0.5", "centroid@0.9", "svd"]
+    assert result.summary_table == want
 
-    def counting(*args, **kwargs):
-        calls["eigen_behaviors"] += 1
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(summaries, "eigen_behaviors", counting)
-    table = summary_table(result.matrices, result.eigen_sets)
-    assert calls["eigen_behaviors"] == 0
-    assert set(table) == {"onavg", "centroid@0.5", "centroid@0.9", "svd"}
-    assert table == want
+@pytest.mark.parametrize("metric", METRICS)
+def test_a_run_grows_each_mode_tree_once_and_averages_each_user_once(planted, monkeypatch, metric):
+    """Every metric's run builds one set of summaries: one _mode_cuts call for
+    every user's trees, and one onavg a user with online time."""
+    records, _, config = planted
+    rows = records.rows()
+    offline = AssociationRecord("zz-offline", rows[0].location_id, -100, -10)
+    calls = Counter()
+    for name in ("_mode_cuts", "onavg"):
+        count_calls(monkeypatch, summaries, name, calls)
+    with pytest.warns(UserWarning, match="skipped all-offline users"):
+        result = run_pipeline(rows + [offline], config, metric=metric, target_count=2)
+    assert calls == {"_mode_cuts": 1, "onavg": len(result.matrices) - 1}
 
 
 def test_population_threshold_route(planted):
@@ -169,7 +185,8 @@ def test_eigen_pipeline_builds_sets_and_table_once(planted, monkeypatch):
     # a user whose only session lies before the trace horizon is all offline
     rows = records.rows()
     offline = AssociationRecord("zz-offline", rows[0].location_id, -100, -10)
-    result = run_pipeline(rows + [offline], config, metric="eigen", target_count=3)
+    with pytest.warns(UserWarning, match="skipped all-offline users"):
+        result = run_pipeline(rows + [offline], config, metric="eigen", target_count=3)
     assert calls == {"sim_matrix": 1, "eigen_sets_for": 1}
     # the other metrics build no sim table
     for metric in ("amvd", "onavg", "centroid05"):

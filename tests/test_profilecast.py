@@ -200,6 +200,23 @@ def test_sim_config_validation():
     assert SimConfig("flooding").param == ""
 
 
+@pytest.mark.parametrize(
+    "scheme, params, unused",
+    [
+        ("flooding", {"p": 0.3}, "p"),
+        ("centralized", {"sim_threshold": 0.5, "ttl_factor": 3}, "sim_threshold, ttl_factor"),
+        ("similarity", {"sim_threshold": 0.5, "p": 0.5}, "p"),
+        ("rtx", {"sim_threshold": 0.5, "p": 0.5, "ttl_factor": 3}, "sim_threshold"),
+    ],
+    ids=["flooding", "centralized", "similarity", "rtx"],
+)
+def test_sim_config_refuses_a_parameter_its_scheme_does_not_use(scheme, params, unused):
+    """A parameter the scheme never reads would be dropped from results.csv's
+    param column without a word."""
+    with pytest.raises(ValueError, match=f"^the {scheme} scheme does not use {unused}$"):
+        SimConfig(scheme, **params)
+
+
 # ------------------------------------------------------- forwarding schemes ---
 
 

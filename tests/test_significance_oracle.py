@@ -22,6 +22,7 @@ from eigenbehavior import (
     partition_from_labels,
     significance,
     summary_table,
+    summary_vectors,
 )
 from eigenbehavior.summaries import significances
 from test_groups import orthogonal_population
@@ -60,10 +61,11 @@ def assert_all_equal(matrices, partition) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if any(s is not None for s in sets.values()):
-            assert summary_table(matrices, sets) == oracle.summary_table(matrices, sets)
+            summary = summary_vectors(matrices, sets)
+            assert summary_table(matrices, summary) == oracle.summary_table(matrices, sets)
         else:
             with pytest.raises(ValueError, match="no users with online slots"):
-                summary_table(matrices, sets)
+                summary_vectors(matrices, sets)
 
 
 def test_orthogonal_population_matches_oracle():
@@ -148,7 +150,7 @@ def test_mixed_shapes_raise():
         significances([short, tall], np.ones((1, 2)))
     for pair in ({"a": short, "b": tall}, {"a": short, "c": wide}):
         with pytest.raises(ValueError):
-            summary_table(pair, eigen_sets_for(pair))
+            summary_table(pair, summary_vectors(pair, eigen_sets_for(pair)))
     pair = {"a": short, "b": tall}
     profiles = group_profiles(partition_from_labels({"a": 0, "b": 1}), pair)
     with pytest.raises(ValueError, match=r"one \(slots, locations\) shape"):

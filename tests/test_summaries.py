@@ -21,7 +21,10 @@ from eigenbehavior import (
     power_captured,
     significance,
     summary_table,
+    summary_vectors,
 )
+from eigenbehavior.cluster import METRIC_MAX
+from eigenbehavior.summaries import MODE_THRESHOLDS, SUMMARY_NAMES
 
 from conftest import basis_rows, matrix_from_rows
 from summaries_oracle import modal_class
@@ -237,13 +240,43 @@ def test_power_captured_matches_eigvalsh():
 # ------------------------------------------------------------ summary table ---
 
 
+def test_summary_names_name_each_kind_and_its_metric():
+    """One table names each summary's summary.csv row and the --metric that
+    clusters on it; the eigen-behavior summary has no metric."""
+    assert SUMMARY_NAMES == (
+        ("onavg", "onavg"),
+        ("centroid@0.5", "centroid05"),
+        ("centroid@0.9", "centroid09"),
+        ("svd", None),
+    )
+    assert {metric for _, metric in SUMMARY_NAMES if metric} < set(METRIC_MAX)
+
+
+def test_summary_vectors_hold_each_online_users_summaries():
+    mats = {
+        "b": matrix_from_rows(basis_rows([1, 1, 0, 2], 3), user_id="b"),
+        "dead": matrix_from_rows(np.zeros((4, 3)), user_id="dead"),
+        "a": matrix_from_rows(basis_rows([0, 2, 2, 1], 3), user_id="a"),
+    }
+    sets = eigen_sets_for(mats)
+    with pytest.warns(UserWarning, match=r"^summary_vectors: skipped all-offline users: \['dead'\]$"):
+        summary = summary_vectors(mats, sets)
+    assert summary.ids == ("b", "a")  # the dict's order
+    assert summary.vectors.shape == (2, len(SUMMARY_NAMES), 3)
+    for user, vectors in zip(summary.ids, summary.vectors):
+        want = [onavg(mats[user])]
+        want += [centroid_first_mode(mats[user], thr) for thr in MODE_THRESHOLDS]
+        want += [sets[user].vectors[0]]
+        np.testing.assert_array_equal(vectors, want)
+
+
 def test_summary_table_keys_and_ranges():
     mats = {
         "a": matrix_from_rows(basis_rows([0, 0, 1], 2), user_id="a"),
         "b": matrix_from_rows(basis_rows([1, 1, 1], 2), user_id="b"),
     }
-    table = summary_table(mats, eigen_sets_for(mats))
-    assert set(table) == {"onavg", "centroid@0.5", "centroid@0.9", "svd"}
+    table = summary_table(mats, summary_vectors(mats, eigen_sets_for(mats)))
+    assert list(table) == [name for name, _ in SUMMARY_NAMES]
     for value in table.values():
         assert 0.0 <= value <= 1.0 + 1e-9
     # user b is perfectly regular: every summary scores 1.0 there, so the
@@ -258,10 +291,10 @@ def test_summary_table_skips_offline_users_with_warning():
     }
     sets = eigen_sets_for(mats)
     with pytest.warns(UserWarning, match="all-offline"):
-        table = summary_table(mats, sets)
-    clean = summary_table({"a": mats["a"]}, sets)
+        table = summary_table(mats, summary_vectors(mats, sets))
+    clean = summary_table({"a": mats["a"]}, summary_vectors({"a": mats["a"]}, sets))
     assert table == clean
     with pytest.raises(ValueError, match="no users"), pytest.warns(UserWarning):
-        summary_table({"dead": mats["dead"]}, sets)
+        summary_vectors({"dead": mats["dead"]}, sets)
     with pytest.raises(ValueError, match="no eigen-behavior set"), pytest.warns(UserWarning):
-        summary_table(mats, {"dead": None})
+        summary_vectors(mats, {"dead": None})
