@@ -6,10 +6,12 @@ inter-cluster linkages exceed a threshold or a target cluster count is
 reached.  Ties are broken toward the pair with the smaller cluster id, then
 the smaller partner id, where a cluster's running id is the smallest original
 element index it contains.  One engine, merge_histories, grows a stack of
-such trees at once; agglomerate runs it on the square of a DistanceMatrix,
-the package's one distance type: the condensed triangle of the pairwise
-distances, checked once when it is built.  pairwise_l1 is the package's one
-L1 kernel: mode trees, summary distances and AMVD use it.
+such trees at once and records each as (i, j, distance) rows; one cut,
+merge_roots, reads any prefix of those records as each slot's root.
+agglomerate runs both on the square of a DistanceMatrix, the package's one
+distance type: the condensed triangle of the pairwise distances, checked once
+when it is built.  pairwise_l1 is the package's one L1 kernel: mode trees,
+summary distances and AMVD use it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Hashable
 
 import numpy as np
 
@@ -89,8 +91,8 @@ class DistanceMatrix:
     values is the condensed upper triangle, the i < j pairs of the ids in
     row-major order (see pair_index), so symmetry and a zero diagonal hold by
     construction.  Building one is its one check: distinct ids, n(n - 1) / 2
-    float64 values for n ids, no NaN, and [0, METRIC_MAX] for a metric listed
-    there.  Everything that takes a DistanceMatrix trusts it.
+    float64 values for n ids, all finite, and [0, METRIC_MAX] for a metric
+    listed there.  Everything that takes a DistanceMatrix trusts it.
     """
 
     values: np.ndarray
@@ -111,8 +113,8 @@ class DistanceMatrix:
         if not self.values.size:
             return
         low, high = self.values.min(), self.values.max()  # NaN if any value is NaN
-        if np.isnan(low):
-            raise ValueError("distances must not be NaN")
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ValueError("distances must not be NaN or infinite")
         top = METRIC_MAX.get(self.metric)
         if top is not None and (low < -1e-9 or high > top + 1e-9):
             raise ValueError(f"{self.metric} distances must lie in [0, {top}]")
@@ -146,8 +148,11 @@ def agglomerate(
     """
     if target_count is not None and not 1 <= target_count <= dm.n:
         raise ValueError(f"target_count must lie in [1, {dm.n}]")
-    (history,) = merge_histories(dm.square()[None], threshold=threshold, target_count=target_count)
-    return partition_from_merges(history, dm.ids)
+    merges = merge_histories(dm.square()[None], threshold=threshold, target_count=target_count)
+    _, cluster_of = np.unique(merge_roots(merges)[0], return_inverse=True)
+    i, j, d = merges[0, ~np.isnan(merges[0, :, 2])].T
+    history = zip(i.astype(np.intp).tolist(), j.astype(np.intp).tolist(), d.tolist())
+    return Partition(dict(zip(dm.ids, cluster_of.tolist())), list(history))
 
 
 def merge_histories(
@@ -155,13 +160,15 @@ def merge_histories(
     mask: np.ndarray | None = None,
     threshold: float | None = None,
     target_count: int | None = None,
-) -> list[list[tuple[int, int, float]]]:
-    """Average-linkage merge histories of a (B, n, n) stack of distance matrices.
+) -> np.ndarray:
+    """Average-linkage merge records of a (B, n, n) stack of distance matrices.
 
-    mask, (B, n) booleans, marks the rows of each matrix that take part; the
-    others are ignored.  Each tree stops on its own, under exactly one of the
-    two rules of agglomerate (the count rule stops at <= target_count active
-    rows).  The matrices are not validated; the engine works in the given
+    Returns a (B, n, 3) float array: each tree's merges as (i, j, distance)
+    rows, i < j, in merge order, then NaN rows.  mask, (B, n) booleans, marks
+    the rows of each matrix that take part; the others are ignored.  Each tree
+    stops on its own, under exactly one of the two rules of agglomerate (the
+    count rule stops at <= target_count active rows).  The distances must be
+    finite; they are not validated here.  The engine works in the given
     array, so a float64 stack comes back overwritten.
 
     Every tree caches each row's minimum and the first column holding it.
@@ -179,8 +186,9 @@ def merge_histories(
         raise ValueError("threshold must not be NaN")
     work = np.asarray(dms, dtype=float)
     n_trees, n, _ = work.shape
+    merges = np.full((n_trees, n, 3), np.nan)
     if n == 0:
-        return [[] for _ in range(n_trees)]
+        return merges
     active = np.ones((n_trees, n), bool) if mask is None else np.array(mask, dtype=bool)
     work[~active] = np.inf
     work.transpose(0, 2, 1)[~active] = np.inf
@@ -191,9 +199,7 @@ def merge_histories(
     min_val = np.take_along_axis(work, min_col[..., None], axis=2)[..., 0]
     last = np.full(n_trees, -np.inf)
     steps = np.zeros(n_trees, dtype=np.intp)
-    hist_i = np.zeros((n_trees, n), dtype=np.intp)
-    hist_j = np.zeros((n_trees, n), dtype=np.intp)
-    hist_d = np.zeros((n_trees, n))
+    hist_i, hist_j, hist_d = np.moveaxis(merges, 2, 0)  # views that fill merges
     floor = 1 if target_count is None else target_count
     cols = np.arange(n)
     rescan_rows = max(1, ROW_BLOCK_CELLS // n)
@@ -249,30 +255,23 @@ def merge_histories(
             min_col[at] = best
             min_val[at] = work[(*at, best)]
         live = live[n_active[live] > floor]
-
-    return [
-        list(zip(*(h[t, : steps[t]].tolist() for h in (hist_i, hist_j, hist_d))))
-        for t in range(n_trees)
-    ]
+    return merges
 
 
-def partition_from_merges(
-    merges: Sequence[tuple[int, int, float]], labels: Sequence[Hashable]
-) -> Partition:
-    """The partition left by replaying a merge history over len(labels) singletons.
-
-    Each merge (i, j, d) moves slot j's members into slot i (i < j), so a
-    slot's id is its smallest member index; final cluster ids are contiguous
-    in that order.  Any prefix of a history is itself a valid history.
-    """
-    members: dict[int, list[int]] = {i: [i] for i in range(len(labels))}
-    for i, j, _ in merges:
-        members[i].extend(members.pop(j))
-    assignment: dict[Hashable, int] = {}
-    for cid, slot in enumerate(sorted(members)):
-        for idx in members[slot]:
-            assignment[labels[idx]] = cid
-    return Partition(assignment=assignment, merge_history=list(merges))
+def merge_roots(merges: np.ndarray, threshold: float = math.inf) -> np.ndarray:
+    """Each slot's root in a (B, n, 3) stack of merge_histories records:
+    (B, n) ints, the earliest slot of the slot's cluster after each tree's
+    merges before its first one above threshold (a NaN row ends a record).
+    Each slot a counted merge (i, j) absorbs points at i < j, and the pointers
+    are followed to the roots."""
+    n_trees, n, _ = merges.shape
+    tree, step = np.nonzero(np.logical_and.accumulate(merges[..., 2] <= threshold, axis=1))
+    parent = np.tile(np.arange(n), (n_trees, 1))
+    parent[tree, merges[tree, step, 1].astype(np.intp)] = merges[tree, step, 0]
+    up = np.take_along_axis(parent, parent, axis=1)
+    while not np.array_equal(up, parent):  # each pass doubles the hops taken
+        parent, up = up, np.take_along_axis(up, up, axis=1)
+    return parent
 
 
 def distance_cdfs(partition: Partition, dm: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:

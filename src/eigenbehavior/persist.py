@@ -53,6 +53,7 @@ from .trace import (
     Records,
     TraceConfig,
     as_records,
+    json_keys,
     json_number,
     read_csv,
     read_json,
@@ -213,7 +214,9 @@ def _id_list(raw: dict, key: str) -> tuple[str, ...]:
 
 
 def _sidecar(raw: dict) -> tuple[tuple[str, ...], str, tuple[str, ...]]:
-    """The ids, metric name and flagged ids of a distance matrix sidecar."""
+    """The ids, metric name and flagged ids of a distance matrix sidecar, which
+    holds no other key."""
+    json_keys(raw, ("ids", "metric", "flagged_ids"))
     ids, metric, flagged_ids = _id_list(raw, "ids"), raw["metric"], _id_list(raw, "flagged_ids")
     if not isinstance(metric, str):
         raise TypeError(f"metric must be a string, got {metric!r}")

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cluster import merge_histories, pairwise_l1
+from .cluster import merge_histories, merge_roots, pairwise_l1
 from .trace import AssociationMatrix, budget_blocks
 
 DEFAULT_POWER_FLOOR = 0.001  # keep eigen-behaviors carrying >= 0.1% of total power
@@ -109,8 +109,8 @@ def _mode_cuts(
     matrix, and the (matrices, thresholds, locations) centroids of the largest
     modes (the earliest root's on ties), NaN for a matrix with no online row.
     A row's root is the place among its matrix's online rows of its mode's
-    earliest row, the slot id partition_from_merges gives the mode.  Trees are
-    grown to the largest threshold, MODE_TREE_CELLS distance cells at a time.
+    earliest row, as merge_roots gives it.  Trees are grown to the largest
+    threshold, MODE_TREE_CELLS distance cells at a time.
     """
     if any(thr < 0 for thr in thresholds):
         raise ValueError("threshold must be nonnegative")
@@ -132,29 +132,19 @@ def _mode_cuts(
 def _chunk_cuts(
     chunk: list[AssociationMatrix], thresholds: tuple[float, ...], n_locations: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_mode_cuts of matrices with online rows, from one merge_histories call.
-    Each slot that a merge before the first one above the threshold absorbs
-    points at its partner, and the pointers are followed to the roots.  A
-    centroid sums its mode's rows, gathered in row order, over their count:
-    the bits of their mean."""
+    """_mode_cuts of matrices with online rows, from one merge_histories call
+    cut by merge_roots at each threshold.  A centroid sums its mode's rows,
+    gathered in row order, over their count: the bits of their mean."""
     counts = np.array([np.count_nonzero(m.online) for m in chunk])
     width = counts.max()
     taking_part = np.arange(width) < counts[:, None]
     stack = np.zeros((len(chunk), width, n_locations))
     stack[taking_part] = np.concatenate([m.rows[m.online] for m in chunk])
-    merges = np.full((len(chunk), width, 3), np.inf)  # (i, j, distance); inf past a history's end
-    trees = merge_histories(pairwise_l1(stack, stack), taking_part, threshold=max(thresholds))
-    for k, history in enumerate(trees):
-        merges[k, : len(history)] = np.reshape(history, (-1, 3))
+    merges = merge_histories(pairwise_l1(stack, stack), taking_part, threshold=max(thresholds))
     roots = np.empty((len(thresholds), counts.sum()), dtype=np.intp)
     centroids = np.empty((len(chunk), len(thresholds), n_locations))
     for c, thr in enumerate(thresholds):
-        tree, step = np.nonzero(np.logical_and.accumulate(merges[..., 2] <= thr, axis=1))
-        parent = np.tile(np.arange(width), (len(chunk), 1))
-        parent[tree, merges[tree, step, 1].astype(np.intp)] = merges[tree, step, 0]
-        up = np.take_along_axis(parent, parent, axis=1)
-        while not np.array_equal(up, parent):  # each pass doubles the hops taken
-            parent, up = up, np.take_along_axis(up, up, axis=1)
+        parent = merge_roots(merges, thr)
         roots[c] = parent[taking_part]
         sizes = ((parent[..., None] == np.arange(width)) & taking_part[..., None]).sum(axis=1)
         largest = sizes.argmax(axis=1)  # the earliest root on ties

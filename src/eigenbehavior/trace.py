@@ -42,10 +42,8 @@ class AssociationRecord:
     end: float
 
     def __post_init__(self) -> None:
-        if not self.user_id:
-            raise ValueError("record has empty user_id")
-        if not self.location_id:
-            raise ValueError("record has empty location_id")
+        _check_id("user", self.user_id)
+        _check_id("location", self.location_id)
         if not self.end > self.start:
             raise ValueError(
                 f"record for {self.user_id!r} has end <= start "
@@ -216,13 +214,15 @@ def as_records(records: Records | Iterable[AssociationRecord]) -> Records:
     return records if isinstance(records, Records) else Records.from_rows(records)
 
 
-def _check_id(kind: str, value: str, where: str) -> None:
+def _check_id(kind: str, value: str, where: str = "") -> None:
     """Refuse an empty id and one holding a line break, which the CSV writers
-    downstream would not quote; ``where`` is the path and line it is on."""
+    downstream would not quote; ``where``, when given, is the path and line
+    it is on."""
+    place = f"{where}: " if where else ""
     if not value:
-        raise ValueError(f"{where}: record has empty {kind}_id")
+        raise ValueError(f"{place}record has empty {kind}_id")
     if "\r" in value or "\n" in value:
-        raise ValueError(f"{where}: {kind} id {value!r} contains a line break")
+        raise ValueError(f"{place}{kind} id {value!r} contains a line break")
 
 
 def _new_code(codes: dict[str, int], kind: str, value: str, where: str) -> int:

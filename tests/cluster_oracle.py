@@ -2,7 +2,9 @@
 engine: one full row-major argmin over the working matrix per merge.
 
 The oracle for cluster.agglomerate and cluster.merge_histories, and the
-linkage behind summaries_oracle's per-threshold modes.
+linkage behind summaries_oracle's per-threshold modes.  Its partitions come
+from partition_from_merges, a replay of the merge list over dicts of member
+lists: the oracle for cluster.merge_roots, the cut agglomerate makes.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from eigenbehavior.cluster import Partition, partition_from_merges
+from eigenbehavior.cluster import Partition
 
 _MONOTONE_SLACK = 1e-12
 
@@ -26,6 +28,27 @@ def check_square(dm: np.ndarray) -> np.ndarray:
     if not np.allclose(np.diag(dm), 0.0, atol=1e-9):
         raise ValueError("distance matrix must have a zero diagonal")
     return dm
+
+
+def partition_from_merges(
+    merges: Sequence[tuple[int, int, float]], labels: Sequence[Hashable]
+) -> Partition:
+    """The partition left by replaying a merge history over len(labels) singletons.
+
+    Each merge (i, j, d) moves slot j's members into slot i (i < j), so a
+    slot's id is its smallest member index; final cluster ids are contiguous
+    in that order.  The assignment is keyed in labels order.  Any prefix of a
+    history is itself a valid history.
+    """
+    members: dict[int, list[int]] = {i: [i] for i in range(len(labels))}
+    for i, j, _ in merges:
+        members[i].extend(members.pop(j))
+    cluster_of: dict[int, int] = {}
+    for cid, slot in enumerate(sorted(members)):
+        for idx in members[slot]:
+            cluster_of[idx] = cid
+    assignment = {label: cluster_of[idx] for idx, label in enumerate(labels)}
+    return Partition(assignment=assignment, merge_history=list(merges))
 
 
 def agglomerate(

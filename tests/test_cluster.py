@@ -118,6 +118,14 @@ def test_nan_threshold_is_refused_and_inf_and_negative_keep_their_meaning():
     assert agglomerate(dm, threshold=-1.0).n_clusters == 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nan_and_infinite_distances_are_refused(bad):
+    """A metric outside METRIC_MAX has no range to refuse them, and an inf
+    made agglomerate merge slot 0 with itself at inf and drop two ids."""
+    with pytest.raises(ValueError, match="distances must not be NaN or infinite"):
+        DistanceMatrix(np.array([bad, 1.0, bad]), "custom", ("a", "b", "c"))
+
+
 def test_repeated_ids_are_refused():
     with pytest.raises(ValueError, match=r"ids must be distinct; repeated: \['a'\]"):
         DistanceMatrix(np.zeros(3), "custom", ("a", "a", "c"))

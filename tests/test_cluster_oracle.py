@@ -1,8 +1,11 @@
 """Property tests of the batched average-linkage engine against the old
-one-argmin-per-merge loop in cluster_oracle, on tie-heavy inputs, and of
+one-argmin-per-merge loop in cluster_oracle, on tie-heavy inputs, of its cut
+merge_roots against the oracle's replay of each merge list, and of
 pairwise_l1 against scipy's cdist."""
 
 from __future__ import annotations
+
+from itertools import takewhile
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,7 +15,14 @@ from scipy.spatial.distance import cdist
 
 import cluster_oracle as oracle
 from conftest import checked
-from eigenbehavior.cluster import DistanceMatrix, agglomerate, condensed, merge_histories, pairwise_l1
+from eigenbehavior.cluster import (
+    DistanceMatrix,
+    agglomerate,
+    condensed,
+    merge_histories,
+    merge_roots,
+    pairwise_l1,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -60,33 +70,72 @@ def test_merge_history_matches_oracle(data):
     assert list(got.assignment.items()) == list(want.assignment.items())
 
 
-@PROPERTY
-@given(st.data())
-def test_one_batched_call_equals_one_call_per_matrix(data):
-    dms = data.draw(st.lists(distance_matrices(max_n=9), min_size=1, max_size=5))
+@st.composite
+def masked_stacks(draw):
+    """A stack of distance matrices padded to one width, each with a random
+    mask.  Rows outside a matrix or outside its mask hold -1, smaller than
+    any distance, so a tree that looked at them would merge them first."""
+    dms = draw(st.lists(distance_matrices(max_n=9), min_size=1, max_size=5))
     width = max(dm.shape[0] for dm in dms)
-    # Rows outside a matrix or outside its mask hold -1, smaller than any
-    # distance, so a tree that looked at them would merge them first.
     stack = np.full((len(dms), width, width), -1.0)
     mask = np.zeros((len(dms), width), dtype=bool)
     for b, dm in enumerate(dms):
         n = dm.shape[0]
         stack[b, :n, :n] = dm
-        mask[b, :n] = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        mask[b, :n] = draw(st.lists(st.booleans(), min_size=n, max_size=n))
         stack[b][~mask[b]] = -1.0
         stack[b][:, ~mask[b]] = -1.0
+    return stack, mask
+
+
+def record(history, width):
+    """A merge list as merge_histories records it: (width, 3), NaN-padded."""
+    out = np.full((width, 3), np.nan)
+    out[: len(history)] = np.reshape(history, (-1, 3))
+    return out
+
+
+@PROPERTY
+@given(masked_stacks(), st.data())
+def test_one_batched_call_equals_one_call_per_matrix(stack_and_mask, data):
+    stack, mask = stack_and_mask
+    width = stack.shape[1]
     stop = stop_rule(data.draw, width)
     batched = merge_histories(stack.copy(), mask, **stop)  # the engine works in its argument
-    assert len(batched) == len(dms)
-    for b, history in enumerate(batched):
-        assert history == merge_histories(stack[b : b + 1].copy(), mask[b : b + 1], **stop)[0]
+    assert batched.shape == (len(stack), width, 3)
+    for b, merges in enumerate(batched):
+        single = merge_histories(stack[b : b + 1].copy(), mask[b : b + 1], **stop)[0]
+        assert np.array_equal(merges, single, equal_nan=True)
         taking_part = np.flatnonzero(mask[b])
         if taking_part.size == 0 or stop.get("target_count", 1) > taking_part.size:
-            assert history == []
+            assert np.isnan(merges).all()
             continue
         sub = stack[b][np.ix_(taking_part, taking_part)]
         want = oracle.agglomerate(sub, **stop).merge_history
-        assert history == [(int(taking_part[i]), int(taking_part[j]), d) for i, j, d in want]
+        want = [(taking_part[i], taking_part[j], d) for i, j, d in want]
+        assert np.array_equal(merges, record(want, width), equal_nan=True)
+
+
+@PROPERTY
+@given(masked_stacks(), st.lists(THRESHOLDS, max_size=3))
+def test_merge_roots_equal_the_replay_of_each_prefix(stack_and_mask, thresholds):
+    """At each threshold, one below the first merge and inf, every slot's root
+    is the earliest slot of its cluster in the oracle's replay of the merges
+    up to the threshold; slots outside a mask stay alone."""
+    stack, mask = stack_and_mask
+    width = stack.shape[1]
+    merges = merge_histories(stack.copy(), mask, target_count=1)
+    first = np.nanmin(merges[:, 0, 2], initial=np.inf)
+    for thr in [*thresholds, first - 1.0, np.inf]:
+        roots = merge_roots(merges) if thr == np.inf else merge_roots(merges, thr)
+        assert roots.shape == (len(stack), width)
+        for b, tree in enumerate(merges):
+            prefix = [(int(i), int(j), d) for i, j, d in takewhile(lambda m: m[2] <= thr, tree.tolist())]
+            want = oracle.partition_from_merges(prefix, range(width))
+            earliest = [members[0] for members in want.clusters()]
+            assert roots[b].tolist() == [earliest[want.assignment[s]] for s in range(width)]
+        if thr < first:
+            assert np.array_equal(roots, np.tile(np.arange(width), (len(stack), 1)))
 
 
 def spanning_values():

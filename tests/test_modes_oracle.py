@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 import summaries_oracle as oracle
+from cluster_oracle import partition_from_merges
 from conftest import checked
 from eigenbehavior import agglomerate, behavioral_modes, centroid_first_mode, summaries
-from eigenbehavior.cluster import partition_from_merges
 from eigenbehavior.distances import eigen_sets_for, summary_l1_distance
 from eigenbehavior.summaries import MODE_THRESHOLDS, _mode_cuts, summary_vectors
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import pickle
@@ -59,6 +60,22 @@ def test_trace_csv_roundtrip(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(str(path), records)
     assert load_records(str(path)).rows() == records
+
+
+@pytest.mark.parametrize(
+    "user, location", [("a\nb", "L"), ("a\rb", "L"), ("", "L"), ("u", "L\r\nM"), ("u", "")]
+)
+def test_a_record_refuses_the_ids_its_trace_could_not_load_back(tmp_path, user, location):
+    """AssociationRecord applies load_records' id rule, with its message, so
+    a record that can be built writes a trace that loads back."""
+    path = tmp_path / "trace.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([["user", "location", "start", "end"], [user, location, 0, 10]])
+    with pytest.raises(ValueError) as loaded:
+        load_records(str(path))
+    with pytest.raises(ValueError) as built:
+        AssociationRecord(user, location, 0, 10)
+    assert str(loaded.value) == f"{path}:2: {built.value}"
 
 
 def test_truth_csv_roundtrip(tmp_path):
@@ -231,11 +248,13 @@ THREE = np.array([0.5, 0.5, 0.5])
             {"flagged_ids": ["nobody"]},
             r"\.json: malformed distance matrix sidecar \(flagged_ids must be among the ids; not there: \['nobody'\]\)",
         ),
+        ({"metirc": "eigen"}, r"\.json: malformed distance matrix sidecar \(unknown key 'metirc'"),
+        ({"params": {"power_floor": 0.001}}, r"\.json: malformed distance matrix sidecar \(unknown key 'params'"),
     ],
     ids=[
         "short", "long", "2-d", "int", "float32", "object", "pickle", "csv", "empty", "npz", "nan", "above", "below",
         "ids-repeat", "ids-string", "ids-numbers", "flagged-ids-string", "metric-list", "metric-number",
-        "flagged-ids-unknown",
+        "flagged-ids-unknown", "misspelt-key", "old-params",
     ],
 )
 def test_distance_matrix_refusals_name_the_path(tmp_path, body, message):
@@ -247,6 +266,16 @@ def test_distance_matrix_refusals_name_the_path(tmp_path, body, message):
     else:
         path.write_bytes(body)
     with pytest.raises(ValueError, match=re.escape(str(path)) + message):
+        load_distance_matrix(str(path))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_an_infinite_stored_distance_is_refused_naming_the_path(tmp_path, bad):
+    """Under a metric outside METRIC_MAX no range check stands in."""
+    path = tmp_path / "distances.npy"
+    write_distance_matrix(str(path), DistanceMatrix(THREE, "custom", ("a", "b", "c")))
+    path.write_bytes(_saved(np.save, np.array([0.5, bad, 0.5])))
+    with pytest.raises(ValueError, match=re.escape(str(path)) + r": distances must not be NaN or infinite"):
         load_distance_matrix(str(path))
 
 

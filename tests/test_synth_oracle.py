@@ -261,7 +261,8 @@ def test_ids_sort_as_strings_past_five_digits():
     assert len(truth) == 100_002
 
 
-IDS = st.text(alphabet=st.sampled_from(list('ab ,"\n\r%/é;\t')), min_size=1, max_size=6)
+# No line breaks: an AssociationRecord refuses them, as load_records does.
+IDS = st.text(alphabet=st.sampled_from(list('ab ,"%/é;\t')), min_size=1, max_size=6)
 BOUNDS = st.one_of(st.integers(-(2**40), 2**40), st.floats(-1e12, 1e12))
 
 
