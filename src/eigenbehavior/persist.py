@@ -10,7 +10,9 @@ No file is named after a user.  One writer formats a user's whole block with
 one ``%.9g`` template applied to ``ndarray.tolist()``, and one reader, on
 ``trace.read_csv``, parses them back; ``"%.9g" % x`` is byte-identical to
 ``format(x, ".9g")``.  The trace writer writes in chunks of at most
-``CHUNK_ROWS`` records, with one ``%s,%s,%d,%d`` template.
+``CHUNK_ROWS`` records, with one ``%s,%s,%d,%d`` template over the int64
+casts of the bounds, which truncate toward zero as ``int()`` does; every
+bound of a ``Records`` is below 2**53 in magnitude, so the cast is exact.
 Ids are quoted once each through ``csv.writer``, as QUOTE_MINIMAL requires.
 
 The distance matrix is the one binary file and is stored exactly: its
@@ -93,8 +95,8 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
 
 
 def write_trace_csv(path: str, records: Records | Iterable[AssociationRecord]) -> None:
-    """Whole-second user,location,start,end rows; ``%d`` truncates a float
-    bound toward zero as ``int()`` does."""
+    """Whole-second user,location,start,end rows: each float bound as the
+    int64 it truncates to toward zero, the digits ``int()`` gives."""
     records = as_records(records)
     user_cells = np.array(_csv_cells(records.users), dtype=object)
     loc_cells = np.array(_csv_cells(records.locations), dtype=object)
@@ -105,8 +107,8 @@ def write_trace_csv(path: str, records: Records | Iterable[AssociationRecord]) -
             cells = np.empty((hi - lo, 4), dtype=object)
             cells[:, 0] = user_cells[records.user[lo:hi]]
             cells[:, 1] = loc_cells[records.loc[lo:hi]]
-            cells[:, 2] = records.start[lo:hi].tolist()
-            cells[:, 3] = records.end[lo:hi].tolist()
+            cells[:, 2] = records.start[lo:hi].astype(np.int64).tolist()
+            cells[:, 3] = records.end[lo:hi].astype(np.int64).tolist()
             fh.write("%s,%s,%d,%d\n" * (hi - lo) % tuple(cells.ravel().tolist()))
 
 

@@ -516,9 +516,10 @@ class _Replay:
 
     def _check_sims(self, users: np.ndarray) -> None:
         """Refuse the users (codes) that have no profile similarities."""
-        missing = np.unique(users[self._sim_row[users] < 0])
+        missing = users[self._sim_row[users] < 0]
         if len(missing):
-            raise ValueError(f"users without profile similarities: {[self.users[u] for u in missing[:5]]}")
+            names = [self.users[u] for u in sorted(set(missing.tolist()))[:5]]
+            raise ValueError(f"users without profile similarities: {names}")
 
     def feed(self, encounters: Encounters) -> None:
         """Replay the next encounters, coded over ``users``, in the given order."""

@@ -151,7 +151,7 @@ def _chunk_cuts(
         members = (parent == largest[:, None]) & taking_part
         count = members.sum(axis=1)
         order = np.argsort(~members, axis=1, kind="stable")  # members first, in row order
-        for n in np.unique(count):
+        for n in np.flatnonzero(np.bincount(count)):  # each member count that occurs, ascending
             at = np.flatnonzero(count == n)
             centroids[at, c] = stack[at[:, None], order[at, :n]].sum(axis=1) / n
     return roots, centroids
@@ -161,7 +161,7 @@ def behavioral_modes(matrix: AssociationMatrix, threshold: float) -> ModeCluster
     """Cluster the online rows by average linkage under Manhattan distance."""
     (roots,), _ = _mode_cuts([matrix], (threshold,))
     online = np.flatnonzero(matrix.online)
-    clusters = [online[roots == root].tolist() for root in np.unique(roots)]
+    clusters = [online[roots == root].tolist() for root in np.flatnonzero(np.bincount(roots))]
     centroids = [matrix.rows[members].mean(axis=0) for members in clusters]
     return ModeClustering(clusters, centroids, np.flatnonzero(~matrix.online).tolist(), threshold)
 

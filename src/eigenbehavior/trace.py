@@ -1,7 +1,8 @@
 """Association traces and per-user normalized association matrices.
 
 A trace is a set of (user, location, start, end) association records, held
-as columns (``Records``: int user and location codes, float start and end).
+as columns (``Records``: int user and location codes, float start and end,
+each finite and below 2**53 in magnitude, so every whole second is exact).
 The builder turns every user's records into a t x n matrix whose rows are
 time slots (days by default) and whose columns are locations.  Rows of an
 online slot sum to 1 in normalized mode; offline slots stay all zero.
@@ -14,6 +15,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -142,7 +144,9 @@ class Records:
 
     def __post_init__(self) -> None:
         set_columns(self, "record", user=np.intp, loc=np.intp, start=float, end=float)
-        for ids, codes in ((self.users, self.user), (self.locations, self.loc)):
+        for kind, ids, codes in (("user", self.users, self.user), ("location", self.locations, self.loc)):
+            for value in ids:
+                _check_id(kind, value)
             if list(ids) != sorted(set(ids)):
                 raise ValueError("record ids must be sorted and unique")
             if len(codes) and (codes.min() < 0 or codes.max() >= len(ids)):
@@ -182,7 +186,7 @@ class Records:
 def set_columns(table: object, what: str, **dtypes: type) -> None:
     """Make each named field of the frozen dataclass ``table`` an array of its
     dtype, and check that they are 1-d and of equal length and that every row
-    has end > start; ``what`` names a row in the errors."""
+    has end > start, both bounds ``_exact``; ``what`` names a row in the errors."""
     for name, dtype in dtypes.items():
         object.__setattr__(table, name, np.asarray(getattr(table, name), dtype=dtype))
     columns = [getattr(table, name) for name in dtypes]
@@ -190,6 +194,15 @@ def set_columns(table: object, what: str, **dtypes: type) -> None:
         raise ValueError(f"{what} columns must be 1-d and of equal length")
     if not np.all(table.end > table.start):
         raise ValueError(f"{what} must have end > start")
+    if not (_exact(table.start).all() and _exact(table.end).all()):
+        raise ValueError(f"{what} bounds must be finite and of magnitude below 2**53")
+
+
+def _exact(seconds: np.ndarray) -> np.ndarray:
+    """Where a float bound is finite and of magnitude below 2**53, so that
+    every integer up to it is a float and the trace writer's int64 cells
+    hold it; NaN is not exact."""
+    return np.abs(seconds) < 2.0**53
 
 
 def code_ids(names: Sequence[str], index: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
@@ -332,15 +345,20 @@ def read_table(path: str, header: tuple[str, str], key: str, ints: bool) -> dict
 
 
 def load_records(path: str) -> Records:
-    """Read a trace CSV with header user,location,start,end (integer epoch seconds).
+    """Read a trace CSV with header user,location,start,end (integer epoch
+    seconds of magnitude below 2**53, so that each is exactly a float).
 
     One csv.reader pass appends each row to typed columns; an id is checked
-    once, on the line where it first appears.
+    once, on the line where it first appears.  A bound of 2**53 or more in
+    magnitude becomes a float of at least that magnitude, so one vectorized
+    check after the pass finds it, and only then is the file read again for
+    its line; a bound too large for a float stops the pass at its append.
     """
+    header = ("user", "location", "start", "end")
     ucode: dict[str, int] = {}
     lcode: dict[str, int] = {}
     user_col, loc_col, start_col, end_col = array("q"), array("q"), array("d"), array("d")
-    rows = read_csv(path, ("user", "location", "start", "end"))
+    rows = read_csv(path, header)
     for line, (user, location, start_s, end_s) in rows:
         try:
             start, end = int(start_s), int(end_s)
@@ -360,11 +378,28 @@ def load_records(path: str) -> Records:
             )
         user_col.append(u)
         loc_col.append(loc)
-        start_col.append(start)
-        end_col.append(end)
+        try:
+            start_col.append(start)
+            end_col.append(end)
+        except OverflowError:  # an int too large for a float
+            raise _inexact_bound(path, line) from None
+    start, end = np.frombuffer(start_col), np.frombuffer(end_col)
+    inexact = ~(_exact(start) & _exact(end))
+    if inexact.any():
+        line, _ = next(islice(read_csv(path, header), int(inexact.argmax()), None))
+        raise _inexact_bound(path, line)
     users, user = code_ids(list(ucode), user_col)
     locations, loc = code_ids(list(lcode), loc_col)
-    return Records(users, locations, user, loc, start_col, end_col)
+    return Records(users, locations, user, loc, start, end)
+
+
+def _inexact_bound(path: str, line: int) -> ValueError:
+    """The refusal of the trace row on a line whose start or end is of
+    magnitude 2**53 or more."""
+    return ValueError(
+        f"{path}:{line}: start and end must be of magnitude below 2**53 = {2**53} seconds, "
+        "beyond which float seconds are not exact"
+    )
 
 
 def load_location_map(path: str) -> dict[str, str]:
@@ -443,7 +478,8 @@ def budget_blocks(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
     ``budget``: a range holds less than ``budget`` plus its last item's size."""
     ends = np.cumsum(sizes)
     total = int(ends[-1]) if len(ends) else 0
-    cuts = np.unique(np.searchsorted(ends, np.arange(budget, total, budget)) + 1)
+    cuts = np.searchsorted(ends, np.arange(budget, total, budget)) + 1
+    cuts = cuts[np.diff(cuts, prepend=-1) != 0]  # non-decreasing: drop the repeats
     edges = [0, *cuts[cuts < len(sizes)].tolist(), len(sizes)]
     return list(zip(edges[:-1], edges[1:]))
 

@@ -632,6 +632,48 @@ def test_every_command_runs_without_scipy(workdir, tmp_path):
     assert result.stdout.strip() == "1.0000"
 
 
+# each command's arguments before --out: {root} is the workdir, {trace} its synth trace
+PIPELINE_ON_TRACE = ["pipeline", "{trace}", "--config", "{root}/config.json", "--metric"]
+NUMPY_MA_RUNS = {
+    "synth": ["synth", "{root}/spec.json"],
+    "pipeline-eigen": [*PIPELINE_ON_TRACE, "eigen", "--clusters", "3"],
+    "pipeline-centroid09": [*PIPELINE_ON_TRACE, "centroid09", "--clusters", "3"],
+    "pipeline-amvd": [*PIPELINE_ON_TRACE, "amvd", "--threshold", "0.5"],
+    "simulate": ["simulate", "{trace}", "--pipeline", "{root}/pipe", "--scenario", "{root}/scenario.json"],
+}
+
+
+@pytest.mark.parametrize("run", [*NUMPY_MA_RUNS, "compare"])
+def test_no_command_imports_numpy_ma(workdir, tmp_path, run):
+    # a plain np.unique imports numpy.ma, about 6 ms of every run's start-up
+    src = os.path.dirname(os.path.dirname(eigenbehavior.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    if run == "compare":
+        partition = str(workdir / "pipe" / "partition.csv")
+        argv = ["compare", partition, partition]
+    else:
+        fill = {"root": workdir, "trace": workdir / "synth" / "trace.csv"}
+        argv = [arg.format(**fill) for arg in NUMPY_MA_RUNS[run]] + ["--out", str(tmp_path / "o")]
+    probe = (
+        "import sys; from eigenbehavior.cli import main; "
+        f"assert main({argv!r}) == 0; "
+        "print('numpy.ma' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("end", [2**53, 10**400], ids=["2**53", "10**400"])
+def test_a_bound_past_exact_float_seconds_exits_2_naming_its_line(workdir, tmp_path, capsys, end):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"user,location,start,end\nu1,A,0,5\nu2,A,0,{end}\n")
+    out = tmp_path / "o"
+    argv = ["pipeline", str(trace), "--config", str(workdir / "config.json"), "--clusters", "1"]
+    message = "start and end must be of magnitude below 2**53"
+    _exits_2_naming([*argv, "--out", str(out)], f"{trace}:3", message, out, capsys)
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # with scipy installed (the test extra), importing the CLI still loads none of it
     src = os.path.dirname(os.path.dirname(eigenbehavior.__file__))

@@ -16,6 +16,7 @@ from eigenbehavior import (
     DistanceMatrix,
     EigenBehaviorSet,
     Partition,
+    Records,
     TraceConfig,
     load_records,
 )
@@ -76,6 +77,20 @@ def test_a_record_refuses_the_ids_its_trace_could_not_load_back(tmp_path, user, 
     with pytest.raises(ValueError) as built:
         AssociationRecord(user, location, 0, 10)
     assert str(loaded.value) == f"{path}:2: {built.value}"
+
+
+@pytest.mark.parametrize(
+    "user, location", [("a\nb", "L"), ("a\rb", "L"), ("", "L"), ("u", "L\r\nM"), ("u", "")]
+)
+def test_columns_refuse_the_ids_their_trace_could_not_load_back(user, location):
+    """Records built from columns apply the same rule, so write_trace_csv
+    never writes a trace that load_records refuses or, for a bare carriage
+    return that csv.writer leaves unquoted, reads back as a split row."""
+    with pytest.raises(ValueError) as built:
+        Records((user,), (location,), [0], [0], [0.0], [10.0])
+    with pytest.raises(ValueError) as row:
+        AssociationRecord(user, location, 0, 10)
+    assert str(built.value) == str(row.value)
 
 
 def test_truth_csv_roundtrip(tmp_path):

@@ -263,16 +263,28 @@ def test_ids_sort_as_strings_past_five_digits():
 
 # No line breaks: an AssociationRecord refuses them, as load_records does.
 IDS = st.text(alphabet=st.sampled_from(list('ab ,"%/é;\t')), min_size=1, max_size=6)
-BOUNDS = st.one_of(st.integers(-(2**40), 2**40), st.floats(-1e12, 1e12))
+TOP = 2**53 - 1  # the largest bound of a Records
+# The writer's int64 cells truncate toward zero as the oracle's int() does,
+# up to the largest bounds, at halves of either sign and at the floats just
+# below 2**53 in magnitude, where the spacing reaches 1.
+BOUNDS = st.one_of(
+    st.integers(-(2**40), 2**40),
+    st.floats(-1e12, 1e12),
+    st.integers(-TOP, TOP),
+    st.sampled_from([TOP, -TOP, 0.5, -0.5, 1.5, -1.5, 2.0**52 - 0.5, 0.5 - 2.0**52]),
+    st.floats(2.0**52, TOP).flatmap(lambda x: st.sampled_from([x, -x])),
+)
 
 
 @st.composite
 def association_rows(draw):
+    """Rows whose end is the start plus a length or a second bound."""
     rows = []
     for _ in range(draw(st.integers(0, 8))):
         start = draw(BOUNDS)
-        end = start + draw(st.one_of(st.integers(1, 10**6), st.floats(0.001, 1e6)))
-        if end > start:
+        length = draw(st.one_of(st.integers(1, 10**6), st.floats(0.001, 1e6)))
+        end = draw(st.one_of(BOUNDS, st.just(start + length)))
+        if end > start and max(abs(start), abs(end)) <= TOP:
             rows.append(AssociationRecord(draw(IDS), draw(IDS), start, end))
     return rows
 

@@ -107,6 +107,34 @@ def test_load_records_errors_carry_line_numbers(tmp_path, body, fragment):
 
 
 @pytest.mark.parametrize(
+    "start, end",
+    [
+        (0, 2**53),
+        (-(2**53), 0),
+        (0, 2**53 + 1),  # loads as 2**53 + 0 without the check: no float holds it
+        (-(2**54), -(2**53)),
+        (0, 10**400),  # too large for a float: array.append overflows
+        (-(10**400), 0),
+    ],
+    ids=["2**53", "-2**53", "2**53+1", "-2**54", "10**400", "-10**400"],
+)
+def test_load_records_refuses_bounds_that_are_not_exact_floats(tmp_path, start, end):
+    path = tmp_path / "big.csv"
+    path.write_text(f"user,location,start,end\nu1,A,0,5\nu2,B,{start},{end}\nu3,A,0,5\n")
+    with pytest.raises(ValueError) as err:
+        load_records(str(path))
+    assert str(err.value).startswith(f"{path}:3: start and end must be of magnitude below 2**53")
+
+
+def test_load_records_takes_bounds_just_below_2_53(tmp_path):
+    top = 2**53 - 1
+    path = tmp_path / "edge.csv"
+    path.write_text(f"user,location,start,end\nu1,A,{-top},{top}\nu1,A,{top - 1},{top}\n")
+    records = load_records(str(path))
+    assert [(int(r.start), int(r.end)) for r in records.rows()] == [(-top, top), (top - 1, top)]
+
+
+@pytest.mark.parametrize(
     "body,message",
     [
         (b'user,location,start,end\nu1,A,0,5\n"u\n1",A,0,5\n', r":3: user id 'u\n1' contains"),

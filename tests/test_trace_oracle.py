@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from eigenbehavior import trace
 from eigenbehavior import (
     DAY_SECONDS,
     AssociationRecord,
+    Encounters,
     Records,
     TraceConfig,
     aggregate_locations,
@@ -26,7 +28,7 @@ from eigenbehavior import (
     load_records,
     split_trace,
 )
-from eigenbehavior.trace import merge_intervals
+from eigenbehavior.trace import budget_blocks, merge_intervals
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -251,6 +253,17 @@ def test_merge_intervals_hand_case():
     assert [x.tolist() for x in got] == [[0, 0, 2], [0, 5, 0], [4, 6, 1]]
 
 
+@given(
+    st.lists(st.one_of(st.integers(0, 3), st.integers(0, 200)), max_size=40),
+    st.one_of(st.integers(1, 4), st.integers(1, 500)),
+)
+@PROPERTY
+def test_budget_blocks_equals_its_unique_formulation(sizes, budget):
+    # zero sizes and items larger than the budget make repeated cut points
+    sizes = np.array(sizes, dtype=np.intp)
+    assert budget_blocks(sizes, budget) == oracle.budget_blocks(sizes, budget)
+
+
 def test_matrix_rows_are_views_of_one_array():
     rows = [AssociationRecord("u", "A", 0, 10), AssociationRecord("v", "B", 5, 20)]
     mats = build_matrices(rows, TraceConfig(0, 100, slot_seconds=50))
@@ -329,6 +342,18 @@ def test_records_validate_columns():
     with pytest.raises(ValueError, match="out of range"):
         Records(("u",), ("A",), [1], [0], [0.0], [1.0])
     assert len(Records.from_rows([])) == 0
+
+
+@pytest.mark.parametrize(
+    "start, end",
+    [(0.0, math.inf), (-math.inf, 0.0), (0.0, 2.0**53), (-(2.0**53), 0.0), (2.0**53, 2.0**54), (0.0, 1e300)],
+)
+def test_columns_refuse_bounds_that_are_not_exact_seconds(start, end):
+    # the trace writer's int64 cells hold every bound below 2**53 in magnitude exactly
+    with pytest.raises(ValueError, match=r"^record bounds must be finite and of magnitude below 2\*\*53$"):
+        Records(("u",), ("A",), [0], [0], [start], [end])
+    with pytest.raises(ValueError, match=r"^encounter bounds must be finite and of magnitude below 2\*\*53$"):
+        Encounters(("u", "v"), ("A",), [0], [1], [start], [end], [0])
 
 
 ID_TEXT = st.text(alphabet="ab ,\"'é%", max_size=3)

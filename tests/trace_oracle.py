@@ -235,3 +235,13 @@ def split_trace(
                 AssociationRecord(rec.user_id, rec.location_id, max(rec.start, mid), rec.end)
             )
     return first, second, mid
+
+
+def budget_blocks(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """trace.budget_blocks as it stood with ``np.unique`` dropping the
+    repeated cut points (a plain ``np.unique`` imports ``numpy.ma``)."""
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if len(ends) else 0
+    cuts = np.unique(np.searchsorted(ends, np.arange(budget, total, budget)) + 1)
+    edges = [0, *cuts[cuts < len(sizes)].tolist(), len(sizes)]
+    return list(zip(edges[:-1], edges[1:]))
