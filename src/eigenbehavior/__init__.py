@@ -15,7 +15,6 @@ from .distances import (
     amvd_distance_matrix,
     eigen_distance_matrix,
     eigen_sets_for,
-    normalize_sims,
     normalized_sim_table,
     sim_matrix,
     summary_l1_distance,
@@ -48,9 +47,7 @@ from .profilecast import (
 )
 from .summaries import (
     EigenBehaviorSet,
-    ModeClustering,
     SummaryVectors,
-    behavioral_modes,
     centroid_first_mode,
     eigen_behaviors,
     onavg,
@@ -79,7 +76,6 @@ from .trace import (
     build_matrix,
     load_location_map,
     load_records,
-    online_slot_count,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

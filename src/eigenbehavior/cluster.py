@@ -10,8 +10,11 @@ such trees at once and records each as (i, j, distance) rows; one cut,
 merge_roots, reads any prefix of those records as each slot's root.
 agglomerate runs both on the square of a DistanceMatrix, the package's one
 distance type: the condensed triangle of the pairwise distances, checked once
-when it is built.  pairwise_l1 is the package's one L1 kernel: mode trees,
-summary distances and AMVD use it.
+when it is built.  row_runs is the triangle's one row layout: every walk over
+its rows (the square, the eigen and summary distances, distance_cdfs) reads
+or writes each row's run through it; only AMVD, whose users run in row-count
+order, scatters through pair_index.  pairwise_l1 is the package's one L1
+kernel: mode trees, summary distances and AMVD use it.
 """
 
 from __future__ import annotations
@@ -78,10 +81,10 @@ def pair_index(n: int, i, j):
     return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
-def condensed(square: np.ndarray) -> np.ndarray:
-    """The upper triangle of a square array, above its diagonal, in pair
-    order, gathered a row slice at a time."""
-    return np.concatenate([np.empty(0, square.dtype), *(row[i + 1 :] for i, row in enumerate(square))])
+def row_runs(values: np.ndarray, n: int) -> list[np.ndarray]:
+    """Views of the condensed triangle values of n elements, one per row a <
+    n - 1: the run of its pairs (a, j > a), in order; no runs when n <= 1."""
+    return np.split(values, np.cumsum(np.arange(n - 1, 1, -1))) if n > 1 else []
 
 
 @dataclass
@@ -89,7 +92,7 @@ class DistanceMatrix:
     """Pairwise distances with a metric name and element ids.
 
     values is the condensed upper triangle, the i < j pairs of the ids in
-    row-major order (see pair_index), so symmetry and a zero diagonal hold by
+    row-major order (see row_runs), so symmetry and a zero diagonal hold by
     construction.  Building one is its one check: distinct ids, n(n - 1) / 2
     float64 values for n ids, all finite, and [0, METRIC_MAX] for a metric
     listed there.  Everything that takes a DistanceMatrix trusts it.
@@ -125,13 +128,10 @@ class DistanceMatrix:
 
     def square(self) -> np.ndarray:
         """A fresh n x n array of the distances, zero on the diagonal, filled
-        a row slice at a time."""
+        a row's run at a time."""
         out = np.zeros((self.n, self.n))
-        lo = 0
-        for i in range(self.n):
-            row = self.values[lo : lo + self.n - 1 - i]
-            out[i, i + 1 :] = out[i + 1 :, i] = row
-            lo += len(row)
+        for a, run in enumerate(row_runs(self.values, self.n)):
+            out[a, a + 1 :] = out[a + 1 :, a] = run
         return out
 
 
@@ -277,5 +277,7 @@ def merge_roots(merges: np.ndarray, threshold: float = math.inf) -> np.ndarray:
 def distance_cdfs(partition: Partition, dm: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Sorted intra-cluster and inter-cluster pair distance samples of dm's ids."""
     cluster_of = np.array([partition.assignment[element] for element in dm.ids])
-    same = condensed(cluster_of[:, None] == cluster_of)
+    same = np.empty(dm.values.shape, bool)
+    for a, run in enumerate(row_runs(same, dm.n)):
+        np.equal(cluster_of[a], cluster_of[a + 1 :], out=run)
     return np.sort(dm.values[same]), np.sort(dm.values[~same])

@@ -21,8 +21,8 @@ import warnings
 
 import numpy as np
 
-from .cluster import METRIC_MAX, DistanceMatrix, condensed, pair_index, pairwise_l1
-from .summaries import DEFAULT_POWER_FLOOR, SUMMARY_NAMES, EigenBehaviorSet, SummaryVectors, eigen_behaviors
+from .cluster import METRIC_MAX, ROW_BLOCK_CELLS, DistanceMatrix, pair_index, pairwise_l1, row_runs
+from .summaries import DEFAULT_POWER_FLOOR, EigenBehaviorSet, eigen_behaviors
 from .trace import AssociationMatrix, budget_blocks
 
 # sim_matrix's block of absolute dot products holds about this many cells.
@@ -92,22 +92,11 @@ def sim_matrix(sets: list[EigenBehaviorSet]) -> np.ndarray:
     return out
 
 
-def normalize_sims(raw: np.ndarray) -> np.ndarray:
-    """Scale each user's row by its largest similarity to any other user.
-
-    Off-diagonal entries land in [0, 1]; the diagonal is set to 1.  Rows with
-    no positive similarity to anyone are left at zero with a warning.  raw is
-    not changed.
-    """
-    out = np.array(raw, dtype=float)
-    n = out.shape[0]
-    if out.ndim != 2 or out.shape != (n, n) or n < 2:
-        raise ValueError("raw similarities must be square, at least 2 x 2")
-    return _normalize_in_place(out)
-
-
 def _normalize_in_place(out: np.ndarray) -> np.ndarray:
-    """normalize_sims, overwriting its square float argument."""
+    """Scale each user's row of the square raw similarities out, in place, by
+    its largest similarity to any other user.  Off-diagonal entries land in
+    [0, 1]; the diagonal is set to 1.  Rows with no positive similarity to
+    anyone are left at zero with a warning."""
     np.fill_diagonal(out, -np.inf)
     row_max = out.max(axis=1)
     dead = row_max <= 0
@@ -133,9 +122,9 @@ def eigen_distance_matrix(
     Users mapped to None (no online time) are flagged and sit at the metric
     maximum from everyone: the condensed triangle starts at that maximum, and
     each live user's row a of S gives its distances to the live users after
-    it, 1 - (S[a, a+1:] + S[a+1:, a]) / 2 clipped to [0, 1], written at those
-    pairs' places.  Addition commutes, so every cell has the bits of the
-    whole-array S + S^T.
+    it, 1 - (S[a, a+1:] + S[a+1:, a]) / 2 clipped to [0, 1], written into its
+    row's run at those users' offsets.  Addition commutes, so every cell has
+    the bits of the whole-array S + S^T.
     """
     ids = tuple(sorted(eigen_sets))
     live = {u: s for u, s in eigen_sets.items() if s is not None}
@@ -145,26 +134,34 @@ def eigen_distance_matrix(
     n = len(ids)
     pos = np.flatnonzero([eigen_sets[u] is not None for u in ids])  # the live users' places in ids
     values = np.full(n * (n - 1) // 2, METRIC_MAX["eigen"])
-    for a, p in enumerate(pos):
+    runs = row_runs(values, n)
+    for a, p in enumerate(pos[:-1]):  # the last live user has no later pair
         row = table[a, a + 1 :] + table[a + 1 :, a]
         row /= 2.0
         np.subtract(1.0, row, out=row)
-        values[pair_index(n, p, pos[a + 1 :])] = np.clip(row, 0.0, 1.0, out=row)
+        runs[p][pos[a + 1 :] - p - 1] = np.clip(row, 0.0, 1.0, out=row)
     flagged = tuple(u for u in ids if eigen_sets[u] is None)
     return DistanceMatrix(values, "eigen", ids, flagged)
 
 
-def summary_l1_distance(summary: SummaryVectors, metric: str) -> DistanceMatrix:
-    """Manhattan distance between the users' summaries that metric names in
-    SUMMARY_NAMES, users in sorted order.  summary holds only users with online
-    time, so the result may cover a subset of a run's users."""
-    kind = {name: k for k, (_, name) in enumerate(SUMMARY_NAMES) if name is not None}.get(metric)
-    if kind is None:
-        raise ValueError(f"unknown summary metric {metric!r}")
-    if len(summary.ids) < 2:
+def summary_l1_distance(ids: tuple[str, ...], vectors: np.ndarray, metric: str) -> DistanceMatrix:
+    """Manhattan distance, named metric, between the users ids, whose
+    summaries are the rows of vectors, (users, locations).  Rows [lo, hi) are
+    measured against every later row, pairwise_l1(vectors[lo:hi], vectors[lo
+    + 1:]), in blocks of about ROW_BLOCK_CELLS cells, and each row a's j > a
+    run is copied into the triangle; every pair's terms are added in column
+    order, as one whole-array pairwise_l1 adds them."""
+    n = len(ids)
+    if n < 2:
         raise ValueError("need at least two users with online slots")
-    vectors = summary.vectors[sorted(range(len(summary.ids)), key=summary.ids.__getitem__), kind]
-    return DistanceMatrix(condensed(pairwise_l1(vectors, vectors)), metric, tuple(sorted(summary.ids)))
+    values = np.empty(n * (n - 1) // 2)
+    runs = row_runs(values, n)
+    for lo, hi in budget_blocks(np.full(n - 1, n - 1), ROW_BLOCK_CELLS):
+        block = pairwise_l1(vectors[lo:hi], vectors[lo + 1 :])
+        for a in range(lo, hi):
+            runs[a][:] = block[a - lo, a - lo :]
+        del block  # freed before the next block is made
+    return DistanceMatrix(values, metric, ids)
 
 
 def eigen_sets_for(

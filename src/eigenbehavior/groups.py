@@ -141,7 +141,11 @@ def cross_significance(
     flat = table.reshape(-1)
     per_cluster, own_all, n_other = [], [], 0
     for profile, scores in zip(scored, table):
-        member = np.isin(online, profile.members)
+        # each member's place among the sorted online users; a member whose
+        # place holds another user, or lies past the end, is offline: dropped
+        at = np.searchsorted(online, profile.members)
+        member = np.zeros(len(online), bool)
+        member[at[online.take(at, mode="clip") == profile.members]] = True
         own, other = scores[member], scores[~member]
         per_cluster.append(
             (profile.cluster_id, float(own.mean()), float(other.mean()) if other.size else float("nan"))

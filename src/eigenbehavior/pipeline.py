@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import distances, groups, summaries
 from .cluster import METRIC_MAX, DistanceMatrix, Partition, agglomerate
 from .trace import AssociationMatrix, TraceConfig, build_matrices
@@ -15,17 +17,18 @@ def build_distance_matrix(
     matrices: dict[str, AssociationMatrix],
     metric: str,
     eigen_sets: dict[str, summaries.EigenBehaviorSet | None],
-    summary: summaries.SummaryVectors,
+    column: tuple[tuple[str, ...], np.ndarray] | None = None,
     include_offline: bool = False,
 ) -> DistanceMatrix:
-    """Distance matrix for a metric, read off the eigen sets or summary vectors if it uses them."""
+    """Distance matrix for a metric, read off the eigen sets, or off column,
+    the metric's SummaryVectors.column, for a summary metric."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     if metric == "eigen":
         return distances.eigen_distance_matrix(eigen_sets)
     if metric == "amvd":
         return distances.amvd_distance_matrix(matrices, include_offline)
-    return distances.summary_l1_distance(summary, metric)
+    return distances.summary_l1_distance(*column, metric)
 
 
 @dataclass
@@ -50,11 +53,16 @@ def run_pipeline(
     """Run the full grouping pipeline on prepared (already aggregated) records.
 
     Eigen sets and then summary vectors are built once and feed every output;
-    the similarity table is built only for the eigen metric."""
+    the summaries are held only while the summary table and the metric's
+    column are read off them, and the similarity table is built only for the
+    eigen metric."""
     matrices = build_matrices(records, config)
     eigen_sets = distances.eigen_sets_for(matrices, power_floor)
     summary = summaries.summary_vectors(matrices, eigen_sets)
-    dm = build_distance_matrix(matrices, metric, eigen_sets, summary, include_offline)
+    table, column = summaries.summary_table(matrices, summary), summary.column(metric)
+    del summary  # only the metric's column, none for eigen and amvd, is held on
+    dm = build_distance_matrix(matrices, metric, eigen_sets, column, include_offline)
+    del column
     partition = agglomerate(dm, threshold=threshold, target_count=target_count)
     profiles = groups.group_profiles(partition, matrices, power_floor=power_floor)
     return PipelineResult(
@@ -62,6 +70,6 @@ def run_pipeline(
         eigen_sets=eigen_sets,
         distance_matrix=dm,
         partition=partition,
-        summary_table=summaries.summary_table(matrices, summary),
+        summary_table=table,
         profiles=profiles,
     )

@@ -72,19 +72,15 @@ class SummaryVectors:
     ids: tuple[str, ...]
     vectors: np.ndarray
 
-
-@dataclass
-class ModeClustering:
-    """Online rows grouped into behavioral modes; offline rows form the trivial cluster."""
-
-    row_clusters: list[list[int]]
-    centroids: list[np.ndarray]
-    offline_rows: list[int]
-    threshold: float
-
-    @property
-    def multi_modal(self) -> bool:
-        return len(self.row_clusters) >= 2
+    def column(self, metric: str) -> tuple[tuple[str, ...], np.ndarray] | None:
+        """The summaries that --metric metric names in SUMMARY_NAMES, users in
+        sorted order: their ids and a fresh (users, locations) array; None
+        when metric names no summary."""
+        kind = {name: k for k, (_, name) in enumerate(SUMMARY_NAMES) if name is not None}.get(metric)
+        if kind is None:
+            return None
+        order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
+        return tuple(self.ids[i] for i in order), self.vectors[order, kind]
 
 
 def _require_online(matrix: AssociationMatrix) -> None:
@@ -155,15 +151,6 @@ def _chunk_cuts(
             at = np.flatnonzero(count == n)
             centroids[at, c] = stack[at[:, None], order[at, :n]].sum(axis=1) / n
     return roots, centroids
-
-
-def behavioral_modes(matrix: AssociationMatrix, threshold: float) -> ModeClustering:
-    """Cluster the online rows by average linkage under Manhattan distance."""
-    (roots,), _ = _mode_cuts([matrix], (threshold,))
-    online = np.flatnonzero(matrix.online)
-    clusters = [online[roots == root].tolist() for root in np.flatnonzero(np.bincount(roots))]
-    centroids = [matrix.rows[members].mean(axis=0) for members in clusters]
-    return ModeClustering(clusters, centroids, np.flatnonzero(~matrix.online).tolist(), threshold)
 
 
 def centroid_first_mode(matrix: AssociationMatrix, threshold: float) -> np.ndarray:

@@ -617,8 +617,3 @@ def build_matrix(
     if len(records.users) > 1:
         raise ValueError(f"records span multiple users: {list(records.users)!r}")
     return build_matrices(records, config, location_index)[records.users[0]]
-
-
-def online_slot_count(matrix: AssociationMatrix) -> int:
-    """Number of slots with any association time."""
-    return int(np.count_nonzero(matrix.online))

@@ -22,7 +22,6 @@ from eigenbehavior import (
     single_location_modes,
     split_trace,
 )
-from eigenbehavior.cluster import condensed
 from eigenbehavior.trace import DAY_SECONDS
 
 from cluster_oracle import check_square
@@ -79,7 +78,14 @@ def checked(square, ids=None) -> DistanceMatrix:
     """A symmetric, zero-diagonal square as a DistanceMatrix of an untagged
     metric, keyed by 0..n-1 unless ids are given."""
     square = check_square(square)
-    return DistanceMatrix(condensed(square), "custom", range(len(square)) if ids is None else ids)
+    return DistanceMatrix(upper(square), "custom", range(len(square)) if ids is None else ids)
+
+
+def upper(square) -> np.ndarray:
+    """The condensed triangle of a square array: its i < j entries in
+    row-major order, gathered by np.triu_indices."""
+    square = np.asarray(square)
+    return square[np.triu_indices(len(square), 1)]
 
 
 def matrix_from_rows(rows, user_id="u", locations=None) -> AssociationMatrix:

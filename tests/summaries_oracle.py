@@ -4,21 +4,35 @@ significance scored one (user, vector) pair at a time, as it was before the
 package scored every pair of a summary table or of cross significance in one
 significances table.
 
-The oracle for summaries._mode_cuts, behavioral_modes and
-centroid_first_mode, and for significance, summary_table and
-groups.cross_significance.
+The oracle for summaries._mode_cuts and centroid_first_mode, and for
+significance, summary_table and groups.cross_significance.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from cluster_oracle import agglomerate
-from eigenbehavior import CrossSignificance, ModeClustering
+from eigenbehavior import CrossSignificance
 from eigenbehavior.summaries import MODE_THRESHOLDS
+
+
+@dataclass
+class ModeClustering:
+    """Online rows grouped into behavioral modes; offline rows form the trivial cluster."""
+
+    row_clusters: list[list[int]]
+    centroids: list[np.ndarray]
+    offline_rows: list[int]
+    threshold: float
+
+    @property
+    def multi_modal(self) -> bool:
+        return len(self.row_clusters) >= 2
 
 
 def behavioral_modes(matrix, threshold: float) -> ModeClustering:

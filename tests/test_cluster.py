@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import checked
+from conftest import checked, upper
 from eigenbehavior import DistanceMatrix, Partition, agglomerate, cluster, distance_cdfs
-from eigenbehavior.cluster import condensed, pair_index
+from eigenbehavior.cluster import pair_index, row_runs
 
 
 def naive_average_linkage(dm, threshold=None, target_count=None):
@@ -138,15 +138,33 @@ def test_square_unfolds_the_pair_order():
         [[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 4.0, 5.0], [2.0, 4.0, 0.0, 6.0], [3.0, 5.0, 6.0, 0.0]],
     )
     assert [pair_index(4, i, j) for i in range(4) for j in range(i + 1, 4)] == list(range(6))
-    assert np.array_equal(condensed(dm.square()), dm.values)
+    assert np.array_equal(upper(dm.square()), dm.values)
     assert dm.square() is not dm.square()  # fresh, for the engine to work in
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_row_runs_are_the_triangles_rows(n):
+    """Row a's run holds the pairs (a, j > a): the runs are views that tile
+    the triangle in order, and writing through them fills it."""
+    values = np.zeros(n * (n - 1) // 2)
+    runs = row_runs(values, n)
+    assert len(runs) == max(n - 1, 0)
+    assert [len(run) for run in runs] == list(range(n - 1, 0, -1))
+    square = np.zeros((n, n))
+    for a, run in enumerate(runs):
+        assert np.shares_memory(run, values)
+        run[:] = np.arange(a + 1, n) + 10 * a
+        square[a, a + 1 :] = run
+    assert np.array_equal(values, upper(square))
+    dm = DistanceMatrix(values, "custom", range(n))
+    assert np.array_equal(dm.square(), square + square.T)
 
 
 def test_a_checked_matrix_is_validated_once(monkeypatch):
     calls = []
     post_init = DistanceMatrix.__post_init__
     monkeypatch.setattr(DistanceMatrix, "__post_init__", lambda dm: calls.append(1) or post_init(dm))
-    dm = DistanceMatrix(condensed(random_dm(np.random.default_rng(3), 6)), "eigen", "abcdef")
+    dm = DistanceMatrix(upper(random_dm(np.random.default_rng(3), 6)), "eigen", "abcdef")
     partition = agglomerate(dm, target_count=2)
     distance_cdfs(partition, dm)
     assert len(calls) == 1
@@ -230,6 +248,16 @@ def test_distance_cdfs_hand_case():
     np.testing.assert_allclose(intra, [0.1, 0.2])
     np.testing.assert_allclose(inter, [0.6, 0.7, 0.8, 0.9])
     assert len(intra) + len(inter) == 6
+
+
+def test_distance_cdfs_split_the_square_by_its_cluster_mask():
+    rng = np.random.default_rng(23)
+    square = random_dm(rng, 40)
+    labels = rng.integers(0, 5, 40)
+    intra, inter = distance_cdfs(Partition(dict(enumerate(labels.tolist()))), checked(square))
+    same = upper(labels[:, None] == labels)
+    assert np.array_equal(intra, np.sort(upper(square)[same]))
+    assert np.array_equal(inter, np.sort(upper(square)[~same]))
 
 
 def test_distance_cdfs_with_labels():

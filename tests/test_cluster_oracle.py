@@ -14,11 +14,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 import cluster_oracle as oracle
-from conftest import checked
+from conftest import checked, upper
 from eigenbehavior.cluster import (
     DistanceMatrix,
     agglomerate,
-    condensed,
     merge_histories,
     merge_roots,
     pairwise_l1,
@@ -60,7 +59,7 @@ def test_merge_history_matches_oracle(data):
     clusters as the oracle clusters the square."""
     square = data.draw(distance_matrices())
     n = square.shape[0]
-    dm = DistanceMatrix(condensed(square), "custom", range(n))
+    dm = DistanceMatrix(upper(square), "custom", range(n))
     assert dm.values.shape == (n * (n - 1) // 2,)
     assert np.array_equal(dm.square(), square)
     stop = stop_rule(data.draw, n)

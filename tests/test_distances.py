@@ -7,11 +7,12 @@ agree with the vectorized production path to float precision.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from eigenbehavior import distances, summaries
+from eigenbehavior import cluster, distances, summaries
 from eigenbehavior import (
     DistanceMatrix,
     EigenBehaviorSet,
@@ -19,7 +20,6 @@ from eigenbehavior import (
     eigen_behaviors,
     eigen_distance_matrix,
     eigen_sets_for,
-    normalize_sims,
     normalized_sim_table,
     sim_matrix,
     summary_l1_distance,
@@ -191,34 +191,44 @@ def test_sim_matrix_matches_pairwise_loop(monkeypatch):
         sim_matrix(sets[:1])
 
 
+def gram_sets(gram):
+    """One unit vector of weight 1 per user, the rows of gram's Cholesky
+    factor, so that the raw similarity of users i and j is |gram[i, j]|."""
+    rows = np.linalg.cholesky(np.asarray(gram, dtype=float))
+    return {f"u{i}": unit_set(row, weights=[1.0]) for i, row in enumerate(rows)}
+
+
 def test_normalize_sims_frozen_table():
-    raw = np.array([[5.0, 2.0, 1.0], [2.0, 3.0, 0.5], [1.0, 0.5, 2.0]])
-    out = normalize_sims(raw)
+    # raw similarities proportional to [[5, 2, 1], [2, 3, 0.5], [1, 0.5, 2]] off the diagonal
+    table, _ = normalized_sim_table(gram_sets([[1.0, 0.8, 0.4], [0.8, 1.0, 0.2], [0.4, 0.2, 1.0]]))
     np.testing.assert_allclose(
-        out, [[1.0, 1.0, 0.5], [1.0, 1.0, 0.25], [1.0, 0.5, 1.0]]
+        table, [[1.0, 1.0, 0.5], [1.0, 1.0, 0.25], [1.0, 0.5, 1.0]]
     )
     # every user's closest neighbor scores exactly 1
-    off = out.copy()
+    off = table.copy()
     np.fill_diagonal(off, -np.inf)
     assert np.all(off.max(axis=1) == 1.0)
 
 
 def test_normalize_sims_leaves_its_argument_unchanged():
-    raw = np.array([[5.0, 2.0, 1.0], [2.0, 3.0, 0.5], [0.0, 0.0, 2.0]])
-    kept = raw.copy()
+    sets = gram_sets([[1.0, 0.8, 0.0], [0.8, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    kept = {u: (s.vectors.copy(), s.weights.copy()) for u, s in sets.items()}
     with pytest.warns(UserWarning, match="no positive similarity"):
-        out = normalize_sims(raw)
-    assert out is not raw
-    np.testing.assert_array_equal(raw, kept)
+        normalized_sim_table(sets)
+    for u, s in sets.items():
+        np.testing.assert_array_equal(s.vectors, kept[u][0])
+        np.testing.assert_array_equal(s.weights, kept[u][1])
 
 
 def test_normalize_sims_dead_row_warns():
-    raw = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
-    with pytest.warns(UserWarning, match="no positive similarity"):
-        out = normalize_sims(raw)
-    np.testing.assert_allclose(out[0], [1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        normalize_sims(np.zeros((1, 1)))
+    # u0 is orthogonal to both others: no positive similarity to anyone
+    sets = gram_sets([[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
+    with pytest.warns(UserWarning, match=r"normalize_sims: rows with no positive similarity: \[0\]"):
+        table, _ = normalized_sim_table(sets)
+    np.testing.assert_array_equal(table[0], [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(table[1:], [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="at least two"):
+        normalized_sim_table({"u0": sets["u0"]})
 
 
 def test_eigen_distance():
@@ -264,7 +274,10 @@ def test_eigen_distance_matrix_matches_scalar_oracle():
         sets[f"u{u:02d}"] = eigen_behaviors(matrix_from_rows(rows), power_floor=0.01)
     dm = eigen_distance_matrix(sets)
     ids = dm.ids
-    table = normalize_sims(np.array([[sim(sets[u], sets[v]) for v in ids] for u in ids]))
+    raw = np.array([[sim(sets[u], sets[v]) for v in ids] for u in ids])
+    np.fill_diagonal(raw, -np.inf)
+    table = raw / raw.max(axis=1)[:, None]  # each row over its largest similarity to another user
+    np.fill_diagonal(table, 1.0)
     want = np.array(
         [[eigen_distance(table[i, j], table[j, i]) for j in range(len(ids))] for i in range(len(ids))]
     )
@@ -297,16 +310,15 @@ def test_summary_l1_distance_onavg_and_centroid():
         "b": matrix_from_rows(basis_rows([1], 2), user_id="b"),
     }
     summary = summaries_of(mats)
-    dm = summary_l1_distance(summary, "onavg")
+    dm = summary_l1_distance(*summary.column("onavg"), "onavg")
     assert dm.metric == "onavg"
     assert dm.values[0] == pytest.approx(4 / 3)  # (2/3,1/3) vs (0,1)
     for metric in ("centroid05", "centroid09"):
-        dm_c = summary_l1_distance(summary, metric)
+        dm_c = summary_l1_distance(*summary.column(metric), metric)
         assert dm_c.metric == metric
         assert dm_c.values[0] == pytest.approx(2.0)  # dominant modes e1 vs e2
-    for name in ("median", "centroid@0.5", "onavg_l1", "eigen", "svd", None):
-        with pytest.raises(ValueError, match="unknown summary metric"):
-            summary_l1_distance(summary, name)
+    for name in ("median", "centroid@0.5", "onavg_l1", "eigen", "amvd", "svd", None):
+        assert summary.column(name) is None
 
 
 def test_summary_l1_distance_reads_its_column_in_sorted_user_order():
@@ -320,7 +332,10 @@ def test_summary_l1_distance_reads_its_column_in_sorted_user_order():
     for metric in ("onavg", "centroid05", "centroid09"):
         kind = [name for _, name in summaries.SUMMARY_NAMES].index(metric)
         vectors = summary.vectors[[1, 2, 0], kind]
-        dm = summary_l1_distance(summary, metric)
+        ids, column = summary.column(metric)
+        assert ids == ("a", "b", "c") and np.array_equal(column, vectors)
+        assert not np.shares_memory(column, summary.vectors)  # the summaries may be dropped
+        dm = summary_l1_distance(ids, column, metric)
         assert dm.ids == ("a", "b", "c")
         assert np.array_equal(dm.square(), np.abs(vectors[:, None] - vectors[None]).sum(axis=2))
 
@@ -333,10 +348,22 @@ def test_summary_l1_distance_excludes_offline():
     }
     with pytest.warns(UserWarning, match=r"summary_vectors: skipped all-offline users: \['dead'\]"):
         summary = summaries_of(mats)
-    dm = summary_l1_distance(summary, "onavg")
+    dm = summary_l1_distance(*summary.column("onavg"), "onavg")
     assert dm.ids == ("a", "b")
     with pytest.raises(ValueError, match="at least two"):
-        summary_l1_distance(summaries_of({"a": mats["a"]}), "onavg")
+        summary_l1_distance(*summaries_of({"a": mats["a"]}).column("onavg"), "onavg")
+
+
+def test_summary_l1_distance_equals_the_per_pair_oracle_over_several_blocks():
+    """700 users over 6 locations: blocks of about ROW_BLOCK_CELLS cells take
+    93 rows each, so the triangle is filled from 8 blocks.  Each pair equals
+    the per-pair sum, which adds its fewer than 8 terms in column order."""
+    n = 700
+    vectors = np.random.default_rng(29).dirichlet(np.ones(6), size=n)
+    assert n // (cluster.ROW_BLOCK_CELLS // (n - 1)) > 2
+    dm = summary_l1_distance(tuple(f"u{i:03d}" for i in range(n)), vectors, "onavg")
+    want = [manhattan(vectors[i], vectors[j]) for i, j in combinations(range(n), 2)]
+    assert dm.values.tolist() == want
 
 
 def test_eigen_sets_for_marks_offline_users():

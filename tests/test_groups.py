@@ -3,6 +3,7 @@ rank-size fit, and partition comparison (Jaccard against a pair-scan oracle)."""
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from eigenbehavior import (
     top_groups_share,
 )
 
+import summaries_oracle
 from conftest import basis_rows, matrix_from_rows
 
 
@@ -164,6 +166,23 @@ def test_cross_significance_skips_offline_only_clusters():
     partition = partition_from_labels({"a": 0, "b": 1, "dead": 2})
     result = cross_significance(group_profiles(partition, matrices), matrices)
     assert [cid for cid, _, _ in result.per_cluster] == [0, 1]
+
+
+def test_cross_significance_imports_no_masked_arrays(monkeypatch):
+    """200 users in two clusters, the first and the last of them offline:
+    the member masks drop the offline members, the means equal the per-pair
+    oracle's, and nothing imports numpy.ma (np.isin's sort path did, through
+    a plain np.unique)."""
+    rng = np.random.default_rng(41)
+    users = [f"u{i:03d}" for i in range(200)]
+    matrices = {u: matrix_from_rows(rng.random((4, 3)), user_id=u) for u in users}
+    for dead in ("u000", "u199"):
+        matrices[dead] = matrix_from_rows(np.zeros((4, 3)), user_id=dead)
+    profiles = group_profiles(partition_from_labels({u: i % 2 for i, u in enumerate(users)}), matrices)
+    want = summaries_oracle.cross_significance(profiles, matrices)
+    monkeypatch.setitem(sys.modules, "numpy.ma", None)
+    monkeypatch.delattr(np, "ma", raising=False)
+    assert cross_significance(profiles, matrices) == want
 
 
 # ------------------------------------------------------------ rank size fit ---

@@ -49,8 +49,9 @@ from eigenbehavior import (
     synth,
     trace,
 )
-from eigenbehavior.cluster import condensed
 from eigenbehavior.trace import DAY_SECONDS
+
+from conftest import upper
 
 MB = 1 << 20
 # Small arrays and Python objects a stage makes besides its big arrays.
@@ -204,12 +205,28 @@ def test_eigen_distance_holds_the_table_and_then_its_triangle(flagged):
     assert_within(peak, table + max(eigen_distance_blocks(n, k), triangle(n + len(flagged))) + SLACK)
 
 
+def test_summary_l1_distance_holds_its_triangle_and_two_blocks():
+    # 1000 users over 20 locations: the triangle (3.8 MB) with row_runs' view
+    # of each of its rows, pairwise_l1's column copy of the later rows, and a
+    # block of distances and one of their terms; the whole square and its
+    # terms (15 MB) break the bound
+    n, n_locations = 1000, 20
+    vectors = np.random.default_rng(13).dirichlet(np.ones(n_locations), size=n)
+    ids = tuple(f"u{i:04d}" for i in range(n))
+    dm, peak = peak_above_inputs(distances.summary_l1_distance, ids, vectors, "onavg")
+    assert dm.n == n
+    views = n * 200  # an ndarray view and its list slot, about 160 bytes a row
+    column = n * n_locations * 8
+    blocks = 2 * cluster.ROW_BLOCK_CELLS * 8
+    assert_within(peak, triangle(n) + views + column + blocks + SLACK)
+
+
 def test_agglomerate_holds_one_square():
     n = 1000
     rng = np.random.default_rng(11)
     values = rng.random((n, n))
     values += values.T
-    dm = DistanceMatrix(condensed(values), "custom", range(n))  # checked before tracing starts
+    dm = DistanceMatrix(upper(values), "custom", range(n))  # checked before tracing starts
     partition, peak = peak_above_inputs(agglomerate, dm, target_count=10)
     assert partition.n_clusters == 10
     rescan = cluster.ROW_BLOCK_CELLS * 8  # one block of row rescans
@@ -223,7 +240,7 @@ def test_agglomerate_rescans_one_block_at_a_time():
     n = 1000
     values = np.full((n, n), 2.0)
     values[0, 1:] = values[1:, 0] = 1.0
-    dm = DistanceMatrix(condensed(values), "custom", range(n))
+    dm = DistanceMatrix(upper(values), "custom", range(n))
     partition, peak = peak_above_inputs(agglomerate, dm, target_count=n - 1)
     assert partition.n_clusters == n - 1
     rescan = cluster.ROW_BLOCK_CELLS * 8
@@ -290,9 +307,6 @@ def test_cross_significance_holds_its_table_and_one_block():
         rows = rng.random((28, 20)) * (rng.random((28, 1)) < 0.7)
         matrices[f"u{i:04d}"] = AssociationMatrix(f"u{i:04d}", rows, locations)
     profiles = group_profiles(partition_from_labels({u: i % 30 for i, u in enumerate(matrices)}), matrices)
-    # np.isin's sort path imports numpy.ma on its first call; that import is not the stage's
-    import numpy.ma  # noqa: F401
-
     result, peak = peak_above_inputs(cross_significance, profiles, matrices)
     assert len(result.per_cluster) == 30
     table = 1200 * 30 * 8

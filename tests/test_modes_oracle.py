@@ -17,7 +17,7 @@ from scipy.spatial.distance import pdist
 import summaries_oracle as oracle
 from cluster_oracle import partition_from_merges
 from conftest import checked
-from eigenbehavior import agglomerate, behavioral_modes, centroid_first_mode, summaries
+from eigenbehavior import agglomerate, centroid_first_mode, summaries
 from eigenbehavior.distances import eigen_sets_for, summary_l1_distance
 from eigenbehavior.summaries import MODE_THRESHOLDS, _mode_cuts, summary_vectors
 
@@ -52,13 +52,14 @@ def small_integer_distances(draw):
     return upper + upper.T
 
 
-def assert_modes_equal(got, want):
-    assert got.row_clusters == want.row_clusters
-    assert got.offline_rows == want.offline_rows
-    assert got.threshold == want.threshold
-    assert len(got.centroids) == len(want.centroids)
-    for a, b in zip(got.centroids, want.centroids):
-        np.testing.assert_array_equal(a, b)
+def assert_roots_are_modes(matrix, root, want):
+    """root, the online rows' roots at one threshold, names the oracle's modes
+    by their earliest rows, and the rows in no mode are the offline ones."""
+    online = np.flatnonzero(matrix.online)
+    assert [online[root == r].tolist() for r in np.unique(root)] == want.row_clusters
+    assert (root <= np.arange(root.size)).all() and (root[root] == root).all()  # earliest rows
+    assert (np.unique(root).size >= 2) == want.multi_modal
+    assert np.flatnonzero(~matrix.online).tolist() == want.offline_rows
 
 
 @PROPERTY
@@ -66,13 +67,9 @@ def assert_modes_equal(got, want):
 def test_modes_cut_from_one_tree_match_per_threshold_oracle(matrix, thresholds):
     roots, centroids = _mode_cuts([matrix], tuple(thresholds))
     assert roots.shape == (len(thresholds), matrix.online.sum())
-    online = np.flatnonzero(matrix.online)
     for thr, root, centroid in zip(thresholds, roots, centroids[0]):
         want = oracle.behavioral_modes(matrix, thr)
-        assert [online[root == r].tolist() for r in np.unique(root)] == want.row_clusters
-        assert (root <= np.arange(root.size)).all() and (root[root] == root).all()  # earliest rows
-        assert_modes_equal(behavioral_modes(matrix, thr), want)
-        assert behavioral_modes(matrix, thr).multi_modal == oracle.modal_class(matrix, thr)
+        assert_roots_are_modes(matrix, root, want)
         if want.row_clusters:
             np.testing.assert_array_equal(centroid, oracle.largest_mode_centroid(want))
             np.testing.assert_array_equal(centroid_first_mode(matrix, thr), centroid)
@@ -127,15 +124,13 @@ def test_population_cut_in_chunks_matches_oracle(population, per_chunk, monkeypa
     roots, _ = _mode_cuts(list(matrices.values()), MODE_THRESHOLDS)
     ends = np.cumsum(online_counts)
     for (user, matrix), end, count in zip(matrices.items(), ends, online_counts):
-        online = np.flatnonzero(matrix.online)
         for thr, root in zip(MODE_THRESHOLDS, roots[:, end - count : end]):
-            assert [online[root == r].tolist() for r in np.unique(root)] == modes[thr][user].row_clusters
-            assert_modes_equal(behavioral_modes(matrix, thr), modes[thr][user])
+            assert_roots_are_modes(matrix, root, modes[thr][user])
 
     with pytest.warns(UserWarning, match=r"skipped all-offline users: \['u000'\]"):
         summary = summary_vectors(matrices, eigen_sets_for(matrices))
     for metric, thr in [("centroid05", 0.5), ("centroid09", 0.9)]:
-        dm = summary_l1_distance(summary, metric)
+        dm = summary_l1_distance(*summary.column(metric), metric)
         assert dm.ids == tuple(sorted(matrices))[1:]
         centroids = np.array([oracle.largest_mode_centroid(modes[thr][u]) for u in dm.ids])
         assert np.array_equal(dm.values, pdist(centroids, "cityblock"))

@@ -54,12 +54,13 @@ def test_build_distance_matrix_dispatch(planted, metric):
     """Every --metric name builds a matrix under that name."""
     records, _, config = planted
     built = run_pipeline(records, config, target_count=2)
-    summary = summary_vectors(built.matrices, built.eigen_sets)
-    dm = build_distance_matrix(built.matrices, metric, built.eigen_sets, summary)
+    column = summary_vectors(built.matrices, built.eigen_sets).column(metric)
+    assert (column is None) == (metric in ("eigen", "amvd"))
+    dm = build_distance_matrix(built.matrices, metric, built.eigen_sets, column)
     assert dm.metric == metric
     assert dm.n == 12
     with pytest.raises(ValueError, match="unknown metric"):
-        build_distance_matrix(built.matrices, "cosine", built.eigen_sets, summary)
+        build_distance_matrix(built.matrices, "cosine", built.eigen_sets)
 
 
 @pytest.mark.parametrize("metric", ["eigen", "amvd", "onavg", "centroid05"])

@@ -13,7 +13,6 @@ import pytest
 
 from eigenbehavior import (
     EigenBehaviorSet,
-    behavioral_modes,
     centroid_first_mode,
     eigen_behaviors,
     eigen_sets_for,
@@ -24,7 +23,7 @@ from eigenbehavior import (
     summary_vectors,
 )
 from eigenbehavior.cluster import METRIC_MAX
-from eigenbehavior.summaries import MODE_THRESHOLDS, SUMMARY_NAMES
+from eigenbehavior.summaries import MODE_THRESHOLDS, SUMMARY_NAMES, _mode_cuts
 
 from conftest import basis_rows, matrix_from_rows
 from summaries_oracle import modal_class
@@ -83,33 +82,36 @@ def test_significance_validation():
 # -------------------------------------------------------- behavioral modes ---
 
 
+def mode_rows(matrix, threshold):
+    """The rows of each of matrix's modes at threshold, read off the roots
+    of its online rows, and the largest mode's centroid."""
+    (roots,), centroids = _mode_cuts([matrix], (threshold,))
+    online = np.flatnonzero(matrix.online)
+    return [online[roots == root].tolist() for root in np.unique(roots)], centroids[0, 0]
+
+
 def test_modes_two_clear_clusters():
     m = matrix_from_rows(basis_rows([0, 0, 0, 1, 1, None], 2))
-    modes = behavioral_modes(m, threshold=0.5)
-    assert modes.row_clusters == [[0, 1, 2], [3, 4]]
-    np.testing.assert_allclose(modes.centroids[0], [1.0, 0.0])
-    np.testing.assert_allclose(modes.centroids[1], [0.0, 1.0])
-    assert modes.offline_rows == [5]
-    assert modes.multi_modal
+    modes, largest = mode_rows(m, threshold=0.5)
+    assert modes == [[0, 1, 2], [3, 4]]  # the offline row 5 is in no mode
+    np.testing.assert_allclose(largest, [1.0, 0.0])
     assert modal_class(m, 0.5)
 
 
 def test_modes_merge_under_loose_threshold():
     m = matrix_from_rows(basis_rows([0, 0, 0, 1, 1], 2))
-    modes = behavioral_modes(m, threshold=2.0)
-    assert modes.row_clusters == [[0, 1, 2, 3, 4]]
-    np.testing.assert_allclose(modes.centroids[0], [0.6, 0.4])
-    assert not modes.multi_modal
+    modes, largest = mode_rows(m, threshold=2.0)
+    assert modes == [[0, 1, 2, 3, 4]]
+    np.testing.assert_allclose(largest, [0.6, 0.4])
+    assert not modal_class(m, 2.0)
 
 
 def test_modes_average_linkage_boundary():
     rows = np.array([[1.0, 0.0], [0.8, 0.2], [0.5, 0.5]])
     m = matrix_from_rows(rows)
     # d(0,1)=0.4 merges at 0.5; the merged pair sits at mean linkage 0.8 from row 2.
-    modes = behavioral_modes(m, threshold=0.5)
-    assert modes.row_clusters == [[0, 1], [2]]
-    modes_loose = behavioral_modes(m, threshold=0.9)
-    assert modes_loose.row_clusters == [[0, 1, 2]]
+    assert mode_rows(m, threshold=0.5)[0] == [[0, 1], [2]]
+    assert mode_rows(m, threshold=0.9)[0] == [[0, 1, 2]]
 
 
 def test_centroid_first_mode_picks_largest():
@@ -125,8 +127,8 @@ def test_centroid_first_mode_tie_goes_to_earliest_row():
 def test_centroid_requires_online_time():
     with pytest.raises(ValueError, match="no online slots"):
         centroid_first_mode(matrix_from_rows(np.zeros((2, 2))), 0.5)
-    empty = behavioral_modes(matrix_from_rows(np.zeros((2, 2))), 0.5)
-    assert empty.row_clusters == [] and empty.offline_rows == [0, 1]
+    modes, largest = mode_rows(matrix_from_rows(np.zeros((2, 2))), 0.5)
+    assert modes == [] and np.isnan(largest).all()
 
 
 # -------------------------------------------------------- eigen behaviors ---

@@ -24,7 +24,6 @@ from eigenbehavior import (
     build_matrix,
     load_location_map,
     load_records,
-    online_slot_count,
 )
 
 from conftest import matrix_from_rows
@@ -252,7 +251,7 @@ def test_records_outside_horizon_dropped():
     config = TraceConfig(0, 100, slot_seconds=100)
     m = build_matrix([rec("u", "A", 300, 400)], config, ["A"])
     assert m.rows.sum() == 0.0
-    assert online_slot_count(m) == 0
+    assert not m.online.any()
 
 
 def test_build_matrix_errors():
@@ -383,6 +382,6 @@ def test_build_matrices_shared_index(tmp_path):
     np.testing.assert_allclose(mats["u2"].rows[0], [1.0, 0.0])
 
 
-def test_online_slot_count():
+def test_online_marks_the_slots_with_association_time():
     m = matrix_from_rows([[0.5, 0.5], [0.0, 0.0], [1.0, 0.0]])
-    assert online_slot_count(m) == 2
+    assert m.online.tolist() == [True, False, True]
