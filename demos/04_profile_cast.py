@@ -24,8 +24,8 @@ from eigenbehavior import (
     build_messages,
     compare_schemes,
     generate,
-    normalized_sim_table,
     run_pipeline,
+    sim_triangle,
     simulate,
     split_trace,
 )
@@ -78,8 +78,10 @@ configs = {
     "rtx p=0.5 ttl=3": SimConfig("rtx", p=0.5, ttl_factor=3.0),
 }
 
+# the symmetrized normalized similarity of every pair of profiled users, as a
+# condensed triangle over their sorted ids
 live = {user: eset for user, eset in result.eigen_sets.items() if eset is not None}
-sim_table, sim_ids = normalized_sim_table(live)
+sim_values, sim_ids = sim_triangle(live)
 results = []
 leaks = {}
 for label, config in configs.items():
@@ -87,7 +89,7 @@ for label, config in configs.items():
         messages,
         encounters,
         config,
-        sim_table=sim_table,
+        sim_values=sim_values,
         sim_ids=sim_ids,
     )
     results.append((label, outcome.aggregate))

@@ -15,8 +15,8 @@ from .distances import (
     amvd_distance_matrix,
     eigen_distance_matrix,
     eigen_sets_for,
-    normalized_sim_table,
     sim_matrix,
+    sim_triangle,
     summary_l1_distance,
 )
 from .groups import (

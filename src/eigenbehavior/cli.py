@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__, persist
-from .distances import normalized_sim_table
+from .distances import sim_triangle
 from .groups import jaccard, rank_size_fit, top_groups_share
 from .pipeline import METRICS, run_pipeline
 from .profilecast import (
@@ -266,10 +266,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if len(eigen_sets) < 2:
             raise ValueError(f"{path}: the similarity scheme needs two or more users with eigen sets")
     messages = build_messages(partition, creation_time=mid, seed=args.seed, **options)
-    sim_table, sim_ids = (None, None) if eigen_sets is None else normalized_sim_table(eigen_sets)
+    sim_values, sim_ids = (None, None) if eigen_sets is None else sim_triangle(eigen_sets)
     encounters = EncounterStream(second)
     results = [
-        simulate(messages, encounters, config, sim_table, sim_ids).aggregate for config in configs
+        simulate(messages, encounters, config, sim_values, sim_ids).aggregate for config in configs
     ]
     ratios = compare_schemes([(c.scheme, r) for c, r in zip(configs, results)])
     os.makedirs(args.out, exist_ok=True)

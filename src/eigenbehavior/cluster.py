@@ -11,10 +11,13 @@ merge_roots, reads any prefix of those records as each slot's root.
 agglomerate runs both on the square of a DistanceMatrix, the package's one
 distance type: the condensed triangle of the pairwise distances, checked once
 when it is built.  row_runs is the triangle's one row layout: every walk over
-its rows (the square, the eigen and summary distances, distance_cdfs) reads
-or writes each row's run through it; only AMVD, whose users run in row-count
-order, scatters through pair_index.  pairwise_l1 is the package's one L1
-kernel: mode trees, summary distances and AMVD use it.
+its rows (the square, the summary distances, distance_cdfs) reads or
+writes each row's run through it.  pair_index places single pairs: AMVD,
+whose users run in row-count order, scatters through it, the similarity
+triangle writes each row's pairs (a, j > a) and adds its pairs (j < a, a)
+through it, and the similarity replay's gate reads through it.  pairwise_l1
+is the package's one L1 kernel: mode trees, summary distances and AMVD use
+it.
 """
 
 from __future__ import annotations
@@ -93,9 +96,10 @@ class DistanceMatrix:
 
     values is the condensed upper triangle, the i < j pairs of the ids in
     row-major order (see row_runs), so symmetry and a zero diagonal hold by
-    construction.  Building one is its one check: distinct ids, n(n - 1) / 2
-    float64 values for n ids, all finite, and [0, METRIC_MAX] for a metric
-    listed there.  Everything that takes a DistanceMatrix trusts it.
+    construction.  Building one is its one check: distinct ids, flagged ids
+    among them, n(n - 1) / 2 float64 values for n ids, all finite, and [0,
+    METRIC_MAX] for a metric listed there.  Everything that takes a
+    DistanceMatrix trusts it.
     """
 
     values: np.ndarray
@@ -109,6 +113,9 @@ class DistanceMatrix:
         if len(set(self.ids)) < self.n:
             repeated = [i for i, count in Counter(self.ids).items() if count > 1]
             raise ValueError(f"ids must be distinct; repeated: {repeated}")
+        strangers = sorted(set(self.flagged_ids) - set(self.ids))
+        if strangers:
+            raise ValueError(f"flagged_ids must be among the ids; not there: {strangers}")
         self.values = np.asarray(self.values, dtype=float)
         pairs = self.n * (self.n - 1) // 2
         if self.values.shape != (pairs,):

@@ -18,6 +18,7 @@ patterns:
 from __future__ import annotations
 
 import warnings
+from typing import Iterator
 
 import numpy as np
 
@@ -67,19 +68,16 @@ def amvd_distance_matrix(
     return DistanceMatrix(values, "amvd", ids, flagged)
 
 
-def sim_matrix(sets: list[EigenBehaviorSet]) -> np.ndarray:
-    """Raw similarity index for every ordered pair (diagonal included).
+def sim_matrix(sets: list[EigenBehaviorSet]) -> Iterator[tuple[int, np.ndarray]]:
+    """Raw similarity index of every ordered pair (diagonal included), as
+    (lo, rows) blocks: rows[i, j] is the index of sets lo + i and j.
 
     sim(u, v) = sum over i, j of w_ui * w_vj * |u_i . v_j|, the weighted
     absolute dot products of the two users' eigen-behavior vectors.  The
     products are taken for blocks of users whose vectors times all vectors
     come to about SIM_BLOCK_CELLS.
     """
-    if len(sets) < 2:
-        raise ValueError("need at least two eigen-behavior sets")
     weighted = np.vstack([s.vectors * s.weights[:, None] for s in sets])
-    n = len(sets)
-    out = np.empty((n, n))
     bounds = np.append(0, np.cumsum([s.k for s in sets]))
     starts = bounds[:-1]
     per_block = max(1, SIM_BLOCK_CELLS // len(weighted))
@@ -87,59 +85,61 @@ def sim_matrix(sets: list[EigenBehaviorSet]) -> np.ndarray:
         block = weighted[bounds[lo] : bounds[hi]] @ weighted.T
         np.abs(block, out=block)
         partial = np.add.reduceat(block, starts, axis=1)
-        np.add.reduceat(partial, bounds[lo:hi] - bounds[lo], axis=0, out=out[lo:hi])
-        del block, partial  # freed before the next block is made
-    return out
+        del block  # freed before the rows are made
+        rows = np.add.reduceat(partial, bounds[lo:hi] - bounds[lo], axis=0)
+        del partial  # freed before the next block is made
+        yield lo, rows
 
 
-def _normalize_in_place(out: np.ndarray) -> np.ndarray:
-    """Scale each user's row of the square raw similarities out, in place, by
-    its largest similarity to any other user.  Off-diagonal entries land in
-    [0, 1]; the diagonal is set to 1.  Rows with no positive similarity to
-    anyone are left at zero with a warning."""
-    np.fill_diagonal(out, -np.inf)
-    row_max = out.max(axis=1)
-    dead = row_max <= 0
-    if np.any(dead):
-        warnings.warn(f"normalize_sims: rows with no positive similarity: {np.flatnonzero(dead).tolist()}")
-    np.divide(out, row_max[:, None], out=out, where=~dead[:, None])
-    out[dead] = 0.0
-    np.fill_diagonal(out, 1.0)
-    return out
+def sim_triangle(eigen_sets: dict[str, EigenBehaviorSet | None]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Symmetrized normalized similarities (S + S^T) / 2 of the sorted ids, as
+    their condensed triangle, and the ids.
 
-
-def normalized_sim_table(eigen_sets: dict[str, EigenBehaviorSet]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Population-normalized similarity table and its user-id order."""
+    Row a of S is user a's raw similarities over its largest one to any other
+    user, so every user's closest neighbor scores 1; a row with no positive
+    similarity stays at zero, with a warning.  A user mapped to None has
+    similarity 0 to everyone.  Each block of sim_matrix's rows is normalized
+    as it comes: row a's j > a part is written at its pairs (a, j) and its
+    j < a part added at the pairs (j, a), which row j wrote before, all
+    placed by pair_index; then the triangle is halved.  Addition commutes,
+    so every cell has the bits of the whole-array S + S^T.
+    """
     ids = tuple(sorted(eigen_sets))
-    return _normalize_in_place(sim_matrix([eigen_sets[u] for u in ids])), ids
+    pos = np.flatnonzero([eigen_sets[u] is not None for u in ids])  # the live users' places in ids
+    if len(pos) < 2:
+        raise ValueError("need at least two users with eigen-behavior sets")
+    n = len(ids)
+    values = np.zeros(n * (n - 1) // 2)
+    first = pair_index(n, pos, 0)  # the pair (pos[a], j) sits at first[a] + j
+    dead = []
+    for lo, rows in sim_matrix([eigen_sets[ids[p]] for p in pos]):
+        live = np.arange(lo, lo + len(rows))
+        rows[live - lo, live] = -np.inf  # a user's own similarity is not its largest
+        top = rows.max(axis=1)
+        flat = top <= 0
+        dead.extend(pos[live[flat]].tolist())
+        np.divide(rows, top[:, None], out=rows, where=~flat[:, None])
+        rows[flat] = 0.0
+        for a, row in zip(live.tolist(), rows):
+            values[first[a] + pos[a + 1 :]] = row[a + 1 :]
+            values[first[:a] + pos[a]] += row[:a]
+    if dead:
+        warnings.warn(f"sim_triangle: rows with no positive similarity: {dead}")
+    values /= 2.0
+    return values, ids
 
 
 def eigen_distance_matrix(
     eigen_sets: dict[str, EigenBehaviorSet | None],
 ) -> DistanceMatrix:
-    """Eigen-behavior distance 1 - (S + S^T) / 2 over the normalized sim table S.
-
-    Users mapped to None (no online time) are flagged and sit at the metric
-    maximum from everyone: the condensed triangle starts at that maximum, and
-    each live user's row a of S gives its distances to the live users after
-    it, 1 - (S[a, a+1:] + S[a+1:, a]) / 2 clipped to [0, 1], written into its
-    row's run at those users' offsets.  Addition commutes, so every cell has
-    the bits of the whole-array S + S^T.
+    """Eigen-behavior distance 1 - (S + S^T) / 2 over the normalized
+    similarities S, clipped to [0, 1], made in place over sim_triangle's
+    triangle.  Users mapped to None (no online time) are flagged; their
+    similarity 0 puts them at the metric maximum, 1, from everyone.
     """
-    ids = tuple(sorted(eigen_sets))
-    live = {u: s for u, s in eigen_sets.items() if s is not None}
-    if len(live) < 2:
-        raise ValueError("need at least two users with eigen-behavior sets")
-    table, _ = normalized_sim_table(live)
-    n = len(ids)
-    pos = np.flatnonzero([eigen_sets[u] is not None for u in ids])  # the live users' places in ids
-    values = np.full(n * (n - 1) // 2, METRIC_MAX["eigen"])
-    runs = row_runs(values, n)
-    for a, p in enumerate(pos[:-1]):  # the last live user has no later pair
-        row = table[a, a + 1 :] + table[a + 1 :, a]
-        row /= 2.0
-        np.subtract(1.0, row, out=row)
-        runs[p][pos[a + 1 :] - p - 1] = np.clip(row, 0.0, 1.0, out=row)
+    values, ids = sim_triangle(eigen_sets)
+    np.subtract(1.0, values, out=values)
+    np.clip(values, 0.0, 1.0, out=values)
     flagged = tuple(u for u in ids if eigen_sets[u] is None)
     return DistanceMatrix(values, "eigen", ids, flagged)
 

@@ -27,8 +27,8 @@ digests ``manifest.json`` records, so ``matrices/index.json`` keeps only their
 shape, users and location index, and in its ``config`` the trace config and
 the analysis options (``power_floor``, ``include_offline``).  The data files
 keep only data: ``eigen.csv`` holds each kept eigen-behavior's weight and
-vector, not the floor that kept it.  The similarity table is a function of the
-eigen sets, ``distances.normalized_sim_table(load_eigen_sets(path))``.
+vector, not the floor that kept it.  The similarity triangle is a function of
+the eigen sets, ``distances.sim_triangle(load_eigen_sets(path))``.
 """
 
 from __future__ import annotations
@@ -222,15 +222,12 @@ def _sidecar(raw: dict) -> tuple[tuple[str, ...], str, tuple[str, ...]]:
     ids, metric, flagged_ids = _id_list(raw, "ids"), raw["metric"], _id_list(raw, "flagged_ids")
     if not isinstance(metric, str):
         raise TypeError(f"metric must be a string, got {metric!r}")
-    strangers = sorted(set(flagged_ids) - set(ids))
-    if strangers:
-        raise ValueError(f"flagged_ids must be among the ids; not there: {strangers}")
     return ids, metric, flagged_ids
 
 
 def load_distance_matrix(path: str) -> DistanceMatrix:
-    """A file of write_distance_matrix, its sidecar checked here and its
-    triangle by DistanceMatrix."""
+    """A file of write_distance_matrix, its sidecar's keys and types checked
+    here and its ids and triangle by DistanceMatrix."""
     ids, metric, flagged_ids = read_json(path + ".json", "distance matrix sidecar", _sidecar)
     with open(path, "rb") as fh:
         try:

@@ -54,8 +54,8 @@ def run_pipeline(
 
     Eigen sets and then summary vectors are built once and feed every output;
     the summaries are held only while the summary table and the metric's
-    column are read off them, and the similarity table is built only for the
-    eigen metric."""
+    column are read off them, and the similarity triangle is built only for
+    the eigen metric."""
     matrices = build_matrices(records, config)
     eigen_sets = distances.eigen_sets_for(matrices, power_floor)
     summary = summaries.summary_vectors(matrices, eigen_sets)

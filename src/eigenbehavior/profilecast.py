@@ -14,8 +14,8 @@ Forwarding schemes:
 * centralized: like flooding, but a copy crosses only to members of the
   message's group, so it never leaks outside.
 * similarity: a holder copies to a met user when their symmetrized normalized
-  similarity (from the profile half, treated as pre-shared) reaches the
-  threshold.
+  similarity (from the profile half, treated as pre-shared; one cell of
+  ``distances.sim_triangle``'s condensed triangle) reaches the threshold.
 * rtx: single-custody random walk; the current holder hands the message over
   with probability p, spending one hop of a budget of round(ttl_factor *
   group size) transmissions.
@@ -63,7 +63,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .cluster import Partition
+from .cluster import Partition, pair_index
 from .trace import (
     AssociationRecord,
     Records,
@@ -418,11 +418,10 @@ class _Replay:
 
     The users are the messages' sources and targets plus ``users``, the ids
     every block fed codes its rows over.  The similarity scheme needs
-    sim_table/sim_ids: the population-normalized similarity matrix from the
-    profile half and its user-id order, covering every user of a message and
-    every user fed an encounter (a user without a row is refused when it is
-    first found so); the gate is the symmetrized value (mean of the two
-    directions).
+    sim_values/sim_ids: the profile half's symmetrized normalized
+    similarities as a condensed triangle (``distances.sim_triangle``) and its
+    ids, covering every user of a message and every user fed an encounter (a
+    user without similarities is refused when it is first found so).
 
     State is one bitset over the messages per user (bit m is message m): the
     messages it has seen, those it may receive (all, or under centralized
@@ -437,7 +436,7 @@ class _Replay:
       the first message exists, those between two users saturated at the
       start of the rows read (seen covers what they may receive: such a row
       forwards nothing either way, and seen only grows), and under similarity
-      those whose gate, ``(t[a, b] + t[b, a]) / 2.0``, is below the threshold;
+      those whose pair's similarity is below the threshold;
     * rtx walks, in row order, only the rows of users that hold custody of a
       message with hops left, through a heap of the current custodians over
       an index from user to rows; a taker joins the walk at its next row.
@@ -451,7 +450,7 @@ class _Replay:
         messages: Sequence[Message],
         config: SimConfig,
         users: tuple[str, ...],
-        sim_table: np.ndarray | None = None,
+        sim_values: np.ndarray | None = None,
         sim_ids: Sequence[str] | None = None,
     ) -> None:
         if not messages:
@@ -466,9 +465,12 @@ class _Replay:
         n_users, n_msgs = len(self.users), len(messages)
 
         if config.scheme == "similarity":
-            if sim_table is None or sim_ids is None:
-                raise ValueError("similarity scheme needs sim_table and sim_ids")
-            self._table = np.asarray(sim_table, dtype=float)
+            if sim_values is None or sim_ids is None:
+                raise ValueError("similarity scheme needs sim_values and sim_ids")
+            self._sims = np.asarray(sim_values, dtype=float)
+            self._n_sims = n = len(sim_ids)
+            if self._sims.shape != (n * (n - 1) // 2,):
+                raise ValueError(f"sim_values must be the {n * (n - 1) // 2} pair similarities of {n} sim_ids")
             pos = {u: i for i, u in enumerate(sim_ids)}
             self._sim_row = np.array([pos.get(u, -1) for u in self.users], dtype=np.intp)
             self._check_sims(np.array([uidx[u] for u in users_of_messages], dtype=np.intp))
@@ -547,9 +549,9 @@ class _Replay:
         rows = np.flatnonzero((n_live > 0) & ~(saturated[enc_a] & saturated[enc_b]))
         if self.config.scheme == "similarity":
             self._check_sims(np.concatenate((enc_a, enc_b)))
-            table = self._table
             oa, ob = self._sim_row[enc_a[rows]], self._sim_row[enc_b[rows]]
-            rows = rows[(table[oa, ob] + table[ob, oa]) / 2.0 >= self.config.sim_threshold]
+            pairs = pair_index(self._n_sims, np.minimum(oa, ob), np.maximum(oa, ob))
+            rows = rows[self._sims[pairs] >= self.config.sim_threshold]
         for a, b, now, k in zip(
             enc_a[rows].tolist(), enc_b[rows].tolist(), enc_start[rows].tolist(), n_live[rows].tolist()
         ):
@@ -659,14 +661,14 @@ def simulate(
     messages: Sequence[Message],
     encounters: Encounters | EncounterStream,
     config: SimConfig,
-    sim_table: np.ndarray | None = None,
+    sim_values: np.ndarray | None = None,
     sim_ids: Sequence[str] | None = None,
 ) -> SimulationOutcome:
     """Replay the encounters, in the given order, under one forwarding
     scheme: one state over the messages' and the encounters' users (a
     stream's are its records'), fed an ``Encounters`` as one block or a
     stream's blocks in turn."""
-    replay = _Replay(messages, config, encounters.users, sim_table, sim_ids)
+    replay = _Replay(messages, config, encounters.users, sim_values, sim_ids)
     for block in [encounters] if isinstance(encounters, Encounters) else encounters:
         replay.feed(block)
     return replay.outcome()
@@ -678,7 +680,9 @@ def compare_schemes(results: Sequence[tuple[str, SimResult]]) -> list[tuple[str,
     results holds (label, result) rows; the first row labelled "flooding" is
     the baseline, which must have delivered and transmitted.  Rows are
     (label, delivery_ratio_rel, mean_delay_rel, overhead_rel) in the given
-    order; a scheme that delivered nothing has a nan delay ratio.
+    order.  A scheme that delivered nothing has a nan delay ratio, and so
+    does every scheme when flooding's mean delay is 0 (every delivery at
+    creation time).
     """
     base = next((res for label, res in results if label == "flooding"), None)
     if base is None:
@@ -689,7 +693,7 @@ def compare_schemes(results: Sequence[tuple[str, SimResult]]) -> list[tuple[str,
         (
             label,
             res.delivery_ratio / base.delivery_ratio,
-            res.mean_delay / base.mean_delay,
+            res.mean_delay / base.mean_delay if base.mean_delay else float("nan"),
             res.overhead / base.overhead,
         )
         for label, res in results

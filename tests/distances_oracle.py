@@ -3,12 +3,21 @@
 The package computes AMVD for a whole population in amvd_distance_matrix and
 the similarity index for every pair at once in sim_matrix; these per-pair
 versions are the reference the tests hold them to.
+
+normalized_sim_table is the square route to the normalized similarities as
+the package once took it: sim_matrix's row blocks written into an n x n
+table, normalized in place row by row.  Built from the same block products,
+it is the bit-for-bit reference for distances.sim_triangle.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from eigenbehavior.distances import sim_matrix
 
 
 def manhattan(a: np.ndarray, b: np.ndarray) -> float:
@@ -65,3 +74,41 @@ def eigen_distance(sim_uv: float, sim_vu: float) -> float:
         if not 0.0 <= s <= 1.0 + 1e-9:
             raise ValueError("normalized similarities must lie in [0, 1]")
     return min(max(1.0 - (sim_uv + sim_vu) / 2.0, 0.0), 1.0)
+
+
+def _normalize_in_place(out: np.ndarray) -> np.ndarray:
+    """Scale each user's row of the square raw similarities out, in place, by
+    its largest similarity to any other user.  Off-diagonal entries land in
+    [0, 1]; the diagonal is set to 1.  Rows with no positive similarity to
+    anyone are left at zero with a warning."""
+    np.fill_diagonal(out, -np.inf)
+    row_max = out.max(axis=1)
+    dead = row_max <= 0
+    if np.any(dead):
+        warnings.warn(f"normalize_sims: rows with no positive similarity: {np.flatnonzero(dead).tolist()}")
+    np.divide(out, row_max[:, None], out=out, where=~dead[:, None])
+    out[dead] = 0.0
+    np.fill_diagonal(out, 1.0)
+    return out
+
+
+def normalized_sim_table(eigen_sets) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The square normalized similarity table of the sorted ids of eigen_sets
+    (every set given), and those ids."""
+    ids = tuple(sorted(eigen_sets))
+    out = np.empty((len(ids), len(ids)))
+    for lo, rows in sim_matrix([eigen_sets[u] for u in ids]):
+        out[lo : lo + len(rows)] = rows
+    return _normalize_in_place(out), ids
+
+
+def sim_triangle(eigen_sets) -> tuple[np.ndarray, tuple[str, ...]]:
+    """(S + S^T) / 2 over normalized_sim_table's S of the users with a set,
+    as the condensed triangle of every sorted id; a pair with a user mapped
+    to None holds 0."""
+    ids = tuple(sorted(eigen_sets))
+    table, live = normalized_sim_table({u: s for u, s in eigen_sets.items() if s is not None})
+    square = np.zeros((len(ids), len(ids)))
+    pos = [ids.index(u) for u in live]
+    square[np.ix_(pos, pos)] = (table + table.T) / 2.0
+    return square[np.triu_indices(len(ids), 1)], ids

@@ -42,7 +42,6 @@ from eigenbehavior import (
     generate,
     group_power_scatter,
     jaccard,
-    normalized_sim_table,
     onavg,
     partition_from_labels,
     power_captured,
@@ -50,6 +49,7 @@ from eigenbehavior import (
     run_pipeline,
     significance,
     sim_matrix,
+    sim_triangle,
     simulate,
     spec_from_json,
     split_trace,
@@ -210,8 +210,8 @@ def test_distance_oracle_ranges_and_speedup(capsys):
         q, _ = np.linalg.qr(rng.normal(size=(40, k)))
         weights = np.sort(rng.dirichlet(np.ones(k)))[::-1]
         sets.append(EigenBehaviorSet(q.T, weights))
-    sims = sim_matrix(sets)
-    assert sims.min() >= -1e-12 and sims.max() <= 1.0 + 1e-12
+    for _, sims in sim_matrix(sets):  # the raw products, one row block at a time
+        assert sims.min() >= -1e-12 and sims.max() <= 1.0 + 1e-12
     spectral_bulk = eigen_distance_matrix({f"r{i:04d}": s for i, s in enumerate(sets)})
     assert spectral_bulk.values.min() >= 0.0 and spectral_bulk.values.max() <= 1.0
 
@@ -352,9 +352,9 @@ def test_partition_agreement_matches_pair_oracle(capsys):
 # ---------------------------------------------------------------- check 8 ---
 
 
-def live_sim_table(result):
-    """The normalized similarity table of a pipeline result's users with eigen sets."""
-    return normalized_sim_table({u: s for u, s in result.eigen_sets.items() if s is not None})
+def live_sims(result):
+    """The similarity triangle of a pipeline result's users with eigen sets."""
+    return sim_triangle({u: s for u, s in result.eigen_sets.items() if s is not None})
 
 
 def test_dissemination_scheme_orderings(capsys):
@@ -374,7 +374,7 @@ def test_dissemination_scheme_orderings(capsys):
     messages = build_messages(result.partition, creation_time=split_time)
     encounters = EncounterStream(second)
 
-    sim_table, sim_ids = live_sim_table(result)
+    sim_values, sim_ids = live_sims(result)
     runs = {
         "flooding": simulate(messages, encounters, SimConfig("flooding")),
         "centralized": simulate(messages, encounters, SimConfig("centralized")),
@@ -386,7 +386,7 @@ def test_dissemination_scheme_orderings(capsys):
             messages,
             encounters,
             SimConfig("similarity", sim_threshold=threshold),
-            sim_table=sim_table,
+            sim_values=sim_values,
             sim_ids=sim_ids,
         )
     took = time.perf_counter() - start
@@ -441,14 +441,14 @@ def test_similarity_thresholds_change_overhead_on_overlapping_modes(capsys):
     messages = build_messages(result.partition, creation_time=split_time)
     encounters = EncounterStream(second)
     flooding = simulate(messages, encounters, SimConfig("flooding")).aggregate
-    sim_table, sim_ids = live_sim_table(result)
+    sim_values, sim_ids = live_sims(result)
     thresholds = (0.3, 0.5, 0.7, 0.9)
     outcomes = [
         simulate(
             messages,
             encounters,
             SimConfig("similarity", sim_threshold=threshold),
-            sim_table=sim_table,
+            sim_values=sim_values,
             sim_ids=sim_ids,
         ).aggregate
         for threshold in thresholds

@@ -409,6 +409,36 @@ def test_simulate_without_flooding_delivery_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_with_every_delivery_at_creation_time_writes_nan_delay_ratios(tmp_path):
+    """Eight users, each at its own home most days, all in one hall for 100 s
+    either side of the split: every delivery happens when the message is
+    made, so flooding's mean delay is 0 and every delay ratio is nan."""
+    day, users = 86400, [f"u{i}" for i in range(8)]
+    mid = 2 * day  # the split: the trace runs from 0 to 4 days
+    lines = ["user,location,start,end"]
+    for i, user in enumerate(users):
+        lines += [f"{user},home{i},{d * day},{d * day + 30000}" for d in range(4)]
+        lines.append(f"{user},hall,{mid - 100},{mid + 100}")
+    lines.append(f"u0,home0,{4 * day - 1000},{4 * day}")
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(profile_half_config(load_records(str(trace)))))
+    pipe = tmp_path / "pipe"
+    assert main(["pipeline", str(trace), "--config", str(config), "--clusters", "1", "--out", str(pipe)]) == 0
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"schemes": [{"scheme": "flooding"}, {"scheme": "centralized"}]}))
+    out = tmp_path / "sim"
+    argv = ["simulate", str(trace), "--pipeline", str(pipe), "--scenario", str(scenario), "--out", str(out)]
+    assert main(argv) == 0
+    results = list(csv.DictReader((out / "results.csv").read_text().splitlines()))
+    assert [float(row["mean_delay_s"]) for row in results] == [0.0, 0.0]
+    assert all(float(row["delivery_ratio"]) == 1.0 for row in results)
+    normalized = list(csv.DictReader((out / "normalized.csv").read_text().splitlines()))
+    assert [row["mean_delay_s"] for row in normalized] == ["nan", "nan"]
+    assert set(digest_tree(out)) == SIMULATE_FILES
+
+
 def test_simulate_refuses_a_profile_of_the_whole_trace(workdir, tmp_path, capsys):
     """A pipeline run whose horizon reaches past the split time learned its
     profiles from the replay half; simulate names its index and writes nothing."""

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from eigenbehavior import cluster, distances, summaries
+from eigenbehavior import cluster, distances, persist, summaries
 from eigenbehavior import (
     DistanceMatrix,
     EigenBehaviorSet,
@@ -20,13 +20,14 @@ from eigenbehavior import (
     eigen_behaviors,
     eigen_distance_matrix,
     eigen_sets_for,
-    normalized_sim_table,
     sim_matrix,
+    sim_triangle,
     summary_l1_distance,
     summary_vectors,
 )
 
-from conftest import basis_rows, matrix_from_rows
+import distances_oracle as oracle
+from conftest import basis_rows, matrix_from_rows, upper
 from distances_oracle import amvd, amvd_distance, eigen_distance, manhattan, sim
 
 
@@ -175,20 +176,26 @@ def test_sim_frozen_values():
         sim(e1, unit_set([1.0, 0.0, 0.0], weights=[1.0]))
 
 
-def test_sim_matrix_matches_pairwise_loop(monkeypatch):
-    rng = np.random.default_rng(71)
+def random_eigen_sets(n, seed):
+    rng = np.random.default_rng(seed)
     sets = []
-    for _ in range(30):
+    for _ in range(n):
         rows = rng.uniform(0, 1, size=(10, 6))
         rows /= rows.sum(axis=1, keepdims=True)
         sets.append(eigen_behaviors(matrix_from_rows(rows), power_floor=0.0))
+    return sets
+
+
+def test_sim_matrix_matches_pairwise_loop(monkeypatch):
+    sets = random_eigen_sets(30, seed=71)
     # blocks of 40 vectors, about 7 users: n = 30 takes the multi-block path
     monkeypatch.setattr(distances, "SIM_BLOCK_CELLS", 40 * sum(s.k for s in sets))
-    got = sim_matrix(sets)
+    blocks = list(sim_matrix(sets))
+    assert len(blocks) > 1
+    assert [lo for lo, _ in blocks] == list(np.cumsum([0] + [len(rows) for _, rows in blocks[:-1]]))
+    got = np.vstack([rows for _, rows in blocks])
     want = np.array([[sim(u, v) for v in sets] for u in sets])
     np.testing.assert_allclose(got, want, atol=1e-12)
-    with pytest.raises(ValueError, match="at least two"):
-        sim_matrix(sets[:1])
 
 
 def gram_sets(gram):
@@ -198,9 +205,45 @@ def gram_sets(gram):
     return {f"u{i}": unit_set(row, weights=[1.0]) for i, row in enumerate(rows)}
 
 
+@pytest.mark.parametrize("cells", [1 << 18, 24], ids=["one-block", "blocks-of-a-few-users"])
+def test_sim_triangle_equals_the_square_oracle_bit_for_bit(monkeypatch, cells):
+    """Flagged users first, in the middle and last, and a dead row (a user
+    whose one vector has weight 0): sim_triangle equals the square route,
+    the oracle's n x n table over sim_matrix's blocks, bit for bit, in one
+    block and in blocks of one user."""
+    rng = np.random.default_rng(72)
+    live = random_eigen_sets(20, seed=72)
+    live.append(EigenBehaviorSet(np.eye(6)[:1], np.zeros(1)))  # weight 0: no similarity to anyone
+    names = [f"u{i:02d}" for i in rng.permutation(len(live))]
+    sets = {**dict(zip(names, live)), "a-flagged": None, "u10-flagged": None, "zz-flagged": None}
+    monkeypatch.setattr(distances, "SIM_BLOCK_CELLS", cells)
+    assert len(list(sim_matrix(live))) == (1 if cells > 1000 else len(live))
+    with pytest.warns(UserWarning) as caught:
+        values, ids = sim_triangle(sets)
+    with pytest.warns(UserWarning, match="normalize_sims"):
+        want, want_ids = oracle.sim_triangle(sets)
+    assert ids == want_ids == tuple(sorted(sets))
+    assert np.array_equal(values, want)
+    dead = ids.index(names[-1])
+    assert [str(w.message) for w in caught] == [f"sim_triangle: rows with no positive similarity: [{dead}]"]
+    square = np.zeros((len(ids), len(ids)))
+    square[np.triu_indices(len(ids), 1)] = values
+    for user in ("a-flagged", "u10-flagged", "zz-flagged", names[-1]):
+        at = ids.index(user)
+        assert not square[at].any() and not square[:, at].any(), user
+    # the eigen distances are 1 - that triangle, clipped, in place: the
+    # flagged users' pairs sit at the metric maximum
+    with pytest.warns(UserWarning, match="sim_triangle"):
+        dm = eigen_distance_matrix(sets)
+    assert np.array_equal(dm.values, np.clip(1.0 - want, 0.0, 1.0))
+    assert dm.flagged_ids == ("a-flagged", "u10-flagged", "zz-flagged")
+    flagged = [ids.index(u) for u in dm.flagged_ids]
+    assert (dm.square()[flagged][:, np.delete(np.arange(len(ids)), flagged)] == cluster.METRIC_MAX["eigen"]).all()
+
+
 def test_normalize_sims_frozen_table():
     # raw similarities proportional to [[5, 2, 1], [2, 3, 0.5], [1, 0.5, 2]] off the diagonal
-    table, _ = normalized_sim_table(gram_sets([[1.0, 0.8, 0.4], [0.8, 1.0, 0.2], [0.4, 0.2, 1.0]]))
+    table, _ = oracle.normalized_sim_table(gram_sets([[1.0, 0.8, 0.4], [0.8, 1.0, 0.2], [0.4, 0.2, 1.0]]))
     np.testing.assert_allclose(
         table, [[1.0, 1.0, 0.5], [1.0, 1.0, 0.25], [1.0, 0.5, 1.0]]
     )
@@ -208,13 +251,17 @@ def test_normalize_sims_frozen_table():
     off = table.copy()
     np.fill_diagonal(off, -np.inf)
     assert np.all(off.max(axis=1) == 1.0)
+    # sim_triangle holds the symmetrized pairs of that table
+    values, _ = sim_triangle(gram_sets([[1.0, 0.8, 0.4], [0.8, 1.0, 0.2], [0.4, 0.2, 1.0]]))
+    np.testing.assert_array_equal(values, upper((table + table.T) / 2.0))
+    np.testing.assert_allclose(values, [1.0, 0.75, 0.375])
 
 
 def test_normalize_sims_leaves_its_argument_unchanged():
     sets = gram_sets([[1.0, 0.8, 0.0], [0.8, 1.0, 0.0], [0.0, 0.0, 1.0]])
     kept = {u: (s.vectors.copy(), s.weights.copy()) for u, s in sets.items()}
     with pytest.warns(UserWarning, match="no positive similarity"):
-        normalized_sim_table(sets)
+        sim_triangle(sets)
     for u, s in sets.items():
         np.testing.assert_array_equal(s.vectors, kept[u][0])
         np.testing.assert_array_equal(s.weights, kept[u][1])
@@ -223,12 +270,13 @@ def test_normalize_sims_leaves_its_argument_unchanged():
 def test_normalize_sims_dead_row_warns():
     # u0 is orthogonal to both others: no positive similarity to anyone
     sets = gram_sets([[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
-    with pytest.warns(UserWarning, match=r"normalize_sims: rows with no positive similarity: \[0\]"):
-        table, _ = normalized_sim_table(sets)
-    np.testing.assert_array_equal(table[0], [1.0, 0.0, 0.0])
-    np.testing.assert_allclose(table[1:], [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+    with pytest.warns(UserWarning, match=r"sim_triangle: rows with no positive similarity: \[0\]"):
+        values, _ = sim_triangle(sets)
+    np.testing.assert_allclose(values, [0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="at least two"):
-        normalized_sim_table({"u0": sets["u0"]})
+        sim_triangle({"u0": sets["u0"]})
+    with pytest.raises(ValueError, match="at least two"):
+        sim_triangle({"u0": sets["u0"], "u1": None})
 
 
 def test_eigen_distance():
@@ -285,16 +333,17 @@ def test_eigen_distance_matrix_matches_scalar_oracle():
     np.testing.assert_allclose(dm.square(), want, atol=1e-12)
 
 
-def test_normalized_sim_table_orders_ids():
+def test_sim_triangle_orders_ids():
     sets = {
         "b": unit_set([math.sqrt(0.5), math.sqrt(0.5)], weights=[1.0]),
         "a": unit_set([1.0, 0.0], weights=[1.0]),
         "c": unit_set([0.0, 1.0], weights=[1.0]),
     }
-    table, ids = normalized_sim_table(sets)
+    values, ids = sim_triangle(sets)
     assert ids == ("a", "b", "c")
-    assert table.shape == (3, 3)
-    np.testing.assert_allclose(np.diag(table), 1.0)
+    assert values.shape == (3,)
+    # a and c are each closest to b: (a, b) and (b, c) score 1, (a, c) 0
+    np.testing.assert_allclose(values, [1.0, 0.0, 1.0])
 
 
 # --------------------------------------------------------- summary L1 dms ---
@@ -394,3 +443,14 @@ def test_distance_matrix_validation():
         DistanceMatrix(ok * 1.5, "eigen", ("a", "b"))
     # untagged metrics skip the range check
     DistanceMatrix(ok * 7.0, "custom", ("a", "b"))
+
+
+def test_a_distance_matrix_with_a_stranger_flagged_is_refused(tmp_path):
+    """Flagged ids are checked where the type is built, so the library cannot
+    make, and write, a matrix its own loader refuses."""
+    with pytest.raises(ValueError, match=r"flagged_ids must be among the ids; not there: \['zz'\]"):
+        DistanceMatrix(np.array([0.5]), "eigen", ("a", "b"), ("zz",))
+    dm = DistanceMatrix(np.array([1.0]), "eigen", ("a", "b"), ("b",))
+    path = tmp_path / "distances.npy"
+    persist.write_distance_matrix(str(path), dm)
+    assert persist.load_distance_matrix(str(path)).flagged_ids == ("b",)

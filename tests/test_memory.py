@@ -37,7 +37,6 @@ from eigenbehavior import (
     eigen_sets_for,
     generate,
     group_profiles,
-    normalized_sim_table,
     partition_from_labels,
     profilecast,
     run_pipeline,
@@ -152,14 +151,16 @@ def test_build_matrices_holds_output_and_one_block():
     assert_within(peak, output + order + block + SLACK)
 
 
-def test_normalized_sim_table_holds_output_and_one_block():
-    n, k = 600, 4
+def test_sim_triangle_holds_its_triangle_and_one_block():
+    # 1500 users: the triangle (9 MB), the stacked basis and one block of
+    # products; an n x n table (18 MB) breaks the bound
+    n, k = 1500, 4
     sets = random_sets(n, k, seed=5)
-    (table, ids), peak = peak_above_inputs(normalized_sim_table, sets)
-    output = n * n * 8
-    stacked = 3 * n * k * 20 * 8  # the stacked and weighted basis vectors
-    block = 2 * distances.SIM_BLOCK_CELLS * 8  # products, and their per-user sums
-    assert_within(peak, output + stacked + block + SLACK)
+    (values, ids), peak = peak_above_inputs(distances.sim_triangle, sets)
+    assert values.shape == (n * (n - 1) // 2,) and len(ids) == n
+    bound = triangle(n) + eigen_distance_blocks(n, k) + SLACK
+    assert bound < n * n * 8
+    assert_within(peak, bound)
 
 
 def test_amvd_holds_output_and_one_block():
@@ -180,8 +181,9 @@ def test_amvd_holds_output_and_one_block():
 
 
 def eigen_distance_blocks(n: int, k: int) -> int:
-    """Bytes the similarity table's making may hold besides the table: the
-    stacked basis and one sim block."""
+    """Bytes the similarity triangle's making may hold besides the triangle:
+    the stacked and weighted basis vectors, and one block of products and
+    their per-user sums."""
     stacked = 3 * n * k * 20 * 8
     sims = 2 * distances.SIM_BLOCK_CELLS * 8
     return stacked + sims
@@ -194,15 +196,17 @@ def triangle(n: int) -> int:
 
 @pytest.mark.parametrize("flagged", [(), ("zz-offline",)], ids=["live", "flagged"])
 def test_eigen_distance_holds_the_table_and_then_its_triangle(flagged):
-    # one path for live and flagged users alike: the sim table, then the
-    # triangle written row by row beside it; at 1200 users a second square
-    # (11 MB) breaks the bound
-    n, k = 1200, 2
+    # one path for live and flagged users alike: the similarity triangle,
+    # built one block of rows at a time, then turned into the distances in
+    # place; at 1500 users an n x n similarity table (18 MB) breaks the bound
+    n, k = 1500, 2
     sets = {**random_sets(n, k, seed=7), **dict.fromkeys(flagged)}
     dm, peak = peak_above_inputs(eigen_distance_matrix, sets)
     assert dm.flagged_ids == flagged
-    table = n * n * 8
-    assert_within(peak, table + max(eigen_distance_blocks(n, k), triangle(n + len(flagged))) + SLACK)
+    ids = n + len(flagged)
+    bound = triangle(ids) + eigen_distance_blocks(n, k) + SLACK
+    assert bound < n * n * 8
+    assert_within(peak, bound)
 
 
 def test_summary_l1_distance_holds_its_triangle_and_two_blocks():
@@ -250,8 +254,8 @@ def test_agglomerate_rescans_one_block_at_a_time():
 
 def test_eigen_pipeline_holds_one_square_beside_the_triangle():
     # 1200 users in 12 planted groups, 28 days: the matrices (5 MB), then the
-    # sim table or the linkage's square (11 MB) beside the triangle (5.5 MB);
-    # holding the distances as a square as well breaks the bound
+    # linkage's square (11 MB) beside the triangle (5.5 MB); holding the
+    # distances as a square as well breaks the bound
     n_groups, size, n_days = 12, 100, 28
     groups = tuple(
         GroupSpec(size, single_location_modes(20, [g]), (1.0,), p_online=0.8) for g in range(n_groups)
@@ -354,18 +358,20 @@ def test_replay_holds_one_block_of_encounters(config):
     n_users, n_msgs = 60, 40
     messages, encounters = random_replay(n_users, 400_000, n_msgs, seed=19)
     table = np.random.default_rng(19).uniform(size=(n_users, n_users))
-    outcome, peak = peak_above_inputs(simulate, messages, encounters, config, table, encounters.users)
+    sims = upper((table + table.T) / 2)
+    outcome, peak = peak_above_inputs(simulate, messages, encounters, config, sims, encounters.users)
     assert outcome.aggregate.overhead > 0
     assert_within(peak, replay_allowance(n_msgs, n_users))
 
 
 def test_similarity_replay_holds_no_square():
-    # the gate is read per block from the table as given: no symmetrized copy
+    # the gate is read per block from the triangle as given: no square
     n, n_msgs = 1000, 20
     messages, encounters = random_replay(n, 50_000, n_msgs, seed=23)
     table = np.random.default_rng(23).uniform(size=(n, n))
+    sims = upper((table + table.T) / 2)
     config = SimConfig("similarity", sim_threshold=0.5)
-    outcome, peak = peak_above_inputs(simulate, messages, encounters, config, table, encounters.users)
+    outcome, peak = peak_above_inputs(simulate, messages, encounters, config, sims, encounters.users)
     assert outcome.aggregate.overhead > 0
     assert replay_allowance(n_msgs, n) < n * n * 8
     assert_within(peak, replay_allowance(n_msgs, n))
@@ -420,11 +426,12 @@ def test_four_schemes_replayed_over_one_stream_hold_one_block():
             Message(f"m{m:04d}", records.users[source], frozenset(records.users[t] for t in targets), 0.0)
         )
     table = rng.uniform(size=(n_users, n_users))
+    sims = upper((table + table.T) / 2)
 
     def replay():
         stream = EncounterStream(records)
         return [
-            simulate(messages, stream, config, table, records.users).aggregate.overhead
+            simulate(messages, stream, config, sims, records.users).aggregate.overhead
             for config in REPLAY_CONFIGS
         ]
 

@@ -30,6 +30,7 @@ from eigenbehavior import cluster, distances, summaries
 from eigenbehavior.cluster import METRIC_MAX
 from eigenbehavior.pipeline import METRICS
 
+import distances_oracle
 from conftest import count_calls
 
 
@@ -197,7 +198,7 @@ def test_eigen_pipeline_builds_sets_and_table_once(planted, monkeypatch):
 
     dm = result.distance_matrix
     assert dm.flagged_ids == ("zz-offline",)
-    table, sim_ids = distances.normalized_sim_table(
+    table, sim_ids = distances_oracle.normalized_sim_table(
         {u: s for u, s in result.eigen_sets.items() if s is not None}
     )
     assert "zz-offline" not in sim_ids

@@ -8,9 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import stream_rows
+from conftest import stream_rows, upper
 from eigenbehavior import (
     AssociationRecord,
+    EigenBehaviorSet,
     EncounterStream,
     Encounters,
     Message,
@@ -19,6 +20,7 @@ from eigenbehavior import (
     build_messages,
     compare_schemes,
     partition_from_labels,
+    sim_triangle,
     simulate,
     split_trace,
 )
@@ -281,26 +283,27 @@ def test_at_most_one_copy_per_node():
     assert out.per_message["m0000"].mean_delay == pytest.approx(10.0)
 
 
-def sim_table_for(ids, pairs):
+def sims_for(ids, pairs):
+    """The condensed triangle of ids holding the given pairs' similarities."""
     n = len(ids)
     table = np.eye(n)
     pos = {u: i for i, u in enumerate(ids)}
     for (u, v), s in pairs.items():
         table[pos[u], pos[v]] = s
         table[pos[v], pos[u]] = s
-    return table
+    return upper(table)
 
 
 def test_similarity_gates_encounters():
     message = msg("A", {"B"})
     ids = ("A", "B", "X")
-    table = sim_table_for(ids, {("A", "B"): 0.9, ("A", "X"): 0.2, ("B", "X"): 0.2})
+    sims = sims_for(ids, {("A", "B"): 0.9, ("A", "X"): 0.2, ("B", "X"): 0.2})
     encounters = Encounters.from_rows([enc("A", "X", 10, 20), enc("A", "B", 30, 40)])
     out = simulate(
         [message],
         encounters,
         SimConfig("similarity", sim_threshold=0.5),
-        sim_table=table,
+        sim_values=sims,
         sim_ids=ids,
     )
     res = out.per_message["m0000"]
@@ -312,13 +315,13 @@ def test_similarity_gates_encounters():
 def test_similarity_threshold_zero_is_flooding():
     message = msg("A", {"B"})
     ids = ("A", "B", "X")
-    table = sim_table_for(ids, {("A", "B"): 0.9, ("A", "X"): 0.2, ("B", "X"): 0.2})
+    sims = sims_for(ids, {("A", "B"): 0.9, ("A", "X"): 0.2, ("B", "X"): 0.2})
     encounters = Encounters.from_rows([enc("A", "X", 10, 20), enc("B", "X", 30, 40)])
     gated = simulate(
         [message],
         encounters,
         SimConfig("similarity", sim_threshold=0.0),
-        sim_table=table,
+        sim_values=sims,
         sim_ids=ids,
     )
     flooded = simulate([message], encounters, SimConfig("flooding"))
@@ -327,18 +330,23 @@ def test_similarity_threshold_zero_is_flooding():
 
 
 def test_similarity_symmetrizes_directed_table():
+    """The gate reads sim_triangle's mean of the two directed normalized
+    similarities: B is A's closest user (1.0), but B's raw similarity to C is
+    five times that to A (0.2), so the pair scores 0.6."""
+    gram = np.array([[1.0, 0.1, 0.05], [0.1, 1.0, 0.5], [0.05, 0.5, 1.0]])
+    rows = np.linalg.cholesky(gram)  # raw similarity of users i and j is |gram[i, j]|
+    sets = {u: EigenBehaviorSet(row[None], np.ones(1)) for u, row in zip("ABC", rows)}
+    sims, ids = sim_triangle(sets)
+    assert sims[0] == pytest.approx(0.6)
     message = msg("A", {"B"})
-    table = np.array([[1.0, 1.0], [0.2, 1.0]])  # directed 1.0 / 0.2 -> mean 0.6
     encounters = Encounters.from_rows([enc("A", "B", 10, 20)])
-    passing = simulate(
-        [message], encounters, SimConfig("similarity", sim_threshold=0.6),
-        sim_table=table, sim_ids=("A", "B"),
-    )
+    # the gate is >=: a threshold equal to the pair's value lets the copy
+    # through, the next float above it blocks the copy
+    at = float(sims[0])
+    passing = simulate([message], encounters, SimConfig("similarity", sim_threshold=at), sims, ids)
     assert passing.per_message["m0000"].delivered == 1
-    blocked = simulate(
-        [message], encounters, SimConfig("similarity", sim_threshold=0.7),
-        sim_table=table, sim_ids=("A", "B"),
-    )
+    above = float(np.nextafter(sims[0], 1.0))
+    blocked = simulate([message], encounters, SimConfig("similarity", sim_threshold=above), sims, ids)
     assert blocked.per_message["m0000"].delivered == 0
 
 
@@ -392,15 +400,29 @@ def test_simulate_validation():
     with pytest.raises(ValueError, match="no messages"):
         simulate([], Encounters.from_rows([]), SimConfig("flooding"))
     message = msg("A", {"B"})
-    with pytest.raises(ValueError, match="needs sim_table"):
+    with pytest.raises(ValueError, match="needs sim_values"):
         simulate([message], Encounters.from_rows([]), SimConfig("similarity", sim_threshold=0.5))
     with pytest.raises(ValueError, match="without profile similarities"):
         simulate(
             [message],
             Encounters.from_rows([]),
             SimConfig("similarity", sim_threshold=0.5),
-            sim_table=np.eye(1),
+            sim_values=np.empty(0),
             sim_ids=("A",),
+        )
+
+
+@pytest.mark.parametrize(
+    "sims", [np.ones(2), np.ones(0), np.eye(2), np.ones((1, 1))], ids=["long", "empty", "square", "2-d"]
+)
+def test_similarity_refuses_a_triangle_that_does_not_fit_its_ids(sims):
+    with pytest.raises(ValueError, match="sim_values must be the 1 pair similarities of 2 sim_ids"):
+        simulate(
+            [msg("A", {"B"})],
+            Encounters.from_rows([enc("A", "B", 10, 20)]),
+            SimConfig("similarity", sim_threshold=0.5),
+            sims,
+            ("A", "B"),
         )
 
 
@@ -409,17 +431,17 @@ def test_similarity_refuses_only_users_that_meet_or_hold_messages():
     without profile similarities is refused only once it meets someone or
     is a message's source or target: C is never near anyone, D meets A."""
     config = SimConfig("similarity", sim_threshold=0.5)
-    table, ids = np.ones((2, 2)), ("A", "B")
+    sims, ids = np.ones(1), ("A", "B")
     quiet = Records.from_rows([rec("A", "L", 0, 20), rec("B", "L", 10, 30), rec("C", "M", 0, 30)])
-    outcome = simulate([msg("A", {"B"})], EncounterStream(quiet), config, table, ids)
+    outcome = simulate([msg("A", {"B"})], EncounterStream(quiet), config, sims, ids)
     assert outcome.aggregate.delivered == 1
     with pytest.raises(ValueError, match=r"without profile similarities: \['C'\]"):
-        simulate([msg("A", {"C"})], EncounterStream(quiet), config, table, ids)
+        simulate([msg("A", {"C"})], EncounterStream(quiet), config, sims, ids)
     met = Records.from_rows(
         [rec("A", "L", 0, 20), rec("B", "L", 10, 30), rec("D", "L", 40, 50), rec("A", "L", 45, 60)]
     )
     with pytest.raises(ValueError, match=r"without profile similarities: \['D'\]"):
-        simulate([msg("A", {"B"})], EncounterStream(met), config, table, ids)
+        simulate([msg("A", {"B"})], EncounterStream(met), config, sims, ids)
 
 
 # -------------------------------------------------- scheme interplay (random) ---
@@ -438,14 +460,13 @@ def random_scenario(seed):
         encounters.append(enc(a, b, s, s + float(rng.integers(1, 30))))
     encounters.sort(key=lambda e: (e[2], e[0], e[1]))
     raw = rng.uniform(0, 1, size=(12, 12))
-    table = (raw + raw.T) / 2
-    np.fill_diagonal(table, 1.0)
-    return users, messages, Encounters.from_rows(encounters), table
+    sims = upper((raw + raw.T) / 2)
+    return users, messages, Encounters.from_rows(encounters), sims
 
 
 def test_flooding_dominates_every_other_scheme():
     for seed in (1, 2, 3):
-        users, messages, encounters, table = random_scenario(seed)
+        users, messages, encounters, sims = random_scenario(seed)
         flood = simulate(messages, encounters, SimConfig("flooding"))
         others = [
             simulate(messages, encounters, SimConfig("centralized")),
@@ -453,7 +474,7 @@ def test_flooding_dominates_every_other_scheme():
                 messages,
                 encounters,
                 SimConfig("similarity", sim_threshold=0.5),
-                sim_table=table,
+                sim_values=sims,
                 sim_ids=users,
             ),
             simulate(messages, encounters, SimConfig("rtx", p=1.0, ttl_factor=3)),
@@ -467,7 +488,7 @@ def test_flooding_dominates_every_other_scheme():
 
 def test_similarity_overhead_monotone_in_threshold():
     for seed in (4, 5):
-        users, messages, encounters, table = random_scenario(seed)
+        users, messages, encounters, sims = random_scenario(seed)
         prev_overhead = None
         prev_delivered = None
         for threshold in (0.0, 0.3, 0.6, 0.9):
@@ -475,7 +496,7 @@ def test_similarity_overhead_monotone_in_threshold():
                 messages,
                 encounters,
                 SimConfig("similarity", sim_threshold=threshold),
-                sim_table=table,
+                sim_values=sims,
                 sim_ids=users,
             )
             if prev_overhead is not None:
@@ -521,6 +542,19 @@ def test_compare_schemes_errors_and_nan_delay():
         ]
     )
     assert math.isnan(rows[1][2])
+
+
+def test_compare_schemes_gives_nan_delay_ratios_when_flooding_delivers_at_once():
+    rows = compare_schemes(
+        [
+            ("flooding", SimResult(1.0, 0.0, 5)),
+            ("centralized", SimResult(0.5, 0.0, 2)),
+            ("rtx", SimResult(0.0, float("nan"), 0)),
+        ]
+    )
+    assert [row[0] for row in rows] == ["flooding", "centralized", "rtx"]
+    assert all(math.isnan(row[2]) for row in rows)
+    assert [row[1] for row in rows] == [1.0, 0.5, 0.0] and [row[3] for row in rows] == [1.0, 0.4, 0.0]
 
 
 def test_compare_schemes_keeps_every_row_and_takes_the_first_baseline():

@@ -7,7 +7,13 @@ rows, and the replay reads its encounters in blocks of that many rows and
 skips rows by the state at the start of each block, so the tests also run
 with blocks of a few rows, where the extraction's windows, every skip rule
 and the rtx walk cross block boundaries.  The simulate command replays each
-scheme in turn over one ``EncounterStream``; those tests do the same."""
+scheme in turn over one ``EncounterStream``; those tests do the same.
+
+The oracle replay reads a directed square similarity table and symmetrizes
+it; the package's replay reads the condensed triangle of the symmetrized
+values, as ``sim_triangle`` makes it.  Where the similarities come from eigen
+sets, the oracle is fed the square of ``distances_oracle``, made from the
+same block products as the triangle."""
 
 from __future__ import annotations
 
@@ -19,8 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distances_oracle
 import profilecast_oracle as oracle
-from conftest import stream_rows
+from conftest import stream_rows, upper
 from eigenbehavior import (
     AssociationRecord,
     EncounterStream,
@@ -29,8 +36,12 @@ from eigenbehavior import (
     Partition,
     Records,
     SimConfig,
+    TraceConfig,
+    build_matrices,
     build_messages,
+    eigen_sets_for,
     profilecast,
+    sim_triangle,
     simulate,
     split_trace,
 )
@@ -210,10 +221,16 @@ def _comparable(outcome):
     return per_message, fields(outcome.aggregate), outcome.leaked
 
 
+def triangle_of(table):
+    """The package replay's similarities for the oracle's directed square
+    table: the condensed triangle of (table + table^T) / 2."""
+    return upper((table + table.T) / 2.0)
+
+
 def assert_replay_matches_oracle(replay, config, block=None):
     messages, rows, table = replay
     with replay_block(block):
-        got = simulate(messages, Encounters.from_rows(rows), config, table, USERS)
+        got = simulate(messages, Encounters.from_rows(rows), config, triangle_of(table), USERS)
     want = oracle.simulate(messages, [oracle.Encounter(*r) for r in rows], config, table, USERS)
     assert _comparable(got) == _comparable(want), config
 
@@ -299,7 +316,7 @@ def synth_replay():
         for g in range(4)
     )
     records, truth = generate(SynthSpec(n_locations=n, n_days=16, groups=groups, seed=2024, noise_epsilon=0.05))
-    _, second, mid = split_trace(records)
+    first, second, mid = split_trace(records)
     encounters = Encounters.from_rows(stream_rows(second))
     messages = build_messages(Partition(assignment=truth), creation_time=mid, seed=3)
     users = sorted(truth)
@@ -308,7 +325,7 @@ def synth_replay():
     want = {
         config: _comparable(oracle.simulate(messages, rows, config, table, users)) for config in SYNTH_CONFIGS
     }
-    return messages, encounters, table, users, want, second
+    return messages, encounters, triangle_of(table), users, want, second, (first, mid)
 
 
 @pytest.mark.parametrize("block", (None, 7, 256))
@@ -316,10 +333,10 @@ def synth_replay():
 def test_simulate_matches_oracle_on_a_synth_population(synth_replay, block, config):
     """Every per-message field and the leak count of each scheme; at 7 and
     256 rows a block, users saturate and custody moves between blocks."""
-    messages, encounters, table, users, want, _ = synth_replay
+    messages, encounters, sims, users, want, _, _ = synth_replay
     assert len(encounters) == 3466 and len(messages) == 12
     with replay_block(block):
-        got = simulate(messages, encounters, config, table, users)
+        got = simulate(messages, encounters, config, sims, users)
     assert _comparable(got) == want[config]
 
 
@@ -327,13 +344,30 @@ def test_simulate_matches_oracle_on_a_synth_population(synth_replay, block, conf
 def test_simulate_over_one_stream_matches_oracle_on_a_synth_population(synth_replay, block):
     """The simulate command's replay: each config in turn over one stream of
     the replay half's blocks, over the replay half's users."""
-    messages, _, table, users, want, second = synth_replay
+    messages, _, sims, users, want, second, _ = synth_replay
     with replay_block(block):
         stream = EncounterStream(second)
         blocks = list(stream)
-        got = [_comparable(simulate(messages, stream, config, table, users)) for config in SYNTH_CONFIGS]
+        got = [_comparable(simulate(messages, stream, config, sims, users)) for config in SYNTH_CONFIGS]
     assert (len(blocks) == 1) == (block is None) and sum(map(len, blocks)) == len(stream) == 3466
     assert got == [want[config] for config in SYNTH_CONFIGS]
+
+
+@pytest.mark.parametrize("threshold", (0.3, 0.5, 0.7, 0.9))
+def test_similarity_replay_over_profile_similarities_matches_oracle(synth_replay, threshold):
+    """The similarities of the profile half's eigen sets: the package replay
+    reads sim_triangle, the oracle replay the square route's table, and every
+    gate agrees, so every transmission does."""
+    messages, encounters, _, _, _, _, (first, mid) = synth_replay
+    eigen_sets = eigen_sets_for(build_matrices(first, TraceConfig(0.0, mid)))
+    assert None not in eigen_sets.values() and len(eigen_sets) == 60
+    sims, ids = sim_triangle(eigen_sets)
+    table, table_ids = distances_oracle.normalized_sim_table(eigen_sets)
+    assert ids == table_ids
+    config = SimConfig("similarity", sim_threshold=threshold)
+    got = simulate(messages, encounters, config, sims, ids)
+    want = oracle.simulate(messages, [oracle.Encounter(*row) for row in encounters.rows()], config, table, ids)
+    assert _comparable(got) == _comparable(want)
 
 
 def test_encounters_columns_round_trip_in_given_order():
