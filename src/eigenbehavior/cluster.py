@@ -6,18 +6,20 @@ inter-cluster linkages exceed a threshold or a target cluster count is
 reached.  Ties are broken toward the pair with the smaller cluster id, then
 the smaller partner id, where a cluster's running id is the smallest original
 element index it contains.  One engine, merge_histories, grows a stack of
-such trees at once and records each as (i, j, distance) rows; one cut,
-merge_roots, reads any prefix of those records as each slot's root.
-agglomerate runs both on the square of a DistanceMatrix, the package's one
-distance type: the condensed triangle of the pairwise distances, checked once
-when it is built.  row_runs is the triangle's one row layout: every walk over
-its rows (the square, the summary distances, distance_cdfs) reads or
-writes each row's run through it.  pair_index places single pairs: AMVD,
-whose users run in row-count order, scatters through it, the similarity
-triangle writes each row's pairs (a, j > a) and adds its pairs (j < a, a)
-through it, and the similarity replay's gate reads through it.  pairwise_l1
-is the package's one L1 kernel: mode trees, summary distances and AMVD use
-it.
+such trees at once from their condensed triangles, which it only reads, and
+records each as (i, j, distance) rows; one cut, merge_roots, reads any prefix
+of those records as each slot's root.  agglomerate runs both on a
+DistanceMatrix, the package's one distance type: the condensed triangle of
+the pairwise distances, checked once when it is built.  The condensed
+triangle is the package's one pairwise layout: no n x n distance array is
+built.  row_runs is its one row layout: every walk over its rows (the
+engine's copy, l1_triangles, distance_cdfs) reads or writes each row's run
+through it.  pair_index places single pairs: AMVD, whose users run in
+row-count order, scatters through it, the similarity triangle writes each
+row's pairs (a, j > a) and adds its pairs (j < a, a) through it, and the
+similarity replay's gate reads through it.  pairwise_l1 is the package's one
+L1 kernel: l1_triangles, which gives the mode trees and the summary
+distances their triangles, and AMVD use it.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from typing import Hashable
 
 import numpy as np
 
+from .trace import budget_blocks
+
 _MONOTONE_SLACK = 1e-12
-# merge_histories' row rescans work in row blocks of about this many cells.
+# l1_triangles measures rows against later rows in blocks of about this many cells.
 ROW_BLOCK_CELLS = 1 << 16
 
 # Each metric the pipeline builds, by its --metric name, with its largest distance.
@@ -90,6 +94,24 @@ def row_runs(values: np.ndarray, n: int) -> list[np.ndarray]:
     return np.split(values, np.cumsum(np.arange(n - 1, 1, -1))) if n > 1 else []
 
 
+def l1_triangles(rows: np.ndarray) -> np.ndarray:
+    """(..., n, L) -> (..., n(n - 1) / 2): the condensed triangle of the L1
+    distances between the rows of each matrix, in row_runs order.  Rows [lo,
+    hi) are measured against every later row, pairwise_l1(rows[..., lo:hi,
+    :], rows[..., lo + 1:, :]), in blocks of about ROW_BLOCK_CELLS cells, and
+    each row a's j > a run is copied into the triangle; every pair's terms are
+    added in column order, as one whole-array pairwise_l1 adds them."""
+    *stack, n, _ = rows.shape
+    values = np.empty((n * (n - 1) // 2, *stack))  # pairs first: each run is one block
+    runs = row_runs(values, n)
+    for lo, hi in budget_blocks(np.full(n - 1, math.prod(stack) * (n - 1)), ROW_BLOCK_CELLS):
+        block = pairwise_l1(rows[..., lo:hi, :], rows[..., lo + 1 :, :])
+        for a in range(lo, hi):
+            runs[a][:] = np.moveaxis(block[..., a - lo, a - lo :], -1, 0)
+        del block  # freed before the next block is made
+    return np.moveaxis(values, 0, -1)
+
+
 @dataclass
 class DistanceMatrix:
     """Pairwise distances with a metric name and element ids.
@@ -133,14 +155,6 @@ class DistanceMatrix:
     def n(self) -> int:
         return len(self.ids)
 
-    def square(self) -> np.ndarray:
-        """A fresh n x n array of the distances, zero on the diagonal, filled
-        a row's run at a time."""
-        out = np.zeros((self.n, self.n))
-        for a, run in enumerate(row_runs(self.values, self.n)):
-            out[a, a + 1 :] = out[a + 1 :, a] = run
-        return out
-
 
 def agglomerate(
     dm: DistanceMatrix, threshold: float | None = None, target_count: int | None = None
@@ -151,11 +165,11 @@ def agglomerate(
     threshold rule, merging proceeds while the smallest inter-cluster linkage
     is <= threshold (a NaN threshold is refused); under the count rule, until
     target_count clusters remain.  Merge distances are checked to be
-    non-decreasing on every run.
+    non-decreasing on every run.  dm is only read.
     """
     if target_count is not None and not 1 <= target_count <= dm.n:
         raise ValueError(f"target_count must lie in [1, {dm.n}]")
-    merges = merge_histories(dm.square()[None], threshold=threshold, target_count=target_count)
+    merges = merge_histories(dm.values[None], threshold=threshold, target_count=target_count)
     _, cluster_of = np.unique(merge_roots(merges)[0], return_inverse=True)
     i, j, d = merges[0, ~np.isnan(merges[0, :, 2])].T
     history = zip(i.astype(np.intp).tolist(), j.astype(np.intp).tolist(), d.tolist())
@@ -163,62 +177,90 @@ def agglomerate(
 
 
 def merge_histories(
-    dms: np.ndarray,
+    triangles: np.ndarray,
     mask: np.ndarray | None = None,
     threshold: float | None = None,
     target_count: int | None = None,
 ) -> np.ndarray:
-    """Average-linkage merge records of a (B, n, n) stack of distance matrices.
+    """Average-linkage merge records of a (B, n(n - 1) / 2) stack of condensed
+    distance triangles, each in row_runs order.
 
     Returns a (B, n, 3) float array: each tree's merges as (i, j, distance)
-    rows, i < j, in merge order, then NaN rows.  mask, (B, n) booleans, marks
-    the rows of each matrix that take part; the others are ignored.  Each tree
-    stops on its own, under exactly one of the two rules of agglomerate (the
-    count rule stops at <= target_count active rows).  The distances must be
-    finite; they are not validated here.  The engine works in the given
-    array, so a float64 stack comes back overwritten.
+    rows, i < j, in merge order, then NaN rows.  n follows from the stack's
+    width (1 for a width of 0).  mask, (B, n) booleans, marks the elements of
+    each triangle that take part; the others are ignored.  Each tree stops on
+    its own, under exactly one of the two rules of agglomerate (the count rule
+    stops at <= target_count active elements).  The distances must be finite;
+    they are not validated here.  The stack is only read: the engine works in
+    one private copy, whose row a is an inf cell for the pair (a, a) followed
+    by row a's run of pairs (a, j > a), every tree's cell side by side.  No
+    n x n array is built.
 
-    Every tree caches each row's minimum and the first column holding it.
-    The first row with the smallest cached minimum and that row's cached
-    column are the row-major first argmin of the whole matrix, so merges
-    follow the smallest-id tie rule in exactly the greedy global order.  After
-    a merge of (i, j) into i, row i and every row cached on column i or j are
-    rescanned, ROW_BLOCK_CELLS cells at a time; any other row only compares
-    its new column-i entry with its cache, taking it when smaller, or when
-    equal and i is the smaller column.
+    Every tree caches each row's least distance over its own run only.  The
+    first row i with the smallest cache holds the whole symmetric matrix's
+    row-major first argmin, at the first column j > i of its run that holds
+    the cache, so merges follow the smallest-id tie rule in exactly the greedy
+    global order.  A merge gathers rows i and j, run and column, and scatters
+    their Lance-Williams average into row i and inf into row j.  Row i, and
+    every row a whose cache equals its old (a, i), a < i, or its old (a, j),
+    a < j, then rescan their runs, one row of every tree at a time; every
+    other row a < i takes its new (a, i) when that is smaller than its cache.
     """
     if (threshold is None) == (target_count is None):
         raise ValueError("give exactly one of threshold or target_count")
     if threshold is not None and math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
-    work = np.asarray(dms, dtype=float)
-    n_trees, n, _ = work.shape
-    merges = np.full((n_trees, n, 3), np.nan)
-    if n == 0:
-        return merges
-    active = np.ones((n_trees, n), bool) if mask is None else np.array(mask, dtype=bool)
-    work[~active] = np.inf
-    work.transpose(0, 2, 1)[~active] = np.inf
-    work[:, np.arange(n), np.arange(n)] = np.inf
-    sizes = np.ones((n_trees, n), dtype=np.int64)
+    triangles = np.asarray(triangles, dtype=float)
+    n_trees, n_pairs = triangles.shape
+    n = (1 + math.isqrt(1 + 8 * n_pairs)) // 2
+    if n * (n - 1) // 2 != n_pairs:
+        raise ValueError(f"{n_pairs} is not the pair count of a condensed triangle")
+    cols = np.arange(n)
+    start = cols * (2 * n + 1 - cols) // 2  # the place of each row's (a, a) cell
+    work = np.empty((n * (n + 1) // 2, n_trees))  # a cell's trees side by side
+    work[start] = np.inf
+    for a, run in enumerate(row_runs(triangles.T, n)):
+        work[start[a] + 1 : start[a] + n - a] = run
+    flat = work.reshape(-1)
+
+    # the cell (a, k) of a tree sits in row min(a, k)'s run, at column max(a, k)
+    below, across = (start - cols) * n_trees, cols * n_trees
+
+    def row_cells(trees: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Places in flat of the cells (row, k), k < n, of each tree's row:
+        (k, row) in row k's run for k < row, then row's own run."""
+        return np.where(
+            cols < rows[:, None],
+            below + (rows * n_trees + trees)[:, None],
+            across + (below[rows] + trees)[:, None],
+        )
+
+    min_val = np.empty((n_trees, n))
+
+    def rescan(rows: np.ndarray) -> None:
+        """Cache every tree's least cell in each of rows, from its (a, a) cell
+        to the end of its run."""
+        for a in rows.tolist():
+            min_val[:, a] = np.minimum.reduce(work[start[a] : start[a] + n - a])
+
+    active = np.ones((n_trees, n), bool) if mask is None else np.asarray(mask, dtype=bool)
+    flat[row_cells(*np.nonzero(~active))] = np.inf
     n_active = active.sum(axis=1)
-    min_col = work.argmin(axis=2)
-    min_val = np.take_along_axis(work, min_col[..., None], axis=2)[..., 0]
+    rescan(cols)
+    merges = np.full((n_trees, n, 3), np.nan)
+    sizes = np.ones((n_trees, n), dtype=np.int64)
     last = np.full(n_trees, -np.inf)
     steps = np.zeros(n_trees, dtype=np.intp)
     hist_i, hist_j, hist_d = np.moveaxis(merges, 2, 0)  # views that fill merges
     floor = 1 if target_count is None else target_count
-    cols = np.arange(n)
-    rescan_rows = max(1, ROW_BLOCK_CELLS // n)
 
     live = np.flatnonzero(n_active > floor)
     while live.size:
-        row = min_val[live].argmin(axis=1)
-        col = min_col[live, row]
-        dist = min_val[live, row]
+        i = min_val[live].argmin(axis=1)
+        dist = min_val[live, i]
         if threshold is not None:
             keep = dist <= threshold
-            live, row, col, dist = live[keep], row[keep], col[keep], dist[keep]
+            live, i, dist = live[keep], i[keep], dist[keep]
             if not live.size:
                 break
         falling = np.flatnonzero(dist < last[live] - _MONOTONE_SLACK)
@@ -227,40 +269,33 @@ def merge_histories(
             raise AssertionError(
                 f"average-linkage monotonicity violated: {dist[k]} after {last[live[k]]}"
             )
+        cells_i = row_cells(live, i)
+        row_i = flat[cells_i]
+        j = ((row_i == dist[:, None]) & (cols > i[:, None])).argmax(axis=1)
+        cells_j = row_cells(live, j)
+        row_j = flat[cells_j]
         last[live] = dist
-        i, j = np.minimum(row, col), np.maximum(row, col)
         hist_i[live, steps[live]] = i
         hist_j[live, steps[live]] = j
         hist_d[live, steps[live]] = dist
         steps[live] += 1
 
-        # Lance-Williams update for average linkage, result stored at slot i.
-        # The diagonal and dead rows and columns hold inf, which it keeps.
+        # Lance-Williams update for average linkage, result stored in row i.
+        # The (a, a) cells and dead rows hold inf, which it keeps.
         ni, nj = sizes[live, i][:, None], sizes[live, j][:, None]
-        merged = (ni * work[live, i] + nj * work[live, j]) / (ni + nj)
-        work[live, i] = merged
-        work[live, :, i] = merged
-        work[live, j] = np.inf
-        work[live, :, j] = np.inf
+        merged = (ni * row_i + nj * row_j) / (ni + nj)
+        flat[cells_i] = merged
+        flat[cells_j] = np.inf
         sizes[live, i] += sizes[live, j]
-        active[live, j] = False
         n_active[live] -= 1
 
-        cached = min_col[live]
-        stale = active[live] & (
-            (cached == i[:, None]) | (cached == j[:, None]) | (cols == i[:, None])
-        )
-        current = min_val[live]
-        better = (merged < current) | ((merged == current) & (i[:, None] < cached))
-        min_val[live] = np.where(better, merged, current)
-        min_col[live] = np.where(better, i[:, None], cached)
+        current, before_i = min_val[live], cols < i[:, None]
+        stale = ((row_i == current) & before_i) | ((row_j == current) & (cols < j[:, None]))
+        stale &= current < np.inf  # not the dead rows, whose cells are all inf
+        stale[np.arange(live.size), i] = True
+        min_val[live] = np.minimum(current, merged, out=current, where=before_i)
         min_val[live, j] = np.inf
-        tree, rows = np.nonzero(stale)
-        for lo in range(0, tree.size, rescan_rows):
-            at = live[tree[lo : lo + rescan_rows]], rows[lo : lo + rescan_rows]
-            best = work[at].argmin(axis=1)  # the block is freed before the next is made
-            min_col[at] = best
-            min_val[at] = work[(*at, best)]
+        rescan(np.flatnonzero(stale.any(axis=0)))
         live = live[n_active[live] > floor]
     return merges
 

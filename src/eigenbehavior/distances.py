@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .cluster import METRIC_MAX, ROW_BLOCK_CELLS, DistanceMatrix, pair_index, pairwise_l1, row_runs
+from .cluster import METRIC_MAX, DistanceMatrix, l1_triangles, pair_index, pairwise_l1
 from .summaries import DEFAULT_POWER_FLOOR, EigenBehaviorSet, eigen_behaviors
 from .trace import AssociationMatrix, budget_blocks
 
@@ -146,22 +146,11 @@ def eigen_distance_matrix(
 
 def summary_l1_distance(ids: tuple[str, ...], vectors: np.ndarray, metric: str) -> DistanceMatrix:
     """Manhattan distance, named metric, between the users ids, whose
-    summaries are the rows of vectors, (users, locations).  Rows [lo, hi) are
-    measured against every later row, pairwise_l1(vectors[lo:hi], vectors[lo
-    + 1:]), in blocks of about ROW_BLOCK_CELLS cells, and each row a's j > a
-    run is copied into the triangle; every pair's terms are added in column
-    order, as one whole-array pairwise_l1 adds them."""
-    n = len(ids)
-    if n < 2:
+    summaries are the rows of vectors, (users, locations): l1_triangles of
+    the rows."""
+    if len(ids) < 2:
         raise ValueError("need at least two users with online slots")
-    values = np.empty(n * (n - 1) // 2)
-    runs = row_runs(values, n)
-    for lo, hi in budget_blocks(np.full(n - 1, n - 1), ROW_BLOCK_CELLS):
-        block = pairwise_l1(vectors[lo:hi], vectors[lo + 1 :])
-        for a in range(lo, hi):
-            runs[a][:] = block[a - lo, a - lo :]
-        del block  # freed before the next block is made
-    return DistanceMatrix(values, metric, ids)
+    return DistanceMatrix(l1_triangles(vectors), metric, ids)
 
 
 def eigen_sets_for(

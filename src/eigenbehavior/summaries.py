@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cluster import merge_histories, merge_roots, pairwise_l1
+from .cluster import l1_triangles, merge_histories, merge_roots
 from .trace import AssociationMatrix, budget_blocks
 
 DEFAULT_POWER_FLOOR = 0.001  # keep eigen-behaviors carrying >= 0.1% of total power
@@ -29,10 +29,10 @@ SUMMARY_NAMES = (
     *((f"centroid@{thr:g}", f"centroid{thr:g}".replace(".", "")) for thr in MODE_THRESHOLDS),
     ("svd", None),
 )
-# Mode trees grown in one engine call hold at most this many distance cells
-# (trees x rows^2): about 160 users of 28 daily slots, so each of the call's
-# (trees, rows, rows) arrays takes 1 MB.  A block of significance scores
-# holds at most this many stacked row and product cells.
+# Mode trees grown in one engine call count at most this many cells (trees x
+# rows^2): about 160 users of 28 daily slots, whose triangles and the
+# engine's working copy of them take 1 MB together.  A block of significance
+# scores holds at most this many stacked row and product cells.
 MODE_TREE_CELLS = 1 << 17
 
 
@@ -106,7 +106,7 @@ def _mode_cuts(
     modes (the earliest root's on ties), NaN for a matrix with no online row.
     A row's root is the place among its matrix's online rows of its mode's
     earliest row, as merge_roots gives it.  Trees are grown to the largest
-    threshold, MODE_TREE_CELLS distance cells at a time.
+    threshold, MODE_TREE_CELLS cells at a time.
     """
     if any(thr < 0 for thr in thresholds):
         raise ValueError("threshold must be nonnegative")
@@ -129,14 +129,15 @@ def _chunk_cuts(
     chunk: list[AssociationMatrix], thresholds: tuple[float, ...], n_locations: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """_mode_cuts of matrices with online rows, from one merge_histories call
-    cut by merge_roots at each threshold.  A centroid sums its mode's rows,
-    gathered in row order, over their count: the bits of their mean."""
+    on the l1_triangles of their rows, cut by merge_roots at each threshold.
+    A centroid sums its mode's rows, gathered in row order, over their count:
+    the bits of their mean."""
     counts = np.array([np.count_nonzero(m.online) for m in chunk])
     width = counts.max()
     taking_part = np.arange(width) < counts[:, None]
     stack = np.zeros((len(chunk), width, n_locations))
     stack[taking_part] = np.concatenate([m.rows[m.online] for m in chunk])
-    merges = merge_histories(pairwise_l1(stack, stack), taking_part, threshold=max(thresholds))
+    merges = merge_histories(l1_triangles(stack), taking_part, threshold=max(thresholds))
     roots = np.empty((len(thresholds), counts.sum()), dtype=np.intp)
     centroids = np.empty((len(chunk), len(thresholds), n_locations))
     for c, thr in enumerate(thresholds):

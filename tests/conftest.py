@@ -88,6 +88,15 @@ def upper(square) -> np.ndarray:
     return square[np.triu_indices(len(square), 1)]
 
 
+def unfold(dm: DistanceMatrix) -> np.ndarray:
+    """A fresh n x n array of dm's distances, bit for bit, zero on the
+    diagonal: upper's inverse, scattered by np.triu_indices."""
+    square = np.zeros((dm.n, dm.n))
+    i, j = np.triu_indices(dm.n, 1)
+    square[i, j] = square[j, i] = dm.values
+    return square
+
+
 def matrix_from_rows(rows, user_id="u", locations=None) -> AssociationMatrix:
     rows = np.asarray(rows, dtype=float)
     if locations is None:

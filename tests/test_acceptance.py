@@ -25,6 +25,7 @@ from conftest import (
     profile_half_config,
     sim_overlap_spec,
     sim_trace_spec,
+    unfold,
 )
 from eigenbehavior import (
     DAY_SECONDS,
@@ -191,7 +192,7 @@ def test_distance_oracle_ranges_and_speedup(capsys):
     # exact oracle agreement
     small = random_matrices(20, 30)
     dm = amvd_distance_matrix(small)
-    ids, square = dm.ids, dm.square()
+    ids, square = dm.ids, unfold(dm)
     for i in range(len(ids)):
         for j in range(i + 1, len(ids)):
             a = small[ids[i]].rows[small[ids[i]].rows.sum(axis=1) > 0]

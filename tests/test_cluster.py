@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import checked, upper
+from conftest import checked, unfold, upper
 from eigenbehavior import DistanceMatrix, Partition, agglomerate, cluster, distance_cdfs
 from eigenbehavior.cluster import pair_index, row_runs
 
@@ -113,7 +113,7 @@ def test_nan_threshold_is_refused_and_inf_and_negative_keep_their_meaning():
     with pytest.raises(ValueError, match="threshold must not be NaN"):
         agglomerate(dm, threshold=float("nan"))
     with pytest.raises(ValueError, match="threshold must not be NaN"):
-        cluster.merge_histories(dm.square()[None], threshold=np.nan)
+        cluster.merge_histories(dm.values[None], threshold=np.nan)
     assert agglomerate(dm, threshold=float("inf")).n_clusters == 1
     assert agglomerate(dm, threshold=-1.0).n_clusters == 3
 
@@ -131,25 +131,16 @@ def test_repeated_ids_are_refused():
         DistanceMatrix(np.zeros(3), "custom", ("a", "a", "c"))
 
 
-def test_square_unfolds_the_pair_order():
-    dm = DistanceMatrix(np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), "custom", "abcd")
-    assert np.array_equal(
-        dm.square(),
-        [[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 4.0, 5.0], [2.0, 4.0, 0.0, 6.0], [3.0, 5.0, 6.0, 0.0]],
-    )
-    assert [pair_index(4, i, j) for i in range(4) for j in range(i + 1, 4)] == list(range(6))
-    assert np.array_equal(upper(dm.square()), dm.values)
-    assert dm.square() is not dm.square()  # fresh, for the engine to work in
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 7])
 def test_row_runs_are_the_triangles_rows(n):
     """Row a's run holds the pairs (a, j > a): the runs are views that tile
-    the triangle in order, and writing through them fills it."""
+    the triangle in order, pair_index places each pair in it, and writing
+    through them fills it."""
     values = np.zeros(n * (n - 1) // 2)
     runs = row_runs(values, n)
     assert len(runs) == max(n - 1, 0)
     assert [len(run) for run in runs] == list(range(n - 1, 0, -1))
+    assert [pair_index(n, a, j) for a in range(n) for j in range(a + 1, n)] == list(range(values.size))
     square = np.zeros((n, n))
     for a, run in enumerate(runs):
         assert np.shares_memory(run, values)
@@ -157,7 +148,7 @@ def test_row_runs_are_the_triangles_rows(n):
         square[a, a + 1 :] = run
     assert np.array_equal(values, upper(square))
     dm = DistanceMatrix(values, "custom", range(n))
-    assert np.array_equal(dm.square(), square + square.T)
+    assert np.array_equal(unfold(dm), square + square.T)
 
 
 def test_a_checked_matrix_is_validated_once(monkeypatch):
@@ -173,9 +164,7 @@ def test_a_checked_matrix_is_validated_once(monkeypatch):
 # ----------------------------------------------------------------- oracle ---
 
 
-def test_matches_naive_oracle_target_count(monkeypatch):
-    # blocks of 64 cells, 1 to 21 rows: row rescans take several blocks
-    monkeypatch.setattr(cluster, "ROW_BLOCK_CELLS", 64)
+def test_matches_naive_oracle_target_count():
     rng = np.random.default_rng(101)
     for _ in range(30):
         n = int(rng.integers(3, 41))

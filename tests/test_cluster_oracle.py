@@ -1,23 +1,26 @@
 """Property tests of the batched average-linkage engine against the old
 one-argmin-per-merge loop in cluster_oracle, on tie-heavy inputs, of its cut
-merge_roots against the oracle's replay of each merge list, and of
-pairwise_l1 against scipy's cdist."""
+merge_roots against the oracle's replay of each merge list, of pairwise_l1
+against scipy's cdist, and of l1_triangles against the whole squares."""
 
 from __future__ import annotations
 
 from itertools import takewhile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 import cluster_oracle as oracle
-from conftest import checked, upper
+from conftest import checked, unfold, upper
+from eigenbehavior import cluster
 from eigenbehavior.cluster import (
     DistanceMatrix,
     agglomerate,
+    l1_triangles,
     merge_histories,
     merge_roots,
     pairwise_l1,
@@ -56,15 +59,17 @@ def stop_rule(draw, n):
 @given(st.data())
 def test_merge_history_matches_oracle(data):
     """The square's gathered triangle unfolds back into the square, and
-    clusters as the oracle clusters the square."""
+    clusters as the oracle clusters the square, left as it was."""
     square = data.draw(distance_matrices())
     n = square.shape[0]
     dm = DistanceMatrix(upper(square), "custom", range(n))
     assert dm.values.shape == (n * (n - 1) // 2,)
-    assert np.array_equal(dm.square(), square)
+    assert np.array_equal(unfold(dm), square)
     stop = stop_rule(data.draw, n)
     want = oracle.agglomerate(square, **stop)
+    given_bytes = dm.values.tobytes()
     got = agglomerate(dm, **stop)
+    assert dm.values.tobytes() == given_bytes
     assert got.merge_history == want.merge_history
     assert list(got.assignment.items()) == list(want.assignment.items())
 
@@ -72,8 +77,9 @@ def test_merge_history_matches_oracle(data):
 @st.composite
 def masked_stacks(draw):
     """A stack of distance matrices padded to one width, each with a random
-    mask.  Rows outside a matrix or outside its mask hold -1, smaller than
-    any distance, so a tree that looked at them would merge them first."""
+    mask, and the stack of their upper-gathered triangles.  Pairs outside a
+    matrix or outside its mask hold -1, smaller than any distance, so a tree
+    that looked at them would merge them first."""
     dms = draw(st.lists(distance_matrices(max_n=9), min_size=1, max_size=5))
     width = max(dm.shape[0] for dm in dms)
     stack = np.full((len(dms), width, width), -1.0)
@@ -84,7 +90,8 @@ def masked_stacks(draw):
         mask[b, :n] = draw(st.lists(st.booleans(), min_size=n, max_size=n))
         stack[b][~mask[b]] = -1.0
         stack[b][:, ~mask[b]] = -1.0
-    return stack, mask
+    triangles = np.array([upper(square) for square in stack]).reshape(len(dms), -1)
+    return stack, triangles, mask
 
 
 def record(history, width):
@@ -96,14 +103,20 @@ def record(history, width):
 
 @PROPERTY
 @given(masked_stacks(), st.data())
-def test_one_batched_call_equals_one_call_per_matrix(stack_and_mask, data):
-    stack, mask = stack_and_mask
+def test_one_batched_call_equals_one_call_per_matrix(stacks, data):
+    """One call on the whole stack, which it only reads, records what one call
+    per triangle and the oracle on each masked square record."""
+    stack, triangles, mask = stacks
     width = stack.shape[1]
     stop = stop_rule(data.draw, width)
-    batched = merge_histories(stack.copy(), mask, **stop)  # the engine works in its argument
+    given_bytes = triangles.tobytes()
+    triangles.flags.writeable = False
+    batched = merge_histories(triangles, mask, **stop)
+    assert triangles.tobytes() == given_bytes
+    assert np.array_equal(batched, merge_histories(triangles.copy(), mask, **stop), equal_nan=True)
     assert batched.shape == (len(stack), width, 3)
     for b, merges in enumerate(batched):
-        single = merge_histories(stack[b : b + 1].copy(), mask[b : b + 1], **stop)[0]
+        single = merge_histories(triangles[b : b + 1], mask[b : b + 1], **stop)[0]
         assert np.array_equal(merges, single, equal_nan=True)
         taking_part = np.flatnonzero(mask[b])
         if taking_part.size == 0 or stop.get("target_count", 1) > taking_part.size:
@@ -117,13 +130,13 @@ def test_one_batched_call_equals_one_call_per_matrix(stack_and_mask, data):
 
 @PROPERTY
 @given(masked_stacks(), st.lists(THRESHOLDS, max_size=3))
-def test_merge_roots_equal_the_replay_of_each_prefix(stack_and_mask, thresholds):
+def test_merge_roots_equal_the_replay_of_each_prefix(stacks, thresholds):
     """At each threshold, one below the first merge and inf, every slot's root
     is the earliest slot of its cluster in the oracle's replay of the merges
     up to the threshold; slots outside a mask stay alone."""
-    stack, mask = stack_and_mask
+    stack, triangles, mask = stacks
     width = stack.shape[1]
-    merges = merge_histories(stack.copy(), mask, target_count=1)
+    merges = merge_histories(triangles, mask, target_count=1)
     first = np.nanmin(merges[:, 0, 2], initial=np.inf)
     for thr in [*thresholds, first - 1.0, np.inf]:
         roots = merge_roots(merges) if thr == np.inf else merge_roots(merges, thr)
@@ -147,12 +160,15 @@ def spanning_values():
     )
 
 
-@PROPERTY
-@given(
-    st.tuples(st.integers(1, 4), st.integers(1, 8), st.integers(1, 30)).flatmap(
+def row_stacks():
+    """(matrices, rows, columns) stacks of spanning values."""
+    return st.tuples(st.integers(1, 4), st.integers(1, 8), st.integers(1, 30)).flatmap(
         lambda shape: arrays(float, shape, elements=spanning_values())
     )
-)
+
+
+@PROPERTY
+@given(row_stacks())
 def test_pairwise_l1_has_cdist_bits(stack):
     got = pairwise_l1(stack, stack)
     assert got.shape == (stack.shape[0], stack.shape[1], stack.shape[1])
@@ -176,6 +192,19 @@ def test_pairwise_l1_of_two_row_sets_has_cdist_bits(sets):
     got = pairwise_l1(a, b)
     assert np.array_equal(got, cdist(a, b, "cityblock"))
     assert np.array_equal(pairwise_l1(b, a), got.T)
+
+
+@PROPERTY
+@given(row_stacks(), st.integers(1, 64))
+def test_l1_triangles_hold_the_bits_of_the_whole_squares(stack, block_cells):
+    """Measured a few rows at a time, each matrix's triangle, and one 2-D
+    matrix's, holds the i < j entries of its whole pairwise_l1 square."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cluster, "ROW_BLOCK_CELLS", block_cells)
+        got, single = l1_triangles(stack), l1_triangles(stack[0])
+    squares = pairwise_l1(stack, stack)
+    assert np.array_equal(got, np.reshape([upper(square) for square in squares], got.shape))
+    assert np.array_equal(single, upper(squares[0]))
 
 
 def test_linkage_rounding_onto_a_row_minimum_takes_the_smaller_column():

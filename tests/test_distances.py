@@ -27,7 +27,7 @@ from eigenbehavior import (
 )
 
 import distances_oracle as oracle
-from conftest import basis_rows, matrix_from_rows, upper
+from conftest import basis_rows, matrix_from_rows, unfold, upper
 from distances_oracle import amvd, amvd_distance, eigen_distance, manhattan, sim
 
 
@@ -148,7 +148,7 @@ def test_amvd_distance_matrix_blocks_match_cdist_oracle(monkeypatch, include_off
     live = [u for u in dm.ids if include_offline or mats[u].rows.any()]
     assert len(calls) > len(live) - 1  # some user's later users span several blocks
     assert dm.flagged_ids == tuple(u for u in dm.ids if u not in live)
-    square = dm.square()
+    square = unfold(dm)
     for i, u in enumerate(dm.ids):
         for j, v in enumerate(dm.ids):
             if i == j:
@@ -238,7 +238,7 @@ def test_sim_triangle_equals_the_square_oracle_bit_for_bit(monkeypatch, cells):
     assert np.array_equal(dm.values, np.clip(1.0 - want, 0.0, 1.0))
     assert dm.flagged_ids == ("a-flagged", "u10-flagged", "zz-flagged")
     flagged = [ids.index(u) for u in dm.flagged_ids]
-    assert (dm.square()[flagged][:, np.delete(np.arange(len(ids)), flagged)] == cluster.METRIC_MAX["eigen"]).all()
+    assert (unfold(dm)[flagged][:, np.delete(np.arange(len(ids)), flagged)] == cluster.METRIC_MAX["eigen"]).all()
 
 
 def test_normalize_sims_frozen_table():
@@ -303,7 +303,7 @@ def test_eigen_distance_matrix_frozen_trio():
     # a and c are both nearest to b, so those links normalize to 1 -> distance 0;
     # a and c are orthogonal -> distance 1.
     a, b, c, dead = range(4)
-    square = dm.square()
+    square = unfold(dm)
     assert square[a, b] == pytest.approx(0.0)
     assert square[b, c] == pytest.approx(0.0)
     assert square[a, c] == pytest.approx(1.0)
@@ -330,7 +330,7 @@ def test_eigen_distance_matrix_matches_scalar_oracle():
         [[eigen_distance(table[i, j], table[j, i]) for j in range(len(ids))] for i in range(len(ids))]
     )
     np.fill_diagonal(want, 0.0)
-    np.testing.assert_allclose(dm.square(), want, atol=1e-12)
+    np.testing.assert_allclose(unfold(dm), want, atol=1e-12)
 
 
 def test_sim_triangle_orders_ids():
@@ -386,7 +386,7 @@ def test_summary_l1_distance_reads_its_column_in_sorted_user_order():
         assert not np.shares_memory(column, summary.vectors)  # the summaries may be dropped
         dm = summary_l1_distance(ids, column, metric)
         assert dm.ids == ("a", "b", "c")
-        assert np.array_equal(dm.square(), np.abs(vectors[:, None] - vectors[None]).sum(axis=2))
+        assert np.array_equal(unfold(dm), np.abs(vectors[:, None] - vectors[None]).sum(axis=2))
 
 
 def test_summary_l1_distance_excludes_offline():

@@ -1,9 +1,9 @@
-"""Peak memory of the per-record and n x n stages, measured with tracemalloc.
+"""Peak memory of the per-record and pairwise stages, measured with tracemalloc.
 
-Each stage may hold its output plus at most one n x n scratch array or one
-block of the size its module's cell budget sets; distances are held as their
-condensed triangle, and nothing else may grow with the record count or with
-n squared.  The inputs are built before tracing starts, so a peak counts only
+Each stage may hold its output plus at most one working copy of a distance
+triangle or one block of the size its module's cell budget sets; distances
+are held as their condensed triangle, no stage builds an n x n array, and
+nothing else may grow with the record count or with n squared.  The inputs are built before tracing starts, so a peak counts only
 what the stage allocates.  numpy reports its array buffers to tracemalloc, so
 the figures are array bytes.
 """
@@ -194,8 +194,15 @@ def triangle(n: int) -> int:
     return n * (n - 1) // 2 * 8
 
 
+def linkage_copy(n: int) -> int:
+    """Bytes merge_histories may hold for one tree of n ids: its working copy
+    of the triangle with an inf cell for each pair (a, a), and the view of
+    each row's run that fills it, about 200 bytes a row."""
+    return n * (n + 1) // 2 * 8 + n * 200
+
+
 @pytest.mark.parametrize("flagged", [(), ("zz-offline",)], ids=["live", "flagged"])
-def test_eigen_distance_holds_the_table_and_then_its_triangle(flagged):
+def test_eigen_distance_holds_its_triangle_and_one_block(flagged):
     # one path for live and flagged users alike: the similarity triangle,
     # built one block of rows at a time, then turned into the distances in
     # place; at 1500 users an n x n similarity table (18 MB) breaks the bound
@@ -225,7 +232,9 @@ def test_summary_l1_distance_holds_its_triangle_and_two_blocks():
     assert_within(peak, triangle(n) + views + column + blocks + SLACK)
 
 
-def test_agglomerate_holds_one_square():
+def test_agglomerate_holds_one_working_copy_of_the_triangle():
+    # 1000 ids: the working copy (3.8 MB) and small per-merge rows; the
+    # parent's n x n square (7.6 MB) breaks the bound
     n = 1000
     rng = np.random.default_rng(11)
     values = rng.random((n, n))
@@ -233,29 +242,28 @@ def test_agglomerate_holds_one_square():
     dm = DistanceMatrix(upper(values), "custom", range(n))  # checked before tracing starts
     partition, peak = peak_above_inputs(agglomerate, dm, target_count=10)
     assert partition.n_clusters == 10
-    rescan = cluster.ROW_BLOCK_CELLS * 8  # one block of row rescans
-    assert_within(peak, n * n * 8 + rescan + SLACK)
+    bound = linkage_copy(n) + SLACK
+    assert bound < n * n * 8
+    assert_within(peak, bound)
 
 
-def test_agglomerate_rescans_one_block_at_a_time():
-    # a star: every row's nearest id is 0, so the first merge makes nearly
-    # every row stale, and holding the previous rescan block while the next
-    # is made breaks the bound
+def test_agglomerate_rescans_one_row_at_a_time():
+    # every id's nearest is the last one, so every row's cache is its pair
+    # with it and the first merge, (0, n - 1), makes every other row rescan;
+    # holding all their runs at once (3.8 MB) breaks the bound
     n = 1000
     values = np.full((n, n), 2.0)
-    values[0, 1:] = values[1:, 0] = 1.0
+    values[-1, :-1] = values[:-1, -1] = 1.0
     dm = DistanceMatrix(upper(values), "custom", range(n))
     partition, peak = peak_above_inputs(agglomerate, dm, target_count=n - 1)
-    assert partition.n_clusters == n - 1
-    rescan = cluster.ROW_BLOCK_CELLS * 8
-    assert n // max(1, cluster.ROW_BLOCK_CELLS // n) > 2  # the stale rows span several blocks
-    assert_within(peak, n * n * 8 + rescan + SLACK)
+    assert partition.merge_history == [(0, n - 1, 1.0)]
+    assert_within(peak, linkage_copy(n) + SLACK)
 
 
-def test_eigen_pipeline_holds_one_square_beside_the_triangle():
-    # 1200 users in 12 planted groups, 28 days: the matrices (5 MB), then the
-    # linkage's square (11 MB) beside the triangle (5.5 MB); holding the
-    # distances as a square as well breaks the bound
+def test_eigen_pipeline_holds_the_triangle_and_one_working_copy():
+    # 1200 users in 12 planted groups, 28 days: the matrices (5 MB), the
+    # similarity blocks, then the linkage's working copy (5.5 MB) beside the
+    # triangle (5.5 MB); the parent's n x n square (11 MB) breaks the bound
     n_groups, size, n_days = 12, 100, 28
     groups = tuple(
         GroupSpec(size, single_location_modes(20, [g]), (1.0,), p_online=0.8) for g in range(n_groups)
@@ -267,8 +275,8 @@ def test_eigen_pipeline_holds_one_square_beside_the_triangle():
     assert n == n_groups * size and result.partition.n_clusters == n_groups
     k = max(s.k for s in result.eigen_sets.values() if s is not None)
     matrices = n * n_days * 20 * 8
-    rescan = cluster.ROW_BLOCK_CELLS * 8
-    allowance = n * n * 8 + triangle(n) + eigen_distance_blocks(n, k) + rescan
+    allowance = triangle(n) + linkage_copy(n) + eigen_distance_blocks(n, k)
+    assert allowance < triangle(n) + n * n * 8
     assert_within(peak, matrices + allowance + SLACK)
 
 
@@ -294,7 +302,9 @@ def test_summary_table_holds_one_block_of_mode_trees():
     width = max(online)
     chunk = summaries.MODE_TREE_CELLS // width**2  # the users whose trees are grown together
     rows = 2 * chunk * width * 20 * 8  # a chunk's rows and pairwise_l1's column copy of them
-    distances = 2 * chunk * width**2 * 8  # its distances and pairwise_l1's terms
+    # its triangles and the engine's working copy of them (a square's worth),
+    # and l1_triangles' blocks of distances and terms (another at most)
+    distances = 2 * chunk * width**2 * 8
     histories = chunk * (width - 1) * 150  # up to width - 1 merges a user, ~150 bytes each
     cuts = (sum(online) + len(matrices) * 20) * 2 * 8  # each online row's roots, each user's centroids
     assert_within(peak, rows + distances + histories + cuts + SLACK)

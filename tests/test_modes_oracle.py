@@ -1,8 +1,8 @@
 """Property tests on tie-heavy inputs: behavioral modes cut from one merge tree
 per user against the per-threshold oracle in summaries_oracle, and threshold
 clustering against the prefix of a full merge history.  A random population's
-modes and centroid distances, cut in chunks of 1, 2 and 7 users, against the
-same oracle."""
+modes and centroid distances, cut in chunks of 1, 2 and 7 users whose
+triangles are measured a few rows at a time, against the same oracle."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from scipy.spatial.distance import pdist
 import summaries_oracle as oracle
 from cluster_oracle import partition_from_merges
 from conftest import checked
-from eigenbehavior import agglomerate, centroid_first_mode, summaries
+from eigenbehavior import agglomerate, centroid_first_mode, cluster, summaries
 from eigenbehavior.distances import eigen_sets_for, summary_l1_distance
 from eigenbehavior.summaries import MODE_THRESHOLDS, _mode_cuts, summary_vectors
 
@@ -120,6 +120,7 @@ def test_population_cut_in_chunks_matches_oracle(population, per_chunk, monkeypa
     online_counts = [int(m.online.sum()) for m in matrices.values()]
     assert {0, 1, 28} <= set(online_counts) and len(set(online_counts)) > 10
     monkeypatch.setattr(summaries, "MODE_TREE_CELLS", per_chunk * 28**2)
+    monkeypatch.setattr(cluster, "ROW_BLOCK_CELLS", per_chunk * 27 * 5)  # l1_triangles: 5 rows a block
 
     roots, _ = _mode_cuts(list(matrices.values()), MODE_THRESHOLDS)
     ends = np.cumsum(online_counts)

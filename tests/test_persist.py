@@ -20,7 +20,7 @@ from eigenbehavior import (
     TraceConfig,
     load_records,
 )
-from conftest import matrix_from_rows
+from conftest import matrix_from_rows, unfold
 from eigenbehavior.persist import (
     fmt,
     load_distance_matrix,
@@ -219,7 +219,7 @@ def test_empty_distance_matrix_roundtrip(tmp_path, n):
     assert np.load(path, allow_pickle=False).shape == (0,)
     loaded = load_distance_matrix(path)
     assert loaded.values.shape == (0,)
-    assert loaded.square().shape == (n, n)
+    assert unfold(loaded).shape == (n, n)
     assert loaded.metric == "eigen"
     assert loaded.ids == ids
 

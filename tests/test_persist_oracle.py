@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import persist_oracle as oracle
+from conftest import unfold
 from eigenbehavior import DistanceMatrix, EigenBehaviorSet, persist
 
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -99,7 +100,7 @@ def distance_matrices(draw):
 @PROPERTY
 def test_write_distance_matrix_stores_every_bit_in_pair_order(dm):
     """distances.npy holds the i < j pairs, row-major, bit for bit."""
-    square = dm.square()
+    square = unfold(dm)
     want = np.array([square[i, j] for i in range(dm.n) for j in range(i + 1, dm.n)], dtype=np.float64)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "distances.npy")

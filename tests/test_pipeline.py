@@ -31,7 +31,7 @@ from eigenbehavior.cluster import METRIC_MAX
 from eigenbehavior.pipeline import METRICS
 
 import distances_oracle
-from conftest import count_calls
+from conftest import count_calls, unfold
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +98,7 @@ def test_never_online_user_is_flagged_or_dropped_by_metric(planted, metric, kept
     if kept:
         assert dm.flagged_ids == ("zz-offline",)
         dead = dm.ids.index("zz-offline")
-        assert np.all(np.delete(dm.square()[dead], dead) == METRIC_MAX[dm.metric])
+        assert np.all(np.delete(unfold(dm)[dead], dead) == METRIC_MAX[dm.metric])
         assert "zz-offline" in result.partition.assignment
     else:
         assert "zz-offline" not in dm.ids and dm.flagged_ids == ()
@@ -203,7 +203,7 @@ def test_eigen_pipeline_builds_sets_and_table_once(planted, monkeypatch):
     )
     assert "zz-offline" not in sim_ids
     live = [dm.ids.index(u) for u in sim_ids]
-    square = dm.square()
+    square = unfold(dm)
     np.testing.assert_array_equal(
         square[np.ix_(live, live)], np.clip(1.0 - (table + table.T) / 2.0, 0.0, 1.0)
     )
