@@ -17,9 +17,10 @@ engine's copy, l1_triangles, distance_cdfs) reads or writes each row's run
 through it.  pair_index places single pairs: AMVD, whose users run in
 row-count order, scatters through it, the similarity triangle writes each
 row's pairs (a, j > a) and adds its pairs (j < a, a) through it, and the
-similarity replay's gate reads through it.  pairwise_l1 is the package's one
-L1 kernel: l1_triangles, which gives the mode trees and the summary
-distances their triangles, and AMVD use it.
+similarity replay's gate reads through it.  _l1_of_columns is the package's
+one L1 kernel, on rows held as location columns: pairwise_l1, which AMVD
+uses, and l1_triangles, which gives the mode trees and the summary distances
+their triangles and makes its columns once, call it.
 """
 
 from __future__ import annotations
@@ -65,15 +66,24 @@ class Partition:
 
 def pairwise_l1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(..., m, L) x (..., k, L) -> (..., m, k): L1 distances between the rows
-    of a and the rows of b, matrix by matrix.
+    of a and the rows of b, matrix by matrix, from their location columns
+    (``_columns``, made once when b is a) by ``_l1_of_columns``."""
+    a_cols = _columns(a)
+    return _l1_of_columns(a_cols, a_cols if b is a else _columns(b))
+
+
+def _columns(rows: np.ndarray) -> np.ndarray:
+    """(..., n, L) -> (L, ..., n): one contiguous array per location column."""
+    return np.moveaxis(np.asarray(rows, dtype=float), -1, 0).copy()
+
+
+def _l1_of_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(L, ..., m) x (L, ..., k) -> (..., m, k): L1 distances between the
+    rows whose location columns a and b hold.
 
     The terms are added one location column at a time, in index order, as a
     per-pair loop over the columns adds them, so the bits are that loop's.
     """
-    # one contiguous (..., rows) array per location column, made once when b is a
-    same = b is a
-    a = np.moveaxis(np.asarray(a, dtype=float), -1, 0).copy()
-    b = a if same else np.moveaxis(np.asarray(b, dtype=float), -1, 0).copy()
     out = np.zeros(np.broadcast_shapes(a.shape[1:-1], b.shape[1:-1]) + (a.shape[-1], b.shape[-1]))
     term = np.empty_like(out)
     for a_col, b_col in zip(a, b, strict=True):
@@ -96,16 +106,18 @@ def row_runs(values: np.ndarray, n: int) -> list[np.ndarray]:
 
 def l1_triangles(rows: np.ndarray) -> np.ndarray:
     """(..., n, L) -> (..., n(n - 1) / 2): the condensed triangle of the L1
-    distances between the rows of each matrix, in row_runs order.  Rows [lo,
-    hi) are measured against every later row, pairwise_l1(rows[..., lo:hi,
-    :], rows[..., lo + 1:, :]), in blocks of about ROW_BLOCK_CELLS cells, and
-    each row a's j > a run is copied into the triangle; every pair's terms are
-    added in column order, as one whole-array pairwise_l1 adds them."""
+    distances between the rows of each matrix, in row_runs order.  The rows'
+    location columns are made once; rows [lo, hi) are measured against every
+    later row from slices of them, in blocks of about ROW_BLOCK_CELLS cells,
+    and each row a's j > a run is copied into the triangle; every pair's
+    terms are added in column order, as one whole-array pairwise_l1 adds
+    them."""
     *stack, n, _ = rows.shape
+    columns = _columns(rows)
     values = np.empty((n * (n - 1) // 2, *stack))  # pairs first: each run is one block
     runs = row_runs(values, n)
     for lo, hi in budget_blocks(np.full(n - 1, math.prod(stack) * (n - 1)), ROW_BLOCK_CELLS):
-        block = pairwise_l1(rows[..., lo:hi, :], rows[..., lo + 1 :, :])
+        block = _l1_of_columns(columns[..., lo:hi], columns[..., lo + 1 :])
         for a in range(lo, hi):
             runs[a][:] = np.moveaxis(block[..., a - lo, a - lo :], -1, 0)
         del block  # freed before the next block is made

@@ -14,9 +14,11 @@ import csv
 import json
 import math
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from itertools import count, filterfalse, islice
+from operator import gt
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -26,6 +28,10 @@ NORMALIZATIONS = ("normalized", "absolute")
 # build_matrices sweeps users in blocks of about this many records, so its
 # per-piece scratch arrays stay a few MB whatever the trace length.
 BLOCK_RECORDS = 1 << 13
+# load_records takes its trace rows from csv.reader, and checks them as
+# columns, this many at a time; a chunk's rows and columns stay a few
+# hundred kB, and 512 rows loaded faster than 256 or 1024.
+LOAD_CHUNK_ROWS = 1 << 9
 
 T = TypeVar("T")
 
@@ -238,12 +244,23 @@ def _check_id(kind: str, value: str, where: str = "") -> None:
         raise ValueError(f"{place}{kind} id {value!r} contains a line break")
 
 
-def _new_code(codes: dict[str, int], kind: str, value: str, where: str) -> int:
-    """The next code for an id seen for the first time, once it passes
-    ``_check_id``."""
-    _check_id(kind, value, where)
-    codes[value] = len(codes)
-    return codes[value]
+@contextmanager
+def _csv_reader(
+    path: str, header: Sequence[str] | None
+) -> Iterator[tuple[list[str] | None, Iterator[list[str]]]]:
+    """The first row of a CSV file (None if it is empty) and a csv.reader
+    past it, once the first row equals ``header``; with ``header`` None any
+    first row does.  A csv.Error or UnicodeDecodeError raised while the file
+    is open becomes a ValueError that names the path."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if header is not None and first != list(header):
+                raise ValueError(f"{path}: bad header {first!r}, expected {','.join(header)}")
+            yield first, reader
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def read_csv(path: str, header: Sequence[str] | None) -> Iterator[tuple[int, list[str]]]:
@@ -251,24 +268,16 @@ def read_csv(path: str, header: Sequence[str] | None) -> Iterator[tuple[int, lis
     ``header``; with ``header`` None, the header row comes first, as line 1.
     Every row has as many cells as the header.  line is the line the row
     starts on: a quoted cell holding a line break makes a row span lines."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader, None)
-            if header is None:
-                if first is not None:
-                    yield 1, first
-            elif first != list(header):
-                raise ValueError(f"{path}: bad header {first!r}, expected {','.join(header)}")
-            width = len(first or ())
+    with _csv_reader(path, header) as (first, reader):
+        if header is None and first is not None:
+            yield 1, first
+        width = len(first or ())
+        line = reader.line_num + 1
+        for row in reader:
+            if len(row) != width:
+                raise ValueError(f"{path}:{line}: expected {width} fields, got {len(row)}")
+            yield line, row
             line = reader.line_num + 1
-            for row in reader:
-                if len(row) != width:
-                    raise ValueError(f"{path}:{line}: expected {width} fields, got {len(row)}")
-                yield line, row
-                line = reader.line_num + 1
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
 
 
 def read_json(path: str, what: str, parse: Callable[[dict], T]) -> T:
@@ -348,49 +357,87 @@ def load_records(path: str) -> Records:
     """Read a trace CSV with header user,location,start,end (integer epoch
     seconds of magnitude below 2**53, so that each is exactly a float).
 
-    One csv.reader pass appends each row to typed columns; an id is checked
-    once, on the line where it first appears.  A bound of 2**53 or more in
-    magnitude becomes a float of at least that magnitude, so one vectorized
-    check after the pass finds it, and only then is the file read again for
-    its line; a bound too large for a float stops the pass at its append.
+    One csv.reader hands over the rows ``LOAD_CHUNK_ROWS`` at a time, and
+    ``_append_chunk`` checks and appends each chunk as columns; an id is
+    checked once, in the chunk where it first appears.  A chunk that fails a
+    check, or whose reading fails, is read again from its first row by
+    ``_refuse_rows``, which checks row by row and names the first bad row's
+    line.  A bound of 2**53 or more in magnitude becomes a float of at least
+    that magnitude, so one vectorized check after the pass finds it, and
+    only then is the file read again for its line; a bound too large for a
+    float is a chunk's failed check.
     """
     header = ("user", "location", "start", "end")
-    ucode: dict[str, int] = {}
-    lcode: dict[str, int] = {}
-    user_col, loc_col, start_col, end_col = array("q"), array("q"), array("d"), array("d")
-    rows = read_csv(path, header)
-    for line, (user, location, start_s, end_s) in rows:
-        try:
-            start, end = int(start_s), int(end_s)
-        except ValueError:  # _int_cell names the bad cell; the hot path calls no helper
-            where = f"{path}:{line}"
-            start, end = _int_cell(start_s, "start", where), _int_cell(end_s, "end", where)
-        u = ucode.get(user)
-        if u is None:
-            u = _new_code(ucode, "user", user, f"{path}:{line}")
-        loc = lcode.get(location)
-        if loc is None:
-            loc = _new_code(lcode, "location", location, f"{path}:{line}")
-        if not end > start:
-            raise ValueError(
-                f"{path}:{line}: record for {user!r} has end <= start "
-                f"({end} <= {start})"
-            )
-        user_col.append(u)
-        loc_col.append(loc)
-        try:
-            start_col.append(start)
-            end_col.append(end)
-        except OverflowError:  # an int too large for a float
-            raise _inexact_bound(path, line) from None
+    codes: tuple[dict[str, int], dict[str, int]] = ({}, {})
+    columns = array("q"), array("q"), array("d"), array("d")
+    with _csv_reader(path, header) as (_, reader):
+        for done in count(0, LOAD_CHUNK_ROWS):
+            try:
+                chunk = list(islice(reader, LOAD_CHUNK_ROWS))
+            except (csv.Error, UnicodeDecodeError):
+                _refuse_rows(path, header, done)
+            if not chunk:
+                break
+            if not _append_chunk(chunk, codes, columns):
+                _refuse_rows(path, header, done)
+    user_col, loc_col, start_col, end_col = columns
     start, end = np.frombuffer(start_col), np.frombuffer(end_col)
     inexact = ~(_exact(start) & _exact(end))
     if inexact.any():
         line, _ = next(islice(read_csv(path, header), int(inexact.argmax()), None))
         raise _inexact_bound(path, line)
-    users, user = code_ids(list(ucode), user_col)
-    locations, loc = code_ids(list(lcode), loc_col)
+    users, user = code_ids(list(codes[0]), user_col)
+    locations, loc = code_ids(list(codes[1]), loc_col)
     return Records(users, locations, user, loc, start, end)
+
+
+def _append_chunk(
+    rows: list[list[str]], codes: tuple[dict[str, int], dict[str, int]], columns: tuple[array, ...]
+) -> bool:
+    """Append a chunk of trace rows to the (user, loc, start, end) columns
+    and return True if every row passes the loader's checks: four cells,
+    integer bounds with end > start, each bound convertible to a float, and
+    each user and location id not yet in ``codes`` passing ``_check_id``,
+    whereupon it gets the next code.  Return False when a check fails; the
+    codes and columns are then of no further use."""
+    if set(map(len, rows)) != {4}:
+        return False
+    users, locations, start_s, end_s = zip(*rows)
+    try:
+        start, end = list(map(int, start_s)), list(map(int, end_s))
+        if not all(map(gt, end, start)):
+            return False
+        for ids, code, column in zip((users, locations), codes, columns):
+            fresh = list(filterfalse(code.__contains__, dict.fromkeys(ids)))
+            for value in fresh:
+                _check_id("", value)
+            code.update(zip(fresh, count(len(code))))
+            column.fromlist(list(map(code.__getitem__, ids)))
+        columns[2].fromlist(start)
+        columns[3].fromlist(end)
+    except (ValueError, OverflowError):  # OverflowError: an int too large for a float
+        return False
+    return True
+
+
+def _refuse_rows(path: str, header: Sequence[str], first: int) -> NoReturn:
+    """Raise the first refusal among the ``LOAD_CHUNK_ROWS`` trace rows from
+    row ``first`` on, read again with ``read_csv``, naming its line.  Each
+    row is checked in turn: its cell count, then start and end as integers,
+    the user id, the location id, end > start, and each bound as a float."""
+    rows = islice(read_csv(path, header), first, first + LOAD_CHUNK_ROWS)
+    for line, (user, location, start_s, end_s) in rows:
+        where = f"{path}:{line}"
+        start, end = _int_cell(start_s, "start", where), _int_cell(end_s, "end", where)
+        _check_id("user", user, where)
+        _check_id("location", location, where)
+        if not end > start:
+            raise ValueError(f"{where}: record for {user!r} has end <= start ({end} <= {start})")
+        try:
+            float(start), float(end)
+        except OverflowError:  # an int too large for a float
+            raise _inexact_bound(path, line) from None
+    raise AssertionError(f"{path}: the chunk from row {first} failed its checks, but no row of it did")
 
 
 def _inexact_bound(path: str, line: int) -> ValueError:

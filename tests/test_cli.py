@@ -18,7 +18,7 @@ import pytest
 import eigenbehavior
 from conftest import count_calls, digest_tree, profile_half_config
 from eigenbehavior import EncounterStream, build_messages, distance_cdfs, jaccard, load_records, split_trace
-from eigenbehavior import summaries
+from eigenbehavior import summaries, trace
 from eigenbehavior.cli import _pipeline_config, main
 from eigenbehavior.pipeline import METRICS, run_pipeline
 from eigenbehavior.persist import (
@@ -779,6 +779,21 @@ def _exits_2_naming(argv, path, message, out, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert f"{path}: {message}" in err
+    assert not out.exists()
+
+
+def test_pipeline_refuses_a_trace_whose_first_bad_row_is_past_the_first_chunk(workdir, tmp_path, capsys):
+    """The loader reads its rows a chunk at a time; a bad row in the second
+    chunk, with another in the third, exits 2 naming the first one's line."""
+    good = [f"u{i % 9},L{i % 4},{i * 60},{i * 60 + 30}" for i in range(trace.LOAD_CHUNK_ROWS + 2)]
+    rows = ["user,location,start,end", *good, "u1,L1,600,60", *good, "u1,L1,x,60"]
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    rc = main(["pipeline", str(path), "--config", str(workdir / "config.json"), "--clusters", "3", "--out", str(out)])
+    line = len(good) + 2
+    assert rc == 2
+    assert f"{path}:{line}: record for 'u1' has end <= start (60 <= 600)" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -106,6 +106,25 @@ def random_sets(n_users: int, k: int, seed: int) -> dict[str, EigenBehaviorSet]:
     return sets
 
 
+def test_load_records_holds_its_columns_and_one_chunk(tmp_path):
+    # 100 k rows: the four columns as read (3.1 MB); the two code columns, a
+    # float temporary of the bound check and the columns' growth room (about
+    # as much again); and one chunk of csv rows, a list of four str each.
+    # Every row's cells held at once, as list(csv.reader) or zip(*reader)
+    # would, take about 40 MB and break the bound.
+    n = 100_000
+    path = tmp_path / "trace.csv"
+    with open(path, "w") as fh:
+        fh.write("user,location,start,end\n")
+        fh.writelines(f"u{i % 997:04d},L{i % 20:02d},{i * 60},{i * 60 + 30}\n" for i in range(n))
+    records, peak = peak_above_inputs(trace.load_records, str(path))
+    assert len(records) == n and len(records.users) == 997
+    columns = n * 4 * 8
+    chunk = trace.LOAD_CHUNK_ROWS * 400
+    assert chunk < n * 8  # a chunk is a small share of the file
+    assert_within(peak, 2 * columns + chunk + SLACK)
+
+
 @pytest.mark.parametrize("noise_epsilon, n_users", [(0.0, 1200), (0.05, 120)])
 def test_generate_holds_its_records_and_one_block(noise_epsilon, n_users, monkeypatch):
     # 200 locations, blocks of 2**15 cells (6 users).  Without noise, 1200

@@ -24,6 +24,7 @@ from eigenbehavior import (
     build_matrix,
     load_location_map,
     load_records,
+    trace,
 )
 
 from conftest import matrix_from_rows
@@ -85,16 +86,16 @@ def test_load_records_roundtrip(tmp_path):
     assert records.rows() == [rec("u1", "A", 0, 100), rec("u2", "B", 50, 150)]
 
 
-@pytest.mark.parametrize(
-    "body,fragment",
-    [
-        ("user,loc,start,end\n", "bad header"),
-        ("user,location,start,end\nu1,A,xx,100\n", "not an integer"),
-        ("user,location,start,end\nu1,A,5,5\n", "end <= start"),
-        ("user,location,start,end\nu1,A,5\n", "expected 4 fields"),
-        ("user,location,start,end\n,A,0,5\n", "record has empty user_id"),
-    ],
-)
+LINE_NUMBER_CASES = [
+    ("user,loc,start,end\n", "bad header"),
+    ("user,location,start,end\nu1,A,xx,100\n", "not an integer"),
+    ("user,location,start,end\nu1,A,5,5\n", "end <= start"),
+    ("user,location,start,end\nu1,A,5\n", "expected 4 fields"),
+    ("user,location,start,end\n,A,0,5\n", "record has empty user_id"),
+]
+
+
+@pytest.mark.parametrize("body,fragment", LINE_NUMBER_CASES)
 def test_load_records_errors_carry_line_numbers(tmp_path, body, fragment):
     path = tmp_path / "bad.csv"
     path.write_text(body)
@@ -105,17 +106,18 @@ def test_load_records_errors_carry_line_numbers(tmp_path, body, fragment):
         assert ":2:" in str(err.value)
 
 
+INEXACT_BOUNDS = [
+    (0, 2**53),
+    (-(2**53), 0),
+    (0, 2**53 + 1),  # loads as 2**53 + 0 without the check: no float holds it
+    (-(2**54), -(2**53)),
+    (0, 10**400),  # too large for a float: its conversion overflows
+    (-(10**400), 0),
+]
+
+
 @pytest.mark.parametrize(
-    "start, end",
-    [
-        (0, 2**53),
-        (-(2**53), 0),
-        (0, 2**53 + 1),  # loads as 2**53 + 0 without the check: no float holds it
-        (-(2**54), -(2**53)),
-        (0, 10**400),  # too large for a float: array.append overflows
-        (-(10**400), 0),
-    ],
-    ids=["2**53", "-2**53", "2**53+1", "-2**54", "10**400", "-10**400"],
+    "start, end", INEXACT_BOUNDS, ids=["2**53", "-2**53", "2**53+1", "-2**54", "10**400", "-10**400"]
 )
 def test_load_records_refuses_bounds_that_are_not_exact_floats(tmp_path, start, end):
     path = tmp_path / "big.csv"
@@ -133,14 +135,14 @@ def test_load_records_takes_bounds_just_below_2_53(tmp_path):
     assert [(int(r.start), int(r.end)) for r in records.rows()] == [(-top, top), (top - 1, top)]
 
 
-@pytest.mark.parametrize(
-    "body,message",
-    [
-        (b'user,location,start,end\nu1,A,0,5\n"u\n1",A,0,5\n', r":3: user id 'u\n1' contains"),
-        (b'user,location,start,end\nu1,"A\r",0,5\n', r":2: location id 'A\r' contains"),
-        (b'user,location,start,end\nu1,A,0,5\nu1,"B\r\n",0,5\n', r":3: location id 'B\r\n' contains"),
-    ],
-)
+LINE_BREAKS = [
+    (b'user,location,start,end\nu1,A,0,5\n"u\n1",A,0,5\n', r":3: user id 'u\n1' contains"),
+    (b'user,location,start,end\nu1,"A\r",0,5\n', r":2: location id 'A\r' contains"),
+    (b'user,location,start,end\nu1,A,0,5\nu1,"B\r\n",0,5\n', r":3: location id 'B\r\n' contains"),
+]
+
+
+@pytest.mark.parametrize("body,message", LINE_BREAKS)
 def test_load_records_rejects_line_breaks_in_ids(tmp_path, body, message):
     """The line is the one the row starts on, not the last physical line of the row."""
     path = tmp_path / "bad.csv"
@@ -148,6 +150,71 @@ def test_load_records_rejects_line_breaks_in_ids(tmp_path, body, message):
     with pytest.raises(ValueError) as err:
         load_records(str(path))
     assert str(err.value) == f"{path}{message} a line break"
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3])
+def test_load_records_names_the_same_lines_in_chunks_of_one_and_three_rows(tmp_path, monkeypatch, chunk_rows):
+    """Every loader case above, read one and three rows a chunk, so that a
+    bad row also falls in a chunk after the first and past a chunk's first row."""
+    monkeypatch.setattr(trace, "LOAD_CHUNK_ROWS", chunk_rows)
+    test_load_records_roundtrip(tmp_path)
+    test_load_records_takes_bounds_just_below_2_53(tmp_path)
+    for body, fragment in LINE_NUMBER_CASES:
+        test_load_records_errors_carry_line_numbers(tmp_path, body, fragment)
+    for start, end in INEXACT_BOUNDS:
+        test_load_records_refuses_bounds_that_are_not_exact_floats(tmp_path, start, end)
+    for body, message in LINE_BREAKS:
+        test_load_records_rejects_line_breaks_in_ids(tmp_path, body, message)
+
+
+# Each a bad row after the good ones, and the message after its path:line.
+PAST_THE_FIRST_CHUNK = [
+    ("u1,L1,0,x9\n", "end is not an integer: 'x9'"),
+    ('"u\n9",L1,0,5\n', r"user id 'u\n9' contains a line break"),
+    ("u0,L1,5,5\n", "record for 'u0' has end <= start (5 <= 5)"),  # u0 is first seen on line 2
+    ("\n", "expected 4 fields, got 0"),
+    ('u1,"L1\nL2",0\n', "expected 4 fields, got 3"),  # the line is the one the row starts on
+]
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, None], ids=["rows1", "rows3", "default"])
+@pytest.mark.parametrize("bad, message", PAST_THE_FIRST_CHUNK, ids=["int", "id", "order", "blank", "quoted"])
+def test_load_records_refuses_the_first_bad_row_past_the_first_chunk(tmp_path, monkeypatch, chunk_rows, bad, message):
+    """The bad row is the third of the second chunk (of the fourth with one
+    row a chunk), and a later chunk holds another bad row: the first is named."""
+    if chunk_rows is not None:
+        monkeypatch.setattr(trace, "LOAD_CHUNK_ROWS", chunk_rows)
+    n_good = trace.LOAD_CHUNK_ROWS + 2
+    good = "".join(f"u{i % 7},L{i % 5},{i},{i + 10}\n" for i in range(n_good))
+    later = "".join(f"u{i % 7},L{i % 5},{i},{i + 10}\n" for i in range(trace.LOAD_CHUNK_ROWS)) + "u2,L1,9,1\n"
+    path = tmp_path / "bad.csv"
+    path.write_bytes(f"user,location,start,end\n{good}{bad}{later}".encode())
+    with pytest.raises(ValueError) as err:
+        load_records(str(path))
+    assert str(err.value) == f"{path}:{n_good + 2}: {message}"
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, None], ids=["rows1", "rows3", "default"])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # end > start is decided on the integers: both bounds are the float 2**53
+        ([f"u2,B,{2**53},{2**53 + 1}"], ":2: start and end must be of magnitude below 2**53"),
+        # a bound that a float holds, however large, is refused only after the pass
+        ([f"u2,B,0,{10**20}", "u3,A,5,5"], ":3: record for 'u3' has end <= start (5 <= 5)"),
+        # a bound too large for a float is refused at its line
+        ([f"u2,B,0,{10**400}", "u3,A,5,5"], ":2: start and end must be of magnitude below 2**53"),
+    ],
+    ids=["2**53-order", "10**20-then-order", "10**400-then-order"],
+)
+def test_load_records_keeps_the_order_of_its_refusals(tmp_path, monkeypatch, chunk_rows, rows, message):
+    if chunk_rows is not None:
+        monkeypatch.setattr(trace, "LOAD_CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "order.csv"
+    path.write_text("user,location,start,end\n" + "".join(row + "\n" for row in rows))
+    with pytest.raises(ValueError) as err:
+        load_records(str(path))
+    assert str(err.value).startswith(f"{path}{message}")
 
 
 def test_aggregate_locations():

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -404,6 +405,16 @@ def test_load_records_agrees_with_per_row_loader(tmp_path_factory, text):
         assert all(type(v) is float for r in got[1].rows() for v in (r.start, r.end))
     else:
         assert got == want
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3])
+@given(trace_files())
+@PROPERTY
+def test_load_records_agrees_with_per_row_loader_chunk_by_chunk(tmp_path_factory, chunk_rows, text):
+    """The property above, read one and three rows a chunk, so that bad rows
+    fall in every chunk of a file and at every place in a chunk."""
+    with mock.patch.object(trace, "LOAD_CHUNK_ROWS", chunk_rows):
+        test_load_records_agrees_with_per_row_loader.hypothesis.inner_test(tmp_path_factory, text)
 
 
 @given(record_rows(), st.sampled_from([0.5, 0.3, 1 / 3, 0.9]), st.booleans())
