@@ -69,6 +69,7 @@ from .trace import (
     DAY_SECONDS,
     AssociationMatrix,
     AssociationRecord,
+    PopulationTable,
     Records,
     TraceConfig,
     aggregate_locations,

@@ -183,7 +183,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         )
     except MatricesTooLarge as exc:  # the config's horizon and slots size them
         raise ValueError(f"{args.config}: {exc}") from None
-    location_index = result.matrices[min(result.matrices)].location_index
+    location_index = result.matrices.location_index
     os.makedirs(args.out, exist_ok=True)
     persist.write_matrix_index(os.path.join(args.out, "matrices"), result.matrices, config, options)
     persist.write_eigen_sets(os.path.join(args.out, "eigen.csv"), result.eigen_sets, location_index)

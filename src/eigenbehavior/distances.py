@@ -13,6 +13,10 @@ patterns:
   two users' vectors, is normalized per user by the largest similarity to any
   other user, and the distance is one minus the symmetrized normalized
   similarity.  Per-pair cost depends only on the kept component count.
+
+Both routes read the ``PopulationTable`` of ``build_matrices``: the eigen
+sets come from one stacked SVD per block of its online users, and AMVD
+gathers every user's online rows off its rows and online mask in one step.
 """
 
 from __future__ import annotations
@@ -22,32 +26,36 @@ from typing import Iterator
 
 import numpy as np
 
+from . import summaries
 from .cluster import METRIC_MAX, DistanceMatrix, l1_triangles, pair_index, pairwise_l1
-from .summaries import DEFAULT_POWER_FLOOR, EigenBehaviorSet, eigen_behaviors
-from .trace import AssociationMatrix, budget_blocks
+from .summaries import DEFAULT_POWER_FLOOR, EigenBehaviorSet, check_power_floor, eigen_decompositions
+from .trace import PopulationTable, budget_blocks
 
 # sim_matrix's block of absolute dot products holds about this many cells.
 SIM_BLOCK_CELLS = 1 << 18
 
 
-def amvd_distance_matrix(
-    matrices: dict[str, AssociationMatrix], include_offline: bool = False
-) -> DistanceMatrix:
+def amvd_distance_matrix(table: PopulationTable, include_offline: bool = False) -> DistanceMatrix:
     """Pairwise symmetric AMVD; pairs touching an all-offline user get the metric max.
 
-    Users are taken in order of row count, ids breaking ties.  Each user's L1
-    distances to the rows of the users after it are made once, in blocks of
-    about SIM_BLOCK_CELLS cells: minima over each later user's rows give the
-    forward means, minima over the user's own rows the backward ones.  Each
-    mean is a row mean over one contiguous run, so it has np.mean's bits; the
-    later users' counts never fall, so their backward runs reshape to rows.
+    Users are taken in order of row count, ids breaking ties, and their rows
+    (the online ones unless include_offline) gathered off the table in that
+    order at once.  Each user's L1 distances to the rows of the users after
+    it are made once, in blocks of about SIM_BLOCK_CELLS cells: minima over
+    each later user's rows give the forward means, minima over the user's
+    own rows the backward ones.  Each mean is a row mean over one contiguous
+    run, so it has np.mean's bits; the later users' counts never fall, so
+    their backward runs reshape to rows.
     """
-    ids = tuple(sorted(matrices))
-    sets = [m.rows if include_offline else m.rows[m.online] for m in map(matrices.get, ids)]
-    counts = np.array([len(rows) for rows in sets])
-    flagged = tuple(user for user, count in zip(ids, counts) if count == 0)
+    ids = tuple(sorted(table))
+    at = table.places(ids)
+    taken = table.online[at] | include_offline  # (users, slots), users in id order
+    counts = np.count_nonzero(taken, axis=1)
+    flagged = tuple(user for user, count in zip(ids, counts.tolist()) if count == 0)
     order = np.argsort(counts, kind="stable")  # flagged users first
-    rows = np.vstack([sets[u] for u in order])
+    _, n_slots, n_locations = table.rows.shape
+    slots = (at[order, None] * n_slots + np.arange(n_slots))[taken[order]]
+    rows = table.rows.reshape(-1, n_locations)[slots]
     sizes = counts[order]
     bounds = np.append(0, np.cumsum(sizes))
     values = np.full(len(ids) * (len(ids) - 1) // 2, METRIC_MAX["amvd"])
@@ -154,10 +162,21 @@ def summary_l1_distance(ids: tuple[str, ...], vectors: np.ndarray, metric: str) 
 
 
 def eigen_sets_for(
-    matrices: dict[str, AssociationMatrix], power_floor: float = DEFAULT_POWER_FLOOR
+    table: PopulationTable, power_floor: float = DEFAULT_POWER_FLOOR
 ) -> dict[str, EigenBehaviorSet | None]:
-    """Eigen-behavior sets per user; all-offline users map to None."""
-    return {
-        user: eigen_behaviors(matrix, power_floor) if matrix.online.any() else None
-        for user, matrix in matrices.items()
-    }
+    """Eigen-behavior sets per user, in the order of the table; all-offline
+    users map to None.  The online users are decomposed a block at a time by
+    eigen_decompositions, each block one gather of their rows and one stacked
+    SVD, of at most summaries.MODE_TREE_CELLS input and output cells."""
+    check_power_floor(power_floor)
+    sets: dict[str, EigenBehaviorSet | None] = dict.fromkeys(table.users)
+    live = np.flatnonzero(table.online.any(axis=1))
+    if not live.size:  # no SVD of an empty stack
+        return sets
+    _, n_slots, n_locations = table.rows.shape
+    rank = min(n_slots, n_locations)  # the SVD's components: U, s and vt
+    cells = np.full(len(live), n_slots * n_locations + rank * (n_slots + n_locations + 1))
+    for lo, hi in budget_blocks(cells, summaries.MODE_TREE_CELLS):
+        block, _ = eigen_decompositions(table.rows[live[lo:hi]], power_floor)
+        sets.update(zip([table.users[i] for i in live[lo:hi]], block))
+    return sets

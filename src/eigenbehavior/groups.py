@@ -6,12 +6,14 @@ components, beat size-matched random user samples on top-4 captured power,
 and their leading joint eigen-behavior scores high on members and near zero
 on everyone else.  Group size distributions are summarized by a power-law
 rank-size fit, and partitions are compared by the pair-counting Jaccard
-index.
+index.  The validation tests read the online users off the
+``PopulationTable``'s mask and score them on its rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import comb
 from typing import Hashable, Sequence
@@ -22,12 +24,13 @@ from .cluster import Partition
 from .summaries import (
     DEFAULT_POWER_FLOOR,
     EigenBehaviorSet,
+    check_power_floor,
     cumulative_power,
-    eigen_decomposition,
+    eigen_decompositions,
     power_captured,
     significances,
 )
-from .trace import AssociationMatrix
+from .trace import AssociationMatrix, PopulationTable
 
 SCATTER_TOP_K = 4
 
@@ -65,19 +68,21 @@ class GroupProfile:
 
 def group_profiles(
     partition: Partition,
-    matrices: dict[str, AssociationMatrix],
+    matrices: Mapping[str, AssociationMatrix],
     power_floor: float = DEFAULT_POWER_FLOOR,
 ) -> list[GroupProfile]:
     """Each cluster's members, joint eigen-behaviors and top 1..4 cumulative
-    power, both from one SVD of its joint matrix; the validation functions
-    read these profiles instead of rebuilding the clusters."""
+    power, both from one SVD of its joint matrix, which eigen_decompositions
+    takes as a stack of one; the validation functions read these profiles
+    instead of rebuilding the clusters."""
+    check_power_floor(power_floor)
     profiles = []
     for cid, members in enumerate(partition.clusters()):
         members = tuple(map(str, members))
         joint = joint_matrix([matrices[m] for m in members])
         eigen, top = None, []
         if joint.online.any():
-            eigen, s = eigen_decomposition(joint, power_floor)
+            (eigen,), (s,) = eigen_decompositions(joint.rows[None], power_floor)
             cumulative = cumulative_power(s)
             top = [float(cumulative[min(i, s.size - 1)]) for i in range(SCATTER_TOP_K)]
         profiles.append(GroupProfile(cid, members, eigen, top))
@@ -94,7 +99,7 @@ class ScatterPoint:
 
 def group_power_scatter(
     profiles: list[GroupProfile],
-    matrices: dict[str, AssociationMatrix],
+    table: PopulationTable,
     min_size: int = 5,
     seed: int = 0,
 ) -> list[ScatterPoint]:
@@ -103,7 +108,7 @@ def group_power_scatter(
     has online members, drawn without replacement.  Clusters without online
     members have no power to compare and are skipped."""
     rng = np.random.default_rng(seed)
-    online = {u for u, m in matrices.items() if m.online.any()}
+    online = set(table.online_users)
     population = sorted(online)
     points = []
     for profile in profiles:
@@ -112,7 +117,7 @@ def group_power_scatter(
         n_online = len(online.intersection(profile.members))
         sample = rng.choice(len(population), size=n_online, replace=False)
         random_power = power_captured(
-            joint_matrix([matrices[population[i]] for i in sorted(sample)]), SCATTER_TOP_K
+            joint_matrix([table[population[i]] for i in sorted(sample)]), SCATTER_TOP_K
         )
         coherent = profile.top_power[SCATTER_TOP_K - 1]
         points.append(ScatterPoint(profile.cluster_id, profile.size, coherent, random_power))
@@ -128,16 +133,14 @@ class CrossSignificance:
     other_mean: float  # mean SIG over all (cluster, non-member) pairs
 
 
-def cross_significance(
-    profiles: list[GroupProfile], matrices: dict[str, AssociationMatrix]
-) -> CrossSignificance:
+def cross_significance(profiles: list[GroupProfile], population: PopulationTable) -> CrossSignificance:
     """Score each cluster's first joint eigen-behavior on online members vs everyone else."""
     scored = [p for p in profiles if p.eigen is not None]
     if not scored:
         raise ValueError("no cluster has online members")
-    online = np.array(sorted(u for u, m in matrices.items() if m.online.any()))
+    online = np.array(sorted(population.online_users))
     firsts = np.array([p.eigen.vectors[0] for p in scored])
-    table = significances([matrices[u] for u in online], firsts).T  # (clusters, users)
+    table = significances(population.rows, firsts, population.places(online)).T  # (clusters, users)
     flat = table.reshape(-1)
     per_cluster, own_all, n_other = [], [], 0
     for profile, scores in zip(scored, table):

@@ -8,13 +8,13 @@ import numpy as np
 
 from . import distances, groups, summaries
 from .cluster import METRIC_MAX, DistanceMatrix, Partition, agglomerate
-from .trace import AssociationMatrix, TraceConfig, build_matrices
+from .trace import PopulationTable, TraceConfig, build_matrices
 
 METRICS = tuple(METRIC_MAX)
 
 
 def build_distance_matrix(
-    matrices: dict[str, AssociationMatrix],
+    matrices: PopulationTable,
     metric: str,
     eigen_sets: dict[str, summaries.EigenBehaviorSet | None],
     column: tuple[tuple[str, ...], np.ndarray] | None = None,
@@ -33,7 +33,7 @@ def build_distance_matrix(
 
 @dataclass
 class PipelineResult:
-    matrices: dict[str, AssociationMatrix]
+    matrices: PopulationTable
     eigen_sets: dict[str, summaries.EigenBehaviorSet | None]
     distance_matrix: DistanceMatrix
     partition: Partition

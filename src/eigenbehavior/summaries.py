@@ -8,18 +8,23 @@ subtraction).  A summary's quality is its significance score, the total
 projection of the rows onto the summary over the total L1 association mass.
 Every threshold's modes are cut from one merge tree per user, each online row
 named by its mode's earliest row.
+
+The population passes read a ``PopulationTable``, every user's rows in one
+(users, slots, locations) array with its online mask: they run over blocks
+of users of at most MODE_TREE_CELLS cells, each block a slice or one gather
+of the table, and the one-matrix functions run the same passes on a stack of
+one matrix.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .cluster import l1_triangles, merge_histories, merge_roots
-from .trace import AssociationMatrix, budget_blocks
+from .trace import AssociationMatrix, PopulationTable, budget_blocks
 
 DEFAULT_POWER_FLOOR = 0.001  # keep eigen-behaviors carrying >= 0.1% of total power
 MODE_THRESHOLDS = (0.5, 0.9)
@@ -32,7 +37,9 @@ SUMMARY_NAMES = (
 # Mode trees grown in one engine call count at most this many cells (trees x
 # rows^2): about 160 users of 28 daily slots, whose triangles and the
 # engine's working copy of them take 1 MB together.  A block of significance
-# scores holds at most this many stacked row and product cells.
+# scores holds at most this many stacked row and product cells, a block of
+# onavg sums this many row cells, and a block of eigen decompositions this
+# many stacked input and SVD output cells.
 MODE_TREE_CELLS = 1 << 17
 
 
@@ -90,56 +97,70 @@ def _require_online(matrix: AssociationMatrix) -> None:
 
 def onavg(matrix: AssociationMatrix) -> np.ndarray:
     """Association-time weighted average: sum of rows over total L1 mass."""
-    denom = np.abs(matrix.rows).sum()
-    if denom <= 0:
-        raise ValueError(f"user {matrix.user_id!r} has no online slots")
-    return matrix.rows.sum(axis=0) / denom
+    _require_online(matrix)
+    return _onavgs(matrix.rows[None])[0]
+
+
+def _onavgs(rows: np.ndarray) -> np.ndarray:
+    """onavg of each matrix of the (matrices, slots, locations) stack rows,
+    NaN for a matrix without association mass, from slices of at most
+    MODE_TREE_CELLS row cells."""
+    out = np.empty(rows.shape[::2])
+    for lo, hi in budget_blocks(np.full(len(rows), rows.shape[1] * rows.shape[2]), MODE_TREE_CELLS):
+        block = rows[lo:hi]
+        mass = np.abs(block).reshape(hi - lo, -1).sum(axis=1)
+        with np.errstate(invalid="ignore"):  # 0 / 0 for a matrix without mass
+            np.divide(block.sum(axis=1), mass[:, None], out=out[lo:hi])
+    return out
 
 
 def _mode_cuts(
-    matrices: Sequence[AssociationMatrix], thresholds: tuple[float, ...]
+    rows: np.ndarray, online: np.ndarray, thresholds: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each matrix's modes at each threshold, cut from one tree of its online rows.
 
-    Returns the (thresholds, rows) roots of the online rows, matrix after
-    matrix, and the (matrices, thresholds, locations) centroids of the largest
-    modes (the earliest root's on ties), NaN for a matrix with no online row.
-    A row's root is the place among its matrix's online rows of its mode's
-    earliest row, as merge_roots gives it.  Trees are grown to the largest
-    threshold, MODE_TREE_CELLS cells at a time.
+    rows is a (matrices, slots, locations) stack and online its (matrices,
+    slots) mask.  Returns the (thresholds, rows) roots of the online rows,
+    matrix after matrix, and the (matrices, thresholds, locations) centroids
+    of the largest modes (the earliest root's on ties), NaN for a matrix with
+    no online row.  A row's root is the place among its matrix's online rows
+    of its mode's earliest row, as merge_roots gives it.  Trees are grown to
+    the largest threshold, MODE_TREE_CELLS cells at a time.
     """
     if any(thr < 0 for thr in thresholds):
         raise ValueError("threshold must be nonnegative")
-    n_online = np.array([np.count_nonzero(m.online) for m in matrices], dtype=np.intp)
+    n_online = np.count_nonzero(online, axis=1)
     roots = np.empty((len(thresholds), n_online.sum()), dtype=np.intp)
-    n_locations = max((m.n_locations for m in matrices), default=0)
-    centroids = np.full((len(matrices), len(thresholds), n_locations), np.nan)
+    centroids = np.full((len(rows), len(thresholds), rows.shape[2]), np.nan)
     grown = np.flatnonzero(n_online)
     per_call = max(1, MODE_TREE_CELLS // n_online.max(initial=1) ** 2)
     lo = 0
     for first in range(0, grown.size, per_call):
         ids = grown[first : first + per_call]
         hi = lo + n_online[ids].sum()
-        roots[:, lo:hi], centroids[ids] = _chunk_cuts([matrices[b] for b in ids], thresholds, n_locations)
+        roots[:, lo:hi], centroids[ids] = _chunk_cuts(rows, online, ids, thresholds)
         lo = hi
     return roots, centroids
 
 
 def _chunk_cuts(
-    chunk: list[AssociationMatrix], thresholds: tuple[float, ...], n_locations: int
+    rows: np.ndarray, online: np.ndarray, ids: np.ndarray, thresholds: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_mode_cuts of matrices with online rows, from one merge_histories call
-    on the l1_triangles of their rows, cut by merge_roots at each threshold.
-    A centroid sums its mode's rows, gathered in row order, over their count:
-    the bits of their mean."""
-    counts = np.array([np.count_nonzero(m.online) for m in chunk])
+    """_mode_cuts of the matrices ids, each with online rows, from one
+    merge_histories call on the l1_triangles of their online rows, cut by
+    merge_roots at each threshold.  One stable argsort puts each matrix's
+    online rows first, in row order, and one gather stacks them.  A centroid
+    sums its mode's rows, gathered in row order, over their count: the bits
+    of their mean."""
+    counts = np.count_nonzero(online[ids], axis=1)
     width = counts.max()
     taking_part = np.arange(width) < counts[:, None]
-    stack = np.zeros((len(chunk), width, n_locations))
-    stack[taking_part] = np.concatenate([m.rows[m.online] for m in chunk])
+    first = np.argsort(~online[ids], axis=1, kind="stable")[:, :width]
+    stack = rows[ids[:, None], first]
+    stack[~taking_part] = 0.0  # the slots past a matrix's online ones
     merges = merge_histories(l1_triangles(stack), taking_part, threshold=max(thresholds))
     roots = np.empty((len(thresholds), counts.sum()), dtype=np.intp)
-    centroids = np.empty((len(chunk), len(thresholds), n_locations))
+    centroids = np.empty((len(ids), len(thresholds), rows.shape[2]))
     for c, thr in enumerate(thresholds):
         parent = merge_roots(merges, thr)
         roots[c] = parent[taking_part]
@@ -157,7 +178,7 @@ def _chunk_cuts(
 def centroid_first_mode(matrix: AssociationMatrix, threshold: float) -> np.ndarray:
     """Mean vector of the largest behavioral mode (ties: the mode holding the earliest row)."""
     _require_online(matrix)
-    return _mode_cuts([matrix], (threshold,))[1][0, 0]
+    return _mode_cuts(matrix.rows[None], matrix.online[None], (threshold,))[1][0, 0]
 
 
 def significance(matrix: AssociationMatrix, y: np.ndarray) -> float:
@@ -172,29 +193,27 @@ def significance(matrix: AssociationMatrix, y: np.ndarray) -> float:
     if np.linalg.norm(y) == 0:
         raise ValueError("y must be nonzero")
     _require_online(matrix)
-    return float(significances([matrix], y[None])[0, 0])
+    return float(significances(matrix.rows[None], y[None], np.arange(1))[0, 0])
 
 
-def significances(matrices: Sequence[AssociationMatrix], vectors: np.ndarray) -> np.ndarray:
-    """SIG of k vectors on each of the matrices, which share one shape: a
-    (matrices, k) table with contiguous columns.  vectors is (matrices, k,
-    locations), a set per matrix, or (k, locations), shared.  Each cell is the
-    matrix-vector product of one significance call, with its bits (a gemm
-    rounds differently), in blocks of MODE_TREE_CELLS row and product cells."""
-    shapes = {m.rows.shape for m in matrices}
-    if len(shapes) != 1:
-        raise ValueError(f"matrices must share one (slots, locations) shape, not {sorted(shapes)}")
-    ((n_slots, n_locations),) = shapes
+def significances(rows: np.ndarray, vectors: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """SIG of k vectors on each matrix rows[at] of the (matrices, slots,
+    locations) stack rows: a (len(at), k) table with contiguous columns.
+    vectors is (len(at), k, locations), a set per matrix, or (k, locations),
+    shared.  Each cell is the matrix-vector product of one significance call,
+    with its bits (a gemm rounds differently), in blocks of MODE_TREE_CELLS
+    row and product cells, each block's rows one gather of rows."""
+    _, n_slots, n_locations = rows.shape
     k = vectors.shape[-2]
-    table = np.empty((k, len(matrices)))
-    per_matrix = np.full(len(matrices), n_slots * (n_locations + k))
+    table = np.empty((k, len(at)))
+    per_matrix = np.full(len(at), n_slots * (n_locations + k))
     for lo, hi in budget_blocks(per_matrix, MODE_TREE_CELLS):
-        rows = np.stack([m.rows for m in matrices[lo:hi]])
+        block = rows[at[lo:hi]]
         ys = vectors if vectors.ndim == 2 else vectors[lo:hi]
-        products = np.matmul(rows[:, None], ys[..., None])[..., 0]  # (block, k, slots)
-        mass = np.abs(rows, out=rows).reshape(hi - lo, -1).sum(axis=1)
+        products = np.matmul(block[:, None], ys[..., None])[..., 0]  # (block, k, slots)
+        mass = np.abs(block, out=block).reshape(hi - lo, -1).sum(axis=1)
         table[:, lo:hi] = (np.abs(products, out=products).sum(axis=2) / mass[:, None]).T
-        del rows, products  # before the next block is stacked
+        del block, products  # before the next block is gathered
     return table.T
 
 
@@ -212,21 +231,30 @@ def cumulative_power(s: np.ndarray) -> np.ndarray:
     return np.cumsum(powers) / powers.sum()
 
 
+def eigen_decompositions(rows: np.ndarray, power_floor: float) -> tuple[list[EigenBehaviorSet], np.ndarray]:
+    """eigen_behaviors of each matrix of the (matrices, slots, locations)
+    stack rows, every one with online time, and the (matrices, components)
+    singular values of the one stacked SVD they take.  Weights, the power
+    floor's keep and each vector's sign run as array passes over the stack;
+    a stacked SVD has the bits of one SVD a matrix."""
+    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    powers = s * s
+    weights = powers / powers.sum(axis=1, keepdims=True)
+    keep = weights >= power_floor
+    keep[:, 0] = True  # the dominant direction always qualifies
+    lead = np.take_along_axis(vt, np.abs(vt).argmax(axis=2)[..., None], axis=2)[..., 0]
+    vt[lead < 0] *= -1.0  # its first largest-magnitude entry made positive
+    return [EigenBehaviorSet(v[m], w[m]) for v, w, m in zip(vt, weights, keep)], s
+
+
 def eigen_decomposition(
     matrix: AssociationMatrix, power_floor: float = DEFAULT_POWER_FLOOR
 ) -> tuple[EigenBehaviorSet, np.ndarray]:
     """eigen_behaviors of matrix and the singular values of the one SVD it takes."""
     check_power_floor(power_floor)
     _require_online(matrix)
-    _, s, vt = np.linalg.svd(matrix.rows, full_matrices=False)
-    powers = s * s
-    weights = powers / powers.sum()
-    keep = weights >= power_floor
-    keep[0] = True  # the dominant direction always qualifies
-    vectors = vt[keep]
-    flip = vectors[np.arange(vectors.shape[0]), np.abs(vectors).argmax(axis=1)] < 0
-    vectors[flip] *= -1.0
-    return EigenBehaviorSet(vectors, weights[keep]), s
+    (eigen,), s = eigen_decompositions(matrix.rows[None], power_floor)
+    return eigen, s[0]
 
 
 def eigen_behaviors(
@@ -253,14 +281,16 @@ def power_captured(matrix: AssociationMatrix, k: int) -> float:
 
 
 def summary_vectors(
-    matrices: dict[str, AssociationMatrix],
+    table: PopulationTable,
     eigen_sets: dict[str, EigenBehaviorSet | None],
 ) -> SummaryVectors:
-    """Each online user's summaries, in the order of matrices: onavg, the largest
+    """Each online user's summaries, in the order of the table: onavg, the largest
     mode's centroid at each of MODE_THRESHOLDS, cut from one tree, and the first
-    vector of its set in eigen_sets.  All-offline users are skipped with one warning."""
-    usable = {u: m for u, m in matrices.items() if m.online.any()}
-    skipped = sorted(set(matrices) - set(usable))
+    vector of its set in eigen_sets.  All-offline users are skipped with one
+    warning.  onavg and the centroids are array passes over the whole table,
+    whose all-offline users' rows are dropped from their results."""
+    usable = table.online_users
+    skipped = sorted(set(table.users).difference(usable))
     if skipped:
         warnings.warn(f"summary_vectors: skipped all-offline users: {skipped}")
     if not usable:
@@ -268,12 +298,15 @@ def summary_vectors(
     missing = sorted(u for u in usable if eigen_sets.get(u) is None)
     if missing:
         raise ValueError(f"no eigen-behavior set for online users: {missing}")
-    centroids = _mode_cuts(list(usable.values()), MODE_THRESHOLDS)[1]
-    others = np.array([[onavg(m), eigen_sets[u].vectors[0]] for u, m in usable.items()])
-    return SummaryVectors(tuple(usable), np.concatenate([others[:, :1], centroids, others[:, 1:]], axis=1))
+    live = table.online.any(axis=1)
+    vectors = np.empty((len(usable), len(SUMMARY_NAMES), len(table.location_index)))
+    vectors[:, 0] = _onavgs(table.rows)[live]
+    vectors[:, 1:-1] = _mode_cuts(table.rows, table.online, MODE_THRESHOLDS)[1][live]
+    vectors[:, -1] = [eigen_sets[u].vectors[0] for u in usable]
+    return SummaryVectors(usable, vectors)
 
 
-def summary_table(matrices: dict[str, AssociationMatrix], summary: SummaryVectors) -> dict[str, float]:
+def summary_table(table: PopulationTable, summary: SummaryVectors) -> dict[str, float]:
     """Mean significance of each summary on its user's matrix, keyed by its summary.csv name."""
-    scores = significances([matrices[u] for u in summary.ids], summary.vectors)
+    scores = significances(table.rows, summary.vectors, table.places(summary.ids))
     return dict(zip([name for name, _ in SUMMARY_NAMES], scores.T.mean(axis=1).tolist()))

@@ -5,7 +5,11 @@ as columns (``Records``: int user and location codes, float start and end,
 each finite and below 2**53 in magnitude, so every whole second is exact).
 The builder turns every user's records into a t x n matrix whose rows are
 time slots (days by default) and whose columns are locations.  Rows of an
-online slot sum to 1 in normalized mode; offline slots stay all zero.
+online slot sum to 1 in normalized mode; offline slots stay all zero.  It
+returns every user's matrix as one ``PopulationTable``: a read-only (users,
+slots, locations) array with its online mask, which the later stages read
+a block of users at a time, and which also maps each user to an
+``AssociationMatrix`` view of its rows.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ import csv
 import json
 import math
 from array import array
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count, filterfalse, islice
-from operator import gt
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 import numpy as np
@@ -127,8 +131,57 @@ class AssociationMatrix:
 
     @property
     def online(self) -> np.ndarray:
-        """Mask of the online slots, the rows with association time."""
-        return self.rows.sum(axis=1) > 0
+        """Mask of the online slots (see ``online_slots``)."""
+        return online_slots(self.rows)
+
+
+def online_slots(rows: np.ndarray) -> np.ndarray:
+    """The online mask of (..., slots, locations) rows: the slots with
+    association time, whose row has a positive sum."""
+    return rows.sum(axis=-1) > 0
+
+
+class PopulationTable(Mapping[str, AssociationMatrix]):
+    """Every user's slot-by-location matrix, held as one read-only (users,
+    slots, locations) array.
+
+    ``rows[i]`` is user ``users[i]``'s matrix over ``location_index``, and
+    ``online[i]``, computed once with the table, marks its online slots: the
+    rows with association time, as ``AssociationMatrix.online`` has them.
+    The stages read user ranges of ``rows`` and ``online``; as a mapping the
+    table gives each user an ``AssociationMatrix`` view of its rows.
+    """
+
+    def __init__(self, users: Sequence[str], location_index: Sequence[str], rows: np.ndarray) -> None:
+        self.users = tuple(users)
+        self.location_index = tuple(location_index)
+        self.rows = np.asarray(rows, dtype=float).view()
+        if self.rows.ndim != 3 or self.rows.shape[::2] != (len(self.users), len(self.location_index)):
+            raise ValueError("rows must be (users, slots, locations) over the users and location_index")
+        self._place = {user: i for i, user in enumerate(self.users)}
+        if len(self._place) != len(self.users):
+            raise ValueError("a user occurs twice in the table")
+        self.rows.flags.writeable = False
+        self.online = online_slots(self.rows)
+        self.online.flags.writeable = False
+
+    def __getitem__(self, user: str) -> AssociationMatrix:
+        return AssociationMatrix(user, self.rows[self._place[user]], self.location_index)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.users)
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    @property
+    def online_users(self) -> tuple[str, ...]:
+        """The users with an online slot, in table order."""
+        return tuple(user for user, on in zip(self.users, self.online.any(axis=1).tolist()) if on)
+
+    def places(self, users: Iterable[str]) -> np.ndarray:
+        """Each of the users' row in the table."""
+        return np.array([self._place[user] for user in users], dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,8 +260,8 @@ def set_columns(table: object, what: str, **dtypes: type) -> None:
 def _exact(seconds: np.ndarray) -> np.ndarray:
     """Where a float bound is finite and of magnitude below 2**53, so that
     every integer up to it is a float and the trace writer's int64 cells
-    hold it; NaN is not exact."""
-    return np.abs(seconds) < 2.0**53
+    hold it; NaN is not exact.  Two comparisons make no float temporary."""
+    return (seconds < 2.0**53) & (seconds > -(2.0**53))
 
 
 def code_ids(names: Sequence[str], index: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
@@ -358,13 +411,14 @@ def load_records(path: str) -> Records:
     seconds of magnitude below 2**53, so that each is exactly a float).
 
     One csv.reader hands over the rows ``LOAD_CHUNK_ROWS`` at a time, and
-    ``_append_chunk`` checks and appends each chunk as columns; an id is
-    checked once, in the chunk where it first appears.  A chunk that fails a
-    check, or whose reading fails, is read again from its first row by
-    ``_refuse_rows``, which checks row by row and names the first bad row's
-    line.  A bound of 2**53 or more in magnitude becomes a float of at least
-    that magnitude, so one vectorized check after the pass finds it, and
-    only then is the file read again for its line; a bound too large for a
+    ``_append_chunk`` appends each chunk as columns, checking only what the
+    columns need: four cells and integer bounds that convert to floats.
+    ``Records`` then applies the id, end > start and 2**53 rules once, to the
+    whole columns.  When a chunk fails, its reading fails or ``Records``
+    refuses the columns, ``_refuse_rows`` reads the file again from its
+    first row and names the first bad row's line, as a check row by row
+    would.  A bound of 2**53 or more in magnitude becomes a float of at
+    least that magnitude, which ``Records`` refuses; a bound too large for a
     float is a chunk's failed check.
     """
     header = ("user", "location", "start", "end")
@@ -375,58 +429,52 @@ def load_records(path: str) -> Records:
             try:
                 chunk = list(islice(reader, LOAD_CHUNK_ROWS))
             except (csv.Error, UnicodeDecodeError):
-                _refuse_rows(path, header, done)
+                _refuse_rows(path, header, done + LOAD_CHUNK_ROWS)
             if not chunk:
                 break
             if not _append_chunk(chunk, codes, columns):
-                _refuse_rows(path, header, done)
+                _refuse_rows(path, header, done + LOAD_CHUNK_ROWS)
     user_col, loc_col, start_col, end_col = columns
-    start, end = np.frombuffer(start_col), np.frombuffer(end_col)
-    inexact = ~(_exact(start) & _exact(end))
-    if inexact.any():
-        line, _ = next(islice(read_csv(path, header), int(inexact.argmax()), None))
-        raise _inexact_bound(path, line)
     users, user = code_ids(list(codes[0]), user_col)
     locations, loc = code_ids(list(codes[1]), loc_col)
-    return Records(users, locations, user, loc, start, end)
+    try:
+        return Records(users, locations, user, loc, np.frombuffer(start_col), np.frombuffer(end_col))
+    except ValueError:
+        _refuse_rows(path, header, None)
 
 
 def _append_chunk(
     rows: list[list[str]], codes: tuple[dict[str, int], dict[str, int]], columns: tuple[array, ...]
 ) -> bool:
     """Append a chunk of trace rows to the (user, loc, start, end) columns
-    and return True if every row passes the loader's checks: four cells,
-    integer bounds with end > start, each bound convertible to a float, and
-    each user and location id not yet in ``codes`` passing ``_check_id``,
-    whereupon it gets the next code.  Return False when a check fails; the
-    codes and columns are then of no further use."""
+    and return True if every row has four cells and integer bounds that
+    convert to floats; each user and location id not yet in ``codes`` gets
+    the next code.  Return False when a check fails; the codes and columns
+    are then of no further use."""
     if set(map(len, rows)) != {4}:
         return False
     users, locations, start_s, end_s = zip(*rows)
     try:
-        start, end = list(map(int, start_s)), list(map(int, end_s))
-        if not all(map(gt, end, start)):
-            return False
-        for ids, code, column in zip((users, locations), codes, columns):
-            fresh = list(filterfalse(code.__contains__, dict.fromkeys(ids)))
-            for value in fresh:
-                _check_id("", value)
-            code.update(zip(fresh, count(len(code))))
-            column.fromlist(list(map(code.__getitem__, ids)))
-        columns[2].fromlist(start)
-        columns[3].fromlist(end)
+        columns[2].fromlist(list(map(int, start_s)))
+        columns[3].fromlist(list(map(int, end_s)))
     except (ValueError, OverflowError):  # OverflowError: an int too large for a float
         return False
+    for ids, code, column in zip((users, locations), codes, columns):
+        fresh = list(filterfalse(code.__contains__, dict.fromkeys(ids)))
+        code.update(zip(fresh, count(len(code))))
+        column.fromlist(list(map(code.__getitem__, ids)))
     return True
 
 
-def _refuse_rows(path: str, header: Sequence[str], first: int) -> NoReturn:
-    """Raise the first refusal among the ``LOAD_CHUNK_ROWS`` trace rows from
-    row ``first`` on, read again with ``read_csv``, naming its line.  Each
-    row is checked in turn: its cell count, then start and end as integers,
-    the user id, the location id, end > start, and each bound as a float."""
-    rows = islice(read_csv(path, header), first, first + LOAD_CHUNK_ROWS)
-    for line, (user, location, start_s, end_s) in rows:
+def _refuse_rows(path: str, header: Sequence[str], stop: int | None) -> NoReturn:
+    """Raise the refusal of the first bad row among the first ``stop`` trace
+    rows (all of them when None), read again with ``read_csv``, naming its
+    line.  Each row is checked in turn: its cell count, then start and end
+    as integers, the user id, the location id, end > start, and each bound
+    as a float; when no row fails those, the first row with a bound of
+    magnitude 2**53 or more is refused."""
+    inexact = None
+    for line, (user, location, start_s, end_s) in islice(read_csv(path, header), stop):
         where = f"{path}:{line}"
         start, end = _int_cell(start_s, "start", where), _int_cell(end_s, "end", where)
         _check_id("user", user, where)
@@ -434,10 +482,14 @@ def _refuse_rows(path: str, header: Sequence[str], first: int) -> NoReturn:
         if not end > start:
             raise ValueError(f"{where}: record for {user!r} has end <= start ({end} <= {start})")
         try:
-            float(start), float(end)
+            low, high = float(start), float(end)
         except OverflowError:  # an int too large for a float
             raise _inexact_bound(path, line) from None
-    raise AssertionError(f"{path}: the chunk from row {first} failed its checks, but no row of it did")
+        if inexact is None and not -(2.0**53) < low <= high < 2.0**53:  # float() keeps the order of the ints
+            inexact = line
+    if inexact is not None:
+        raise _inexact_bound(path, inexact)
+    raise AssertionError(f"{path}: the trace was refused, but none of its rows was")
 
 
 def _inexact_bound(path: str, line: int) -> ValueError:
@@ -535,8 +587,9 @@ def build_matrices(
     records: Records | Iterable[AssociationRecord],
     config: TraceConfig,
     location_index: Sequence[str] | None = None,
-) -> dict[str, AssociationMatrix]:
-    """Build every user's slot-by-location matrix over a shared location index.
+) -> PopulationTable:
+    """Build every user's slot-by-location matrix over a shared location index,
+    as one table of the sorted users.
 
     Records are clipped to [trace_start, trace_end) and to the daily window if
     one is configured, and split at slot boundaries.  Within a slot, a user's
@@ -586,7 +639,7 @@ def build_matrices(
     if config.normalization == "normalized":
         totals = rows.sum(axis=2, keepdims=True)
         np.divide(rows, totals, out=rows, where=totals > 0)
-    return {u: AssociationMatrix(u, rows[i], index) for i, u in enumerate(records.users)}
+    return PopulationTable(records.users, index, rows)
 
 
 def _sweep_block(

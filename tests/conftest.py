@@ -15,6 +15,7 @@ from eigenbehavior import (
     DistanceMatrix,
     EncounterStream,
     GroupSpec,
+    PopulationTable,
     SynthSpec,
     TraceConfig,
     build_matrices,
@@ -41,13 +42,16 @@ def digest_tree(directory, skip=()) -> dict:
     return out
 
 
-def count_calls(monkeypatch, module, name: str, calls) -> None:
+def count_calls(monkeypatch, module, name: str, calls, sizes=None) -> None:
     """Count each call of module.name into calls[name], through every
-    eigenbehavior module that binds the function, under whatever name."""
+    eigenbehavior module that binds the function, under whatever name; with
+    sizes given, also append the len of each call's first argument to it."""
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls[name] += 1
+        if sizes is not None:
+            sizes.append(len(args[0]))
         return original(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
@@ -55,6 +59,16 @@ def count_calls(monkeypatch, module, name: str, calls) -> None:
             for attr, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
+
+
+def table_of(matrices) -> PopulationTable:
+    """A dict of same-shape matrices over one location index, stacked into
+    the PopulationTable that build_matrices would give, users in its order."""
+    each = list(matrices.values())
+    index = each[0].location_index if each else ()
+    assert all(m.location_index == index for m in each), "one location_index"
+    rows = np.stack([m.rows for m in each]) if each else np.zeros((0, 0, 0))
+    return PopulationTable(list(matrices), index, rows)
 
 
 def profile_half_config(records) -> dict:

@@ -5,7 +5,10 @@ package scored every pair of a summary table or of cross significance in one
 significances table.
 
 The oracle for summaries._mode_cuts and centroid_first_mode, and for
-significance, summary_table and groups.cross_significance.
+significance, summary_table and groups.cross_significance; and, as each
+matrix was decomposed by its own SVD before the package took one stacked
+SVD per block of users, for distances.eigen_sets_for and
+summaries.eigen_decompositions.
 """
 
 from __future__ import annotations
@@ -125,3 +128,30 @@ def cross_significance(profiles, matrices) -> CrossSignificance:
         float(np.mean(own_all)),
         float(np.mean(other_all)) if other_all else float("nan"),
     )
+
+
+def eigen_decomposition(matrix, power_floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A matrix's kept eigen-behavior vectors and weights and all its singular
+    values, from one np.linalg.svd of its rows, as the package took them one
+    matrix at a time before it decomposed a block of matrices with one
+    stacked SVD: weights are squared singular values over their sum, those
+    below power_floor after the first are dropped, and each kept vector's
+    first largest-magnitude entry is made positive."""
+    _, s, vt = np.linalg.svd(matrix.rows, full_matrices=False)
+    powers = s * s
+    weights = powers / powers.sum()
+    keep = weights >= power_floor
+    keep[0] = True
+    vectors = vt[keep]
+    flip = vectors[np.arange(vectors.shape[0]), np.abs(vectors).argmax(axis=1)] < 0
+    vectors[flip] *= -1.0
+    return vectors, weights[keep], s
+
+
+def eigen_sets_for(matrices, power_floor: float) -> dict:
+    """eigen_decomposition of each user with an online row (a row with a
+    positive sum), one call a user; None for an all-offline user."""
+    return {
+        user: eigen_decomposition(matrix, power_floor) if (matrix.rows.sum(axis=1) > 0).any() else None
+        for user, matrix in matrices.items()
+    }

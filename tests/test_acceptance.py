@@ -25,6 +25,7 @@ from conftest import (
     profile_half_config,
     sim_overlap_spec,
     sim_trace_spec,
+    table_of,
     unfold,
 )
 from eigenbehavior import (
@@ -187,7 +188,7 @@ def test_distance_oracle_ranges_and_speedup(capsys):
             rows = rng.dirichlet(np.full(40, 0.4), size=t)
             rows[rng.choice(t, size=max(1, t // 10), replace=False)] = 0.0
             out[f"u{i:05d}"] = matrix_from_rows(rows, user_id=f"u{i:05d}")
-        return out
+        return table_of(out)
 
     # exact oracle agreement
     small = random_matrices(20, 30)

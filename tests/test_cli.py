@@ -326,6 +326,31 @@ def test_reruns_are_byte_identical(workdir, tmp_path):
     assert digest_tree(sim_a, SKIP) == digest_tree(sim_b, SKIP)
 
 
+@pytest.mark.parametrize("change", ["shuffled", "duplicated"])
+@pytest.mark.parametrize("metric", ["eigen", "centroid09"])
+def test_pipeline_outputs_do_not_depend_on_trace_row_order_or_repeats(workdir, tmp_path, metric, change):
+    """A trace is a set of association intervals: with its rows shuffled, or
+    with every third row repeated at the end (a user's time at a location is
+    the union of its intervals there, so a repeat adds none), a pipeline run
+    writes the same bytes as on the trace itself.  Every online day of the
+    noisy spec has a record at each location, so an overlap counted twice
+    would move that day's shares."""
+    header, *rows = (workdir / "synth" / "trace.csv").read_text().splitlines()
+    if change == "shuffled":
+        rows = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+    else:
+        rows = rows + rows[::3]
+    changed = tmp_path / "trace.csv"
+    changed.write_text("\n".join([header, *rows]) + "\n")
+    base, other = tmp_path / "base", tmp_path / "changed"
+    argv = ["--config", str(workdir / "config.json"), "--clusters", "3", "--metric", metric, "--out"]
+    assert main(["pipeline", str(workdir / "synth" / "trace.csv"), *argv, str(base)]) == 0
+    assert main(["pipeline", str(changed), *argv, str(other)]) == 0
+    tree = digest_tree(base, SKIP)
+    assert set(tree) == PIPELINE_FILES - set(SKIP)
+    assert digest_tree(other, SKIP) == tree
+
+
 def test_malformed_spec_exits_2_without_outputs(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -1060,15 +1085,16 @@ def test_malformed_spec_exits_2_naming_the_spec(tmp_path, capsys, text, message)
 @pytest.mark.parametrize("metric", METRICS)
 def test_a_pipeline_run_builds_the_summaries_once(workdir, tmp_path, monkeypatch, metric):
     """summary.csv and a summary metric read one summary pass: one _mode_cuts
-    call grows every user's mode trees, and onavg runs once a user with
-    online time (each user in eigen.csv)."""
-    calls = Counter()
-    for name in ("_mode_cuts", "onavg"):
-        count_calls(monkeypatch, summaries, name, calls)
+    call grows every user's mode trees, and one _onavgs pass averages every
+    user of the table (each user in eigen.csv, all online here) once."""
+    calls, averaged = Counter(), []
+    count_calls(monkeypatch, summaries, "_mode_cuts", calls)
+    count_calls(monkeypatch, summaries, "_onavgs", calls, averaged)
     out = tmp_path / "o"
     assert main(_pipeline_argv(workdir, workdir / "config.json", out) + ["--metric", metric]) == 0
     online = {line.split(",", 1)[0] for line in (out / "eigen.csv").read_text().splitlines()[1:]}
-    assert calls == {"_mode_cuts": 1, "onavg": len(online)}
+    assert calls == {"_mode_cuts": 1, "_onavgs": 1}
+    assert averaged == [len(online)]
 
 
 def test_summary_csv_is_the_same_for_every_metric(workdir, tmp_path):

@@ -16,7 +16,9 @@ from eigenbehavior import cluster, distances, persist, summaries
 from eigenbehavior import (
     DistanceMatrix,
     EigenBehaviorSet,
+    TraceConfig,
     amvd_distance_matrix,
+    build_matrices,
     eigen_behaviors,
     eigen_distance_matrix,
     eigen_sets_for,
@@ -25,9 +27,10 @@ from eigenbehavior import (
     summary_l1_distance,
     summary_vectors,
 )
+from eigenbehavior.trace import DAY_SECONDS
 
 import distances_oracle as oracle
-from conftest import basis_rows, matrix_from_rows, unfold, upper
+from conftest import basis_rows, matrix_from_rows, table_of, unfold, upper
 from distances_oracle import amvd, amvd_distance, eigen_distance, manhattan, sim
 
 
@@ -115,7 +118,7 @@ def test_amvd_distance_matrix_consistent_and_flags_offline():
         "b": matrix_from_rows(basis_rows([1, None], 2), user_id="b"),
         "dead": matrix_from_rows(np.zeros((2, 2)), user_id="dead"),
     }
-    dm = amvd_distance_matrix(mats)
+    dm = amvd_distance_matrix(table_of(mats))
     assert dm.ids == ("a", "b", "dead")
     assert dm.flagged_ids == ("dead",)
     assert dm.metric == "amvd"
@@ -144,7 +147,7 @@ def test_amvd_distance_matrix_blocks_match_cdist_oracle(monkeypatch, include_off
     kernel = distances.pairwise_l1
     monkeypatch.setattr(distances, "SIM_BLOCK_CELLS", cells)
     monkeypatch.setattr(distances, "pairwise_l1", lambda a, b: calls.append(1) or kernel(a, b))
-    dm = amvd_distance_matrix(mats, include_offline=include_offline)
+    dm = amvd_distance_matrix(table_of(mats), include_offline=include_offline)
     live = [u for u in dm.ids if include_offline or mats[u].rows.any()]
     assert len(calls) > len(live) - 1  # some user's later users span several blocks
     assert dm.flagged_ids == tuple(u for u in dm.ids if u not in live)
@@ -350,13 +353,14 @@ def test_sim_triangle_orders_ids():
 
 
 def summaries_of(mats):
-    return summary_vectors(mats, eigen_sets_for(mats))
+    table = table_of(mats)
+    return summary_vectors(table, eigen_sets_for(table))
 
 
 def test_summary_l1_distance_onavg_and_centroid():
     mats = {
         "a": matrix_from_rows(basis_rows([0, 0, 1], 2), user_id="a"),
-        "b": matrix_from_rows(basis_rows([1], 2), user_id="b"),
+        "b": matrix_from_rows(basis_rows([1, None, None], 2), user_id="b"),
     }
     summary = summaries_of(mats)
     dm = summary_l1_distance(*summary.column("onavg"), "onavg")
@@ -420,9 +424,16 @@ def test_eigen_sets_for_marks_offline_users():
         "a": matrix_from_rows(basis_rows([0], 2), user_id="a"),
         "dead": matrix_from_rows(np.zeros((1, 2)), user_id="dead"),
     }
-    sets = eigen_sets_for(mats)
+    sets = eigen_sets_for(table_of(mats))
     assert sets["dead"] is None
     assert isinstance(sets["a"], EigenBehaviorSet)
+
+
+def test_eigen_sets_for_an_empty_population_is_empty():
+    """No user, or no location: nothing to decompose, and no SVD of an empty stack."""
+    assert eigen_sets_for(table_of({})) == {}
+    empty = build_matrices([], TraceConfig(0.0, DAY_SECONDS))
+    assert len(empty) == 0 and eigen_sets_for(empty) == {}
 
 
 # ---------------------------------------------------------- DistanceMatrix ---

@@ -24,7 +24,7 @@ from eigenbehavior import (
 )
 
 import summaries_oracle
-from conftest import basis_rows, matrix_from_rows
+from conftest import basis_rows, matrix_from_rows, table_of
 
 
 def jaccard_oracle(p, q):
@@ -84,6 +84,7 @@ def test_joint_matrix_validation():
 
 def test_power_scatter_coherent_beats_random():
     matrices, partition = orthogonal_population(n_groups=8, per_group=10)
+    matrices = table_of(matrices)
     profiles = group_profiles(partition, matrices)
     points = group_power_scatter(profiles, matrices, min_size=5, seed=0)
     assert len(points) == 8
@@ -97,6 +98,7 @@ def test_power_scatter_coherent_beats_random():
 
 def test_power_scatter_size_filter_is_strict():
     matrices, partition = orthogonal_population(per_group=6)
+    matrices = table_of(matrices)
     with pytest.raises(ValueError, match="more than 6"):
         group_power_scatter(group_profiles(partition, matrices), matrices, min_size=6)
 
@@ -107,6 +109,7 @@ def test_power_scatter_skips_offline_only_clusters():
     for i in range(7):
         matrices[f"x{i}"] = matrix_from_rows(np.zeros((5, 2)), user_id=f"x{i}")
         labels[f"x{i}"] = 2
+    matrices = table_of(matrices)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         profiles = group_profiles(partition_from_labels(labels), matrices)
@@ -125,6 +128,7 @@ def test_power_scatter_draws_from_online_users_only():
         matrices[f"z{i:02d}"] = matrix_from_rows(np.zeros((5, 2)), user_id=f"z{i:02d}")
     labels = {u: int(u[0] == "z") for u in matrices}
     labels.update({"z00": 0, "z01": 0})  # 9 members, 7 online: the sample takes 7
+    matrices = table_of(matrices)
     profiles = group_profiles(partition_from_labels(labels), matrices)
     for seed in range(10):
         (point,) = group_power_scatter(profiles, matrices, seed=seed)
@@ -133,6 +137,7 @@ def test_power_scatter_draws_from_online_users_only():
 
 def test_power_scatter_draws_are_unchanged_when_everyone_is_online():
     matrices, partition = orthogonal_population(n_groups=4, per_group=7)
+    matrices = table_of(matrices)
     population = sorted(matrices)
     rng = np.random.default_rng(3)
     want = []
@@ -148,6 +153,7 @@ def test_power_scatter_draws_are_unchanged_when_everyone_is_online():
 
 def test_cross_significance_separates_groups():
     matrices, partition = orthogonal_population(n_groups=3, per_group=4)
+    matrices = table_of(matrices)
     result = cross_significance(group_profiles(partition, matrices), matrices)
     assert len(result.per_cluster) == 3
     assert result.own_mean == pytest.approx(1.0)
@@ -163,6 +169,7 @@ def test_cross_significance_skips_offline_only_clusters():
         "b": matrix_from_rows(basis_rows([1], 2), user_id="b"),
         "dead": matrix_from_rows(np.zeros((1, 2)), user_id="dead"),
     }
+    matrices = table_of(matrices)
     partition = partition_from_labels({"a": 0, "b": 1, "dead": 2})
     result = cross_significance(group_profiles(partition, matrices), matrices)
     assert [cid for cid, _, _ in result.per_cluster] == [0, 1]
@@ -178,6 +185,7 @@ def test_cross_significance_imports_no_masked_arrays(monkeypatch):
     matrices = {u: matrix_from_rows(rng.random((4, 3)), user_id=u) for u in users}
     for dead in ("u000", "u199"):
         matrices[dead] = matrix_from_rows(np.zeros((4, 3)), user_id=dead)
+    matrices = table_of(matrices)
     profiles = group_profiles(partition_from_labels({u: i % 2 for i, u in enumerate(users)}), matrices)
     want = summaries_oracle.cross_significance(profiles, matrices)
     monkeypatch.setitem(sys.modules, "numpy.ma", None)
@@ -285,6 +293,7 @@ def test_validation_decomposes_each_cluster_once(monkeypatch):
     for i in range(6):  # an all-offline cluster: built once, never decomposed
         matrices[f"x{i}"] = matrix_from_rows(np.zeros((5, 4)), user_id=f"x{i}")
     labels = {**partition.assignment, **{f"x{i}": 4 for i in range(6)}}
+    matrices = table_of(matrices)
     counts = {"svd": 0, "joint": 0}
     svd, joint = np.linalg.svd, groups.joint_matrix
 

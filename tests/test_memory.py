@@ -50,7 +50,7 @@ from eigenbehavior import (
 )
 from eigenbehavior.trace import DAY_SECONDS
 
-from conftest import upper
+from conftest import table_of, upper
 
 MB = 1 << 20
 # Small arrays and Python objects a stage makes besides its big arrays.
@@ -107,11 +107,12 @@ def random_sets(n_users: int, k: int, seed: int) -> dict[str, EigenBehaviorSet]:
 
 
 def test_load_records_holds_its_columns_and_one_chunk(tmp_path):
-    # 100 k rows: the four columns as read (3.1 MB); the two code columns, a
-    # float temporary of the bound check and the columns' growth room (about
-    # as much again); and one chunk of csv rows, a list of four str each.
-    # Every row's cells held at once, as list(csv.reader) or zip(*reader)
-    # would, take about 40 MB and break the bound.
+    # 100 k rows: the four columns as read (3.1 MB); the two code columns
+    # (1.5 MB); the columns' growth room and the bool temporaries of Records'
+    # checks (an eighth of the columns); and one chunk of csv rows, a list of
+    # four str each.  Every row's cells held at once, as list(csv.reader) or
+    # zip(*reader) would, take about 40 MB and break the bound, and so does a
+    # float temporary of a column, which a second bound check on np.abs made.
     n = 100_000
     path = tmp_path / "trace.csv"
     with open(path, "w") as fh:
@@ -120,9 +121,10 @@ def test_load_records_holds_its_columns_and_one_chunk(tmp_path):
     records, peak = peak_above_inputs(trace.load_records, str(path))
     assert len(records) == n and len(records.users) == 997
     columns = n * 4 * 8
+    codes = n * 2 * 8
     chunk = trace.LOAD_CHUNK_ROWS * 400
     assert chunk < n * 8  # a chunk is a small share of the file
-    assert_within(peak, 2 * columns + chunk + SLACK)
+    assert_within(peak, columns + codes + columns // 8 + chunk + SLACK)
 
 
 @pytest.mark.parametrize("noise_epsilon, n_users", [(0.0, 1200), (0.05, 120)])
@@ -187,14 +189,13 @@ def test_amvd_holds_output_and_one_block():
     # 200 x 11800 cells, nine times a block
     n, t = 60, 200
     rng = np.random.default_rng(17)
-    matrices = {
-        f"u{i:02d}": AssociationMatrix(f"u{i:02d}", rng.dirichlet(np.ones(2), size=t), ("A", "B"))
-        for i in range(n)
-    }
+    matrices = table_of(
+        {f"u{i:02d}": AssociationMatrix(f"u{i:02d}", rng.dirichlet(np.ones(2), size=t), ("A", "B")) for i in range(n)}
+    )
     dm, peak = peak_above_inputs(distances.amvd_distance_matrix, matrices)
     assert dm.flagged_ids == ()
     output = n * n * 8
-    rows = 2 * n * t * 2 * 8  # each user's online rows, and all of them stacked
+    rows = 2 * n * t * 2 * 8  # the online rows gathered at once, and the (users, slots) places they come from
     block = 2 * (distances.SIM_BLOCK_CELLS + t * t) * 8  # distances and their terms
     assert_within(peak, output + rows + block + SLACK)
 
@@ -329,16 +330,38 @@ def test_summary_table_holds_one_block_of_mode_trees():
     assert_within(peak, rows + distances + histories + cuts + SLACK)
 
 
+def test_eigen_sets_hold_their_sets_and_one_block_of_svds():
+    """1200 users of 28 daily slots over 20 locations in 12 planted two-mode
+    groups.  eigen_sets_for holds its sets and one block of stacked SVDs:
+    the block's gathered rows, its U, singular values and Vt (the budget's
+    cells) and the sign pass's absolute values of Vt, within twice the
+    budget.  A stacked SVD of the whole population takes 18 MB and breaks
+    the bound."""
+    groups = tuple(
+        GroupSpec(100, single_location_modes(20, [g, (g + 7) % 20]), (0.7, 0.3), p_online=0.8) for g in range(12)
+    )
+    records, _ = generate(SynthSpec(n_locations=20, n_days=28, groups=groups, seed=5, noise_epsilon=0.05))
+    matrices = build_matrices(records, TraceConfig(0.0, 28 * DAY_SECONDS))
+    sets, peak = peak_above_inputs(eigen_sets_for, matrices)
+    assert all(s is not None for s in sets.values())
+    data = sum(s.vectors.nbytes + s.weights.nbytes for s in sets.values())
+    objects = len(sets) * 500  # each set, its two array headers and its dict entry
+    block = 2 * summaries.MODE_TREE_CELLS * 8
+    assert_within(peak, data + objects + block + SLACK)
+
+
 def test_cross_significance_holds_its_table_and_one_block():
     """1200 users, a third of their slots offline, in 30 clusters: stacking
     every user's rows and products at once would take 1200 x 28 x (20 + 30)
-    cells, 13.4 MB."""
+    cells, 13.4 MB.  cross_significance reads a PopulationTable, stacked
+    before tracing starts like every input."""
     rng = np.random.default_rng(17)
     locations = tuple(f"L{j:03d}" for j in range(20))
     matrices = {}
     for i in range(1200):
         rows = rng.random((28, 20)) * (rng.random((28, 1)) < 0.7)
         matrices[f"u{i:04d}"] = AssociationMatrix(f"u{i:04d}", rows, locations)
+    matrices = table_of(matrices)
     profiles = group_profiles(partition_from_labels({u: i % 30 for i, u in enumerate(matrices)}), matrices)
     result, peak = peak_above_inputs(cross_significance, profiles, matrices)
     assert len(result.per_cluster) == 30

@@ -21,7 +21,7 @@ from eigenbehavior import agglomerate, centroid_first_mode, cluster, summaries
 from eigenbehavior.distances import eigen_sets_for, summary_l1_distance
 from eigenbehavior.summaries import MODE_THRESHOLDS, _mode_cuts, summary_vectors
 
-from conftest import matrix_from_rows
+from conftest import matrix_from_rows, table_of
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -65,7 +65,7 @@ def assert_roots_are_modes(matrix, root, want):
 @PROPERTY
 @given(tie_heavy_matrix(), st.lists(THRESHOLDS, min_size=1, max_size=4))
 def test_modes_cut_from_one_tree_match_per_threshold_oracle(matrix, thresholds):
-    roots, centroids = _mode_cuts([matrix], tuple(thresholds))
+    roots, centroids = _mode_cuts(matrix.rows[None], matrix.online[None], tuple(thresholds))
     assert roots.shape == (len(thresholds), matrix.online.sum())
     for thr, root, centroid in zip(thresholds, roots, centroids[0]):
         want = oracle.behavioral_modes(matrix, thr)
@@ -109,7 +109,7 @@ def population():
     matrices["u000"][:] = 0.0
     matrices["u001"][1:] = 0.0
     matrices["u002"] = prototypes[rng.integers(0, 6, 28)]
-    matrices = {u: matrix_from_rows(rows, u) for u, rows in matrices.items()}
+    matrices = table_of({u: matrix_from_rows(rows, u) for u, rows in matrices.items()})
     modes = {thr: {u: oracle.behavioral_modes(m, thr) for u, m in matrices.items()} for thr in MODE_THRESHOLDS}
     return matrices, modes
 
@@ -122,7 +122,7 @@ def test_population_cut_in_chunks_matches_oracle(population, per_chunk, monkeypa
     monkeypatch.setattr(summaries, "MODE_TREE_CELLS", per_chunk * 28**2)
     monkeypatch.setattr(cluster, "ROW_BLOCK_CELLS", per_chunk * 27 * 5)  # l1_triangles: 5 rows a block
 
-    roots, _ = _mode_cuts(list(matrices.values()), MODE_THRESHOLDS)
+    roots, _ = _mode_cuts(matrices.rows, matrices.online, MODE_THRESHOLDS)
     ends = np.cumsum(online_counts)
     for (user, matrix), end, count in zip(matrices.items(), ends, online_counts):
         for thr, root in zip(MODE_THRESHOLDS, roots[:, end - count : end]):

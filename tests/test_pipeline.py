@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from eigenbehavior import (
+    AssociationMatrix,
     AssociationRecord,
     GroupSpec,
     SynthSpec,
@@ -29,6 +30,7 @@ from eigenbehavior import (
 from eigenbehavior import cluster, distances, summaries
 from eigenbehavior.cluster import METRIC_MAX
 from eigenbehavior.pipeline import METRICS
+from eigenbehavior.trace import online_slots
 
 import distances_oracle
 from conftest import count_calls, unfold
@@ -107,14 +109,19 @@ def test_never_online_user_is_flagged_or_dropped_by_metric(planted, metric, kept
 
 def test_summary_table_reads_pipeline_eigen_sets(planted, monkeypatch):
     """run_pipeline returns the summary table of its own eigen sets: the only
-    eigen-behaviors it computes are eigen_sets_for's, one per online user."""
+    eigen-behaviors it computes are eigen_sets_for's, one per online user,
+    and group_profiles', one per cluster with online members, all through
+    eigen_decompositions."""
     records, _, config = planted
     matrices = build_matrices(records, config)
     want = summary_table(matrices, summary_vectors(matrices, eigen_sets_for(matrices)))
-    calls = Counter()
+    calls, decomposed = Counter(), []
     count_calls(monkeypatch, summaries, "eigen_behaviors", calls)
+    count_calls(monkeypatch, summaries, "eigen_decompositions", calls, decomposed)
     result = run_pipeline(records, config, target_count=2)
-    assert calls["eigen_behaviors"] == sum(m.online.any() for m in matrices.values())
+    assert calls["eigen_behaviors"] == 0
+    online_users = sum(m.online.any() for m in matrices.values())
+    assert sum(decomposed) == online_users + sum(p.eigen is not None for p in result.profiles)
     assert list(result.summary_table) == ["onavg", "centroid@0.5", "centroid@0.9", "svd"]
     assert result.summary_table == want
 
@@ -122,16 +129,36 @@ def test_summary_table_reads_pipeline_eigen_sets(planted, monkeypatch):
 @pytest.mark.parametrize("metric", METRICS)
 def test_a_run_grows_each_mode_tree_once_and_averages_each_user_once(planted, monkeypatch, metric):
     """Every metric's run builds one set of summaries: one _mode_cuts call for
-    every user's trees, and one onavg a user with online time."""
+    every user's trees, and one _onavgs pass over every user of the table,
+    whose all-offline user's average is then dropped."""
     records, _, config = planted
     rows = records.rows()
     offline = AssociationRecord("zz-offline", rows[0].location_id, -100, -10)
-    calls = Counter()
-    for name in ("_mode_cuts", "onavg"):
-        count_calls(monkeypatch, summaries, name, calls)
+    calls, averaged = Counter(), []
+    count_calls(monkeypatch, summaries, "_mode_cuts", calls)
+    count_calls(monkeypatch, summaries, "_onavgs", calls, averaged)
     with pytest.warns(UserWarning, match="skipped all-offline users"):
         result = run_pipeline(rows + [offline], config, metric=metric, target_count=2)
-    assert calls == {"_mode_cuts": 1, "onavg": len(result.matrices) - 1}
+    assert calls == {"_mode_cuts": 1, "_onavgs": 1}
+    assert averaged == [len(result.matrices)]
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_a_run_reads_only_the_tables_online_mask(planted, monkeypatch, metric):
+    """Every stage reads the online mask the population table computed once;
+    no stage of a run, an all-offline user in it, asks a table user's
+    AssociationMatrix view for its online slots.  group_profiles' joint
+    matrices are copies, not views of the table, so their asks do not count."""
+    records, _, config = planted
+    rows = records.rows()
+    offline = AssociationRecord("zz-offline", rows[0].location_id, -100, -10)
+    asked = []
+    monkeypatch.setattr(AssociationMatrix, "online", property(lambda m: asked.append(m) or online_slots(m.rows)))
+    with pytest.warns(UserWarning, match="skipped all-offline users"):
+        result = run_pipeline(rows + [offline], config, metric=metric, target_count=2)
+    assert result.matrices["zz-offline"].online.tolist() == [False] * len(result.matrices.rows[0])
+    views = [m.user_id for m in asked if np.shares_memory(m.rows, result.matrices.rows)]
+    assert views == ["zz-offline"]  # the check above, and nothing in the run
 
 
 def test_population_threshold_route(planted):

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import summaries_oracle as oracle
-from conftest import basis_rows, matrix_from_rows
+from conftest import basis_rows, matrix_from_rows, table_of
 from eigenbehavior import (
+    PopulationTable,
     cross_significance,
     eigen_sets_for,
     group_profiles,
@@ -46,6 +47,7 @@ def assert_cross_equal(got, want) -> None:
 def assert_all_equal(matrices, partition) -> None:
     """Every (online user, cluster vector) significance, the summary table
     and cross significance equal the oracle's, or both refuse alike."""
+    matrices = table_of(matrices)
     profiles = group_profiles(partition, matrices)
     firsts = [p.eigen.vectors[0] for p in profiles if p.eigen is not None]
     for matrix in matrices.values():
@@ -138,20 +140,24 @@ def test_one_table_equals_one_call_per_pair():
     own = rng.random((400, 2, 20))
     want_shared = [[oracle.significance(m, y) for y in shared] for m in matrices]
     want_own = [[oracle.significance(m, y) for y in ys] for m, ys in zip(matrices, own)]
-    assert significances(matrices, shared).tolist() == want_shared
-    assert significances(matrices, own).tolist() == want_own
+    rows = np.stack([m.rows for m in matrices])
+    assert significances(rows, shared, np.arange(400)).tolist() == want_shared
+    assert significances(rows, own, np.arange(400)).tolist() == want_own
+    # a gather of the rows in another order scores the same pairs
+    at = np.random.default_rng(9).permutation(400)
+    assert significances(rows, own[at], at).tolist() == [want_own[i] for i in at]
 
 
 def test_mixed_shapes_raise():
+    """The scoring stages read one (users, slots, locations) PopulationTable,
+    so matrices of mixed shapes cannot reach them: the table refuses rows
+    that are not one such array over its users and location index."""
     short = matrix_from_rows(basis_rows([0, 1], 2), user_id="a")
-    tall = matrix_from_rows(basis_rows([0, 1, 1], 2), user_id="b")
     wide = matrix_from_rows(basis_rows([0, 2], 3), user_id="c")
-    with pytest.raises(ValueError, match=r"one \(slots, locations\) shape"):
-        significances([short, tall], np.ones((1, 2)))
-    for pair in ({"a": short, "b": tall}, {"a": short, "c": wide}):
-        with pytest.raises(ValueError):
-            summary_table(pair, summary_vectors(pair, eigen_sets_for(pair)))
-    pair = {"a": short, "b": tall}
-    profiles = group_profiles(partition_from_labels({"a": 0, "b": 1}), pair)
-    with pytest.raises(ValueError, match=r"one \(slots, locations\) shape"):
-        cross_significance(profiles, pair)
+    for users, rows in (
+        (["a"], short.rows),  # one matrix, not a stack of them
+        (["a", "c"], short.rows[None]),  # one matrix for two users
+        (["a"], wide.rows[None]),  # three locations over an index of two
+    ):
+        with pytest.raises(ValueError, match=r"rows must be \(users, slots, locations\)"):
+            PopulationTable(users, short.location_index, rows)

@@ -25,7 +25,7 @@ from eigenbehavior import (
 from eigenbehavior.cluster import METRIC_MAX
 from eigenbehavior.summaries import MODE_THRESHOLDS, SUMMARY_NAMES, _mode_cuts
 
-from conftest import basis_rows, matrix_from_rows
+from conftest import basis_rows, matrix_from_rows, table_of
 from summaries_oracle import modal_class
 
 
@@ -85,7 +85,7 @@ def test_significance_validation():
 def mode_rows(matrix, threshold):
     """The rows of each of matrix's modes at threshold, read off the roots
     of its online rows, and the largest mode's centroid."""
-    (roots,), centroids = _mode_cuts([matrix], (threshold,))
+    (roots,), centroids = _mode_cuts(matrix.rows[None], matrix.online[None], (threshold,))
     online = np.flatnonzero(matrix.online)
     return [online[roots == root].tolist() for root in np.unique(roots)], centroids[0, 0]
 
@@ -260,6 +260,7 @@ def test_summary_vectors_hold_each_online_users_summaries():
         "dead": matrix_from_rows(np.zeros((4, 3)), user_id="dead"),
         "a": matrix_from_rows(basis_rows([0, 2, 2, 1], 3), user_id="a"),
     }
+    mats = table_of(mats)
     sets = eigen_sets_for(mats)
     with pytest.warns(UserWarning, match=r"^summary_vectors: skipped all-offline users: \['dead'\]$"):
         summary = summary_vectors(mats, sets)
@@ -277,6 +278,7 @@ def test_summary_table_keys_and_ranges():
         "a": matrix_from_rows(basis_rows([0, 0, 1], 2), user_id="a"),
         "b": matrix_from_rows(basis_rows([1, 1, 1], 2), user_id="b"),
     }
+    mats = table_of(mats)
     table = summary_table(mats, summary_vectors(mats, eigen_sets_for(mats)))
     assert list(table) == [name for name, _ in SUMMARY_NAMES]
     for value in table.values():
@@ -291,12 +293,14 @@ def test_summary_table_skips_offline_users_with_warning():
         "a": matrix_from_rows(basis_rows([0, 1], 2), user_id="a"),
         "dead": matrix_from_rows(np.zeros((2, 2)), user_id="dead"),
     }
+    mats = table_of(mats)
     sets = eigen_sets_for(mats)
     with pytest.warns(UserWarning, match="all-offline"):
         table = summary_table(mats, summary_vectors(mats, sets))
-    clean = summary_table({"a": mats["a"]}, summary_vectors({"a": mats["a"]}, sets))
+    alone = table_of({"a": mats["a"]})
+    clean = summary_table(alone, summary_vectors(alone, sets))
     assert table == clean
     with pytest.raises(ValueError, match="no users"), pytest.warns(UserWarning):
-        summary_vectors({"dead": mats["dead"]}, sets)
+        summary_vectors(table_of({"dead": mats["dead"]}), sets)
     with pytest.raises(ValueError, match="no eigen-behavior set"), pytest.warns(UserWarning):
         summary_vectors(mats, {"dead": None})
