@@ -21,6 +21,7 @@ from eigenbehavior import (
     SimConfig,
     SynthSpec,
     TraceConfig,
+    build_matrices,
     build_messages,
     compare_schemes,
     generate,
@@ -61,7 +62,7 @@ records, _ = generate(spec)
 
 profile_half, replay_half, split_time = split_trace(records, 0.5, span=spec.trace_span)
 result = run_pipeline(
-    profile_half, TraceConfig(0.0, split_time), metric="eigen", target_count=5
+    build_matrices(profile_half, TraceConfig(0.0, split_time)), metric="eigen", target_count=5
 )
 
 messages = build_messages(result.partition, creation_time=split_time)

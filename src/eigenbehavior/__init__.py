@@ -27,7 +27,6 @@ from .groups import (
     group_power_scatter,
     group_profiles,
     jaccard,
-    joint_matrix,
     partition_from_labels,
     rank_size_fit,
     top_groups_share,

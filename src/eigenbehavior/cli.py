@@ -42,6 +42,7 @@ from .trace import (
     Records,
     TraceConfig,
     aggregate_locations,
+    build_matrices,
     json_int,
     json_keys,
     json_number,
@@ -173,16 +174,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         args.config, "pipeline config", lambda raw: _pipeline_config(raw, records)
     )
     try:
-        result = run_pipeline(
-            records,
-            config,
-            metric=args.metric,
-            threshold=args.threshold,
-            target_count=args.clusters,
-            **options,
-        )
+        table = build_matrices(records, config)
     except MatricesTooLarge as exc:  # the config's horizon and slots size them
         raise ValueError(f"{args.config}: {exc}") from None
+    del records  # nothing reads the trace after the table is built
+    result = run_pipeline(
+        table, metric=args.metric, threshold=args.threshold, target_count=args.clusters, **options
+    )
     location_index = result.matrices.location_index
     os.makedirs(args.out, exist_ok=True)
     persist.write_matrix_index(os.path.join(args.out, "matrices"), result.matrices, config, options)

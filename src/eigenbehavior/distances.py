@@ -47,14 +47,13 @@ def amvd_distance_matrix(table: PopulationTable, include_offline: bool = False) 
     run, so it has np.mean's bits; the later users' counts never fall, so
     their backward runs reshape to rows.
     """
-    ids = tuple(sorted(table))
-    at = table.places(ids)
-    taken = table.online[at] | include_offline  # (users, slots), users in id order
+    ids = table.users
+    taken = table.online | include_offline  # (users, slots)
     counts = np.count_nonzero(taken, axis=1)
     flagged = tuple(user for user, count in zip(ids, counts.tolist()) if count == 0)
     order = np.argsort(counts, kind="stable")  # flagged users first
     _, n_slots, n_locations = table.rows.shape
-    slots = (at[order, None] * n_slots + np.arange(n_slots))[taken[order]]
+    slots = (order[:, None] * n_slots + np.arange(n_slots))[taken[order]]
     rows = table.rows.reshape(-1, n_locations)[slots]
     sizes = counts[order]
     bounds = np.append(0, np.cumsum(sizes))
@@ -170,13 +169,13 @@ def eigen_sets_for(
     SVD, of at most summaries.MODE_TREE_CELLS input and output cells."""
     check_power_floor(power_floor)
     sets: dict[str, EigenBehaviorSet | None] = dict.fromkeys(table.users)
-    live = np.flatnonzero(table.online.any(axis=1))
-    if not live.size:  # no SVD of an empty stack
+    if not table.live.size:  # no SVD of an empty stack
         return sets
     _, n_slots, n_locations = table.rows.shape
     rank = min(n_slots, n_locations)  # the SVD's components: U, s and vt
-    cells = np.full(len(live), n_slots * n_locations + rank * (n_slots + n_locations + 1))
+    cells = np.full(len(table.live), n_slots * n_locations + rank * (n_slots + n_locations + 1))
+    users = table.online_users
     for lo, hi in budget_blocks(cells, summaries.MODE_TREE_CELLS):
-        block, _ = eigen_decompositions(table.rows[live[lo:hi]], power_floor)
-        sets.update(zip([table.users[i] for i in live[lo:hi]], block))
+        block, _ = eigen_decompositions(table.rows[table.live[lo:hi]], power_floor)
+        sets.update(zip(users[lo:hi], block))
     return sets

@@ -1,19 +1,19 @@
 """Validation and characterization of discovered behavioral groups.
 
 A group's members are pooled into a joint matrix (rows of every member's
-matrix stacked).  Coherent groups concentrate their joint power in a few
-components, beat size-matched random user samples on top-4 captured power,
-and their leading joint eigen-behavior scores high on members and near zero
-on everyone else.  Group size distributions are summarized by a power-law
-rank-size fit, and partitions are compared by the pair-counting Jaccard
-index.  The validation tests read the online users off the
-``PopulationTable``'s mask and score them on its rows.
+matrix stacked in user-id order).  Coherent groups concentrate their joint
+power in a few components, beat size-matched random user samples on top-4
+captured power, and their leading joint eigen-behavior scores high on
+members and near zero on everyone else.  Group size distributions are
+summarized by a power-law rank-size fit, and partitions are compared by the
+pair-counting Jaccard index.  Every test reads the ``PopulationTable``: a
+joint matrix is one gather of the table's rows at its users' sorted places,
+and the online users are the table's ``live`` places.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from math import comb
 from typing import Hashable, Sequence
@@ -27,31 +27,11 @@ from .summaries import (
     check_power_floor,
     cumulative_power,
     eigen_decompositions,
-    power_captured,
     significances,
 )
-from .trace import AssociationMatrix, PopulationTable
+from .trace import PopulationTable
 
 SCATTER_TOP_K = 4
-
-
-def joint_matrix(matrices: Sequence[AssociationMatrix]) -> AssociationMatrix:
-    """Row-stack member matrices in ascending user-id order."""
-    if not matrices:
-        raise ValueError("no member matrices given")
-    ordered = sorted(matrices, key=lambda m: m.user_id)
-    index = ordered[0].location_index
-    t = ordered[0].n_slots
-    for m in ordered[1:]:
-        if m.location_index != index:
-            raise ValueError("member matrices must share one location_index")
-        if m.n_slots != t:
-            raise ValueError("member matrices must share the slot count")
-    users = [m.user_id for m in ordered]
-    if len(set(users)) != len(users):
-        raise ValueError("duplicate user in joint matrix")
-    joint = np.vstack([m.rows for m in ordered])
-    return AssociationMatrix("+".join(users), joint, index)
 
 
 @dataclass
@@ -68,7 +48,7 @@ class GroupProfile:
 
 def group_profiles(
     partition: Partition,
-    matrices: Mapping[str, AssociationMatrix],
+    table: PopulationTable,
     power_floor: float = DEFAULT_POWER_FLOOR,
 ) -> list[GroupProfile]:
     """Each cluster's members, joint eigen-behaviors and top 1..4 cumulative
@@ -79,14 +59,27 @@ def group_profiles(
     profiles = []
     for cid, members in enumerate(partition.clusters()):
         members = tuple(map(str, members))
-        joint = joint_matrix([matrices[m] for m in members])
+        at = np.sort(table.places(members))
         eigen, top = None, []
-        if joint.online.any():
-            (eigen,), (s,) = eigen_decompositions(joint.rows[None], power_floor)
+        if table.online[at].any():
+            (eigen,), (s,) = eigen_decompositions(_joint_rows(table, at)[None], power_floor)
             cumulative = cumulative_power(s)
             top = [float(cumulative[min(i, s.size - 1)]) for i in range(SCATTER_TOP_K)]
         profiles.append(GroupProfile(cid, members, eigen, top))
     return profiles
+
+
+def _joint_rows(table: PopulationTable, at: np.ndarray) -> np.ndarray:
+    """The joint matrix of the users at the ascending places at: their rows,
+    offline ones included, stacked in user-id order by one gather."""
+    return table.rows[at].reshape(-1, len(table.location_index))
+
+
+def _online_members(table: PopulationTable, members: Sequence[str]) -> np.ndarray:
+    """Which of the table's online users, at its places live, are members."""
+    member = np.zeros(len(table), dtype=bool)
+    member[table.places(members)] = True
+    return member[table.live]
 
 
 @dataclass
@@ -106,19 +99,17 @@ def group_power_scatter(
     """Top-4 joint power of each cluster with more than min_size users,
     against one seeded random sample of as many users with online time as it
     has online members, drawn without replacement.  Clusters without online
-    members have no power to compare and are skipped."""
+    members have no power to compare and are skipped.  A sample's power takes
+    the singular values of its joint matrix alone."""
     rng = np.random.default_rng(seed)
-    online = set(table.online_users)
-    population = sorted(online)
     points = []
     for profile in profiles:
         if profile.size <= min_size or profile.eigen is None:
             continue
-        n_online = len(online.intersection(profile.members))
-        sample = rng.choice(len(population), size=n_online, replace=False)
-        random_power = power_captured(
-            joint_matrix([table[population[i]] for i in sorted(sample)]), SCATTER_TOP_K
-        )
+        n_online = np.count_nonzero(_online_members(table, profile.members))
+        sample = np.sort(rng.choice(len(table.live), size=n_online, replace=False))
+        s = np.linalg.svd(_joint_rows(table, table.live[sample]), compute_uv=False)
+        random_power = float(cumulative_power(s)[min(SCATTER_TOP_K, s.size) - 1])
         coherent = profile.top_power[SCATTER_TOP_K - 1]
         points.append(ScatterPoint(profile.cluster_id, profile.size, coherent, random_power))
     if not points:
@@ -133,23 +124,18 @@ class CrossSignificance:
     other_mean: float  # mean SIG over all (cluster, non-member) pairs
 
 
-def cross_significance(profiles: list[GroupProfile], population: PopulationTable) -> CrossSignificance:
+def cross_significance(profiles: list[GroupProfile], table: PopulationTable) -> CrossSignificance:
     """Score each cluster's first joint eigen-behavior on online members vs everyone else."""
     scored = [p for p in profiles if p.eigen is not None]
     if not scored:
         raise ValueError("no cluster has online members")
-    online = np.array(sorted(population.online_users))
     firsts = np.array([p.eigen.vectors[0] for p in scored])
-    table = significances(population.rows, firsts, population.places(online)).T  # (clusters, users)
-    flat = table.reshape(-1)
+    scores = significances(table.rows, firsts, table.live).T  # (clusters, online users)
+    flat = scores.reshape(-1)
     per_cluster, own_all, n_other = [], [], 0
-    for profile, scores in zip(scored, table):
-        # each member's place among the sorted online users; a member whose
-        # place holds another user, or lies past the end, is offline: dropped
-        at = np.searchsorted(online, profile.members)
-        member = np.zeros(len(online), bool)
-        member[at[online.take(at, mode="clip") == profile.members]] = True
-        own, other = scores[member], scores[~member]
+    for profile, row in zip(scored, scores):
+        member = _online_members(table, profile.members)
+        own, other = row[member], row[~member]
         per_cluster.append(
             (profile.cluster_id, float(own.mean()), float(other.mean()) if other.size else float("nan"))
         )

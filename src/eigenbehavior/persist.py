@@ -50,8 +50,8 @@ from .groups import GroupProfile
 from .profilecast import Message, SimConfig, SimResult
 from .summaries import EigenBehaviorSet
 from .trace import (
-    AssociationMatrix,
     AssociationRecord,
+    PopulationTable,
     Records,
     TraceConfig,
     as_records,
@@ -120,21 +120,18 @@ def load_truth_csv(path: str) -> dict[str, int]:
     return read_table(path, ("user", "group"), "user", ints=True)
 
 
-def write_matrix_index(
-    out_dir: str, matrices: dict[str, AssociationMatrix], config: TraceConfig, options: dict
-) -> None:
-    """index.json: the sorted users, the matrices' shape, their shared location
-    index, and as its config the trace config and the run's analysis options.
-    The rows are not stored: build_matrices rebuilds them from the trace,
-    config and locmap that manifest.json digests."""
+def write_matrix_index(out_dir: str, table: PopulationTable, config: TraceConfig, options: dict) -> None:
+    """index.json: the table's sorted users, its matrices' shape, their shared
+    location index, and as its config the trace config and the run's
+    analysis options.  The rows are not stored: build_matrices rebuilds them
+    from the trace, config and locmap that manifest.json digests."""
     os.makedirs(out_dir, exist_ok=True)
-    users = sorted(matrices)
-    first = matrices[users[0]]
+    _, t, n = table.rows.shape
     index = {
-        "users": users,
-        "t": first.n_slots,
-        "n": first.n_locations,
-        "location_index": list(first.location_index),
+        "users": list(table.users),
+        "t": t,
+        "n": n,
+        "location_index": list(table.location_index),
         "config": {**dataclasses.asdict(config), **options},
     }
     write_json(os.path.join(out_dir, "index.json"), index)

@@ -1,4 +1,4 @@
-"""End-to-end wiring: trace -> matrices -> metric -> partition -> group report."""
+"""End-to-end wiring: population table -> metric -> partition -> group report."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from . import distances, groups, summaries
 from .cluster import METRIC_MAX, DistanceMatrix, Partition, agglomerate
-from .trace import PopulationTable, TraceConfig, build_matrices
+from .trace import PopulationTable
 
 METRICS = tuple(METRIC_MAX)
 
@@ -42,21 +42,20 @@ class PipelineResult:
 
 
 def run_pipeline(
-    records,
-    config: TraceConfig,
+    matrices: PopulationTable,
     metric: str = "eigen",
     threshold: float | None = None,
     target_count: int | None = None,
     power_floor: float = summaries.DEFAULT_POWER_FLOOR,
     include_offline: bool = False,
 ) -> PipelineResult:
-    """Run the full grouping pipeline on prepared (already aggregated) records.
+    """Run the full grouping pipeline on the population table that
+    build_matrices makes of the prepared (already aggregated) records.
 
     Eigen sets and then summary vectors are built once and feed every output;
     the summaries are held only while the summary table and the metric's
     column are read off them, and the similarity triangle is built only for
     the eigen metric."""
-    matrices = build_matrices(records, config)
     eigen_sets = distances.eigen_sets_for(matrices, power_floor)
     summary = summaries.summary_vectors(matrices, eigen_sets)
     table, column = summaries.summary_table(matrices, summary), summary.column(metric)

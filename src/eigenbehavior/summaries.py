@@ -81,13 +81,12 @@ class SummaryVectors:
 
     def column(self, metric: str) -> tuple[tuple[str, ...], np.ndarray] | None:
         """The summaries that --metric metric names in SUMMARY_NAMES, users in
-        sorted order: their ids and a fresh (users, locations) array; None
-        when metric names no summary."""
+        the order of ids (the table's, sorted): the ids and a fresh (users,
+        locations) array; None when metric names no summary."""
         kind = {name: k for k, (_, name) in enumerate(SUMMARY_NAMES) if name is not None}.get(metric)
         if kind is None:
             return None
-        order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
-        return tuple(self.ids[i] for i in order), self.vectors[order, kind]
+        return self.ids, self.vectors[:, kind].copy()
 
 
 def _require_online(matrix: AssociationMatrix) -> None:
@@ -298,10 +297,9 @@ def summary_vectors(
     missing = sorted(u for u in usable if eigen_sets.get(u) is None)
     if missing:
         raise ValueError(f"no eigen-behavior set for online users: {missing}")
-    live = table.online.any(axis=1)
     vectors = np.empty((len(usable), len(SUMMARY_NAMES), len(table.location_index)))
-    vectors[:, 0] = _onavgs(table.rows)[live]
-    vectors[:, 1:-1] = _mode_cuts(table.rows, table.online, MODE_THRESHOLDS)[1][live]
+    vectors[:, 0] = _onavgs(table.rows)[table.live]
+    vectors[:, 1:-1] = _mode_cuts(table.rows, table.online, MODE_THRESHOLDS)[1][table.live]
     vectors[:, -1] = [eigen_sets[u].vectors[0] for u in usable]
     return SummaryVectors(usable, vectors)
 

@@ -7,8 +7,9 @@ The builder turns every user's records into a t x n matrix whose rows are
 time slots (days by default) and whose columns are locations.  Rows of an
 online slot sum to 1 in normalized mode; offline slots stay all zero.  It
 returns every user's matrix as one ``PopulationTable``: a read-only (users,
-slots, locations) array with its online mask, which the later stages read
-a block of users at a time, and which also maps each user to an
+slots, locations) array of the sorted users, with its online mask and the
+places of its online users, which the later stages read a block or a
+gather of users at a time, and which also maps each user to an
 ``AssociationMatrix`` view of its rows.
 """
 
@@ -145,10 +146,12 @@ class PopulationTable(Mapping[str, AssociationMatrix]):
     """Every user's slot-by-location matrix, held as one read-only (users,
     slots, locations) array.
 
-    ``rows[i]`` is user ``users[i]``'s matrix over ``location_index``, and
+    ``rows[i]`` is user ``users[i]``'s matrix over ``location_index``; the
+    users are sorted and unique, so every stage reads them in one order.
     ``online[i]``, computed once with the table, marks its online slots: the
-    rows with association time, as ``AssociationMatrix.online`` has them.
-    The stages read user ranges of ``rows`` and ``online``; as a mapping the
+    rows with association time, as ``AssociationMatrix.online`` has them;
+    ``live`` holds the places of the users with an online slot.  The stages
+    read user ranges and gathers of ``rows`` and ``online``; as a mapping the
     table gives each user an ``AssociationMatrix`` view of its rows.
     """
 
@@ -158,12 +161,15 @@ class PopulationTable(Mapping[str, AssociationMatrix]):
         self.rows = np.asarray(rows, dtype=float).view()
         if self.rows.ndim != 3 or self.rows.shape[::2] != (len(self.users), len(self.location_index)):
             raise ValueError("rows must be (users, slots, locations) over the users and location_index")
+        late = next((b for a, b in zip(self.users, self.users[1:]) if not a < b), None)
+        if late is not None:
+            raise ValueError(f"the table's users must be sorted and unique: {late!r} is out of order or repeated")
         self._place = {user: i for i, user in enumerate(self.users)}
-        if len(self._place) != len(self.users):
-            raise ValueError("a user occurs twice in the table")
         self.rows.flags.writeable = False
         self.online = online_slots(self.rows)
         self.online.flags.writeable = False
+        self.live = np.flatnonzero(self.online.any(axis=1))
+        self.live.flags.writeable = False
 
     def __getitem__(self, user: str) -> AssociationMatrix:
         return AssociationMatrix(user, self.rows[self._place[user]], self.location_index)
@@ -177,7 +183,7 @@ class PopulationTable(Mapping[str, AssociationMatrix]):
     @property
     def online_users(self) -> tuple[str, ...]:
         """The users with an online slot, in table order."""
-        return tuple(user for user, on in zip(self.users, self.online.any(axis=1).tolist()) if on)
+        return tuple(map(self.users.__getitem__, self.live.tolist()))
 
     def places(self, users: Iterable[str]) -> np.ndarray:
         """Each of the users' row in the table."""

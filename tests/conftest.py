@@ -63,12 +63,13 @@ def count_calls(monkeypatch, module, name: str, calls, sizes=None) -> None:
 
 def table_of(matrices) -> PopulationTable:
     """A dict of same-shape matrices over one location index, stacked into
-    the PopulationTable that build_matrices would give, users in its order."""
-    each = list(matrices.values())
+    the PopulationTable that build_matrices would give: its users sorted."""
+    users = sorted(matrices)
+    each = [matrices[user] for user in users]
     index = each[0].location_index if each else ()
     assert all(m.location_index == index for m in each), "one location_index"
     rows = np.stack([m.rows for m in each]) if each else np.zeros((0, 0, 0))
-    return PopulationTable(list(matrices), index, rows)
+    return PopulationTable(users, index, rows)
 
 
 def profile_half_config(records) -> dict:

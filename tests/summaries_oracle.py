@@ -8,7 +8,10 @@ The oracle for summaries._mode_cuts and centroid_first_mode, and for
 significance, summary_table and groups.cross_significance; and, as each
 matrix was decomposed by its own SVD before the package took one stacked
 SVD per block of users, for distances.eigen_sets_for and
-summaries.eigen_decompositions.
+summaries.eigen_decompositions.  And, as the package built each joint group
+matrix before it gathered a cluster's rows off the population table in one
+step, for groups.group_profiles and group_power_scatter: np.vstack of the
+members' AssociationMatrix views in user-id order, then np.linalg.svd.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from cluster_oracle import agglomerate
-from eigenbehavior import CrossSignificance
+from eigenbehavior import AssociationMatrix, CrossSignificance, EigenBehaviorSet, GroupProfile, ScatterPoint
 from eigenbehavior.summaries import MODE_THRESHOLDS
 
 
@@ -155,3 +158,49 @@ def eigen_sets_for(matrices, power_floor: float) -> dict:
         user: eigen_decomposition(matrix, power_floor) if (matrix.rows.sum(axis=1) > 0).any() else None
         for user, matrix in matrices.items()
     }
+
+
+def joint_matrix(matrices, members) -> AssociationMatrix:
+    """The members' matrices row-stacked in ascending user-id order."""
+    ordered = sorted(members)
+    rows = np.vstack([matrices[user].rows for user in ordered])
+    return AssociationMatrix("+".join(ordered), rows, matrices[ordered[0]].location_index)
+
+
+def top_power(s: np.ndarray, k: int) -> float:
+    """Share of the squared singular values s captured by the top k of them."""
+    powers = s * s
+    return float((np.cumsum(powers) / powers.sum())[min(k, s.size) - 1])
+
+
+def group_profiles(partition, matrices, power_floor: float) -> list[GroupProfile]:
+    """Each cluster's joint matrix built from its members' views, then one
+    eigen_decomposition of it, when a member has an online row."""
+    profiles = []
+    for cid, members in enumerate(partition.clusters()):
+        members = tuple(map(str, members))
+        eigen, top = None, []
+        if any(matrices[user].online.any() for user in members):
+            vectors, weights, s = eigen_decomposition(joint_matrix(matrices, members), power_floor)
+            eigen = EigenBehaviorSet(vectors, weights)
+            top = [top_power(s, k) for k in range(1, 5)]
+        profiles.append(GroupProfile(cid, members, eigen, top))
+    return profiles
+
+
+def group_power_scatter(profiles, matrices, min_size: int, seed: int) -> list[ScatterPoint]:
+    """Each large enough cluster with online members against a seeded sample
+    of as many of the sorted online users as it has online members, the
+    sample's joint matrix built from their views and its singular values
+    taken by np.linalg.svd."""
+    rng = np.random.default_rng(seed)
+    population = sorted(u for u, m in matrices.items() if m.online.any())
+    points = []
+    for profile in profiles:
+        if profile.size <= min_size or profile.eigen is None:
+            continue
+        n_online = len(set(population).intersection(profile.members))
+        sample = [population[i] for i in rng.choice(len(population), size=n_online, replace=False)]
+        s = np.linalg.svd(joint_matrix(matrices, sample).rows, compute_uv=False)
+        points.append(ScatterPoint(profile.cluster_id, profile.size, profile.top_power[3], top_power(s, 4)))
+    return points

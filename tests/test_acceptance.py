@@ -35,6 +35,7 @@ from eigenbehavior import (
     SimConfig,
     TraceConfig,
     amvd_distance_matrix,
+    build_matrices,
     build_messages,
     centroid_first_mode,
     cross_significance,
@@ -72,8 +73,7 @@ def planted_run():
     records, truth = generate(spec)
     start = time.perf_counter()
     result = run_pipeline(
-        records,
-        TraceConfig(0.0, spec.n_days * DAY_SECONDS),
+        build_matrices(records, TraceConfig(0.0, spec.n_days * DAY_SECONDS)),
         metric="eigen",
         target_count=5,
     )
@@ -371,7 +371,7 @@ def test_dissemination_scheme_orderings(capsys):
     records, _ = generate(spec)
     first, second, split_time = split_trace(records, 0.5, span=spec.trace_span)
     result = run_pipeline(
-        first, TraceConfig(0.0, split_time), metric="eigen", target_count=10
+        build_matrices(first, TraceConfig(0.0, split_time)), metric="eigen", target_count=10
     )
     messages = build_messages(result.partition, creation_time=split_time)
     encounters = EncounterStream(second)
@@ -438,7 +438,7 @@ def test_similarity_thresholds_change_overhead_on_overlapping_modes(capsys):
     records, _ = generate(spec)
     first, second, split_time = split_trace(records, 0.5, span=spec.trace_span)
     result = run_pipeline(
-        first, TraceConfig(0.0, split_time), metric="eigen", target_count=len(OVERLAP_SHARES)
+        build_matrices(first, TraceConfig(0.0, split_time)), metric="eigen", target_count=len(OVERLAP_SHARES)
     )
     messages = build_messages(result.partition, creation_time=split_time)
     encounters = EncounterStream(second)

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -17,8 +18,16 @@ import pytest
 
 import eigenbehavior
 from conftest import count_calls, digest_tree, profile_half_config
-from eigenbehavior import EncounterStream, build_messages, distance_cdfs, jaccard, load_records, split_trace
-from eigenbehavior import summaries, trace
+from eigenbehavior import (
+    EncounterStream,
+    build_matrices,
+    build_messages,
+    distance_cdfs,
+    jaccard,
+    load_records,
+    split_trace,
+)
+from eigenbehavior import cli, pipeline, summaries, trace
 from eigenbehavior.cli import _pipeline_config, main
 from eigenbehavior.pipeline import METRICS, run_pipeline
 from eigenbehavior.persist import (
@@ -198,7 +207,7 @@ def test_reloaded_distances_give_exact_cdfs(workdir, tmp_path, metric):
         assert main(argv + ["--out", str(out)]) == 0
     records = load_records(trace)
     _, config, options = _pipeline_config(json.loads((workdir / "config.json").read_text()), records)
-    result = run_pipeline(records, config, metric=metric, target_count=3, **options)
+    result = run_pipeline(build_matrices(records, config), metric=metric, target_count=3, **options)
     loaded = load_distance_matrix(str(out / "distances.npy"))
     assert loaded.ids == result.distance_matrix.ids and loaded.metric == metric
     assert loaded.values.tobytes() == result.distance_matrix.values.tobytes()
@@ -207,6 +216,37 @@ def test_reloaded_distances_give_exact_cdfs(workdir, tmp_path, metric):
     want = distance_cdfs(result.partition, result.distance_matrix)
     assert [cdf.tobytes() for cdf in got] == [cdf.tobytes() for cdf in want]
     assert all(len(cdf) for cdf in got)
+
+
+@pytest.mark.parametrize("locmap", [False, True])
+def test_pipeline_drops_the_trace_before_clustering(workdir, tmp_path, monkeypatch, locmap):
+    """cmd_pipeline builds the population table and then drops the trace's
+    Records, as loaded and as aggregated to buildings: none is alive when
+    agglomerate starts, the stage at which a run peaks."""
+    refs, alive = [], []
+
+    def keeping_refs(fn):
+        def call(*args):
+            records = fn(*args)
+            refs.append(weakref.ref(records))
+            return records
+
+        return call
+
+    def clustering(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return agglomerate(*args, **kwargs)
+
+    agglomerate = pipeline.agglomerate
+    monkeypatch.setattr(cli, "load_records", keeping_refs(cli.load_records))
+    monkeypatch.setattr(cli, "aggregate_locations", keeping_refs(cli.aggregate_locations))
+    monkeypatch.setattr(pipeline, "agglomerate", clustering)
+    argv = ["pipeline", str(workdir / "synth" / "trace.csv"), "--config", str(workdir / "config.json")]
+    if locmap:
+        (tmp_path / "locmap.csv").write_text("ap,building\nL000,B0\nL001,B0\nL002,B1\nL003,B1\n")
+        argv += ["--locmap", str(tmp_path / "locmap.csv")]
+    assert main(argv + ["--clusters", "2", "--out", str(tmp_path / "out")]) == 0
+    assert alive == [[False] * (1 + locmap)]
 
 
 def test_pipeline_amvd_metric_and_locmap(workdir, tmp_path):

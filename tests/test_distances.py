@@ -16,6 +16,7 @@ from eigenbehavior import cluster, distances, persist, summaries
 from eigenbehavior import (
     DistanceMatrix,
     EigenBehaviorSet,
+    PopulationTable,
     TraceConfig,
     amvd_distance_matrix,
     build_matrices,
@@ -375,22 +376,28 @@ def test_summary_l1_distance_onavg_and_centroid():
 
 
 def test_summary_l1_distance_reads_its_column_in_sorted_user_order():
-    """The summaries keep the dict's user order; the distances sort the users."""
+    """A PopulationTable holds its users sorted and unique, and refuses them
+    out of order or repeated, so the summaries, their column and the
+    distances all keep the table's one user order."""
     mats = {
         u: matrix_from_rows(basis_rows(slots, 3), user_id=u)
         for u, slots in (("c", [2, 2, 0]), ("a", [0, 0, 1]), ("b", [1, 1, 1]))
     }
+    rows = np.stack([m.rows for m in mats.values()])
+    index = mats["a"].location_index
+    for users in (("c", "a", "b"), ("a", "c", "b"), ("a", "b", "b")):
+        with pytest.raises(ValueError, match="users must be sorted and unique"):
+            PopulationTable(users, index, rows)
     summary = summaries_of(mats)
-    assert summary.ids == ("c", "a", "b")
+    assert summary.ids == ("a", "b", "c")
     for metric in ("onavg", "centroid05", "centroid09"):
         kind = [name for _, name in summaries.SUMMARY_NAMES].index(metric)
-        vectors = summary.vectors[[1, 2, 0], kind]
         ids, column = summary.column(metric)
-        assert ids == ("a", "b", "c") and np.array_equal(column, vectors)
+        assert ids == ("a", "b", "c") and np.array_equal(column, summary.vectors[:, kind])
         assert not np.shares_memory(column, summary.vectors)  # the summaries may be dropped
         dm = summary_l1_distance(ids, column, metric)
         assert dm.ids == ("a", "b", "c")
-        assert np.array_equal(unfold(dm), np.abs(vectors[:, None] - vectors[None]).sum(axis=2))
+        assert np.array_equal(unfold(dm), np.abs(column[:, None] - column[None]).sum(axis=2))
 
 
 def test_summary_l1_distance_excludes_offline():

@@ -1,4 +1,4 @@
-"""Group validation: joint matrices, power scatter, cross significance,
+"""Group validation: group profiles, power scatter, cross significance,
 rank-size fit, and partition comparison (Jaccard against a pair-scan oracle)."""
 
 from __future__ import annotations
@@ -10,15 +10,11 @@ import numpy as np
 import pytest
 
 from eigenbehavior import (
-    Partition,
-    groups,
     cross_significance,
     group_power_scatter,
     group_profiles,
     jaccard,
-    joint_matrix,
     partition_from_labels,
-    power_captured,
     rank_size_fit,
     top_groups_share,
 )
@@ -52,31 +48,6 @@ def orthogonal_population(n_groups=6, per_group=6, t=5):
             )
             labels[uid] = g
     return matrices, partition_from_labels(labels)
-
-
-# ----------------------------------------------------------- joint matrix ---
-
-
-def test_joint_matrix_stacks_in_user_id_order():
-    a = matrix_from_rows(basis_rows([0], 2), user_id="a")
-    b = matrix_from_rows(basis_rows([1], 2), user_id="b")
-    joint = joint_matrix([b, a])
-    assert joint.user_id == "a+b"
-    np.testing.assert_allclose(joint.rows, [[1.0, 0.0], [0.0, 1.0]])
-
-
-def test_joint_matrix_validation():
-    a = matrix_from_rows(basis_rows([0], 2), user_id="a")
-    with pytest.raises(ValueError, match="no member"):
-        joint_matrix([])
-    with pytest.raises(ValueError, match="duplicate"):
-        joint_matrix([a, a])
-    other_index = matrix_from_rows(basis_rows([0], 2), user_id="b", locations=("X", "Y"))
-    with pytest.raises(ValueError, match="location_index"):
-        joint_matrix([a, other_index])
-    taller = matrix_from_rows(basis_rows([0, 1], 2), user_id="c")
-    with pytest.raises(ValueError, match="slot count"):
-        joint_matrix([a, taller])
 
 
 # ------------------------------------------------------------ power scatter ---
@@ -138,14 +109,9 @@ def test_power_scatter_draws_from_online_users_only():
 def test_power_scatter_draws_are_unchanged_when_everyone_is_online():
     matrices, partition = orthogonal_population(n_groups=4, per_group=7)
     matrices = table_of(matrices)
-    population = sorted(matrices)
-    rng = np.random.default_rng(3)
-    want = []
-    for profile in group_profiles(partition, matrices):
-        sample = sorted(rng.choice(len(population), size=profile.size, replace=False))
-        want.append(power_captured(joint_matrix([matrices[population[i]] for i in sample]), 4))
-    points = group_power_scatter(group_profiles(partition, matrices), matrices, seed=3)
-    assert [p.random_power for p in points] == want
+    profiles = group_profiles(partition, matrices)
+    want = summaries_oracle.group_power_scatter(profiles, matrices, 5, 3)
+    assert group_power_scatter(profiles, matrices, seed=3) == want
 
 
 # ------------------------------------------------------ cross significance ---
@@ -272,7 +238,7 @@ def test_group_profiles():
         "dead": matrix_from_rows(np.zeros((2, 2)), user_id="dead"),
     }
     partition = partition_from_labels({"a": 0, "b": 0, "dead": 1})
-    profiles = group_profiles(partition, matrices)
+    profiles = group_profiles(partition, table_of(matrices))
     assert [p.cluster_id for p in profiles] == [0, 1]
     live = profiles[0]
     assert live.members == ("a", "b") and live.size == 2
@@ -286,31 +252,22 @@ def test_group_profiles():
 
 
 def test_validation_decomposes_each_cluster_once(monkeypatch):
-    """group_profiles builds and decomposes each cluster's joint matrix once;
-    the scatter and cross significance read its profiles, so the only other
-    joint matrices and SVDs are the scatter's random samples."""
+    """group_profiles gathers and decomposes each cluster's joint matrix
+    once; the scatter and cross significance read its profiles, so the only
+    other SVDs are the scatter's random samples."""
     matrices, partition = orthogonal_population(n_groups=4, per_group=6)
-    for i in range(6):  # an all-offline cluster: built once, never decomposed
+    for i in range(6):  # an all-offline cluster: never decomposed
         matrices[f"x{i}"] = matrix_from_rows(np.zeros((5, 4)), user_id=f"x{i}")
     labels = {**partition.assignment, **{f"x{i}": 4 for i in range(6)}}
     matrices = table_of(matrices)
-    counts = {"svd": 0, "joint": 0}
-    svd, joint = np.linalg.svd, groups.joint_matrix
-
-    def counted(name, fn):
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return call
-
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
-    monkeypatch.setattr(groups, "joint_matrix", counted("joint", joint))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(len(args[0])) or svd(*args, **kwargs))
     profiles = group_profiles(partition_from_labels(labels), matrices)
-    assert counts == {"svd": 4, "joint": 5}
+    assert calls == [1] * 4  # one stack of one joint matrix a cluster with online members
     points = group_power_scatter(profiles, matrices, min_size=5, seed=0)
     cross = cross_significance(profiles, matrices)
     assert len(points) == 4 and len(cross.per_cluster) == 4
-    assert counts == {"svd": 8, "joint": 9}  # one more of each per random sample
+    assert calls == [1] * 4 + [6 * 5] * 4  # one more per random sample, its joint rows
     for point, profile in zip(points, profiles):
         assert point.coherent_power == profile.top_power[3]

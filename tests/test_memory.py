@@ -281,23 +281,23 @@ def test_agglomerate_rescans_one_row_at_a_time():
 
 
 def test_eigen_pipeline_holds_the_triangle_and_one_working_copy():
-    # 1200 users in 12 planted groups, 28 days: the matrices (5 MB), the
-    # similarity blocks, then the linkage's working copy (5.5 MB) beside the
-    # triangle (5.5 MB); the parent's n x n square (11 MB) breaks the bound
+    # 1200 users in 12 planted groups, 28 days: the similarity blocks, then
+    # the linkage's working copy (5.5 MB) beside the triangle (5.5 MB); the
+    # parent's n x n square (11 MB) breaks the bound.  The run takes the
+    # population table (5 MB), built before tracing starts like every input.
     n_groups, size, n_days = 12, 100, 28
     groups = tuple(
         GroupSpec(size, single_location_modes(20, [g]), (1.0,), p_online=0.8) for g in range(n_groups)
     )
     records, _ = generate(SynthSpec(n_locations=20, n_days=n_days, groups=groups, seed=5, noise_epsilon=0.05))
-    config = TraceConfig(0.0, n_days * DAY_SECONDS)
-    result, peak = peak_above_inputs(run_pipeline, records, config, metric="eigen", target_count=n_groups)
+    table = build_matrices(records, TraceConfig(0.0, n_days * DAY_SECONDS))
+    result, peak = peak_above_inputs(run_pipeline, table, metric="eigen", target_count=n_groups)
     n = len(result.matrices)
     assert n == n_groups * size and result.partition.n_clusters == n_groups
     k = max(s.k for s in result.eigen_sets.values() if s is not None)
-    matrices = n * n_days * 20 * 8
     allowance = triangle(n) + linkage_copy(n) + eigen_distance_blocks(n, k)
     assert allowance < triangle(n) + n * n * 8
-    assert_within(peak, matrices + allowance + SLACK)
+    assert_within(peak, allowance + SLACK)
 
 
 def test_summary_table_holds_one_block_of_mode_trees():

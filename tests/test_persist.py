@@ -20,7 +20,7 @@ from eigenbehavior import (
     TraceConfig,
     load_records,
 )
-from conftest import matrix_from_rows, unfold
+from conftest import matrix_from_rows, table_of, unfold
 from eigenbehavior.persist import (
     fmt,
     load_distance_matrix,
@@ -38,8 +38,10 @@ from eigenbehavior.persist import (
 
 
 def test_trace_end_reads_back_from_the_matrix_index(tmp_path):
-    matrices = {"u": matrix_from_rows(np.eye(2), user_id="u")}
-    write_matrix_index(str(tmp_path), matrices, TraceConfig(0, 172800), {"power_floor": 0.001})
+    table = table_of({"u": matrix_from_rows(np.eye(2), user_id="u")})
+    write_matrix_index(str(tmp_path), table, TraceConfig(0, 172800), {"power_floor": 0.001})
+    index = json.loads((tmp_path / "index.json").read_text())
+    assert (index["users"], index["t"], index["n"], index["location_index"]) == (["u"], 2, 2, ["L000", "L001"])
     assert load_trace_end(str(tmp_path / "index.json")) == 172800.0
     (tmp_path / "index.json").write_text(json.dumps({"config": {"trace_end": "172800"}}))
     with pytest.raises(ValueError, match=r"index\.json: malformed matrices index \(trace_end must be a number"):

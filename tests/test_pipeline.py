@@ -13,6 +13,7 @@ from eigenbehavior import (
     AssociationMatrix,
     AssociationRecord,
     GroupSpec,
+    PopulationTable,
     SynthSpec,
     TraceConfig,
     agglomerate,
@@ -30,7 +31,6 @@ from eigenbehavior import (
 from eigenbehavior import cluster, distances, summaries
 from eigenbehavior.cluster import METRIC_MAX
 from eigenbehavior.pipeline import METRICS
-from eigenbehavior.trace import online_slots
 
 import distances_oracle
 from conftest import count_calls, unfold
@@ -56,7 +56,7 @@ def planted():
 def test_build_distance_matrix_dispatch(planted, metric):
     """Every --metric name builds a matrix under that name."""
     records, _, config = planted
-    built = run_pipeline(records, config, target_count=2)
+    built = run_pipeline(build_matrices(records, config), target_count=2)
     column = summary_vectors(built.matrices, built.eigen_sets).column(metric)
     assert (column is None) == (metric in ("eigen", "amvd"))
     dm = build_distance_matrix(built.matrices, metric, built.eigen_sets, column)
@@ -69,7 +69,7 @@ def test_build_distance_matrix_dispatch(planted, metric):
 @pytest.mark.parametrize("metric", ["eigen", "amvd", "onavg", "centroid05"])
 def test_pipeline_recovers_planted_groups(planted, metric):
     records, truth, config = planted
-    result = run_pipeline(records, config, metric=metric, target_count=2)
+    result = run_pipeline(build_matrices(records, config), metric=metric, target_count=2)
     assert jaccard(result.partition, partition_from_labels(truth)) == 1.0
     assert result.partition.n_clusters == 2
     assert len(result.profiles) == 2
@@ -92,7 +92,7 @@ def test_never_online_user_is_flagged_or_dropped_by_metric(planted, metric, kept
     offline = AssociationRecord("zz-offline", rows[0].location_id, -100, -10)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = run_pipeline(rows + [offline], config, metric=metric, target_count=3)
+        result = run_pipeline(build_matrices(rows + [offline], config), metric=metric, target_count=3)
     dropped = [str(w.message) for w in caught if "all-offline" in str(w.message)]
     assert dropped == ["summary_vectors: skipped all-offline users: ['zz-offline']"]
     dm = result.distance_matrix
@@ -118,7 +118,7 @@ def test_summary_table_reads_pipeline_eigen_sets(planted, monkeypatch):
     calls, decomposed = Counter(), []
     count_calls(monkeypatch, summaries, "eigen_behaviors", calls)
     count_calls(monkeypatch, summaries, "eigen_decompositions", calls, decomposed)
-    result = run_pipeline(records, config, target_count=2)
+    result = run_pipeline(build_matrices(records, config), target_count=2)
     assert calls["eigen_behaviors"] == 0
     online_users = sum(m.online.any() for m in matrices.values())
     assert sum(decomposed) == online_users + sum(p.eigen is not None for p in result.profiles)
@@ -138,37 +138,41 @@ def test_a_run_grows_each_mode_tree_once_and_averages_each_user_once(planted, mo
     count_calls(monkeypatch, summaries, "_mode_cuts", calls)
     count_calls(monkeypatch, summaries, "_onavgs", calls, averaged)
     with pytest.warns(UserWarning, match="skipped all-offline users"):
-        result = run_pipeline(rows + [offline], config, metric=metric, target_count=2)
+        result = run_pipeline(build_matrices(rows + [offline], config), metric=metric, target_count=2)
     assert calls == {"_mode_cuts": 1, "_onavgs": 1}
     assert averaged == [len(result.matrices)]
 
 
 @pytest.mark.parametrize("metric", METRICS)
 def test_a_run_reads_only_the_tables_online_mask(planted, monkeypatch, metric):
-    """Every stage reads the online mask the population table computed once;
-    no stage of a run, an all-offline user in it, asks a table user's
-    AssociationMatrix view for its online slots.  group_profiles' joint
-    matrices are copies, not views of the table, so their asks do not count."""
+    """Every stage reads the rows and the online mask of the population
+    table, which computed the mask once: no stage of a run, an all-offline
+    user in it, asks the table for a user's AssociationMatrix view, and
+    nothing asks any AssociationMatrix for its online slots."""
     records, _, config = planted
     rows = records.rows()
     offline = AssociationRecord("zz-offline", rows[0].location_id, -100, -10)
+    table = build_matrices(rows + [offline], config)
     asked = []
-    monkeypatch.setattr(AssociationMatrix, "online", property(lambda m: asked.append(m) or online_slots(m.rows)))
+    view = PopulationTable.__getitem__
+    monkeypatch.setattr(PopulationTable, "__getitem__", lambda t, user: asked.append(("view", user)) or view(t, user))
+    monkeypatch.setattr(AssociationMatrix, "online", property(lambda m: asked.append(("online", m.user_id))))
     with pytest.warns(UserWarning, match="skipped all-offline users"):
-        result = run_pipeline(rows + [offline], config, metric=metric, target_count=2)
-    assert result.matrices["zz-offline"].online.tolist() == [False] * len(result.matrices.rows[0])
-    views = [m.user_id for m in asked if np.shares_memory(m.rows, result.matrices.rows)]
-    assert views == ["zz-offline"]  # the check above, and nothing in the run
+        result = run_pipeline(table, metric=metric, target_count=2)
+    assert asked == []
+    assert result.profiles and result.matrices is table
+    assert "zz-offline" in table and asked == [("view", "zz-offline")]  # the patches were live
 
 
 def test_population_threshold_route(planted):
     records, truth, config = planted
-    dm = run_pipeline(records, config, target_count=2).distance_matrix
+    table = build_matrices(records, config)
+    dm = run_pipeline(table, target_count=2).distance_matrix
     partition = agglomerate(dm, threshold=0.5)
     assert jaccard(partition, partition_from_labels(truth)) == 1.0
-    assert run_pipeline(records, config, threshold=0.5).partition.assignment == partition.assignment
+    assert run_pipeline(table, threshold=0.5).partition.assignment == partition.assignment
     with pytest.raises(ValueError, match="exactly one"):
-        run_pipeline(records, config)
+        run_pipeline(table)
 
 
 @pytest.mark.parametrize("metric", ["eigen", "amvd", "onavg"])
@@ -185,7 +189,7 @@ def test_a_pipeline_run_validates_its_distance_matrix_once(planted, metric):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        run_pipeline(records, config, metric=metric, target_count=2)
+        run_pipeline(build_matrices(records, config), metric=metric, target_count=2)
     finally:
         sys.setprofile(previous)
     builders = {
@@ -215,12 +219,12 @@ def test_eigen_pipeline_builds_sets_and_table_once(planted, monkeypatch):
     rows = records.rows()
     offline = AssociationRecord("zz-offline", rows[0].location_id, -100, -10)
     with pytest.warns(UserWarning, match="skipped all-offline users"):
-        result = run_pipeline(rows + [offline], config, metric="eigen", target_count=3)
+        result = run_pipeline(build_matrices(rows + [offline], config), metric="eigen", target_count=3)
     assert calls == {"sim_matrix": 1, "eigen_sets_for": 1}
     # the other metrics build no sim table
     for metric in ("amvd", "onavg", "centroid05"):
         calls.clear()
-        run_pipeline(records, config, metric=metric, target_count=2)
+        run_pipeline(build_matrices(records, config), metric=metric, target_count=2)
         assert calls == {"eigen_sets_for": 1}, metric
 
     dm = result.distance_matrix

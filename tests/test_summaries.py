@@ -264,7 +264,7 @@ def test_summary_vectors_hold_each_online_users_summaries():
     sets = eigen_sets_for(mats)
     with pytest.warns(UserWarning, match=r"^summary_vectors: skipped all-offline users: \['dead'\]$"):
         summary = summary_vectors(mats, sets)
-    assert summary.ids == ("b", "a")  # the dict's order
+    assert summary.ids == ("a", "b")  # the table's sorted order
     assert summary.vectors.shape == (2, len(SUMMARY_NAMES), 3)
     for user, vectors in zip(summary.ids, summary.vectors):
         want = [onavg(mats[user])]
