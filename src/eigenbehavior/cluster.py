@@ -32,11 +32,9 @@ from typing import Hashable
 
 import numpy as np
 
-from .trace import budget_blocks
+from . import trace
 
 _MONOTONE_SLACK = 1e-12
-# l1_triangles measures rows against later rows in blocks of about this many cells.
-ROW_BLOCK_CELLS = 1 << 16
 
 # Each metric the pipeline builds, by its --metric name, with its largest distance.
 METRIC_MAX = {"eigen": 1.0, "amvd": 2.0, "onavg": 2.0, "centroid05": 2.0, "centroid09": 2.0}
@@ -108,7 +106,7 @@ def l1_triangles(rows: np.ndarray) -> np.ndarray:
     """(..., n, L) -> (..., n(n - 1) / 2): the condensed triangle of the L1
     distances between the rows of each matrix, in row_runs order.  The rows'
     location columns are made once; rows [lo, hi) are measured against every
-    later row from slices of them, in blocks of about ROW_BLOCK_CELLS cells,
+    later row from slices of them, in blocks of about trace.BLOCK_CELLS cells,
     and each row a's j > a run is copied into the triangle; every pair's
     terms are added in column order, as one whole-array pairwise_l1 adds
     them."""
@@ -116,7 +114,7 @@ def l1_triangles(rows: np.ndarray) -> np.ndarray:
     columns = _columns(rows)
     values = np.empty((n * (n - 1) // 2, *stack))  # pairs first: each run is one block
     runs = row_runs(values, n)
-    for lo, hi in budget_blocks(np.full(n - 1, math.prod(stack) * (n - 1)), ROW_BLOCK_CELLS):
+    for lo, hi in trace.budget_blocks(np.full(n - 1, math.prod(stack) * (n - 1)), trace.BLOCK_CELLS):
         block = _l1_of_columns(columns[..., lo:hi], columns[..., lo + 1 :])
         for a in range(lo, hi):
             runs[a][:] = np.moveaxis(block[..., a - lo, a - lo :], -1, 0)

@@ -26,13 +26,10 @@ from typing import Iterator
 
 import numpy as np
 
-from . import summaries
+from . import trace
 from .cluster import METRIC_MAX, DistanceMatrix, l1_triangles, pair_index, pairwise_l1
 from .summaries import DEFAULT_POWER_FLOOR, EigenBehaviorSet, check_power_floor, eigen_decompositions
 from .trace import PopulationTable, budget_blocks
-
-# sim_matrix's block of absolute dot products holds about this many cells.
-SIM_BLOCK_CELLS = 1 << 18
 
 
 def amvd_distance_matrix(table: PopulationTable, include_offline: bool = False) -> DistanceMatrix:
@@ -41,7 +38,7 @@ def amvd_distance_matrix(table: PopulationTable, include_offline: bool = False) 
     Users are taken in order of row count, ids breaking ties, and their rows
     (the online ones unless include_offline) gathered off the table in that
     order at once.  Each user's L1 distances to the rows of the users after
-    it are made once, in blocks of about SIM_BLOCK_CELLS cells: minima over
+    it are made once, in blocks of about trace.BLOCK_CELLS cells: minima over
     each later user's rows give the forward means, minima over the user's
     own rows the backward ones.  Each mean is a row mean over one contiguous
     run, so it has np.mean's bits; the later users' counts never fall, so
@@ -60,7 +57,7 @@ def amvd_distance_matrix(table: PopulationTable, include_offline: bool = False) 
     values = np.full(len(ids) * (len(ids) - 1) // 2, METRIC_MAX["amvd"])
     for p in range(len(flagged), len(ids) - 1):
         own = rows[bounds[p] : bounds[p + 1]]
-        for lo, hi in budget_blocks(sizes[p + 1 :], max(1, SIM_BLOCK_CELLS // len(own))):
+        for lo, hi in budget_blocks(sizes[p + 1 :], max(1, trace.BLOCK_CELLS // len(own))):
             lo, hi = lo + p + 1, hi + p + 1
             dist = pairwise_l1(own, rows[bounds[lo] : bounds[hi]])
             edges = bounds[lo:hi] - bounds[lo]
@@ -82,12 +79,12 @@ def sim_matrix(sets: list[EigenBehaviorSet]) -> Iterator[tuple[int, np.ndarray]]
     sim(u, v) = sum over i, j of w_ui * w_vj * |u_i . v_j|, the weighted
     absolute dot products of the two users' eigen-behavior vectors.  The
     products are taken for blocks of users whose vectors times all vectors
-    come to about SIM_BLOCK_CELLS.
+    come to about trace.BLOCK_CELLS.
     """
     weighted = np.vstack([s.vectors * s.weights[:, None] for s in sets])
     bounds = np.append(0, np.cumsum([s.k for s in sets]))
     starts = bounds[:-1]
-    per_block = max(1, SIM_BLOCK_CELLS // len(weighted))
+    per_block = max(1, trace.BLOCK_CELLS // len(weighted))
     for lo, hi in budget_blocks(np.diff(bounds), per_block):
         block = weighted[bounds[lo] : bounds[hi]] @ weighted.T
         np.abs(block, out=block)
@@ -166,7 +163,7 @@ def eigen_sets_for(
     """Eigen-behavior sets per user, in the order of the table; all-offline
     users map to None.  The online users are decomposed a block at a time by
     eigen_decompositions, each block one gather of their rows and one stacked
-    SVD, of at most summaries.MODE_TREE_CELLS input and output cells."""
+    SVD, of about trace.BLOCK_CELLS input and output cells."""
     check_power_floor(power_floor)
     sets: dict[str, EigenBehaviorSet | None] = dict.fromkeys(table.users)
     if not table.live.size:  # no SVD of an empty stack
@@ -175,7 +172,7 @@ def eigen_sets_for(
     rank = min(n_slots, n_locations)  # the SVD's components: U, s and vt
     cells = np.full(len(table.live), n_slots * n_locations + rank * (n_slots + n_locations + 1))
     users = table.online_users
-    for lo, hi in budget_blocks(cells, summaries.MODE_TREE_CELLS):
+    for lo, hi in budget_blocks(cells, trace.BLOCK_CELLS):
         block, _ = eigen_decompositions(table.rows[table.live[lo:hi]], power_floor)
         sets.update(zip(users[lo:hi], block))
     return sets

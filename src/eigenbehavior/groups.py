@@ -63,8 +63,7 @@ def group_profiles(
         eigen, top = None, []
         if table.online[at].any():
             (eigen,), (s,) = eigen_decompositions(_joint_rows(table, at)[None], power_floor)
-            cumulative = cumulative_power(s)
-            top = [float(cumulative[min(i, s.size - 1)]) for i in range(SCATTER_TOP_K)]
+            top = cumulative_power(s, SCATTER_TOP_K).tolist()
         profiles.append(GroupProfile(cid, members, eigen, top))
     return profiles
 
@@ -109,7 +108,7 @@ def group_power_scatter(
         n_online = np.count_nonzero(_online_members(table, profile.members))
         sample = np.sort(rng.choice(len(table.live), size=n_online, replace=False))
         s = np.linalg.svd(_joint_rows(table, table.live[sample]), compute_uv=False)
-        random_power = float(cumulative_power(s)[min(SCATTER_TOP_K, s.size) - 1])
+        random_power = float(cumulative_power(s, SCATTER_TOP_K)[-1])
         coherent = profile.top_power[SCATTER_TOP_K - 1]
         points.append(ScatterPoint(profile.cluster_id, profile.size, coherent, random_power))
     if not points:

@@ -231,11 +231,8 @@ def load_distance_matrix(path: str) -> DistanceMatrix:
             condensed = np.load(fh, allow_pickle=False)
         except (ValueError, EOFError) as exc:
             raise ValueError(f"{path}: not a .npy array ({exc})") from None
-    n = len(ids)
     if not isinstance(condensed, np.ndarray) or condensed.ndim != 1 or condensed.dtype != np.float64:
         raise ValueError(f"{path}: expected a 1-D float64 array")
-    if len(condensed) != n * (n - 1) // 2:
-        raise ValueError(f"{path}: {len(condensed)} distances, where {n} ids have {n * (n - 1) // 2} pairs")
     try:
         return DistanceMatrix(condensed, metric, ids, flagged_ids)
     except ValueError as exc:

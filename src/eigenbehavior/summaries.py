@@ -11,9 +11,9 @@ named by its mode's earliest row.
 
 The population passes read a ``PopulationTable``, every user's rows in one
 (users, slots, locations) array with its online mask: they run over blocks
-of users of at most MODE_TREE_CELLS cells, each block a slice or one gather
-of the table, and the one-matrix functions run the same passes on a stack of
-one matrix.
+of users of about ``trace.BLOCK_CELLS`` cells, each block a slice or one
+gather of the table, and the one-matrix functions run the same passes on a
+stack of one matrix.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import trace
 from .cluster import l1_triangles, merge_histories, merge_roots
 from .trace import AssociationMatrix, PopulationTable, budget_blocks
 
@@ -34,13 +35,6 @@ SUMMARY_NAMES = (
     *((f"centroid@{thr:g}", f"centroid{thr:g}".replace(".", "")) for thr in MODE_THRESHOLDS),
     ("svd", None),
 )
-# Mode trees grown in one engine call count at most this many cells (trees x
-# rows^2): about 160 users of 28 daily slots, whose triangles and the
-# engine's working copy of them take 1 MB together.  A block of significance
-# scores holds at most this many stacked row and product cells, a block of
-# onavg sums this many row cells, and a block of eigen decompositions this
-# many stacked input and SVD output cells.
-MODE_TREE_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -102,10 +96,10 @@ def onavg(matrix: AssociationMatrix) -> np.ndarray:
 
 def _onavgs(rows: np.ndarray) -> np.ndarray:
     """onavg of each matrix of the (matrices, slots, locations) stack rows,
-    NaN for a matrix without association mass, from slices of at most
-    MODE_TREE_CELLS row cells."""
+    NaN for a matrix without association mass, from slices of about
+    trace.BLOCK_CELLS row cells."""
     out = np.empty(rows.shape[::2])
-    for lo, hi in budget_blocks(np.full(len(rows), rows.shape[1] * rows.shape[2]), MODE_TREE_CELLS):
+    for lo, hi in budget_blocks(np.full(len(rows), rows.shape[1] * rows.shape[2]), trace.BLOCK_CELLS):
         block = rows[lo:hi]
         mass = np.abs(block).reshape(hi - lo, -1).sum(axis=1)
         with np.errstate(invalid="ignore"):  # 0 / 0 for a matrix without mass
@@ -124,7 +118,8 @@ def _mode_cuts(
     of the largest modes (the earliest root's on ties), NaN for a matrix with
     no online row.  A row's root is the place among its matrix's online rows
     of its mode's earliest row, as merge_roots gives it.  Trees are grown to
-    the largest threshold, MODE_TREE_CELLS cells at a time.
+    the largest threshold, about trace.BLOCK_CELLS cells at a time, each
+    tree counted at the widest tree's rows^2: the size its padded stack holds.
     """
     if any(thr < 0 for thr in thresholds):
         raise ValueError("threshold must be nonnegative")
@@ -132,10 +127,10 @@ def _mode_cuts(
     roots = np.empty((len(thresholds), n_online.sum()), dtype=np.intp)
     centroids = np.full((len(rows), len(thresholds), rows.shape[2]), np.nan)
     grown = np.flatnonzero(n_online)
-    per_call = max(1, MODE_TREE_CELLS // n_online.max(initial=1) ** 2)
+    cells = np.full(grown.size, n_online.max(initial=0) ** 2)
     lo = 0
-    for first in range(0, grown.size, per_call):
-        ids = grown[first : first + per_call]
+    for first, last in budget_blocks(cells, trace.BLOCK_CELLS) if grown.size else ():
+        ids = grown[first:last]
         hi = lo + n_online[ids].sum()
         roots[:, lo:hi], centroids[ids] = _chunk_cuts(rows, online, ids, thresholds)
         lo = hi
@@ -200,13 +195,14 @@ def significances(rows: np.ndarray, vectors: np.ndarray, at: np.ndarray) -> np.n
     locations) stack rows: a (len(at), k) table with contiguous columns.
     vectors is (len(at), k, locations), a set per matrix, or (k, locations),
     shared.  Each cell is the matrix-vector product of one significance call,
-    with its bits (a gemm rounds differently), in blocks of MODE_TREE_CELLS
-    row and product cells, each block's rows one gather of rows."""
+    with its bits (a gemm rounds differently), in blocks of about
+    trace.BLOCK_CELLS row and product cells, each block's rows one gather
+    of rows."""
     _, n_slots, n_locations = rows.shape
     k = vectors.shape[-2]
     table = np.empty((k, len(at)))
     per_matrix = np.full(len(at), n_slots * (n_locations + k))
-    for lo, hi in budget_blocks(per_matrix, MODE_TREE_CELLS):
+    for lo, hi in budget_blocks(per_matrix, trace.BLOCK_CELLS):
         block = rows[at[lo:hi]]
         ys = vectors if vectors.ndim == 2 else vectors[lo:hi]
         products = np.matmul(block[:, None], ys[..., None])[..., 0]  # (block, k, slots)
@@ -223,11 +219,11 @@ def check_power_floor(power_floor: float) -> float:
     return power_floor
 
 
-def cumulative_power(s: np.ndarray) -> np.ndarray:
-    """Share of total squared singular-value power captured by the top 1..r
-    of the singular values s."""
+def cumulative_power(s: np.ndarray, k: int) -> np.ndarray:
+    """Share of total squared singular-value power captured by the top 1..k
+    of the singular values s; past len(s), the share of all of them."""
     powers = s * s
-    return np.cumsum(powers) / powers.sum()
+    return (np.cumsum(powers) / powers.sum())[np.minimum(np.arange(k), s.size - 1)]
 
 
 def eigen_decompositions(rows: np.ndarray, power_floor: float) -> tuple[list[EigenBehaviorSet], np.ndarray]:
@@ -275,8 +271,7 @@ def power_captured(matrix: AssociationMatrix, k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
     _require_online(matrix)
-    cumulative = cumulative_power(np.linalg.svd(matrix.rows, compute_uv=False))
-    return float(cumulative[min(k, cumulative.size) - 1])
+    return float(cumulative_power(np.linalg.svd(matrix.rows, compute_uv=False), k)[-1])
 
 
 def summary_vectors(

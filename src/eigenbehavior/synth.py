@@ -10,7 +10,7 @@ offset within the day.  Generation is deterministic for a given spec and
 parallel-safe: every user draws from its own child seed.
 
 Users are generated in blocks of consecutive users of about
-SYNTH_BLOCK_CELLS cells, so only the record columns grow with the
+``trace.BLOCK_CELLS`` cells, so only the record columns grow with the
 population.  A block reads each user's 64-bit PCG64 words
 (``PCG64.random_raw``) and decodes them as that user's ``Generator``
 would, for all of the block's users at once: ``random()`` is the top 53
@@ -29,6 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import trace
 from .trace import (
     DAY_SECONDS,
     Records,
@@ -45,9 +46,6 @@ ONLINE_SECONDS = 8 * 3600  # association time packed into one online day
 OFFSETS = DAY_SECONDS - ONLINE_SECONDS + 1
 # numpy's Lemire rejection threshold for that range, 2**32 mod OFFSETS
 _LEMIRE_THRESHOLD = np.uint64((1 << 32) % OFFSETS)
-# generate sweeps users in blocks of about this many (day, location) cells,
-# so a block's word, weight and duration arrays stay a few MB each
-SYNTH_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -254,10 +252,11 @@ def _uniform(words: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _user_blocks(spec: SynthSpec) -> list[tuple[int, int]]:
-    """Consecutive user ranges of about SYNTH_BLOCK_CELLS cells each, a user
-    counting one cell per (day, location) and three more per day."""
+    """Consecutive user ranges of about trace.BLOCK_CELLS cells each, a user
+    counting one cell per (day, location) and three more per day, so a
+    block's word, weight and duration arrays stay a few MB each."""
     per_user = np.full(spec.n_users, spec.n_days * (spec.n_locations + 3))
-    return budget_blocks(per_user, SYNTH_BLOCK_CELLS)
+    return budget_blocks(per_user, trace.BLOCK_CELLS)
 
 
 class _Groups(NamedTuple):
@@ -361,7 +360,7 @@ def generate(spec: SynthSpec) -> tuple[Records, dict[str, int]]:
     Each online day's whole-second durations are laid out contiguously, in
     location order, from the day's start second; rows run in (user, day,
     location) order.  Users are generated in blocks of about
-    SYNTH_BLOCK_CELLS cells (``_block_records``), so only the record columns
+    trace.BLOCK_CELLS cells (``_block_records``), so only the record columns
     grow with the population.
     """
     group = np.repeat(np.arange(len(spec.groups)), [g.size for g in spec.groups])

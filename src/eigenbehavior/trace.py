@@ -397,18 +397,20 @@ def _int_cell(text: str, name: str, where: str) -> int:
 
 
 def read_table(path: str, header: tuple[str, str], key: str, ints: bool) -> dict:
-    """A two-column CSV file as a dict from each row's first cell to its
-    second; a first cell may occur once.  With ``ints`` set the second cell
-    is an int, else both cells are ids and must pass ``_check_id``."""
+    """A two-column CSV file as a dict from each row's first cell, an id that
+    must pass ``_check_id`` and may occur once, to its second: an int with
+    ``ints`` set, else another id.  A row's second cell is checked first."""
     table: dict = {}
     for line, (name, value) in read_csv(path, header):
         where = f"{path}:{line}"
-        if not ints:
-            _check_id(header[0], name, where)
+        if ints:
+            value = _int_cell(value, header[1], where)
+        else:
             _check_id(header[1], value, where)
+        _check_id(header[0], name, where)
         if name in table:
             raise ValueError(f"{where}: duplicate {key} {name!r}")
-        table[name] = _int_cell(value, header[1], where) if ints else value
+        table[name] = value
     return table
 
 
@@ -575,6 +577,13 @@ def merge_intervals(
     heads = order[opens]
     tails = np.append(np.flatnonzero(opens)[1:], len(key)) - 1
     return group[heads], start[heads], reach[tails] - base[heads]
+
+
+# Every population pass that counts float cells (the onavgs, mode trees,
+# significance scores, eigen sets, L1 triangles, AMVD and similarity blocks
+# and synth's users) cuts its blocks with budget_blocks from what one item
+# holds in cells, so that a block holds about this many: 2 MB of float64.
+BLOCK_CELLS = 1 << 18
 
 
 def budget_blocks(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:

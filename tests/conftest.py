@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from eigenbehavior import (
     build_matrices,
     generate,
     single_location_modes,
+    spec_from_json,
     split_trace,
 )
 from eigenbehavior.trace import DAY_SECONDS
@@ -54,11 +58,30 @@ def count_calls(monkeypatch, module, name: str, calls, sizes=None) -> None:
             sizes.append(len(args[0]))
         return original(*args, **kwargs)
 
+    rebind(monkeypatch, original, counted)
+
+
+def rebind(monkeypatch, original, replacement) -> None:
+    """Patch every eigenbehavior module's binding of original, under
+    whatever name, to replacement."""
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "eigenbehavior":
             for attr, value in list(vars(mod).items()):
                 if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+def benchmark_spec(tmp_path, monkeypatch, n_users: int, seed: int) -> SynthSpec:
+    """The benchmark's planted population spec, read as `synth` reads it."""
+    loader = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, loader.name, workloads)
+    loader.loader.exec_module(workloads)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(workloads.population_spec(n_users, seed)))
+    return spec_from_json(str(path))
 
 
 def table_of(matrices) -> PopulationTable:

@@ -337,6 +337,27 @@ def test_compare_prints_jaccard(workdir, capsys):
     assert capsys.readouterr().out.strip() == "1.0000"
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [(",0", "record has empty element_id"), ('"u\n1",0', "element id 'u\\n1' contains a line break")],
+    ids=["empty", "line-break"],
+)
+def test_bad_element_id_in_partition_exits_2_naming_its_line(workdir, tmp_path, capsys, row, message):
+    """partition.csv's elements are checked as a trace's ids are, by compare
+    and by simulate --pipeline alike."""
+    pipe = tmp_path / "pipe"
+    shutil.copytree(workdir / "pipe", pipe)
+    partition = pipe / "partition.csv"
+    lines = partition.read_text().splitlines(keepends=True)
+    partition.write_text("".join(lines[:3]) + row + "\n" + "".join(lines[3:]))
+    out = tmp_path / "o"
+    where = f"{partition}:4"
+    _exits_2_naming(["compare", str(workdir / "pipe" / "partition.csv"), str(partition)], where, message, out, capsys)
+    argv = ["simulate", str(workdir / "synth" / "trace.csv"), "--pipeline", str(pipe)]
+    argv += ["--scenario", str(workdir / "scenario.json"), "--out", str(out)]
+    _exits_2_naming(argv, where, message, out, capsys)
+
+
 def test_reruns_are_byte_identical(workdir, tmp_path):
     pipe_a, pipe_b = tmp_path / "p1", tmp_path / "p2"
     argv = [

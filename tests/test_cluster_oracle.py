@@ -16,7 +16,7 @@ from scipy.spatial.distance import cdist
 
 import cluster_oracle as oracle
 from conftest import checked, unfold, upper
-from eigenbehavior import cluster
+from eigenbehavior import trace
 from eigenbehavior.cluster import (
     DistanceMatrix,
     agglomerate,
@@ -200,7 +200,7 @@ def test_l1_triangles_hold_the_bits_of_the_whole_squares(stack, block_cells):
     """Measured a few rows at a time, each matrix's triangle, and one 2-D
     matrix's, holds the i < j entries of its whole pairwise_l1 square."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cluster, "ROW_BLOCK_CELLS", block_cells)
+        patch.setattr(trace, "BLOCK_CELLS", block_cells)
         got, single = l1_triangles(stack), l1_triangles(stack[0])
     squares = pairwise_l1(stack, stack)
     assert np.array_equal(got, np.reshape([upper(square) for square in squares], got.shape))

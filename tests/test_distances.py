@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from eigenbehavior import cluster, distances, persist, summaries
+from eigenbehavior import cluster, distances, persist, summaries, trace
 from eigenbehavior import (
     DistanceMatrix,
     EigenBehaviorSet,
@@ -146,7 +146,7 @@ def test_amvd_distance_matrix_blocks_match_cdist_oracle(monkeypatch, include_off
         mats[f"u{i:02d}"] = matrix_from_rows(rows, user_id=f"u{i:02d}")
     calls = []
     kernel = distances.pairwise_l1
-    monkeypatch.setattr(distances, "SIM_BLOCK_CELLS", cells)
+    monkeypatch.setattr(trace, "BLOCK_CELLS", cells)
     monkeypatch.setattr(distances, "pairwise_l1", lambda a, b: calls.append(1) or kernel(a, b))
     dm = amvd_distance_matrix(table_of(mats), include_offline=include_offline)
     live = [u for u in dm.ids if include_offline or mats[u].rows.any()]
@@ -193,7 +193,7 @@ def random_eigen_sets(n, seed):
 def test_sim_matrix_matches_pairwise_loop(monkeypatch):
     sets = random_eigen_sets(30, seed=71)
     # blocks of 40 vectors, about 7 users: n = 30 takes the multi-block path
-    monkeypatch.setattr(distances, "SIM_BLOCK_CELLS", 40 * sum(s.k for s in sets))
+    monkeypatch.setattr(trace, "BLOCK_CELLS", 40 * sum(s.k for s in sets))
     blocks = list(sim_matrix(sets))
     assert len(blocks) > 1
     assert [lo for lo, _ in blocks] == list(np.cumsum([0] + [len(rows) for _, rows in blocks[:-1]]))
@@ -220,7 +220,7 @@ def test_sim_triangle_equals_the_square_oracle_bit_for_bit(monkeypatch, cells):
     live.append(EigenBehaviorSet(np.eye(6)[:1], np.zeros(1)))  # weight 0: no similarity to anyone
     names = [f"u{i:02d}" for i in rng.permutation(len(live))]
     sets = {**dict(zip(names, live)), "a-flagged": None, "u10-flagged": None, "zz-flagged": None}
-    monkeypatch.setattr(distances, "SIM_BLOCK_CELLS", cells)
+    monkeypatch.setattr(trace, "BLOCK_CELLS", cells)
     assert len(list(sim_matrix(live))) == (1 if cells > 1000 else len(live))
     with pytest.warns(UserWarning) as caught:
         values, ids = sim_triangle(sets)
@@ -414,13 +414,14 @@ def test_summary_l1_distance_excludes_offline():
         summary_l1_distance(*summaries_of({"a": mats["a"]}).column("onavg"), "onavg")
 
 
-def test_summary_l1_distance_equals_the_per_pair_oracle_over_several_blocks():
-    """700 users over 6 locations: blocks of about ROW_BLOCK_CELLS cells take
-    93 rows each, so the triangle is filled from 8 blocks.  Each pair equals
-    the per-pair sum, which adds its fewer than 8 terms in column order."""
+def test_summary_l1_distance_equals_the_per_pair_oracle_over_several_blocks(monkeypatch):
+    """700 users over 6 locations: blocks of about 2**16 cells take 93 rows
+    each, so the triangle is filled from 8 blocks.  Each pair equals the
+    per-pair sum, which adds its fewer than 8 terms in column order."""
     n = 700
     vectors = np.random.default_rng(29).dirichlet(np.ones(6), size=n)
-    assert n // (cluster.ROW_BLOCK_CELLS // (n - 1)) > 2
+    monkeypatch.setattr(trace, "BLOCK_CELLS", 1 << 16)
+    assert n // (trace.BLOCK_CELLS // (n - 1)) > 2
     dm = summary_l1_distance(tuple(f"u{i:03d}" for i in range(n)), vectors, "onavg")
     want = [manhattan(vectors[i], vectors[j]) for i, j in combinations(range(n), 2)]
     assert dm.values.tolist() == want

@@ -23,6 +23,7 @@ from eigenbehavior import (
     generate,
     single_location_modes,
     summaries,
+    trace,
 )
 from eigenbehavior.summaries import eigen_decomposition, eigen_decompositions
 from eigenbehavior.trace import DAY_SECONDS
@@ -58,7 +59,7 @@ def population() -> PopulationTable:
 def test_eigen_sets_equal_one_svd_a_matrix_bit_for_bit(monkeypatch, power_floor, per_block):
     """Blocks of 1, 7 and every user: each set's vectors and weights, and
     each online user's singular values, equal the oracle's."""
-    monkeypatch.setattr(summaries, "MODE_TREE_CELLS", per_block * USER_CELLS)
+    monkeypatch.setattr(trace, "BLOCK_CELLS", per_block * USER_CELLS)
     matrices = population()
     want = oracle.eigen_sets_for(matrices, power_floor)
     vectors, _, _ = want["tied"]

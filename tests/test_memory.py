@@ -1,11 +1,12 @@
 """Peak memory of the per-record and pairwise stages, measured with tracemalloc.
 
 Each stage may hold its output plus at most one working copy of a distance
-triangle or one block of the size its module's cell budget sets; distances
-are held as their condensed triangle, no stage builds an n x n array, and
-nothing else may grow with the record count or with n squared.  The inputs are built before tracing starts, so a peak counts only
-what the stage allocates.  numpy reports its array buffers to tracemalloc, so
-the figures are array bytes.
+triangle or one block of the size its budget sets (``trace.BLOCK_CELLS``
+for the float-cell passes); distances are held as their condensed
+triangle, no stage builds an n x n array, and nothing else may grow with
+the record count or with n squared.  The inputs are built before tracing
+starts, so a peak counts only what the stage allocates.  numpy reports its
+array buffers to tracemalloc, so the figures are array bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from eigenbehavior import (
     TraceConfig,
     agglomerate,
     build_matrices,
-    cluster,
     cross_significance,
     distances,
     eigen_distance_matrix,
@@ -42,10 +42,8 @@ from eigenbehavior import (
     run_pipeline,
     simulate,
     single_location_modes,
-    summaries,
     summary_table,
     summary_vectors,
-    synth,
     trace,
 )
 from eigenbehavior.trace import DAY_SECONDS
@@ -134,7 +132,7 @@ def test_generate_holds_its_records_and_one_block(noise_epsilon, n_users, monkey
     # locations) array of the whole population (38 MB) breaks the bound.  With
     # noise, about half the locations get a record every online day: 120 users
     # make 236 k records, and the whole-population arrays break it by 9 MB.
-    monkeypatch.setattr(synth, "SYNTH_BLOCK_CELLS", 1 << 15)
+    monkeypatch.setattr(trace, "BLOCK_CELLS", 1 << 15)
     n_locations, n_groups = 200, 40
     groups = tuple(
         GroupSpec(
@@ -156,7 +154,7 @@ def test_generate_holds_its_records_and_one_block(noise_epsilon, n_users, monkey
     names = len(truth) * 300  # the truth and the user names, as Python objects
     # a block's words, noise, weights, _apportion's scratch and durations:
     # fewer than 8 arrays of its cells
-    block = 8 * synth.SYNTH_BLOCK_CELLS * 8
+    block = 8 * trace.BLOCK_CELLS * 8
     assert_within(peak, columns + names + block + SLACK)
 
 
@@ -196,7 +194,7 @@ def test_amvd_holds_output_and_one_block():
     assert dm.flagged_ids == ()
     output = n * n * 8
     rows = 2 * n * t * 2 * 8  # the online rows gathered at once, and the (users, slots) places they come from
-    block = 2 * (distances.SIM_BLOCK_CELLS + t * t) * 8  # distances and their terms
+    block = 2 * (trace.BLOCK_CELLS + t * t) * 8  # distances and their terms
     assert_within(peak, output + rows + block + SLACK)
 
 
@@ -205,7 +203,7 @@ def eigen_distance_blocks(n: int, k: int) -> int:
     the stacked and weighted basis vectors, and one block of products and
     their per-user sums."""
     stacked = 3 * n * k * 20 * 8
-    sims = 2 * distances.SIM_BLOCK_CELLS * 8
+    sims = 2 * trace.BLOCK_CELLS * 8
     return stacked + sims
 
 
@@ -248,7 +246,7 @@ def test_summary_l1_distance_holds_its_triangle_and_two_blocks():
     assert dm.n == n
     views = n * 200  # an ndarray view and its list slot, about 160 bytes a row
     column = n * n_locations * 8
-    blocks = 2 * cluster.ROW_BLOCK_CELLS * 8
+    blocks = 2 * trace.BLOCK_CELLS * 8
     assert_within(peak, triangle(n) + views + column + blocks + SLACK)
 
 
@@ -300,10 +298,13 @@ def test_eigen_pipeline_holds_the_triangle_and_one_working_copy():
     assert_within(peak, allowance + SLACK)
 
 
-def test_summary_table_holds_one_block_of_mode_trees():
+def test_summary_table_holds_one_block_of_mode_trees(monkeypatch):
     """1200 users in 12 planted two-mode groups, 28 days: nearly every online
-    row merges below both thresholds.  Holding every user's merge history at
-    once, or a second column copy of a chunk's rows, breaks the bound."""
+    row merges below both thresholds.  Blocks of 2**16 cells grow about 84
+    users' trees at once, a small share of the population, so that holding
+    every user's merge history at once, or a second column copy of a chunk's
+    rows, breaks the bound."""
+    monkeypatch.setattr(trace, "BLOCK_CELLS", 1 << 16)
     n_days = 28
     groups = tuple(
         GroupSpec(100, single_location_modes(20, [g, (g + 7) % 20]), (0.7, 0.3), p_online=0.8) for g in range(12)
@@ -320,14 +321,16 @@ def test_summary_table_holds_one_block_of_mode_trees():
     assert set(scores) == {"onavg", "centroid@0.5", "centroid@0.9", "svd"}
     online = [int(m.online.sum()) for m in matrices.values()]
     width = max(online)
-    chunk = summaries.MODE_TREE_CELLS // width**2  # the users whose trees are grown together
+    chunk = trace.BLOCK_CELLS // width**2 + 1  # the users whose trees are grown together
     rows = 2 * chunk * width * 20 * 8  # a chunk's rows and pairwise_l1's column copy of them
-    # its triangles and the engine's working copy of them (a square's worth),
-    # and l1_triangles' blocks of distances and terms (another at most)
-    distances = 2 * chunk * width**2 * 8
-    histories = chunk * (width - 1) * 150  # up to width - 1 merges a user, ~150 bytes each
+    # l1_triangles' one block of the chunk's distances and their terms (two
+    # squares' worth) beside its triangles (half a square), which the
+    # engine's working copy of them later joins
+    distances = 5 * chunk * width**2 * 8 // 2
+    histories = chunk * width * 3 * 8  # the chunk's (trees, rows, 3) merge record
     cuts = (sum(online) + len(matrices) * 20) * 2 * 8  # each online row's roots, each user's centroids
-    assert_within(peak, rows + distances + histories + cuts + SLACK)
+    output = len(matrices) * len(scores) * 20 * 8  # the (users, kinds, locations) summaries
+    assert_within(peak, rows + distances + histories + cuts + output + SLACK)
 
 
 def test_eigen_sets_hold_their_sets_and_one_block_of_svds():
@@ -346,7 +349,7 @@ def test_eigen_sets_hold_their_sets_and_one_block_of_svds():
     assert all(s is not None for s in sets.values())
     data = sum(s.vectors.nbytes + s.weights.nbytes for s in sets.values())
     objects = len(sets) * 500  # each set, its two array headers and its dict entry
-    block = 2 * summaries.MODE_TREE_CELLS * 8
+    block = 2 * trace.BLOCK_CELLS * 8
     assert_within(peak, data + objects + block + SLACK)
 
 
@@ -366,7 +369,7 @@ def test_cross_significance_holds_its_table_and_one_block():
     result, peak = peak_above_inputs(cross_significance, profiles, matrices)
     assert len(result.per_cluster) == 30
     table = 1200 * 30 * 8
-    assert_within(peak, table + summaries.MODE_TREE_CELLS * 8 + SLACK)
+    assert_within(peak, table + trace.BLOCK_CELLS * 8 + SLACK)
 
 
 def random_replay(n_users: int, n_rows: int, n_msgs: int, seed: int) -> tuple[list[Message], Encounters]:

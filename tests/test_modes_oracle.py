@@ -17,7 +17,7 @@ from scipy.spatial.distance import pdist
 import summaries_oracle as oracle
 from cluster_oracle import partition_from_merges
 from conftest import checked
-from eigenbehavior import agglomerate, centroid_first_mode, cluster, summaries
+from eigenbehavior import agglomerate, centroid_first_mode, trace
 from eigenbehavior.distances import eigen_sets_for, summary_l1_distance
 from eigenbehavior.summaries import MODE_THRESHOLDS, _mode_cuts, summary_vectors
 
@@ -119,8 +119,9 @@ def test_population_cut_in_chunks_matches_oracle(population, per_chunk, monkeypa
     matrices, modes = population
     online_counts = [int(m.online.sum()) for m in matrices.values()]
     assert {0, 1, 28} <= set(online_counts) and len(set(online_counts)) > 10
-    monkeypatch.setattr(summaries, "MODE_TREE_CELLS", per_chunk * 28**2)
-    monkeypatch.setattr(cluster, "ROW_BLOCK_CELLS", per_chunk * 27 * 5)  # l1_triangles: 5 rows a block
+    # chunks of per_chunk trees of 28 rows; a chunk's triangles fit in one
+    # l1_triangles block, whose blocks over stacks test_cluster_oracle checks
+    monkeypatch.setattr(trace, "BLOCK_CELLS", per_chunk * 28**2)
 
     roots, _ = _mode_cuts(matrices.rows, matrices.online, MODE_THRESHOLDS)
     ends = np.cumsum(online_counts)

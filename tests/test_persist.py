@@ -113,6 +113,8 @@ def test_truth_csv_roundtrip(tmp_path):
         ("user,group\nu1,0\nu2,0,1\n", r"truth\.csv:3: expected 2 fields"),
         ("user,group\nu1,0\nu2,g\n", r"truth\.csv:3: group is not an integer: 'g'"),
         ("user,group\nu1,0\nu2,1\nu1,1\n", r"truth\.csv:4: duplicate user 'u1'"),
+        ("user,group\nu1,0\n,1\n", r"truth\.csv:3: record has empty user_id"),
+        ('user,group\nu1,0\n"u\r2",1\n', r"truth\.csv:3: user id 'u\\r2' contains a line break"),
     ],
 )
 def test_truth_csv_errors_name_path_and_line(tmp_path, body, message):
@@ -238,8 +240,8 @@ THREE = np.array([0.5, 0.5, 0.5])
 @pytest.mark.parametrize(
     "body, message",
     [
-        (_saved(np.save, THREE[:2]), r": 2 distances, where 3 ids have 3 pairs"),
-        (_saved(np.save, np.append(THREE, 0.5)), r": 4 distances, where 3 ids have 3 pairs"),
+        (_saved(np.save, THREE[:2]), r": values must be the 3 pair distances of 3 ids"),
+        (_saved(np.save, np.append(THREE, 0.5)), r": values must be the 3 pair distances of 3 ids"),
         (_saved(np.save, THREE[None]), r": expected a 1-D float64 array"),
         (_saved(np.save, np.array([0, 1, 1])), r": expected a 1-D float64 array"),
         (_saved(np.save, THREE.astype(np.float32)), r": expected a 1-D float64 array"),

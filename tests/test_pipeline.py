@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import sys
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -28,12 +28,12 @@ from eigenbehavior import (
     summary_table,
     summary_vectors,
 )
-from eigenbehavior import cluster, distances, summaries
+from eigenbehavior import cluster, distances, summaries, trace
 from eigenbehavior.cluster import METRIC_MAX
 from eigenbehavior.pipeline import METRICS
 
 import distances_oracle
-from conftest import count_calls, unfold
+from conftest import benchmark_spec, count_calls, rebind, unfold
 
 
 @pytest.fixture(scope="module")
@@ -240,3 +240,83 @@ def test_eigen_pipeline_builds_sets_and_table_once(planted, monkeypatch):
     )
     dead = dm.ids.index("zz-offline")
     assert np.all(np.delete(square[dead], dead) == 1.0)
+
+
+# The passes that cut their blocks from trace.BLOCK_CELLS, by the name of
+# the function that calls budget_blocks.
+CELL_COUNTED = (
+    "_user_blocks",
+    "eigen_sets_for",
+    "_onavgs",
+    "_mode_cuts",
+    "significances",
+    "l1_triangles",
+    "amvd_distance_matrix",
+    "sim_matrix",
+)
+
+
+def test_one_block_budget_reaches_every_pass(tmp_path, monkeypatch):
+    """trace.BLOCK_CELLS, patched alone to 4096 cells, cuts every cell-counted
+    pass over the benchmark population's 120 users into several blocks, and
+    no pass asks budget_blocks for more.  Every result keeps its bits: the
+    records and truth, the matrices, and each metric's eigen sets, summary
+    table, distances, partition, merges and profiles.  The eigen distances
+    alone may move, by at most 2**-53 (1.1e-16, half a unit in the last
+    place of 1), since the similarity blocks' products change shape; their
+    partition and merge pairs do not."""
+    spec = benchmark_spec(tmp_path, monkeypatch, 120, 3)
+
+    def run():
+        records, truth = generate(spec)
+        table = build_matrices(records, TraceConfig(*spec.trace_span))
+        return records, truth, table, {m: run_pipeline(table, metric=m, target_count=13) for m in METRICS}
+
+    want_records, want_truth, want_table, want = run()
+    cut = defaultdict(list)  # each caller's (budget, blocks) per call
+    original = trace.budget_blocks
+
+    def recorded(sizes, budget):
+        blocks = original(sizes, budget)
+        cut[sys._getframe(1).f_code.co_name].append((budget, len(blocks)))
+        return blocks
+
+    rebind(monkeypatch, original, recorded)
+    monkeypatch.setattr(trace, "BLOCK_CELLS", 4096)
+    records, truth, table, got = run()
+    for name in CELL_COUNTED:
+        assert max(budget for budget, _ in cut[name]) <= 4096, name
+        assert max(blocks for _, blocks in cut[name]) > 1, name
+
+    assert truth == want_truth
+    for column in ("users", "locations", "user", "loc", "start", "end"):
+        assert np.array_equal(getattr(records, column), getattr(want_records, column)), column
+    assert table.users == want_table.users and table.rows.tobytes() == want_table.rows.tobytes()
+    for metric in METRICS:
+        result, expected = got[metric], want[metric]
+        assert result.eigen_sets.keys() == expected.eigen_sets.keys()
+        for user, eigen in result.eigen_sets.items():
+            other = expected.eigen_sets[user]
+            assert (eigen is None) == (other is None), user
+            if eigen is not None:
+                assert eigen.vectors.tobytes() == other.vectors.tobytes(), user
+                assert eigen.weights.tobytes() == other.weights.tobytes(), user
+        assert result.summary_table == expected.summary_table, metric
+        dm, want_dm = result.distance_matrix, expected.distance_matrix
+        assert (dm.ids, dm.flagged_ids, dm.metric) == (want_dm.ids, want_dm.flagged_ids, want_dm.metric)
+        pairs = [(i, j) for i, j, _ in result.partition.merge_history]
+        assert pairs == [(i, j) for i, j, _ in expected.partition.merge_history], metric
+        assert result.partition.assignment == expected.partition.assignment, metric
+        merged = np.array([d for *_, d in result.partition.merge_history])
+        want_merged = np.array([d for *_, d in expected.partition.merge_history])
+        if metric == "eigen":
+            assert np.abs(dm.values - want_dm.values).max() <= 2.0**-53
+            assert np.abs(merged - want_merged).max() <= 2.0**-53
+        else:
+            assert dm.values.tobytes() == want_dm.values.tobytes(), metric
+            assert merged.tobytes() == want_merged.tobytes(), metric
+        for profile, other in zip(result.profiles, expected.profiles, strict=True):
+            assert (profile.cluster_id, profile.members) == (other.cluster_id, other.members)
+            assert profile.top_power == other.top_power
+            assert profile.eigen.vectors.tobytes() == other.eigen.vectors.tobytes()
+            assert profile.eigen.weights.tobytes() == other.eigen.weights.tobytes()

@@ -5,10 +5,6 @@ truth must be equal and the written bytes identical."""
 
 from __future__ import annotations
 
-import importlib.util
-import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synth_oracle as oracle
+from conftest import benchmark_spec
 from eigenbehavior import (
     DAY_SECONDS,
     AssociationRecord,
@@ -25,12 +22,11 @@ from eigenbehavior import (
     generate,
     load_records,
     persist,
-    spec_from_json,
     synth,
+    trace,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None)
-ROOT = Path(__file__).resolve().parent.parent
 
 
 @st.composite
@@ -188,24 +184,11 @@ def test_blocks_of_a_few_users_match_oracle(tmp_path, monkeypatch, sizes):
         noise_epsilon=0.2,
     )
     user_cells = spec.n_days * (spec.n_locations + 3)
-    monkeypatch.setattr(synth, "SYNTH_BLOCK_CELLS", sizes[0] * user_cells)
+    monkeypatch.setattr(trace, "BLOCK_CELLS", sizes[0] * user_cells)
     blocks = synth._user_blocks(spec)
     assert [hi - lo for lo, hi in blocks] == sizes
     assert {lo for lo, _ in blocks} - {0, 4, 7}  # the groups' first users
     assert_matches_oracle(tmp_path, spec)
-
-
-def _benchmark_spec(tmp_path, monkeypatch, n_users: int, seed: int) -> SynthSpec:
-    """The benchmark's planted population spec, read as `synth` reads it."""
-    loader = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(loader)
-    monkeypatch.setitem(sys.modules, loader.name, workloads)
-    loader.loader.exec_module(workloads)
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(workloads.population_spec(n_users, seed)))
-    return spec_from_json(str(path))
 
 
 @pytest.mark.parametrize(
@@ -214,7 +197,7 @@ def _benchmark_spec(tmp_path, monkeypatch, n_users: int, seed: int) -> SynthSpec
     ids=["group-800-seed-0", "replay-250-seed-101"],
 )
 def test_benchmark_trace_and_truth_are_byte_identical(tmp_path, monkeypatch, n_users, seed, n_records):
-    spec = _benchmark_spec(tmp_path, monkeypatch, n_users, seed)
+    spec = benchmark_spec(tmp_path, monkeypatch, n_users, seed)
     records, truth = generate(spec)
     want_rows, want_truth = oracle.generate(spec)
     assert len(records) == len(want_rows) == n_records
