@@ -5,17 +5,22 @@ all cross pairs of their elements.  Merging continues until either all
 inter-cluster linkages exceed a threshold or a target cluster count is
 reached.  Ties are broken toward the pair with the smaller cluster id, then
 the smaller partner id, where a cluster's running id is the smallest original
-element index it contains.  One engine, merge_histories, grows a stack of
-such trees at once from their condensed triangles, which it only reads, and
-records each as (i, j, distance) rows; one cut, merge_roots, reads any prefix
-of those records as each slot's root.  agglomerate runs both on a
-DistanceMatrix, the package's one distance type: the condensed triangle of
-the pairwise distances, checked once when it is built.  The condensed
-triangle is the package's one pairwise layout: no n x n distance array is
-built.  row_runs is its one row layout: every walk over its rows (the
-engine's copy, l1_triangles, distance_cdfs) reads or writes each row's run
-through it.  pair_index places single pairs: AMVD, whose users run in
-row-count order, scatters through it, the similarity triangle writes each
+element index it contains.  One engine, merge_histories, grows such trees
+from a stack of their condensed triangles, which it only reads, in one
+private working copy, and records each as (i, j, distance) rows.  The stack's
+height selects its step: a stack of one tree (agglomerate's population tree,
+or a chunk of one mode tree) takes the single-tree step, _grow_tree, which
+holds its rows as Python ints and gathers 1-D rows; a stack of two or more
+takes the batched step, which holds (trees, n) caches and merges every live
+tree once a pass.  Both make the same merges, bit for bit.  One cut,
+merge_roots, reads any prefix of those records as each slot's root.
+agglomerate runs both on a DistanceMatrix, the package's one distance type:
+the condensed triangle of the pairwise distances, checked once when it is
+built.  The condensed triangle is the package's one pairwise layout: no n x n
+distance array is built.  row_runs is its one row layout: every walk over its
+rows (the engine's copy, l1_triangles, distance_cdfs) reads or writes each
+row's run through it.  pair_index places single pairs: AMVD, whose users run
+in row-count order, scatters through it, the similarity triangle writes each
 row's pairs (a, j > a) and adds its pairs (j < a, a) through it, and the
 similarity replay's gate reads through it.  _l1_of_columns is the package's
 one L1 kernel, on rows held as location columns: pairwise_l1, which AMVD
@@ -215,6 +220,11 @@ def merge_histories(
     every row a whose cache equals its old (a, i), a < i, or its old (a, j),
     a < j, then rescan their runs, one row of every tree at a time; every
     other row a < i takes its new (a, i) when that is smaller than its cache.
+
+    The stack's height selects the step, and both make the same merges: a
+    stack of one tree is grown by _grow_tree, one merge at a time on
+    Python-int rows; a stack of two or more by the batched step below, one
+    merge of every live tree a pass, on (trees, n) arrays.
     """
     if (threshold is None) == (target_count is None):
         raise ValueError("give exactly one of threshold or target_count")
@@ -258,11 +268,14 @@ def merge_histories(
     n_active = active.sum(axis=1)
     rescan(cols)
     merges = np.full((n_trees, n, 3), np.nan)
+    floor = 1 if target_count is None else target_count
+    if n_trees == 1:
+        _grow_tree(flat, start, min_val[0], int(n_active[0]) - floor, threshold, merges[0])
+        return merges
     sizes = np.ones((n_trees, n), dtype=np.int64)
     last = np.full(n_trees, -np.inf)
     steps = np.zeros(n_trees, dtype=np.intp)
     hist_i, hist_j, hist_d = np.moveaxis(merges, 2, 0)  # views that fill merges
-    floor = 1 if target_count is None else target_count
 
     live = np.flatnonzero(n_active > floor)
     while live.size:
@@ -308,6 +321,74 @@ def merge_histories(
         rescan(np.flatnonzero(stale.any(axis=0)))
         live = live[n_active[live] > floor]
     return merges
+
+
+def _grow_tree(
+    work: np.ndarray,
+    start: np.ndarray,
+    cache: np.ndarray,
+    n_merges: int,
+    threshold: float | None,
+    record: np.ndarray,
+) -> None:
+    """merge_histories' step for a stack of one tree: at most n_merges merges
+    of the 1-D working copy work, whose row a's (a, a) cell sits at start[a]
+    and whose rows' least cells are cached in cache, recorded into record,
+    (n, 3).  It holds no per-tree array, so a merge costs a few calls on
+    1-D rows, not the batched step's (trees, n) gathers.
+
+    It makes the batched step's merges, on Python-int rows: i is the first
+    row holding the least cache and j = i + the argmin of i's run, the first
+    column holding it.  Rows i and j are each gathered through one index, the
+    (k, r) cells of the earlier rows k at start[k] - k + r and then r's own
+    run; the Lance-Williams average is scattered into row i and inf into row
+    j.  The stale rows, as in the batched step, are found with one
+    flatnonzero over the 1-D caches and rescan their runs one at a time.
+    """
+    n = len(cache)
+    below = start - np.arange(n)  # (k, r), k < r, sits at below[k] + r
+    starts = start.tolist()
+    sizes = [1] * n
+    last = -math.inf
+
+    def row_cells(r: int) -> np.ndarray:
+        """Places in work of the cells (r, k), k < n: (k, r) in row k's run
+        for k < r, then r's own run."""
+        cells = np.arange(starts[r] - r, starts[r] - r + n)
+        cells[:r] = below[:r] + r
+        return cells
+
+    for step in range(n_merges):
+        i = int(cache.argmin())
+        dist = float(cache[i])
+        if threshold is not None and dist > threshold:
+            break
+        if dist < last - _MONOTONE_SLACK:
+            raise AssertionError(f"average-linkage monotonicity violated: {dist} after {last}")
+        last = dist
+        j = i + int(work[starts[i] : starts[i] + n - i].argmin())
+        record[step] = i, j, dist
+        cells_i, cells_j = row_cells(i), row_cells(j)
+        row_i, row_j = work[cells_i], work[cells_j]
+        # the stale rows, found before the average overwrites rows i and j
+        stale = row_j[:j] == cache[:j]
+        stale[:i] |= row_i[:i] == cache[:i]
+        stale &= cache[:j] < np.inf  # not the dead rows, whose cells are all inf
+        stale[i] = True
+
+        # Lance-Williams update for average linkage, result stored in row i:
+        # the batched step's (ni * row_i + nj * row_j) / (ni + nj), in place.
+        ni, nj = sizes[i], sizes[j]
+        merged = np.multiply(row_i, ni, out=row_i)
+        merged += np.multiply(row_j, nj, out=row_j)
+        merged /= ni + nj
+        work[cells_i] = merged
+        work[cells_j] = np.inf
+        sizes[i] = ni + nj
+        np.minimum(cache[:i], merged[:i], out=cache[:i])
+        cache[j] = np.inf
+        for a in np.flatnonzero(stale).tolist():
+            cache[a] = np.minimum.reduce(work[starts[a] : starts[a] + n - a])
 
 
 def merge_roots(merges: np.ndarray, threshold: float = math.inf) -> np.ndarray:

@@ -166,8 +166,6 @@ def eigen_sets_for(
     SVD, of about trace.BLOCK_CELLS input and output cells."""
     check_power_floor(power_floor)
     sets: dict[str, EigenBehaviorSet | None] = dict.fromkeys(table.users)
-    if not table.live.size:  # no SVD of an empty stack
-        return sets
     _, n_slots, n_locations = table.rows.shape
     rank = min(n_slots, n_locations)  # the SVD's components: U, s and vt
     cells = np.full(len(table.live), n_slots * n_locations + rank * (n_slots + n_locations + 1))

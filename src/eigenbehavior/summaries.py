@@ -129,7 +129,7 @@ def _mode_cuts(
     grown = np.flatnonzero(n_online)
     cells = np.full(grown.size, n_online.max(initial=0) ** 2)
     lo = 0
-    for first, last in budget_blocks(cells, trace.BLOCK_CELLS) if grown.size else ():
+    for first, last in budget_blocks(cells, trace.BLOCK_CELLS):
         ids = grown[first:last]
         hi = lo + n_online[ids].sum()
         roots[:, lo:hi], centroids[ids] = _chunk_cuts(rows, online, ids, thresholds)

@@ -589,9 +589,12 @@ BLOCK_CELLS = 1 << 18
 def budget_blocks(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
     """Consecutive item ranges [lo, hi) covering every item, cut after the
     first item whose running total of ``sizes`` reaches each multiple of
-    ``budget``: a range holds less than ``budget`` plus its last item's size."""
+    ``budget``: a range holds less than ``budget`` plus its last item's size.
+    No items give no range."""
+    if not len(sizes):
+        return []
     ends = np.cumsum(sizes)
-    total = int(ends[-1]) if len(ends) else 0
+    total = int(ends[-1])
     cuts = np.searchsorted(ends, np.arange(budget, total, budget)) + 1
     cuts = cuts[np.diff(cuts, prepend=-1) != 0]  # non-decreasing: drop the repeats
     edges = [0, *cuts[cuts < len(sizes)].tolist(), len(sizes)]

@@ -5,6 +5,8 @@ against scipy's cdist, and of l1_triangles against the whole squares."""
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from itertools import takewhile
 
 import numpy as np
@@ -15,8 +17,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 import cluster_oracle as oracle
-from conftest import checked, unfold, upper
-from eigenbehavior import trace
+from conftest import checked, count_calls, matrix_from_rows, unfold, upper
+from eigenbehavior import cluster, trace
 from eigenbehavior.cluster import (
     DistanceMatrix,
     agglomerate,
@@ -25,6 +27,7 @@ from eigenbehavior.cluster import (
     merge_roots,
     pairwise_l1,
 )
+from eigenbehavior.summaries import centroid_first_mode
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -150,6 +153,81 @@ def test_merge_roots_equal_the_replay_of_each_prefix(stacks, thresholds):
             assert np.array_equal(roots, np.tile(np.arange(width), (len(stack), 1)))
 
 
+def seeded_square(n: int, kind: str, seed: int) -> np.ndarray:
+    """A symmetric, zero-diagonal n x n matrix of integer cells 0-3, where
+    many rows share their least distance with several others, so ties are
+    everywhere and a merge leaves many caches stale, or of plain floats."""
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(0, 4, (n, n)).astype(float) if kind == "integer" else 3.0 * rng.random((n, n))
+    triangle = np.triu(cells, 1)
+    return triangle + triangle.T
+
+
+def large_stops(square: np.ndarray) -> list[dict]:
+    """Both stop rules: counts, and thresholds exactly at a merge level (the
+    middle merge's, a level several merges share for integer cells) and
+    just below it."""
+    levels = [d for _, _, d in oracle.agglomerate(square, target_count=1).merge_history]
+    level = levels[len(levels) // 2]
+    below = float(np.nextafter(level, -np.inf))
+    return [{"target_count": 1}, {"target_count": 13}, {"threshold": level}, {"threshold": below}]
+
+
+@pytest.mark.parametrize("kind, seed", [("integer", 3), ("float", 4)])
+def test_large_single_tree_step_equals_the_batched_step_and_the_oracle(kind, seed):
+    """At n = 300, a stack of one tree (the single-tree step) records, bit
+    for bit, what the same triangle stacked twice (the batched step) records
+    for each copy, and what the oracle merges on the square."""
+    n = 300
+    square = seeded_square(n, kind, seed)
+    triangle = upper(square)
+    for stop in large_stops(square):
+        want = record(oracle.agglomerate(square, **stop).merge_history, n).tobytes()
+        single = merge_histories(triangle[None], **stop)
+        batched = merge_histories(np.stack([triangle, triangle]), **stop)
+        assert single.shape == (1, n, 3) and batched.shape == (2, n, 3)
+        assert single[0].tobytes() == want, stop
+        assert batched[0].tobytes() == want and batched[1].tobytes() == want, stop
+
+
+@pytest.mark.parametrize("kind, seed", [("integer", 5), ("float", 6)])
+def test_large_masked_tree_equals_the_batched_step_and_the_oracle(kind, seed):
+    """A masked tree of n = 300, whose left-out pairs hold -1, smaller than
+    any distance, records what the batched step records for it and what the
+    oracle merges on the square of the elements taking part."""
+    n = 300
+    rng = np.random.default_rng(seed)
+    square = seeded_square(n, kind, seed)
+    mask = rng.random(n) < 0.7
+    taking_part = np.flatnonzero(mask)
+    sub = square[np.ix_(taking_part, taking_part)]
+    square[~mask] = -1.0
+    square[:, ~mask] = -1.0
+    triangle = upper(square)
+    for stop in large_stops(sub):
+        want = oracle.agglomerate(sub, **stop).merge_history
+        want = record([(taking_part[i], taking_part[j], d) for i, j, d in want], n).tobytes()
+        single = merge_histories(triangle[None], mask[None], **stop)
+        batched = merge_histories(np.stack([triangle, triangle]), np.stack([mask, mask]), **stop)
+        assert single[0].tobytes() == want, stop
+        assert batched[0].tobytes() == want and batched[1].tobytes() == want, stop
+
+
+def test_one_tree_takes_the_single_tree_step(monkeypatch):
+    """agglomerate's population tree and a mode-tree chunk of one masked
+    tree grow through the single-tree step; a stack of two does not."""
+    calls = Counter()
+    count_calls(monkeypatch, cluster, "_grow_tree", calls)
+    square = seeded_square(40, "float", 7)
+    agglomerate(checked(square), target_count=3)
+    assert calls["_grow_tree"] == 1
+    matrix = matrix_from_rows(np.random.default_rng(8).dirichlet(np.ones(4), size=12))
+    centroid_first_mode(matrix, 0.5)
+    assert calls["_grow_tree"] == 2
+    merge_histories(np.stack([upper(square)] * 2), target_count=3)
+    assert calls["_grow_tree"] == 2
+
+
 def spanning_values():
     """Floats of either sign whose magnitudes span 1e-8 to 1e8."""
     return st.builds(
@@ -205,6 +283,13 @@ def test_l1_triangles_hold_the_bits_of_the_whole_squares(stack, block_cells):
     squares = pairwise_l1(stack, stack)
     assert np.array_equal(got, np.reshape([upper(square) for square in squares], got.shape))
     assert np.array_equal(single, upper(squares[0]))
+
+
+def test_l1_triangles_of_one_row_are_empty():
+    """One row has no pair: each matrix's triangle is empty."""
+    for shape in [(1, 4), (3, 1, 4), (2, 2, 1, 4)]:
+        got = l1_triangles(np.arange(math.prod(shape), dtype=float).reshape(shape))
+        assert got.shape == (*shape[:-2], 0) and got.dtype == float
 
 
 def test_linkage_rounding_onto_a_row_minimum_takes_the_smaller_column():

@@ -437,6 +437,13 @@ def test_eigen_sets_for_marks_offline_users():
     assert isinstance(sets["a"], EigenBehaviorSet)
 
 
+def test_eigen_sets_for_a_population_without_online_users_maps_each_to_none():
+    """Users, but no online row: nothing to decompose, and every user maps to None."""
+    table = PopulationTable(("a", "b"), ("L0", "L1"), np.zeros((2, 3, 2)))
+    assert table.live.size == 0
+    assert eigen_sets_for(table) == {"a": None, "b": None}
+
+
 def test_eigen_sets_for_an_empty_population_is_empty():
     """No user, or no location: nothing to decompose, and no SVD of an empty stack."""
     assert eigen_sets_for(table_of({})) == {}

@@ -444,6 +444,16 @@ def test_similarity_refuses_only_users_that_meet_or_hold_messages():
         simulate([msg("A", {"B"})], EncounterStream(met), config, sims, ids)
 
 
+def test_encounter_stream_without_encounters_yields_no_block():
+    """Users that never share a location at once, one lone user, or no
+    records at all: no encounter, and a walk yields nothing."""
+    apart = [rec("A", "L", 0, 10), rec("B", "L", 20, 30), rec("C", "M", 5, 25)]
+    for rows in (apart, [rec("A", "L", 0, 10)], []):
+        stream = EncounterStream(Records.from_rows(rows))
+        assert len(stream) == 0
+        assert list(stream) == []
+
+
 # -------------------------------------------------- scheme interplay (random) ---
 
 

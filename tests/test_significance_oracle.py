@@ -31,6 +31,14 @@ from test_groups import orthogonal_population
 PROPERTY = settings(max_examples=150, deadline=None)
 
 
+def test_significances_of_no_users_are_an_empty_table():
+    """No users to score: an empty (0, k) table, for shared vectors or a set each."""
+    rows = np.random.default_rng(0).random((3, 4, 2))
+    for vectors in (np.ones((2, 2)), np.ones((0, 2, 2))):
+        got = significances(rows, vectors, np.array([], dtype=np.intp))
+        assert got.shape == (0, 2) and got.dtype == float
+
+
 def same(got: float, want: float) -> bool:
     return got == want or (math.isnan(got) and math.isnan(want))
 

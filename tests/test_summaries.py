@@ -90,6 +90,13 @@ def mode_rows(matrix, threshold):
     return [online[roots == root].tolist() for root in np.unique(roots)], centroids[0, 0]
 
 
+def test_mode_cuts_without_online_rows_are_empty():
+    """No matrix with an online row grows no tree: no roots, and NaN centroids."""
+    roots, centroids = _mode_cuts(np.zeros((2, 3, 2)), np.zeros((2, 3), bool), (0.5, 1.0))
+    assert roots.shape == (2, 0)
+    assert centroids.shape == (2, 2, 2) and np.isnan(centroids).all()
+
+
 def test_modes_two_clear_clusters():
     m = matrix_from_rows(basis_rows([0, 0, 0, 1, 1, None], 2))
     modes, largest = mode_rows(m, threshold=0.5)

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trace_oracle as oracle
@@ -258,11 +258,16 @@ def test_merge_intervals_hand_case():
     st.lists(st.one_of(st.integers(0, 3), st.integers(0, 200)), max_size=40),
     st.one_of(st.integers(1, 4), st.integers(1, 500)),
 )
+@example([], 1)
+@example([], 500)
 @PROPERTY
 def test_budget_blocks_equals_its_unique_formulation(sizes, budget):
-    # zero sizes and items larger than the budget make repeated cut points
+    # zero sizes and items larger than the budget make repeated cut points;
+    # no items make no range
     sizes = np.array(sizes, dtype=np.intp)
-    assert budget_blocks(sizes, budget) == oracle.budget_blocks(sizes, budget)
+    got = budget_blocks(sizes, budget)
+    assert got == oracle.budget_blocks(sizes, budget)
+    assert (got == []) == (not sizes.size)
 
 
 def test_matrix_rows_are_views_of_one_array():

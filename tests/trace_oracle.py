@@ -239,9 +239,12 @@ def split_trace(
 
 def budget_blocks(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
     """trace.budget_blocks as it stood with ``np.unique`` dropping the
-    repeated cut points (a plain ``np.unique`` imports ``numpy.ma``)."""
+    repeated cut points (a plain ``np.unique`` imports ``numpy.ma``); no
+    items give no range."""
+    if not len(sizes):
+        return []
     ends = np.cumsum(sizes)
-    total = int(ends[-1]) if len(ends) else 0
+    total = int(ends[-1])
     cuts = np.unique(np.searchsorted(ends, np.arange(budget, total, budget)) + 1)
     edges = [0, *cuts[cuts < len(sizes)].tolist(), len(sizes)]
     return list(zip(edges[:-1], edges[1:]))
