@@ -45,20 +45,21 @@ of contacts.
 picks the rows that can still change state; Python visits only those.  A
 user is saturated once it has seen every message it may receive; seen only
 grows, so it stays saturated, and flooding, centralized and similarity drop
-the rows between two users saturated at the start of the rows read.  rtx
-walks only the rows of users holding custody of a message with hops left, in
-row order, and draws its p-rolls many at a time from the same Generator
-stream (at p = 1 every roll is all ones), so every transmission is the one
-of a row-by-row replay.
+the rows between two users saturated at the start of the rows read, and the
+rows between two users whose reach classes (their distinct sets of messages
+they may receive) share no message: seen stays within reach, so such a row
+forwards nothing.  Of the rows kept, Python skips those whose two ends have
+seen the same messages.  rtx scans its rows in order and looks at a row only
+when one end holds custody of a message with hops left, and draws its
+p-rolls many at a time from the same Generator stream (at p = 1 every roll
+is all ones), so every transmission is the one of a row-by-row replay.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -435,14 +436,20 @@ class _Replay:
     * flooding, centralized and similarity skip the rows that start before
       the first message exists, those between two users saturated at the
       start of the rows read (seen covers what they may receive: such a row
-      forwards nothing either way, and seen only grows), and under similarity
-      those whose pair's similarity is below the threshold;
-    * rtx walks, in row order, only the rows of users that hold custody of a
-      message with hops left, through a heap of the current custodians over
-      an index from user to rows; a taker joins the walk at its next row.
-      The p-rolls come from ``_rolls``, so every transmission is the one a
-      roll per handover would make; at p = 1 every roll is all ones.  Once
-      no message has hops left, the rest of the stream is skipped.
+      forwards nothing either way, and seen only grows), those between two
+      users whose reaches share no message (a table over the reach classes,
+      which differ only under centralized; seen stays within reach, as each
+      source may receive its own message), and under similarity those whose
+      pair's similarity is below the threshold.  Of the rows left, a row
+      whose two ends have seen the same messages forwards nothing and is
+      passed over before ``live`` or ``reach`` is read;
+    * rtx scans the rows in order and looks at a row only when one of its
+      ends holds custody of a message with hops left, read off a flag per
+      user that each handover refreshes for both ends (a message whose hops
+      run out was just handed to one of them, its one custodian).  The
+      p-rolls come from ``_rolls``, so every transmission is the one a roll
+      per handover would make; at p = 1 every roll is all ones.  Once no
+      message has hops left, the rest of the stream is skipped.
     """
 
     def __init__(
@@ -489,6 +496,11 @@ class _Replay:
             self._reach = [_bits_of(column) for column in _membership(messages, uidx)[0].T]
         else:
             self._reach = [(1 << n_msgs) - 1] * n_users
+        # each user's reach class (a code over the distinct reaches) and
+        # whether two classes share a message; seen stays within reach
+        classes = {r: k for k, r in enumerate(dict.fromkeys(self._reach))}
+        self._reach_class = np.array([classes[r] for r in self._reach], dtype=np.intp)
+        self._shares = np.array([[bool(r & s) for s in classes] for r in classes])
         self._funded = _bits_of(np.array(self._budget) > 0)  # rtx: messages with hops left
         # users whose seen covers reach; kept up to date from the receipts at
         # the start of each run of rows
@@ -546,7 +558,10 @@ class _Replay:
         for u in set(self._got_u[self._receipts_seen :]):
             saturated[u] = not reach[u] & ~seen[u]
         self._receipts_seen = len(self._got_u)
-        rows = np.flatnonzero((n_live > 0) & ~(saturated[enc_a] & saturated[enc_b]))
+        cls = self._reach_class
+        rows = np.flatnonzero(
+            (n_live > 0) & ~(saturated[enc_a] & saturated[enc_b]) & self._shares[cls[enc_a], cls[enc_b]]
+        )
         if self.config.scheme == "similarity":
             self._check_sims(np.concatenate((enc_a, enc_b)))
             oa, ob = self._sim_row[enc_a[rows]], self._sim_row[enc_b[rows]]
@@ -555,8 +570,10 @@ class _Replay:
         for a, b, now, k in zip(
             enc_a[rows].tolist(), enc_b[rows].tolist(), enc_start[rows].tolist(), n_live[rows].tolist()
         ):
-            live = live_prefix[k]
             seen_a, seen_b = seen[a], seen[b]
+            if seen_a == seen_b:
+                continue
+            live = live_prefix[k]
             fwd_ab = live & seen_a & ~seen_b & reach[b]
             fwd_ba = live & seen_b & ~seen_a & reach[a]
             if fwd_ab:
@@ -565,63 +582,36 @@ class _Replay:
                 receive(fwd_ba, a, now)
 
     def _walk(self, enc_a: np.ndarray, enc_b: np.ndarray, enc_start: np.ndarray, n_live: np.ndarray) -> None:
-        """rtx over one run of rows.  Each message has one custodian, so some
-        user holds custody of a message with hops left."""
+        """rtx over one run of rows, in order.  A row is looked at only when
+        one of its ends holds custody of a message with hops left."""
         seen, custody, budget, live_prefix = self._seen, self._custody, self._budget, self._live_prefix
         rolls, got_m, receive = self._rolls, self._got_m, self._receive
-        n_users = len(seen)
         funded = self._funded
-        custodians = [u for u in range(n_users) if custody[u] & funded]
-        # Both ends of every row as keys user * n + row, sorted: user u's rows,
-        # in order, are the keys from position first[u] to first[u + 1].
-        n = len(enc_a)
-        keys = np.concatenate((enc_a, enc_b)) * n + np.tile(np.arange(n), 2)
-        keys.sort()
-        first = keys.searchsorted(np.arange(n_users + 1) * n).tolist()
-        key_list = keys.tolist()
+        holds = [bool(c & funded) for c in custody]
         pa, pb, pt, pk = enc_a.tolist(), enc_b.tolist(), enc_start.tolist(), n_live.tolist()
-        # (row, user, key position): each custodian waits at its next row
-        heap = [(key_list[first[u]] - u * n, u, first[u]) for u in custodians if first[u] < first[u + 1]]
-        heapify(heap)
-        queued = [False] * n_users
-        for _, u, _ in heap:
-            queued[u] = True
-        last = -1
-        while heap:
-            r, u, at = heappop(heap)
-            queued[u] = False
-            if not custody[u] & funded:
+        for r, a, b in zip(range(len(pa)), pa, pb):
+            if not (holds[a] or holds[b]):
                 continue
-            if r != last:  # the other end may hold custody too and visit r first
-                last = r
-                a, b, now, live = pa[r], pb[r], pt[r], live_prefix[pk[r]]
-                give_ab = live & funded & custody[a] & ~seen[b]
-                give_ba = live & funded & custody[b] & ~seen[a]
-                if give_ab | give_ba:
-                    roll = next(rolls)
-                    give_ab &= roll
-                    give_ba &= roll
-                    handed_from = len(got_m)
-                    for give, giver, taker in ((give_ab, a, b), (give_ba, b, a)):
-                        if give:
-                            receive(give, taker, now)
-                            custody[giver] &= ~give
-                            custody[taker] |= give
-                    for m in got_m[handed_from:]:
-                        budget[m] -= 1
-                        if not budget[m]:
-                            funded &= ~(1 << m)
-                    # a taker that was not a custodian joins at its next row
-                    v = b if u == a else a
-                    if not queued[v] and custody[v] & funded:
-                        at_v = bisect_left(key_list, v * n + r + 1, first[v], first[v + 1])
-                        if at_v < first[v + 1]:
-                            heappush(heap, (key_list[at_v] - v * n, v, at_v))
-                            queued[v] = True
-            at += 1
-            if at < first[u + 1] and custody[u] & funded:
-                heappush(heap, (key_list[at] - u * n, u, at))
-                queued[u] = True
+            live = live_prefix[pk[r]]
+            give_ab = live & funded & custody[a] & ~seen[b]
+            give_ba = live & funded & custody[b] & ~seen[a]
+            if give_ab | give_ba:
+                roll = next(rolls)
+                give_ab &= roll
+                give_ba &= roll
+                handed_from = len(got_m)
+                for give, giver, taker in ((give_ab, a, b), (give_ba, b, a)):
+                    if give:
+                        receive(give, taker, pt[r])
+                        custody[giver] &= ~give
+                        custody[taker] |= give
+                for m in got_m[handed_from:]:
+                    budget[m] -= 1
+                    if not budget[m]:
+                        funded &= ~(1 << m)
+                # a message that ran out of hops was just handed to a or b,
+                # its one custodian, so no other user's flag changes
+                holds[a], holds[b] = bool(custody[a] & funded), bool(custody[b] & funded)
         self._funded = funded
 
     def outcome(self) -> SimulationOutcome:

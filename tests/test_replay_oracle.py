@@ -227,12 +227,14 @@ def triangle_of(table):
     return upper((table + table.T) / 2.0)
 
 
-def assert_replay_matches_oracle(replay, config, block=None):
+def assert_replay_matches_oracle(replay, config, block=None, users=USERS):
+    """The package replay's outcome, checked to equal the oracle's."""
     messages, rows, table = replay
     with replay_block(block):
-        got = simulate(messages, Encounters.from_rows(rows), config, triangle_of(table), USERS)
-    want = oracle.simulate(messages, [oracle.Encounter(*r) for r in rows], config, table, USERS)
+        got = simulate(messages, Encounters.from_rows(rows), config, triangle_of(table), users)
+    want = oracle.simulate(messages, [oracle.Encounter(*r) for r in rows], config, table, users)
     assert _comparable(got) == _comparable(want), config
+    return got
 
 
 @given(replays(), CONFIGS)
@@ -282,6 +284,156 @@ def test_simulate_matches_oracle_on_each_scheme_of_a_fixed_scenario():
 def test_simulate_matches_oracle_on_each_scheme_of_a_fixed_scenario_in_small_blocks(block):
     for config in FIXED_CONFIGS:
         assert_replay_matches_oracle(FIXED_REPLAY, config, block)
+
+
+WIDE_USERS = tuple(f"w{i:02d}" for i in range(24))
+WIDE_TTLS = (0.2, 0.5)  # the rtx configs' ttl_factors, whose budgets run out
+
+
+@pytest.fixture(scope="module")
+def wide_replay():
+    """80 messages, so every bitset spans two 64-bit words: random sources
+    and target sets over 24 users, staggered creation times, and 700
+    unsorted rows."""
+    rng = np.random.default_rng(41)
+    messages = []
+    for m in range(80):
+        source, *targets = rng.choice(len(WIDE_USERS), size=1 + rng.integers(1, 7), replace=False).tolist()
+        when = float(rng.integers(0, 50))
+        messages.append(Message(f"m{m:04d}", WIDE_USERS[source], frozenset(WIDE_USERS[t] for t in targets), when))
+    rows = []
+    for start in rng.integers(0, 400, size=700).tolist():
+        a, b = sorted(rng.choice(len(WIDE_USERS), size=2, replace=False).tolist())
+        rows.append((WIDE_USERS[a], WIDE_USERS[b], float(start), start + 5.0, "L"))
+    return messages, rows, rng.uniform(size=(len(WIDE_USERS), len(WIDE_USERS)))
+
+
+WIDE_CONFIGS = (
+    SimConfig("flooding"),
+    SimConfig("centralized"),
+    SimConfig("similarity", sim_threshold=0.5),
+    SimConfig("rtx", p=1.0, ttl_factor=WIDE_TTLS[0]),
+    SimConfig("rtx", p=0.5, ttl_factor=WIDE_TTLS[1], seed=9),
+    SimConfig("rtx", p=0.7, ttl_factor=3.0, seed=2),
+)
+
+
+@pytest.mark.parametrize("block", (None, 5, 64))
+@pytest.mark.parametrize("config", WIDE_CONFIGS, ids=lambda c: f"{c.scheme}-{c.param}")
+def test_simulate_matches_oracle_past_one_word_of_messages(wide_replay, block, config):
+    """Messages 64 to 79 sit in the second word of every bitset.  At the
+    shipped size the 700 rows are one block, and the rtx budgets that the
+    first 350 rows spend run out partway through it."""
+    messages, rows, _ = wide_replay
+    got = assert_replay_matches_oracle(wide_replay, config, block, WIDE_USERS).per_message
+    assert sum(got[msg.message_id].overhead for msg in messages[64:]) > 0
+    if config.ttl_factor in WIDE_TTLS:
+        # the first 350 rows alone spend the whole budget of a message past 64
+        half = simulate(messages, Encounters.from_rows(rows[:350]), config).per_message
+        budgets = [round(config.ttl_factor * (len(msg.targets) + 1)) for msg in messages]
+        assert any(half[msg.message_id].overhead == budgets[m] > 0 for m, msg in enumerate(messages) if m >= 64)
+
+
+def count_rolls(patch):
+    """Patch profilecast._rolls to count the rolls drawn; returns the count."""
+    drawn = [0]
+    rolls = profilecast._rolls
+
+    def counted(*args):
+        for roll in rolls(*args):
+            drawn[0] += 1
+            yield roll
+
+    patch.setattr(profilecast, "_rolls", counted)
+    return drawn
+
+
+# u4 and u5 each hold custody of a message and meet first; then the
+# custodians meet users that sort before them, so custody sits at b.
+SECOND_END_MESSAGES = [
+    Message("m0000", "u5", frozenset({"u0", "u1", "u2", "u4"}), 0.0),
+    Message("m0001", "u4", frozenset({"u3", "u5"}), 0.0),
+]
+SECOND_END_ROWS = [
+    ("u4", "u5", 1.0, 2.0, "L"),  # both ends hand over: one roll
+    ("u0", "u5", 2.0, 3.0, "L"),  # u5 hands m1 to u0
+    ("u1", "u4", 3.0, 4.0, "L"),  # u4 hands m0 to u1
+    ("u2", "u3", 4.0, 5.0, "L"),  # no custodian: no roll
+    ("u0", "u1", 5.0, 6.0, "L"),  # both ends hand over: one roll
+    ("u1", "u2", 6.0, 7.0, "L"),  # u1 hands m1 to u2
+]
+
+
+@pytest.mark.parametrize("block", (None, 1, 2))
+def test_rtx_hands_over_from_the_second_end_and_rolls_once_a_row(block):
+    """Custody sits only at the second end of the second and third rows,
+    and a row whose two ends both hold custody draws one roll for both
+    handovers: five rolls for six rows."""
+    replay = (SECOND_END_MESSAGES, SECOND_END_ROWS, np.zeros((8, 8)))
+    with pytest.MonkeyPatch.context() as patch:
+        drawn = count_rolls(patch)
+        got = assert_replay_matches_oracle(replay, SimConfig("rtx", p=1.0, ttl_factor=3.0), block)
+    assert drawn[0] == 5
+    assert [got.per_message[m].overhead for m in ("m0000", "m0001")] == [3, 4]
+    for seed in range(12):
+        assert_replay_matches_oracle(replay, SimConfig("rtx", p=0.5, ttl_factor=3.0, seed=seed), block)
+
+
+# Two groups, {u0, u1, u2} and {u3, u4, u5}, and a message from u2 to u3:
+# under centralized only rows whose ends share a message can forward.
+SHARED_REACH_MESSAGES = [
+    Message("m0000", "u0", frozenset({"u1", "u2"}), 0.0),
+    Message("m0001", "u3", frozenset({"u4", "u5"}), 0.0),
+    Message("m0002", "u2", frozenset({"u3"}), 0.0),
+]
+SHARED_REACH_ROWS = [
+    ("u0", "u3", 0.5, 1.0, "L"),  # no shared message
+    ("u0", "u1", 1.0, 2.0, "L"),
+    ("u1", "u3", 2.0, 3.0, "L"),  # no shared message
+    ("u3", "u4", 3.0, 4.0, "L"),
+    ("u0", "u5", 4.0, 5.0, "L"),  # no shared message
+    ("u2", "u3", 5.0, 6.0, "L"),  # they share m2 only
+    ("u1", "u2", 6.0, 7.0, "L"),
+    ("u4", "u5", 7.0, 8.0, "L"),
+]
+
+
+@pytest.mark.parametrize("block", (None, 1, 3))
+def test_rows_between_users_whose_reaches_share_no_message(block):
+    """Centralized forwards only along rows whose ends may both hold one
+    message; flooding forwards along every row."""
+    replay = (SHARED_REACH_MESSAGES, SHARED_REACH_ROWS, np.zeros((8, 8)))
+    assert_replay_matches_oracle(replay, SimConfig("flooding"), block)
+    got = assert_replay_matches_oracle(replay, SimConfig("centralized"), block)
+    assert (got.aggregate.delivered, got.aggregate.n_targets, got.aggregate.overhead, got.leaked) == (5, 5, 5, 0)
+
+
+# u5 is the source of both messages; the rows between users that have seen
+# the same messages forward nothing, and the rest forward from b to a.
+EQUAL_SEEN_MESSAGES = [
+    Message("m0000", "u5", frozenset({"u0", "u2", "u3", "u4"}), 0.0),
+    Message("m0001", "u5", frozenset({"u3", "u4"}), 0.0),
+]
+EQUAL_SEEN_ROWS = [
+    ("u0", "u1", 1.0, 2.0, "L"),  # both have seen nothing
+    ("u4", "u5", 2.0, 3.0, "L"),  # u5 gives both messages to u4
+    ("u4", "u5", 3.0, 4.0, "L"),  # both have seen both
+    ("u3", "u4", 4.0, 5.0, "L"),
+    ("u3", "u5", 5.0, 6.0, "L"),  # both have seen both
+    ("u2", "u3", 6.0, 7.0, "L"),
+    ("u0", "u2", 7.0, 8.0, "L"),
+]
+
+
+@pytest.mark.parametrize("block", (None, 1, 2))
+def test_rows_between_users_with_equal_seen_sets(block):
+    """A row forwards only when its ends have seen different messages, here
+    always from b to a."""
+    replay = (EQUAL_SEEN_MESSAGES, EQUAL_SEEN_ROWS, np.zeros((8, 8)))
+    for config in (SimConfig("centralized"), SimConfig("similarity", sim_threshold=0.0)):
+        assert_replay_matches_oracle(replay, config, block)
+    got = assert_replay_matches_oracle(replay, SimConfig("flooding"), block)
+    assert [got.per_message[m].overhead for m in ("m0000", "m0001")] == [4, 4]
 
 
 def _mode(n_locations, weights):
