@@ -68,6 +68,14 @@ def cluster_count(text: str) -> int:
     return value
 
 
+def seed(text: str) -> int:
+    """--seed's value, refused below 0, as numpy's generators refuse it."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     """The command line; a value that an option's type refuses raises
     argparse.ArgumentError (exit_on_error=False), which main turns into exit 2
@@ -82,13 +90,13 @@ def _parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", required=True, help="output directory")
     common = argparse.ArgumentParser(add_help=False, parents=[out])
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=seed, default=0,
                         help="seed of simulate's draws; pipeline draws none and records it in manifest.json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", parents=[out], help="generate a synthetic trace", exit_on_error=False)
     p_synth.add_argument("spec", help="synth spec JSON")
-    p_synth.add_argument("--seed", type=int, help="seed in place of the spec's (0 included)")
+    p_synth.add_argument("--seed", type=seed, help="seed in place of the spec's (0 included)")
 
     p_pipe = sub.add_parser("pipeline", parents=[common], help="matrices to group report", exit_on_error=False)
     p_pipe.add_argument("trace", help="trace CSV (user,location,start,end)")

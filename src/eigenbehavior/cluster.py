@@ -52,10 +52,6 @@ class Partition:
     assignment: dict[Hashable, int]
     merge_history: list[tuple[int, int, float]] = field(default_factory=list)
 
-    @property
-    def n_clusters(self) -> int:
-        return len(set(self.assignment.values()))
-
     def clusters(self) -> list[list[Hashable]]:
         """Members per cluster id; each member list sorted."""
         out: dict[int, list[Hashable]] = {}

@@ -23,10 +23,10 @@ Forwarding schemes:
 One forwarding decision is taken per (encounter, message); receipt time is the
 encounter start; a node holds at most one copy of a message.
 
-Encounters are columnar (``Encounters``: parallel arrays over int user and
-location codes).  An ``EncounterStream`` merges the replay half's intervals
-once and yields the encounters as a stream of blocks of about
-``REPLAY_BLOCK`` rows, in (start, a, b, location appearance) order, each cut
+Encounters are columnar (``Encounters``: each row's two int user codes and
+its start, all that the replay reads).  An ``EncounterStream`` merges the
+replay half's intervals once and yields the encounters as a stream of
+blocks of about ``REPLAY_BLOCK`` rows, in (start, a, b) order, each cut
 between two distinct start times; an encounter that starts in [T0, T1)
 depends only on the merged intervals that overlap that window, so only one
 block is ever held.
@@ -89,30 +89,27 @@ REPLAY_BLOCK = 1 << 14
 _KEY_LIMIT = np.iinfo(np.int64).max  # the largest sort key packed into one integer
 
 
-EncounterRow = tuple[str, str, float, float, str]  # (a, b, start, end, location)
+EncounterRow = tuple[str, str, float]  # (a, b, start)
 
 
 @dataclass(frozen=True, eq=False)
 class Encounters:
     """Encounters as parallel columns.
 
-    Row i: users[a[i]] and users[b[i]] co-located over [start[i], end[i]) at
-    locations[loc[i]].  ``users`` and ``locations`` are sorted and unique, so
-    the codes order like the ids and a < b holds for the codes exactly when it
-    holds for the ids.  ``from_rows`` keeps exactly the ids that occur in
-    some row; a block of an ``EncounterStream`` keeps its records' ids.
+    Row i: users[a[i]] and users[b[i]] meet at start[i].  ``users`` is sorted
+    and unique, so the codes order like the ids and a < b holds for the codes
+    exactly when it holds for the ids.  ``from_rows`` keeps exactly the ids
+    that occur in some row; a block of an ``EncounterStream`` keeps its
+    records' ids.
     """
 
     users: tuple[str, ...]
-    locations: tuple[str, ...]
     a: np.ndarray
     b: np.ndarray
     start: np.ndarray
-    end: np.ndarray
-    loc: np.ndarray
 
     def __post_init__(self) -> None:
-        set_columns(self, "encounter", a=np.intp, b=np.intp, start=float, end=float, loc=np.intp)
+        set_columns(self, "encounter", a=np.intp, b=np.intp, start=float)
         if np.any(self.a >= self.b):
             raise ValueError("encounter users must satisfy a < b")
 
@@ -121,24 +118,17 @@ class Encounters:
 
     @classmethod
     def from_rows(cls, rows: Iterable[EncounterRow]) -> Encounters:
-        """Columns from (a, b, start, end, location) rows, in the given order."""
+        """Columns from (a, b, start) rows, in the given order."""
         rows = list(rows)
         n = len(rows)
         users, ab = code_ids([r[0] for r in rows] + [r[1] for r in rows], np.arange(2 * n))
-        locations, loc = code_ids([r[4] for r in rows], np.arange(n))
-        return cls(users, locations, ab[:n], ab[n:], [r[2] for r in rows], [r[3] for r in rows], loc)
+        return cls(users, ab[:n], ab[n:], [r[2] for r in rows])
 
     def rows(self) -> list[EncounterRow]:
-        users, locations = self.users, self.locations
+        users = self.users
         return [
-            (users[a], users[b], start, end, locations[loc])
-            for a, b, start, end, loc in zip(
-                self.a.tolist(),
-                self.b.tolist(),
-                self.start.tolist(),
-                self.end.tolist(),
-                self.loc.tolist(),
-            )
+            (users[a], users[b], start)
+            for a, b, start in zip(self.a.tolist(), self.b.tolist(), self.start.tolist())
         ]
 
 
@@ -167,6 +157,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         unused = [
             name for name in SCHEME_PARAMS if getattr(self, name) is not None and name not in SCHEMES[self.scheme]
         ]
@@ -260,15 +252,14 @@ class EncounterStream:
     starts (``trace.budget_blocks`` over the number of encounters at each);
     a window pairs only the intervals that overlap it, those still open from
     earlier windows and those starting in it.  Each block is sorted by
-    (start, a, b), and rows with equal (start, a, b) come from different
-    locations and keep the order in which the locations first appear in the
-    records.  Every block codes its rows over the records' ``users`` and
-    ``locations``; a window without a meeting yields no block.  ``len`` is
-    the number of encounters, known without a walk.
+    (start, a, b); rows that tie on all three meet at different locations,
+    are equal rows and stay separate.  Every block codes its rows over the
+    records' ``users``; a window without a meeting yields no block.  ``len``
+    is the number of encounters, known without a walk.
     """
 
     def __init__(self, records: Records) -> None:
-        self.users, self.locations = records.users, records.locations
+        self.users = records.users
         n, n_users = len(records), len(records.users)
         self._values, rank = np.unique(np.concatenate((records.start, records.end)), return_inverse=True)
         run, lo, hi = merge_intervals(records.loc * n_users + records.user, rank[:n], rank[n:])
@@ -278,7 +269,6 @@ class EncounterStream:
         self._user, self._loc, self._key = user[order], loc[order], key[order]
         self._lo, self._hi = lo[order], hi[order]
         self._stop = np.searchsorted(self._key, self._loc * len(self._values) + self._hi)
-        self._appearance = np.argsort(np.argsort(np.unique(records.loc, return_index=True)[1]))
         self._by_start = np.argsort(self._lo, kind="stable")
         # Interval i is the later one of a meeting with each earlier j whose
         # run reaches past it: i minus the runs that stop at or before i.
@@ -306,31 +296,22 @@ class EncounterStream:
 
     def _meetings(self, j: np.ndarray, t0: int, t1: int) -> Encounters:
         """The meetings that start in [t0, t1) of the intervals j, which
-        overlap that window, sorted by (start, a, b, location appearance)."""
-        user, loc, lo, hi, key, v = self._user, self._loc, self._lo, self._hi, self._key, len(self._values)
+        overlap that window, sorted by (start, a, b)."""
+        user, loc, lo, key, v = self._user, self._loc, self._lo, self._key, len(self._values)
         begin = np.maximum(j + 1, np.searchsorted(key, loc[j] * v + t0))
         end = np.minimum(self._stop[j], np.searchsorted(key, loc[j] * v + t1))
         pick, k = _runs(np.maximum(end - begin, 0))
         i, j = begin[pick] + k, j[pick]
         a = np.minimum(user[i], user[j])
         b = np.maximum(user[i], user[j])
-        appearance = self._appearance[loc[j]]
-        # (start, a, b, appearance) is unique per row; one argsort of it as a
-        # mixed-radix integer when that fits in an int64
-        n_users, n_locations = len(self.users), len(self.locations)
-        if (t1 - t0) * n_users * n_users * n_locations <= _KEY_LIMIT:
-            rows = np.argsort((((lo[i] - t0) * n_users + a) * n_users + b) * n_locations + appearance)
+        # one argsort of (start, a, b) as a mixed-radix integer when that fits
+        # in an int64; rows that tie on it are equal, so their order is moot
+        n = len(self.users)
+        if (t1 - t0) * n * n <= _KEY_LIMIT:
+            rows = np.argsort(((lo[i] - t0) * n + a) * n + b)
         else:
-            rows = np.lexsort((appearance, b, a, lo[i]))
-        return Encounters(
-            self.users,
-            self.locations,
-            a[rows],
-            b[rows],
-            self._values[lo[i][rows]],
-            self._values[np.minimum(hi[i], hi[j])[rows]],
-            loc[j][rows],
-        )
+            rows = np.lexsort((b, a, lo[i]))
+        return Encounters(self.users, a[rows], b[rows], self._values[lo[i][rows]])
 
 
 def check_source_fraction(source_fraction: float) -> float:
@@ -479,6 +460,9 @@ class _Replay:
             if self._sims.shape != (n * (n - 1) // 2,):
                 raise ValueError(f"sim_values must be the {n * (n - 1) // 2} pair similarities of {n} sim_ids")
             pos = {u: i for i, u in enumerate(sim_ids)}
+            if len(pos) != n:  # the gate would read whichever position pos kept
+                repeated = list(dict.fromkeys(u for i, u in enumerate(sim_ids) if pos[u] != i))
+                raise ValueError(f"sim_ids must be distinct; repeated: {repeated}")
             self._sim_row = np.array([pos.get(u, -1) for u in self.users], dtype=np.intp)
             self._check_sims(np.array([uidx[u] for u in users_of_messages], dtype=np.intp))
 

@@ -96,6 +96,8 @@ class SynthSpec:
             raise ValueError("need at least one group")
         if not self.noise_epsilon >= 0:
             raise ValueError("noise_epsilon must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         for group in self.groups:
             for mode in group.modes:
                 if len(mode) != self.n_locations:

@@ -209,6 +209,8 @@ class Records:
 
     def __post_init__(self) -> None:
         set_columns(self, "record", user=np.intp, loc=np.intp, start=float, end=float)
+        if not np.all(self.end > self.start):
+            raise ValueError("record must have end > start")
         for kind, ids, codes in (("user", self.users, self.user), ("location", self.locations, self.loc)):
             for value in ids:
                 _check_id(kind, value)
@@ -250,16 +252,14 @@ class Records:
 
 def set_columns(table: object, what: str, **dtypes: type) -> None:
     """Make each named field of the frozen dataclass ``table`` an array of its
-    dtype, and check that they are 1-d and of equal length and that every row
-    has end > start, both bounds ``_exact``; ``what`` names a row in the errors."""
+    dtype, and check that they are 1-d and of equal length and that every
+    float column is ``_exact``; ``what`` names a row in the errors."""
     for name, dtype in dtypes.items():
         object.__setattr__(table, name, np.asarray(getattr(table, name), dtype=dtype))
     columns = [getattr(table, name) for name in dtypes]
     if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
         raise ValueError(f"{what} columns must be 1-d and of equal length")
-    if not np.all(table.end > table.start):
-        raise ValueError(f"{what} must have end > start")
-    if not (_exact(table.start).all() and _exact(table.end).all()):
+    if not all(_exact(c).all() for c in columns if c.dtype == float):
         raise ValueError(f"{what} bounds must be finite and of magnitude below 2**53")
 
 

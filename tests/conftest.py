@@ -103,9 +103,8 @@ def profile_half_config(records) -> dict:
 
 
 def stream_rows(records) -> list[tuple]:
-    """The (a, b, start, end, location) rows of every block of an
-    EncounterStream over records, concatenated; their number is the
-    stream's len."""
+    """The (a, b, start) rows of every block of an EncounterStream over
+    records, concatenated; their number is the stream's len."""
     stream = EncounterStream(records)
     rows = [row for block in stream for row in block.rows()]
     assert len(rows) == len(stream)

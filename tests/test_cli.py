@@ -162,7 +162,7 @@ def test_pipeline_outputs_and_recovers_truth(workdir):
     truth = load_truth_csv(str(workdir / "synth" / "truth.csv"))
     from eigenbehavior import partition_from_labels
 
-    assert partition.n_clusters == 3
+    assert len(partition.sizes()) == 3
     assert jaccard(partition, partition_from_labels(truth)) == 1.0
     report = json.loads((pipe_dir / "report.json").read_text())
     assert len(report["clusters"]) == 3
@@ -570,6 +570,33 @@ def test_bad_stop_value_exits_2_before_the_trace_is_read(tmp_path, capsys, stop,
     err = capsys.readouterr().err
     assert message in err
     assert "absent.csv" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "pipeline", "simulate"])
+def test_negative_seed_exits_2_before_any_input_is_read(tmp_path, capsys, command):
+    """numpy's generators refuse a negative seed; the flag is refused at
+    argument parsing, so the absent input is never opened."""
+    absent = str(tmp_path / "absent")
+    inputs = {
+        "synth": [absent],
+        "pipeline": [absent, "--config", absent, "--clusters", "2"],
+        "simulate": [absent, "--pipeline", absent, "--scenario", absent],
+    }[command]
+    out = tmp_path / "o"
+    assert main([command, *inputs, "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: seed must be non-negative, got -1" in err
+    assert "absent" not in err
+    assert not out.exists()
+
+
+def test_negative_spec_seed_exits_2_naming_the_spec(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, "seed": -1}))
+    out = tmp_path / "o"
+    assert main(["synth", str(spec), "--out", str(out)]) == 2
+    assert f"{spec}: malformed synth spec (seed must be non-negative)" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -259,7 +259,7 @@ def test_agglomerate_holds_one_working_copy_of_the_triangle():
     values += values.T
     dm = DistanceMatrix(upper(values), "custom", range(n))  # checked before tracing starts
     partition, peak = peak_above_inputs(agglomerate, dm, target_count=10)
-    assert partition.n_clusters == 10
+    assert len(partition.sizes()) == 10
     bound = linkage_copy(n) + SLACK
     assert bound < n * n * 8
     assert_within(peak, bound)
@@ -291,7 +291,7 @@ def test_eigen_pipeline_holds_the_triangle_and_one_working_copy():
     table = build_matrices(records, TraceConfig(0.0, n_days * DAY_SECONDS))
     result, peak = peak_above_inputs(run_pipeline, table, metric="eigen", target_count=n_groups)
     n = len(result.matrices)
-    assert n == n_groups * size and result.partition.n_clusters == n_groups
+    assert n == n_groups * size and len(result.partition.sizes()) == n_groups
     k = max(s.k for s in result.eigen_sets.values() if s is not None)
     allowance = triangle(n) + linkage_copy(n) + eigen_distance_blocks(n, k)
     assert allowance < triangle(n) + n * n * 8
@@ -384,8 +384,7 @@ def random_replay(n_users: int, n_rows: int, n_msgs: int, seed: int) -> tuple[li
     pair = np.sort(rng.choice(n_users, size=(n_rows, 2)), axis=1)
     pair = pair[pair[:, 0] < pair[:, 1]]
     start = np.sort(rng.uniform(0.0, 1e6, len(pair)))
-    zeros = np.zeros(len(pair), dtype=np.intp)
-    return messages, Encounters(users, ("L",), pair[:, 0], pair[:, 1], start, start + 60.0, zeros)
+    return messages, Encounters(users, pair[:, 0], pair[:, 1], start)
 
 
 def replay_allowance(n_msgs: int, n_users: int) -> int:
@@ -459,8 +458,8 @@ def count_blocks(records: Records) -> int:
 
 
 def test_encounter_stream_holds_one_block():
-    # 410 k encounters: their five columns alone would take 16 MB, more than
-    # twice the allowance, which does not grow with the encounters
+    # 410 k encounters: their three columns alone would take 10 MB, more
+    # than the allowance, which does not grow with the encounters
     records = meeting_records(240, 100, seed=29)
     n_encounters, peak = peak_above_inputs(count_blocks, records)
     assert n_encounters > 400_000

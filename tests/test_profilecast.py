@@ -32,8 +32,8 @@ def rec(user, loc, start, end):
     return AssociationRecord(user, loc, start, end)
 
 
-def enc(a, b, start, end, loc="L"):
-    return (a, b, start, end, loc)
+def enc(a, b, start):
+    return (a, b, start)
 
 
 def msg(source, targets, when=0.0, mid="m0000"):
@@ -74,7 +74,7 @@ def test_split_trace_validation():
 
 def test_single_encounter_overlap():
     records = [rec("u", "L1", 0, 100), rec("v", "L1", 50, 150)]
-    assert stream_rows(Records.from_rows(records)) == [enc("u", "v", 50, 100, "L1")]
+    assert stream_rows(Records.from_rows(records)) == [enc("u", "v", 50)]
 
 
 def test_adjacent_intervals_merge_into_one_encounter():
@@ -83,7 +83,7 @@ def test_adjacent_intervals_merge_into_one_encounter():
         rec("u", "L1", 50, 100),
         rec("v", "L1", 40, 60),
     ]
-    assert stream_rows(Records.from_rows(records)) == [enc("u", "v", 40, 60, "L1")]
+    assert stream_rows(Records.from_rows(records)) == [enc("u", "v", 40)]
 
 
 def test_different_locations_never_meet():
@@ -103,9 +103,9 @@ def test_three_users_pairwise_sorted_by_start():
         rec("w", "L1", 20, 50),
     ]
     assert stream_rows(Records.from_rows(records)) == [
-        enc("u", "v", 10, 30, "L1"),
-        enc("u", "w", 20, 30, "L1"),
-        enc("v", "w", 20, 40, "L1"),
+        enc("u", "v", 10),
+        enc("u", "w", 20),
+        enc("v", "w", 20),
     ]
 
 
@@ -126,17 +126,17 @@ def test_encounters_match_intersection_oracle():
                 )
             )
         got = stream_rows(Records.from_rows(records))
-        want = encounters_oracle(records)
+        want = [row[:3] for row in encounters_oracle(records)]
         assert sorted(got) == want
-        order = [(start, a, b) for a, b, start, _, _ in got]
+        order = [(start, a, b) for a, b, start in got]
         assert order == sorted(order)
 
 
 def test_encounter_validation():
     with pytest.raises(ValueError, match="a < b"):
-        Encounters.from_rows([enc("v", "u", 0, 1)])
-    with pytest.raises(ValueError, match="end > start"):
-        Encounters.from_rows([enc("u", "v", 5, 5)])
+        Encounters.from_rows([enc("v", "u", 0)])
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        Encounters.from_rows([enc("u", "v", math.nan)])
 
 
 # ------------------------------------------------------------ message build ---
@@ -197,6 +197,8 @@ def test_sim_config_validation():
         SimConfig("rtx", ttl_factor=3)
     with pytest.raises(ValueError, match="ttl_factor"):
         SimConfig("rtx", p=0.5)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SimConfig("flooding", seed=-1)
     assert SimConfig("similarity", sim_threshold=0.25).param == "0.25"
     assert SimConfig("rtx", p=1.0, ttl_factor=3).param == "p=1,ttl=3"
     assert SimConfig("flooding").param == ""
@@ -226,9 +228,9 @@ def test_flooding_chain_delivery_and_delay():
     message = msg("A", {"B", "C", "D"})
     encounters = Encounters.from_rows(
         [
-            enc("A", "B", 10, 20),
-            enc("B", "C", 30, 40),
-            enc("C", "D", 50, 60),
+            enc("A", "B", 10),
+            enc("B", "C", 30),
+            enc("C", "D", 50),
         ]
     )
     out = simulate([message], encounters, SimConfig("flooding"))
@@ -244,9 +246,9 @@ def test_messages_ignore_encounters_before_creation():
     message = msg("A", {"B", "C", "D"}, when=25.0)
     encounters = Encounters.from_rows(
         [
-            enc("A", "B", 10, 20),  # too early: A had nothing to give yet
-            enc("A", "C", 35, 45),
-            enc("C", "D", 50, 60),
+            enc("A", "B", 10),  # too early: A had nothing to give yet
+            enc("A", "C", 35),
+            enc("C", "D", 50),
         ]
     )
     out = simulate([message], encounters, SimConfig("flooding"))
@@ -257,7 +259,7 @@ def test_messages_ignore_encounters_before_creation():
 
 def test_flooding_relays_through_outsiders():
     message = msg("A", {"B"})
-    encounters = Encounters.from_rows([enc("A", "X", 10, 20), enc("B", "X", 30, 40)])
+    encounters = Encounters.from_rows([enc("A", "X", 10), enc("B", "X", 30)])
     out = simulate([message], encounters, SimConfig("flooding"))
     assert out.per_message["m0000"].delivery_ratio == 1.0
     assert out.per_message["m0000"].overhead == 2
@@ -266,7 +268,7 @@ def test_flooding_relays_through_outsiders():
 
 def test_centralized_never_leaks_but_may_miss():
     message = msg("A", {"B"})
-    encounters = Encounters.from_rows([enc("A", "X", 10, 20), enc("B", "X", 30, 40)])
+    encounters = Encounters.from_rows([enc("A", "X", 10), enc("B", "X", 30)])
     out = simulate([message], encounters, SimConfig("centralized"))
     res = out.per_message["m0000"]
     assert res.delivery_ratio == 0.0
@@ -277,7 +279,7 @@ def test_centralized_never_leaks_but_may_miss():
 
 def test_at_most_one_copy_per_node():
     message = msg("A", {"B"})
-    encounters = Encounters.from_rows([enc("A", "B", 10, 20), enc("A", "B", 30, 40)])
+    encounters = Encounters.from_rows([enc("A", "B", 10), enc("A", "B", 30)])
     out = simulate([message], encounters, SimConfig("flooding"))
     assert out.per_message["m0000"].overhead == 1
     assert out.per_message["m0000"].mean_delay == pytest.approx(10.0)
@@ -298,7 +300,7 @@ def test_similarity_gates_encounters():
     message = msg("A", {"B"})
     ids = ("A", "B", "X")
     sims = sims_for(ids, {("A", "B"): 0.9, ("A", "X"): 0.2, ("B", "X"): 0.2})
-    encounters = Encounters.from_rows([enc("A", "X", 10, 20), enc("A", "B", 30, 40)])
+    encounters = Encounters.from_rows([enc("A", "X", 10), enc("A", "B", 30)])
     out = simulate(
         [message],
         encounters,
@@ -316,7 +318,7 @@ def test_similarity_threshold_zero_is_flooding():
     message = msg("A", {"B"})
     ids = ("A", "B", "X")
     sims = sims_for(ids, {("A", "B"): 0.9, ("A", "X"): 0.2, ("B", "X"): 0.2})
-    encounters = Encounters.from_rows([enc("A", "X", 10, 20), enc("B", "X", 30, 40)])
+    encounters = Encounters.from_rows([enc("A", "X", 10), enc("B", "X", 30)])
     gated = simulate(
         [message],
         encounters,
@@ -339,7 +341,7 @@ def test_similarity_symmetrizes_directed_table():
     sims, ids = sim_triangle(sets)
     assert sims[0] == pytest.approx(0.6)
     message = msg("A", {"B"})
-    encounters = Encounters.from_rows([enc("A", "B", 10, 20)])
+    encounters = Encounters.from_rows([enc("A", "B", 10)])
     # the gate is >=: a threshold equal to the pair's value lets the copy
     # through, the next float above it blocks the copy
     at = float(sims[0])
@@ -354,9 +356,9 @@ def test_rtx_single_custody_walk():
     message = msg("A", {"B", "C"})
     encounters = Encounters.from_rows(
         [
-            enc("A", "B", 10, 20),
-            enc("A", "C", 30, 40),  # A no longer holds the message
-            enc("B", "C", 50, 60),
+            enc("A", "B", 10),
+            enc("A", "C", 30),  # A no longer holds the message
+            enc("B", "C", 50),
         ]
     )
     out = simulate([message], encounters, SimConfig("rtx", p=1.0, ttl_factor=3))
@@ -368,7 +370,7 @@ def test_rtx_single_custody_walk():
 
 def test_rtx_budget_limits_hops():
     message = msg("A", {"B", "C"})
-    encounters = Encounters.from_rows([enc("A", "B", 10, 20), enc("B", "C", 50, 60)])
+    encounters = Encounters.from_rows([enc("A", "B", 10), enc("B", "C", 50)])
     # budget = round(0.34 * 3) = 1: only the first handover happens
     out = simulate([message], encounters, SimConfig("rtx", p=1.0, ttl_factor=0.34))
     res = out.per_message["m0000"]
@@ -378,7 +380,7 @@ def test_rtx_budget_limits_hops():
 
 def test_rtx_does_not_hand_back():
     message = msg("A", {"B"})
-    encounters = Encounters.from_rows([enc("A", "B", 10, 20), enc("A", "B", 30, 40)])
+    encounters = Encounters.from_rows([enc("A", "B", 10), enc("A", "B", 30)])
     out = simulate([message], encounters, SimConfig("rtx", p=1.0, ttl_factor=9))
     assert out.per_message["m0000"].overhead == 1  # B already saw it; no bounce
 
@@ -386,7 +388,7 @@ def test_rtx_does_not_hand_back():
 def test_rtx_partial_probability_is_deterministic_by_seed():
     message = msg("A", {"B", "C"})
     encounters = Encounters.from_rows(
-        [enc("A", "B", 10, 20), enc("A", "C", 30, 40), enc("B", "C", 50, 60)]
+        [enc("A", "B", 10), enc("A", "C", 30), enc("B", "C", 50)]
     )
     config = SimConfig("rtx", p=0.5, ttl_factor=3, seed=11)
     first = simulate([message], encounters, config)
@@ -419,10 +421,23 @@ def test_similarity_refuses_a_triangle_that_does_not_fit_its_ids(sims):
     with pytest.raises(ValueError, match="sim_values must be the 1 pair similarities of 2 sim_ids"):
         simulate(
             [msg("A", {"B"})],
-            Encounters.from_rows([enc("A", "B", 10, 20)]),
+            Encounters.from_rows([enc("A", "B", 10)]),
             SimConfig("similarity", sim_threshold=0.5),
             sims,
             ("A", "B"),
+        )
+
+
+def test_similarity_refuses_repeated_sim_ids():
+    """With A twice, the gate of A-B would read whichever of A's positions a
+    lookup kept: 0.9 at one, 0.1 at the other."""
+    with pytest.raises(ValueError, match=r"^sim_ids must be distinct; repeated: \['A'\]$"):
+        simulate(
+            [msg("A", {"B"})],
+            Encounters.from_rows([enc("A", "B", 10)]),
+            SimConfig("similarity", sim_threshold=0.5),
+            np.array([0.5, 0.9, 0.1]),
+            ("A", "A", "B"),
         )
 
 
@@ -466,8 +481,7 @@ def random_scenario(seed):
     for _ in range(80):
         a, b = rng.choice(12, size=2, replace=False)
         a, b = sorted((users[a], users[b]))
-        s = float(rng.integers(0, 1000))
-        encounters.append(enc(a, b, s, s + float(rng.integers(1, 30))))
+        encounters.append(enc(a, b, float(rng.integers(0, 1000))))
     encounters.sort(key=lambda e: (e[2], e[0], e[1]))
     raw = rng.uniform(0, 1, size=(12, 12))
     sims = upper((raw + raw.T) / 2)

@@ -72,13 +72,13 @@ def sessions(draw):
 
 
 def assert_matches_old_sweep(records):
-    """``records`` as Records: the columnar sweep equals the old one row for
-    row, in order, and the brute-force intersection as a set."""
+    """``records`` as Records: the columnar sweep's (a, b, start) rows equal
+    those of the old one row for row, in order, and those of the brute-force
+    intersection as a multiset."""
     rows = records.rows()
     got = stream_rows(records)
-    assert sorted(got) == oracle.encounters_oracle(rows)
-    old = oracle.extract_encounters(rows)
-    assert got == [(e.a, e.b, e.start, e.end, e.location) for e in old]
+    assert sorted(got) == [row[:3] for row in oracle.encounters_oracle(rows)]
+    assert got == [(e.a, e.b, e.start) for e in oracle.extract_encounters(rows)]
 
 
 @given(sessions())
@@ -99,17 +99,20 @@ def test_extract_encounters_on_split_halves_matches_oracles(records, fraction):
         assert_matches_old_sweep(half)
 
 
-def test_equal_rows_keep_the_locations_first_appearance_order():
-    """One pair meets over the same span at two locations: the rows tie on
-    (start, a, b) and come out in the order the locations first appear."""
-    rows = [
-        AssociationRecord("u", "L2", 0, 10),
-        AssociationRecord("v", "L1", 0, 10),
-        AssociationRecord("v", "L2", 0, 10),
-        AssociationRecord("u", "L1", 0, 10),
-    ]
-    assert_matches_old_sweep(Records.from_rows(rows))
-    assert [row[4] for row in stream_rows(Records.from_rows(rows))] == ["L2", "L1"]
+def test_rows_that_tie_on_start_and_pair_are_all_kept():
+    """u and v meet over the same span at three locations, and w meets both
+    at one of them: the three (u, v) rows tie on (start, a, b), are equal
+    rows, and all are kept, whether a block is sorted by the packed key or,
+    as when that key would overflow, by np.lexsort."""
+    rows = [AssociationRecord(u, loc, 0, 10) for loc in ("L3", "L1", "L2") for u in ("v", "u")]
+    records = Records.from_rows([*rows, AssociationRecord("w", "L2", 0, 5)])
+    want = [("u", "v", 0.0)] * 3 + [("u", "w", 0.0), ("v", "w", 0.0)]
+    assert_matches_old_sweep(records)
+    assert stream_rows(records) == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(profilecast, "_KEY_LIMIT", 0)
+        assert_matches_old_sweep(records)
+        assert stream_rows(records) == want
 
 
 # The shipped block size holds every trace and replay drawn here in one
@@ -149,7 +152,7 @@ def assert_blocks_match(records, block=None):
         assert [b.rows() for b in EncounterStream(records)] == [b.rows() for b in blocks]
     budget = block or profilecast.REPLAY_BLOCK
     for b in blocks:
-        assert (b.users, b.locations) == (records.users, records.locations)
+        assert b.users == records.users
         assert 0 < len(b) and len(b) - np.count_nonzero(b.start == b.start[-1]) < budget
     for prev, nxt in zip(blocks, blocks[1:]):
         assert prev.start[-1] < nxt.start[0]
@@ -189,8 +192,7 @@ def replays(draw):
     rows = []
     for _ in range(draw(st.integers(0, 40))):
         a, b = sorted(draw(st.sets(st.sampled_from(ENCOUNTER_USERS), min_size=2, max_size=2)))
-        start = float(draw(st.integers(0, 100)))
-        rows.append((a, b, start, start + draw(st.integers(1, 20)), "L"))
+        rows.append((a, b, float(draw(st.integers(0, 100)))))
     raw = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(size=(8, 8))
     return messages, rows, raw
 
@@ -227,12 +229,18 @@ def triangle_of(table):
     return upper((table + table.T) / 2.0)
 
 
+def oracle_encounters(rows):
+    """The oracle replay's encounters for (a, b, start) rows.  It reads no
+    end or location, so each lasts one second at one place."""
+    return [oracle.Encounter(a, b, start, start + 1.0, "L") for a, b, start in rows]
+
+
 def assert_replay_matches_oracle(replay, config, block=None, users=USERS):
     """The package replay's outcome, checked to equal the oracle's."""
     messages, rows, table = replay
     with replay_block(block):
         got = simulate(messages, Encounters.from_rows(rows), config, triangle_of(table), users)
-    want = oracle.simulate(messages, [oracle.Encounter(*r) for r in rows], config, table, users)
+    want = oracle.simulate(messages, oracle_encounters(rows), config, table, users)
     assert _comparable(got) == _comparable(want), config
     return got
 
@@ -255,13 +263,13 @@ FIXED_MESSAGES = [
     Message("m0001", "u3", frozenset({"u4", "u7"}), 0.0),
 ]
 FIXED_ROWS = [
-    ("u1", "u2", 40.0, 45.0, "L"),
-    ("u0", "u1", 10.0, 20.0, "L"),
-    ("u3", "u4", 2.0, 3.0, "L"),
-    ("u0", "u5", 1.0, 9.0, "L"),
-    ("u1", "u5", 30.0, 31.0, "L"),
-    ("u4", "u5", 6.0, 8.0, "L"),
-    ("u2", "u3", 50.0, 60.0, "L"),
+    ("u1", "u2", 40.0),
+    ("u0", "u1", 10.0),
+    ("u3", "u4", 2.0),
+    ("u0", "u5", 1.0),
+    ("u1", "u5", 30.0),
+    ("u4", "u5", 6.0),
+    ("u2", "u3", 50.0),
 ]
 FIXED_REPLAY = (FIXED_MESSAGES, FIXED_ROWS, np.random.default_rng(3).uniform(size=(8, 8)))
 FIXED_CONFIGS = [
@@ -304,7 +312,7 @@ def wide_replay():
     rows = []
     for start in rng.integers(0, 400, size=700).tolist():
         a, b = sorted(rng.choice(len(WIDE_USERS), size=2, replace=False).tolist())
-        rows.append((WIDE_USERS[a], WIDE_USERS[b], float(start), start + 5.0, "L"))
+        rows.append((WIDE_USERS[a], WIDE_USERS[b], float(start)))
     return messages, rows, rng.uniform(size=(len(WIDE_USERS), len(WIDE_USERS)))
 
 
@@ -355,12 +363,12 @@ SECOND_END_MESSAGES = [
     Message("m0001", "u4", frozenset({"u3", "u5"}), 0.0),
 ]
 SECOND_END_ROWS = [
-    ("u4", "u5", 1.0, 2.0, "L"),  # both ends hand over: one roll
-    ("u0", "u5", 2.0, 3.0, "L"),  # u5 hands m1 to u0
-    ("u1", "u4", 3.0, 4.0, "L"),  # u4 hands m0 to u1
-    ("u2", "u3", 4.0, 5.0, "L"),  # no custodian: no roll
-    ("u0", "u1", 5.0, 6.0, "L"),  # both ends hand over: one roll
-    ("u1", "u2", 6.0, 7.0, "L"),  # u1 hands m1 to u2
+    ("u4", "u5", 1.0),  # both ends hand over: one roll
+    ("u0", "u5", 2.0),  # u5 hands m1 to u0
+    ("u1", "u4", 3.0),  # u4 hands m0 to u1
+    ("u2", "u3", 4.0),  # no custodian: no roll
+    ("u0", "u1", 5.0),  # both ends hand over: one roll
+    ("u1", "u2", 6.0),  # u1 hands m1 to u2
 ]
 
 
@@ -387,14 +395,14 @@ SHARED_REACH_MESSAGES = [
     Message("m0002", "u2", frozenset({"u3"}), 0.0),
 ]
 SHARED_REACH_ROWS = [
-    ("u0", "u3", 0.5, 1.0, "L"),  # no shared message
-    ("u0", "u1", 1.0, 2.0, "L"),
-    ("u1", "u3", 2.0, 3.0, "L"),  # no shared message
-    ("u3", "u4", 3.0, 4.0, "L"),
-    ("u0", "u5", 4.0, 5.0, "L"),  # no shared message
-    ("u2", "u3", 5.0, 6.0, "L"),  # they share m2 only
-    ("u1", "u2", 6.0, 7.0, "L"),
-    ("u4", "u5", 7.0, 8.0, "L"),
+    ("u0", "u3", 0.5),  # no shared message
+    ("u0", "u1", 1.0),
+    ("u1", "u3", 2.0),  # no shared message
+    ("u3", "u4", 3.0),
+    ("u0", "u5", 4.0),  # no shared message
+    ("u2", "u3", 5.0),  # they share m2 only
+    ("u1", "u2", 6.0),
+    ("u4", "u5", 7.0),
 ]
 
 
@@ -415,13 +423,13 @@ EQUAL_SEEN_MESSAGES = [
     Message("m0001", "u5", frozenset({"u3", "u4"}), 0.0),
 ]
 EQUAL_SEEN_ROWS = [
-    ("u0", "u1", 1.0, 2.0, "L"),  # both have seen nothing
-    ("u4", "u5", 2.0, 3.0, "L"),  # u5 gives both messages to u4
-    ("u4", "u5", 3.0, 4.0, "L"),  # both have seen both
-    ("u3", "u4", 4.0, 5.0, "L"),
-    ("u3", "u5", 5.0, 6.0, "L"),  # both have seen both
-    ("u2", "u3", 6.0, 7.0, "L"),
-    ("u0", "u2", 7.0, 8.0, "L"),
+    ("u0", "u1", 1.0),  # both have seen nothing
+    ("u4", "u5", 2.0),  # u5 gives both messages to u4
+    ("u4", "u5", 3.0),  # both have seen both
+    ("u3", "u4", 4.0),
+    ("u3", "u5", 5.0),  # both have seen both
+    ("u2", "u3", 6.0),
+    ("u0", "u2", 7.0),
 ]
 
 
@@ -456,7 +464,8 @@ SYNTH_CONFIGS = (
 def synth_replay():
     """The replay half of a 60-user synth population: four groups of 15 over
     four home locations and one common one, 3466 encounters, 12 messages;
-    each config's oracle outcome is computed once."""
+    each config's oracle outcome is computed once, over the oracle's own
+    extraction of the replay half, so a fault of the stream's shows."""
     n = 6
     groups = tuple(
         GroupSpec(
@@ -473,11 +482,11 @@ def synth_replay():
     messages = build_messages(Partition(assignment=truth), creation_time=mid, seed=3)
     users = sorted(truth)
     table = np.random.default_rng(1).uniform(size=(len(users), len(users)))
-    rows = [oracle.Encounter(*row) for row in encounters.rows()]
+    rows = oracle.extract_encounters(second.rows())
     want = {
         config: _comparable(oracle.simulate(messages, rows, config, table, users)) for config in SYNTH_CONFIGS
     }
-    return messages, encounters, triangle_of(table), users, want, second, (first, mid)
+    return messages, encounters, triangle_of(table), users, want, second, (first, mid, rows)
 
 
 @pytest.mark.parametrize("block", (None, 7, 256))
@@ -510,7 +519,7 @@ def test_similarity_replay_over_profile_similarities_matches_oracle(synth_replay
     """The similarities of the profile half's eigen sets: the package replay
     reads sim_triangle, the oracle replay the square route's table, and every
     gate agrees, so every transmission does."""
-    messages, encounters, _, _, _, _, (first, mid) = synth_replay
+    messages, encounters, _, _, _, _, (first, mid, rows) = synth_replay
     eigen_sets = eigen_sets_for(build_matrices(first, TraceConfig(0.0, mid)))
     assert None not in eigen_sets.values() and len(eigen_sets) == 60
     sims, ids = sim_triangle(eigen_sets)
@@ -518,20 +527,18 @@ def test_similarity_replay_over_profile_similarities_matches_oracle(synth_replay
     assert ids == table_ids
     config = SimConfig("similarity", sim_threshold=threshold)
     got = simulate(messages, encounters, config, sims, ids)
-    want = oracle.simulate(messages, [oracle.Encounter(*row) for row in encounters.rows()], config, table, ids)
+    want = oracle.simulate(messages, rows, config, table, ids)
     assert _comparable(got) == _comparable(want)
 
 
 def test_encounters_columns_round_trip_in_given_order():
-    rows = [("v", "w", 5.0, 6.0, "L2"), ("u", "v", 1.0, 2.0, "L1"), ("u", "w", 5.0, 9.0, "L1")]
+    rows = [("v", "w", 5.0), ("u", "v", 1.0), ("u", "w", 5.0)]
     encounters = Encounters.from_rows(rows)
     assert len(encounters) == 3
     assert encounters.users == ("u", "v", "w")
-    assert encounters.locations == ("L1", "L2")
     assert encounters.a.tolist() == [1, 0, 0]
     assert encounters.b.tolist() == [2, 1, 2]
-    assert encounters.loc.tolist() == [1, 0, 0]
     assert encounters.rows() == rows
     assert len(Encounters.from_rows([])) == 0
     with pytest.raises(ValueError, match="equal length"):
-        Encounters(("u", "v"), ("L",), [0], [1, 1], [0.0], [1.0], [0])
+        Encounters(("u", "v"), [0], [1, 1], [0.0])

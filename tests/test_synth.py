@@ -59,6 +59,8 @@ def test_spec_validation():
         GroupSpec(1, ((1.0,),), (1.0,), p_online=nan)
     with pytest.raises(ValueError, match="noise_epsilon"):
         SynthSpec(n_locations=1, n_days=1, groups=(GroupSpec(1, ((1.0,),), (1.0,)),), noise_epsilon=nan)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SynthSpec(n_locations=1, n_days=1, groups=(GroupSpec(1, ((1.0,),), (1.0,)),), seed=-1)
 
 
 @pytest.mark.parametrize("n_locations", [1, 3])
