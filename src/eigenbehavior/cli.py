@@ -186,6 +186,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     except MatricesTooLarge as exc:  # the config's horizon and slots size them
         raise ValueError(f"{args.config}: {exc}") from None
     del records  # nothing reads the trace after the table is built
+    if args.clusters is not None and args.clusters > len(table):
+        raise ValueError(f"--clusters {args.clusters} exceeds the {len(table)} users of {args.trace}")
     result = run_pipeline(
         table, metric=args.metric, threshold=args.threshold, target_count=args.clusters, **options
     )

@@ -7,12 +7,16 @@ reached.  Ties are broken toward the pair with the smaller cluster id, then
 the smaller partner id, where a cluster's running id is the smallest original
 element index it contains.  One engine, merge_histories, grows such trees
 from a stack of their condensed triangles, which it only reads, in one
-private working copy, and records each as (i, j, distance) rows.  The stack's
-height selects its step: a stack of one tree (agglomerate's population tree,
-or a chunk of one mode tree) takes the single-tree step, _grow_tree, which
-holds its rows as Python ints and gathers 1-D rows; a stack of two or more
-takes the batched step, which holds (trees, n) caches and merges every live
-tree once a pass.  Both make the same merges, bit for bit.  One cut,
+private, tree-major working copy, each tree's cells one row, and records
+each as (i, j, distance) rows.  The stack's height selects its step: a stack
+of one tree (agglomerate's population tree, or a chunk of one mode tree)
+takes the single-tree step, _grow_tree, which caches each row's least cell,
+rescans the rows a merge leaves stale and gathers 1-D rows; a stack of two
+or more takes the batched step, which keeps no cache and rescans no row: one
+argmin over each tree's cells finds its merge, every live tree once a pass
+(Mullner's "primitive" algorithm, arXiv:1109.2378).  A pass reads every cell
+of its stack, which suits the mode trees' chunks, cut to about
+trace.BLOCK_CELLS cells.  Both make the same merges, bit for bit.  One cut,
 merge_roots, reads any prefix of those records as each slot's root.
 agglomerate runs both on a DistanceMatrix, the package's one distance type:
 the condensed triangle of the pairwise distances, checked once when it is
@@ -203,24 +207,23 @@ def merge_histories(
     its own, under exactly one of the two rules of agglomerate (the count rule
     stops at <= target_count active elements).  The distances must be finite;
     they are not validated here.  The stack is only read: the engine works in
-    one private copy, whose row a is an inf cell for the pair (a, a) followed
-    by row a's run of pairs (a, j > a), every tree's cell side by side.  No
-    n x n array is built.
+    one private, tree-major copy, (B, n(n + 1) / 2), whose row is one tree's
+    cells: for each a in turn, an inf cell for the pair (a, a) and then row
+    a's run of pairs (a, j > a).  No n x n array is built.
 
-    Every tree caches each row's least distance over its own run only.  The
-    first row i with the smallest cache holds the whole symmetric matrix's
-    row-major first argmin, at the first column j > i of its run that holds
-    the cache, so merges follow the smallest-id tie rule in exactly the greedy
-    global order.  A merge gathers rows i and j, run and column, and scatters
-    their Lance-Williams average into row i and inf into row j.  Row i, and
-    every row a whose cache equals its old (a, i), a < i, or its old (a, j),
-    a < j, then rescan their runs, one row of every tree at a time; every
-    other row a < i takes its new (a, i) when that is smaller than its cache.
+    A tree's first least cell in that order is the symmetric matrix's
+    row-major first argmin, (i, j), so merges follow the smallest-id tie rule
+    in exactly the greedy global order.  A merge gathers rows i and j, run and
+    column, and scatters their Lance-Williams average into row i and inf into
+    row j.
 
     The stack's height selects the step, and both make the same merges: a
     stack of one tree is grown by _grow_tree, one merge at a time on
-    Python-int rows; a stack of two or more by the batched step below, one
-    merge of every live tree a pass, on (trees, n) arrays.
+    Python-int rows, with a cache of each row's least cell; a stack of two or
+    more by the batched step below, which keeps no cache: one argmin over
+    each live tree's cells finds its merge, every live tree once a pass.  A
+    pass reads every cell of its stack, which suits the mode trees' chunks,
+    cut to about trace.BLOCK_CELLS cells, not a stack of large trees.
     """
     if (threshold is None) == (target_count is None):
         raise ValueError("give exactly one of threshold or target_count")
@@ -233,41 +236,30 @@ def merge_histories(
         raise ValueError(f"{n_pairs} is not the pair count of a condensed triangle")
     cols = np.arange(n)
     start = cols * (2 * n + 1 - cols) // 2  # the place of each row's (a, a) cell
-    work = np.empty((n * (n + 1) // 2, n_trees))  # a cell's trees side by side
-    work[start] = np.inf
+    below = start - cols  # the cell (a, k), a <= k, sits at below[a] + k
+    n_cells = n * (n + 1) // 2
+    work = np.empty((n_trees, n_cells))
+    work[:, start] = np.inf
     for a, run in enumerate(row_runs(triangles.T, n)):
-        work[start[a] + 1 : start[a] + n - a] = run
-    flat = work.reshape(-1)
+        work[:, start[a] + 1 : start[a] + n - a] = run.T
 
-    # the cell (a, k) of a tree sits in row min(a, k)'s run, at column max(a, k)
-    below, across = (start - cols) * n_trees, cols * n_trees
-
-    def row_cells(trees: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Places in flat of the cells (row, k), k < n, of each tree's row:
-        (k, row) in row k's run for k < row, then row's own run."""
-        return np.where(
-            cols < rows[:, None],
-            below + (rows * n_trees + trees)[:, None],
-            across + (below[rows] + trees)[:, None],
-        )
-
-    min_val = np.empty((n_trees, n))
-
-    def rescan(rows: np.ndarray) -> None:
-        """Cache every tree's least cell in each of rows, from its (a, a) cell
-        to the end of its run."""
-        for a in rows.tolist():
-            min_val[:, a] = np.minimum.reduce(work[start[a] : start[a] + n - a])
+    def row_cells(rows: np.ndarray) -> np.ndarray:
+        """The places, in a tree's row of work, of each of rows' cells (row,
+        k), k < n: (k, row) in row k's run for k < row, then row's own run."""
+        return np.where(cols < rows[:, None], below + rows[:, None], below[rows, None] + cols)
 
     active = np.ones((n_trees, n), bool) if mask is None else np.asarray(mask, dtype=bool)
-    flat[row_cells(*np.nonzero(~active))] = np.inf
+    dead_trees, dead_rows = np.nonzero(~active)
+    work[dead_trees[:, None], row_cells(dead_rows)] = np.inf
     n_active = active.sum(axis=1)
-    rescan(cols)
     merges = np.full((n_trees, n, 3), np.nan)
     floor = 1 if target_count is None else target_count
     if n_trees == 1:
-        _grow_tree(flat, start, min_val[0], int(n_active[0]) - floor, threshold, merges[0])
+        _grow_tree(work[0], start, int(n_active[0]) - floor, threshold, merges[0])
         return merges
+    flat = work.reshape(-1)  # tree t's cell c sits at t * n_cells + c
+    row_of = np.repeat(cols, n - cols)  # the row a and column k of each cell (a, k)
+    col_of = np.arange(n_cells) - np.repeat(below, n - cols)
     sizes = np.ones((n_trees, n), dtype=np.int64)
     last = np.full(n_trees, -np.inf)
     steps = np.zeros(n_trees, dtype=np.intp)
@@ -275,11 +267,11 @@ def merge_histories(
 
     live = np.flatnonzero(n_active > floor)
     while live.size:
-        i = min_val[live].argmin(axis=1)
-        dist = min_val[live, i]
+        cell = work.argmin(axis=1)[live]  # each tree's first least cell: the tie rule
+        dist = work[live, cell]
         if threshold is not None:
             keep = dist <= threshold
-            live, i, dist = live[keep], i[keep], dist[keep]
+            live, cell, dist = live[keep], cell[keep], dist[keep]
             if not live.size:
                 break
         falling = np.flatnonzero(dist < last[live] - _MONOTONE_SLACK)
@@ -288,11 +280,10 @@ def merge_histories(
             raise AssertionError(
                 f"average-linkage monotonicity violated: {dist[k]} after {last[live[k]]}"
             )
-        cells_i = row_cells(live, i)
-        row_i = flat[cells_i]
-        j = ((row_i == dist[:, None]) & (cols > i[:, None])).argmax(axis=1)
-        cells_j = row_cells(live, j)
-        row_j = flat[cells_j]
+        i, j = row_of[cell], col_of[cell]
+        tree_at = live[:, None] * n_cells
+        cells_i, cells_j = tree_at + row_cells(i), tree_at + row_cells(j)
+        row_i, row_j = flat[cells_i], flat[cells_j]
         last[live] = dist
         hist_i[live, steps[live]] = i
         hist_j[live, steps[live]] = j
@@ -302,19 +293,10 @@ def merge_histories(
         # Lance-Williams update for average linkage, result stored in row i.
         # The (a, a) cells and dead rows hold inf, which it keeps.
         ni, nj = sizes[live, i][:, None], sizes[live, j][:, None]
-        merged = (ni * row_i + nj * row_j) / (ni + nj)
-        flat[cells_i] = merged
+        flat[cells_i] = (ni * row_i + nj * row_j) / (ni + nj)
         flat[cells_j] = np.inf
         sizes[live, i] += sizes[live, j]
         n_active[live] -= 1
-
-        current, before_i = min_val[live], cols < i[:, None]
-        stale = ((row_i == current) & before_i) | ((row_j == current) & (cols < j[:, None]))
-        stale &= current < np.inf  # not the dead rows, whose cells are all inf
-        stale[np.arange(live.size), i] = True
-        min_val[live] = np.minimum(current, merged, out=current, where=before_i)
-        min_val[live, j] = np.inf
-        rescan(np.flatnonzero(stale.any(axis=0)))
         live = live[n_active[live] > floor]
     return merges
 
@@ -322,25 +304,28 @@ def merge_histories(
 def _grow_tree(
     work: np.ndarray,
     start: np.ndarray,
-    cache: np.ndarray,
     n_merges: int,
     threshold: float | None,
     record: np.ndarray,
 ) -> None:
     """merge_histories' step for a stack of one tree: at most n_merges merges
-    of the 1-D working copy work, whose row a's (a, a) cell sits at start[a]
-    and whose rows' least cells are cached in cache, recorded into record,
-    (n, 3).  It holds no per-tree array, so a merge costs a few calls on
-    1-D rows, not the batched step's (trees, n) gathers.
+    of the 1-D working copy work, whose row a's (a, a) cell sits at start[a],
+    recorded into record, (n, 3).  It holds no per-tree array, so a merge
+    costs a few calls on 1-D rows, not a pass over every cell.
 
-    It makes the batched step's merges, on Python-int rows: i is the first
-    row holding the least cache and j = i + the argmin of i's run, the first
-    column holding it.  Rows i and j are each gathered through one index, the
-    (k, r) cells of the earlier rows k at start[k] - k + r and then r's own
-    run; the Lance-Williams average is scattered into row i and inf into row
-    j.  The stale rows, as in the batched step, are found with one
-    flatnonzero over the 1-D caches and rescan their runs one at a time.
+    It caches each row's least distance over its own run only, from one
+    reduceat over the rows.  i is the first row holding the least cache and
+    j = i + the argmin of i's run, the first column holding it: the
+    row-major first argmin, as the batched step finds it.  Rows i and j are
+    each gathered through one index, the (k, r) cells of the earlier rows k
+    at start[k] - k + r and then r's own run; the Lance-Williams average is
+    scattered into row i and inf into row j.  Row i, and every row a whose
+    cache equals its old (a, i), a < i, or its old (a, j), a < j, then
+    rescan their runs one at a time, found with one flatnonzero over the
+    caches; every other row a < i takes its new (a, i) when that is smaller
+    than its cache.
     """
+    cache = np.minimum.reduceat(work, start)
     n = len(cache)
     below = start - np.arange(n)  # (k, r), k < r, sits at below[k] + r
     starts = start.tolist()

@@ -573,6 +573,25 @@ def test_bad_stop_value_exits_2_before_the_trace_is_read(tmp_path, capsys, stop,
     assert not out.exists()
 
 
+def test_clusters_above_the_user_count_exits_2_before_any_stage_runs(workdir, tmp_path, capsys, monkeypatch):
+    """A cluster count above the trace's users is refused once the table is
+    built, naming the flag, the count and the trace, before any stage runs."""
+    calls = Counter()
+    count_calls(monkeypatch, pipeline, "run_pipeline", calls)
+    trace_path = workdir / "synth" / "trace.csv"
+    n_users = len(load_records(str(trace_path)).users)
+    out = tmp_path / "o"
+    argv = _pipeline_argv(workdir, workdir / "config.json", out)
+    argv[argv.index("--clusters") + 1] = str(n_users + 1)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--clusters {n_users + 1} exceeds the {n_users} users of {trace_path}" in err
+    assert calls["run_pipeline"] == 0
+    assert not out.exists()
+    argv[argv.index("--clusters") + 1] = str(n_users)
+    assert main(argv) == 0 and calls["run_pipeline"] == 1
+
+
 @pytest.mark.parametrize("command", ["synth", "pipeline", "simulate"])
 def test_negative_seed_exits_2_before_any_input_is_read(tmp_path, capsys, command):
     """numpy's generators refuse a negative seed; the flag is refused at

@@ -295,7 +295,9 @@ def test_l1_triangles_of_one_row_are_empty():
 def test_linkage_rounding_onto_a_row_minimum_takes_the_smaller_column():
     # Row 0's minimum, 1.0, is first in column 2.  Merging 3 into 1 gives row 0
     # the linkage (a + 1) / 2, which rounds to exactly 1.0 in column 1; the
-    # row-major argmin then pairs row 0 with column 1, so the cache must move.
+    # row-major argmin then pairs row 0 with column 1, so the single-tree
+    # step's cache must move, and the batched step, on the square stacked
+    # twice, must take the first least cell of each tree.
     a = np.nextafter(1.0, 2.0)
     dm = np.array(
         [
@@ -309,3 +311,5 @@ def test_linkage_rounding_onto_a_row_minimum_takes_the_smaller_column():
     want = oracle.agglomerate(dm, target_count=1).merge_history
     assert want[:2] == [(1, 3, 0.0), (0, 1, 1.0)]
     assert agglomerate(checked(dm), target_count=1).merge_history == want
+    batched = merge_histories(np.stack([upper(dm)] * 2), target_count=1)
+    assert batched[0].tobytes() == batched[1].tobytes() == record(want, 4).tobytes()
