@@ -73,7 +73,6 @@ from .trace import (
     TraceConfig,
     aggregate_locations,
     build_matrices,
-    build_matrix,
     load_location_map,
     load_records,
 )

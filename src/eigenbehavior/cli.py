@@ -35,7 +35,7 @@ from .profilecast import (
     simulate,
     split_trace,
 )
-from .summaries import DEFAULT_POWER_FLOOR, check_power_floor
+from .summaries import DEFAULT_POWER_FLOOR, SUMMARY_NAMES, check_power_floor
 from .synth import generate, spec_from_json, spec_to_json_dict
 from .trace import (
     MatricesTooLarge,
@@ -186,8 +186,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     except MatricesTooLarge as exc:  # the config's horizon and slots size them
         raise ValueError(f"{args.config}: {exc}") from None
     del records  # nothing reads the trace after the table is built
-    if args.clusters is not None and args.clusters > len(table):
-        raise ValueError(f"--clusters {args.clusters} exceeds the {len(table)} users of {args.trace}")
+    # the summary metrics cluster only the online users, eigen and amvd every user
+    summary = args.metric in (name for _, name in SUMMARY_NAMES)
+    clustered, who = (len(table.live), "online users") if summary else (len(table), "users")
+    if args.clusters is not None and args.clusters > clustered:
+        raise ValueError(
+            f"--clusters {args.clusters} exceeds the {clustered} {who} of {args.trace}"
+            f" that --metric {args.metric} clusters"
+        )
     result = run_pipeline(
         table, metric=args.metric, threshold=args.threshold, target_count=args.clusters, **options
     )
@@ -295,6 +301,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     a = persist.load_partition_csv(args.partition_a)
     b = persist.load_partition_csv(args.partition_b)
+    only = set(a.assignment).symmetric_difference(b.assignment)
+    if only:
+        element = min(only)
+        paths = (args.partition_a, args.partition_b)
+        inside, outside = paths if element in a.assignment else paths[::-1]
+        raise ValueError(f"{inside} and {outside} cover different elements: {element!r} is only in {inside}")
     print(f"{jaccard(a, b):.4f}")
     return 0
 

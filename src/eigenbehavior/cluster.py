@@ -51,10 +51,12 @@ METRIC_MAX = {"eigen": 1.0, "amvd": 2.0, "onavg": 2.0, "centroid05": 2.0, "centr
 
 @dataclass
 class Partition:
-    """Clustering result: element -> contiguous cluster id, plus merge history."""
+    """Clustering result: element -> contiguous cluster id, plus merge
+    history, the (merges, 3) float rows (i, j, distance) of merge_histories'
+    record, in merge order; (0, 3) when nothing merged."""
 
     assignment: dict[Hashable, int]
-    merge_history: list[tuple[int, int, float]] = field(default_factory=list)
+    merge_history: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
 
     def clusters(self) -> list[list[Hashable]]:
         """Members per cluster id; each member list sorted."""
@@ -186,9 +188,7 @@ def agglomerate(
         raise ValueError(f"target_count must lie in [1, {dm.n}]")
     merges = merge_histories(dm.values[None], threshold=threshold, target_count=target_count)
     _, cluster_of = np.unique(merge_roots(merges)[0], return_inverse=True)
-    i, j, d = merges[0, ~np.isnan(merges[0, :, 2])].T
-    history = zip(i.astype(np.intp).tolist(), j.astype(np.intp).tolist(), d.tolist())
-    return Partition(dict(zip(dm.ids, cluster_of.tolist())), list(history))
+    return Partition(dict(zip(dm.ids, cluster_of.tolist())), merges[0, ~np.isnan(merges[0, :, 2])])
 
 
 def merge_histories(

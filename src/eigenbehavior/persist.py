@@ -252,8 +252,8 @@ def load_partition_csv(path: str) -> Partition:
 
 
 def write_merge_history_csv(path: str, partition: Partition) -> None:
-    merges = enumerate(partition.merge_history)
-    _write_csv(path, ["step", "a", "b", "distance"], ([s, a, b, fmt(d)] for s, (a, b, d) in merges))
+    merges = enumerate(partition.merge_history.tolist())
+    _write_csv(path, ["step", "a", "b", "distance"], ([s, int(a), int(b), fmt(d)] for s, (a, b, d) in merges))
 
 
 def write_summary_table_csv(path: str, table: dict[str, float]) -> None:

@@ -242,16 +242,6 @@ def eigen_decompositions(rows: np.ndarray, power_floor: float) -> tuple[list[Eig
     return [EigenBehaviorSet(v[m], w[m]) for v, w, m in zip(vt, weights, keep)], s
 
 
-def eigen_decomposition(
-    matrix: AssociationMatrix, power_floor: float = DEFAULT_POWER_FLOOR
-) -> tuple[EigenBehaviorSet, np.ndarray]:
-    """eigen_behaviors of matrix and the singular values of the one SVD it takes."""
-    check_power_floor(power_floor)
-    _require_online(matrix)
-    (eigen,), s = eigen_decompositions(matrix.rows[None], power_floor)
-    return eigen, s[0]
-
-
 def eigen_behaviors(
     matrix: AssociationMatrix,
     power_floor: float = DEFAULT_POWER_FLOOR,
@@ -261,8 +251,11 @@ def eigen_behaviors(
     The j-th weight is sigma_j^2 over the sum of all squared singular values;
     vectors whose weight falls below power_floor are dropped.  Each kept
     vector is sign-canonicalized so its largest-magnitude entry is positive.
+    It is eigen_decompositions on a stack of one matrix.
     """
-    return eigen_decomposition(matrix, power_floor)[0]
+    check_power_floor(power_floor)
+    _require_online(matrix)
+    return eigen_decompositions(matrix.rows[None], power_floor)[0][0]
 
 
 def power_captured(matrix: AssociationMatrix, k: int) -> float:

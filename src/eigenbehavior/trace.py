@@ -515,19 +515,14 @@ def load_location_map(path: str) -> dict[str, str]:
     return read_table(path, ("ap", "building"), "access point", ints=False)
 
 
-def _first_unmapped(records: Records, mapping: dict) -> str | None:
-    """The location of the first record, in trace order, that ``mapping`` lacks."""
-    missing = np.array([loc not in mapping for loc in records.locations], dtype=bool)
-    if not missing.any():
-        return None
-    return records.locations[records.loc[np.flatnonzero(missing[records.loc])[0]]]
-
-
 def aggregate_locations(records: Records, location_map: dict[str, str]) -> Records:
-    """Rewrite access-point location ids to their buildings; count is preserved."""
-    missing = _first_unmapped(records, location_map)
-    if missing is not None:
-        raise ValueError(f"unmapped location: {missing!r}")
+    """Rewrite access-point location ids to their buildings; count is preserved.
+    An access point that location_map lacks is refused, the first in trace
+    order named."""
+    missing = np.array([ap not in location_map for ap in records.locations], dtype=bool)
+    if missing.any():
+        first = records.loc[np.flatnonzero(missing[records.loc])[0]]
+        raise ValueError(f"unmapped location: {records.locations[first]!r}")
     buildings, loc = code_ids([location_map[ap] for ap in records.locations], records.loc)
     return Records(records.users, buildings, records.user, loc, records.start, records.end)
 
@@ -601,40 +596,24 @@ def budget_blocks(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def build_matrices(
-    records: Records | Iterable[AssociationRecord],
-    config: TraceConfig,
-    location_index: Sequence[str] | None = None,
-) -> PopulationTable:
-    """Build every user's slot-by-location matrix over a shared location index,
-    as one table of the sorted users.
+def build_matrices(records: Records | Iterable[AssociationRecord], config: TraceConfig) -> PopulationTable:
+    """Build every user's slot-by-location matrix over the records' own
+    locations (``records.locations``, sorted), as one table of the sorted
+    users; one user's matrix is ``build_matrices(records, config)[user]``.
 
     Records are clipped to [trace_start, trace_end) and to the daily window if
     one is configured, and split at slot boundaries.  Within a slot, a user's
     intervals are unioned per location and time covered by k locations at
     once is split evenly.  Normalized mode divides each online row by its
     online seconds so it sums to 1; absolute mode keeps raw (overlap-split)
-    seconds.  The default index is every location in the records, sorted.
+    seconds.
 
     Cells are independent per user, so the users are swept in blocks of
     consecutive codes holding about ``BLOCK_RECORDS`` records each (see
     ``_sweep_block``), which bounds the per-piece scratch arrays.
     """
     records = as_records(records)
-    if location_index is None:
-        index = records.locations
-        remap = np.arange(len(index))
-    else:
-        index = tuple(location_index)
-        pos = {loc: i for i, loc in enumerate(index)}
-        if len(pos) != len(index):
-            raise ValueError("location_index contains duplicates")
-        missing = _first_unmapped(records, pos)
-        if missing is not None:
-            raise ValueError(f"location {missing!r} not in location_index")
-        remap = np.array([pos[loc] for loc in records.locations], dtype=np.intp)
-
-    shape = (len(records.users), config.n_slots, len(index))
+    shape = (len(records.users), config.n_slots, len(records.locations))
     try:
         rows = np.zeros(shape)
     except (MemoryError, ValueError):  # numpy raises ValueError past its size limits
@@ -648,7 +627,7 @@ def build_matrices(
         take = order[offset[u0] : offset[u1]]
         _sweep_block(
             records.user[take] - u0,
-            remap[records.loc[take]],
+            records.loc[take],
             records.start[take],
             records.end[take],
             config,
@@ -657,7 +636,7 @@ def build_matrices(
     if config.normalization == "normalized":
         totals = rows.sum(axis=2, keepdims=True)
         np.divide(rows, totals, out=rows, where=totals > 0)
-    return PopulationTable(records.users, index, rows)
+    return PopulationTable(records.users, records.locations, rows)
 
 
 def _sweep_block(
@@ -721,17 +700,3 @@ def _sweep_block(
     # cell and location span by span in position order, as the sweep does.
     item, k = _runs(closed - opened)
     np.add.at(rows.reshape(-1), flat[item], share[opened[item] + k])
-
-
-def build_matrix(
-    records: Records | Iterable[AssociationRecord],
-    config: TraceConfig,
-    location_index: Sequence[str],
-) -> AssociationMatrix:
-    """One user's slot-by-location matrix (see ``build_matrices``)."""
-    records = as_records(records)
-    if not len(records):
-        raise ValueError("no records given")
-    if len(records.users) > 1:
-        raise ValueError(f"records span multiple users: {list(records.users)!r}")
-    return build_matrices(records, config, location_index)[records.users[0]]

@@ -35,20 +35,21 @@ def partition_from_merges(
 ) -> Partition:
     """The partition left by replaying a merge history over len(labels) singletons.
 
-    Each merge (i, j, d) moves slot j's members into slot i (i < j), so a
+    Each merge (i, j, d), ints or the float rows of a merge record, moves
+    slot j's members into slot i (i < j), so a
     slot's id is its smallest member index; final cluster ids are contiguous
     in that order.  The assignment is keyed in labels order.  Any prefix of a
     history is itself a valid history.
     """
     members: dict[int, list[int]] = {i: [i] for i in range(len(labels))}
     for i, j, _ in merges:
-        members[i].extend(members.pop(j))
+        members[int(i)].extend(members.pop(int(j)))
     cluster_of: dict[int, int] = {}
     for cid, slot in enumerate(sorted(members)):
         for idx in members[slot]:
             cluster_of[idx] = cid
     assignment = {label: cluster_of[idx] for idx, label in enumerate(labels)}
-    return Partition(assignment=assignment, merge_history=list(merges))
+    return Partition(assignment=assignment, merge_history=np.array(merges, dtype=float).reshape(-1, 3))
 
 
 def agglomerate(

@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 import eigenbehavior
-from conftest import count_calls, digest_tree, profile_half_config
+from conftest import benchmark_spec, count_calls, digest_tree, profile_half_config
 from eigenbehavior import (
+    DAY_SECONDS,
     EncounterStream,
     build_matrices,
     build_messages,
@@ -412,6 +413,72 @@ def test_pipeline_outputs_do_not_depend_on_trace_row_order_or_repeats(workdir, t
     assert digest_tree(other, SKIP) == tree
 
 
+@pytest.fixture(scope="module")
+def population_trace(tmp_path_factory):
+    """synth's trace of a small benchmark population: 100 users in 13 planted
+    two-mode groups, online 70% of 28 days, over 20 locations."""
+    root = tmp_path_factory.mktemp("population")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        benchmark_spec(root, monkeypatch, 100, 3)
+    assert main(["synth", str(root / "spec.json"), "--out", str(root / "synth")]) == 0
+    return root / "synth" / "trace.csv"
+
+
+def _pipeline_run(tmp_path, name, rows, bounds, metric):
+    """A pipeline --clusters 13 run on the trace rows (user, location, start,
+    end) over the horizon bounds, (trace_start, trace_end): its output directory."""
+    trace_path, config = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+    trace_path.write_text("".join(f"{u},{loc},{s},{e}\n" for u, loc, s, e in [("user", "location", "start", "end"), *rows]))
+    config.write_text(json.dumps(dict(zip(("trace_start", "trace_end"), bounds))))
+    out = tmp_path / name
+    argv = ["pipeline", str(trace_path), "--config", str(config), "--metric", metric, "--clusters", "13"]
+    assert main([*argv, "--out", str(out)]) == 0
+    return out
+
+
+def _trace_rows(path):
+    return [(u, loc, int(s), int(e)) for u, loc, s, e in (line.split(",") for line in path.read_text().splitlines()[1:])]
+
+
+@pytest.mark.parametrize("metric", ["eigen", "centroid09"])
+def test_pipeline_outputs_do_not_depend_on_records_split_at_their_midpoints(population_trace, tmp_path, metric):
+    """A trace is a set of association intervals: with every record longer
+    than 2 s split into two that meet at its midpoint, a pipeline run writes
+    the same bytes, manifest.json aside, as on the trace itself."""
+    rows = _trace_rows(population_trace)
+    split = []
+    for u, loc, s, e in rows:
+        mid = (s + e) // 2
+        split += [(u, loc, s, mid), (u, loc, mid, e)] if e - s > 2 else [(u, loc, s, e)]
+    assert len(split) > len(rows)
+    bounds = (0, 28 * DAY_SECONDS)
+    base = _pipeline_run(tmp_path, "base", rows, bounds, metric)
+    tree = digest_tree(base, SKIP)
+    assert set(tree) == PIPELINE_FILES - set(SKIP)
+    assert digest_tree(_pipeline_run(tmp_path, "split", split, bounds, metric), SKIP) == tree
+
+
+@pytest.mark.parametrize("metric", ["eigen", "centroid09"])
+def test_pipeline_outputs_do_not_depend_on_the_trace_epoch(population_trace, tmp_path, metric):
+    """Every bound of the trace and of the config's horizon shifted by 7 days
+    leaves the slots' contents as they were: a pipeline run writes the same
+    bytes, manifest.json aside, except matrices/index.json's config, which
+    holds the shifted horizon."""
+    shift = 7 * DAY_SECONDS
+    rows = _trace_rows(population_trace)
+    bounds = (0, 28 * DAY_SECONDS)
+    base = _pipeline_run(tmp_path, "base", rows, bounds, metric)
+    shifted = [(u, loc, s + shift, e + shift) for u, loc, s, e in rows]
+    other = _pipeline_run(tmp_path, "shifted", shifted, [b + shift for b in bounds], metric)
+    index = os.path.join("matrices", "index.json")
+    tree, other_tree = digest_tree(base, SKIP), digest_tree(other, SKIP)
+    assert set(tree) == PIPELINE_FILES - set(SKIP)
+    assert tree.pop(index) != other_tree.pop(index) and other_tree == tree
+    base_index, other_index = (json.loads((out / index).read_text()) for out in (base, other))
+    want = {**base_index.pop("config"), "trace_start": shift, "trace_end": 28 * DAY_SECONDS + shift}
+    assert other_index.pop("config") == want and other_index == base_index
+
+
 def test_malformed_spec_exits_2_without_outputs(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -590,6 +657,49 @@ def test_clusters_above_the_user_count_exits_2_before_any_stage_runs(workdir, tm
     assert not out.exists()
     argv[argv.index("--clusters") + 1] = str(n_users)
     assert main(argv) == 0 and calls["run_pipeline"] == 1
+
+
+def test_clusters_above_the_count_the_metric_clusters_exits_2_before_any_stage_runs(tmp_path, capsys, monkeypatch):
+    """The summary metrics cluster only the online users, eigen and amvd
+    every user: a count above the chosen metric's is refused once the table
+    is built, naming the flag, that count and the trace, before any stage
+    runs; the count itself is accepted."""
+    calls = Counter()
+    count_calls(monkeypatch, pipeline, "run_pipeline", calls)
+    trace_path = tmp_path / "trace.csv"
+    # u3's only record is past the horizon, so two of the three users are online
+    trace_path.write_text("user,location,start,end\nu1,L0,0,600\nu2,L1,0,600\nu3,L0,90000,90600\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trace_start": 0, "trace_end": 86400}))
+    counts = {metric: (2, "online users") for metric in ("onavg", "centroid05", "centroid09")}
+    counts.update(eigen=(3, "users"), amvd=(3, "users"))
+    assert set(counts) == set(METRICS)
+    for metric, (clustered, who) in counts.items():
+        out = tmp_path / metric
+        argv = ["pipeline", str(trace_path), "--config", str(config), "--metric", metric]
+        argv += ["--clusters", str(clustered + 1), "--out", str(out)]
+        runs = calls["run_pipeline"]
+        assert main(argv) == 2, metric
+        err = capsys.readouterr().err
+        assert f"--clusters {clustered + 1} exceeds the {clustered} {who} of {trace_path} that --metric {metric} clusters" in err
+        assert calls["run_pipeline"] == runs and not out.exists()
+        argv[argv.index("--clusters") + 1] = str(clustered)
+        assert main(argv) == 0 and calls["run_pipeline"] == runs + 1, metric
+
+
+def test_compare_of_partitions_over_different_elements_exits_2_naming_both(workdir, tmp_path, capsys):
+    """compare refuses two partitions of different element sets, naming both
+    files and an element that only one of them holds, in either order."""
+    partition = workdir / "pipe" / "partition.csv"
+    lines = partition.read_text().splitlines(keepends=True)
+    shorter = tmp_path / "partition.csv"
+    shorter.write_text("".join(lines[:-1]))
+    element = lines[-1].split(",")[0]
+    for argv in ([str(partition), str(shorter)], [str(shorter), str(partition)]):
+        assert main(["compare", *argv]) == 2
+        captured = capsys.readouterr()
+        assert f"{partition} and {shorter} cover different elements: {element!r} is only in {partition}" in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["synth", "pipeline", "simulate"])

@@ -56,23 +56,23 @@ def test_three_points_on_a_line():
     dm = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 4.0], [5.0, 4.0, 0.0]])
     p = agglomerate(checked(dm), threshold=2.0)
     assert p.assignment == {0: 0, 1: 0, 2: 1}
-    assert p.merge_history == [(0, 1, 1.0)]
+    assert p.merge_history.tolist() == [[0, 1, 1.0]]
     full = agglomerate(checked(dm), target_count=1)
-    assert full.merge_history == [(0, 1, 1.0), (0, 2, 4.5)]
+    assert full.merge_history.tolist() == [[0, 1, 1.0], [0, 2, 4.5]]
     assert full.assignment == {0: 0, 1: 0, 2: 0}
 
 
 def test_all_tied_distances_merge_lowest_ids_first():
     dm = np.ones((4, 4)) - np.eye(4)
     p = agglomerate(checked(dm), target_count=1)
-    assert p.merge_history == [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)]
+    assert p.merge_history.tolist() == [[0, 1, 1.0], [0, 2, 1.0], [0, 3, 1.0]]
 
 
 def test_tie_prefers_smaller_first_id():
     # (0,2) and (1,2) tie at 1; (0,1) is larger.
     dm = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     p = agglomerate(checked(dm), target_count=2)
-    assert p.merge_history == [(0, 2, 1.0)]
+    assert p.merge_history.tolist() == [[0, 2, 1.0]]
     assert p.assignment == {0: 0, 2: 0, 1: 1}
 
 
@@ -93,7 +93,7 @@ def test_labels_key_the_assignment():
 def test_single_element():
     p = agglomerate(checked(np.zeros((1, 1))), threshold=1.0)
     assert p.assignment == {0: 0}
-    assert p.merge_history == []
+    assert p.merge_history.shape == (0, 3)
 
 
 def test_validation_errors():
@@ -216,7 +216,7 @@ def test_threshold_between_merge_levels_reproduces_prefix():
             continue
         cut = (ds[m - 1] + ds[m]) / 2.0
         p = agglomerate(checked(dm), threshold=cut)
-        assert p.merge_history == full.merge_history[:m]
+        assert p.merge_history.tobytes() == full.merge_history[:m].tobytes()
         assert len(p.sizes()) == n - m
 
 

@@ -25,7 +25,7 @@ from eigenbehavior import (
     summaries,
     trace,
 )
-from eigenbehavior.summaries import eigen_decomposition, eigen_decompositions
+from eigenbehavior.summaries import eigen_behaviors, eigen_decompositions
 from eigenbehavior.trace import DAY_SECONDS
 
 SLOTS, LOCATIONS = 12, 6
@@ -79,8 +79,9 @@ def test_eigen_sets_equal_one_svd_a_matrix_bit_for_bit(monkeypatch, power_floor,
     assert s.tobytes() == np.array([want[u][2] for u in live]).tobytes()
     assert [e.vectors.tobytes() for e in sets] == [got[u].vectors.tobytes() for u in live]
     for user in ("one", "tied", "u00"):
-        eigen, values = eigen_decomposition(matrices[user], power_floor)
-        assert eigen.vectors.tobytes() == want[user][0].tobytes() and values.tobytes() == want[user][2].tobytes()
+        (eigen,), values = eigen_decompositions(matrices[user].rows[None], power_floor)
+        assert eigen.vectors.tobytes() == want[user][0].tobytes() and values[0].tobytes() == want[user][2].tobytes()
+        assert eigen_behaviors(matrices[user], power_floor).vectors.tobytes() == want[user][0].tobytes()
 
 
 def test_eigen_sets_of_a_built_population_equal_the_oracle(mixed_population):

@@ -274,7 +274,7 @@ def test_agglomerate_rescans_one_row_at_a_time():
     values[-1, :-1] = values[:-1, -1] = 1.0
     dm = DistanceMatrix(upper(values), "custom", range(n))
     partition, peak = peak_above_inputs(agglomerate, dm, target_count=n - 1)
-    assert partition.merge_history == [(0, n - 1, 1.0)]
+    assert partition.merge_history.tolist() == [[0, n - 1, 1.0]]
     assert_within(peak, linkage_copy(n) + SLACK)
 
 

@@ -84,9 +84,9 @@ def test_threshold_run_is_prefix_of_full_history(dm, threshold):
     labels = [f"e{i}" for i in range(n)]
     full = agglomerate(checked(dm, labels), target_count=1)
     assert len(full.merge_history) == n - 1
-    prefix = list(takewhile(lambda merge: merge[2] <= threshold, full.merge_history))
+    prefix = list(takewhile(lambda merge: merge[2] <= threshold, full.merge_history.tolist()))
     cut = agglomerate(checked(dm, labels), threshold=threshold)
-    assert cut.merge_history == prefix
+    assert cut.merge_history.tolist() == prefix
     assert list(cut.assignment.items()) == list(
         partition_from_merges(prefix, labels).assignment.items()
     )

@@ -1,6 +1,6 @@
 """Trace model: record parsing, aggregation, and matrix building.
 
-The build_matrix oracle simulates coverage second by second: each in-window
+The build_matrices oracle simulates coverage second by second: each in-window
 second covered by k locations credits 1/k to each, which must agree with the
 vectorized sweep in build_matrices within float tolerance.
 """
@@ -21,7 +21,6 @@ from eigenbehavior import (
     TraceConfig,
     aggregate_locations,
     build_matrices,
-    build_matrix,
     load_location_map,
     load_records,
     trace,
@@ -260,26 +259,26 @@ def test_build_location_index_lexicographic():
     assert {m.location_index for m in mats.values()} == {("A", "B", "C")}
 
 
-# ----------------------------------------------------------- build_matrix ---
+# ---------------------------------------------------- one user's matrix ---
 
 
 def test_single_record_spanning_slots():
     config = TraceConfig(0, 250, slot_seconds=100, normalization="absolute")
-    m = build_matrix([rec("u", "A", 0, 250)], config, ["A"])
+    m = build_matrices([rec("u", "A", 0, 250)], config)["u"]
     assert m.rows.shape == (3, 1)
     np.testing.assert_allclose(m.rows[:, 0], [100.0, 100.0, 50.0])
     # a slot longer than any int64 product of slot number and slot length
-    whole = build_matrix([rec("u", "A", 0, 250)], TraceConfig(0, 250, 2**63, normalization="absolute"), ["A"])
+    whole = build_matrices([rec("u", "A", 0, 250)], TraceConfig(0, 250, 2**63, normalization="absolute"))["u"]
     np.testing.assert_array_equal(whole.rows, [[250.0]])
 
 
 def test_cross_location_overlap_split_evenly():
     config = TraceConfig(0, 200, slot_seconds=200, normalization="absolute")
     records = [rec("u", "A", 0, 100), rec("u", "B", 50, 150)]
-    m = build_matrix(records, config, ["A", "B"])
+    m = build_matrices(records, config)["u"]
     # [0,50) A alone, [50,100) split 25/25, [100,150) B alone
     np.testing.assert_allclose(m.rows[0], [75.0, 75.0])
-    normalized = build_matrix(records, TraceConfig(0, 200, slot_seconds=200), ["A", "B"])
+    normalized = build_matrices(records, TraceConfig(0, 200, slot_seconds=200))["u"]
     np.testing.assert_allclose(normalized.rows[0], [0.5, 0.5])
     assert m.rows[0].sum() == pytest.approx(150.0)  # union length of the intervals
 
@@ -287,48 +286,38 @@ def test_cross_location_overlap_split_evenly():
 def test_three_way_overlap():
     config = TraceConfig(0, 90, slot_seconds=90)
     records = [rec("u", loc, 0, 90) for loc in ("A", "B", "C")]
-    m = build_matrix(records, config, ["A", "B", "C"])
+    m = build_matrices(records, config)["u"]
     np.testing.assert_allclose(m.rows[0], [1 / 3] * 3)
 
 
 def test_same_location_overlap_unions():
     config = TraceConfig(0, 200, slot_seconds=200, normalization="absolute")
-    m = build_matrix([rec("u", "A", 0, 100), rec("u", "A", 50, 150)], config, ["A"])
+    m = build_matrices([rec("u", "A", 0, 100), rec("u", "A", 50, 150)], config)["u"]
     assert m.rows[0, 0] == pytest.approx(150.0)
 
 
 def test_daily_window_clips_records():
     config = TraceConfig(0, 86400, window=(0, 43200), normalization="absolute")
-    m = build_matrix([rec("u", "A", 21600, 64800)], config, ["A"])
+    m = build_matrices([rec("u", "A", 21600, 64800)], config)["u"]
     assert m.rows[0, 0] == pytest.approx(21600.0)
 
 
 def test_align_midnight_shifts_slot_grid():
     records = [rec("u", "A", 120000, 140000)]
     plain = TraceConfig(43200, 216000, normalization="absolute")
-    m = build_matrix(records, plain, ["A"])
+    m = build_matrices(records, plain)["u"]
     np.testing.assert_allclose(m.rows[:, 0], [9600.0, 10400.0])
     aligned = TraceConfig(43200, 216000, normalization="absolute", align_midnight=True)
-    m2 = build_matrix(records, aligned, ["A"])
+    m2 = build_matrices(records, aligned)["u"]
     assert aligned.n_slots == 3
     np.testing.assert_allclose(m2.rows[:, 0], [0.0, 20000.0, 0.0])
 
 
 def test_records_outside_horizon_dropped():
     config = TraceConfig(0, 100, slot_seconds=100)
-    m = build_matrix([rec("u", "A", 300, 400)], config, ["A"])
+    m = build_matrices([rec("u", "A", 300, 400)], config)["u"]
     assert m.rows.sum() == 0.0
     assert not m.online.any()
-
-
-def test_build_matrix_errors():
-    config = TraceConfig(0, 100, slot_seconds=100)
-    with pytest.raises(ValueError, match="multiple users"):
-        build_matrix([rec("u", "A", 0, 1), rec("v", "A", 1, 2)], config, ["A"])
-    with pytest.raises(ValueError, match="not in location_index"):
-        build_matrix([rec("u", "B", 0, 1)], config, ["A"])
-    with pytest.raises(ValueError, match="no records"):
-        build_matrix([], config, ["A"])
 
 
 def test_config_validation():
@@ -355,11 +344,11 @@ def test_row_sums_and_shuffle_invariance():
             rec("u", locations[rng.integers(4)], int(s), int(s) + int(rng.integers(1, 120)))
             for s in rng.integers(0, 290, size=rng.integers(1, 8))
         ]
-        m = build_matrix(records, config, locations)
+        m = build_matrices(records, config)["u"]
         sums = m.rows.sum(axis=1)
         assert np.all((np.abs(sums - 1.0) < 1e-9) | (sums == 0.0))
         shuffled = [records[i] for i in rng.permutation(len(records))]
-        m2 = build_matrix(shuffled, config, locations)
+        m2 = build_matrices(shuffled, config)["u"]
         np.testing.assert_allclose(m.rows, m2.rows, atol=1e-12)
 
 
@@ -374,8 +363,8 @@ def test_build_matrix_matches_per_second_oracle():
             for s in rng.integers(-20, 310, size=rng.integers(1, 7))
         ]
         for cfg in (config, norm_config):
-            got = build_matrix(records, cfg, locations).rows
-            want = oracle_rows(records, cfg, locations)
+            got = build_matrices(records, cfg)["u"].rows
+            want = oracle_rows(records, cfg, Records.from_rows(records).locations)
             np.testing.assert_allclose(got, want, atol=1e-9)
 
 
@@ -398,15 +387,15 @@ def overlapping_sessions(draw):
     for _ in range(draw(st.integers(1, 8))):
         start = draw(st.sampled_from([0, DAY_SECONDS, 2 * DAY_SECONDS])) + draw(st.integers(-400, 700))
         records.append(rec("u", draw(st.sampled_from(locations)), start, start + draw(st.integers(1, 400))))
-    return records, config, locations
+    return records, config
 
 
 @given(overlapping_sessions())
 @settings(max_examples=150, deadline=None)
 def test_build_matrix_property_matches_per_second_oracle(case):
-    records, config, locations = case
-    got = build_matrix(records, config, locations).rows
-    np.testing.assert_allclose(got, oracle_rows(records, config, locations), atol=1e-9)
+    records, config = case
+    got = build_matrices(records, config)["u"].rows
+    np.testing.assert_allclose(got, oracle_rows(records, config, Records.from_rows(records).locations), atol=1e-9)
 
 
 def test_window_matches_per_second_oracle():
@@ -418,8 +407,8 @@ def test_window_matches_per_second_oracle():
             rec("u", locations[rng.integers(2)], int(s), int(s) + int(rng.integers(600, 40000)))
             for s in rng.integers(0, 2 * 86400 - 40000, size=rng.integers(1, 5))
         ]
-        got = build_matrix(records, config, locations).rows
-        want = oracle_rows(records, config, locations)
+        got = build_matrices(records, config)["u"].rows
+        want = oracle_rows(records, config, Records.from_rows(records).locations)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
 
@@ -432,7 +421,7 @@ def test_total_online_seconds_equals_union_length():
             rec("u", locations[rng.integers(3)], int(s), int(s) + int(rng.integers(1, 60)))
             for s in rng.integers(0, 60, size=rng.integers(1, 6))
         ]
-        m = build_matrix(records, config, locations)
+        m = build_matrices(records, config)["u"]
         covered = set()
         for r in records:
             covered.update(range(int(r.start), min(int(r.end), 100)))

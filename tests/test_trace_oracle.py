@@ -25,7 +25,6 @@ from eigenbehavior import (
     TraceConfig,
     aggregate_locations,
     build_matrices,
-    build_matrix,
     load_records,
     split_trace,
 )
@@ -275,15 +274,6 @@ def test_matrix_rows_are_views_of_one_array():
     mats = build_matrices(rows, TraceConfig(0, 100, slot_seconds=50))
     assert mats["u"].rows.base is not None
     assert mats["u"].rows.base is mats["v"].rows.base
-
-
-def test_build_matrix_is_one_user_of_build_matrices():
-    rows = [AssociationRecord("u", "B", 0.5, 70), AssociationRecord("u", "A", 60, 99.5)]
-    config = TraceConfig(0, 100, slot_seconds=50)
-    got = build_matrix(Records.from_rows(rows), config, ["A", "B", "C"])
-    want = oracle.build_matrix(rows, config, ["A", "B", "C"])
-    assert got.location_index == ("A", "B", "C")
-    assert np.array_equal(got.rows, want.rows)
 
 
 @given(record_rows())
